@@ -41,44 +41,10 @@ fi
 echo "==> cargo build --release"
 cargo build --release || status=1
 
+# The workspace run includes the fast-backend differential, multichannel,
+# fault-injection, scale-out topology and event-server suites.
 echo "==> cargo test --release --workspace"
 cargo test --release --workspace -q || status=1
-
-# Parallel-runtime gate: the whole tier-1 suite once more with 4
-# shard-settle workers. Every suite must stay green and every snapshot
-# byte-identical — `tests/parallel_determinism.rs` pins the identity
-# directly, the rerun catches any test that would only fail when feeds
-# settle on pool workers (DESIGN.md §11).
-echo "==> cargo test --release --workspace (SMARTDIMM_THREADS=4)"
-SMARTDIMM_THREADS=4 cargo test --release --workspace -q || status=1
-
-# Fidelity-tier gate: the differential harness runs every committed
-# workload (TLS/deflate/1-2-4-channel sweeps, 12 fault-injected oracle
-# seeds) on both memory backends, and the multichannel/fault suites
-# cover the fast backend's cross-channel bounce recovery directly. A
-# green run pins byte-identical payloads and identical functional
-# counters across tiers (DESIGN.md "Memory backend fidelity tiers").
-echo "==> fast-backend differential + multichannel/fault suites"
-cargo test --release --test backend_differential -q || status=1
-cargo test --release --test multichannel -q || status=1
-cargo test --release --test fault_injection -q || status=1
-
-# Scale-out topology gate: 2-socket × 2-DIMM snapshot determinism at
-# every thread count, scheduler placement invariants (nothing feeds a
-# DSA-less slot, occupancy+locality measurably shifts placements), and
-# the per-socket interconnect counters (tests/topology.rs, DESIGN.md
-# §13). The ranks=2 oracle sweep rides in fault_injection above; the
-# run_report check below validates the committed sweep.topology_*
-# scopes and sched counters.
-echo "==> scale-out topology suite"
-cargo test --release --test topology -q || status=1
-
-# Event-driven tail-latency gate: same-seed byte-identical snapshots and
-# thread invariance at >10k connections, admission control that fires
-# only above its pressure watermark, and goodput monotone non-increasing
-# in churn (tests/event_server.rs, DESIGN.md §12).
-echo "==> event-driven server suite"
-cargo test --release --test event_server -q || status=1
 
 # Hot-path bench smoke: tiny iteration counts — asserts the harness
 # runs and BENCH_hotpaths.json is produced and parses (check mode).

@@ -196,9 +196,8 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
     // Before: the pre-parallel report builder — entries run one after
     // another on the caller's thread. After: the same entries fanned
     // out on a 4-worker `simkit::par` pool, exactly as `run_report`
-    // now executes them. Results are byte-identical either way
-    // (`tests/parallel_determinism.rs` pins this); the ratio is the
-    // wall-clock scaling of whole-simulation parallelism, bounded by
+    // now executes them. Results are byte-identical either way; the
+    // ratio is the wall-clock scaling of whole-simulation parallelism, bounded by
     // the slowest single entry (deflate).
     let entries = || -> Vec<(PlatformKind, WorkloadConfig)> {
         let tls_cfg = WorkloadConfig {
@@ -209,7 +208,6 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
             llc: Some(CacheConfig::mb(2, 16)),
             channels: 4,
             channel_interleave_lines: 1,
-            threads: 1,
             ..WorkloadConfig::default()
         };
         let deflate_cfg = WorkloadConfig {

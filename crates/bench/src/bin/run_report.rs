@@ -112,12 +112,6 @@ const REQUIRED_METRICS: &[&str] = &[
     "\"fidelity_tier\"",
     "\"cycle_accurate\"",
     "\"fast_queue\"",
-    // Parallel shard runtime: deterministic sync/merge counters under
-    // each host's `par` scope. Worker/steal counts are scheduler
-    // artifacts and live in the `run_report/v1` wrapper instead.
-    "\"sync_points\"",
-    "\"settled_lines\"",
-    "\"merged_events\"",
     // Scale-out topology surfaces: per-socket rollup scopes with the
     // interconnect CAS counter, and the offload scheduler's placement
     // accounting.
@@ -231,16 +225,12 @@ fn run_entry(e: Entry) -> (String, Scope, String) {
 fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> Vec<Entry> {
     let mut entries = Vec::new();
 
-    // Inner simulations run their shard settling sequentially
-    // (`threads: 1`): the report parallelizes *across* entries, and
-    // nesting both levels would oversubscribe the pool.
     let cfg = WorkloadConfig {
         message_bytes: 4096,
         connections,
         requests,
         ulp: UlpKind::Tls,
         llc: Some(CacheConfig::mb(2, 16)),
-        threads: 1,
         ..WorkloadConfig::default()
     };
     let platforms = [
@@ -274,7 +264,6 @@ fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> V
             llc: Some(CacheConfig::mb(2, 16)),
             channels,
             channel_interleave_lines: 1,
-            threads: 1,
             ..WorkloadConfig::default()
         };
         for (kind, place) in [
@@ -322,7 +311,6 @@ fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> V
         dimms_per_channel: 2,
         sockets: 2,
         interconnect_penalty_cycles: 200,
-        threads: 1,
         ..WorkloadConfig::default()
     };
     entries.push(Entry::Server {
@@ -364,7 +352,6 @@ fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> V
             channels: 4,
             channel_interleave_lines: 1,
             backend: platforms::BackendKind::FastQueue,
-            threads: 1,
             ..WorkloadConfig::default()
         },
         path: "sweep.tls_ch4_smartdimm_fast".to_string(),
@@ -385,7 +372,6 @@ fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> V
         llc: Some(CacheConfig::mb(2, 16)),
         churn_permille: 100,
         slow_client_permille: 50,
-        threads: 1,
         ..EventWorkloadConfig::default()
     };
     for (kind, place) in [

@@ -101,12 +101,6 @@ pub trait MemoryBackend {
     /// inspection via [`crate::BufferDevice::as_any_mut`]).
     fn dimm_mut(&mut self, channel: usize) -> &mut Dimm;
 
-    /// Simultaneous mutable access to every channel's DIMM, in channel
-    /// order. This is the borrow split the parallel shard drain needs:
-    /// each `&mut Dimm` is disjoint, so a `simkit::par` worker can own
-    /// one channel's device while its siblings own theirs.
-    fn dimms_mut(&mut self) -> Vec<&mut Dimm>;
-
     /// The address mapper in use.
     fn mapper(&self) -> &AddressMapper;
 
@@ -221,9 +215,6 @@ impl MemoryBackend for DramSystem {
     }
     fn dimm_mut(&mut self, channel: usize) -> &mut Dimm {
         DramSystem::dimm_mut(self, channel)
-    }
-    fn dimms_mut(&mut self) -> Vec<&mut Dimm> {
-        DramSystem::dimms_mut(self)
     }
     fn mapper(&self) -> &AddressMapper {
         DramSystem::mapper(self)
@@ -465,10 +456,6 @@ impl MemoryBackend for FastDramSystem {
 
     fn dimm_mut(&mut self, channel: usize) -> &mut Dimm {
         &mut self.channels[channel].dimms[0]
-    }
-
-    fn dimms_mut(&mut self) -> Vec<&mut Dimm> {
-        self.channels.iter_mut().map(|c| &mut c.dimms[0]).collect()
     }
 
     fn mapper(&self) -> &AddressMapper {

@@ -195,14 +195,6 @@ impl DramSystem {
         &mut self.channels[channel].dimms[0]
     }
 
-    /// Disjoint mutable access to every channel's slot-0 (DSA-bearing)
-    /// DIMM, in channel order (the borrow split behind the parallel
-    /// shard drain — one shard per channel regardless of how many
-    /// capacity DIMMs share the bus).
-    pub fn dimms_mut(&mut self) -> Vec<&mut Dimm> {
-        self.channels.iter_mut().map(|c| &mut c.dimms[0]).collect()
-    }
-
     /// Whether `channel` is owned by a socket other than the home
     /// socket (accesses cross the inter-socket link).
     fn is_remote(&self, channel: usize) -> bool {

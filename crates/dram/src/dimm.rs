@@ -56,10 +56,9 @@ pub enum WrResult {
 /// On-module logic observing and intercepting the DDR command stream.
 ///
 /// Implementations must be deterministic: the same command sequence must
-/// produce the same responses. `Send` is a supertrait so a channel's
-/// whole [`Dimm`] (device included) can move to a `simkit::par` worker
-/// when shards drain in parallel — device state stays channel-local, so
-/// `Sync` is neither required nor wanted.
+/// produce the same responses. `Send` is a supertrait so a whole
+/// simulated machine (devices included) can move to a `simkit::par`
+/// worker; device state is never shared, so `Sync` is not required.
 pub trait BufferDevice: Send {
     /// A row was activated in `(rank, bank_index)`.
     fn on_activate(&mut self, at: Cycle, rank: usize, bank_index: usize, row: usize);

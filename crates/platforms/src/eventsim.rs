@@ -42,7 +42,7 @@
 //!   rises.
 //!
 //! Everything is deterministic: same seed → byte-identical telemetry
-//! snapshots, invariant under `SMARTDIMM_THREADS`.
+//! snapshots.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -64,9 +64,9 @@ use crate::server::{
 /// `c` uses slot `c % ARENA_SLOTS`, modeling a bounded buffer pool.
 const ARENA_SLOTS: usize = 1024;
 
-/// Completions between device queue-pressure samples. Sampling settles
-/// the channel shards, so a fixed cadence bounds that cost while keeping
-/// the admission decision deterministic.
+/// Completions between device queue-pressure samples. Sampling visits
+/// every channel shard, so a fixed cadence bounds that cost while
+/// keeping the admission decision deterministic.
 const PRESSURE_SAMPLE_EVERY: u64 = 16;
 
 /// What to do with a request admitted while the device is saturated.
@@ -139,7 +139,8 @@ pub struct EventWorkloadConfig {
     /// cycle-accurate DRAM would dominate wall-clock. Cycle-accurate runs
     /// stay valid at small connection counts.
     pub backend: BackendKind,
-    /// Shard-settling worker threads (`0` = `SMARTDIMM_THREADS`).
+    /// No effect: DSA feeds compute inline at CAS time, so there is no
+    /// shard-settle pool to size. Kept for existing callers.
     pub threads: usize,
     /// Mean exponential think time between a connection's requests (ns).
     pub think_time_ns: u64,
@@ -488,7 +489,6 @@ fn run_event_server_instrumented(
     host_cfg.mem.dram.topology.sockets = cfg.sockets.max(1);
     host_cfg.mem.dram.interconnect_penalty_cycles = cfg.interconnect_penalty_cycles;
     host_cfg.sched.policy = cfg.placement;
-    host_cfg.threads = cfg.threads;
     if let Some(pages) = cfg.scratchpad_pages {
         host_cfg.dimm.scratchpad_pages = pages;
     }

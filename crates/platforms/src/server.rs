@@ -113,10 +113,8 @@ pub struct WorkloadConfig {
     /// differential harness pins it — and trades timing fidelity for
     /// wall-clock speed on long sweeps.
     pub backend: BackendKind,
-    /// Worker threads for parallel channel-shard settling. `0` (the
-    /// default) defers to the `SMARTDIMM_THREADS` environment variable
-    /// (sequential when unset). Simulated results are byte-identical
-    /// for every value — only wall-clock changes ([`simkit::par`]).
+    /// No effect: DSA feeds compute inline at CAS time, so there is no
+    /// shard-settle pool to size. Kept for existing callers.
     pub threads: usize,
 }
 
@@ -775,7 +773,6 @@ fn run_server_instrumented(
     host_cfg.mem.dram.topology.sockets = cfg.sockets.max(1);
     host_cfg.mem.dram.interconnect_penalty_cycles = cfg.interconnect_penalty_cycles;
     host_cfg.sched.policy = cfg.placement;
-    host_cfg.threads = cfg.threads;
     let mut host = CompCpyHost::new(host_cfg);
     if let Some(fault_seed) = cfg.fault_seed {
         let plan = simkit::FaultPlan::generate(fault_seed, cfg.requests as u64);

@@ -6,8 +6,8 @@
 //! byte-determinism every differential suite relies on. This module is
 //! the one place allowed to own such primitives (mirroring the
 //! `simkit::timer` wall-clock doorway for `DET-NOW`), so that every
-//! cross-thread interaction of the parallel channel shards (ROADMAP
-//! item 3) is funneled through wrappers this crate keeps deterministic.
+//! cross-thread interaction of the parallel runtime is funneled through
+//! wrappers this crate keeps deterministic.
 //!
 //! # Shared-state wrappers
 //!
@@ -29,20 +29,16 @@
 //! regardless of which worker ran what. Determinism is preserved by
 //! construction, not by prayer:
 //!
-//! * tasks must be *disjoint* (each owns its input — e.g. one channel
-//!   shard, one sweep configuration); the type system enforces this by
-//!   moving each item into exactly one task invocation;
-//! * result order is the input index order, so downstream merging and
-//!   telemetry mounting never observe scheduler order;
+//! * tasks must be *disjoint* (each owns its input — e.g. one sweep
+//!   configuration); the type system enforces this by moving each item
+//!   into exactly one task invocation;
+//! * result order is the input index order, so telemetry mounting never
+//!   observes scheduler order;
 //! * scheduler-dependent observables (which worker ran a task, how many
 //!   steals happened) are quarantined in [`ParStats`] and must never be
 //!   folded into a `telemetry/v1` snapshot — they may only be reported
 //!   in non-deterministic wrapper metadata (the same quarantine as
 //!   `run_report/v1`'s `generated_at_unix`).
-//!
-//! Cross-channel event streams are re-serialized with [`merge_ordered`],
-//! which orders events by the `(cycle, channel, seq)` key — the one
-//! total order every thread count agrees on.
 #![deny(missing_docs)]
 
 use std::collections::VecDeque;
@@ -52,8 +48,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// A mutex whose lock never fails: poison is recovered, not propagated.
 ///
 /// Used for host-local state that Algorithm 2 describes as "under the
-/// lock" (e.g. the free-page reservation count) — lock-shaped so the
-/// parallel-shard scheduler can adopt it without another API change.
+/// lock" (e.g. the free-page reservation count).
 ///
 /// ```
 /// use simkit::par::DetMutex;
@@ -125,8 +120,8 @@ impl<T> Shared<T> {
 }
 
 /// Environment knob naming the worker count for parallel sections
-/// (`SMARTDIMM_THREADS=4 cargo test ...`). Read only through
-/// [`configured_threads`].
+/// (`SMARTDIMM_THREADS=2 cargo run -p bench --bin run_report`). Read
+/// only through [`configured_threads`].
 pub const THREADS_ENV: &str = "SMARTDIMM_THREADS";
 
 /// Resolves the effective worker count for a parallel section.
@@ -166,19 +161,10 @@ pub struct ParStats {
     pub steals: u64,
 }
 
-impl ParStats {
-    /// Folds another run's stats into this accumulator.
-    pub fn absorb(&mut self, other: ParStats) {
-        self.workers = self.workers.max(other.workers);
-        self.tasks += other.tasks;
-        self.steals += other.steals;
-    }
-}
-
 /// One worker's end of the work-stealing deque set: the owner pops from
 /// the bottom (LIFO, cache-warm), thieves steal from the top (FIFO,
-/// oldest task first). Mutex-backed — task bodies here are whole shard
-/// drains or whole simulations, so deque overhead is noise.
+/// oldest task first). Mutex-backed — task bodies here are whole
+/// simulations, so deque overhead is noise.
 struct WsDeque<T> {
     jobs: Mutex<VecDeque<(usize, T)>>,
 }
@@ -312,47 +298,6 @@ where
     )
 }
 
-/// The total order every cross-channel event merge uses:
-/// `(cycle, channel, seq)`. Cycle breaks first (simulated time), the
-/// channel index second (a stable tie-break no scheduler can perturb),
-/// per-channel sequence number last (FIFO within a shard's own stream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MergeKey {
-    /// Simulated cycle the event occurred at.
-    pub cycle: u64,
-    /// Originating channel shard.
-    pub channel: usize,
-    /// Per-channel monotonic sequence number.
-    pub seq: u64,
-}
-
-/// Deterministically interleaves per-channel event streams into one
-/// sequence ordered by [`MergeKey`] — the serialization point where
-/// independently-advancing shards rejoin a single timeline. Each inner
-/// vector must already be sorted by `(cycle, seq)` (shards emit their
-/// own streams in order); the channel index is taken from the outer
-/// position.
-///
-/// The output is identical for every thread count because the key never
-/// mentions a worker, a thread, or arrival order — only simulated state.
-pub fn merge_ordered<T>(per_channel: Vec<Vec<(u64, u64, T)>>) -> Vec<(MergeKey, T)> {
-    let mut merged: Vec<(MergeKey, T)> = Vec::new();
-    for (channel, stream) in per_channel.into_iter().enumerate() {
-        for (cycle, seq, ev) in stream {
-            merged.push((
-                MergeKey {
-                    cycle,
-                    channel,
-                    seq,
-                },
-                ev,
-            ));
-        }
-    }
-    merged.sort_by_key(|(k, _)| *k);
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,41 +381,9 @@ mod tests {
     fn configured_threads_prefers_explicit_request() {
         assert_eq!(configured_threads(3), 3);
         // requested == 0 falls back to env-or-1; without the variable
-        // this is 1. (The env-set path is covered by ci.sh's
-        // SMARTDIMM_THREADS=4 tier-1 run.)
+        // this is 1.
         if std::env::var(THREADS_ENV).is_err() {
             assert_eq!(configured_threads(0), 1);
         }
-    }
-
-    #[test]
-    fn merge_ordered_is_schedule_independent() {
-        // Two shards' streams, each sorted by (cycle, seq); the merge
-        // interleaves by cycle and breaks ties by channel then seq.
-        let ch0 = vec![(10, 0, "a"), (30, 1, "c")];
-        let ch1 = vec![(10, 0, "b"), (20, 1, "d")];
-        let merged: Vec<&str> = merge_ordered(vec![ch0, ch1])
-            .into_iter()
-            .map(|(_, ev)| ev)
-            .collect();
-        assert_eq!(merged, vec!["a", "b", "d", "c"]);
-    }
-
-    #[test]
-    fn par_stats_absorb_accumulates() {
-        let mut acc = ParStats::default();
-        acc.absorb(ParStats {
-            workers: 4,
-            tasks: 10,
-            steals: 2,
-        });
-        acc.absorb(ParStats {
-            workers: 2,
-            tasks: 5,
-            steals: 1,
-        });
-        assert_eq!(acc.workers, 4);
-        assert_eq!(acc.tasks, 15);
-        assert_eq!(acc.steals, 3);
     }
 }

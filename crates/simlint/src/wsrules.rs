@@ -69,7 +69,7 @@ const SHARD_FILES: [&str; 6] = [
 /// Host-side identifiers shard code must never name. Touching any of
 /// these from inside the shard would mean a device model reaching
 /// across the channel boundary outside the memory-command protocol.
-const HOST_IDENTS: [&str; 11] = [
+const HOST_IDENTS: [&str; 10] = [
     "CompCpyHost",
     "MemSystem",
     "Llc",
@@ -79,7 +79,6 @@ const HOST_IDENTS: [&str; 11] = [
     "memsys",
     "device_on",
     "dimm_mut",
-    "dimms_mut",
     "install_dimm",
 ];
 
@@ -88,7 +87,7 @@ const HOST_IDENTS: [&str; 11] = [
 /// Inspection (stats/telemetry/translation-table reads) and fault
 /// injection are sanctioned; everything else must travel as memory
 /// commands so the shard boundary stays a message boundary.
-const SHARD_API: [&str; 16] = [
+const SHARD_API: [&str; 14] = [
     "stats",
     "free_pages",
     "occupancy_series",
@@ -103,8 +102,6 @@ const SHARD_API: [&str; 16] = [
     "inject_scratch_hog",
     "clear_injected",
     "config",
-    "settle",
-    "pending_feeds",
 ];
 
 /// Threading primitives `THREAD-DET` forbids outside the doorway.

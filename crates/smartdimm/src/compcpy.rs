@@ -34,11 +34,6 @@ pub enum CompCpyError {
     /// Non-size-preserving ULPs need their buffers mapped to a single
     /// channel (§V-D); this system interleaves across channels.
     SingleChannelOnly,
-    /// A thread holding the driver's scratchpad-space lock panicked,
-    /// poisoning the software-side free-page tracker. Retained for API
-    /// compatibility: since the `simkit::par` doorway migration the
-    /// tracker recovers from poison, so this is no longer constructed.
-    HostStatePoisoned,
 }
 
 impl std::fmt::Display for CompCpyError {
@@ -54,9 +49,6 @@ impl std::fmt::Display for CompCpyError {
                     "non-size-preserving offloads require single-channel mapping"
                 )
             }
-            CompCpyError::HostStatePoisoned => {
-                write!(f, "driver scratchpad-space lock poisoned")
-            }
         }
     }
 }
@@ -70,21 +62,17 @@ pub struct HostConfig {
     pub mem: MemConfig,
     /// SmartDIMM hardware configuration.
     pub dimm: SmartDimmConfig,
-    /// Worker threads for parallel channel-shard settling. `0` (the
-    /// default) defers to the `SMARTDIMM_THREADS` environment variable,
-    /// falling back to fully sequential execution. Any value produces
-    /// byte-identical simulated state — the count only changes
-    /// wall-clock time (see [`simkit::par`]).
+    /// No effect: DSA feeds compute inline at CAS time, so there is no
+    /// shard-settle pool to size. Kept for existing callers.
     pub threads: usize,
     /// Offload placement scheduling: policy plus tuning knobs (see
     /// [`crate::sched`]). The default keeps the static per-line decode.
     pub sched: sched::SchedConfig,
 }
 
-/// Device-side queueing pressure, sampled at a settle point
-/// ([`CompCpyHost::queue_pressure`]). All fields report the *worst*
-/// shard, so a single-channel admission decision stays conservative
-/// under interleaving.
+/// Device-side queueing pressure ([`CompCpyHost::queue_pressure`]).
+/// All fields report the *worst* shard, so a single-channel admission
+/// decision stays conservative under interleaving.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueuePressure {
     /// Fraction of scratchpad pages free on the scarcest channel
@@ -93,8 +81,6 @@ pub struct QueuePressure {
     /// Translation-table occupancy on the fullest channel (`0.0`–`1.0`;
     /// cuckoo displacement cost rises sharply past ~0.33, §IV-C).
     pub xlat_occupancy: f64,
-    /// DSA feeds accepted but not yet settled, summed over all shards.
-    pub pending_feeds: usize,
 }
 
 impl QueuePressure {
@@ -177,20 +163,6 @@ pub struct CompCpyHost {
     /// Fault injector (tests only); shared with the devices, the memory
     /// system and — if the caller threads it through — the TCP model.
     fault: Option<simkit::FaultHandle>,
-    /// Resolved worker count for [`CompCpyHost::sync_shards`].
-    threads: usize,
-    /// Channel-sync points reached (deterministic: call sites are fixed
-    /// by the command stream, never by the scheduler).
-    sync_points: u64,
-    /// Deferred DSA feeds retired across all shards at sync points.
-    settled_lines: u64,
-    /// Events that passed through the deterministic `(cycle, channel,
-    /// seq)` merge. Conservation: equals `settled_lines` — the merge
-    /// must lose nothing.
-    merged_events: u64,
-    /// Scheduler-dependent stats (workers/steals); quarantined from
-    /// telemetry snapshots, surfaced only via [`CompCpyHost::par_stats`].
-    par_stats: simkit::par::ParStats,
 }
 
 impl std::fmt::Debug for CompCpyHost {
@@ -238,11 +210,6 @@ impl CompCpyHost {
             force_recycles: 0,
             injected_faults: 0,
             fault: None,
-            threads: simkit::par::configured_threads(config.threads),
-            sync_points: 0,
-            settled_lines: 0,
-            merged_events: 0,
-            par_stats: simkit::par::ParStats::default(),
         }
     }
 
@@ -330,15 +297,6 @@ impl CompCpyHost {
         self.injected_faults
     }
 
-    /// Scheduler-dependent parallel-runtime stats accumulated over every
-    /// [`CompCpyHost::sync_shards`] call: worker count, tasks, steals.
-    /// These vary with thread count and OS scheduling — report them in
-    /// wall-clock wrappers (`run_report/v1`), never in a deterministic
-    /// telemetry snapshot.
-    pub fn par_stats(&self) -> simkit::par::ParStats {
-        self.par_stats
-    }
-
     /// Placement-decision counters accumulated so far (see
     /// [`crate::sched::SchedStats`]). Deterministic: decisions depend
     /// only on simulated state.
@@ -350,18 +308,14 @@ impl CompCpyHost {
     /// inputs an admission controller needs to decide whether the next
     /// offload should be accepted, shed, or run on the CPU instead.
     ///
-    /// Settles every shard first (pressure fields are compute-derived),
-    /// then reports the *scarcest* shard: minimum scratchpad-free
-    /// fraction and maximum translation-table occupancy across channels,
-    /// plus the total number of DSA feeds still pending settle. The
-    /// paper's Fig. 10 story (scratchpad occupancy under load) and the
-    /// §IV-C xlat-occupancy bound are exactly the two resources that
-    /// degrade first when offloads queue faster than they are used.
+    /// Reports the *scarcest* shard: minimum scratchpad-free fraction and
+    /// maximum translation-table occupancy across channels. The paper's
+    /// Fig. 10 story (scratchpad occupancy under load) and the §IV-C
+    /// xlat-occupancy bound are exactly the two resources that degrade
+    /// first when offloads queue faster than they are used.
     pub fn queue_pressure(&mut self) -> QueuePressure {
-        self.sync_shards();
         let mut scratch_free_fraction = 1.0f64;
         let mut xlat_occupancy = 0.0f64;
-        let mut pending_feeds = 0usize;
         for ch in 0..self.channels {
             let dev = self.device_on(ch);
             let cap = dev.config().scratchpad_pages.max(1);
@@ -369,75 +323,15 @@ impl CompCpyHost {
             let occ = dev.xlat().occupancy();
             scratch_free_fraction = scratch_free_fraction.min(free);
             xlat_occupancy = xlat_occupancy.max(occ);
-            pending_feeds += dev.pending_feeds();
         }
         QueuePressure {
             scratch_free_fraction,
             xlat_occupancy,
-            pending_feeds,
         }
-    }
-
-    /// Resolved worker count used for shard settling.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Channel-sync point: settles every shard's deferred DSA feeds —
-    /// in parallel on the configured worker pool — and merges the
-    /// retired events into one stream ordered by `(cycle, channel,
-    /// seq)` (see [`simkit::par::merge_ordered`]).
-    ///
-    /// Between sync points shards advance independently: CAS-level
-    /// feeds enqueue per shard and each shard drains its own queue with
-    /// no cross-shard interaction, so the workers never contend on
-    /// simulated state. The settle schedule is fixed by the host's
-    /// command stream, never by the scheduler, which is why `threads=1`
-    /// and `threads=N` produce byte-identical snapshots.
-    pub fn sync_shards(&mut self) {
-        self.sync_points += 1;
-        // Cheap sequential peek first: spawning workers for empty
-        // queues would cost wall-clock without settling anything.
-        let mut idle = true;
-        for ch in 0..self.channels {
-            if self.device_on(ch).pending_feeds() > 0 {
-                idle = false;
-                break;
-            }
-        }
-        if idle {
-            return;
-        }
-        let threads = self.threads;
-        let dimms = self.mem.dram_mut().dimms_mut();
-        let (per_channel, stats) = simkit::par::run_indexed(threads, dimms, |_, dimm| {
-            match dimm
-                .buffer_mut()
-                .as_any_mut()
-                .downcast_mut::<SmartDimmDevice>()
-            {
-                Some(dev) => dev.settle(),
-                None => Vec::new(),
-            }
-        });
-        self.par_stats.absorb(stats);
-        let settled: u64 = per_channel.iter().map(|v| v.len() as u64).sum();
-        let streams: Vec<Vec<(u64, u64, ())>> = per_channel
-            .into_iter()
-            .map(|keys| keys.into_iter().map(|(cy, seq)| (cy, seq, ())).collect())
-            .collect();
-        let merged = simkit::par::merge_ordered(streams);
-        debug_assert_eq!(settled, merged.len() as u64, "merge conserves events");
-        self.settled_lines += settled;
-        self.merged_events += merged.len() as u64;
     }
 
     /// Device statistics, read through the buffer-device downcast.
-    /// Syncs the shards first: statistics include compute-derived
-    /// counters and `stats()` takes `&self` on the device, so pending
-    /// feeds must settle before the read.
     pub fn device_stats(&mut self) -> crate::device::DeviceStats {
-        self.sync_shards();
         self.device().stats()
     }
 
@@ -447,31 +341,18 @@ impl CompCpyHost {
     /// snapshot. Takes `&mut self` because device access goes through the
     /// buffer-device downcast.
     pub fn export_telemetry(&mut self, scope: &mut simkit::telemetry::Scope) {
-        // Settle every shard first: the per-channel scopes expose
-        // compute-derived state through `&self` accessors.
-        self.sync_shards();
         scope.set_counter("force_recycles", self.force_recycles);
         scope.set_counter("injected_faults", self.injected_faults);
         scope.set_counter("bounced_offloads", self.bounced_offloads);
         {
             // Placement-decision counters (see [`crate::sched`]).
-            // Decisions depend only on simulated state, so these are
-            // snapshot-safe at any thread count.
+            // Decisions depend only on simulated state.
             let sch = scope.scope("sched");
             sch.set_counter("static_placements", self.sched_stats.static_placements);
             sch.set_counter("rehomed_offloads", self.sched_stats.rehomed_offloads);
             sch.set_counter("migrated_offloads", self.sched_stats.migrated_offloads);
             sch.set_counter("remote_placements", self.sched_stats.remote_placements);
             sch.set_counter("local_placements", self.sched_stats.local_placements);
-        }
-        {
-            // Deterministic parallel-runtime counters only. Worker and
-            // steal counts are scheduler artifacts and live in the
-            // `run_report/v1` wrapper instead (see DESIGN.md §11).
-            let par = scope.scope("par");
-            par.set_counter("sync_points", self.sync_points);
-            par.set_counter("settled_lines", self.settled_lines);
-            par.set_counter("merged_events", self.merged_events);
         }
         for ch in 0..self.channels {
             let mut dev_scope = simkit::telemetry::Scope::default();
@@ -537,7 +418,6 @@ impl CompCpyHost {
     /// Reads the SmartDIMM status register. With multiple channels, the
     /// scratchpad-space fields report the *scarcest* DIMM.
     pub fn read_status(&mut self) -> StatusReg {
-        self.sync_shards(); // status fields are compute-derived
         let mut agg: Option<StatusReg> = None;
         for c in 0..self.channels {
             let addr = self.mmio_alias(STATUS_OFFSET, c);
@@ -666,8 +546,7 @@ impl CompCpyHost {
 
     /// Samples every shard's placement inputs — the same scratchpad and
     /// translation-table signals [`CompCpyHost::queue_pressure`]
-    /// reports, per channel, plus socket locality. Callers settle the
-    /// shards first (the pressure fields are compute-derived).
+    /// reports, per channel, plus socket locality.
     fn shard_snapshots(&mut self) -> Vec<sched::ShardSnapshot> {
         let topo = *self.mapper.topology();
         let home_socket = self.home_socket;
@@ -845,7 +724,6 @@ impl CompCpyHost {
 
     /// Reads the result slot of `handle` on `channel`.
     pub fn read_result_on(&mut self, handle: &OffloadHandle, channel: usize) -> ResultSlot {
-        self.sync_shards(); // result slots fill on finalize
         let slot = (handle.id as usize) % self.result_slots;
         let addr = self.mmio_alias(RESULT_BASE + (slot as u64) * 64, channel);
         let data = self.mem.mmio_read64(addr);
@@ -927,7 +805,6 @@ impl CompCpyHost {
     /// writebacks were ignored (S7) — those are recycled with explicit
     /// write-requests that the device substitutes.
     pub fn force_recycle(&mut self, required: usize) -> usize {
-        self.sync_shards(); // the pending list is compute-derived
         self.force_recycles += 1;
         let mut freed = 0usize;
         for channel in 0..self.channels {
@@ -1027,10 +904,6 @@ impl CompCpyHost {
         if aad.len() > 7 {
             return Err(CompCpyError::BadSize);
         }
-        // Channel-sync point: settle whatever the previous offload left
-        // pending — in parallel — before this offload's registration
-        // MMIO traffic would force each shard to drain serially.
-        self.sync_shards();
         self.apply_armed_faults();
         let pages_needed = 1 + size / PAGE; // line 16's reservation
                                             // Lines 7-17: reserve scratchpad space under the lock. The
@@ -1114,9 +987,6 @@ impl CompCpyHost {
         let ordered = ordered || op.requires_ordered();
         self.mem
             .memcpy(stage_dbuf, eff_sbuf, size.div_ceil(64) * 64, class, ordered);
-        // The copy loop enqueued S6 feeds on every covered shard; this
-        // is the main parallel section — all channels settle at once.
-        self.sync_shards();
 
         let mut aad_buf = [0u8; 7];
         aad_buf[..aad.len()].copy_from_slice(aad);
@@ -1151,7 +1021,6 @@ impl CompCpyHost {
         bounce: PhysAddr,
         class: usize,
     ) {
-        self.sync_shards(); // staged bounce lines must be visible
         let covered = handle.size.div_ceil(64) * 64;
         if self.fault.is_some() {
             // Injected faults may have starved the DSA (dropped S6
@@ -1229,7 +1098,6 @@ impl CompCpyHost {
             // must already be visible to the DSA-bearing DIMM slot.
             return Err(CompCpyError::SingleChannelOnly);
         }
-        self.sync_shards();
         self.apply_armed_faults();
         // Reserve scratchpad space exactly as CompCpy does.
         let pages_needed = 1 + size / PAGE;
@@ -1287,7 +1155,6 @@ impl CompCpyHost {
     /// write-requests (as Force-Recycle's second pass does) to drain the
     /// staging.
     pub fn read_dma_buffer(&mut self, handle: &OffloadHandle) -> Vec<u8> {
-        self.sync_shards(); // DMA feeds settle before the staged read
         let mut out = vec![0u8; handle.size];
         self.mem.load(handle.dbuf, &mut out, 0);
         // Drop the clean cached copies and recycle the staged lines with
@@ -1308,9 +1175,6 @@ impl CompCpyHost {
     /// is the compressed size from the result slot (raw input if the page
     /// was incompressible).
     pub fn use_buffer(&mut self, handle: &OffloadHandle) -> Vec<u8> {
-        // Channel-sync point: flushing dbuf triggers S9 self-recycles,
-        // which need every staged line in place.
-        self.sync_shards();
         self.mem.flush(handle.dbuf, handle.size.div_ceil(64) * 64);
         let result = self.read_result(handle);
         let len = match result.status {

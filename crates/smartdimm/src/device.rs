@@ -20,7 +20,7 @@
 //!   computation is pending (S13).
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use dram::{AddressMapper, BufferDevice, CasInfo, DramTopology, PhysAddr, RdResult, WrResult};
 use simkit::{Cycle, FaultHandle, Histogram, TimeSeries};
@@ -120,27 +120,6 @@ pub struct DeviceStats {
     pub cross_channel_rejects: u64,
 }
 
-/// One accepted-but-not-yet-computed DSA source feed.
-///
-/// Interception acceptance (translation hit, dedup via `processed`,
-/// fault arbitration) happens at enqueue time — in exact command order —
-/// while the ULP *compute* (`DsaInstance::process_line`) is deferred
-/// until the first observation of derived state. Each entry carries the
-/// cycle the feed arrived at, so the deferred replay stamps scratchpad
-/// produce times and completions with the same simulated instants the
-/// inline path would have.
-#[derive(Debug)]
-struct PendingFeed {
-    offload: u64,
-    byte_offset: usize,
-    data: [u8; 64],
-    valid: usize,
-    at: Cycle,
-    /// Device-local monotonic sequence number (the `seq` of the
-    /// cross-channel `(cycle, channel, seq)` merge key).
-    seq: u64,
-}
-
 #[derive(Debug)]
 struct Offload {
     op: OffloadOp,
@@ -178,13 +157,6 @@ pub struct SmartDimmDevice {
     slack: Histogram,
     /// Fault injector (tests only; `None` costs nothing).
     fault: Option<FaultHandle>,
-    /// Accepted source feeds whose ULP compute has not run yet. Drained
-    /// (in FIFO = arrival order) before any access that could observe
-    /// compute-derived state; between those points the queue lets the
-    /// shard's compute run on a `simkit::par` worker.
-    feed_q: VecDeque<PendingFeed>,
-    /// Next per-device feed sequence number (monotonic, never reused).
-    feed_seq: u64,
     /// Sentinel pages holding injected translation pressure.
     injected_xlat_pages: Vec<u64>,
     /// Sentinel destination pages of injected scratchpad hogs.
@@ -224,8 +196,6 @@ impl SmartDimmDevice {
             produce_time: BTreeMap::new(),
             slack: Histogram::new("smartdimm.slack_cycles", 200, 2000),
             fault: None,
-            feed_q: VecDeque::new(),
-            feed_seq: 0,
             injected_xlat_pages: Vec::new(),
             injected_hog_pages: Vec::new(),
             // Sentinel pages for injected state: physical 0x3000_0000+,
@@ -328,9 +298,6 @@ impl SmartDimmDevice {
     /// registrations (competing tenants) into the translation table.
     /// Returns how many fit before `TableFull`.
     pub fn inject_xlat_pressure(&mut self, entries: usize) -> usize {
-        // Table occupancy is compute-derived (finalize retires entries);
-        // settle pending feeds so the pressure result is deterministic.
-        self.drain_feeds();
         let mut inserted = 0;
         for _ in 0..entries {
             let page = self.sentinel_next;
@@ -353,9 +320,6 @@ impl SmartDimmDevice {
     /// pending list, so Force-Recycle can genuinely reclaim them with its
     /// flush + explicit-write passes. Returns how many were staged.
     pub fn inject_scratch_hog(&mut self, at: Cycle, pages: usize) -> usize {
-        // Scratchpad occupancy is compute-derived; settle first so the
-        // number of hog pages that fit does not depend on drain timing.
-        self.drain_feeds();
         let mut staged = 0;
         for _ in 0..pages {
             let dst_page = self.sentinel_next;
@@ -386,7 +350,6 @@ impl SmartDimmDevice {
     /// registrations and any hog pages Force-Recycle did not reclaim
     /// (modeling the competing tenants retiring their offloads).
     pub fn clear_injected(&mut self, at: Cycle) {
-        self.drain_feeds();
         for page in self.injected_xlat_pages.drain(..) {
             self.xlat.remove(page);
         }
@@ -716,79 +679,27 @@ impl SmartDimmDevice {
         off.src_pages.push(reg.src_page_addr >> 12);
     }
 
-    /// Accepts a source feed: dedup/fault arbitration already happened
-    /// at the caller (in command order); the compute itself is deferred.
-    fn enqueue_feed(
-        &mut self,
-        offload: u64,
-        byte_offset: usize,
-        data: [u8; 64],
-        valid: usize,
-        at: Cycle,
-    ) {
-        let seq = self.feed_seq;
-        self.feed_seq += 1;
-        self.feed_q.push_back(PendingFeed {
-            offload,
-            byte_offset,
-            data,
-            valid,
+    /// Runs one accepted source line through its offload's DSA (S6),
+    /// stages the output lines in the Scratchpad and finalizes the
+    /// offload on completion — all at the feed's own CAS instant `at`,
+    /// inside the rdCAS→wrCAS slack (§IV-D). Dedup and fault arbitration
+    /// happened at the caller.
+    fn feed(&mut self, offload: u64, byte_offset: usize, data: &[u8; 64], valid: usize, at: Cycle) {
+        let Some(off) = self.offloads.get_mut(&offload) else {
+            return;
+        };
+        let out = off.dsa.process_line(byte_offset, data, valid);
+        Self::stage_outputs(
+            &mut self.scratchpad,
+            &mut self.produce_time,
+            &mut self.stats,
+            off,
             at,
-            seq,
-        });
-    }
-
-    /// Runs every deferred source feed through its DSA engine, in
-    /// arrival (FIFO) order, stamping outputs and completions with each
-    /// feed's recorded cycle. After this returns, device state is
-    /// byte-identical to a device that computed every feed inline —
-    /// which is why any access that can observe compute-derived state
-    /// (MMIO, destination lines, injections) drains first, and why
-    /// running different shards' drains on different worker threads
-    /// cannot change any simulated outcome.
-    fn drain_feeds(&mut self) -> u64 {
-        let mut drained = 0u64;
-        while let Some(e) = self.feed_q.pop_front() {
-            drained += 1;
-            // The record can only vanish between enqueue and drain via a
-            // drained completion of the same offload (e.g. a zero-output
-            // trim); the inline path would have fed a completed engine's
-            // leftover line into nothing as well, so skip quietly.
-            let Some(off) = self.offloads.get_mut(&e.offload) else {
-                continue;
-            };
-            let out = off.dsa.process_line(e.byte_offset, &e.data, e.valid);
-            Self::stage_outputs(
-                &mut self.scratchpad,
-                &mut self.produce_time,
-                &mut self.stats,
-                off,
-                e.at,
-                &out.produced,
-            );
-            if let Some(c) = out.completion {
-                self.finalize(e.at, e.offload, c);
-            }
+            &out.produced,
+        );
+        if let Some(c) = out.completion {
+            self.finalize(at, offload, c);
         }
-        drained
-    }
-
-    /// Host-side channel-sync point: drains every deferred feed and
-    /// returns the `(cycle, seq)` key of each drained event, in this
-    /// shard's own stream order — ready for the deterministic
-    /// `(cycle, channel, seq)` cross-channel merge
-    /// (`simkit::par::merge_ordered`). Called by the host through the
-    /// sanctioned shard API; also safe (and a no-op) when nothing is
-    /// pending.
-    pub fn settle(&mut self) -> Vec<(u64, u64)> {
-        let keys: Vec<(u64, u64)> = self.feed_q.iter().map(|e| (e.at.raw(), e.seq)).collect();
-        self.drain_feeds();
-        keys
-    }
-
-    /// Deferred source feeds currently queued (0 once settled).
-    pub fn pending_feeds(&self) -> usize {
-        self.feed_q.len()
     }
 
     /// Routes DSA output lines into the scratchpad pages of the offload.
@@ -959,75 +870,62 @@ impl BufferDevice for SmartDimmDevice {
         debug_assert_eq!(phys, info.phys, "addr remap mismatch");
 
         if self.in_config_space(phys) {
-            // MMIO observes results, partials, free pages and the
-            // pending list — all compute-derived: sync the shard first.
-            self.drain_feeds();
             return RdResult::Data(self.handle_mmio_read(phys));
         }
 
         let page = phys.page();
-        // Destination handling may need a drain (staged lines and even
-        // the translation entry itself are compute-derived); the loop
-        // re-resolves the lookup once after draining.
-        loop {
-            match self.xlat.lookup(page) {
-                None => return RdResult::Data(*dram_data), // S4: regular DIMM
-                Some(Mapping::Source {
-                    offload,
-                    msg_offset,
-                }) => {
-                    // S6: accept the feed in command order; defer the
-                    // compute. The data still passes through unchanged.
-                    let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
-                    let byte_offset = msg_offset + line_in_page * 64;
-                    let Some(off) = self.offloads.get_mut(&offload) else {
-                        return RdResult::Data(*dram_data);
-                    };
-                    if off.dma_input {
-                        // Compute DMA: the DSA is fed by writes, not reads.
-                        return RdResult::Data(*dram_data);
-                    }
-                    if byte_offset >= off.msg_len {
-                        return RdResult::Data(*dram_data); // tail beyond message
-                    }
-                    let line_index = byte_offset / 64;
-                    if off.processed[line_index] {
-                        return RdResult::Data(*dram_data); // repeat read
-                    }
-                    if let Some(f) = &self.fault {
-                        // Injected interception miss: the arbiter fails to feed
-                        // this line. `processed` stays clear, so a host re-read
-                        // of the source range recovers the offload.
-                        if f.drop_source_feed(line_index) {
-                            self.stats.dropped_feeds += 1;
-                            return RdResult::Data(*dram_data);
-                        }
-                    }
-                    off.processed[line_index] = true;
-                    let valid = (off.msg_len - byte_offset).min(64);
-                    self.stats.dsa_lines += 1;
-                    self.enqueue_feed(offload, byte_offset, *dram_data, valid, info.at);
+        match self.xlat.lookup(page) {
+            None => RdResult::Data(*dram_data), // S4: regular DIMM
+            Some(Mapping::Source {
+                offload,
+                msg_offset,
+            }) => {
+                // S6: feed the DSA, stage results, pass data through.
+                let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
+                let byte_offset = msg_offset + line_in_page * 64;
+                let Some(off) = self.offloads.get_mut(&offload) else {
+                    return RdResult::Data(*dram_data);
+                };
+                if off.dma_input {
+                    // Compute DMA: the DSA is fed by writes, not reads.
                     return RdResult::Data(*dram_data);
                 }
-                Some(Mapping::Dest { scratch_page, .. }) => {
-                    if !self.feed_q.is_empty() {
-                        self.drain_feeds();
-                        continue; // the drain may have retired this entry
+                if byte_offset >= off.msg_len {
+                    return RdResult::Data(*dram_data); // tail beyond message
+                }
+                let line_index = byte_offset / 64;
+                if off.processed[line_index] {
+                    return RdResult::Data(*dram_data); // repeat read
+                }
+                if let Some(f) = &self.fault {
+                    // Injected interception miss: the arbiter fails to feed
+                    // this line. `processed` stays clear, so a host re-read
+                    // of the source range recovers the offload.
+                    if f.drop_source_feed(line_index) {
+                        self.stats.dropped_feeds += 1;
+                        return RdResult::Data(*dram_data);
                     }
-                    let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
-                    return match self.scratchpad.line_state(scratch_page, line_in_page) {
-                        LineState::Valid => {
-                            // S10: serve from the Scratchpad.
-                            self.stats.scratch_reads += 1;
-                            RdResult::Data(self.scratchpad.read(scratch_page, line_in_page))
-                        }
-                        LineState::Pending => {
-                            // S13: computation unfinished — ALERT_N retry.
-                            self.stats.alert_retries += 1;
-                            RdResult::Retry
-                        }
-                        LineState::Done => RdResult::Data(*dram_data),
-                    };
+                }
+                off.processed[line_index] = true;
+                let valid = (off.msg_len - byte_offset).min(64);
+                self.stats.dsa_lines += 1;
+                self.feed(offload, byte_offset, dram_data, valid, info.at);
+                RdResult::Data(*dram_data)
+            }
+            Some(Mapping::Dest { scratch_page, .. }) => {
+                let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
+                match self.scratchpad.line_state(scratch_page, line_in_page) {
+                    LineState::Valid => {
+                        // S10: serve from the Scratchpad.
+                        self.stats.scratch_reads += 1;
+                        RdResult::Data(self.scratchpad.read(scratch_page, line_in_page))
+                    }
+                    LineState::Pending => {
+                        // S13: computation unfinished — ALERT_N retry.
+                        self.stats.alert_retries += 1;
+                        RdResult::Retry
+                    }
+                    LineState::Done => RdResult::Data(*dram_data),
                 }
             }
         }
@@ -1047,16 +945,7 @@ impl BufferDevice for SmartDimmDevice {
         if self.in_config_space(base) || self.in_config_space(PhysAddr(base.0 + 0xFFF)) {
             return false;
         }
-        if matches!(self.xlat.peek(base.page()), Some(Mapping::Dest { .. })) {
-            // A pending feed may retire this destination entry (finalize
-            // removes translations); settle before denying the batch.
-            if self.feed_q.is_empty() {
-                return false;
-            }
-            self.drain_feeds();
-            return !matches!(self.xlat.peek(base.page()), Some(Mapping::Dest { .. }));
-        }
-        true
+        !matches!(self.xlat.peek(base.page()), Some(Mapping::Dest { .. }))
     }
 
     fn on_rd_page(
@@ -1078,15 +967,6 @@ impl BufferDevice for SmartDimmDevice {
             return;
         };
         self.stats.page_feeds += 1;
-        let Some(off) = self.offloads.get_mut(&offload) else {
-            return;
-        };
-        if off.dma_input {
-            return; // Compute DMA: the DSA is fed by writes, not reads.
-        }
-        // Accept every in-range line now (command order fixes `processed`
-        // and the counters); defer the DSA compute to the next drain.
-        let mut accepted: Vec<(usize, [u8; 64], usize, Cycle)> = Vec::new();
         for (line_in_page, line) in data.iter().enumerate() {
             // Line i's burst issues i strides after the first — the same
             // instant the per-line path would stamp in `CasInfo::at`, so
@@ -1094,6 +974,13 @@ impl BufferDevice for SmartDimmDevice {
             // match the serialized command stream.
             let at = first_at + (line_in_page as u64) * stride;
             let byte_offset = msg_offset + line_in_page * 64;
+            // A completion's trim can retire the record mid-page.
+            let Some(off) = self.offloads.get_mut(&offload) else {
+                break;
+            };
+            if off.dma_input {
+                break; // Compute DMA: the DSA is fed by writes, not reads.
+            }
             if byte_offset >= off.msg_len {
                 break; // tail beyond message
             }
@@ -1104,10 +991,7 @@ impl BufferDevice for SmartDimmDevice {
             off.processed[line_index] = true;
             let valid = (off.msg_len - byte_offset).min(64);
             self.stats.dsa_lines += 1;
-            accepted.push((byte_offset, *line, valid, at));
-        }
-        for (byte_offset, line, valid, at) in accepted {
-            self.enqueue_feed(offload, byte_offset, line, valid, at);
+            self.feed(offload, byte_offset, line, valid, at);
         }
     }
 
@@ -1124,88 +1008,74 @@ impl BufferDevice for SmartDimmDevice {
         let phys = self.mapper.encode(&loc);
 
         if self.in_config_space(phys) {
-            // MMIO writes (registration, recycle, buffer reuse) act on
-            // compute-derived state: sync the shard first.
-            self.drain_feeds();
             self.handle_mmio_write(info.at, phys, host_data);
             return WrResult::Ignore;
         }
 
         let page = phys.page();
-        // As on the read side, the destination arm re-resolves once after
-        // draining pending feeds (which can retire the translation).
-        loop {
-            match self.xlat.lookup(page) {
-                None => return WrResult::Commit(*host_data),
-                Some(Mapping::Source {
-                    offload,
-                    msg_offset,
-                }) => {
-                    // Compute DMA (§IV-E): a write into a registered source
-                    // range feeds the DSA as the device DMAs the data in; the
-                    // data also commits to DRAM as a normal write.
-                    let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
-                    let byte_offset = msg_offset + line_in_page * 64;
-                    let mut feed = None;
-                    if let Some(off) = self.offloads.get_mut(&offload) {
-                        if off.dma_input && byte_offset < off.msg_len {
-                            let line_index = byte_offset / 64;
-                            if !off.processed[line_index] {
-                                off.processed[line_index] = true;
-                                let valid = (off.msg_len - byte_offset).min(64);
-                                self.stats.dsa_lines += 1;
-                                feed = Some(valid);
-                            }
+        match self.xlat.lookup(page) {
+            None => WrResult::Commit(*host_data),
+            Some(Mapping::Source {
+                offload,
+                msg_offset,
+            }) => {
+                // Compute DMA (§IV-E): a write into a registered source
+                // range feeds the DSA as the device DMAs the data in; the
+                // data also commits to DRAM as a normal write.
+                let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
+                let byte_offset = msg_offset + line_in_page * 64;
+                let mut accepted = None;
+                if let Some(off) = self.offloads.get_mut(&offload) {
+                    if off.dma_input && byte_offset < off.msg_len {
+                        let line_index = byte_offset / 64;
+                        if !off.processed[line_index] {
+                            off.processed[line_index] = true;
+                            self.stats.dsa_lines += 1;
+                            accepted = Some((off.msg_len - byte_offset).min(64));
                         }
                     }
-                    if let Some(valid) = feed {
-                        self.enqueue_feed(offload, byte_offset, *host_data, valid, info.at);
-                    }
-                    return WrResult::Commit(*host_data);
                 }
-                Some(Mapping::Dest {
-                    offload,
-                    msg_offset,
-                    scratch_page,
-                }) => {
-                    if !self.feed_q.is_empty() {
-                        self.drain_feeds();
-                        continue; // the drain may have retired this entry
+                if let Some(valid) = accepted {
+                    self.feed(offload, byte_offset, host_data, valid, info.at);
+                }
+                WrResult::Commit(*host_data)
+            }
+            Some(Mapping::Dest {
+                offload,
+                msg_offset,
+                scratch_page,
+            }) => {
+                let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
+                match self.scratchpad.line_state(scratch_page, line_in_page) {
+                    LineState::Valid => {
+                        // S9: Self-Recycle — substitute the staged result.
+                        let (data, freed) =
+                            self.scratchpad.recycle(info.at, scratch_page, line_in_page);
+                        self.stats.self_recycles += 1;
+                        if let Some(t0) = self.produce_time.remove(&(scratch_page, line_in_page)) {
+                            self.slack.record(info.at.saturating_since(t0));
+                        }
+                        if freed {
+                            // Remove the translation by page, not through
+                            // the offload record: pages staged without a
+                            // live offload (injected hogs, races with
+                            // supersede) must not orphan their entry.
+                            self.xlat.remove(page);
+                            if let Some(off) = self.offloads.get_mut(&offload) {
+                                let page_index = msg_offset / PAGE;
+                                off.dst_phys[page_index] = None;
+                                off.dst_scratch[page_index] = None;
+                            }
+                            self.maybe_drop_offload(offload);
+                        }
+                        WrResult::Commit(data)
                     }
-                    let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
-                    return match self.scratchpad.line_state(scratch_page, line_in_page) {
-                        LineState::Valid => {
-                            // S9: Self-Recycle — substitute the staged result.
-                            let (data, freed) =
-                                self.scratchpad.recycle(info.at, scratch_page, line_in_page);
-                            self.stats.self_recycles += 1;
-                            if let Some(t0) =
-                                self.produce_time.remove(&(scratch_page, line_in_page))
-                            {
-                                self.slack.record(info.at.saturating_since(t0));
-                            }
-                            if freed {
-                                // Remove the translation by page, not through
-                                // the offload record: pages staged without a
-                                // live offload (injected hogs, races with
-                                // supersede) must not orphan their entry.
-                                self.xlat.remove(page);
-                                if let Some(off) = self.offloads.get_mut(&offload) {
-                                    let page_index = msg_offset / PAGE;
-                                    off.dst_phys[page_index] = None;
-                                    off.dst_scratch[page_index] = None;
-                                }
-                                self.maybe_drop_offload(offload);
-                            }
-                            WrResult::Commit(data)
-                        }
-                        LineState::Pending => {
-                            // S7: premature writeback — ignore, keep pending.
-                            self.stats.ignored_writebacks += 1;
-                            WrResult::Ignore
-                        }
-                        LineState::Done => WrResult::Commit(*host_data),
-                    };
+                    LineState::Pending => {
+                        // S7: premature writeback — ignore, keep pending.
+                        self.stats.ignored_writebacks += 1;
+                        WrResult::Ignore
+                    }
+                    LineState::Done => WrResult::Commit(*host_data),
                 }
             }
         }
@@ -1333,9 +1203,6 @@ mod tests {
             assert_eq!(dev.on_rd_cas(&info, &data), RdResult::Data(data));
         }
         assert_eq!(dev.stats().dsa_lines, 64);
-        // Feeds are accepted at CAS time but computed lazily; settle the
-        // shard before observing compute-derived state.
-        dev.settle();
         assert_eq!(dev.stats().offloads_completed, 1);
 
         // 3. Writebacks of the destination lines self-recycle.
@@ -1372,6 +1239,63 @@ mod tests {
         let info = prepare(&mut dev, PhysAddr(0x10000));
         assert_eq!(dev.on_rd_cas(&info, &[1u8; 64]), RdResult::Data([1u8; 64]));
         assert_eq!(dev.stats().dsa_lines, 64, "no further DSA activity");
+    }
+
+    /// DSA compute happens at CAS time: with nothing but the source
+    /// reads (half per line, half as one batched page read), every
+    /// `&self` view already shows the finished offload.
+    #[test]
+    fn source_reads_alone_produce_the_staged_output() {
+        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let base = dev.cfg.config_base.0;
+        let (key, iv) = ([3u8; 16], [4u8; 12]);
+        let msg: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 1) as u8).collect();
+        let ctx = ContextChunk {
+            offload_id: 6,
+            payload: OffloadOp::TlsEncrypt { key, iv }.encode_context(msg.len(), b""),
+        };
+        let info = prepare(&mut dev, PhysAddr(base + CONTEXT_OFFSET));
+        dev.on_wr_cas(&info, &ctx.to_bytes());
+        let reg = Registration {
+            offload_id: 6,
+            src_page_addr: 0x70000,
+            dst_page_addr: 0x80000,
+            msg_offset: 0,
+        };
+        let info = prepare(&mut dev, PhysAddr(base + REGISTER_OFFSET));
+        dev.on_wr_cas(&info, &reg.to_bytes());
+
+        let mut page = [[0u8; 64]; 64];
+        for (line, chunk) in page.iter_mut().zip(msg.chunks(64)) {
+            line.copy_from_slice(chunk);
+        }
+        for (line, data) in page.iter().enumerate().take(32) {
+            let info = prepare(&mut dev, PhysAddr(0x70000 + (line as u64) * 64));
+            assert_eq!(dev.on_rd_cas(&info, data), RdResult::Data(*data));
+        }
+        assert!(dev.page_read_supported(PhysAddr(0x70000)));
+        dev.on_rd_page(PhysAddr(0x70000), Cycle(100), 4, &mut page);
+
+        let stats = dev.stats();
+        assert_eq!(stats.dsa_lines, 64);
+        assert_eq!(stats.page_feeds, 1);
+        assert_eq!(stats.offloads_completed, 1);
+        let sp = dev.scratchpad_stats();
+        assert_eq!((sp.allocs, sp.frees, sp.peak_bytes), (1, 0, 4096));
+        let Some(Mapping::Dest { scratch_page, .. }) = dev.xlat().peek(0x80) else {
+            panic!("destination page still registered");
+        };
+        assert_eq!(dev.scratchpad.valid_lines(scratch_page).len(), 64);
+        let (want, want_tag) = ulp_crypto::gcm::AesGcm::new_128(&key).seal(&iv, b"", &msg);
+        for (line, chunk) in want.chunks(64).enumerate() {
+            assert_eq!(
+                &dev.scratchpad.read(scratch_page, line)[..],
+                chunk,
+                "line {line}"
+            );
+        }
+        let slot = ResultSlot::from_bytes(&dev.results[6]);
+        assert_eq!((slot.status, slot.tag), (OffloadStatus::Done, want_tag));
     }
 
     #[test]
@@ -1419,7 +1343,6 @@ mod tests {
             data.copy_from_slice(&page[line * 64..line * 64 + 64]);
             dev.on_rd_cas(&info, &data);
         }
-        dev.settle(); // lazy feeds: sync before observing completion
         assert_eq!(dev.stats().offloads_completed, 1);
         // Now dst line 0 reads from the scratchpad (S10). The row must be
         // re-activated: the source-page accesses above reused the bank.

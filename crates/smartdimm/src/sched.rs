@@ -61,8 +61,7 @@ impl Default for SchedConfig {
     }
 }
 
-/// One shard's inputs to a placement decision, sampled at a settle
-/// point (the fields are compute-derived).
+/// One shard's inputs to a placement decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardSnapshot {
     /// The channel this shard serves.

@@ -4,8 +4,31 @@
 
 use cache::CacheConfig;
 use netsim::tcp::{simulate_transfer, TcpConfig};
-use platforms::{run_server, PlatformKind, UlpKind, WorkloadConfig};
+use platforms::{run_server, run_server_with_telemetry, PlatformKind, UlpKind, WorkloadConfig};
+use simkit::telemetry::Registry;
 use smartdimm::{CompCpyHost, HostConfig, OffloadOp};
+
+/// Four channels at 1-line interleave: every TLS record stripes across
+/// all shards, so each runs a partial engine the host combines.
+fn tls_fine4() -> WorkloadConfig {
+    WorkloadConfig {
+        message_bytes: 4096,
+        connections: 16,
+        requests: 64,
+        ulp: UlpKind::Tls,
+        llc: Some(CacheConfig::mb(2, 16)),
+        channels: 4,
+        channel_interleave_lines: 1,
+        ..WorkloadConfig::default()
+    }
+}
+
+/// One SmartDIMM server run: its metrics and its rendered snapshot.
+fn smartdimm_run(cfg: &WorkloadConfig) -> (platforms::ServerMetrics, String) {
+    let mut reg = Registry::new();
+    let m = run_server_with_telemetry(PlatformKind::SmartDimm, cfg, reg.scope("server"));
+    (m, reg.snapshot())
+}
 
 #[test]
 fn compcpy_stack_is_deterministic() {
@@ -44,7 +67,7 @@ fn tcp_flows_are_deterministic() {
 
 #[test]
 fn server_harness_is_deterministic() {
-    let cfg = WorkloadConfig {
+    let one_channel = WorkloadConfig {
         message_bytes: 4096,
         connections: 64,
         requests: 150,
@@ -52,9 +75,22 @@ fn server_harness_is_deterministic() {
         llc: Some(CacheConfig::mb(1, 16)),
         ..WorkloadConfig::default()
     };
-    let a = run_server(PlatformKind::SmartDimm, &cfg);
-    let b = run_server(PlatformKind::SmartDimm, &cfg);
-    assert_eq!(a, b);
+    // Coarse interleave pins whole deflate pages to one of 4 channels.
+    let deflate_coarse4 = WorkloadConfig {
+        ulp: UlpKind::Compression,
+        channel_interleave_lines: 64,
+        ..tls_fine4()
+    };
+    for cfg in [one_channel, tls_fine4(), deflate_coarse4] {
+        let (a, snap_a) = smartdimm_run(&cfg);
+        let (b, snap_b) = smartdimm_run(&cfg);
+        assert_eq!(a, b);
+        assert_eq!(
+            snap_a, snap_b,
+            "{:?} on {} channels: snapshots diverged",
+            cfg.ulp, cfg.channels
+        );
+    }
 }
 
 #[test]
@@ -115,4 +151,16 @@ fn seeds_actually_matter() {
     let a = simulate_transfer(2 << 20, &base, |_| 0);
     let b = simulate_transfer(2 << 20, &other, |_| 0);
     assert_ne!(a, b, "different seeds must give different loss patterns");
+    // The server harness too: a different connection-scheduling seed
+    // must move the 4-channel snapshot, or the repeat checks above
+    // would be vacuous.
+    let perturbed = WorkloadConfig {
+        seed: 2,
+        ..tls_fine4()
+    };
+    assert_ne!(
+        smartdimm_run(&tls_fine4()).1,
+        smartdimm_run(&perturbed).1,
+        "seed perturbation left the snapshot unchanged"
+    );
 }

@@ -54,19 +54,6 @@ fn same_seed_snapshots_are_byte_identical() {
 }
 
 #[test]
-fn thread_count_does_not_change_results() {
-    let mk = |threads: usize| EventWorkloadConfig {
-        channels: 2,
-        channel_interleave_lines: 64,
-        threads,
-        ..base(1024, 600)
-    };
-    let seq = run_event_server(PlatformKind::SmartDimm, &mk(1));
-    let par = run_event_server(PlatformKind::SmartDimm, &mk(4));
-    assert_eq!(seq, par);
-}
-
-#[test]
 fn rejects_fire_only_above_the_watermark() {
     // Policy None never rejects, whatever the pressure.
     let none = run_event_server(

@@ -2,8 +2,8 @@
 //!
 //! A 2-socket × 2-DIMM-per-channel system must behave exactly like the
 //! flat topology in every way that matters for reproducibility: the
-//! telemetry snapshot is byte-identical at any shard-settle thread
-//! count, the offload scheduler never feeds a DSA-less capacity DIMM,
+//! telemetry snapshot is byte-identical across same-seed runs, the
+//! offload scheduler never feeds a DSA-less capacity DIMM,
 //! and remote-socket offloads are visible in the interconnect counters
 //! (DESIGN.md §13).
 
@@ -17,7 +17,7 @@ use smartdimm::{CompCpyHost, HostConfig, OffloadOp, PlacementPolicy};
 /// per-offload decision at all.
 const COARSE: usize = 64;
 
-fn topo_workload(threads: usize, placement: PlacementPolicy) -> WorkloadConfig {
+fn topo_workload(placement: PlacementPolicy) -> WorkloadConfig {
     WorkloadConfig {
         message_bytes: 4096,
         connections: 12,
@@ -30,14 +30,13 @@ fn topo_workload(threads: usize, placement: PlacementPolicy) -> WorkloadConfig {
         sockets: 2,
         interconnect_penalty_cycles: 200,
         placement,
-        threads,
         ..WorkloadConfig::default()
     }
 }
 
-fn topo_snapshot(threads: usize, placement: PlacementPolicy) -> String {
+fn topo_snapshot(placement: PlacementPolicy) -> String {
     let mut reg = Registry::new();
-    let cfg = topo_workload(threads, placement);
+    let cfg = topo_workload(placement);
     run_server_with_telemetry(PlatformKind::SmartDimm, &cfg, reg.scope("server.topo"));
     reg.snapshot()
 }
@@ -60,21 +59,19 @@ fn counter(snapshot: &str, key: &str) -> u64 {
 }
 
 #[test]
-fn two_socket_two_dimm_snapshot_is_thread_invariant() {
+fn two_socket_two_dimm_snapshot_repeats_for_same_seed() {
     for placement in [PlacementPolicy::Static, PlacementPolicy::OccupancyLocality] {
-        let sequential = topo_snapshot(1, placement);
-        assert!(sequential.contains("\"schema\": \"telemetry/v1\""));
+        let first = topo_snapshot(placement);
+        assert!(first.contains("\"schema\": \"telemetry/v1\""));
         // The per-socket rollups and scheduler counters must be present.
-        assert!(sequential.contains("\"socket1\""), "missing socket rollup");
-        assert!(sequential.contains("remote_accesses"));
-        assert!(sequential.contains("rehomed_offloads"));
-        for threads in [2usize, 4] {
-            let parallel = topo_snapshot(threads, placement);
-            assert_eq!(
-                sequential, parallel,
-                "threads=1 vs threads={threads} diverged ({placement:?})"
-            );
-        }
+        assert!(first.contains("\"socket1\""), "missing socket rollup");
+        assert!(first.contains("remote_accesses"));
+        assert!(first.contains("rehomed_offloads"));
+        assert_eq!(
+            first,
+            topo_snapshot(placement),
+            "same-seed runs diverged ({placement:?})"
+        );
     }
 }
 
@@ -192,8 +189,8 @@ fn occupancy_locality_shifts_placement_at_workload_level() {
     // The §V-D acceptance criterion: under a 2-socket topology the
     // occupancy+locality policy must measurably move offloads compared
     // with the static per-line decode — visible purely in telemetry.
-    let stat = topo_snapshot(1, PlacementPolicy::Static);
-    let dyn_ = topo_snapshot(1, PlacementPolicy::OccupancyLocality);
+    let stat = topo_snapshot(PlacementPolicy::Static);
+    let dyn_ = topo_snapshot(PlacementPolicy::OccupancyLocality);
     assert_eq!(
         counter(&stat, "migrated_offloads"),
         0,
