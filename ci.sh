@@ -46,6 +46,12 @@ cargo build --release || status=1
 echo "==> cargo test --release --workspace"
 cargo test --release --workspace -q || status=1
 
+# The simulator benchmark (simbench/) is its own workspace over the
+# crates/ APIs; building and testing it here catches an API change that
+# would break the benchmark build.
+echo "==> cargo test --release --offline (simbench)"
+cargo test --release --offline -q --manifest-path simbench/Cargo.toml || status=1
+
 # Hot-path bench smoke: tiny iteration counts — asserts the harness
 # runs and BENCH_hotpaths.json is produced and parses (check mode).
 # Ratios in smoke mode are not meaningful; committed numbers come from

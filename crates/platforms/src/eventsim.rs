@@ -50,7 +50,7 @@ use std::collections::BinaryHeap;
 use cache::CacheConfig;
 use dram::BackendKind;
 use simkit::{Cycle, DetRng, EventQueue, Histogram};
-use smartdimm::{CompCpyHost, HostConfig};
+use smartdimm::CompCpyHost;
 use ulp_compress::corpus;
 
 use crate::params::CostParams;
@@ -480,26 +480,9 @@ fn run_event_server_instrumented(
         panic!("invalid EventWorkloadConfig: {e}");
     }
 
-    let mut host_cfg = HostConfig::default();
-    host_cfg.mem.llc = cfg.llc;
-    host_cfg.mem.backend = cfg.backend;
-    host_cfg.mem.dram.topology.channels = cfg.channels;
-    host_cfg.mem.dram.topology.channel_interleave_lines = cfg.channel_interleave_lines.max(1);
-    host_cfg.mem.dram.topology.dimms_per_channel = cfg.dimms_per_channel.max(1);
-    host_cfg.mem.dram.topology.sockets = cfg.sockets.max(1);
-    host_cfg.mem.dram.interconnect_penalty_cycles = cfg.interconnect_penalty_cycles;
-    host_cfg.sched.policy = cfg.placement;
-    if let Some(pages) = cfg.scratchpad_pages {
-        host_cfg.dimm.scratchpad_pages = pages;
-    }
-    let mut host = CompCpyHost::new(host_cfg);
-    if let Some(fault_seed) = cfg.fault_seed {
-        let plan = simkit::FaultPlan::generate(fault_seed, cfg.requests as u64);
-        host.set_fault_handle(simkit::FaultHandle::new(plan));
-    }
-
     // The Engine only reads ulp/costs/corpus/seed from its config (stage
     // lengths are per-request); connections is clamped to the arena pool.
+    // The host is built from the same config, plus the scratchpad override.
     let engine_cfg = WorkloadConfig {
         message_bytes: cfg.max_object_bytes,
         connections: cfg.connections.min(ARENA_SLOTS),
@@ -520,6 +503,11 @@ fn run_event_server_instrumented(
         backend: cfg.backend,
         threads: cfg.threads,
     };
+    let mut host_cfg = engine_cfg.host_config();
+    if let Some(pages) = cfg.scratchpad_pages {
+        host_cfg.dimm.scratchpad_pages = pages;
+    }
+    let mut host = engine_cfg.build_host(host_cfg);
     let mut engine = Engine::new(kind, &engine_cfg);
     // CPU fallback path for admission control (always constructible).
     let mut cpu_engine = Engine::new(PlatformKind::Cpu, &engine_cfg);

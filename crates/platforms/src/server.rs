@@ -206,6 +206,33 @@ impl WorkloadConfig {
         }
         Ok(())
     }
+
+    /// The simulated machine this workload runs on: LLC, DRAM backend,
+    /// topology and placement policy mapped onto a [`HostConfig`].
+    pub(crate) fn host_config(&self) -> HostConfig {
+        let mut host_cfg = HostConfig::default();
+        host_cfg.mem.llc = self.llc;
+        host_cfg.mem.backend = self.backend;
+        let topo = &mut host_cfg.mem.dram.topology;
+        topo.channels = self.channels;
+        topo.channel_interleave_lines = self.channel_interleave_lines.max(1);
+        topo.dimms_per_channel = self.dimms_per_channel.max(1);
+        topo.sockets = self.sockets.max(1);
+        host_cfg.mem.dram.interconnect_penalty_cycles = self.interconnect_penalty_cycles;
+        host_cfg.sched.policy = self.placement;
+        host_cfg
+    }
+
+    /// Builds the host from `host_cfg` and installs this workload's
+    /// fault plan, if it has one.
+    pub(crate) fn build_host(&self, host_cfg: HostConfig) -> CompCpyHost {
+        let mut host = CompCpyHost::new(host_cfg);
+        if let Some(fault_seed) = self.fault_seed {
+            let plan = simkit::FaultPlan::generate(fault_seed, self.requests as u64);
+            host.set_fault_handle(simkit::FaultHandle::new(plan));
+        }
+        host
+    }
 }
 
 impl Default for WorkloadConfig {
@@ -764,20 +791,7 @@ fn run_server_instrumented(
     if let Err(e) = cfg.validate() {
         panic!("invalid WorkloadConfig: {e}");
     }
-    let mut host_cfg = HostConfig::default();
-    host_cfg.mem.llc = cfg.llc;
-    host_cfg.mem.backend = cfg.backend;
-    host_cfg.mem.dram.topology.channels = cfg.channels;
-    host_cfg.mem.dram.topology.channel_interleave_lines = cfg.channel_interleave_lines.max(1);
-    host_cfg.mem.dram.topology.dimms_per_channel = cfg.dimms_per_channel.max(1);
-    host_cfg.mem.dram.topology.sockets = cfg.sockets.max(1);
-    host_cfg.mem.dram.interconnect_penalty_cycles = cfg.interconnect_penalty_cycles;
-    host_cfg.sched.policy = cfg.placement;
-    let mut host = CompCpyHost::new(host_cfg);
-    if let Some(fault_seed) = cfg.fault_seed {
-        let plan = simkit::FaultPlan::generate(fault_seed, cfg.requests as u64);
-        host.set_fault_handle(simkit::FaultHandle::new(plan));
-    }
+    let mut host = cfg.build_host(cfg.host_config());
     let mut rng = DetRng::new(cfg.seed);
     let mut engine = Engine::new(kind, cfg);
     engine.preload(&mut host);

@@ -125,6 +125,17 @@ impl OffloadHandle {
     }
 }
 
+/// What a staging region must decode to. Every region is also wholly
+/// resident on the DSA-bearing DIMM slot of its channels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Staging {
+    /// The same offset within the channel-interleave period as the
+    /// buffer it stands in for, so line *i* keeps its channel.
+    Phase(u64),
+    /// Every covered line on this one channel (single-shard placement).
+    Channel(usize),
+}
+
 /// The CompCpy host runtime.
 pub struct CompCpyHost {
     mem: MemSystem,
@@ -136,16 +147,13 @@ pub struct CompCpyHost {
     free_pages: DetMutex<i64>,
     next_id: u64,
     alloc_next: u64,
-    /// Phase-matched bounce regions for cross-channel offloads, pooled
-    /// for reuse keyed by `(phase within the interleave period, pages)`.
-    bounce_pool: BTreeMap<(u64, u64), Vec<PhysAddr>>,
+    /// Device-visible staging regions — bounce destinations for
+    /// cross-channel pairs and home sources for re-homed or migrated
+    /// offloads — pooled for reuse by `(what they decode to, pages)`.
+    staging_pool: BTreeMap<(Staging, u64), Vec<PhysAddr>>,
     /// Offloads routed through a bounce buffer because the caller's
     /// sbuf/dbuf pair interleaved across different channels (§V-D).
     bounced_offloads: u64,
-    /// Device-visible staging ("home") regions for offloads whose
-    /// source touched a DSA-less DIMM slot or that the scheduler
-    /// migrated, pooled by `(target channel or `usize::MAX`, pages)`.
-    home_pool: BTreeMap<(usize, u64), Vec<PhysAddr>>,
     /// Placement-decision counters (see [`crate::sched::SchedStats`]).
     sched_stats: SchedStats,
     /// Scheduler policy and tuning.
@@ -200,9 +208,8 @@ impl CompCpyHost {
             free_pages: DetMutex::new(-1), // Algorithm 2 line 1
             next_id: 1,
             alloc_next: 0x0010_0000, // driver pool starts at 1 MB
-            bounce_pool: BTreeMap::new(),
+            staging_pool: BTreeMap::new(),
             bounced_offloads: 0,
-            home_pool: BTreeMap::new(),
             sched_stats: SchedStats::default(),
             sched: config.sched,
             mapper: AddressMapper::new(topo),
@@ -473,59 +480,65 @@ impl CompCpyHost {
             .all(|l| self.line_channel(sbuf.0 + l * 64) == self.line_channel(dbuf.0 + l * 64))
     }
 
-    /// A phase-matched bounce region for a cross-channel offload: same
-    /// length as the caller's buffer and the same position within the
-    /// channel-interleave period as `sbuf`, so every source line and its
-    /// bounce line decode to the same channel. Regions are pooled and
-    /// reused per `(phase, pages)`.
-    fn acquire_bounce(&mut self, sbuf: PhysAddr, size: usize) -> PhysAddr {
-        let pages = size.div_ceil(PAGE) as u64;
-        let period = (self.channels * self.interleave_lines * 64) as u64;
-        let phase = sbuf.0 % period;
-        if let Some(list) = self.bounce_pool.get_mut(&(phase, pages)) {
-            if let Some(addr) = list.pop() {
-                return addr;
-            }
-        }
-        // Carve a fresh phase-matched region from the driver pool.
-        // `alloc_next` and `sbuf` are both page aligned, so page-sized
-        // steps cycle `alloc_next % period` through every page-aligned
-        // phase and this terminates within `period / gcd(period, 4096)`
-        // iterations. With multiple DIMMs per channel the region must
-        // also decode entirely to the DSA-bearing slot: a staged line
-        // on a capacity DIMM would keep the memcpy's raw bytes instead
-        // of the device-substituted output.
-        let addr = loop {
-            while self.alloc_next % period != phase {
-                self.alloc_next += PAGE as u64;
-            }
-            let cand = PhysAddr(self.alloc_next);
-            if self.dsa_resident(cand, (pages as usize) * PAGE) {
-                break cand;
-            }
-            self.alloc_next += PAGE as u64;
-            assert!(
-                self.alloc_next <= self.config_base.0,
-                "driver bounce pool collides with MMIO space"
-            );
-        };
-        self.alloc_next = addr.0 + pages * PAGE as u64;
-        assert!(
-            self.alloc_next <= self.config_base.0,
-            "driver bounce pool collides with MMIO space"
-        );
-        addr
+    /// The [`Staging::Phase`] key of `base`: its offset within the
+    /// channel-interleave period.
+    fn phase_of(&self, base: PhysAddr) -> Staging {
+        Staging::Phase(base.0 % (self.channels * self.interleave_lines * 64) as u64)
     }
 
-    /// Returns a bounce region to the pool for reuse.
-    fn release_bounce(&mut self, bounce: PhysAddr, size: usize) {
+    /// A pooled staging region of `size` bytes that decodes as `need`
+    /// says and lies wholly on the DSA-bearing DIMM slot — a staged line
+    /// on a capacity DIMM would keep the memcpy's raw bytes instead of
+    /// the device-substituted output. Regions are reused per
+    /// `(need, pages)`.
+    ///
+    /// [`Staging::Channel`] requires the offload to fit one interleave
+    /// window (`channel_interleave_lines * 64` bytes);
+    /// [`CompCpyHost::place_source`] only requests it for such
+    /// ("pinnable") offloads.
+    fn acquire_staging(&mut self, need: Staging, size: usize) -> PhysAddr {
         let pages = size.div_ceil(PAGE) as u64;
+        if let Some(addr) = self.staging_pool.get_mut(&(need, pages)).and_then(Vec::pop) {
+            return addr;
+        }
+        // Carve a fresh region from the driver pool. `alloc_next` and
+        // every phase key come from page-aligned addresses, so page-sized
+        // steps cycle `alloc_next % period` through every page-aligned
+        // phase and the phase search terminates within
+        // `period / gcd(period, 4096)` iterations.
         let period = (self.channels * self.interleave_lines * 64) as u64;
-        let phase = bounce.0 % period;
-        self.bounce_pool
-            .entry((phase, pages))
+        loop {
+            if let Staging::Phase(phase) = need {
+                while self.alloc_next % period != phase {
+                    self.alloc_next += PAGE as u64;
+                }
+            }
+            let cand = PhysAddr(self.alloc_next);
+            let end = cand.0 + pages * PAGE as u64;
+            assert!(
+                end <= self.config_base.0,
+                "driver staging pool collides with MMIO space"
+            );
+            let decodes = match need {
+                Staging::Phase(_) => true,
+                Staging::Channel(ch) => self.sole_channel(cand, size) == Some(ch),
+            };
+            if decodes && self.dsa_resident(cand, (pages as usize) * PAGE) {
+                self.alloc_next = end;
+                return cand;
+            }
+            self.alloc_next += PAGE as u64;
+        }
+    }
+
+    /// Returns a staging region to the pool under the key it was
+    /// acquired with.
+    fn release_staging(&mut self, need: Staging, region: PhysAddr, size: usize) {
+        let pages = size.div_ceil(PAGE) as u64;
+        self.staging_pool
+            .entry((need, pages))
             .or_default()
-            .push(bounce);
+            .push(region);
     }
 
     /// Whether every covered line of `[base, base+size)` decodes to the
@@ -592,19 +605,27 @@ impl CompCpyHost {
 
     /// Chooses the effective source buffer for an offload: `sbuf`
     /// itself when the static decode already works, or a device-visible
-    /// staging ("home") region the source is copied into first.
+    /// staging ("home") region the source is copied into first. Returns
+    /// the effective source and, when staged, the key to release it with.
     ///
     /// Re-homing is *mandatory* when any source line decodes to a
     /// DSA-less DIMM slot — those CAS never reach a buffer device, so
-    /// the offload would starve. Migration is *optional* and only under
-    /// [`PlacementPolicy::OccupancyLocality`]: a pinnable offload (one
-    /// that fits a single channel's contiguous interleave window) moves
-    /// to the best-scoring shard when that beats its current placement
-    /// by more than [`sched::SchedConfig::migrate_margin`].
+    /// the offload would starve. A pinnable offload (one that fits a
+    /// single channel's contiguous interleave window) re-homes onto one
+    /// channel; any other keeps `sbuf`'s interleave phase. Migration is
+    /// *optional* and only under [`PlacementPolicy::OccupancyLocality`]:
+    /// a pinnable offload moves to the best-scoring shard when that
+    /// beats its current placement by more than
+    /// [`sched::SchedConfig::migrate_margin`].
     ///
     /// The staging copy runs *before* registration, so the devices see
     /// it as plain (unregistered) write traffic.
-    fn place_source(&mut self, sbuf: PhysAddr, size: usize, class: usize) -> PhysAddr {
+    fn place_source(
+        &mut self,
+        sbuf: PhysAddr,
+        size: usize,
+        class: usize,
+    ) -> (PhysAddr, Option<Staging>) {
         let resident = self.dsa_resident(sbuf, size);
         let pinnable = self.channels == 1 || size <= self.interleave_lines * 64;
         let policy = self.sched.policy;
@@ -615,22 +636,18 @@ impl CompCpyHost {
                 let cur = self.placement_score(sbuf, size, &snaps);
                 if sched::score(&self.sched, &best) + self.sched.migrate_margin < cur {
                     self.sched_stats.migrated_offloads += 1;
-                    let home = self.acquire_home(sbuf, size, Some(best.channel));
-                    self.mem
-                        .memcpy(home, sbuf, size.div_ceil(64) * 64, class, false);
-                    self.note_locality(home, size);
-                    return home;
+                    return self.stage_source(Staging::Channel(best.channel), sbuf, size, class);
                 }
             }
             self.sched_stats.static_placements += 1;
             self.note_locality(sbuf, size);
-            return sbuf;
+            return (sbuf, None);
         }
         // Mandatory re-homing: part of the source sits on a capacity
         // DIMM the DSA cannot see.
         self.sched_stats.rehomed_offloads += 1;
-        let target = if pinnable {
-            Some(match policy {
+        let need = if pinnable {
+            Staging::Channel(match policy {
                 PlacementPolicy::Static => self.line_channel(sbuf.0),
                 PlacementPolicy::OccupancyLocality => {
                     let snaps = self.shard_snapshots();
@@ -638,70 +655,24 @@ impl CompCpyHost {
                 }
             })
         } else {
-            None
+            self.phase_of(sbuf)
         };
-        let home = self.acquire_home(sbuf, size, target);
+        self.stage_source(need, sbuf, size, class)
+    }
+
+    /// Copies the source into a staging region acquired as `need`.
+    fn stage_source(
+        &mut self,
+        need: Staging,
+        sbuf: PhysAddr,
+        size: usize,
+        class: usize,
+    ) -> (PhysAddr, Option<Staging>) {
+        let home = self.acquire_staging(need, size);
         self.mem
             .memcpy(home, sbuf, size.div_ceil(64) * 64, class, false);
         self.note_locality(home, size);
-        home
-    }
-
-    /// A device-visible staging region for a re-homed or migrated
-    /// offload. With `Some(channel)` the region decodes entirely to
-    /// that channel's DSA-bearing DIMM (single-shard placement); with
-    /// `None` it is phase-matched to `sbuf` — preserving the per-line
-    /// channel pattern — and merely slot-resident. Regions are pooled
-    /// and reused per `(target, pages)`.
-    ///
-    /// Single-channel targets require the offload to fit one interleave
-    /// window (`channel_interleave_lines * 64` bytes);
-    /// [`CompCpyHost::place_source`] only requests them for such
-    /// ("pinnable") offloads.
-    fn acquire_home(&mut self, sbuf: PhysAddr, size: usize, target: Option<usize>) -> PhysAddr {
-        let pages = size.div_ceil(PAGE) as u64;
-        let key = (target.unwrap_or(usize::MAX), pages);
-        if let Some(list) = self.home_pool.get_mut(&key) {
-            if let Some(addr) = list.pop() {
-                return addr;
-            }
-        }
-        let period = (self.channels * self.interleave_lines * 64) as u64;
-        let phase = sbuf.0 % period;
-        let addr = loop {
-            if target.is_none() {
-                // Phase-match so every line keeps its channel.
-                while self.alloc_next % period != phase {
-                    self.alloc_next += PAGE as u64;
-                }
-            }
-            let cand = PhysAddr(self.alloc_next);
-            let sole_ok = match target {
-                Some(ch) => self.sole_channel(cand, size) == Some(ch),
-                None => true,
-            };
-            if sole_ok && self.dsa_resident(cand, (pages as usize) * PAGE) {
-                break cand;
-            }
-            self.alloc_next += PAGE as u64;
-            assert!(
-                self.alloc_next <= self.config_base.0,
-                "driver home pool collides with MMIO space"
-            );
-        };
-        self.alloc_next = addr.0 + pages * PAGE as u64;
-        assert!(
-            self.alloc_next <= self.config_base.0,
-            "driver home pool collides with MMIO space"
-        );
-        addr
-    }
-
-    /// Returns a home region to the pool for reuse.
-    fn release_home(&mut self, home: PhysAddr, size: usize) {
-        let pages = size.div_ceil(PAGE) as u64;
-        let key = (self.sole_channel(home, size).unwrap_or(usize::MAX), pages);
-        self.home_pool.entry(key).or_default().push(home);
+        (home, Some(need))
     }
 
     /// Whether every input byte of `handle` has reached a terminal DSA
@@ -905,32 +876,7 @@ impl CompCpyHost {
             return Err(CompCpyError::BadSize);
         }
         self.apply_armed_faults();
-        let pages_needed = 1 + size / PAGE; // line 16's reservation
-                                            // Lines 7-17: reserve scratchpad space under the lock. The
-                                            // cached count is read and written through the simkit::par
-                                            // doorway; the MMIO refresh happens between lock scopes because
-                                            // it needs the memory system.
-        let cached = self.free_pages.with(|f| *f);
-        if cached > pages_needed as i64 {
-            self.free_pages.with(|f| *f -= pages_needed as i64);
-        } else {
-            // Lazy refresh from SmartDIMMConfig[0] (line 9).
-            let status = {
-                let data = self.mem.mmio_read64(self.mmio(STATUS_OFFSET));
-                StatusReg::from_bytes(&data)
-            };
-            let mut refreshed = status.free_pages as i64;
-            if refreshed <= pages_needed as i64 {
-                // Unlikely path (lines 10-13).
-                self.force_recycle(pages_needed);
-                refreshed = self.read_status().free_pages as i64;
-                if refreshed < pages_needed as i64 {
-                    return Err(CompCpyError::OutOfScratchpad);
-                }
-            }
-            self.free_pages
-                .with(|f| *f = refreshed - pages_needed as i64);
-        }
+        self.reserve_scratchpad(size)?;
 
         let id = self.next_id;
         self.next_id += 1;
@@ -940,7 +886,7 @@ impl CompCpyHost {
         // touching a DSA-less DIMM slot are staged into a
         // device-visible home region, and the occupancy+locality
         // policy may migrate pinnable offloads to a better shard.
-        let eff_sbuf = self.place_source(sbuf, size, class);
+        let (eff_sbuf, src_staging) = self.place_source(sbuf, size, class);
 
         // §V-D routing: a shard can only serve page pairs whose source
         // and destination lines decode to its own channel and its own
@@ -951,37 +897,25 @@ impl CompCpyHost {
         // after the device completes.
         let src_sole = self.sole_channel(eff_sbuf, size);
         let direct = self.channel_maps_match(eff_sbuf, dbuf, size) && self.dsa_resident(dbuf, size);
-        let stage_dbuf = if direct {
-            dbuf
-        } else {
-            self.bounced_offloads += 1;
-            self.acquire_bounce(eff_sbuf, size)
+        let bounce = (!direct).then(|| self.phase_of(eff_sbuf));
+        let stage_dbuf = match bounce {
+            Some(need) => {
+                self.bounced_offloads += 1;
+                self.acquire_staging(need, size)
+            }
+            None => dbuf,
         };
 
         // Line 19: flush the (effective) source to DRAM so the DIMM
         // sees the data.
         self.mem.flush(eff_sbuf, size);
 
-        // Lines 21-23: registration — context first, then the page pairs,
-        // replicated to every channel's SmartDIMM (§V-D). When one shard
-        // sees every source line it absorbs the AAD/length metadata and
-        // computes the full tag; otherwise each DIMM runs a *partial*
-        // TLS engine and the host contributes the metadata combining.
-        let ctx = ContextChunk {
-            offload_id: id,
-            payload: op.encode_context_with_policy(size, aad, src_sole.is_some()),
-        };
-        self.mmio_broadcast(CONTEXT_OFFSET, &ctx.to_bytes());
-        let num_pages = size.div_ceil(PAGE);
-        for p in 0..num_pages {
-            let reg = Registration {
-                offload_id: id,
-                src_page_addr: eff_sbuf.0 + (p * PAGE) as u64,
-                dst_page_addr: stage_dbuf.0 + (p * PAGE) as u64,
-                msg_offset: (p * PAGE) as u64,
-            };
-            self.mmio_broadcast(REGISTER_OFFSET, &reg.to_bytes());
-        }
+        // When one shard sees every source line it absorbs the
+        // AAD/length metadata and computes the full tag; otherwise each
+        // DIMM runs a *partial* TLS engine and the host contributes the
+        // metadata combining.
+        let payload = op.encode_context_with_policy(size, aad, src_sole.is_some());
+        self.register(id, payload, eff_sbuf, stage_dbuf, size);
 
         // Lines 24-31: the copy. Ordered mode fences between lines.
         let ordered = ordered || op.requires_ordered();
@@ -1000,13 +934,60 @@ impl CompCpyHost {
             aad_len: aad.len() as u8,
             home: src_sole.map(|c| c as u16),
         };
-        if !direct {
+        if let Some(need) = bounce {
             self.finish_bounce(&handle, eff_sbuf, stage_dbuf, class);
+            self.release_staging(need, stage_dbuf, size);
         }
-        if eff_sbuf != sbuf {
-            self.release_home(eff_sbuf, size);
+        if let Some(need) = src_staging {
+            self.release_staging(need, eff_sbuf, size);
         }
         Ok(handle)
+    }
+
+    /// Algorithm 2 lines 7-17: reserves the offload's scratchpad pages
+    /// against the lock-protected `freePages` count, refreshing it
+    /// lazily from channel 0's status register and falling back to
+    /// Force-Recycle when even the refreshed count is too low.
+    fn reserve_scratchpad(&mut self, size: usize) -> Result<(), CompCpyError> {
+        let pages_needed = (1 + size / PAGE) as i64; // line 16's reservation
+        let cached = self.free_pages.with(|f| *f);
+        if cached > pages_needed {
+            self.free_pages.with(|f| *f -= pages_needed);
+            return Ok(());
+        }
+        // Lazy refresh from SmartDIMMConfig[0] (line 9). The MMIO read
+        // happens between lock scopes because it needs the memory system.
+        let data = self.mem.mmio_read64(self.mmio(STATUS_OFFSET));
+        let mut refreshed = StatusReg::from_bytes(&data).free_pages as i64;
+        if refreshed <= pages_needed {
+            // Unlikely path (lines 10-13).
+            self.force_recycle(pages_needed as usize);
+            refreshed = self.read_status().free_pages as i64;
+            if refreshed < pages_needed {
+                return Err(CompCpyError::OutOfScratchpad);
+            }
+        }
+        self.free_pages.with(|f| *f = refreshed - pages_needed);
+        Ok(())
+    }
+
+    /// Algorithm 2 lines 21-23: registration — the context first, then
+    /// the page pairs, replicated to every channel's SmartDIMM (§V-D).
+    fn register(&mut self, id: u64, payload: [u8; 48], src: PhysAddr, dst: PhysAddr, size: usize) {
+        let ctx = ContextChunk {
+            offload_id: id,
+            payload,
+        };
+        self.mmio_broadcast(CONTEXT_OFFSET, &ctx.to_bytes());
+        for p in 0..size.div_ceil(PAGE) {
+            let reg = Registration {
+                offload_id: id,
+                src_page_addr: src.0 + (p * PAGE) as u64,
+                dst_page_addr: dst.0 + (p * PAGE) as u64,
+                msg_offset: (p * PAGE) as u64,
+            };
+            self.mmio_broadcast(REGISTER_OFFSET, &reg.to_bytes());
+        }
     }
 
     /// Completes a bounced offload: settles injected faults, self-
@@ -1059,7 +1040,6 @@ impl CompCpyHost {
             self.mem
                 .memcpy(handle.dbuf, bounce, out_bytes, class, false);
         }
-        self.release_bounce(bounce, handle.size);
     }
 
     /// Registers a *Compute DMA* offload (§IV-E): the transformation runs
@@ -1099,40 +1079,11 @@ impl CompCpyHost {
             return Err(CompCpyError::SingleChannelOnly);
         }
         self.apply_armed_faults();
-        // Reserve scratchpad space exactly as CompCpy does.
-        let pages_needed = 1 + size / PAGE;
-        let cached = self.free_pages.with(|f| *f);
-        if cached <= pages_needed as i64 {
-            let status = self.read_status();
-            let mut refreshed = status.free_pages as i64;
-            if refreshed <= pages_needed as i64 {
-                self.force_recycle(pages_needed);
-                refreshed = self.read_status().free_pages as i64;
-                if refreshed < pages_needed as i64 {
-                    return Err(CompCpyError::OutOfScratchpad);
-                }
-            }
-            self.free_pages
-                .with(|f| *f = refreshed - pages_needed as i64);
-        } else {
-            self.free_pages.with(|f| *f = cached - pages_needed as i64);
-        }
+        self.reserve_scratchpad(size)?;
         let id = self.next_id;
         self.next_id += 1;
-        let ctx = ContextChunk {
-            offload_id: id,
-            payload: op.encode_context_full(size, aad, true, true),
-        };
-        self.mmio_broadcast(CONTEXT_OFFSET, &ctx.to_bytes());
-        for p in 0..size.div_ceil(PAGE) {
-            let reg = Registration {
-                offload_id: id,
-                src_page_addr: sbuf.0 + (p * PAGE) as u64,
-                dst_page_addr: dbuf.0 + (p * PAGE) as u64,
-                msg_offset: (p * PAGE) as u64,
-            };
-            self.mmio_broadcast(REGISTER_OFFSET, &reg.to_bytes());
-        }
+        let payload = op.encode_context_full(size, aad, true, true);
+        self.register(id, payload, sbuf, dbuf, size);
         let mut aad_buf = [0u8; 7];
         aad_buf[..aad.len()].copy_from_slice(aad);
         Ok(OffloadHandle {
@@ -1645,6 +1596,81 @@ mod tests {
     }
 
     #[test]
+    fn unpinnable_rehomes_keep_the_source_phase() {
+        // 4 KB offloads on a 2 KB-per-channel interleave cannot pin to
+        // one channel, so a re-homed source must keep its own phase of
+        // the 8 KB period. Sources alternate between two phases; every
+        // dbuf matches its source's phase, so no offload should need a
+        // bounce — unless a pooled home region carved at one phase is
+        // reused for a source at the other.
+        let mut cfg = HostConfig::default();
+        cfg.mem.dram.topology.channels = 4;
+        cfg.mem.dram.topology.channel_interleave_lines = 32;
+        cfg.mem.dram.topology.dimms_per_channel = 2;
+        let topo = cfg.mem.dram.topology;
+        let period = 4 * 32 * 64;
+        let mut h = CompCpyHost::new(cfg);
+        let key = [0x5Au8; 16];
+        let gcm = ulp_crypto::gcm::AesGcm::new_128(&key);
+        let mut src_from = 0x0100_0000;
+        for i in 0..6u64 {
+            let phase = (i % 2) * PAGE as u64;
+            let mut src = slot1_page(&topo, src_from);
+            while src.0 % period != phase {
+                src = slot1_page(&topo, src.0 + PAGE as u64);
+            }
+            src_from = src.0 + PAGE as u64;
+            let dst = loop {
+                let d = h.alloc_pages(1);
+                if d.0 % period == phase && h.dsa_resident(d, PAGE) {
+                    break d;
+                }
+            };
+            let msg = ulp_compress::corpus::text(4096, 60 + i);
+            h.mem_mut().store(src, &msg, 0);
+            let iv = [(i + 1) as u8; 12];
+            let handle = h
+                .comp_cpy(
+                    dst,
+                    src,
+                    msg.len(),
+                    OffloadOp::TlsEncrypt { key, iv },
+                    false,
+                    0,
+                )
+                .unwrap();
+            let (want, tag) = gcm.seal(&iv, b"", &msg);
+            assert_eq!(h.use_buffer(&handle), want, "offload {i}");
+            assert_eq!(h.tag(&handle), Some(tag), "offload {i}");
+        }
+        assert_eq!(h.sched_stats().rehomed_offloads, 6);
+        assert_eq!(h.bounced_offload_count(), 0);
+    }
+
+    #[test]
+    fn one_page_scratchpad_rejects_both_entry_points() {
+        // A 4 KB offload reserves two pages (Algorithm 2 line 16); one
+        // page cannot hold it even after Force-Recycle.
+        let mut cfg = HostConfig::default();
+        cfg.dimm.scratchpad_pages = 1;
+        let mut h = CompCpyHost::new(cfg);
+        let src = h.alloc_pages(1);
+        let dst = h.alloc_pages(1);
+        let op = OffloadOp::TlsEncrypt {
+            key: [1; 16],
+            iv: [2; 12],
+        };
+        assert_eq!(
+            h.comp_cpy(dst, src, 4096, op, false, 0),
+            Err(CompCpyError::OutOfScratchpad)
+        );
+        assert_eq!(
+            h.compute_dma(dst, src, 4096, op, b""),
+            Err(CompCpyError::OutOfScratchpad)
+        );
+    }
+
+    #[test]
     fn occupancy_locality_migrates_remote_source_home() {
         // Two channels split across two sockets, page-granular
         // interleave: a source page on the remote socket's channel
@@ -1814,6 +1840,42 @@ mod compute_dma_tests {
             ),
             Err(CompCpyError::NotAligned)
         );
+    }
+
+    #[test]
+    fn unread_dma_offloads_force_recycle_correctly() {
+        // A 3-page scratchpad and an 8 MB LLC: nothing reads the staged
+        // results, so later reservations must Force-Recycle earlier
+        // offloads — and those must still read back the right bytes.
+        let mut cfg = HostConfig::default();
+        cfg.dimm.scratchpad_pages = 3;
+        cfg.mem.llc = Some(cache::CacheConfig::mb(8, 16));
+        let mut h = CompCpyHost::new(cfg);
+        let key = [0x3Cu8; 16];
+        let mut issued = Vec::new();
+        for i in 0..6u64 {
+            let msg = ulp_compress::corpus::text(4096, 500 + i);
+            let iv = [(i + 1) as u8; 12];
+            let sbuf = h.alloc_pages(1);
+            let dbuf = h.alloc_pages(1);
+            let handle = h
+                .compute_dma(
+                    dbuf,
+                    sbuf,
+                    msg.len(),
+                    OffloadOp::TlsEncrypt { key, iv },
+                    b"",
+                )
+                .expect("force-recycle must make room");
+            h.mem_mut().dma_write_through(sbuf, &msg);
+            issued.push((handle, iv, msg));
+        }
+        assert!(h.force_recycle_count() > 0);
+        let gcm = ulp_crypto::gcm::AesGcm::new_128(&key);
+        for (i, (handle, iv, msg)) in issued.iter().enumerate() {
+            let (want, _) = gcm.seal(iv, b"", msg);
+            assert_eq!(h.read_dma_buffer(handle), want, "offload {i}");
+        }
     }
 
     #[test]
