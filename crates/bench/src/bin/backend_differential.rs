@@ -52,6 +52,8 @@ struct Outcome {
     bounced: u64,
     recycles: u64,
     faults: u64,
+    /// Oracle scenarios that fell back to software.
+    fallbacks: u64,
     rd_cas: u64,
     wr_cas: u64,
 }
@@ -64,6 +66,7 @@ fn finish(host: &mut CompCpyHost, payloads: Vec<Vec<u8>>) -> (Outcome, u64) {
         bounced: host.bounced_offload_count(),
         recycles: host.force_recycle_count(),
         faults: host.injected_fault_count(),
+        fallbacks: 0,
         rd_cas: dram.stats().rd_cas.value(),
         wr_cas: dram.stats().wr_cas.value(),
     };
@@ -143,6 +146,7 @@ fn fault_sweep(backend: BackendKind, seeds: u64) -> (Outcome, u64) {
     let mut bounced = 0;
     let mut recycles = 0;
     let mut faults = 0;
+    let mut fallbacks = 0;
     let mut rd_cas = 0;
     let mut wr_cas = 0;
     let mut cycles = 0;
@@ -166,7 +170,8 @@ fn fault_sweep(backend: BackendKind, seeds: u64) -> (Outcome, u64) {
             let mut iv = [0u8; 12];
             iv[..8].copy_from_slice(&(seed * 100 + i).to_le_bytes());
             // `check` panics on any byte divergence from software.
-            oracle.check(OffloadOp::TlsEncrypt { key, iv }, &msg, b"hdr#f");
+            let out = oracle.check(OffloadOp::TlsEncrypt { key, iv }, &msg, b"hdr#f");
+            fallbacks += u64::from(out.used_fallback);
         }
         let host = oracle.host();
         bounced += host.bounced_offload_count();
@@ -183,6 +188,7 @@ fn fault_sweep(backend: BackendKind, seeds: u64) -> (Outcome, u64) {
             bounced,
             recycles,
             faults,
+            fallbacks,
             rd_cas,
             wr_cas,
         },

@@ -638,38 +638,6 @@ impl<'a> Engine<'a> {
         fl
     }
 
-    /// Fault-injected runs only: a starved DSA (dropped S6 interception)
-    /// leaves an offload in progress, and its still-pending staged lines
-    /// would NACK the NIC's reads past the controller's retry limit.
-    /// Drain any fault-deferred writebacks and re-feed the source range
-    /// until every offload is terminal — the recovery a fault-aware
-    /// driver performs.
-    fn settle_offloads(host: &mut CompCpyHost, handles: &[OffloadHandle]) {
-        use smartdimm::configmem::OffloadStatus;
-        if host.fault_handle().is_none() {
-            return;
-        }
-        for handle in handles {
-            for _ in 0..5 {
-                let status = host.read_result(handle).status;
-                if matches!(
-                    status,
-                    OffloadStatus::Done | OffloadStatus::Incompressible | OffloadStatus::Error
-                ) {
-                    break;
-                }
-                host.mem_mut().drain_writebacks();
-                let lines = handle.size.div_ceil(64);
-                host.mem_mut().flush(handle.sbuf, lines * 64);
-                for l in 0..lines {
-                    let mut buf = [0u8; 64];
-                    host.mem_mut()
-                        .load(PhysAddr(handle.sbuf.0 + (l * 64) as u64), &mut buf, 0);
-                }
-            }
-        }
-    }
-
     pub(crate) fn socket_write(&mut self, host: &mut CompCpyHost, fl: &mut Inflight) {
         let m = fl.len;
         let p = self.cfg.costs;
@@ -694,7 +662,11 @@ impl<'a> Engine<'a> {
                 host.mem_mut().dma_write(skb, &ct);
             }
             (UlpKind::Tls, PlatformKind::SmartDimm) => {
-                Self::settle_offloads(host, &fl.handles);
+                // Under fault injection, starved offloads' staged lines
+                // would NACK the NIC's reads past the retry limit.
+                for handle in &fl.handles {
+                    host.settle(handle);
+                }
                 // USE: flush the record so the NIC reads ciphertext.
                 self.timed_cpu(host, |h| {
                     h.mem_mut().flush(rec, m.div_ceil(64) * 64);
@@ -717,7 +689,9 @@ impl<'a> Engine<'a> {
                 host.mem_mut().dma_write(skb, &out);
             }
             (UlpKind::Compression, PlatformKind::SmartDimm) => {
-                Self::settle_offloads(host, &fl.handles);
+                for handle in &fl.handles {
+                    host.settle(handle);
+                }
                 // USE each page and collect the compressed sizes.
                 let mut total = 0usize;
                 let handles = fl.handles.clone();

@@ -231,11 +231,6 @@ impl CompCpyHost {
         self.fault = Some(fault);
     }
 
-    /// The installed fault injector, if any.
-    pub fn fault_handle(&self) -> Option<&simkit::FaultHandle> {
-        self.fault.as_ref()
-    }
-
     /// Advances the fault plan by one offload and applies whatever
     /// preparation faults (translation-table pressure, scratchpad hogs)
     /// arm at this index. Called at the top of every offload issue.
@@ -675,22 +670,66 @@ impl CompCpyHost {
         (home, Some(need))
     }
 
-    /// Whether every input byte of `handle` has reached a terminal DSA
-    /// state: a terminal status on any shard, or per-channel partial
-    /// progress summing to the input size.
-    fn offload_settled(&mut self, handle: &OffloadHandle) -> bool {
-        let mut bytes = 0u64;
+    /// Walks every channel's result slot of `handle` in channel order: the
+    /// first terminal status wins (`Err`), else the per-channel partial
+    /// GHASH accumulators and the bytes they cover.
+    fn partial_results(
+        &mut self,
+        handle: &OffloadHandle,
+    ) -> Result<(Vec<[u8; 16]>, usize), OffloadStatus> {
+        let mut partials = Vec::with_capacity(self.channels);
+        let mut bytes = 0;
         for c in 0..self.channels {
             let r = self.read_result_on(handle, c);
             match r.status {
-                OffloadStatus::Done | OffloadStatus::Incompressible | OffloadStatus::Error => {
-                    return true;
+                OffloadStatus::Partial => {
+                    partials.push(r.tag);
+                    bytes += r.out_len as usize;
                 }
-                OffloadStatus::Partial => bytes += r.out_len,
-                _ => {}
+                // A channel that saw no cachelines contributes nothing.
+                OffloadStatus::InProgress => {}
+                terminal => return Err(terminal),
             }
         }
-        bytes as usize >= handle.size
+        Ok((partials, bytes))
+    }
+
+    /// Whether `handle` is complete: a terminal status on any channel, or
+    /// per-channel partial progress covering the input size (`Done`).
+    pub(crate) fn offload_status(&mut self, handle: &OffloadHandle) -> OffloadStatus {
+        match self.partial_results(handle) {
+            Err(terminal) => terminal,
+            Ok((_, bytes)) if bytes >= handle.size => OffloadStatus::Done,
+            Ok(_) => OffloadStatus::InProgress,
+        }
+    }
+
+    /// Fault recovery: while `handle` is in progress (starved DSA, deferred
+    /// writebacks), drain writebacks, re-flush and re-read the source, at
+    /// most five rounds. Returns the rounds taken and the writeback lines
+    /// drained; a no-op without an installed fault injector.
+    pub fn settle(&mut self, handle: &OffloadHandle) -> (u32, usize) {
+        self.settle_from(handle, handle.sbuf)
+    }
+
+    /// [`CompCpyHost::settle`] re-feeding from `src`, the source the
+    /// offload actually registered.
+    fn settle_from(&mut self, handle: &OffloadHandle, src: PhysAddr) -> (u32, usize) {
+        if self.fault.is_none() {
+            return (0, 0);
+        }
+        let (mut rounds, mut drained) = (0, 0);
+        let covered = handle.size.div_ceil(64) * 64;
+        while rounds < 5 && self.offload_status(handle) == OffloadStatus::InProgress {
+            drained += self.mem.drain_writebacks();
+            self.mem.flush(src, covered);
+            for l in (0..covered).step_by(64) {
+                let mut buf = [0u8; 64];
+                self.mem.load(PhysAddr(src.0 + l as u64), &mut buf, 0);
+            }
+            rounds += 1;
+        }
+        (rounds, drained)
     }
 
     /// Reads the result slot of `handle` on `channel`.
@@ -740,31 +779,19 @@ impl CompCpyHost {
             OffloadOp::TlsEncrypt { key, iv } | OffloadOp::TlsDecrypt { key, iv } => (key, iv),
             _ => return None,
         };
-        let mut partials = Vec::with_capacity(self.channels);
-        let mut bytes = 0u64;
-        for c in 0..self.channels {
-            let r = self.read_result_on(handle, c);
-            match r.status {
-                OffloadStatus::Partial => {
-                    partials.push(r.tag);
-                    bytes += r.out_len;
-                }
-                // A channel that saw no cachelines contributes nothing.
-                OffloadStatus::InProgress if r.out_len == 0 => {}
-                _ => return None,
+        match self.partial_results(handle) {
+            Ok((partials, bytes)) if bytes == handle.size => {
+                let gcm = ulp_crypto::gcm::AesGcm::new_128(&key);
+                Some(ulp_crypto::gcm::combine_partial_tags(
+                    &gcm,
+                    &iv,
+                    handle.aad_bytes(),
+                    handle.size,
+                    &partials,
+                ))
             }
+            _ => None,
         }
-        if bytes as usize != handle.size {
-            return None;
-        }
-        let gcm = ulp_crypto::gcm::AesGcm::new_128(&key);
-        Some(ulp_crypto::gcm::combine_partial_tags(
-            &gcm,
-            &iv,
-            handle.aad_bytes(),
-            handle.size,
-            &partials,
-        ))
     }
 
     /// Algorithm 1: Force-Recycle. Reads the pending list and reclaims
@@ -1002,24 +1029,8 @@ impl CompCpyHost {
         bounce: PhysAddr,
         class: usize,
     ) {
+        self.settle_from(handle, src);
         let covered = handle.size.div_ceil(64) * 64;
-        if self.fault.is_some() {
-            // Injected faults may have starved the DSA (dropped S6
-            // feeds) or deferred writebacks; recover like a fault-aware
-            // driver before touching the staged output: drain, re-flush,
-            // re-feed the source range.
-            for _ in 0..5 {
-                if self.offload_settled(handle) {
-                    break;
-                }
-                self.mem.drain_writebacks();
-                self.mem.flush(src, covered);
-                for l in (0..covered).step_by(64) {
-                    let mut buf = [0u8; 64];
-                    self.mem.load(PhysAddr(src.0 + l as u64), &mut buf, 0);
-                }
-            }
-        }
         // Write the memcpy-dirtied bounce lines back so the device
         // substitutes the staged transformed data (S9), then copy the
         // result into the caller's dbuf — any line whose writeback was
@@ -1755,6 +1766,45 @@ mod tests {
         let s1 = h.read_status();
         assert_eq!(s1.free_pages, 2047);
         assert_eq!(s1.pending_pages, 1);
+    }
+
+    fn tls_offload(h: &mut CompCpyHost, msg: &[u8]) -> OffloadHandle {
+        let src = h.alloc_pages(1);
+        let dst = h.alloc_pages(1);
+        h.mem_mut().store(src, msg, 0);
+        let op = OffloadOp::TlsEncrypt {
+            key: [0x3C; 16],
+            iv: [0x5A; 12],
+        };
+        h.comp_cpy(dst, src, msg.len(), op, false, 0).unwrap()
+    }
+
+    #[test]
+    fn settle_without_fault_handle_is_free() {
+        let mut h = host();
+        let handle = tls_offload(&mut h, &[7u8; 4096]);
+        let before = h.mem().now();
+        assert_eq!(h.settle(&handle), (0, 0));
+        assert_eq!(h.mem().now(), before, "settle touched the memory system");
+    }
+
+    #[test]
+    fn striped_offload_settles_without_refeeds() {
+        let mut cfg = HostConfig::default();
+        cfg.mem.dram.topology = dram::DramTopology {
+            channels: 4,
+            channel_interleave_lines: 1,
+            ..dram::DramTopology::default()
+        };
+        let mut h = CompCpyHost::new(cfg);
+        h.set_fault_handle(simkit::FaultHandle::new(simkit::FaultPlan::empty()));
+        let msg: Vec<u8> = (0..4096u32).map(|i| (i * 13) as u8).collect();
+        let handle = tls_offload(&mut h, &msg);
+        assert_eq!(h.settle(&handle), (0, 0));
+        assert_eq!(h.offload_status(&handle), OffloadStatus::Done);
+        let gcm = ulp_crypto::gcm::AesGcm::new_128(&[0x3C; 16]);
+        let (_, tag) = gcm.seal(&[0x5A; 12], b"", &msg);
+        assert_eq!(h.tag(&handle), Some(tag));
     }
 }
 

@@ -7,9 +7,10 @@
 //! matter which faults fired, by exercising the same recovery ladder
 //! production software would use:
 //!
-//! 1. **Re-feed** — a starved DSA (dropped S6 interception) is fed again
-//!    by flushing and re-reading the source range; the device's
-//!    `processed` dedup map makes this idempotent.
+//! 1. **Drain + re-feed** — [`CompCpyHost::settle`], shared with the
+//!    bounce path and the server harness, drains deferred writebacks and
+//!    re-reads the source range to feed a starved DSA (dropped S6
+//!    interception); the device's `processed` dedup map makes it idempotent.
 //! 2. **Drain + retry** — stale source data (delayed writebacks stuck in
 //!    a write buffer) is pushed to DRAM and the offload is reissued;
 //!    re-registering the same destination pages supersedes the stale
@@ -159,23 +160,15 @@ impl FaultOracle {
             };
 
             // A starved DSA (dropped S6 interception) leaves the offload
-            // in progress: drain any stuck writebacks and re-feed the
-            // source range until the result is terminal.
-            let mut refeeds = 0u32;
-            let mut status = self.host.read_result(&handle).status;
-            while !matches!(
-                status,
-                OffloadStatus::Done | OffloadStatus::Incompressible | OffloadStatus::Error
-            ) && refeeds < 5
-            {
-                self.drain(&mut recs);
-                self.refeed(src, input.len());
-                refeeds += 1;
-                status = self.host.read_result(&handle).status;
+            // in progress until the host drains and re-feeds it.
+            let (refeeds, lines) = self.host.settle(&handle);
+            if lines > 0 {
+                recs.push(Recovery::DrainedWritebacks { lines });
             }
             if refeeds > 0 {
                 recs.push(Recovery::RefeedSource { attempts: refeeds });
             }
+            let status = self.host.offload_status(&handle);
 
             if !matches!(status, OffloadStatus::Done | OffloadStatus::Incompressible) {
                 let out = self.software_fallback(
@@ -358,20 +351,6 @@ impl FaultOracle {
             recs.push(Recovery::DrainedWritebacks { lines });
         }
     }
-
-    /// Flushes the source range and re-reads every cacheline, feeding any
-    /// source line the DSA missed (the device skips already-processed
-    /// lines).
-    fn refeed(&mut self, sbuf: PhysAddr, size: usize) {
-        let lines = size.div_ceil(64);
-        self.host.mem_mut().flush(sbuf, lines * 64);
-        for l in 0..lines {
-            let mut buf = [0u8; 64];
-            self.host
-                .mem_mut()
-                .load(PhysAddr(sbuf.0 + (l * 64) as u64), &mut buf, 0);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -385,18 +364,30 @@ mod tests {
 
     #[test]
     fn fault_free_plan_is_byte_exact_with_no_recoveries() {
-        let mut oracle = FaultOracle::new(HostConfig::default(), FaultPlan::empty());
-        let out = oracle.check(
-            OffloadOp::TlsEncrypt {
-                key: [1; 16],
-                iv: [2; 12],
-            },
-            &msg(5000, 7),
-            b"hdr",
-        );
-        assert!(!out.used_fallback);
-        assert!(out.recoveries.is_empty());
-        assert!(oracle.fired_log().is_empty());
+        // (channels, interleave lines, message bytes): striped offloads
+        // settle through the combined per-channel partial results.
+        for (channels, interleave, len) in [(1, 1, 5000), (2, 1, 4096), (4, 1, 4096), (2, 64, 8000)]
+        {
+            let mut cfg = HostConfig::default();
+            cfg.mem.dram.topology = dram::DramTopology {
+                channels,
+                channel_interleave_lines: interleave,
+                ..dram::DramTopology::default()
+            };
+            let mut oracle = FaultOracle::new(cfg, FaultPlan::empty());
+            let out = oracle.check(
+                OffloadOp::TlsEncrypt {
+                    key: [1; 16],
+                    iv: [2; 12],
+                },
+                &msg(len, 7),
+                b"hdr",
+            );
+            let topo = format!("{channels} ch, interleave {interleave}, {len} B");
+            assert!(!out.used_fallback, "{topo}: {:?}", out.recoveries);
+            assert!(out.recoveries.is_empty(), "{topo}: {:?}", out.recoveries);
+            assert!(oracle.fired_log().is_empty());
+        }
     }
 
     #[test]

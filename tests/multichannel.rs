@@ -145,6 +145,7 @@ fn cross_channel_offloads_under_fault_injection() {
     // host: the oracle allocates src and dst consecutively, so
     // odd-page-count buffers produce cross-channel pairs. Every scenario
     // must stay byte-exact (oracle.check panics otherwise).
+    let mut fallbacks = 0;
     for seed in 0..12u64 {
         let plan = FaultPlan::generate(seed, 4);
         let mut cfg = HostConfig::default();
@@ -163,7 +164,8 @@ fn cross_channel_offloads_under_fault_injection() {
             let msg = ulp_compress::corpus::text(size, seed * 31 + i);
             let mut iv = [0u8; 12];
             iv[..8].copy_from_slice(&(seed * 100 + i).to_le_bytes());
-            oracle.check(OffloadOp::TlsEncrypt { key, iv }, &msg, b"hdr#f");
+            let out = oracle.check(OffloadOp::TlsEncrypt { key, iv }, &msg, b"hdr#f");
+            fallbacks += usize::from(out.used_fallback);
             oracle.assert_occupancy_bound();
         }
         assert!(
@@ -171,6 +173,13 @@ fn cross_channel_offloads_under_fault_injection() {
             "seed {seed}: no offload exercised the bounce path"
         );
     }
+    // Device-path coverage: striped and bounced offloads must settle on
+    // the device; only offloads the injected faults truly starved may
+    // fall back to software.
+    assert!(
+        fallbacks <= 4,
+        "{fallbacks} of 48 scenarios fell back to software"
+    );
 }
 
 #[test]
@@ -181,6 +190,7 @@ fn cross_channel_fault_recovery_on_the_fast_backend() {
     // model, so every scenario must stay byte-exact there too. The
     // differential harness (tests/backend_differential.rs) additionally
     // pins the recovery counters equal across backends.
+    let mut fallbacks = 0;
     for seed in 0..12u64 {
         let plan = FaultPlan::generate(seed, 4);
         let mut cfg = HostConfig::default();
@@ -200,7 +210,8 @@ fn cross_channel_fault_recovery_on_the_fast_backend() {
             let msg = ulp_compress::corpus::text(size, seed * 31 + i);
             let mut iv = [0u8; 12];
             iv[..8].copy_from_slice(&(seed * 100 + i).to_le_bytes());
-            oracle.check(OffloadOp::TlsEncrypt { key, iv }, &msg, b"hdr#f");
+            let out = oracle.check(OffloadOp::TlsEncrypt { key, iv }, &msg, b"hdr#f");
+            fallbacks += usize::from(out.used_fallback);
             oracle.assert_occupancy_bound();
         }
         assert!(
@@ -208,6 +219,13 @@ fn cross_channel_fault_recovery_on_the_fast_backend() {
             "seed {seed}: no offload exercised the bounce path on the fast backend"
         );
     }
+    // Device-path coverage: striped and bounced offloads must settle on
+    // the device; only offloads the injected faults truly starved may
+    // fall back to software.
+    assert!(
+        fallbacks <= 4,
+        "{fallbacks} of 48 scenarios fell back to software"
+    );
 }
 
 /// Runs a fixed multi-channel workload and snapshots its telemetry.
