@@ -2,8 +2,8 @@
 //!
 //! Runs every committed workload shape (TLS 1/2/4-channel sweeps, the
 //! deflate round trip, the fault-injected oracle seeds) on **both**
-//! memory backends — the cycle-accurate `DramSystem` (fidelity tier 0)
-//! and the fixed-latency `FastDramSystem` (tier 1) — and reports, per
+//! timing tiers of `DramSystem` — cycle-accurate (fidelity tier 0) and
+//! the fixed-latency per-channel FIFO (tier 1) — and reports, per
 //! workload:
 //!
 //! * whether the payload bytes and functional counters matched

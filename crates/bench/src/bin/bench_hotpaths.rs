@@ -179,7 +179,8 @@ fn bench_backend_sweep(spec: BenchSpec, connections: usize, requests: usize) -> 
     HotPath {
         name: "dram_backend_whole_sim",
         before_impl: "cycle-accurate FR-FCFS DramSystem (per-bank state machines)",
-        after_impl: "fast fixed-latency + per-channel-FIFO backend (FastDramSystem)",
+        after_impl:
+            "fast fixed-latency + per-channel-FIFO timing (DramSystem, BackendKind::FastQueue)",
         work_units: format!(
             "4-channel run_report sweep: TLS fine + deflate coarse, \
              {connections} conns x {requests} reqs"

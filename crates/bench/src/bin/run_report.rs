@@ -474,6 +474,19 @@ fn render_report(mode: &str, snapshot: &str, stats: ParStats) -> String {
     )
 }
 
+/// How many counters named `name` in a rendered snapshot hold a
+/// non-zero value.
+fn nonzero_counters(doc: &str, name: &str) -> usize {
+    let key = format!("\"{name}\": {{ \"kind\": \"counter\", \"value\": ");
+    doc.match_indices(&key)
+        .filter(|(at, _)| {
+            let value = &doc[at + key.len()..];
+            let digits = value.bytes().take_while(u8::is_ascii_digit).count();
+            value[..digits].bytes().any(|d| d != b'0')
+        })
+        .count()
+}
+
 fn check(path: &PathBuf) -> ExitCode {
     let doc = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -506,6 +519,17 @@ fn check(path: &PathBuf) -> ExitCode {
             eprintln!("[err] {} lacks metric {metric}", path.display());
             return ExitCode::FAILURE;
         }
+    }
+    // Every entry is fault-free and the buffer device sees every PRE/ACT
+    // the controller issues (refresh precharges included), so no device
+    // scope may report a Bank Table desync.
+    let desynced = nonzero_counters(&doc, "bank_desyncs");
+    if desynced > 0 {
+        eprintln!(
+            "[err] {}: {desynced} device scope(s) report non-zero bank_desyncs",
+            path.display()
+        );
+        return ExitCode::FAILURE;
     }
     println!(
         "[ok] {} parses and covers all stat surfaces",

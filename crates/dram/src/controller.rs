@@ -1,22 +1,43 @@
-//! The CPU-side memory controller and the [`DramSystem`] facade.
+//! The CPU-side memory controller: [`DramSystem`].
 //!
-//! The controller owns every bank state machine (SmartDIMM's cardinal
+//! The controller owns every bank's row state (SmartDIMM's cardinal
 //! constraint: the *host* controller is the only agent that manages DRAM
 //! state — the buffer device never issues its own commands), schedules
-//! CAS commands respecting bank timing and data-bus turnaround, batches
-//! the `ALERT_N` retry protocol, and exposes per-channel bandwidth
-//! statistics plus the rdCAS/wrCAS trace used by Fig. 9.
+//! CAS commands, runs the `ALERT_N` retry protocol, and exposes
+//! per-channel bandwidth statistics plus the rdCAS/wrCAS trace used by
+//! Fig. 9.
+//!
+//! One controller serves both fidelity tiers ([`BackendKind`]). They
+//! differ only in the timing rule each channel applies:
+//!
+//! * cycle-accurate (tier 0, the reference): per-bank state machines
+//!   (tRCD/tRP/tRAS/tWR), data-bus occupancy with read↔write turnaround,
+//!   and tREFI all-bank refresh;
+//! * fast queue (tier 1): one FIFO per channel with fixed service times
+//!   derived from the same [`Timing`] — `tCL + tBURST` per read,
+//!   `tCWL + tBURST` per write, `tRCD + tCL + 64·tBURST` per batched
+//!   page — and no bank timing, turnaround or refresh.
+//!
+//! Everything else is written once: address mapping, the DIMM slots and
+//! their buffer devices, the retry protocol, the inter-socket hop, the
+//! batched page read, statistics, trace and telemetry. Every PRE/ACT —
+//! including the precharges a refresh implies — goes through one
+//! bank-command path that also delivers it to the buffer device, so the
+//! on-DIMM Bank Table (§IV-C) follows the controller's row state on
+//! either tier. The fast tier keeps a shadow open-row table for exactly
+//! that purpose.
 //!
 //! Time model: the caller (the `memsys` crate's host model) owns the
 //! clock and advances it with [`DramSystem::advance`]; each access issues
-//! at the earliest cycle permitted by the bank/bus state at-or-after
+//! at the earliest cycle its channel's timing rule permits at-or-after
 //! "now" and reports its completion cycle, so overlapping accesses from
 //! different banks pipeline exactly as the open-bank state allows.
 
 use simkit::{Counter, Cycle, TraceSink};
 
 use crate::addr::{AddressMapper, DramTopology, PhysAddr};
-use crate::bank::Bank;
+use crate::backend::BackendKind;
+use crate::bank::{Bank, RowState};
 use crate::dimm::{CasInfo, Dimm, RdResult};
 use crate::timing::Timing;
 
@@ -28,20 +49,51 @@ enum BusDir {
     Write,
 }
 
+impl BusDir {
+    /// Turnaround a CAS in direction `next` pays after the bus last
+    /// carried `self`.
+    fn turnaround(self, next: BusDir, t: &Timing) -> u64 {
+        match (self, next) {
+            (BusDir::Write, BusDir::Read) => t.t_wtr,
+            (BusDir::Read, BusDir::Write) => t.t_rtw,
+            _ => 0,
+        }
+    }
+}
+
+/// A channel's timing state: the only part of the controller the two
+/// fidelity tiers do not share.
+enum Tier {
+    /// Cycle-accurate: bank state machines, data-bus occupancy and
+    /// direction, and the next scheduled tREFI refresh.
+    Accurate {
+        banks: Vec<Vec<Bank>>, // [rank within channel, spanning slots][bank_index]
+        bus_free: Cycle,
+        bus_dir: BusDir,
+        next_refresh: Cycle,
+    },
+    /// Fixed-latency FIFO: the next access starts at `max(now, free_at)`.
+    /// `open_rows[rank][bank_index]` shadows each bank's open row, used
+    /// only to replay PRE/ACT to the buffer device at zero cost.
+    Fast {
+        free_at: Cycle,
+        open_rows: Vec<Vec<Option<usize>>>,
+    },
+}
+
 struct Channel {
     /// DIMM slots on this channel's bus; slot 0 is the DSA-bearing
     /// DIMM, the rest are plain capacity DIMMs. The decoded rank field
     /// spans all slots (`rank / ranks` selects the slot).
     dimms: Vec<Dimm>,
-    banks: Vec<Vec<Bank>>, // [rank within channel, spanning slots][bank_index]
-    bus_free: Cycle,
-    bus_dir: BusDir,
+    /// Busy cycles since the last stats reset: data-burst cycles on the
+    /// accurate tier, whole service occupancy on the fast tier (so under
+    /// zero contention it equals the sum of the service times).
     busy_cycles: u64,
     /// CAS commands on this channel issued from a foreign socket
     /// (crossed the inter-socket link).
     remote_accesses: u64,
-    /// Next scheduled all-bank refresh (tREFI cadence).
-    next_refresh: Cycle,
+    tier: Tier,
 }
 
 /// Configuration for a [`DramSystem`].
@@ -73,7 +125,7 @@ pub struct DramStats {
     pub wr_cas: Counter,
     /// Row activations.
     pub activates: Counter,
-    /// Precharges (row conflicts).
+    /// Precharges (row conflicts; refresh precharges are not counted).
     pub precharges: Counter,
     /// CAS commands that hit an open row.
     pub row_hits: Counter,
@@ -121,6 +173,7 @@ impl DramStats {
 pub struct DramSystem {
     mapper: AddressMapper,
     timing: Timing,
+    fidelity: BackendKind,
     channels: Vec<Channel>,
     now: Cycle,
     stats: DramStats,
@@ -133,6 +186,7 @@ pub struct DramSystem {
 impl std::fmt::Debug for DramSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DramSystem")
+            .field("fidelity", &self.fidelity)
             .field("now", &self.now)
             .field("channels", &self.channels.len())
             .finish()
@@ -140,28 +194,47 @@ impl std::fmt::Debug for DramSystem {
 }
 
 impl DramSystem {
-    /// Builds a memory system with pass-through DIMMs on every channel.
+    /// Builds a cycle-accurate memory system with pass-through DIMMs on
+    /// every channel ([`BackendKind::build`] selects the tier).
     pub fn new(config: MemorySystemConfig) -> DramSystem {
+        DramSystem::with_fidelity(config, BackendKind::CycleAccurate)
+    }
+
+    /// Builds a memory system of the given fidelity tier with
+    /// pass-through DIMMs on every channel.
+    pub(crate) fn with_fidelity(config: MemorySystemConfig, fidelity: BackendKind) -> DramSystem {
         let topo = config.topology;
-        let mapper = AddressMapper::new(topo);
         let channels = (0..topo.channels)
             .map(|_| Channel {
                 dimms: (0..topo.dimms_per_channel)
                     .map(|_| Dimm::passthrough())
                     .collect(),
-                banks: (0..topo.ranks_per_channel())
-                    .map(|_| vec![Bank::default(); topo.banks_per_rank()])
-                    .collect(),
-                bus_free: Cycle::ZERO,
-                bus_dir: BusDir::Idle,
                 busy_cycles: 0,
                 remote_accesses: 0,
-                next_refresh: Cycle(config.timing.t_refi),
+                tier: match fidelity {
+                    BackendKind::CycleAccurate => Tier::Accurate {
+                        banks: vec![
+                            vec![Bank::default(); topo.banks_per_rank()];
+                            topo.ranks_per_channel()
+                        ],
+                        bus_free: Cycle::ZERO,
+                        bus_dir: BusDir::Idle,
+                        next_refresh: Cycle(config.timing.t_refi),
+                    },
+                    BackendKind::FastQueue => Tier::Fast {
+                        free_at: Cycle::ZERO,
+                        open_rows: vec![
+                            vec![None; topo.banks_per_rank()];
+                            topo.ranks_per_channel()
+                        ],
+                    },
+                },
             })
             .collect();
         DramSystem {
-            mapper,
+            mapper: AddressMapper::new(topo),
             timing: config.timing,
+            fidelity,
             channels,
             now: Cycle::ZERO,
             stats: DramStats::new(),
@@ -174,6 +247,11 @@ impl DramSystem {
             interconnect_penalty: config.interconnect_penalty_cycles,
             home_socket: config.home_socket,
         }
+    }
+
+    /// Which fidelity tier's timing rule the channels apply.
+    pub fn fidelity(&self) -> BackendKind {
+        self.fidelity
     }
 
     /// Replaces the slot-0 DIMM on `channel` with one using the given
@@ -195,16 +273,11 @@ impl DramSystem {
         &mut self.channels[channel].dimms[0]
     }
 
-    /// Whether `channel` is owned by a socket other than the home
-    /// socket (accesses cross the inter-socket link).
-    fn is_remote(&self, channel: usize) -> bool {
-        self.mapper.topology().socket_of_channel(channel) != self.home_socket
-    }
-
-    /// Charges the inter-socket hop for an access to `channel`: bumps
-    /// the remote counters and returns the extra completion latency.
+    /// Charges the inter-socket hop for `cas` commands to `channel`:
+    /// bumps the remote counters and returns the extra completion
+    /// latency (zero for a channel of the home socket).
     fn interconnect_charge(&mut self, channel: usize, cas: u64) -> u64 {
-        if !self.is_remote(channel) {
+        if self.mapper.topology().socket_of_channel(channel) == self.home_socket {
             return 0;
         }
         self.stats.remote_accesses.add(cas);
@@ -263,7 +336,8 @@ impl DramSystem {
         self.trace.clear();
     }
 
-    /// Data-bus busy cycles on `channel` since the last stats reset.
+    /// Busy cycles on `channel` since the last stats reset (data-bus
+    /// cycles on the accurate tier, service occupancy on the fast tier).
     pub fn channel_busy_cycles(&self, channel: usize) -> u64 {
         self.channels[channel].busy_cycles
     }
@@ -316,29 +390,137 @@ impl DramSystem {
         }
     }
 
+    /// The one bank-command path. `Some(row)` opens `row` in the bank
+    /// by the channel's timing rule, issuing PRE/ACT as needed and
+    /// counting them (or a row hit), and returns the cycle at which a
+    /// CAS may issue. `None` is a refresh precharge: it closes the bank
+    /// without counting. Either way the buffer device of the bank's
+    /// DIMM slot sees every PRE/ACT, so its Bank Table follows the
+    /// controller's row state (§IV-C).
+    fn bank_command(
+        &mut self,
+        channel: usize,
+        at: Cycle,
+        rank: usize,
+        bank_index: usize,
+        row: Option<usize>,
+    ) -> Cycle {
+        let t = self.timing;
+        let slot = self.mapper.topology().dimm_slot_of_rank(rank);
+        let ch = &mut self.channels[channel];
+        let (ready, precharged, activated) = match &mut ch.tier {
+            Tier::Accurate { banks, .. } => {
+                let bank = &mut banks[rank][bank_index];
+                match row {
+                    Some(row) => {
+                        let (ready, activated, precharged) = bank.open_row(at, row, &t);
+                        (ready, precharged, activated)
+                    }
+                    None => {
+                        let was_open = bank.state() != RowState::Closed;
+                        bank.precharge(at, &t);
+                        (at, was_open, false)
+                    }
+                }
+            }
+            // No bank timing: the CAS waits only for the channel's FIFO,
+            // and the shadow row changes at zero cost.
+            Tier::Fast { free_at, open_rows } => {
+                let open = std::mem::replace(&mut open_rows[rank][bank_index], row);
+                let changed = open != row;
+                (
+                    at.max(*free_at),
+                    changed && open.is_some(),
+                    changed && row.is_some(),
+                )
+            }
+        };
+        if precharged {
+            ch.dimms[slot].precharge(ready, rank, bank_index);
+        }
+        let Some(row) = row else {
+            return ready;
+        };
+        if precharged {
+            self.stats.precharges.inc();
+        }
+        if activated {
+            self.stats.activates.inc();
+            ch.dimms[slot].activate(ready, rank, bank_index, row);
+        } else {
+            self.stats.row_hits.inc();
+        }
+        ready
+    }
+
     /// Applies any refresh windows due at-or-before `at` on `channel`:
-    /// each due tREFI tick closes every bank for tRFC and pushes the
-    /// command past the refresh window.
+    /// each due tREFI tick precharges every bank and pushes the command
+    /// past the tRFC window. The fast tier models no refresh.
     fn refresh_gate(&mut self, channel: usize, mut at: Cycle) -> Cycle {
         let t = self.timing;
+        let topo = *self.mapper.topology();
         loop {
-            let due = self.channels[channel].next_refresh;
+            let Tier::Accurate { next_refresh, .. } = &mut self.channels[channel].tier else {
+                return at;
+            };
+            let due = *next_refresh;
             if at < due {
                 return at;
             }
+            *next_refresh = due + t.t_refi;
             self.stats.refreshes.inc();
-            self.channels[channel].next_refresh = due + t.t_refi;
-            // All banks precharge for the refresh and reopen afterwards.
-            for rank in &mut self.channels[channel].banks {
-                for bank in rank.iter_mut() {
-                    bank.precharge(due, &t);
+            for rank in 0..topo.ranks_per_channel() {
+                for bank_index in 0..topo.banks_per_rank() {
+                    self.bank_command(channel, due, rank, bank_index, None);
                 }
             }
-            let resume = due + t.t_rfc;
-            if at < resume {
-                at = resume;
-            }
+            at = at.max(due + t.t_rfc);
         }
+    }
+
+    /// Issues one CAS in direction `dir` to `row` of the bank, no
+    /// earlier than `at`: opens the row, then applies the channel's
+    /// data-bus rule. Returns the issue cycle and the cycle the data
+    /// burst completes.
+    fn issue_cas(
+        &mut self,
+        channel: usize,
+        at: Cycle,
+        rank: usize,
+        bank_index: usize,
+        row: usize,
+        dir: BusDir,
+    ) -> (Cycle, Cycle) {
+        let t = self.timing;
+        let latency = if dir == BusDir::Read { t.t_cl } else { t.t_cwl };
+        let ready = self.bank_command(channel, at, rank, bank_index, Some(row));
+        let ch = &mut self.channels[channel];
+        let issue = match &mut ch.tier {
+            Tier::Accurate {
+                banks,
+                bus_free,
+                bus_dir,
+                ..
+            } => {
+                let issue = ready.max(*bus_free) + bus_dir.turnaround(dir, &t);
+                *bus_free = issue + latency + t.t_burst;
+                *bus_dir = dir;
+                ch.busy_cycles += t.t_burst;
+                let bank = &mut banks[rank][bank_index];
+                if dir == BusDir::Read {
+                    bank.on_read(issue, &t);
+                } else {
+                    bank.on_write(issue, &t);
+                }
+                issue
+            }
+            Tier::Fast { free_at, .. } => {
+                *free_at = ready + latency + t.t_burst;
+                ch.busy_cycles += latency + t.t_burst;
+                ready
+            }
+        };
+        (issue, issue + latency + t.t_burst)
     }
 
     /// Reads one cacheline. Returns the data and the access latency in
@@ -360,39 +542,18 @@ impl DramSystem {
         let bank_index = loc.bank_index(self.mapper.topology());
         let slot = self.mapper.topology().dimm_slot_of_rank(loc.rank);
         let hop = self.interconnect_charge(loc.channel, 1);
-        let t = self.timing;
         let mut attempt_at = self.refresh_gate(loc.channel, self.now);
         for _ in 0..self.max_retries {
-            // Bank: open the row (issuing PRE/ACT as needed).
-            let (cas_ready, activated, precharged) = {
-                let bank = &mut self.channels[loc.channel].banks[loc.rank][bank_index];
-                bank.open_row(attempt_at, loc.row, &t)
-            };
-            if precharged {
-                self.stats.precharges.inc();
-                self.channels[loc.channel].dimms[slot].precharge(cas_ready, loc.rank, bank_index);
-            }
-            if activated {
-                self.stats.activates.inc();
-                self.channels[loc.channel].dimms[slot]
-                    .activate(cas_ready, loc.rank, bank_index, loc.row);
-            } else {
-                self.stats.row_hits.inc();
-            }
-            // Bus: respect occupancy and turnaround.
-            let ch = &mut self.channels[loc.channel];
-            let mut issue = Cycle(cas_ready.raw().max(ch.bus_free.raw()));
-            if ch.bus_dir == BusDir::Write {
-                issue += t.t_wtr;
-            }
-            let data_at = issue + t.t_cl;
-            ch.bus_free = data_at + t.t_burst;
-            ch.bus_dir = BusDir::Read;
-            ch.busy_cycles += t.t_burst;
-            self.channels[loc.channel].banks[loc.rank][bank_index].on_read(issue, &t);
+            let (issue, done) = self.issue_cas(
+                loc.channel,
+                attempt_at,
+                loc.rank,
+                bank_index,
+                loc.row,
+                BusDir::Read,
+            );
             self.stats.rd_cas.inc();
             self.trace.record(issue, "rdCAS", addr.0, tag);
-
             let info = CasInfo {
                 loc,
                 phys: addr,
@@ -401,14 +562,11 @@ impl DramSystem {
                 tag,
             };
             match self.channels[loc.channel].dimms[slot].rd_cas(&info) {
-                RdResult::Data(data) => {
-                    let done = data_at + t.t_burst;
-                    return (data, done.saturating_since(self.now) + hop);
-                }
+                RdResult::Data(data) => return (data, done.saturating_since(self.now) + hop),
                 RdResult::Retry => {
                     // ALERT_N: retry after the standard delay.
                     self.stats.retries.inc();
-                    attempt_at = issue + t.retry_delay;
+                    attempt_at = issue + self.timing.retry_delay;
                 }
             }
         }
@@ -428,36 +586,17 @@ impl DramSystem {
         let bank_index = loc.bank_index(self.mapper.topology());
         let slot = self.mapper.topology().dimm_slot_of_rank(loc.rank);
         let hop = self.interconnect_charge(loc.channel, 1);
-        let t = self.timing;
         let gated = self.refresh_gate(loc.channel, self.now);
-        let (cas_ready, activated, precharged) = {
-            let bank = &mut self.channels[loc.channel].banks[loc.rank][bank_index];
-            bank.open_row(gated, loc.row, &t)
-        };
-        if precharged {
-            self.stats.precharges.inc();
-            self.channels[loc.channel].dimms[slot].precharge(cas_ready, loc.rank, bank_index);
-        }
-        if activated {
-            self.stats.activates.inc();
-            self.channels[loc.channel].dimms[slot]
-                .activate(cas_ready, loc.rank, bank_index, loc.row);
-        } else {
-            self.stats.row_hits.inc();
-        }
-        let ch = &mut self.channels[loc.channel];
-        let mut issue = Cycle(cas_ready.raw().max(ch.bus_free.raw()));
-        if ch.bus_dir == BusDir::Read {
-            issue += t.t_rtw;
-        }
-        let data_at = issue + t.t_cwl;
-        ch.bus_free = data_at + t.t_burst;
-        ch.bus_dir = BusDir::Write;
-        ch.busy_cycles += t.t_burst;
-        self.channels[loc.channel].banks[loc.rank][bank_index].on_write(issue, &t);
+        let (issue, done) = self.issue_cas(
+            loc.channel,
+            gated,
+            loc.rank,
+            bank_index,
+            loc.row,
+            BusDir::Write,
+        );
         self.stats.wr_cas.inc();
         self.trace.record(issue, "wrCAS", addr.0, tag);
-
         let info = CasInfo {
             loc,
             phys: addr,
@@ -466,7 +605,7 @@ impl DramSystem {
             tag,
         };
         self.channels[loc.channel].dimms[slot].wr_cas(&info, data);
-        data_at + t.t_burst + hop
+        done + hop
     }
 
     /// Batched whole-page read: all 64 cachelines of the 4 KB page
@@ -515,54 +654,45 @@ impl DramSystem {
         let t = self.timing;
         let start = self.refresh_gate(channel, self.now);
         let mut coords = [(0usize, 0usize, 0usize, 0usize); LINES];
-        // Each touched (rank, bank, row) opens once; every further line
-        // on it is a row hit, exactly as the per-line path would count
-        // (re-opening an already-open row is a stateless hit there).
-        let mut groups: Vec<(usize, usize, usize)> = Vec::with_capacity(LINES);
-        let mut cas_ready_max = start;
+        // Every line opens its row at `start`: the first line on a
+        // (rank, bank, row) issues the PRE/ACT, the rest are stateless
+        // row hits, exactly as the per-line path would count them.
+        let mut ready = start;
         for (i, loc) in locs.iter().enumerate() {
-            let bank_index = loc.bank_index(self.mapper.topology());
+            let bank_index = loc.bank_index(&topo);
             coords[i] = (loc.rank, bank_index, loc.row, loc.col);
-            let key = (loc.rank, bank_index, loc.row);
-            if groups.contains(&key) {
-                self.stats.row_hits.inc();
-                continue;
-            }
-            groups.push(key);
-            let (cas_ready, activated, precharged) = {
-                let bank = &mut self.channels[channel].banks[loc.rank][bank_index];
-                bank.open_row(start, loc.row, &t)
-            };
-            if precharged {
-                self.stats.precharges.inc();
-                self.channels[channel].dimms[slot].precharge(cas_ready, loc.rank, bank_index);
-            }
-            if activated {
-                self.stats.activates.inc();
-                self.channels[channel].dimms[slot]
-                    .activate(cas_ready, loc.rank, bank_index, loc.row);
-            } else {
-                self.stats.row_hits.inc();
-            }
-            if cas_ready > cas_ready_max {
-                cas_ready_max = cas_ready;
-            }
+            ready =
+                ready.max(self.bank_command(channel, start, loc.rank, bank_index, Some(loc.row)));
         }
-        // One streamed transfer: CAS once all rows are open, then 64
-        // back-to-back bursts on the data bus.
         let ch = &mut self.channels[channel];
-        let mut issue = Cycle(cas_ready_max.raw().max(ch.bus_free.raw()));
-        if ch.bus_dir == BusDir::Write {
-            issue += t.t_wtr;
-        }
-        let last_issue = issue + (LINES as u64 - 1) * t.t_burst;
-        let done = last_issue + t.t_cl + t.t_burst;
-        ch.bus_free = done;
-        ch.bus_dir = BusDir::Read;
-        ch.busy_cycles += LINES as u64 * t.t_burst;
-        for &(rank, bank_index, _) in &groups {
-            ch.banks[rank][bank_index].on_read(last_issue, &t);
-        }
+        let (issue, done) = match &mut ch.tier {
+            // One streamed transfer: CAS once all rows are open, then 64
+            // back-to-back bursts on the data bus.
+            Tier::Accurate {
+                banks,
+                bus_free,
+                bus_dir,
+                ..
+            } => {
+                let issue = ready.max(*bus_free) + bus_dir.turnaround(BusDir::Read, &t);
+                let last_issue = issue + (LINES as u64 - 1) * t.t_burst;
+                let done = last_issue + t.t_cl + t.t_burst;
+                *bus_free = done;
+                *bus_dir = BusDir::Read;
+                ch.busy_cycles += LINES as u64 * t.t_burst;
+                for &(rank, bank_index, _, _) in &coords {
+                    banks[rank][bank_index].on_read(last_issue, &t);
+                }
+                (issue, done)
+            }
+            // One row open plus 64 back-to-back bursts.
+            Tier::Fast { free_at, .. } => {
+                let service = t.t_rcd + t.t_cl + LINES as u64 * t.t_burst;
+                *free_at = ready + service;
+                ch.busy_cycles += service;
+                (ready, ready + service)
+            }
+        };
         self.stats.rd_cas.add(LINES as u64);
         if self.trace.is_enabled() {
             for i in 0..LINES {
@@ -921,5 +1051,53 @@ mod tests {
         assert!(snap.contains("\"socket0\""));
         assert!(snap.contains("\"socket1\""));
         assert!(snap.contains("\"remote_accesses\""));
+    }
+
+    /// A buffer device that records the PRE/ACT stream it is shown.
+    #[derive(Default)]
+    struct Recorder {
+        commands: Vec<(&'static str, usize, usize)>, // (command, rank, bank_index)
+    }
+
+    impl crate::BufferDevice for Recorder {
+        fn on_activate(&mut self, _at: Cycle, rank: usize, bank_index: usize, _row: usize) {
+            self.commands.push(("ACT", rank, bank_index));
+        }
+        fn on_precharge(&mut self, _at: Cycle, rank: usize, bank_index: usize) {
+            self.commands.push(("PRE", rank, bank_index));
+        }
+        fn on_rd_cas(&mut self, _info: &CasInfo, dram_data: &[u8; 64]) -> RdResult {
+            RdResult::Data(*dram_data)
+        }
+        fn on_wr_cas(&mut self, _info: &CasInfo, host_data: &[u8; 64]) -> crate::WrResult {
+            crate::WrResult::Commit(*host_data)
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn refresh_precharge_reaches_the_buffer_device() {
+        let mut s = sys();
+        s.install_dimm(0, Dimm::new(Box::new(Recorder::default())));
+        let loc = s.mapper().decode(PhysAddr(0));
+        let bank = loc.bank_index(s.mapper().topology());
+        let _ = s.read64(PhysAddr(0));
+        s.advance(s.timing().t_refi + 100);
+        let _ = s.read64(PhysAddr(0));
+        assert_eq!(s.stats().refreshes.value(), 1);
+        let recorder = s.dimm_mut(0).buffer_mut().as_any_mut();
+        let seen = &recorder.downcast_mut::<Recorder>().unwrap().commands;
+        // The refresh closed the open bank: the device must see that PRE
+        // before the ACT that reopens the row.
+        let want = [
+            ("ACT", loc.rank, bank),
+            ("PRE", loc.rank, bank),
+            ("ACT", loc.rank, bank),
+        ];
+        assert_eq!(seen.as_slice(), &want);
+        // Refresh precharges are not counted as row-conflict precharges.
+        assert_eq!(s.stats().precharges.value(), 0);
     }
 }

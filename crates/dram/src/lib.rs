@@ -33,7 +33,7 @@ pub mod dimm;
 pub mod timing;
 
 pub use addr::{AddressMapper, DramTopology, Loc, PhysAddr};
-pub use backend::{BackendKind, FastDramSystem, MemoryBackend};
+pub use backend::BackendKind;
 pub use controller::{DramStats, DramSystem, MemorySystemConfig};
 pub use dimm::{BufferDevice, CasInfo, Dimm, Passthrough, RdResult, WrResult};
 pub use timing::Timing;

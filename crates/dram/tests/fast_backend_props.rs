@@ -1,5 +1,5 @@
-//! Property tests for the fast backend's queue model
-//! ([`dram::FastDramSystem`], fidelity tier 1).
+//! Property tests for the fast tier's queue model
+//! ([`dram::BackendKind::FastQueue`], fidelity tier 1).
 //!
 //! The fast tier replaces per-bank state machines with one FIFO per
 //! channel and fixed Timing-derived service times. Two invariants make
@@ -12,11 +12,11 @@
 //!    sum of the service times of the accesses routed to that channel —
 //!    exactly, with zero contention (idle gaps never count as busy).
 
-use dram::{DramTopology, FastDramSystem, MemoryBackend, MemorySystemConfig, PhysAddr};
+use dram::{BackendKind, DramSystem, DramTopology, MemorySystemConfig, PhysAddr};
 use proptest::prelude::*;
 
-fn sys(channels: usize, interleave: usize) -> FastDramSystem {
-    FastDramSystem::new(MemorySystemConfig {
+fn sys(channels: usize, interleave: usize) -> DramSystem {
+    BackendKind::FastQueue.build(MemorySystemConfig {
         topology: DramTopology {
             channels,
             channel_interleave_lines: interleave,
@@ -61,16 +61,17 @@ proptest! {
         channels in 1usize..4,
     ) {
         let mut s = sys(channels, 1);
+        let t = *s.timing();
         let mut want = vec![0u64; channels];
         for (line, is_write) in ops {
             let addr = PhysAddr(line * 64);
             let ch = s.mapper().decode(addr).channel;
             if is_write {
                 s.write64(addr, &[0x5Au8; 64]);
-                want[ch] += s.write_service_cycles();
+                want[ch] += t.t_cwl + t.t_burst;
             } else {
                 s.read64(addr);
-                want[ch] += s.read_service_cycles();
+                want[ch] += t.t_cl + t.t_burst;
             }
             // Drain every FIFO before the next access: zero contention,
             // and the idle gap must not be booked as busy.
@@ -92,10 +93,11 @@ proptest! {
         burst in 2usize..20,
     ) {
         // Same-channel back-to-back reads: the FIFO serializes them at
-        // exactly `read_service_cycles()` apart, regardless of address.
+        // exactly one read service time (`tCL + tBURST`) apart,
+        // regardless of address.
         let mut s = sys(1, 1);
         let addr = PhysAddr(line * 64);
-        let service = s.read_service_cycles();
+        let service = s.timing().t_cl + s.timing().t_burst;
         let mut prev = {
             let (_, latency) = s.read64(addr);
             s.now().raw() + latency

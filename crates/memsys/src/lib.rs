@@ -32,10 +32,10 @@
 //! ```
 
 use cache::{CacheConfig, Llc};
-use dram::{MemorySystemConfig, PhysAddr, CACHELINE};
+use dram::{DramSystem, MemorySystemConfig, PhysAddr, CACHELINE};
 use simkit::{Cycle, DetRng};
 
-pub use dram::{BackendKind, MemoryBackend};
+pub use dram::BackendKind;
 
 /// CPU-side operation costs, in DDR command-clock cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,7 +165,7 @@ pub struct BackgroundTraffic {
 /// The host memory system.
 pub struct MemSystem {
     llc: Llc,
-    dram: Box<dyn MemoryBackend>,
+    dram: DramSystem,
     cost: CostModel,
     bg: Option<(BackgroundTraffic, DetRng)>,
     bg_acc: f64,
@@ -315,16 +315,16 @@ impl MemSystem {
         &mut self.llc
     }
 
-    /// The memory backend (for statistics, traces and DIMM
-    /// installation). Which fidelity tier sits behind the trait is a
+    /// The memory controller (for statistics, traces and DIMM
+    /// installation). Which fidelity tier's timing rule it applies is a
     /// [`MemConfig::backend`] decision.
-    pub fn dram(&self) -> &dyn MemoryBackend {
-        &*self.dram
+    pub fn dram(&self) -> &DramSystem {
+        &self.dram
     }
 
-    /// Mutable memory-backend access.
-    pub fn dram_mut(&mut self) -> &mut dyn MemoryBackend {
-        &mut *self.dram
+    /// Mutable memory-controller access.
+    pub fn dram_mut(&mut self) -> &mut DramSystem {
+        &mut self.dram
     }
 
     /// The CPU cost model.
@@ -349,22 +349,19 @@ impl MemSystem {
         // Telemetry is numeric-only, so the identity string doubles as a
         // metric name with value 1.
         let backend = scope.scope("backend");
-        backend.set_counter("fidelity_tier", self.dram.fidelity().fidelity_tier());
-        backend.set_counter(self.dram.fidelity().as_str(), 1);
-    }
-
-    fn fill_from_dram(dram: &mut dyn MemoryBackend, addr: PhysAddr, tag: u64) -> ([u8; 64], u64) {
-        dram.read64_tagged(addr, tag)
+        let kind = self.dram.fidelity();
+        backend.set_counter("fidelity_tier", kind.fidelity_tier());
+        backend.set_counter(kind.as_str(), 1);
     }
 
     /// Loads one cacheline through the LLC, advancing time by the hit or
     /// miss latency.
     pub fn load_line(&mut self, addr: PhysAddr, class: usize) -> [u8; 64] {
         self.bg_tick();
-        let dram = &mut *self.dram;
+        let dram = &mut self.dram;
         let mut miss_latency = 0u64;
         let (data, ev) = self.llc.read_line(addr, class, |a| {
-            let (d, lat) = Self::fill_from_dram(dram, a, class as u64);
+            let (d, lat) = dram.read64_tagged(a, class as u64);
             miss_latency = lat;
             d
         });

@@ -69,13 +69,11 @@ const SHARD_FILES: [&str; 6] = [
 /// Host-side identifiers shard code must never name. Touching any of
 /// these from inside the shard would mean a device model reaching
 /// across the channel boundary outside the memory-command protocol.
-const HOST_IDENTS: [&str; 10] = [
+const HOST_IDENTS: [&str; 8] = [
     "CompCpyHost",
     "MemSystem",
     "Llc",
     "DramSystem",
-    "FastDramSystem",
-    "MemoryBackend",
     "memsys",
     "device_on",
     "dimm_mut",
@@ -136,7 +134,8 @@ const SET_METHODS: [&str; 4] = [
 /// documents where the dynamic registration lives.
 const TELEM_DYNAMIC: [&str; 2] = [
     // memsys::export_telemetry registers the backend identity counter
-    // as `backend.set_counter(self.dram.fidelity().as_str(), 1)`.
+    // as `backend.set_counter(kind.as_str(), 1)`, where `kind` is
+    // `DramSystem::fidelity()`.
     "cycle_accurate",
     "fast_queue",
 ];

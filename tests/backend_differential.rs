@@ -1,7 +1,7 @@
 //! Differential fidelity harness: every committed workload runs on both
-//! memory backends — the cycle-accurate FR-FCFS [`dram::DramSystem`]
-//! (fidelity tier 0) and the fixed-latency + per-channel-FIFO
-//! [`dram::FastDramSystem`] (tier 1) — and must agree:
+//! memory fidelity tiers of [`dram::DramSystem`] — cycle-accurate bank
+//! and bus timing (tier 0) and the fixed-latency + per-channel-FIFO
+//! rule (tier 1) — and must agree:
 //!
 //! * **byte-identical payloads** — ciphertexts, tags, compressed and
 //!   decompressed bytes never depend on the timing model,
@@ -125,9 +125,19 @@ fn tls_offload(host: &mut CompCpyHost, size: usize, aad: &[u8], seed: u64) -> Ve
     vec![ct, tag.to_vec()]
 }
 
+/// Bank Table desyncs summed over every channel's device: a CAS or ACT
+/// that found the device's view of a bank different from the
+/// controller's.
+fn bank_desyncs(host: &mut CompCpyHost) -> u64 {
+    (0..host.channels())
+        .map(|c| host.device_on(c).stats().bank_desyncs)
+        .sum()
+}
+
 /// The TLS workload of the multi-channel sweep: mixed sizes, enough
 /// offloads to rotate through every channel (and bounce on coarse
-/// multi-channel hosts).
+/// multi-channel hosts). Fault-free, so every buffer device must have
+/// seen every PRE/ACT (refresh included): zero Bank Table desyncs.
 fn run_tls_sweep(
     backend: BackendKind,
     channels: usize,
@@ -139,6 +149,11 @@ fn run_tls_sweep(
         let size = 2048 + (seed * 1777) as usize % 6000;
         payloads.extend(tls_offload(&mut host, size, b"diff", 40 + seed));
     }
+    assert_eq!(
+        bank_desyncs(&mut host),
+        0,
+        "{backend} tls ch{channels} il{interleave}: Bank Table desynced"
+    );
     collect(&mut host, payloads)
 }
 
