@@ -1,10 +1,10 @@
 //! Self-timing hot-path micro-benchmarks → `BENCH_hotpaths.json`.
 //!
-//! Measures the three optimizations of the hot-path pass, each against
-//! the retained reference implementation it replaced:
+//! Measures each hot-path optimization against the retained reference
+//! implementation it replaced:
 //!
 //! 1. `gf128_mul` — GHASH-style GF(2^128) fold: bit-at-a-time
-//!    `Gf128::mul_bitwise` vs the per-key 4-bit table (`GfMulTable`).
+//!    `Gf128::mul_bitwise` vs the per-key 8-bit table (`GfMulTable`).
 //! 2. `compcpy_page_copy` — CompCpy's copy step through a
 //!    SmartDIMM-backed memory system: per-line loads/stores vs the
 //!    batched whole-page path (one buffer-device interception and one
@@ -15,6 +15,11 @@
 //!    cycle-accurate FR-FCFS backend vs the fast fixed-latency tier.
 //! 5. `whole_sim_parallel` — the same sweep's independent entries run
 //!    back to back vs fanned out on a 4-worker `simkit::par` pool.
+//! 6. `aes_block` — AES-128 block encryption: byte-oriented FIPS-197
+//!    rounds (`Aes::encrypt_block_bytewise`) vs the T-table cipher.
+//! 7. `ooo_gcm_offload` — one TLS DSA engine's life for a 4 KB page:
+//!    registration plus 64 out-of-order lines, with per-block GHASH over
+//!    a full `HPowers` table vs the strided per-line `OooGcm`.
 //!
 //! All inputs are seeded and deterministic; only the wall-clock timings
 //! vary run to run. Modes:
@@ -23,8 +28,9 @@
 //!   writes to `target/BENCH_hotpaths.smoke.json` so a CI run never
 //!   clobbers the committed full-mode numbers,
 //! * `full` — the committed numbers at `BENCH_hotpaths.json` (default),
-//! * `check` — parse-validate the committed `BENCH_hotpaths.json` and
-//!   exit non-zero if missing or malformed (used by `ci.sh`).
+//! * `check` — validate the committed `BENCH_hotpaths.json` and exit
+//!   non-zero if it is missing, malformed or lacks a row for any hot
+//!   path this binary measures (used by `ci.sh`).
 
 use bench::harness::{json_parses, median_ns_per_op, report, BenchSpec, HotPath};
 use cache::CacheConfig;
@@ -33,7 +39,21 @@ use simkit::DetRng;
 use smartdimm::{CompCpyHost, HostConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use ulp_crypto::aes::Aes;
+use ulp_crypto::gcm::{AesGcm, Direction, OooGcm};
 use ulp_crypto::gf128::{Gf128, GfMulTable};
+use ulp_crypto::ghash::{HPowers, OooGhash};
+
+/// The rows every report carries, in emission order.
+const HOT_PATHS: [&str; 7] = [
+    "gf128_mul",
+    "compcpy_page_copy",
+    "lz77_match_finder",
+    "dram_backend_whole_sim",
+    "whole_sim_parallel",
+    "aes_block",
+    "ooo_gcm_offload",
+];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -71,7 +91,7 @@ fn bench_gf128(spec: BenchSpec, blocks: usize) -> HotPath {
     HotPath {
         name: "gf128_mul",
         before_impl: "Gf128::mul_bitwise (bit-at-a-time, SP 800-38D reference)",
-        after_impl: "GfMulTable (per-key 4-bit tables, 32-step nibble Horner)",
+        after_impl: "GfMulTable (per-key 8-bit table, 16-step byte Horner)",
         work_units: format!(
             "GHASH fold over {blocks} blocks ({} KB)",
             blocks * 16 / 1024
@@ -251,20 +271,137 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
     }
 }
 
+fn bench_aes(spec: BenchSpec, blocks: usize) -> HotPath {
+    let mut rng = DetRng::new(0xAE5);
+    let mut key = [0u8; 16];
+    rng.fill_bytes(&mut key);
+    let aes = Aes::new_128(&key);
+    let data: Vec<[u8; 16]> = (0..blocks)
+        .map(|_| {
+            let mut b = [0u8; 16];
+            rng.fill_bytes(&mut b);
+            b
+        })
+        .collect();
+    let run = |encrypt: &dyn Fn(&[u8; 16]) -> [u8; 16]| {
+        median_ns_per_op(spec, || {
+            let acc = data
+                .iter()
+                .fold(0u8, |acc, b| acc ^ encrypt(std::hint::black_box(b))[0]);
+            std::hint::black_box(acc);
+        })
+    };
+    let before = run(&|b| aes.encrypt_block_bytewise(b));
+    let after = run(&|b| aes.encrypt_block(b));
+    HotPath {
+        name: "aes_block",
+        before_impl: "Aes::encrypt_block_bytewise (FIPS-197 rounds, gf256_mul MixColumns)",
+        after_impl: "Aes::encrypt_block (four compile-time 256-entry T-tables)",
+        work_units: format!("AES-128 encryption of {blocks} blocks ({} KB)", blocks / 64),
+        before_ns_per_op: before,
+        after_ns_per_op: after,
+    }
+}
+
+fn bench_ooo_gcm(spec: BenchSpec, offloads: usize) -> HotPath {
+    const PAGE: usize = 4096;
+    let mut rng = DetRng::new(0x6C3);
+    let mut page = vec![0u8; PAGE];
+    rng.fill_bytes(&mut page);
+    let key = [0x5Au8; 16];
+    let iv = [0x11u8; 12];
+    let mut order: Vec<usize> = (0..PAGE).step_by(64).collect();
+    rng.shuffle(&mut order);
+
+    // Before: the per-block engine — a 258-entry `HPowers` fill at
+    // registration and one `OooGhash::absorb` (a full multiply by that
+    // block's power) per 16 B block. Both sides share the T-table AES
+    // and the GF(2^128) primitives, so the ratio is the GHASH scheme's.
+    let per_block = || {
+        let gcm = AesGcm::new_128(&key);
+        let total = PAGE / 16 + 1;
+        let powers = HPowers::new(gcm.hash_subkey(), total);
+        let mut ghash = OooGhash::new(total);
+        let mut len_block = [0u8; 16];
+        len_block[8..].copy_from_slice(&(PAGE as u64 * 8).to_be_bytes());
+        ghash.absorb(&powers, total - 1, &len_block);
+        let eiv = gcm.encrypted_iv(&iv);
+        for &off in &order {
+            let mut line = [0u8; 64];
+            line.copy_from_slice(&page[off..off + 64]);
+            gcm.xor_keystream(&iv, off, &mut line);
+            for (k, block) in line.as_chunks::<16>().0.iter().enumerate() {
+                ghash.absorb(&powers, off / 16 + k, block);
+            }
+        }
+        let mut tag = ghash.finalize();
+        for (t, e) in tag.iter_mut().zip(eiv) {
+            *t ^= e;
+        }
+        tag
+    };
+    let strided = || {
+        let mut engine = OooGcm::new(AesGcm::new_128(&key), iv, b"", PAGE, Direction::Encrypt);
+        for &off in &order {
+            std::hint::black_box(engine.process_cacheline(off, &page[off..off + 64]));
+        }
+        engine.tag()
+    };
+    assert_eq!(per_block(), strided(), "both engines must tag alike");
+    let before = median_ns_per_op(spec, || {
+        for _ in 0..offloads {
+            std::hint::black_box(per_block());
+        }
+    });
+    let after = median_ns_per_op(spec, || {
+        for _ in 0..offloads {
+            std::hint::black_box(strided());
+        }
+    });
+    HotPath {
+        name: "ooo_gcm_offload",
+        before_impl: "per-block OooGhash over a 258-entry HPowers table (one multiply per block)",
+        after_impl: "OooGcm: per-line Horner by H, one multiply by a stride-4 power of H",
+        work_units: format!(
+            "{offloads} x (key setup + registration + 64 shuffled 64 B lines of a 4 KB page)"
+        ),
+        before_ns_per_op: before,
+        after_ns_per_op: after,
+    }
+}
+
+/// Names the rows of a rendered report lacks, out of [`HOT_PATHS`].
+fn missing_rows(doc: &str) -> Vec<&'static str> {
+    HOT_PATHS
+        .into_iter()
+        .filter(|name| !doc.contains(&format!("\"name\": \"{name}\"")))
+        .collect()
+}
+
 fn main() -> ExitCode {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "full".into());
     let out_path = repo_root().join("BENCH_hotpaths.json");
 
     if mode == "check" {
         return match std::fs::read_to_string(&out_path) {
-            Ok(s) if json_parses(&s) && s.contains("bench_hotpaths/v1") => {
-                println!("[ok] {} parses", out_path.display());
-                ExitCode::SUCCESS
-            }
-            Ok(_) => {
+            Ok(s) if !(json_parses(&s) && s.contains("bench_hotpaths/v1")) => {
                 eprintln!("[err] {} is not valid report JSON", out_path.display());
                 ExitCode::FAILURE
             }
+            Ok(s) => match missing_rows(&s).as_slice() {
+                [] => {
+                    println!(
+                        "[ok] {} parses and has all {} hot paths",
+                        out_path.display(),
+                        HOT_PATHS.len()
+                    );
+                    ExitCode::SUCCESS
+                }
+                missing => {
+                    eprintln!("[err] {} lacks rows {missing:?}", out_path.display());
+                    ExitCode::FAILURE
+                }
+            },
             Err(e) => {
                 eprintln!("[err] {}: {e}", out_path.display());
                 ExitCode::FAILURE
@@ -272,16 +409,17 @@ fn main() -> ExitCode {
         };
     }
 
-    let (spec, gf_blocks, pages, lz_len, sweep_scale, out_path) = match mode.as_str() {
+    let (spec, blocks, pages, lz_len, sweep_scale, gcm_offloads, out_path) = match mode.as_str() {
         "smoke" => (
             BenchSpec::smoke(),
             256,
             4,
             1024,
             (16, 60),
+            1,
             repo_root().join("target").join("BENCH_hotpaths.smoke.json"),
         ),
-        "full" => (BenchSpec::full(), 256, 32, 8192, (32, 150), out_path),
+        "full" => (BenchSpec::full(), 256, 32, 8192, (32, 150), 16, out_path),
         other => {
             eprintln!("usage: bench_hotpaths [smoke|full|check] (got {other:?})");
             return ExitCode::FAILURE;
@@ -290,12 +428,19 @@ fn main() -> ExitCode {
 
     println!("hot-path benchmarks ({mode} mode)");
     let paths = vec![
-        bench_gf128(spec, gf_blocks),
+        bench_gf128(spec, blocks),
         bench_compcpy(spec, pages),
         bench_lz77(spec, lz_len),
         bench_backend_sweep(spec, sweep_scale.0, sweep_scale.1),
         bench_whole_sim_parallel(spec, sweep_scale.0, sweep_scale.1),
+        bench_aes(spec, blocks),
+        bench_ooo_gcm(spec, gcm_offloads),
     ];
+    assert_eq!(
+        paths.iter().map(|p| p.name).collect::<Vec<_>>(),
+        HOT_PATHS,
+        "HOT_PATHS must list every measured row"
+    );
     let mut rows = Vec::new();
     for p in &paths {
         rows.push(vec![
@@ -313,6 +458,10 @@ fn main() -> ExitCode {
 
     let doc = report(&mode, spec, &paths).render();
     assert!(json_parses(&doc), "emitted report must be valid JSON");
+    assert!(
+        missing_rows(&doc).is_empty(),
+        "emitted report must pass check"
+    );
     if let Some(dir) = out_path.parent() {
         std::fs::create_dir_all(dir).expect("create report dir");
     }

@@ -16,7 +16,8 @@
 //! write, matching the paper's single-64-byte-registration claim; the
 //! precomputed powers of H that the paper also stores in Config Memory
 //! are generated device-side by the GF multiplier as soon as the
-//! registration lands (see `ulp_crypto::ghash::HPowers`).
+//! registration lands: one power per full cacheline, in strides of `H^4`
+//! (see `ulp_crypto::gcm::OooGcm::with_metadata_policy`).
 
 /// Read-only status register offset.
 pub const STATUS_OFFSET: u64 = 0x000;

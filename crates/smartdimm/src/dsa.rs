@@ -178,7 +178,7 @@ pub struct DsaCompletion {
 /// A live DSA engine bound to one offload.
 pub enum DsaInstance {
     /// AES-GCM, out-of-order per cacheline.
-    Tls(OooGcm),
+    Tls(Box<OooGcm>),
     /// Deflate compression: buffers the page, then compresses.
     Compress(StreamBuf),
     /// Deflate decompression: buffers the compressed page, then inflates.
@@ -259,23 +259,19 @@ impl DsaInstance {
         absorb_metadata: bool,
     ) -> DsaInstance {
         assert!(msg_len > 0, "empty offload");
+        let tls = |key: &[u8; 16], iv, direction| {
+            DsaInstance::Tls(Box::new(OooGcm::with_metadata_policy(
+                AesGcm::new_128(key),
+                iv,
+                aad,
+                msg_len,
+                direction,
+                absorb_metadata,
+            )))
+        };
         match op {
-            OffloadOp::TlsEncrypt { key, iv } => DsaInstance::Tls(OooGcm::with_metadata_policy(
-                AesGcm::new_128(&key),
-                iv,
-                aad,
-                msg_len,
-                Direction::Encrypt,
-                absorb_metadata,
-            )),
-            OffloadOp::TlsDecrypt { key, iv } => DsaInstance::Tls(OooGcm::with_metadata_policy(
-                AesGcm::new_128(&key),
-                iv,
-                aad,
-                msg_len,
-                Direction::Decrypt,
-                absorb_metadata,
-            )),
+            OffloadOp::TlsEncrypt { key, iv } => tls(&key, iv, Direction::Encrypt),
+            OffloadOp::TlsDecrypt { key, iv } => tls(&key, iv, Direction::Decrypt),
             OffloadOp::Compress => {
                 assert!(msg_len <= 4096, "compression is page-granular");
                 DsaInstance::Compress(StreamBuf::new(msg_len, hw))
@@ -301,9 +297,10 @@ impl DsaInstance {
         match self {
             DsaInstance::Tls(gcm) => {
                 assert!(offset < gcm.msg_len(), "offset beyond message");
-                let out = gcm.process_cacheline(offset, &data[..valid]);
-                let mut line = [0u8; 64];
-                line[..out.len()].copy_from_slice(&out);
+                let Some(input) = data.get(..valid) else {
+                    return DsaOutput::default();
+                };
+                let line = gcm.process_cacheline(offset, input);
                 let completion = if gcm.is_complete() {
                     Some(DsaCompletion {
                         status: OffloadStatus::Done,

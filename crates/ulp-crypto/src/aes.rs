@@ -7,6 +7,13 @@
 //!
 //! Only the forward cipher is needed by GCM (CTR mode), but the inverse
 //! cipher is provided for completeness and verified by round-trip tests.
+//!
+//! The forward cipher is table-driven: [`Aes::encrypt_block`] folds
+//! SubBytes, ShiftRows and MixColumns into four 256-entry "T-tables" of
+//! 32-bit column images, derived at compile time from [`SBOX`] the same
+//! way `SBOX` itself is derived. The byte-oriented FIPS-197 rounds are
+//! kept as [`Aes::encrypt_block_bytewise`], the reference the T-table
+//! cipher is tested against.
 
 /// Multiplies two elements of GF(2^8) modulo the AES polynomial x^8+x^4+x^3+x+1.
 const fn gf256_mul(mut a: u8, mut b: u8) -> u8 {
@@ -76,6 +83,34 @@ pub const SBOX: [u8; 256] = build_sbox();
 /// The inverse substitution box.
 pub const INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
 
+/// Builds the encryption T-tables. `TE[r][x]` is the MixColumns image,
+/// as a big-endian column word, of a column holding `SBOX[x]` in row `r`
+/// and zeros elsewhere: row 0 gives `(2s, s, s, 3s)` and each further
+/// row rotates that word right by one byte.
+const fn build_te() -> [[u32; 256]; 4] {
+    let mut te = [[0u32; 256]; 4];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let w = (gf256_mul(s, 2) as u32) << 24
+            | (s as u32) << 16
+            | (s as u32) << 8
+            | gf256_mul(s, 3) as u32;
+        te[0][i] = w;
+        te[1][i] = w.rotate_right(8);
+        te[2][i] = w.rotate_right(16);
+        te[3][i] = w.rotate_right(24);
+        i += 1;
+    }
+    te
+}
+
+/// The encryption T-tables (4 KB), derived at compile time.
+static TE: [[u32; 256]; 4] = build_te();
+
+/// Round keys of AES-256, the largest supported schedule.
+const MAX_ROUND_KEYS: usize = 14 + 1;
+
 const RCON: [u8; 11] = [
     0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
 ];
@@ -120,7 +155,8 @@ impl KeySize {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Round keys `0..=rounds`; entries beyond that stay zero.
+    round_keys: [[u8; 16]; MAX_ROUND_KEYS],
     size: KeySize,
 }
 
@@ -143,11 +179,10 @@ impl Aes {
     pub fn expand(key: &[u8], size: KeySize) -> Aes {
         let nk = size.key_words();
         assert_eq!(key.len(), nk * 4, "key length mismatch");
-        let nr = size.rounds();
-        let total_words = 4 * (nr + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+        let total_words = 4 * (size.rounds() + 1);
+        let mut w = [[0u8; 4]; 4 * MAX_ROUND_KEYS];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            word.copy_from_slice(bytes);
         }
         for i in nk..total_words {
             let mut temp = w[i - 1];
@@ -163,23 +198,19 @@ impl Aes {
                 }
             }
             let prev = w[i - nk];
-            w.push([
+            w[i] = [
                 prev[0] ^ temp[0],
                 prev[1] ^ temp[1],
                 prev[2] ^ temp[2],
                 prev[3] ^ temp[3],
-            ]);
+            ];
         }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|c| {
-                let mut rk = [0u8; 16];
-                for (i, word) in c.iter().enumerate() {
-                    rk[4 * i..4 * i + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
+        let mut round_keys = [[0u8; 16]; MAX_ROUND_KEYS];
+        for (rk, words) in round_keys.iter_mut().zip(w[..total_words].chunks_exact(4)) {
+            for (dst, word) in rk.chunks_exact_mut(4).zip(words) {
+                dst.copy_from_slice(word);
+            }
+        }
         Aes { round_keys, size }
     }
 
@@ -195,11 +226,48 @@ impl Aes {
 
     /// The expanded round keys (rounds + 1 entries of 16 bytes).
     pub fn round_keys(&self) -> &[[u8; 16]] {
-        &self.round_keys
+        &self.round_keys[..=self.rounds()]
     }
 
-    /// Encrypts one 16-byte block.
+    /// Encrypts one 16-byte block with the T-tables: each inner round is
+    /// 16 table lookups and XORs over four big-endian column words.
+    /// Agrees bit-for-bit with [`Aes::encrypt_block_bytewise`].
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+        let nr = self.rounds();
+        let mut s = xor_words(columns(block), columns(&self.round_keys[0]));
+        for rk in &self.round_keys[1..nr] {
+            let k = columns(rk);
+            let t = |c: usize| {
+                TE[0][(s[c] >> 24) as usize]
+                    ^ TE[1][(s[(c + 1) % 4] >> 16) as u8 as usize]
+                    ^ TE[2][(s[(c + 2) % 4] >> 8) as u8 as usize]
+                    ^ TE[3][s[(c + 3) % 4] as u8 as usize]
+                    ^ k[c]
+            };
+            s = [t(0), t(1), t(2), t(3)];
+        }
+        // Final round: SubBytes and ShiftRows only.
+        let k = columns(&self.round_keys[nr]);
+        let mut out = [0u8; 16];
+        for (c, col) in out.chunks_exact_mut(4).enumerate() {
+            let w = u32::from_be_bytes([
+                SBOX[(s[c] >> 24) as usize],
+                SBOX[(s[(c + 1) % 4] >> 16) as u8 as usize],
+                SBOX[(s[(c + 2) % 4] >> 8) as u8 as usize],
+                SBOX[s[(c + 3) % 4] as u8 as usize],
+            ]) ^ k[c];
+            col.copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    /// Encrypts one 16-byte block with the byte-oriented FIPS-197 rounds
+    /// (SubBytes, ShiftRows, MixColumns by `gf256_mul`, AddRoundKey).
+    ///
+    /// This is the reference the T-table [`Aes::encrypt_block`] is
+    /// validated against, and the "before" side of the `bench_hotpaths`
+    /// AES measurement. Hot paths should use `encrypt_block`.
+    pub fn encrypt_block_bytewise(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut state = *block;
         add_round_key(&mut state, &self.round_keys[0]);
         let nr = self.rounds();
@@ -231,6 +299,26 @@ impl Aes {
         add_round_key(&mut state, &self.round_keys[0]);
         state
     }
+}
+
+/// The four state columns of `block` as big-endian words (row 0 in the
+/// top byte).
+#[inline]
+fn columns(block: &[u8; 16]) -> [u32; 4] {
+    let col = |c: usize| {
+        u32::from_be_bytes([
+            block[4 * c],
+            block[4 * c + 1],
+            block[4 * c + 2],
+            block[4 * c + 3],
+        ])
+    };
+    [col(0), col(1), col(2), col(3)]
+}
+
+#[inline]
+fn xor_words(a: [u32; 4], b: [u32; 4]) -> [u32; 4] {
+    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
 }
 
 // The state is stored column-major as in FIPS-197: state[r + 4c].
@@ -356,6 +444,7 @@ mod tests {
         let aes = Aes::new_128(&key);
         let ct = aes.encrypt_block(&pt);
         assert_eq!(ct.to_vec(), hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
+        assert_eq!(aes.encrypt_block_bytewise(&pt), ct);
         assert_eq!(aes.decrypt_block(&ct), pt);
     }
 
@@ -368,6 +457,7 @@ mod tests {
         let aes = Aes::new_256(&key);
         let ct = aes.encrypt_block(&pt);
         assert_eq!(ct.to_vec(), hex("8ea2b7ca516745bfeafc49904b496089"));
+        assert_eq!(aes.encrypt_block_bytewise(&pt), ct);
         assert_eq!(aes.decrypt_block(&ct), pt);
     }
 
@@ -407,6 +497,22 @@ mod tests {
     }
 
     #[test]
+    fn t_tables_match_sbox_and_mix_columns() {
+        // Column (S[x], 0, 0, 0) through MixColumns is TE[0][x]; the
+        // other rows are byte rotations of it.
+        for x in 0..=255u8 {
+            let mut state = [0u8; 16];
+            state[0] = SBOX[x as usize];
+            mix_columns(&mut state);
+            let w = u32::from_be_bytes([state[0], state[1], state[2], state[3]]);
+            assert_eq!(TE[0][x as usize], w);
+            for (r, table) in TE.iter().enumerate() {
+                assert_eq!(table[x as usize], w.rotate_right(8 * r as u32));
+            }
+        }
+    }
+
+    #[test]
     fn shift_rows_round_trips() {
         let mut s: [u8; 16] = (0..16u8).collect::<Vec<_>>().try_into().unwrap();
         let orig = s;
@@ -436,6 +542,18 @@ mod tests {
         fn prop_encrypt_decrypt_roundtrip_256(key: [u8; 32], pt: [u8; 16]) {
             let aes = Aes::new_256(&key);
             prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
+        }
+
+        #[test]
+        fn prop_t_table_matches_bytewise_128(key: [u8; 16], pt: [u8; 16]) {
+            let aes = Aes::new_128(&key);
+            prop_assert_eq!(aes.encrypt_block(&pt), aes.encrypt_block_bytewise(&pt));
+        }
+
+        #[test]
+        fn prop_t_table_matches_bytewise_256(key: [u8; 32], pt: [u8; 16]) {
+            let aes = Aes::new_256(&key);
+            prop_assert_eq!(aes.encrypt_block(&pt), aes.encrypt_block_bytewise(&pt));
         }
 
         #[test]

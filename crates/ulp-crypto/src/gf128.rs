@@ -29,13 +29,30 @@ const fn mulx(v: u128) -> u128 {
 /// field element is multiplied by `x^4`: `z·x^4 = (z >> 4) ^ R4[z & 0xF]`.
 /// Derived at compile time from `mulx` so no transcribed constants can
 /// drift from the reference reduction.
-const R4: [u128; 16] = {
-    let mut table = [0u128; 16];
+const R4: [u128; 16] = reduction_table::<16>(4);
+
+/// `R8[j]` is the same for the low byte and `x^8`. Its set bits all lie
+/// in the top 16, so only those are stored:
+/// `z·x^8 = (z >> 8) ^ (R8[z & 0xFF] << 112)`.
+const R8: [u16; 256] = {
+    let wide = reduction_table::<256>(8);
+    let mut table = [0u16; 256];
     let mut j = 0;
-    while j < 16 {
+    while j < 256 {
+        table[j] = (wide[j] >> 112) as u16;
+        j += 1;
+    }
+    table
+};
+
+/// `table[j]` = `j · x^bits` for every `j < N`, by repeated `mulx`.
+const fn reduction_table<const N: usize>(bits: u32) -> [u128; N] {
+    let mut table = [0u128; N];
+    let mut j = 0;
+    while j < N {
         let mut v = j as u128;
         let mut k = 0;
-        while k < 4 {
+        while k < bits {
             v = mulx(v);
             k += 1;
         }
@@ -43,7 +60,7 @@ const R4: [u128; 16] = {
         j += 1;
     }
     table
-};
+}
 
 /// An element of GF(2^128) in GCM bit order.
 ///
@@ -88,8 +105,10 @@ impl Gf128 {
             if n & 1 == 1 {
                 result = result * base;
             }
-            base = base * base;
             n >>= 1;
+            if n > 0 {
+                base = base * base;
+            }
         }
         result
     }
@@ -120,13 +139,16 @@ impl Gf128 {
     }
 }
 
-/// Shoup-style 4-bit multiplication table for a fixed element `H`.
+/// Shoup-style 8-bit multiplication table for a fixed element `H`.
 ///
 /// GHASH multiplies everything by the same hash subkey, so the table is
-/// built **once per key** (16 entries: every 4-bit polynomial times `H`)
-/// and each subsequent product costs 32 nibble steps instead of the 128
-/// conditional-XOR iterations of [`Gf128::mul_bitwise`] — the §V-A
-/// observation that the multiplier, not the data, is the loop invariant.
+/// built **once per key** (256 entries, 4 KB: every 8-bit polynomial
+/// times `H`) and each subsequent product costs 16 byte steps instead of
+/// the 128 conditional-XOR iterations of [`Gf128::mul_bitwise`] — the
+/// §V-A observation that the multiplier, not the data, is the loop
+/// invariant. Building it costs about as much as ten products, so
+/// one-off products of two varying elements (`*`) use a 16-entry 4-bit
+/// table built per call instead.
 ///
 /// # Example
 ///
@@ -137,23 +159,24 @@ impl Gf128 {
 /// let table = GfMulTable::new(h);
 /// assert_eq!(table.mul(x), x.mul_bitwise(h));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GfMulTable {
-    /// `m[i]` = (the degree-≤3 polynomial spelled by nibble `i`) · H,
-    /// where bit `j` of `i` carries the coefficient of `x^(3-j)`.
-    m: [u128; 16],
+    /// `m[i]` = (the degree-≤7 polynomial spelled by byte `i`) · H,
+    /// where bit `j` of `i` carries the coefficient of `x^(7-j)`.
+    m: Box<[u128; 256]>,
 }
 
 impl GfMulTable {
-    /// Builds the 16-entry table for multiplication by `h`.
+    /// Builds the 256-entry table for multiplication by `h`.
     pub fn new(h: Gf128) -> GfMulTable {
-        let mut m = [0u128; 16];
+        let mut m = Box::new([0u128; 256]);
         // Single-bit entries by repeated ·x, composites by linearity.
-        m[8] = h.0; // x^0 · H
-        m[4] = mulx(m[8]); // x^1 · H
-        m[2] = mulx(m[4]); // x^2 · H
-        m[1] = mulx(m[2]); // x^3 · H
-        for top in [2usize, 4, 8] {
+        let mut v = h.0;
+        for bit in [0x80usize, 0x40, 0x20, 0x10, 8, 4, 2, 1] {
+            m[bit] = v;
+            v = mulx(v);
+        }
+        for top in [2usize, 4, 8, 16, 32, 64, 128] {
             for low in 1..top {
                 m[top | low] = m[top] ^ m[low];
             }
@@ -164,14 +187,59 @@ impl GfMulTable {
     /// Computes `x · H` with the precomputed table.
     #[inline]
     pub fn mul(&self, x: Gf128) -> Gf128 {
-        // Horner over the 32 nibbles of x, least-significant (highest
-        // polynomial degree) first: z ← z·x^4 + nibble·H.
+        // Horner over the 16 bytes of x, least-significant (highest
+        // polynomial degree) first: z ← z·x^8 + byte·H.
         let x = x.0;
-        let mut z = self.m[(x & 0xF) as usize];
-        for n in 1..32 {
-            z = (z >> 4) ^ R4[(z & 0xF) as usize] ^ self.m[((x >> (4 * n)) & 0xF) as usize];
+        let mut z = self.m[(x & 0xFF) as usize];
+        for n in 1..16 {
+            z = (z >> 8)
+                ^ ((R8[(z & 0xFF) as usize] as u128) << 112)
+                ^ self.m[((x >> (8 * n)) & 0xFF) as usize];
         }
         Gf128(z)
+    }
+}
+
+/// The 4-bit form of [`GfMulTable`] (16 entries, three `mulx` and eleven
+/// XORs to build), for products where neither operand repeats.
+#[derive(Debug, Clone, Copy)]
+struct NibbleTable {
+    /// `m[i]` = (the degree-≤3 polynomial spelled by nibble `i`) · H,
+    /// where bit `j` of `i` carries the coefficient of `x^(3-j)`.
+    m: [u128; 16],
+}
+
+impl NibbleTable {
+    fn new(h: Gf128) -> NibbleTable {
+        let mut m = [0u128; 16];
+        m[8] = h.0; // x^0 · H
+        m[4] = mulx(m[8]); // x^1 · H
+        m[2] = mulx(m[4]); // x^2 · H
+        m[1] = mulx(m[2]); // x^3 · H
+        for top in [2usize, 4, 8] {
+            for low in 1..top {
+                m[top | low] = m[top] ^ m[low];
+            }
+        }
+        NibbleTable { m }
+    }
+
+    #[inline]
+    fn mul(&self, x: Gf128) -> Gf128 {
+        // Two independent byte-step Horner chains, one over the low and
+        // one over the high nibble of each byte of x (least-significant
+        // byte first, as in `GfMulTable::mul`); the low chain's nibbles
+        // sit one x^4 further out.
+        let x = x.0;
+        let mut lo = self.m[(x & 0xF) as usize];
+        let mut hi = self.m[((x >> 4) & 0xF) as usize];
+        for n in 1..16 {
+            let byte = (x >> (8 * n)) as usize;
+            lo = (lo >> 8) ^ ((R8[(lo & 0xFF) as usize] as u128) << 112) ^ self.m[byte & 0xF];
+            hi =
+                (hi >> 8) ^ ((R8[(hi & 0xFF) as usize] as u128) << 112) ^ self.m[(byte >> 4) & 0xF];
+        }
+        Gf128((lo >> 4) ^ R4[(lo & 0xF) as usize] ^ hi)
     }
 }
 
@@ -189,11 +257,11 @@ impl Mul for Gf128 {
     type Output = Gf128;
     /// Carry-less multiplication with on-the-fly reduction via a 4-bit
     /// window table built per call (cheap: 3 shifts + 11 XORs). Both
-    /// operands may vary — the out-of-order GHASH multiplies each block
+    /// operands may vary — the out-of-order GHASH multiplies each line
     /// by a *different* power of `H`, so no per-key table applies there.
     /// Agrees bit-for-bit with [`Gf128::mul_bitwise`].
     fn mul(self, rhs: Gf128) -> Gf128 {
-        GfMulTable::new(self).mul(rhs)
+        NibbleTable::new(self).mul(rhs)
     }
 }
 

@@ -11,19 +11,22 @@
 //! ```
 //!
 //! each 16-byte block's contribution depends only on its own index and the
-//! total block count, so blocks may be absorbed in any order. The DSA
-//! precomputes H^i "in strides of 4" (four blocks per 64-byte cacheline);
-//! [`HPowers`] models that table, and [`OooGhash`] the order-independent
-//! accumulator.
+//! total block count, so blocks may be absorbed in any order.
+//!
+//! [`HPowers`] (every power `H^1..H^n`) and [`OooGhash`] (one full
+//! multiply per block) are that identity written out block by block.
+//! They are the test oracle and the "before" side of `bench_hotpaths`,
+//! not the DSA's hot path: [`crate::gcm::OooGcm`] precomputes powers "in
+//! strides of 4", one per 64-byte cacheline, folds each line's blocks by
+//! Horner with the per-key `H` table and multiplies once per line.
 
 use crate::gf128::{Gf128, GfMulTable};
 
 /// Precomputed powers of the hash subkey `H` (H^1 .. H^max).
 ///
-/// In hardware this table lives in Config Memory and is filled by the GF
-/// multiplier as soon as the source buffer is registered (§V-A). One
-/// 4 KB page plus the length block needs 258 powers; the table size is a
-/// constructor parameter so ablations can vary it.
+/// The per-block reference for the DSA's strided table: one 4 KB page
+/// plus the length block needs 258 powers here, where
+/// [`crate::gcm::OooGcm`] keeps one per full cacheline (64).
 ///
 /// # Example
 ///
@@ -49,8 +52,7 @@ impl HPowers {
     pub fn new(h: Gf128, max: usize) -> HPowers {
         assert!(max > 0, "need at least H^1");
         // Every step multiplies by the same H, so one per-key table
-        // amortizes across the whole stride — the same trick the Config
-        // Memory fill engine uses while the source buffer registers.
+        // amortizes across the whole fill.
         let table = GfMulTable::new(h);
         let mut powers = Vec::with_capacity(max);
         let mut acc = h;
@@ -79,9 +81,9 @@ impl HPowers {
 
 /// Textbook sequential GHASH.
 ///
-/// Used by the software AES-GCM baseline (the "CPU with AES-NI"
-/// configuration) and as the oracle the out-of-order DSA form is tested
-/// against.
+/// The streaming form of the fold the software AES-GCM baseline (the
+/// "CPU with AES-NI" configuration) runs on its own per-key table, and
+/// an oracle the out-of-order DSA form is tested against.
 #[derive(Debug, Clone)]
 pub struct Ghash {
     h: GfMulTable,
@@ -89,7 +91,7 @@ pub struct Ghash {
 }
 
 impl Ghash {
-    /// Creates a GHASH instance keyed by `h`, building the per-key 4-bit
+    /// Creates a GHASH instance keyed by `h`, building the per-key 8-bit
     /// multiplication table once up front.
     pub fn new(h: Gf128) -> Ghash {
         Ghash {
@@ -106,17 +108,24 @@ impl Ghash {
     /// Absorbs `data`, zero-padding the final partial block (as GCM does
     /// between the AAD and ciphertext sections).
     pub fn update_padded(&mut self, data: &[u8]) {
-        for chunk in data.chunks(16) {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            self.update_block(&block);
-        }
+        self.y = fold_padded(&self.h, self.y, data);
     }
 
     /// Returns the current hash value.
     pub fn finalize(&self) -> [u8; 16] {
         self.y.to_bytes()
     }
+}
+
+/// Continues sequential GHASH from `y` over `data`, zero-padding the
+/// final partial block.
+pub(crate) fn fold_padded(h: &GfMulTable, mut y: Gf128, data: &[u8]) -> Gf128 {
+    for chunk in data.chunks(16) {
+        let mut block = [0u8; 16];
+        block[..chunk.len()].copy_from_slice(chunk);
+        y = h.mul(y + Gf128::from_bytes(&block));
+    }
+    y
 }
 
 /// Order-independent GHASH over a message with a known total block count.
