@@ -9,16 +9,16 @@
 //! cross-thread interaction of the parallel runtime is funneled through
 //! wrappers this crate keeps deterministic.
 //!
-//! # Shared-state wrappers
+//! # Shared-state wrapper
 //!
-//! Two invariants the wrappers enforce:
+//! Two invariants [`Shared`] enforces:
 //!
 //! * **no poison panics** — a panicking holder must not take the whole
-//!   simulation down with a `lock().unwrap()` cascade: state behind a
-//!   [`DetMutex`]/[`Shared`] is plain data whose consistency the sim's
-//!   own invariant checks guard, so locks recover the inner value from
-//!   a [`PoisonError`] instead of propagating it;
-//! * **closure-scoped access** — guards never escape ([`DetMutex::with`]
+//!   simulation down with a `lock().unwrap()` cascade: state behind it
+//!   is plain data whose consistency the sim's own invariant checks
+//!   guard, so locks recover the inner value from a [`PoisonError`]
+//!   instead of propagating it;
+//! * **closure-scoped access** — guards never escape ([`Shared::with`]
 //!   takes a closure), so lock scopes are lexical and the deterministic
 //!   scheduler can reason about (and instrument) every critical section.
 //!
@@ -44,39 +44,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// A mutex whose lock never fails: poison is recovered, not propagated.
-///
-/// Used for host-local state that Algorithm 2 describes as "under the
-/// lock" (e.g. the free-page reservation count).
-///
-/// ```
-/// use simkit::par::DetMutex;
-///
-/// let reserved = DetMutex::new(0i64);
-/// reserved.with(|r| *r += 3);
-/// assert_eq!(reserved.with(|r| *r), 3);
-/// ```
-#[derive(Debug, Default)]
-pub struct DetMutex<T> {
-    inner: Mutex<T>,
-}
-
-impl<T> DetMutex<T> {
-    /// Wraps `value` in a poison-recovering mutex.
-    pub fn new(value: T) -> DetMutex<T> {
-        DetMutex {
-            inner: Mutex::new(value),
-        }
-    }
-
-    /// Runs `f` with the locked value. Recovers from poison: if a
-    /// previous holder panicked, the inner value is used as-is.
-    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut guard)
-    }
-}
 
 /// Shared, cloneable, poison-recovering access to one value — the
 /// `Arc<Mutex<T>>` idiom behind the doorway. Every component of a
@@ -301,13 +268,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn det_mutex_round_trips() {
-        let m = DetMutex::new(1u64);
-        m.with(|v| *v += 41);
-        assert_eq!(m.with(|v| *v), 42);
-    }
 
     #[test]
     fn shared_clones_see_one_value() {

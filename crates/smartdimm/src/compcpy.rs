@@ -2,13 +2,12 @@
 //!
 //! [`CompCpyHost`] owns the simulated memory system with a SmartDIMM
 //! installed on channel 0, a page allocator standing in for the kernel
-//! driver (§V-C), and the software state of Algorithm 2: the lock-guarded
-//! `freePages` counter with lazy MMIO refresh, Force-Recycle
-//! (Algorithm 1), source flush, page registration and the copy loop.
+//! driver (§V-C), and the software state of Algorithm 2: the `freePages`
+//! counter with lazy MMIO refresh, Force-Recycle (Algorithm 1), source
+//! flush, page registration and the copy loop.
 
 use dram::{AddressMapper, Dimm, PhysAddr};
 use memsys::{MemConfig, MemSystem};
-use simkit::par::DetMutex;
 use std::collections::BTreeMap;
 
 use crate::configmem::{
@@ -16,7 +15,7 @@ use crate::configmem::{
     CONTEXT_OFFSET, PENDING_BASE, REGISTER_OFFSET, RESULT_BASE, STATUS_OFFSET,
 };
 use crate::device::{SmartDimmConfig, SmartDimmDevice};
-use crate::dsa::OffloadOp;
+use crate::dsa::{OffloadContext, OffloadOp};
 use crate::sched::{self, PlacementPolicy, SchedStats};
 use crate::{LINES_PER_PAGE, PAGE};
 
@@ -103,26 +102,16 @@ pub struct OffloadHandle {
     pub sbuf: PhysAddr,
     /// Input size in bytes.
     pub size: usize,
-    /// The requested operation (needed to combine per-channel partial
-    /// tags host-side under interleaving, §V-D).
-    pub op: OffloadOp,
-    /// AEAD additional data (TLS record header; at most 7 bytes).
-    pub aad: [u8; 7],
-    /// Valid bytes of `aad`.
-    pub aad_len: u8,
+    /// The registered context: operation and AEAD additional data are
+    /// needed to combine per-channel partial tags host-side under
+    /// interleaving (§V-D).
+    pub ctx: OffloadContext,
     /// The shard that saw every *effective* source line, when one did
     /// (`None` for an interleaved placement). Recorded at issue time:
     /// the scheduler may have staged the source away from `sbuf`, so
     /// the owning channel can no longer be derived from the caller's
     /// addresses alone.
     pub home: Option<u16>,
-}
-
-impl OffloadHandle {
-    /// The AAD bytes supplied at offload time.
-    pub fn aad_bytes(&self) -> &[u8] {
-        &self.aad[..self.aad_len as usize]
-    }
 }
 
 /// What a staging region must decode to. Every region is also wholly
@@ -143,8 +132,10 @@ pub struct CompCpyHost {
     result_slots: usize,
     channels: usize,
     interleave_lines: usize,
-    /// Algorithm 2's lock-protected lazy scratchpad-space tracker.
-    free_pages: DetMutex<i64>,
+    /// Algorithm 2's lazy scratchpad-space tracker. The algorithm guards
+    /// it with a lock against concurrent callers; this host is
+    /// single-threaded, so it is a plain count.
+    free_pages: i64,
     next_id: u64,
     alloc_next: u64,
     /// Device-visible staging regions — bounce destinations for
@@ -205,7 +196,7 @@ impl CompCpyHost {
             result_slots: config.dimm.result_slots,
             channels: topo.channels,
             interleave_lines: topo.channel_interleave_lines,
-            free_pages: DetMutex::new(-1), // Algorithm 2 line 1
+            free_pages: -1, // Algorithm 2 line 1
             next_id: 1,
             alloc_next: 0x0010_0000, // driver pool starts at 1 MB
             staging_pool: BTreeMap::new(),
@@ -316,19 +307,26 @@ impl CompCpyHost {
     /// xlat-occupancy bound are exactly the two resources that degrade
     /// first when offloads queue faster than they are used.
     pub fn queue_pressure(&mut self) -> QueuePressure {
-        let mut scratch_free_fraction = 1.0f64;
-        let mut xlat_occupancy = 0.0f64;
+        let mut worst = QueuePressure {
+            scratch_free_fraction: 1.0,
+            xlat_occupancy: 0.0,
+        };
         for ch in 0..self.channels {
-            let dev = self.device_on(ch);
-            let cap = dev.config().scratchpad_pages.max(1);
-            let free = dev.free_pages() as f64 / cap as f64;
-            let occ = dev.xlat().occupancy();
-            scratch_free_fraction = scratch_free_fraction.min(free);
-            xlat_occupancy = xlat_occupancy.max(occ);
+            let p = self.shard_pressure(ch);
+            worst.scratch_free_fraction = worst.scratch_free_fraction.min(p.scratch_free_fraction);
+            worst.xlat_occupancy = worst.xlat_occupancy.max(p.xlat_occupancy);
         }
+        worst
+    }
+
+    /// One shard's scratchpad-free fraction and translation-table
+    /// occupancy.
+    fn shard_pressure(&mut self, channel: usize) -> QueuePressure {
+        let dev = self.device_on(channel);
+        let cap = dev.config().scratchpad_pages.max(1);
         QueuePressure {
-            scratch_free_fraction,
-            xlat_occupancy,
+            scratch_free_fraction: dev.free_pages() as f64 / cap as f64,
+            xlat_occupancy: dev.xlat().occupancy(),
         }
     }
 
@@ -559,16 +557,10 @@ impl CompCpyHost {
         let topo = *self.mapper.topology();
         let home_socket = self.home_socket;
         (0..self.channels)
-            .map(|ch| {
-                let dev = self.device_on(ch);
-                let cap = dev.config().scratchpad_pages.max(1);
-                let free = dev.free_pages() as f64 / cap as f64;
-                let occ = dev.xlat().occupancy();
-                sched::ShardSnapshot {
-                    channel: ch,
-                    pressure: (1.0 - free).max(occ),
-                    remote: topo.socket_of_channel(ch) != home_socket,
-                }
+            .map(|ch| sched::ShardSnapshot {
+                channel: ch,
+                pressure: self.shard_pressure(ch).scalar(),
+                remote: topo.socket_of_channel(ch) != home_socket,
             })
             .collect()
     }
@@ -745,12 +737,16 @@ impl CompCpyHost {
     /// one (flex-mode, re-homed or migrated offloads run entirely on
     /// that shard), channel 0 otherwise.
     pub fn read_result(&mut self, handle: &OffloadHandle) -> ResultSlot {
-        let ch = handle
-            .home
-            .map(|c| c as usize)
-            .or_else(|| self.sole_channel(handle.sbuf, handle.size))
-            .unwrap_or(0);
+        let ch = self.home_channel(handle).unwrap_or(0);
         self.read_result_on(handle, ch)
+    }
+
+    /// The one shard that saw every source line of `handle`, if any.
+    fn home_channel(&self, handle: &OffloadHandle) -> Option<usize> {
+        handle
+            .home
+            .map(usize::from)
+            .or_else(|| self.sole_channel(handle.sbuf, handle.size))
     }
 
     /// The AES-GCM tag of a completed TLS offload.
@@ -761,11 +757,7 @@ impl CompCpyHost {
     /// contribution and `EIV` host-side (§V-D, the step the paper assigns
     /// to the CPU). Returns `None` until every byte has been processed.
     pub fn tag(&mut self, handle: &OffloadHandle) -> Option<[u8; 16]> {
-        let home = handle
-            .home
-            .map(|c| c as usize)
-            .or_else(|| self.sole_channel(handle.sbuf, handle.size));
-        if let Some(ch) = home {
+        if let Some(ch) = self.home_channel(handle) {
             // One shard saw every source line (single-channel mode, or a
             // flex/bounced placement): it absorbed the metadata and
             // computed the full tag itself.
@@ -775,7 +767,7 @@ impl CompCpyHost {
                 _ => None,
             };
         }
-        let (key, iv) = match handle.op {
+        let (key, iv) = match handle.ctx.op {
             OffloadOp::TlsEncrypt { key, iv } | OffloadOp::TlsDecrypt { key, iv } => (key, iv),
             _ => return None,
         };
@@ -785,7 +777,7 @@ impl CompCpyHost {
                 Some(ulp_crypto::gcm::combine_partial_tags(
                     &gcm,
                     &iv,
-                    handle.aad_bytes(),
+                    handle.ctx.aad(),
                     handle.size,
                     &partials,
                 ))
@@ -899,14 +891,11 @@ impl CompCpyHost {
             // through a phase-matched bounce buffer below.
             return Err(CompCpyError::SingleChannelOnly);
         }
-        if aad.len() > 7 {
+        let Some(mut ctx) = OffloadContext::new(op, size, aad) else {
             return Err(CompCpyError::BadSize);
-        }
+        };
         self.apply_armed_faults();
         self.reserve_scratchpad(size)?;
-
-        let id = self.next_id;
-        self.next_id += 1;
 
         // Placement: pick the shard(s) that serve this offload. The
         // static decode keeps a source wherever its lines map; sources
@@ -941,26 +930,14 @@ impl CompCpyHost {
         // AAD/length metadata and computes the full tag; otherwise each
         // DIMM runs a *partial* TLS engine and the host contributes the
         // metadata combining.
-        let payload = op.encode_context_with_policy(size, aad, src_sole.is_some());
-        self.register(id, payload, eff_sbuf, stage_dbuf, size);
+        ctx.absorb_metadata = src_sole.is_some();
+        let handle = self.issue(dbuf, sbuf, ctx, src_sole, eff_sbuf, stage_dbuf);
 
         // Lines 24-31: the copy. Ordered mode fences between lines.
         let ordered = ordered || op.requires_ordered();
         self.mem
             .memcpy(stage_dbuf, eff_sbuf, size.div_ceil(64) * 64, class, ordered);
 
-        let mut aad_buf = [0u8; 7];
-        aad_buf[..aad.len()].copy_from_slice(aad);
-        let handle = OffloadHandle {
-            id,
-            dbuf,
-            sbuf,
-            size,
-            op,
-            aad: aad_buf,
-            aad_len: aad.len() as u8,
-            home: src_sole.map(|c| c as u16),
-        };
         if let Some(need) = bounce {
             self.finish_bounce(&handle, eff_sbuf, stage_dbuf, class);
             self.release_staging(need, stage_dbuf, size);
@@ -977,13 +954,11 @@ impl CompCpyHost {
     /// Force-Recycle when even the refreshed count is too low.
     fn reserve_scratchpad(&mut self, size: usize) -> Result<(), CompCpyError> {
         let pages_needed = (1 + size / PAGE) as i64; // line 16's reservation
-        let cached = self.free_pages.with(|f| *f);
-        if cached > pages_needed {
-            self.free_pages.with(|f| *f -= pages_needed);
+        if self.free_pages > pages_needed {
+            self.free_pages -= pages_needed;
             return Ok(());
         }
-        // Lazy refresh from SmartDIMMConfig[0] (line 9). The MMIO read
-        // happens between lock scopes because it needs the memory system.
+        // Lazy refresh from SmartDIMMConfig[0] (line 9).
         let data = self.mem.mmio_read64(self.mmio(STATUS_OFFSET));
         let mut refreshed = StatusReg::from_bytes(&data).free_pages as i64;
         if refreshed <= pages_needed {
@@ -994,19 +969,45 @@ impl CompCpyHost {
                 return Err(CompCpyError::OutOfScratchpad);
             }
         }
-        self.free_pages.with(|f| *f = refreshed - pages_needed);
+        self.free_pages = refreshed - pages_needed;
         Ok(())
+    }
+
+    /// Issues an offload under the next id: registers `ctx` for the
+    /// page pairs of `src` → `dst` (the buffers the devices see) and
+    /// returns the handle the caller keeps for `dbuf`/`sbuf`. `home` is
+    /// the one shard that sees every source line, if any.
+    fn issue(
+        &mut self,
+        dbuf: PhysAddr,
+        sbuf: PhysAddr,
+        ctx: OffloadContext,
+        home: Option<usize>,
+        src: PhysAddr,
+        dst: PhysAddr,
+    ) -> OffloadHandle {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.register(id, &ctx, src, dst);
+        OffloadHandle {
+            id,
+            dbuf,
+            sbuf,
+            size: ctx.msg_len,
+            ctx,
+            home: home.map(|c| c as u16),
+        }
     }
 
     /// Algorithm 2 lines 21-23: registration — the context first, then
     /// the page pairs, replicated to every channel's SmartDIMM (§V-D).
-    fn register(&mut self, id: u64, payload: [u8; 48], src: PhysAddr, dst: PhysAddr, size: usize) {
-        let ctx = ContextChunk {
+    fn register(&mut self, id: u64, ctx: &OffloadContext, src: PhysAddr, dst: PhysAddr) {
+        let chunk = ContextChunk {
             offload_id: id,
-            payload,
+            payload: ctx.encode(),
         };
-        self.mmio_broadcast(CONTEXT_OFFSET, &ctx.to_bytes());
-        for p in 0..size.div_ceil(PAGE) {
+        self.mmio_broadcast(CONTEXT_OFFSET, &chunk.to_bytes());
+        for p in 0..ctx.msg_len.div_ceil(PAGE) {
             let reg = Registration {
                 offload_id: id,
                 src_page_addr: src.0 + (p * PAGE) as u64,
@@ -1036,7 +1037,7 @@ impl CompCpyHost {
         // result into the caller's dbuf — any line whose writeback was
         // deferred is served from the scratchpad on the read (S10).
         self.mem.flush(bounce, covered);
-        let out_bytes = if handle.op.size_preserving() {
+        let out_bytes = if handle.ctx.op.size_preserving() {
             covered
         } else {
             let r = self.read_result(handle);
@@ -1077,9 +1078,9 @@ impl CompCpyHost {
         if !dbuf.is_page_aligned() || !sbuf.is_page_aligned() {
             return Err(CompCpyError::NotAligned);
         }
-        if size == 0 || aad.len() > 7 {
+        let Some(mut ctx) = OffloadContext::new(op, size, aad).filter(|_| size > 0) else {
             return Err(CompCpyError::BadSize);
-        }
+        };
         if !op.size_preserving() || self.channels > 1 {
             return Err(CompCpyError::SingleChannelOnly);
         }
@@ -1091,22 +1092,8 @@ impl CompCpyHost {
         }
         self.apply_armed_faults();
         self.reserve_scratchpad(size)?;
-        let id = self.next_id;
-        self.next_id += 1;
-        let payload = op.encode_context_full(size, aad, true, true);
-        self.register(id, payload, sbuf, dbuf, size);
-        let mut aad_buf = [0u8; 7];
-        aad_buf[..aad.len()].copy_from_slice(aad);
-        Ok(OffloadHandle {
-            id,
-            dbuf,
-            sbuf,
-            size,
-            op,
-            aad: aad_buf,
-            aad_len: aad.len() as u8,
-            home: Some(0),
-        })
+        ctx.dma_input = true;
+        Ok(self.issue(dbuf, sbuf, ctx, Some(0), sbuf, dbuf))
     }
 
     /// Reads a Compute-DMA result and recycles its Scratchpad pages.

@@ -8,7 +8,7 @@
 //! |--------|-----|----------|
 //! | [`STATUS_OFFSET`] | read | free scratchpad pages, pending-page count, recycle counters |
 //! | [`REGISTER_OFFSET`] | write | a [`Registration`] descriptor (one per 4 KB page pair) |
-//! | [`CONTEXT_OFFSET`] | write | a [`ContextChunk`] carrying the per-offload context (key, IV, lengths) |
+//! | [`CONTEXT_OFFSET`] | write | a [`ContextChunk`] carrying one 48-byte [`crate::dsa::OffloadContext`] (op, key, IV, AAD, length, engine flags) |
 //! | [`RESULT_BASE`]`+ slot*64` | read | a [`ResultSlot`]: status, output length, authentication tag |
 //! | [`PENDING_BASE`]`+ i*64` | read | Algorithm 1's pending list: 4 × (dst page addr, valid-line bitmap) |
 //!
@@ -153,7 +153,7 @@ impl Registration {
 pub struct ContextChunk {
     /// Offload this context belongs to.
     pub offload_id: u64,
-    /// Opaque context payload (the DSA layer defines the encoding).
+    /// Context payload ([`crate::dsa::OffloadContext::encode`]).
     pub payload: [u8; 48],
 }
 

@@ -4,13 +4,16 @@
 //! implements the complete decision flow for every CAS command:
 //!
 //! * maintain the Bank Table from RAS/PRE commands and regenerate the
-//!   physical address of each CAS (Addr Remap);
+//!   physical address of each CAS from it alone (Addr Remap) — a DDR4
+//!   CAS carries no row, so a CAS to a bank the table holds closed
+//!   counts a `bank_desync` and passes through untouched;
 //! * serve the MMIO config space (status, registration, context, result
 //!   slots, pending list) — these accesses never touch the DRAM chips;
 //! * on a rdCAS inside a registered *source* range, forward the DRAM
 //!   data to the DSA (S6) and stage the results in the Scratchpad, while
 //!   returning the unmodified data to the host (CompCpy's copy still
-//!   sees the original bytes);
+//!   sees the original bytes); a batched page read and, for Compute DMA
+//!   (§IV-E), a wrCAS feed the DSA through the same line acceptor;
 //! * on a wrCAS to a *destination* line whose result is staged, replace
 //!   the write data with the Scratchpad line and invalidate it —
 //!   **Self-Recycle** (S9);
@@ -31,7 +34,7 @@ use crate::configmem::{
     pack_pending, ContextChunk, OffloadStatus, PendingRecord, Registration, ResultSlot, StatusReg,
     CONFIG_SPACE_SIZE, CONTEXT_OFFSET, PENDING_BASE, REGISTER_OFFSET, RESULT_BASE, STATUS_OFFSET,
 };
-use crate::dsa::{DsaInstance, OffloadOp};
+use crate::dsa::{DsaInstance, OffloadContext, OffloadOp};
 use crate::scratchpad::{LineState, Scratchpad};
 use crate::xlat::{Mapping, TranslationTable};
 use crate::{LINES_PER_PAGE, PAGE};
@@ -105,8 +108,9 @@ pub struct DeviceStats {
     pub mmio_writes: u64,
     /// Source feeds the (injected) arbiter fault dropped.
     pub dropped_feeds: u64,
-    /// CAS commands whose bank had no Bank Table entry (arbiter out of
-    /// sync with the controller; recovered from the command's own row).
+    /// Bank Table desyncs: activates to a bank the table held open, and
+    /// CAS commands to a bank it held closed. Such a CAS has no address
+    /// to remap, so it passes through to DRAM untouched.
     pub bank_desyncs: u64,
     /// DSA output lines with no registered destination page to stage in.
     pub orphan_lines: u64,
@@ -122,8 +126,7 @@ pub struct DeviceStats {
 
 #[derive(Debug)]
 struct Offload {
-    op: OffloadOp,
-    msg_len: usize,
+    ctx: OffloadContext,
     dsa: DsaInstance,
     /// scratch page per destination page index of the message.
     dst_scratch: Vec<Option<usize>>,
@@ -133,9 +136,47 @@ struct Offload {
     src_pages: Vec<u64>,
     /// per-source-line processed flags (dedup repeated rdCAS).
     processed: Vec<bool>,
-    /// Compute DMA (§IV-E): the DSA is fed by source-range *writes*.
-    dma_input: bool,
     done: bool,
+}
+
+impl Offload {
+    /// The `Partial` result slot of a live TLS engine: bytes processed
+    /// plus the raw GHASH accumulator, which the host combines across
+    /// channels under interleaving (§V-D).
+    fn partial_slot(&self) -> Option<[u8; 64]> {
+        if self.done {
+            return None;
+        }
+        let (bytes, partial) = self.dsa.partial()?;
+        Some(
+            ResultSlot {
+                status: OffloadStatus::Partial,
+                out_len: bytes as u64,
+                tag: partial,
+            }
+            .to_bytes(),
+        )
+    }
+
+    /// Forgets destination page `page_index` (recycled or superseded);
+    /// returns the page number it was registered at.
+    fn forget_dst_page(&mut self, page_index: usize) -> Option<u64> {
+        if let Some(s) = self.dst_scratch.get_mut(page_index) {
+            *s = None;
+        }
+        self.dst_phys.get_mut(page_index).and_then(Option::take)
+    }
+}
+
+/// The CAS path a source line arrives on (S6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FeedPath {
+    /// A rdCAS of the CompCpy copy; the only path a fault handle arbitrates.
+    ReadLine,
+    /// One line of a batched page read (never runs with a fault handle).
+    ReadPage,
+    /// A Compute DMA wrCAS (§IV-E).
+    DmaWrite,
 }
 
 /// The buffer device. See the module docs for the protocol.
@@ -411,24 +452,13 @@ impl SmartDimmDevice {
             .to_bytes(),
             o if o >= RESULT_BASE && o < RESULT_BASE + (self.results.len() as u64) * 64 => {
                 let slot = ((o - RESULT_BASE) / 64) as usize;
-                // Live TLS offloads expose their running partial result
-                // (bytes processed + raw GHASH accumulator) so the host
-                // can combine per-channel partials under interleaving.
-                if let Some(owner) = self.slot_owner[slot] {
-                    if let Some(off) = self.offloads.get(&owner) {
-                        if !off.done {
-                            if let Some((bytes, partial)) = off.dsa.partial() {
-                                return ResultSlot {
-                                    status: OffloadStatus::Partial,
-                                    out_len: bytes as u64,
-                                    tag: partial,
-                                }
-                                .to_bytes();
-                            }
-                        }
-                    }
-                }
-                self.results[slot]
+                // Live TLS offloads expose their running partial result.
+                let owner = self.slot_owner.get(slot).copied().flatten();
+                owner
+                    .and_then(|id| self.offloads.get(&id))
+                    .and_then(Offload::partial_slot)
+                    .or_else(|| self.results.get(slot).copied())
+                    .unwrap_or([0u8; 64])
             }
             o if (PENDING_BASE..CONFIG_SPACE_SIZE).contains(&o) => {
                 let index = ((o - PENDING_BASE) / 64) as usize * 4;
@@ -483,13 +513,12 @@ impl SmartDimmDevice {
             self.stats.xlat_failures += 1;
             return;
         };
-        let Some((op, msg_len, aad, absorb_metadata, dma_input)) =
-            OffloadOp::decode_context_full(&payload)
-        else {
+        let Some(ctx) = OffloadContext::decode(&payload) else {
             // Corrupt context payload: reject the registration.
             self.stats.xlat_failures += 1;
             return;
         };
+        let (op, msg_len) = (ctx.op, ctx.msg_len);
         let page_index = (reg.msg_offset as usize) / PAGE;
         let num_pages = msg_len.div_ceil(PAGE);
         if page_index >= num_pages {
@@ -501,30 +530,25 @@ impl SmartDimmDevice {
 
         // Lazily create the offload state on its first page registration.
         if !self.offloads.contains_key(&reg.offload_id) {
-            let dsa = DsaInstance::with_metadata_policy(
-                op,
-                msg_len,
-                &aad,
-                self.cfg.hw_deflate,
-                absorb_metadata,
-            );
             self.offloads.insert(
                 reg.offload_id,
                 Offload {
-                    op,
-                    msg_len,
-                    dsa,
+                    ctx,
+                    dsa: DsaInstance::new(&ctx, self.cfg.hw_deflate),
                     dst_scratch: vec![None; num_pages],
                     dst_phys: vec![None; num_pages],
                     src_pages: Vec::new(),
                     processed: vec![false; msg_len.div_ceil(64)],
-                    dma_input,
                     done: false,
                 },
             );
-            let slot = (reg.offload_id as usize) % self.results.len();
-            self.results[slot] = ResultSlot::empty().to_bytes();
-            self.slot_owner[slot] = Some(reg.offload_id);
+            let slot = self.slot_of(reg.offload_id);
+            if let Some(r) = self.results.get_mut(slot) {
+                *r = ResultSlot::empty().to_bytes();
+            }
+            if let Some(owner) = self.slot_owner.get_mut(slot) {
+                *owner = Some(reg.offload_id);
+            }
         }
 
         // A destination page may be re-registered before its previous
@@ -540,13 +564,7 @@ impl SmartDimmDevice {
             self.scratchpad.force_free(at, old_sp);
             self.xlat.remove(reg.dst_page_addr >> 12);
             if let Some(old) = self.offloads.get_mut(&old_id) {
-                let old_page_index = old_off / PAGE;
-                if let Some(s) = old.dst_scratch.get_mut(old_page_index) {
-                    *s = None;
-                }
-                if let Some(p) = old.dst_phys.get_mut(old_page_index) {
-                    *p = None;
-                }
+                old.forget_dst_page(old_off / PAGE);
             }
             if old_id != reg.offload_id {
                 // Same-id re-registration must not drop the offload we are
@@ -679,16 +697,53 @@ impl SmartDimmDevice {
         off.src_pages.push(reg.src_page_addr >> 12);
     }
 
-    /// Runs one accepted source line through its offload's DSA (S6),
-    /// stages the output lines in the Scratchpad and finalizes the
-    /// offload on completion — all at the feed's own CAS instant `at`,
-    /// inside the rdCAS→wrCAS slack (§IV-D). Dedup and fault arbitration
-    /// happened at the caller.
-    fn feed(&mut self, offload: u64, byte_offset: usize, data: &[u8; 64], valid: usize, at: Cycle) {
+    /// The one S6 line acceptor. Feeds the source line at message byte
+    /// `byte_offset` of `offload` to its DSA, stages the output lines in
+    /// the Scratchpad and finalizes the offload on completion — all at
+    /// the line's own CAS instant `at`, inside the rdCAS→wrCAS slack
+    /// (§IV-D). Read paths feed only copy-fed offloads, the DMA path only
+    /// Compute DMA ones. A line already processed (a repeat read) or
+    /// dropped by an injected interception miss is skipped.
+    ///
+    /// Returns `false` when no live offload fed by `path` covers the
+    /// line — it is gone, fed by the other path, or the line lies past
+    /// the message end.
+    fn accept_line(
+        &mut self,
+        path: FeedPath,
+        offload: u64,
+        byte_offset: usize,
+        data: &[u8; 64],
+        at: Cycle,
+    ) -> bool {
         let Some(off) = self.offloads.get_mut(&offload) else {
-            return;
+            return false;
         };
-        let out = off.dsa.process_line(byte_offset, data, valid);
+        let msg_len = off.ctx.msg_len;
+        if off.ctx.dma_input != (path == FeedPath::DmaWrite) || byte_offset >= msg_len {
+            return false;
+        }
+        let line_index = byte_offset / 64;
+        let Some(processed) = off.processed.get_mut(line_index) else {
+            return false;
+        };
+        if *processed {
+            return true;
+        }
+        if let (FeedPath::ReadLine, Some(f)) = (path, &self.fault) {
+            // Injected interception miss: the arbiter fails to feed this
+            // line. `processed` stays clear, so a host re-read of the
+            // source range recovers the offload.
+            if f.drop_source_feed(line_index) {
+                self.stats.dropped_feeds += 1;
+                return true;
+            }
+        }
+        *processed = true;
+        self.stats.dsa_lines += 1;
+        let out = off
+            .dsa
+            .process_line(byte_offset, data, (msg_len - byte_offset).min(64));
         Self::stage_outputs(
             &mut self.scratchpad,
             &mut self.produce_time,
@@ -700,6 +755,7 @@ impl SmartDimmDevice {
         if let Some(c) = out.completion {
             self.finalize(at, offload, c);
         }
+        true
     }
 
     /// Routes DSA output lines into the scratchpad pages of the offload.
@@ -728,20 +784,27 @@ impl SmartDimmDevice {
         }
     }
 
+    /// The result slot an offload reports through.
+    fn slot_of(&self, offload_id: u64) -> usize {
+        (offload_id as usize) % self.results.len()
+    }
+
     fn finalize(&mut self, at: Cycle, offload_id: u64, completion: crate::dsa::DsaCompletion) {
-        let slot = (offload_id as usize) % self.results.len();
-        self.results[slot] = ResultSlot {
-            status: completion.status,
-            out_len: completion.out_len as u64,
-            tag: completion.tag.unwrap_or([0u8; 16]),
+        let slot = self.slot_of(offload_id);
+        if let Some(r) = self.results.get_mut(slot) {
+            *r = ResultSlot {
+                status: completion.status,
+                out_len: completion.out_len as u64,
+                tag: completion.tag.unwrap_or([0u8; 16]),
+            }
+            .to_bytes();
         }
-        .to_bytes();
         self.stats.offloads_completed += 1;
         let Some(off) = self.offloads.get_mut(&offload_id) else {
             return; // completion raced a full supersede; result already stored
         };
         off.done = true;
-        if !off.op.size_preserving() {
+        if !off.ctx.op.size_preserving() {
             // Trim destination pages to the actual output size.
             let out_lines = completion.out_len.div_ceil(64);
             for (page_index, scratch) in off.dst_scratch.clone().iter().enumerate() {
@@ -761,13 +824,9 @@ impl SmartDimmDevice {
     }
 
     fn cleanup_dst_page(&mut self, offload_id: u64, page_index: usize) {
-        if let Some(off) = self.offloads.get_mut(&offload_id) {
-            if let Some(dst_page) = off.dst_phys.get_mut(page_index).and_then(Option::take) {
-                self.xlat.remove(dst_page);
-            }
-            if let Some(s) = off.dst_scratch.get_mut(page_index) {
-                *s = None;
-            }
+        let off = self.offloads.get_mut(&offload_id);
+        if let Some(dst_page) = off.and_then(|off| off.forget_dst_page(page_index)) {
+            self.xlat.remove(dst_page);
         }
     }
 
@@ -785,7 +844,12 @@ impl SmartDimmDevice {
             return;
         }
         self.offloads.remove(&offload_id);
-        let slot = (offload_id as usize) % self.results.len();
+        self.release_slot(offload_id);
+    }
+
+    /// Clears `offload_id`'s claim on its result slot, if it still holds it.
+    fn release_slot(&mut self, offload_id: u64) {
+        let slot = self.slot_of(offload_id);
         if let Some(owner) = self.slot_owner.get_mut(slot) {
             if *owner == Some(offload_id) {
                 *owner = None;
@@ -807,23 +871,14 @@ impl SmartDimmDevice {
         let Some(off) = self.offloads.remove(&offload_id) else {
             return;
         };
-        let slot = (offload_id as usize) % self.results.len();
-        if !off.done {
-            // A partial TLS engine (channel interleaving) fully
-            // recycled without a device-local completion: persist its
-            // partial result for the host-side combine.
-            if let Some((bytes, partial)) = off.dsa.partial() {
-                self.results[slot] = ResultSlot {
-                    status: OffloadStatus::Partial,
-                    out_len: bytes as u64,
-                    tag: partial,
-                }
-                .to_bytes();
-            }
+        // A partial TLS engine (channel interleaving) fully recycled
+        // without a device-local completion: persist its partial result
+        // for the host-side combine.
+        let slot = self.slot_of(offload_id);
+        if let (Some(partial), Some(r)) = (off.partial_slot(), self.results.get_mut(slot)) {
+            *r = partial;
         }
-        if self.slot_owner[slot] == Some(offload_id) {
-            self.slot_owner[slot] = None;
-        }
+        self.release_slot(offload_id);
         for src in off.src_pages {
             // A newer offload may have re-registered the same source
             // page (persistent connections reuse buffers): remove the
@@ -835,6 +890,24 @@ impl SmartDimmDevice {
             }
         }
         self.contexts.remove(&offload_id);
+    }
+
+    /// Addr Remap (§IV-C): regenerates the physical address of a CAS
+    /// from the Bank Table's open row plus the CAS coordinates — a DDR4
+    /// CAS carries no row. A CAS to a bank the table holds closed has no
+    /// address: it counts a `bank_desync` and yields `None`, and the
+    /// caller passes it through untouched.
+    fn remap(&mut self, info: &CasInfo) -> Option<PhysAddr> {
+        let Some(row) = self.bank_table.active_row(info.loc.rank, info.bank_index) else {
+            self.stats.bank_desyncs += 1;
+            return None;
+        };
+        debug_assert_eq!(row, info.loc.row, "bank table out of sync");
+        let mut loc = info.loc;
+        loc.row = row;
+        let phys = self.mapper.encode(&loc);
+        debug_assert_eq!(phys, info.phys, "addr remap mismatch");
+        Some(phys)
     }
 }
 
@@ -852,68 +925,26 @@ impl BufferDevice for SmartDimmDevice {
     }
 
     fn on_rd_cas(&mut self, info: &CasInfo, dram_data: &[u8; 64]) -> RdResult {
-        // Addr Remap: regenerate the physical address from the Bank
-        // Table's active row plus the CAS coordinates (§IV-C). A CAS to a
-        // precharged bank means the Bank Table lost sync with the
-        // controller; recover from the command's own row and count it.
-        let row = match self.bank_table.active_row(info.loc.rank, info.bank_index) {
-            Some(row) => row,
-            None => {
-                self.stats.bank_desyncs += 1;
-                info.loc.row
-            }
+        let Some(phys) = self.remap(info) else {
+            return RdResult::Data(*dram_data);
         };
-        debug_assert_eq!(row, info.loc.row, "bank table out of sync");
-        let mut loc = info.loc;
-        loc.row = row;
-        let phys = self.mapper.encode(&loc);
-        debug_assert_eq!(phys, info.phys, "addr remap mismatch");
-
         if self.in_config_space(phys) {
             return RdResult::Data(self.handle_mmio_read(phys));
         }
 
-        let page = phys.page();
-        match self.xlat.lookup(page) {
+        let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
+        match self.xlat.lookup(phys.page()) {
             None => RdResult::Data(*dram_data), // S4: regular DIMM
             Some(Mapping::Source {
                 offload,
                 msg_offset,
             }) => {
                 // S6: feed the DSA, stage results, pass data through.
-                let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
                 let byte_offset = msg_offset + line_in_page * 64;
-                let Some(off) = self.offloads.get_mut(&offload) else {
-                    return RdResult::Data(*dram_data);
-                };
-                if off.dma_input {
-                    // Compute DMA: the DSA is fed by writes, not reads.
-                    return RdResult::Data(*dram_data);
-                }
-                if byte_offset >= off.msg_len {
-                    return RdResult::Data(*dram_data); // tail beyond message
-                }
-                let line_index = byte_offset / 64;
-                if off.processed[line_index] {
-                    return RdResult::Data(*dram_data); // repeat read
-                }
-                if let Some(f) = &self.fault {
-                    // Injected interception miss: the arbiter fails to feed
-                    // this line. `processed` stays clear, so a host re-read
-                    // of the source range recovers the offload.
-                    if f.drop_source_feed(line_index) {
-                        self.stats.dropped_feeds += 1;
-                        return RdResult::Data(*dram_data);
-                    }
-                }
-                off.processed[line_index] = true;
-                let valid = (off.msg_len - byte_offset).min(64);
-                self.stats.dsa_lines += 1;
-                self.feed(offload, byte_offset, dram_data, valid, info.at);
+                self.accept_line(FeedPath::ReadLine, offload, byte_offset, dram_data, info.at);
                 RdResult::Data(*dram_data)
             }
             Some(Mapping::Dest { scratch_page, .. }) => {
-                let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
                 match self.scratchpad.line_state(scratch_page, line_in_page) {
                     LineState::Valid => {
                         // S10: serve from the Scratchpad.
@@ -971,48 +1002,27 @@ impl BufferDevice for SmartDimmDevice {
             // Line i's burst issues i strides after the first — the same
             // instant the per-line path would stamp in `CasInfo::at`, so
             // scratchpad produce times (and thus the slack histogram)
-            // match the serialized command stream.
+            // match the serialized command stream. A completion's trim
+            // can retire the record mid-page.
             let at = first_at + (line_in_page as u64) * stride;
             let byte_offset = msg_offset + line_in_page * 64;
-            // A completion's trim can retire the record mid-page.
-            let Some(off) = self.offloads.get_mut(&offload) else {
+            if !self.accept_line(FeedPath::ReadPage, offload, byte_offset, line, at) {
                 break;
-            };
-            if off.dma_input {
-                break; // Compute DMA: the DSA is fed by writes, not reads.
             }
-            if byte_offset >= off.msg_len {
-                break; // tail beyond message
-            }
-            let line_index = byte_offset / 64;
-            if off.processed[line_index] {
-                continue; // repeat read
-            }
-            off.processed[line_index] = true;
-            let valid = (off.msg_len - byte_offset).min(64);
-            self.stats.dsa_lines += 1;
-            self.feed(offload, byte_offset, line, valid, at);
         }
     }
 
     fn on_wr_cas(&mut self, info: &CasInfo, host_data: &[u8; 64]) -> WrResult {
-        let row = match self.bank_table.active_row(info.loc.rank, info.bank_index) {
-            Some(row) => row,
-            None => {
-                self.stats.bank_desyncs += 1;
-                info.loc.row
-            }
+        let Some(phys) = self.remap(info) else {
+            return WrResult::Commit(*host_data);
         };
-        let mut loc = info.loc;
-        loc.row = row;
-        let phys = self.mapper.encode(&loc);
-
         if self.in_config_space(phys) {
             self.handle_mmio_write(info.at, phys, host_data);
             return WrResult::Ignore;
         }
 
         let page = phys.page();
+        let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
         match self.xlat.lookup(page) {
             None => WrResult::Commit(*host_data),
             Some(Mapping::Source {
@@ -1022,22 +1032,8 @@ impl BufferDevice for SmartDimmDevice {
                 // Compute DMA (§IV-E): a write into a registered source
                 // range feeds the DSA as the device DMAs the data in; the
                 // data also commits to DRAM as a normal write.
-                let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
                 let byte_offset = msg_offset + line_in_page * 64;
-                let mut accepted = None;
-                if let Some(off) = self.offloads.get_mut(&offload) {
-                    if off.dma_input && byte_offset < off.msg_len {
-                        let line_index = byte_offset / 64;
-                        if !off.processed[line_index] {
-                            off.processed[line_index] = true;
-                            self.stats.dsa_lines += 1;
-                            accepted = Some((off.msg_len - byte_offset).min(64));
-                        }
-                    }
-                }
-                if let Some(valid) = accepted {
-                    self.feed(offload, byte_offset, host_data, valid, info.at);
-                }
+                self.accept_line(FeedPath::DmaWrite, offload, byte_offset, host_data, info.at);
                 WrResult::Commit(*host_data)
             }
             Some(Mapping::Dest {
@@ -1045,7 +1041,6 @@ impl BufferDevice for SmartDimmDevice {
                 msg_offset,
                 scratch_page,
             }) => {
-                let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
                 match self.scratchpad.line_state(scratch_page, line_in_page) {
                     LineState::Valid => {
                         // S9: Self-Recycle — substitute the staged result.
@@ -1062,9 +1057,7 @@ impl BufferDevice for SmartDimmDevice {
                             // supersede) must not orphan their entry.
                             self.xlat.remove(page);
                             if let Some(off) = self.offloads.get_mut(&offload) {
-                                let page_index = msg_offset / PAGE;
-                                off.dst_phys[page_index] = None;
-                                off.dst_scratch[page_index] = None;
+                                off.forget_dst_page(msg_offset / PAGE);
                             }
                             self.maybe_drop_offload(offload);
                         }
@@ -1101,6 +1094,10 @@ mod tests {
         }
     }
 
+    fn payload(op: OffloadOp, msg_len: usize) -> [u8; 48] {
+        OffloadContext::new(op, msg_len, b"").unwrap().encode()
+    }
+
     fn prepare(dev: &mut SmartDimmDevice, addr: PhysAddr) -> CasInfo {
         // Open the row at the device's bank table the way the controller
         // would before any CAS.
@@ -1132,7 +1129,7 @@ mod tests {
         let info = prepare(&mut dev, addr);
         let chunk = ContextChunk {
             offload_id: 1,
-            payload: OffloadOp::Compress.encode_context(64, b""),
+            payload: payload(OffloadOp::Compress, 64),
         };
         assert_eq!(dev.on_wr_cas(&info, &chunk.to_bytes()), WrResult::Ignore);
         assert_eq!(dev.stats().mmio_writes, 1);
@@ -1153,6 +1150,76 @@ mod tests {
         dev.on_precharge(Cycle(2), 0, 3);
         dev.on_activate(Cycle(3), 0, 3, 300);
         assert_eq!(dev.stats().bank_desyncs, 1);
+    }
+
+    /// Addr Remap uses the Bank Table alone: a CAS to a bank the table
+    /// holds closed has no address, so it counts a desync and passes
+    /// through — no DSA feed, no staging, no MMIO handling.
+    #[test]
+    fn cas_to_precharged_bank_passes_through_untouched() {
+        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let base = dev.cfg.config_base.0;
+        let ctx = ContextChunk {
+            offload_id: 5,
+            payload: payload(
+                OffloadOp::TlsEncrypt {
+                    key: [1; 16],
+                    iv: [2; 12],
+                },
+                4096,
+            ),
+        };
+        let info = prepare(&mut dev, PhysAddr(base + CONTEXT_OFFSET));
+        dev.on_wr_cas(&info, &ctx.to_bytes());
+        let reg = Registration {
+            offload_id: 5,
+            src_page_addr: 0x10000,
+            dst_page_addr: 0x20000,
+            msg_offset: 0,
+        };
+        let info = prepare(&mut dev, PhysAddr(base + REGISTER_OFFSET));
+        dev.on_wr_cas(&info, &reg.to_bytes());
+        let before = dev.stats();
+        assert_eq!((before.registrations, before.bank_desyncs), (1, 0));
+
+        let mapper = AddressMapper::new(dev.cfg.topology);
+        let another = Registration {
+            offload_id: 6,
+            src_page_addr: 0x30000,
+            dst_page_addr: 0x40000,
+            msg_offset: 0,
+        }
+        .to_bytes();
+        let targets = [
+            (0x10000, [0x5A; 64]), // registered source line
+            (0x20000, [0x5B; 64]), // staged (pending) destination line
+            (base + STATUS_OFFSET, [0x5C; 64]),
+            (base + REGISTER_OFFSET, another),
+        ];
+        for (i, (addr, data)) in targets.into_iter().enumerate() {
+            let info = mk_info(&mapper, PhysAddr(addr), Cycle(10));
+            dev.on_precharge(Cycle(9), info.loc.rank, info.bank_index);
+            assert_eq!(
+                dev.on_rd_cas(&info, &data),
+                RdResult::Data(data),
+                "{addr:#x}"
+            );
+            assert_eq!(
+                dev.on_wr_cas(&info, &data),
+                WrResult::Commit(data),
+                "{addr:#x}"
+            );
+            assert_eq!(dev.stats().bank_desyncs, 2 * (i as u64 + 1));
+        }
+        let after = dev.stats();
+        assert_eq!(after.dsa_lines, before.dsa_lines);
+        assert_eq!(after.registrations, before.registrations);
+        assert_eq!(after.mmio_writes, before.mmio_writes);
+        assert_eq!(
+            (after.alert_retries, after.ignored_writebacks),
+            (0, 0),
+            "the staged line was never consulted"
+        );
     }
 
     #[test]
@@ -1179,7 +1246,7 @@ mod tests {
         // 1. Context + registration.
         let ctx = ContextChunk {
             offload_id: 5,
-            payload: OffloadOp::TlsEncrypt { key, iv }.encode_context(msg.len(), b""),
+            payload: payload(OffloadOp::TlsEncrypt { key, iv }, msg.len()),
         };
         let info = prepare(&mut dev, PhysAddr(base + CONTEXT_OFFSET));
         dev.on_wr_cas(&info, &ctx.to_bytes());
@@ -1252,7 +1319,7 @@ mod tests {
         let msg: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 1) as u8).collect();
         let ctx = ContextChunk {
             offload_id: 6,
-            payload: OffloadOp::TlsEncrypt { key, iv }.encode_context(msg.len(), b""),
+            payload: payload(OffloadOp::TlsEncrypt { key, iv }, msg.len()),
         };
         let info = prepare(&mut dev, PhysAddr(base + CONTEXT_OFFSET));
         dev.on_wr_cas(&info, &ctx.to_bytes());
@@ -1306,7 +1373,7 @@ mod tests {
         let page = ulp_compress::corpus::text(4096, 3);
         let ctx = ContextChunk {
             offload_id: 9,
-            payload: OffloadOp::Compress.encode_context(page.len(), b""),
+            payload: payload(OffloadOp::Compress, page.len()),
         };
         let info = prepare(&mut dev, PhysAddr(base + CONTEXT_OFFSET));
         dev.on_wr_cas(&info, &ctx.to_bytes());
@@ -1365,11 +1432,13 @@ mod tests {
         for id in 0..2u64 {
             let ctx = ContextChunk {
                 offload_id: id,
-                payload: OffloadOp::TlsEncrypt {
-                    key: [0; 16],
-                    iv: [0; 12],
-                }
-                .encode_context(4096, b""),
+                payload: payload(
+                    OffloadOp::TlsEncrypt {
+                        key: [0; 16],
+                        iv: [0; 12],
+                    },
+                    4096,
+                ),
             };
             let info = prepare(&mut dev, PhysAddr(base + CONTEXT_OFFSET));
             dev.on_wr_cas(&info, &ctx.to_bytes());

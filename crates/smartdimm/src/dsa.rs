@@ -47,97 +47,116 @@ pub enum OffloadOp {
     Decompress,
 }
 
-impl OffloadOp {
-    /// Serializes the op + message parameters into a context payload
-    /// (fits the 48-byte chunk of one MMIO write, §V-A).
-    pub fn encode_context(&self, msg_len: usize, aad: &[u8]) -> [u8; 48] {
-        self.encode_context_with_policy(msg_len, aad, true)
-    }
+/// The per-offload context (§V-A): everything a DSA engine needs besides
+/// the data, carried to every shard in the 48-byte payload of one MMIO
+/// context write. Layout of [`OffloadContext::encode`]:
+///
+/// | bytes | field |
+/// |-------|-------|
+/// | 0 | op: 0 TLS encrypt, 1 TLS decrypt, 2 compress, 3 decompress |
+/// | 1 | AAD length (≤ 7) |
+/// | 2..9 | AAD, zero padded |
+/// | 9..17 | message length, little endian |
+/// | 17..33 | AES-128 key (TLS only) |
+/// | 33..45 | IV (TLS only) |
+/// | 45 | `absorb_metadata` |
+/// | 46 | `dma_input` |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OffloadContext {
+    /// The requested operation.
+    pub op: OffloadOp,
+    /// Input length in bytes.
+    pub msg_len: usize,
+    aad: [u8; 7],
+    aad_len: u8,
+    /// Whether this shard's TLS engine absorbs the AAD/length blocks.
+    /// Under channel interleaving each DIMM runs a *partial* engine that
+    /// must not: the host contributes them once when combining (§V-D).
+    pub absorb_metadata: bool,
+    /// A *Compute DMA* offload (§IV-E): source data arrives through
+    /// device DMA *writes* instead of the CompCpy copy's reads, so the
+    /// arbiter feeds the DSA from wrCAS commands on the source range.
+    pub dma_input: bool,
+}
 
-    /// [`OffloadOp::encode_context`] with control over metadata
-    /// absorption: under channel interleaving each DIMM's TLS engine is a
-    /// *partial* engine and must not absorb the AAD/length blocks (the
-    /// host contributes them once when combining, §V-D).
-    pub fn encode_context_with_policy(
-        &self,
-        msg_len: usize,
-        aad: &[u8],
-        absorb_metadata: bool,
-    ) -> [u8; 48] {
-        self.encode_context_full(msg_len, aad, absorb_metadata, false)
-    }
-
-    /// Full context encoding. `dma_input` marks a *Compute DMA* offload
-    /// (§IV-E): source data arrives through device DMA *writes* instead of
-    /// the CompCpy copy's reads, so the arbiter feeds the DSA from wrCAS
-    /// commands on the source range.
-    pub fn encode_context_full(
-        &self,
-        msg_len: usize,
-        aad: &[u8],
-        absorb_metadata: bool,
-        dma_input: bool,
-    ) -> [u8; 48] {
-        assert!(aad.len() <= 7, "AAD limited to 7 bytes (TLS header is 5)");
-        let mut p = [0u8; 48];
-        p[45] = absorb_metadata as u8;
-        p[46] = dma_input as u8;
-        p[0] = match self {
-            OffloadOp::TlsEncrypt { .. } => 0,
-            OffloadOp::TlsDecrypt { .. } => 1,
-            OffloadOp::Compress => 2,
-            OffloadOp::Decompress => 3,
+impl OffloadContext {
+    /// A metadata-absorbing, copy-fed context, or `None` when `aad`
+    /// exceeds the 7 bytes the payload holds (the TLS header is 5).
+    pub fn new(op: OffloadOp, msg_len: usize, aad: &[u8]) -> Option<OffloadContext> {
+        let mut ctx = OffloadContext {
+            op,
+            msg_len,
+            aad: [0; 7],
+            aad_len: u8::try_from(aad.len()).ok()?,
+            absorb_metadata: true,
+            dma_input: false,
         };
-        p[1] = aad.len() as u8;
-        p[2..2 + aad.len()].copy_from_slice(aad);
-        p[9..17].copy_from_slice(&(msg_len as u64).to_le_bytes());
-        match self {
-            OffloadOp::TlsEncrypt { key, iv } | OffloadOp::TlsDecrypt { key, iv } => {
-                p[17..33].copy_from_slice(key);
-                p[33..45].copy_from_slice(iv);
+        ctx.aad.get_mut(..aad.len())?.copy_from_slice(aad);
+        Some(ctx)
+    }
+
+    /// The AEAD additional data.
+    pub fn aad(&self) -> &[u8] {
+        self.aad
+            .get(..usize::from(self.aad_len))
+            .unwrap_or_default()
+    }
+
+    /// Serializes the context into one MMIO payload.
+    pub fn encode(&self) -> [u8; 48] {
+        let mut p = [0u8; 48];
+        let mut put = |at: usize, bytes: &[u8]| {
+            if let Some(dst) = p.get_mut(at..at + bytes.len()) {
+                dst.copy_from_slice(bytes);
             }
-            _ => {}
+        };
+        let (op, key_iv) = match &self.op {
+            OffloadOp::TlsEncrypt { key, iv } => (0, Some((key, iv))),
+            OffloadOp::TlsDecrypt { key, iv } => (1, Some((key, iv))),
+            OffloadOp::Compress => (2, None),
+            OffloadOp::Decompress => (3, None),
+        };
+        put(0, &[op, self.aad_len]);
+        put(2, self.aad());
+        put(9, &(self.msg_len as u64).to_le_bytes());
+        if let Some((key, iv)) = key_iv {
+            put(17, key);
+            put(33, iv);
         }
+        put(45, &[u8::from(self.absorb_metadata)]);
+        put(46, &[u8::from(self.dma_input)]);
         p
     }
 
-    /// Decodes a context payload back into
-    /// `(op, msg_len, aad, absorb_metadata)`, or `None` for a malformed
-    /// payload (unknown op byte, oversized AAD length).
-    pub fn decode_context(p: &[u8; 48]) -> Option<(OffloadOp, usize, Vec<u8>, bool)> {
-        let (op, msg_len, aad, absorb, _) = OffloadOp::decode_context_full(p)?;
-        Some((op, msg_len, aad, absorb))
-    }
-
-    /// Full context decoding including the Compute-DMA flag. Returns
-    /// `None` for a malformed payload: the device must reject a corrupt
-    /// MMIO context write, not fault on it.
-    pub fn decode_context_full(p: &[u8; 48]) -> Option<(OffloadOp, usize, Vec<u8>, bool, bool)> {
-        let dma_input = p[46] != 0;
-        let absorb_metadata = p[45] != 0;
-        let aad_len = p[1] as usize;
-        if aad_len > 7 {
-            return None; // corrupt context: aad length
-        }
-        let aad = p.get(2..2 + aad_len)?.to_vec();
+    /// Parses an MMIO payload. `None` for a malformed one (unknown op
+    /// byte, AAD length over 7): the device must reject a corrupt context
+    /// write, not fault on it.
+    pub fn decode(p: &[u8; 48]) -> Option<OffloadContext> {
+        let byte = |at: usize| p.get(at).copied();
         let msg_len = u64::from_le_bytes(take_arr(p, 9)?) as usize;
-        let op = match p[0] {
-            0 | 1 => {
-                let key: [u8; 16] = take_arr(p, 17)?;
-                let iv: [u8; 12] = take_arr(p, 33)?;
-                if p[0] == 0 {
-                    OffloadOp::TlsEncrypt { key, iv }
-                } else {
-                    OffloadOp::TlsDecrypt { key, iv }
-                }
-            }
+        let op = match byte(0)? {
+            0 => OffloadOp::TlsEncrypt {
+                key: take_arr(p, 17)?,
+                iv: take_arr(p, 33)?,
+            },
+            1 => OffloadOp::TlsDecrypt {
+                key: take_arr(p, 17)?,
+                iv: take_arr(p, 33)?,
+            },
             2 => OffloadOp::Compress,
             3 => OffloadOp::Decompress,
-            _ => return None, // unknown offload op
+            _ => return None,
         };
-        Some((op, msg_len, aad, absorb_metadata, dma_input))
+        // `new` rejects an AAD length past the 7-byte field.
+        let aad = p.get(2..2 + usize::from(byte(1)?))?;
+        let mut ctx = OffloadContext::new(op, msg_len, aad)?;
+        ctx.absorb_metadata = byte(45)? != 0;
+        ctx.dma_input = byte(46)? != 0;
+        Some(ctx)
     }
+}
 
+impl OffloadOp {
     /// Whether the DSA requires ordered input delivery (Algorithm 2's
     /// `ordered` flag): Deflate's dictionary state is sequential, while
     /// AES-GCM handles any cacheline order.
@@ -240,36 +259,27 @@ fn to_lines(bytes: &[u8]) -> Vec<(usize, [u8; 64])> {
 }
 
 impl DsaInstance {
-    /// Instantiates the engine for a decoded context.
+    /// Instantiates the engine for a decoded context. A TLS engine with
+    /// `absorb_metadata` clear is a per-channel partial engine (§V-D).
     ///
     /// # Panics
     ///
     /// Panics if `msg_len` is zero, or exceeds 4 KB for the page-granular
     /// (de)compression engines (§V-C).
-    pub fn new(op: OffloadOp, msg_len: usize, aad: &[u8], hw: HwDeflateConfig) -> DsaInstance {
-        DsaInstance::with_metadata_policy(op, msg_len, aad, hw, true)
-    }
-
-    /// [`DsaInstance::new`] for per-channel partial TLS engines (§V-D).
-    pub fn with_metadata_policy(
-        op: OffloadOp,
-        msg_len: usize,
-        aad: &[u8],
-        hw: HwDeflateConfig,
-        absorb_metadata: bool,
-    ) -> DsaInstance {
+    pub fn new(ctx: &OffloadContext, hw: HwDeflateConfig) -> DsaInstance {
+        let msg_len = ctx.msg_len;
         assert!(msg_len > 0, "empty offload");
         let tls = |key: &[u8; 16], iv, direction| {
             DsaInstance::Tls(Box::new(OooGcm::with_metadata_policy(
                 AesGcm::new_128(key),
                 iv,
-                aad,
+                ctx.aad(),
                 msg_len,
                 direction,
-                absorb_metadata,
+                ctx.absorb_metadata,
             )))
         };
-        match op {
+        match ctx.op {
             OffloadOp::TlsEncrypt { key, iv } => tls(&key, iv, Direction::Encrypt),
             OffloadOp::TlsDecrypt { key, iv } => tls(&key, iv, Direction::Decrypt),
             OffloadOp::Compress => {
@@ -396,35 +406,76 @@ mod tests {
     use super::*;
     use ulp_crypto::gcm::AesGcm;
 
+    fn ctx(op: OffloadOp, msg_len: usize) -> OffloadContext {
+        OffloadContext::new(op, msg_len, b"").unwrap()
+    }
+
+    /// Every context field survives `encode` → `decode` for `ops`, under
+    /// each metadata/DMA flag pair and every AAD length the payload holds.
+    fn assert_round_trips(ops: &[OffloadOp]) {
+        let aad = *b"\x17\x03\x03\x40\x11hd";
+        for &op in ops {
+            for (absorb_metadata, dma_input) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                for n in 0..=aad.len() {
+                    let mut ctx = OffloadContext::new(op, 4096 + n * 977, &aad[..n]).unwrap();
+                    ctx.absorb_metadata = absorb_metadata;
+                    ctx.dma_input = dma_input;
+                    let back = OffloadContext::decode(&ctx.encode()).unwrap();
+                    assert_eq!(back, ctx, "{op:?} aad {n}");
+                    assert_eq!(back.aad(), &aad[..n]);
+                }
+            }
+        }
+    }
+
     #[test]
     fn context_round_trip_tls() {
-        let op = OffloadOp::TlsEncrypt {
-            key: [3u8; 16],
-            iv: [4u8; 12],
-        };
-        let ctx = op.encode_context(12345, b"hdr55");
-        let (op2, len, aad, absorb) = OffloadOp::decode_context(&ctx).unwrap();
-        assert_eq!(op2, op);
-        assert_eq!(len, 12345);
-        assert_eq!(aad, b"hdr55");
-        assert!(absorb);
-        let ctx = op.encode_context_with_policy(4096, b"", false);
-        assert!(!OffloadOp::decode_context(&ctx).unwrap().3);
-        let mut corrupt = ctx;
-        corrupt[0] = 9; // unknown op byte
-        assert!(OffloadOp::decode_context(&corrupt).is_none());
-        let mut corrupt = ctx;
-        corrupt[1] = 200; // oversized AAD length
-        assert!(OffloadOp::decode_context(&corrupt).is_none());
+        let key: [u8; 16] = std::array::from_fn(|i| 0x10 + i as u8);
+        let iv: [u8; 12] = std::array::from_fn(|i| 0x20 + i as u8);
+        assert_round_trips(&[
+            OffloadOp::TlsEncrypt { key, iv },
+            OffloadOp::TlsDecrypt { key, iv },
+        ]);
+
+        // The MMIO layout, pinned: host and device must agree on it.
+        let ctx = OffloadContext::new(
+            OffloadOp::TlsEncrypt { key, iv },
+            0x4005,
+            b"\x17\x03\x03\x40\x11",
+        )
+        .unwrap();
+        #[rustfmt::skip]
+        let golden: [u8; 48] = [
+            0x00, 0x05, 0x17, 0x03, 0x03, 0x40, 0x11, 0x00, 0x00, // op, AAD len, AAD
+            0x05, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // message length
+            0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, // key
+            0x18, 0x19, 0x1a, 0x1b, 0x1c, 0x1d, 0x1e, 0x1f,
+            0x20, 0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, // IV
+            0x28, 0x29, 0x2a, 0x2b,
+            0x01, 0x00, 0x00, // absorb_metadata, dma_input, reserved
+        ];
+        assert_eq!(ctx.encode(), golden);
+        assert_eq!(OffloadContext::decode(&golden), Some(ctx));
+
+        // Malformed payloads decode to `None`.
+        let mut corrupt = golden;
+        corrupt[1] = 8; // AAD length past the 7-byte field
+        assert_eq!(OffloadContext::decode(&corrupt), None);
+        let mut corrupt = golden;
+        corrupt[0] = 4; // unknown op byte
+        assert_eq!(OffloadContext::decode(&corrupt), None);
+        assert_eq!(OffloadContext::new(OffloadOp::Compress, 64, &[0; 8]), None);
     }
 
     #[test]
     fn context_round_trip_compress() {
-        let ctx = OffloadOp::Compress.encode_context(4096, b"");
-        let (op, len, aad, _) = OffloadOp::decode_context(&ctx).unwrap();
-        assert_eq!(op, OffloadOp::Compress);
-        assert_eq!(len, 4096);
-        assert!(aad.is_empty());
+        assert_round_trips(&[OffloadOp::Compress, OffloadOp::Decompress]);
+        let ctx = OffloadContext::new(OffloadOp::Compress, 4096, b"").unwrap();
+        let p = ctx.encode();
+        assert_eq!((p[0], p[1]), (2, 0));
+        assert!(p[17..45].iter().all(|&b| b == 0), "no key material");
     }
 
     #[test]
@@ -449,9 +500,7 @@ mod tests {
         let iv = [2u8; 12];
         let msg: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
         let mut dsa = DsaInstance::new(
-            OffloadOp::TlsEncrypt { key, iv },
-            msg.len(),
-            b"",
+            &ctx(OffloadOp::TlsEncrypt { key, iv }, msg.len()),
             HwDeflateConfig::default(),
         );
         let mut out = vec![0u8; msg.len()];
@@ -483,9 +532,7 @@ mod tests {
     fn compress_dsa_emits_on_completion_only() {
         let page = ulp_compress::corpus::text(4096, 11);
         let mut dsa = DsaInstance::new(
-            OffloadOp::Compress,
-            page.len(),
-            b"",
+            &ctx(OffloadOp::Compress, page.len()),
             HwDeflateConfig::default(),
         );
         let mut all_produced = Vec::new();
@@ -517,9 +564,7 @@ mod tests {
     fn compress_dsa_incompressible_fallback() {
         let page = ulp_compress::corpus::random(4096, 5);
         let mut dsa = DsaInstance::new(
-            OffloadOp::Compress,
-            page.len(),
-            b"",
+            &ctx(OffloadOp::Compress, page.len()),
             HwDeflateConfig::default(),
         );
         let mut completion = None;
@@ -538,9 +583,7 @@ mod tests {
         let page = ulp_compress::corpus::html(3000, 9);
         let compressed = ulp_compress::deflate::compress(&page);
         let mut dsa = DsaInstance::new(
-            OffloadOp::Decompress,
-            compressed.len(),
-            b"",
+            &ctx(OffloadOp::Decompress, compressed.len()),
             HwDeflateConfig::default(),
         );
         let mut out = Vec::new();
@@ -565,9 +608,7 @@ mod tests {
     fn decompress_dsa_corrupt_stream_errors() {
         let garbage = [0xFFu8; 128];
         let mut dsa = DsaInstance::new(
-            OffloadOp::Decompress,
-            garbage.len(),
-            b"",
+            &ctx(OffloadOp::Decompress, garbage.len()),
             HwDeflateConfig::default(),
         );
         let mut completion = None;
@@ -583,9 +624,7 @@ mod tests {
     fn duplicate_lines_are_idempotent_for_streams() {
         let page = ulp_compress::corpus::text(128, 2);
         let mut dsa = DsaInstance::new(
-            OffloadOp::Compress,
-            page.len(),
-            b"",
+            &ctx(OffloadOp::Compress, page.len()),
             HwDeflateConfig::default(),
         );
         let mut line0 = [0u8; 64];

@@ -172,6 +172,12 @@ fn cross_channel_offloads_under_fault_injection() {
             oracle.host().bounced_offload_count() >= 1,
             "seed {seed}: no offload exercised the bounce path"
         );
+        // Every bank command reached each shard's Bank Table, so Addr
+        // Remap never met a CAS it could not place.
+        let desyncs: u64 = (0..2)
+            .map(|ch| oracle.host().device_on(ch).stats().bank_desyncs)
+            .sum();
+        assert_eq!(desyncs, 0, "seed {seed}: Bank Table out of sync");
     }
     // Device-path coverage: striped and bounced offloads must settle on
     // the device; only offloads the injected faults truly starved may
@@ -218,6 +224,12 @@ fn cross_channel_fault_recovery_on_the_fast_backend() {
             oracle.host().bounced_offload_count() >= 1,
             "seed {seed}: no offload exercised the bounce path on the fast backend"
         );
+        // Every bank command reached each shard's Bank Table, so Addr
+        // Remap never met a CAS it could not place.
+        let desyncs: u64 = (0..2)
+            .map(|ch| oracle.host().device_on(ch).stats().bank_desyncs)
+            .sum();
+        assert_eq!(desyncs, 0, "seed {seed}: Bank Table out of sync");
     }
     // Device-path coverage: striped and bounced offloads must settle on
     // the device; only offloads the injected faults truly starved may
