@@ -7,15 +7,31 @@ cd "$(dirname "$0")"
 
 status=0
 
+# Each stage opens with `stage "<name>"`, which closes the previous one
+# with its elapsed wall-clock seconds (bash SECONDS), so every CI log
+# shows where the time goes, test-suite wall clock included.
+stage_name=""
+stage_start=$SECONDS
+stage() {
+    if [ -n "$stage_name" ]; then
+        echo "<== $stage_name: $((SECONDS - stage_start)) s"
+    fi
+    stage_name=$1
+    stage_start=$SECONDS
+    if [ -n "$stage_name" ]; then
+        echo "==> $stage_name"
+    fi
+}
+
 if command -v rustfmt >/dev/null 2>&1; then
-    echo "==> cargo fmt --check"
+    stage "cargo fmt --check"
     cargo fmt --all -- --check || status=1
 else
     echo "==> rustfmt not installed; skipping format check"
 fi
 
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+    stage "cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings || status=1
 else
     echo "==> clippy not installed; skipping lints"
@@ -25,38 +41,38 @@ fi
 # links, missing code-block languages, bad HTML all fail the build).
 # `simkit::par`, `simkit::events` and `dram::backend` additionally carry
 # `#![deny(missing_docs)]`, so every public item there must be documented.
-echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
+stage "cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q || status=1
 
 # Two-pass static-analysis gate (per-file + workspace call-graph
 # rules). The stable JSON report is kept as a CI artifact; on failure
 # the human rendering is printed for the log.
-echo "==> simlint --workspace (static-analysis gate; artifact: target/simlint.json)"
+stage "simlint --workspace (static-analysis gate; artifact: target/simlint.json)"
 mkdir -p target
 if ! cargo run --release -p simlint -q -- --workspace --json > target/simlint.json; then
     cargo run --release -p simlint -q -- --workspace || true
     status=1
 fi
 
-echo "==> cargo build --release"
+stage "cargo build --release"
 cargo build --release || status=1
 
 # The workspace run includes the fast-backend differential, multichannel,
 # fault-injection, scale-out topology and event-server suites.
-echo "==> cargo test --release --workspace"
+stage "cargo test --release --workspace"
 cargo test --release --workspace -q || status=1
 
 # The simulator benchmark (simbench/) is its own workspace over the
 # crates/ APIs; building and testing it here catches an API change that
 # would break the benchmark build.
-echo "==> cargo test --release --offline (simbench)"
+stage "cargo test --release --offline (simbench)"
 cargo test --release --offline -q --manifest-path simbench/Cargo.toml || status=1
 
 # Hot-path bench smoke: tiny iteration counts — asserts the harness
 # runs and BENCH_hotpaths.json is produced and parses (check mode).
 # Ratios in smoke mode are not meaningful; committed numbers come from
 # a `-- full` run (DESIGN.md §7).
-echo "==> bench_hotpaths smoke + check"
+stage "bench_hotpaths smoke + check"
 cargo run --release -p bench --bin bench_hotpaths -q -- smoke || status=1
 cargo run --release -p bench --bin bench_hotpaths -q -- check || status=1
 
@@ -68,7 +84,7 @@ cargo run --release -p bench --bin bench_hotpaths -q -- check || status=1
 # never the committed report; check mode then validates the committed
 # results/run_report.json still parses and covers every stat surface —
 # including the new sweep.tail_latency_* scopes (DESIGN.md §8, §12).
-echo "==> run_report smoke + check"
+stage "run_report smoke + check"
 cargo run --release -p bench --bin run_report -q -- smoke || status=1
 cargo run --release -p bench --bin run_report -q -- check || status=1
 
@@ -76,8 +92,10 @@ cargo run --release -p bench --bin run_report -q -- check || status=1
 # both backends (exits non-zero on any functional divergence) and writes
 # target/backend_differential.smoke.json; check mode validates the
 # committed results/backend_differential.json.
-echo "==> backend_differential smoke + check"
+stage "backend_differential smoke + check"
 cargo run --release -p bench --bin backend_differential -q -- smoke || status=1
 cargo run --release -p bench --bin backend_differential -q -- check || status=1
 
+stage ""
+echo "ci.sh total: $SECONDS s"
 exit "$status"

@@ -20,6 +20,9 @@
 //! 7. `ooo_gcm_offload` — one TLS DSA engine's life for a 4 KB page:
 //!    registration plus 64 out-of-order lines, with per-block GHASH over
 //!    a full `HPowers` table vs the strided per-line `OooGcm`.
+//! 8. `dimm_cell_store` — a seeded TLS-like wrCAS/rdCAS trace replayed
+//!    on a per-line `BTreeMap` (the DIMM's former cell store) vs a
+//!    `Dimm` and its column slab.
 //!
 //! All inputs are seeded and deterministic; only the wall-clock timings
 //! vary run to run. Modes:
@@ -34,9 +37,12 @@
 
 use bench::harness::{json_parses, median_ns_per_op, report, BenchSpec, HotPath};
 use cache::CacheConfig;
+use dram::dimm::CellCoord;
+use dram::{AddressMapper, CasInfo, Dimm, DramTopology, PhysAddr, RdResult};
 use platforms::{run_server, BackendKind, PlatformKind, UlpKind, WorkloadConfig};
 use simkit::DetRng;
 use smartdimm::{CompCpyHost, HostConfig};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use ulp_crypto::aes::Aes;
@@ -45,7 +51,7 @@ use ulp_crypto::gf128::{Gf128, GfMulTable};
 use ulp_crypto::ghash::{HPowers, OooGhash};
 
 /// The rows every report carries, in emission order.
-const HOT_PATHS: [&str; 7] = [
+const HOT_PATHS: [&str; 8] = [
     "gf128_mul",
     "compcpy_page_copy",
     "lz77_match_finder",
@@ -53,6 +59,7 @@ const HOT_PATHS: [&str; 7] = [
     "whole_sim_parallel",
     "aes_block",
     "ooo_gcm_offload",
+    "dimm_cell_store",
 ];
 
 fn repo_root() -> PathBuf {
@@ -370,6 +377,77 @@ fn bench_ooo_gcm(spec: BenchSpec, offloads: usize) -> HotPath {
     }
 }
 
+fn bench_dimm_cells(spec: BenchSpec, offloads: usize) -> HotPath {
+    // A TLS offload's CAS stream: the plaintext page is stored (64
+    // wrCAS) and copied out (64 rdCAS), then the ciphertext page is
+    // written back and sent. Pages come from a seeded pool spread over
+    // the 4 GiB single-channel DIMM.
+    let mapper = AddressMapper::new(DramTopology::default());
+    let mut rng = DetRng::new(0xD1AA);
+    let pool: Vec<u64> = (0..offloads).map(|_| rng.gen_range(0..1 << 20)).collect();
+    let mut trace = Vec::new();
+    for _ in 0..2 * offloads {
+        let page = pool[rng.gen_range(0..offloads as u64) as usize];
+        for write in [true, false] {
+            for phys in (0..64).map(|line| PhysAddr((page << 12) + line * 64)) {
+                let loc = mapper.decode(phys);
+                let bank_index = loc.bank_index(mapper.topology());
+                trace.push((
+                    write,
+                    CasInfo {
+                        loc,
+                        phys,
+                        bank_index,
+                        at: simkit::Cycle(0),
+                        tag: 0,
+                    },
+                ));
+            }
+        }
+    }
+    let line = |i: &CasInfo| [(i.phys.0 >> 6) as u8; 64];
+    let per_line = || {
+        let mut cells: BTreeMap<CellCoord, [u8; 64]> = BTreeMap::new();
+        let mut sum = 0u8;
+        for (write, i) in &trace {
+            let key = (i.loc.rank, i.bank_index, i.loc.row, i.loc.col);
+            if *write {
+                cells.insert(key, line(i));
+            } else {
+                sum ^= cells.get(&key).map_or(0, |l| l[0]);
+            }
+        }
+        sum
+    };
+    let slab = || {
+        let mut dimm = Dimm::passthrough();
+        let mut sum = 0u8;
+        for (write, i) in &trace {
+            if *write {
+                dimm.wr_cas(i, &line(i));
+            } else if let RdResult::Data(l) = dimm.rd_cas(i) {
+                sum ^= l[0];
+            }
+        }
+        sum
+    };
+    assert_eq!(per_line(), slab(), "both stores must read alike");
+    HotPath {
+        name: "dimm_cell_store",
+        before_impl: "per-line BTreeMap<(rank, bank, row, col), [u8; 64]>",
+        after_impl: "Dimm column slab (16-bank columns behind a fixed-hasher index)",
+        work_units: format!(
+            "{offloads} TLS-like offloads (256 CAS each) replayed on a fresh store"
+        ),
+        before_ns_per_op: median_ns_per_op(spec, || {
+            std::hint::black_box(per_line());
+        }),
+        after_ns_per_op: median_ns_per_op(spec, || {
+            std::hint::black_box(slab());
+        }),
+    }
+}
+
 /// Names the rows of a rendered report lacks, out of [`HOT_PATHS`].
 fn missing_rows(doc: &str) -> Vec<&'static str> {
     HOT_PATHS
@@ -409,17 +487,25 @@ fn main() -> ExitCode {
         };
     }
 
-    let (spec, blocks, pages, lz_len, sweep_scale, gcm_offloads, out_path) = match mode.as_str() {
+    let (spec, blocks, pages, lz_len, sweep_scale, offloads, out_path) = match mode.as_str() {
         "smoke" => (
             BenchSpec::smoke(),
             256,
             4,
             1024,
             (16, 60),
-            1,
+            (1, 16),
             repo_root().join("target").join("BENCH_hotpaths.smoke.json"),
         ),
-        "full" => (BenchSpec::full(), 256, 32, 8192, (32, 150), 16, out_path),
+        "full" => (
+            BenchSpec::full(),
+            256,
+            32,
+            8192,
+            (32, 150),
+            (16, 256),
+            out_path,
+        ),
         other => {
             eprintln!("usage: bench_hotpaths [smoke|full|check] (got {other:?})");
             return ExitCode::FAILURE;
@@ -434,7 +520,8 @@ fn main() -> ExitCode {
         bench_backend_sweep(spec, sweep_scale.0, sweep_scale.1),
         bench_whole_sim_parallel(spec, sweep_scale.0, sweep_scale.1),
         bench_aes(spec, blocks),
-        bench_ooo_gcm(spec, gcm_offloads),
+        bench_ooo_gcm(spec, offloads.0),
+        bench_dimm_cells(spec, offloads.1),
     ];
     assert_eq!(
         paths.iter().map(|p| p.name).collect::<Vec<_>>(),

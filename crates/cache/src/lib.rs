@@ -141,31 +141,8 @@ impl CacheStats {
     }
 }
 
-/// Multiply-xor hasher for the page-residency index: the keys are page
-/// numbers (already well-distributed), so SipHash's DoS hardening would
-/// only add latency to every allocate/evict.
-#[derive(Default)]
-struct PageHasher(u64);
-
-impl std::hash::Hasher for PageHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 32;
-    }
-}
-
-// simlint: allow(DET-HASH): fixed deterministic hasher (no seed) and the map is only probed by key, never iterated
-type PageMap = std::collections::HashMap<u64, u32, std::hash::BuildHasherDefault<PageHasher>>;
+// simlint: allow(DET-HASH): fixed hasher, probed by key, never iterated
+type PageMap = std::collections::HashMap<u64, u32, simkit::hash::FixedState>;
 
 /// The last-level cache.
 pub struct Llc {
@@ -486,16 +463,7 @@ impl Llc {
     /// ways, updating in place on a hit.
     pub fn dev_write_line(&mut self, addr: PhysAddr, data: [u8; 64]) -> CacheEvent {
         self.stats.ddio_writes += 1;
-        self.write_line_with_class(addr, DDIO_CLASS, data)
-    }
-
-    fn write_line_with_class(
-        &mut self,
-        addr: PhysAddr,
-        class: usize,
-        data: [u8; 64],
-    ) -> CacheEvent {
-        self.write_line(addr, class, data)
+        self.write_line(addr, DDIO_CLASS, data)
     }
 
     /// DDIO device read (NIC TX DMA): returns cached data without

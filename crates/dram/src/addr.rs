@@ -187,11 +187,18 @@ impl AddressMapper {
     ///
     /// # Panics
     ///
-    /// Panics if any topology field is zero or the interleave granularity
-    /// is not a power of two.
+    /// Panics if any topology field is zero, the interleave granularity
+    /// is not a power of two, or a rank has more banks than a DIMM cell
+    /// column holds ([`crate::dimm::COLUMN_BANKS`], DDR4's maximum).
     pub fn new(topo: DramTopology) -> AddressMapper {
         assert!(topo.channels > 0 && topo.ranks > 0, "empty topology");
         assert!(topo.bank_groups > 0 && topo.banks_per_group > 0, "no banks");
+        assert!(
+            topo.banks_per_rank() <= crate::dimm::COLUMN_BANKS,
+            "{} banks per rank exceed the DIMM cell column width of {}",
+            topo.banks_per_rank(),
+            crate::dimm::COLUMN_BANKS
+        );
         assert!(topo.lines_per_row > 0 && topo.rows > 0, "no rows");
         assert!(
             topo.dimms_per_channel > 0 && topo.sockets > 0,
@@ -380,6 +387,16 @@ mod tests {
         let topo = DramTopology {
             channels: 3,
             sockets: 2,
+            ..DramTopology::default()
+        };
+        AddressMapper::new(topo);
+    }
+
+    #[test]
+    #[should_panic(expected = "32 banks per rank exceed the DIMM cell column width of 16")]
+    fn banks_must_fit_a_cell_column() {
+        let topo = DramTopology {
+            bank_groups: 8,
             ..DramTopology::default()
         };
         AddressMapper::new(topo);

@@ -7,9 +7,16 @@
 //! ACT/PRE (to maintain a Bank Table), sees every rdCAS/wrCAS with its
 //! data burst, and can substitute data, ignore writes, or NACK reads via
 //! `ALERT_N` ([`RdResult::Retry`]).
+//!
+//! The chips' storage is a *column slab*: one [`Column`] holds the 64 B
+//! lines of all 16 banks of a rank at one `(row, col)`, the columns sit
+//! in one `Vec`, and a fixed-hasher index maps a packed `(rank, row,
+//! col)` key to a column's slot. The address mapper puts bank group and
+//! bank in the lowest line bits, so a contiguous physical range fills
+//! whole columns, and a CAS costs one hashed probe. Lines never written
+//! read as zero.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use simkit::Cycle;
 
@@ -131,19 +138,40 @@ impl BufferDevice for Passthrough {
 /// A DRAM cell coordinate: `(rank, bank_index, row, col)`.
 pub type CellCoord = (usize, usize, usize, usize);
 
+/// Banks per column: DDR4's maximum banks per rank. `AddressMapper::new`
+/// rejects topologies with more.
+pub const COLUMN_BANKS: usize = 16;
+
+/// The lines of every bank of one rank at one `(row, col)`.
+type Column = [[u8; 64]; COLUMN_BANKS];
+
+// simlint: allow(DET-HASH): fixed hasher, probed by key, never iterated
+type ColumnIndex = std::collections::HashMap<u64, u32, simkit::hash::FixedState>;
+
+/// Packs `(rank, row, col)` into a column key: 16 bits of column, 16 of
+/// rank, 32 of row. Wider coordinates would alias another column.
+fn column_key(rank: usize, row: usize, col: usize) -> u64 {
+    assert!(
+        col < 1 << 16 && rank < 1 << 16 && row < 1 << 32,
+        "cell coordinate out of range"
+    );
+    (row as u64) << 32 | (rank as u64) << 16 | col as u64
+}
+
 /// One DIMM: sparse DRAM storage plus its buffer device.
 ///
 /// Storage is keyed by DRAM coordinates, not physical address — the chips
 /// know nothing about the system address map.
 pub struct Dimm {
-    cells: BTreeMap<CellCoord, [u8; 64]>,
+    columns: Vec<Column>,
+    index: ColumnIndex,
     buffer: Box<dyn BufferDevice>,
 }
 
 impl std::fmt::Debug for Dimm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dimm")
-            .field("populated_lines", &self.cells.len())
+            .field("populated_columns", &self.columns.len())
             .finish()
     }
 }
@@ -152,7 +180,8 @@ impl Dimm {
     /// Creates a DIMM with the given buffer device.
     pub fn new(buffer: Box<dyn BufferDevice>) -> Dimm {
         Dimm {
-            cells: BTreeMap::new(),
+            columns: Vec::new(),
+            index: ColumnIndex::default(),
             buffer,
         }
     }
@@ -167,13 +196,13 @@ impl Dimm {
         self.buffer.as_mut()
     }
 
-    /// Raw DRAM cell read, bypassing the buffer device (test/debug use:
-    /// "what is actually stored in the chips").
+    /// Raw DRAM cell read, bypassing the buffer device: what is actually
+    /// stored in the chips. Zero if never written.
     pub fn peek(&self, rank: usize, bank_index: usize, row: usize, col: usize) -> [u8; 64] {
-        self.cells
-            .get(&(rank, bank_index, row, col))
-            .copied()
-            .unwrap_or([0u8; 64])
+        match self.index.get(&column_key(rank, row, col)) {
+            Some(&slot) => self.columns[slot as usize][bank_index],
+            None => [0u8; 64],
+        }
     }
 
     /// Delivers an ACT to the buffer device.
@@ -189,8 +218,7 @@ impl Dimm {
     /// Performs a read CAS: reads the chips, lets the buffer device
     /// intercept, and returns the bus data (or `Retry`).
     pub fn rd_cas(&mut self, info: &CasInfo) -> RdResult {
-        let key = (info.loc.rank, info.bank_index, info.loc.row, info.loc.col);
-        let dram = self.cells.get(&key).copied().unwrap_or([0u8; 64]);
+        let dram = self.peek(info.loc.rank, info.bank_index, info.loc.row, info.loc.col);
         self.buffer.on_rd_cas(info, &dram)
     }
 
@@ -210,29 +238,8 @@ impl Dimm {
         coords: &[CellCoord; 64],
     ) -> Box<[[u8; 64]; 64]> {
         let mut data = Box::new([[0u8; 64]; 64]);
-        // Page lines stripe across banks, so sorted by coordinate they
-        // form a handful of runs of consecutive columns in one
-        // (rank, bank, row). Each run is one ordered range scan of the
-        // cell map instead of 64 independent tree descents.
-        let mut order: [(&CellCoord, usize); 64] = std::array::from_fn(|i| (&coords[i], i));
-        order.sort_unstable_by_key(|&(key, _)| key);
-        let mut g = 0;
-        while g < order.len() {
-            let (lo, _) = order[g];
-            let mut h = g + 1;
-            while h < order.len() {
-                let (k, _) = order[h];
-                if (k.0, k.1, k.2) == (lo.0, lo.1, lo.2) && k.3 == order[h - 1].0 .3 + 1 {
-                    h += 1;
-                } else {
-                    break;
-                }
-            }
-            let (hi, _) = order[h - 1];
-            for (key, cell) in self.cells.range(*lo..=*hi) {
-                data[order[g + (key.3 - lo.3)].1] = *cell;
-            }
-            g = h;
+        for (line, &(rank, bank_index, row, col)) in data.iter_mut().zip(coords) {
+            *line = self.peek(rank, bank_index, row, col);
         }
         self.buffer.on_rd_page(base, first_at, stride, &mut data);
         data
@@ -241,12 +248,14 @@ impl Dimm {
     /// Performs a write CAS: lets the buffer device intercept, then
     /// commits (or drops) the data.
     pub fn wr_cas(&mut self, info: &CasInfo, host_data: &[u8; 64]) {
-        match self.buffer.on_wr_cas(info, host_data) {
-            WrResult::Commit(data) => {
-                let key = (info.loc.rank, info.bank_index, info.loc.row, info.loc.col);
-                self.cells.insert(key, data);
-            }
-            WrResult::Ignore => {}
+        if let WrResult::Commit(data) = self.buffer.on_wr_cas(info, host_data) {
+            let key = column_key(info.loc.rank, info.loc.row, info.loc.col);
+            let columns = &mut self.columns;
+            let slot = *self.index.entry(key).or_insert_with(|| {
+                columns.push([[0u8; 64]; COLUMN_BANKS]);
+                u32::try_from(columns.len() - 1).expect("fewer than 2^32 columns")
+            });
+            self.columns[slot as usize][info.bank_index] = data;
         }
     }
 }
@@ -254,6 +263,10 @@ impl Dimm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AddressMapper, DramSystem, DramTopology, MemorySystemConfig};
+    use proptest::prelude::*;
+    use simkit::DetRng;
+    use std::collections::BTreeMap;
 
     fn info(rank: usize, bg: usize, bank: usize, row: usize, col: usize) -> CasInfo {
         CasInfo {
@@ -290,6 +303,139 @@ mod tests {
             RdResult::Data(d) => assert_eq!(d, [0u8; 64]),
             RdResult::Retry => panic!(),
         }
+    }
+
+    /// Commits every write whose stream tag is even and ignores the odd
+    /// ones, so one run exercises both `WrResult` arms.
+    struct TagGated;
+
+    impl BufferDevice for TagGated {
+        fn on_activate(&mut self, _: Cycle, _: usize, _: usize, _: usize) {}
+        fn on_precharge(&mut self, _: Cycle, _: usize, _: usize) {}
+        fn on_rd_cas(&mut self, _: &CasInfo, dram: &[u8; 64]) -> RdResult {
+            RdResult::Data(*dram)
+        }
+        fn on_wr_cas(&mut self, info: &CasInfo, host: &[u8; 64]) -> WrResult {
+            if info.tag.is_multiple_of(2) {
+                WrResult::Commit(*host)
+            } else {
+                WrResult::Ignore
+            }
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A coordinate over 2 ranks, 4 rows, all 16 bank indices and
+    /// columns 0..128.
+    fn random_coord(rng: &mut DetRng) -> CellCoord {
+        (
+            rng.gen_range(0..2) as usize,
+            rng.gen_range(0..COLUMN_BANKS as u64) as usize,
+            rng.gen_range(0..4) as usize,
+            rng.gen_range(0..128) as usize,
+        )
+    }
+
+    fn cas_at((rank, bank_index, row, col): CellCoord, tag: u64) -> CasInfo {
+        CasInfo {
+            tag,
+            ..info(rank, bank_index / 4, bank_index % 4, row, col)
+        }
+    }
+
+    proptest! {
+        /// The column slab against a per-line map: every read, batched
+        /// read and peek agrees with the model after random committed
+        /// and ignored writes.
+        #[test]
+        fn column_slab_matches_per_line_model(seed in any::<u64>()) {
+            let mut rng = DetRng::new(seed);
+            let mut dimm = Dimm::new(Box::new(TagGated));
+            let mut model: BTreeMap<CellCoord, [u8; 64]> = BTreeMap::new();
+            let read = |model: &BTreeMap<CellCoord, [u8; 64]>, c: &CellCoord| {
+                model.get(c).copied().unwrap_or([0u8; 64])
+            };
+            for _ in 0..400 {
+                let c = random_coord(&mut rng);
+                match rng.gen_range(0..4) {
+                    0 => {
+                        let mut data = [0u8; 64];
+                        rng.fill_bytes(&mut data);
+                        let tag = rng.gen_range(0..4);
+                        dimm.wr_cas(&cas_at(c, tag), &data);
+                        if tag.is_multiple_of(2) {
+                            model.insert(c, data);
+                        }
+                    }
+                    1 => prop_assert_eq!(dimm.rd_cas(&cas_at(c, 0)), RdResult::Data(read(&model, &c))),
+                    2 => prop_assert_eq!(dimm.peek(c.0, c.1, c.2, c.3), read(&model, &c)),
+                    _ => {
+                        let coords: [CellCoord; 64] = std::array::from_fn(|_| random_coord(&mut rng));
+                        let page = dimm.rd_page(PhysAddr(0), Cycle(0), 1, &coords);
+                        for (line, c) in page.iter().zip(&coords) {
+                            prop_assert_eq!(*line, read(&model, c));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_write_leaves_its_column_neighbours_untouched() {
+        let mut dimm = Dimm::passthrough();
+        dimm.wr_cas(&cas_at((1, 5, 3, 127), 0), &[0x5Au8; 64]);
+        for bank_index in 0..COLUMN_BANKS {
+            let expect = if bank_index == 5 {
+                [0x5Au8; 64]
+            } else {
+                [0u8; 64]
+            };
+            assert_eq!(
+                dimm.peek(1, bank_index, 3, 127),
+                expect,
+                "bank {bank_index}"
+            );
+        }
+        // Same bank and column, other rank or row: separate columns.
+        assert_eq!(dimm.peek(0, 5, 3, 127), [0u8; 64]);
+        assert_eq!(dimm.peek(1, 5, 2, 127), [0u8; 64]);
+    }
+
+    #[test]
+    fn slot_one_is_isolated_from_slot_zero() {
+        let topo = DramTopology {
+            dimms_per_channel: 2,
+            ..DramTopology::default()
+        };
+        let mapper = AddressMapper::new(topo);
+        let mut sys = DramSystem::new(MemorySystemConfig {
+            topology: topo,
+            ..Default::default()
+        });
+        // The same (bg, bank, row, col) on rank 0 (slot 0) and rank 1
+        // (slot 1).
+        let at_rank = |rank| {
+            mapper.encode(&Loc {
+                channel: 0,
+                rank,
+                bg: 2,
+                bank: 1,
+                row: 7,
+                col: 9,
+            })
+        };
+        assert_eq!(topo.dimm_slot_of_rank(1), 1);
+        sys.write64(at_rank(0), &[0xA0u8; 64]);
+        sys.write64(at_rank(1), &[0xB1u8; 64]);
+        assert_eq!(sys.read64(at_rank(0)).0, [0xA0u8; 64]);
+        assert_eq!(sys.read64(at_rank(1)).0, [0xB1u8; 64]);
+        // Slot 0's chips hold only its own rank's line.
+        let slot0 = sys.dimm_mut(0);
+        assert_eq!(slot0.peek(0, 9, 7, 9), [0xA0u8; 64]);
+        assert_eq!(slot0.peek(1, 9, 7, 9), [0u8; 64]);
     }
 
     #[test]

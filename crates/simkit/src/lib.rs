@@ -35,6 +35,7 @@
 pub mod clock;
 pub mod events;
 pub mod fault;
+pub mod hash;
 pub mod par;
 pub mod rng;
 pub mod stats;
