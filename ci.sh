@@ -91,7 +91,8 @@ cargo run --release -p bench --bin run_report -q -- check || status=1
 # Backend differential report: smoke mode reruns every workload shape on
 # both backends (exits non-zero on any functional divergence) and writes
 # target/backend_differential.smoke.json; check mode validates the
-# committed results/backend_differential.json.
+# committed results/backend_differential.json: it must parse, report
+# "all_functional_match": true and hold exactly the five workload rows.
 stage "backend_differential smoke + check"
 cargo run --release -p bench --bin backend_differential -q -- smoke || status=1
 cargo run --release -p bench --bin backend_differential -q -- check || status=1

@@ -1,10 +1,9 @@
 //! Self-timing micro-benchmark harness for the hot-path pass.
 //!
-//! Criterion (under `benches/`) is the statistician's tool; this module
-//! is the *CI-friendly* one: fixed iteration counts, a warmup phase, a
-//! median-of-N wall-clock measurement via [`simkit::timer`], and stable
-//! JSON emission (`BENCH_hotpaths.json` at the workspace root) that a
-//! shell step can assert on. No sampling heuristics, no adaptive run
+//! It is built to be *CI-friendly*: fixed iteration counts, a warmup
+//! phase, a median-of-N wall-clock measurement via [`simkit::timer`],
+//! and stable JSON emission (`BENCH_hotpaths.json` at the workspace root)
+//! that a shell step can assert on. No sampling heuristics, no adaptive run
 //! time — smoke mode finishes in seconds on any machine.
 
 use crate::Json;

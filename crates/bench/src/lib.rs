@@ -10,10 +10,15 @@
 //! rule: it times the *simulator's own* hot paths (wall-clock, not
 //! simulated cycles) for the `bench_hotpaths` binary, which writes
 //! `BENCH_hotpaths.json` at the repo root. See DESIGN.md §7.
+//!
+//! The [`differential`] module holds the backend-differential workloads,
+//! shared by the `backend_differential` report binary and the
+//! `tests/backend_differential.rs` suite.
 
 use std::fs;
 use std::path::PathBuf;
 
+pub mod differential;
 pub mod harness;
 
 /// Resolves (and creates) the workspace-level `results/` directory.

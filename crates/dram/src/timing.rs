@@ -1,8 +1,6 @@
 //! DDR4 timing parameters, expressed in DRAM command-clock cycles
 //! (DDR4-3200: 1600 MHz command clock, so 1 cycle = 0.625 ns).
 
-use simkit::Freq;
-
 /// DDR timing constraints used by the bank state machines and the
 /// controller's bus scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,11 +60,6 @@ impl Default for Timing {
 }
 
 impl Timing {
-    /// The DDR4-3200 command clock.
-    pub fn command_clock() -> Freq {
-        Freq::mhz(1600)
-    }
-
     /// Idle-bank read latency in cycles: ACT + tRCD + CL + burst.
     pub fn closed_row_read(&self) -> u64 {
         self.t_rcd + self.t_cl + self.t_burst
@@ -88,11 +81,6 @@ mod tests {
         assert!(t.t_ras >= t.t_rcd, "row must stay open past tRCD");
         assert!(t.t_ccd_l >= t.t_ccd_s, "same-BG CCD is the longer one");
         assert!(t.closed_row_read() > t.open_row_read());
-    }
-
-    #[test]
-    fn command_clock_is_ddr4_3200() {
-        assert_eq!(Timing::command_clock().hz(), 1_600_000_000);
     }
 
     #[test]

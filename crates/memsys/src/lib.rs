@@ -537,65 +537,48 @@ impl MemSystem {
         let end = addr.0 + size as u64;
         let mut report = FlushReport::default();
         // Fault injection may reorder this flush's writebacks or defer
-        // the tail of them into a write buffer. The un-faulted path is
-        // byte-for-byte the original inline loop.
+        // the tail of them into a write buffer. Undisturbed writebacks
+        // issue inline as each line is flushed; disturbed ones are
+        // collected first, then issued (possibly reversed) with the last
+        // `delay` of them deferred.
         let (reorder, delay) = match &self.fault {
             Some(f) => f.writeback_faults(),
             None => (false, 0),
         };
-        if reorder || delay > 0 {
+        let disturbed = reorder || delay > 0;
+        if disturbed {
             self.fault_disturbances += 1;
         }
-        if !reorder && delay == 0 {
-            let mut cur = start;
-            while cur < end {
-                // Whole page with nothing resident: every line takes the
-                // absent branch below, so charge the identical cycles in
-                // one step instead of 64 set scans.
-                if self.llc_residency_fastpath
-                    && cur.is_multiple_of(4096)
-                    && cur + 4096 <= end
-                    && self.llc.resident_lines_in_page(cur >> 12) == 0
-                {
-                    report.lines += 64;
-                    report.cycles += 64 * self.cost.flush_absent;
-                    self.dram.advance(64 * self.cost.flush_absent);
-                    cur += 4096;
-                    continue;
-                }
-                let line = PhysAddr(cur);
-                report.lines += 1;
-                if self.llc.contains(line) {
-                    report.resident += 1;
-                    if let Some(wb) = self.llc.flush_line(line) {
-                        report.dirty_writebacks += 1;
-                        let done = self.dram.write64(wb.addr, &wb.data);
-                        self.write_backpressure(done);
-                    } else {
-                        // flush_line on a clean resident line invalidates it.
-                    }
-                    report.cycles += self.cost.flush_present;
-                    self.dram.advance(self.cost.flush_present);
-                } else {
-                    report.cycles += self.cost.flush_absent;
-                    self.dram.advance(self.cost.flush_absent);
-                }
-                cur += CACHELINE as u64;
-            }
-            return report;
-        }
-        // Disturbed path: collect the dirty writebacks first, then issue
-        // them (possibly reversed), deferring the last `delay` of them.
-        let mut writebacks: Vec<(PhysAddr, [u8; 64])> = Vec::new();
+        let mut held: Vec<(PhysAddr, [u8; 64])> = Vec::new();
         let mut cur = start;
         while cur < end {
+            // Whole page with nothing resident: every line takes the
+            // absent branch below, so charge the identical cycles in one
+            // step instead of 64 set scans.
+            if self.llc_residency_fastpath
+                && cur.is_multiple_of(4096)
+                && cur + 4096 <= end
+                && self.llc.resident_lines_in_page(cur >> 12) == 0
+            {
+                report.lines += 64;
+                report.cycles += 64 * self.cost.flush_absent;
+                self.dram.advance(64 * self.cost.flush_absent);
+                cur += 4096;
+                continue;
+            }
             let line = PhysAddr(cur);
             report.lines += 1;
             if self.llc.contains(line) {
                 report.resident += 1;
+                // flush_line on a clean resident line just invalidates it.
                 if let Some(wb) = self.llc.flush_line(line) {
                     report.dirty_writebacks += 1;
-                    writebacks.push((wb.addr, wb.data));
+                    if disturbed {
+                        held.push((wb.addr, wb.data));
+                    } else {
+                        let done = self.dram.write64(wb.addr, &wb.data);
+                        self.write_backpressure(done);
+                    }
                 }
                 report.cycles += self.cost.flush_present;
                 self.dram.advance(self.cost.flush_present);
@@ -606,15 +589,15 @@ impl MemSystem {
             cur += CACHELINE as u64;
         }
         if reorder {
-            writebacks.reverse();
+            held.reverse();
         }
-        let deliver = writebacks.len().saturating_sub(delay);
-        for (addr, data) in writebacks.drain(..deliver) {
+        let deliver = held.len().saturating_sub(delay);
+        for (addr, data) in held.drain(..deliver) {
             let done = self.dram.write64(addr, &data);
             self.write_backpressure(done);
         }
-        report.deferred = writebacks.len() as u64;
-        self.deferred_wb.extend(writebacks);
+        report.deferred = held.len() as u64;
+        self.deferred_wb.extend(held);
         report
     }
 

@@ -5,8 +5,8 @@
 //! network model, the server harness) is built on four primitives provided
 //! here:
 //!
-//! * [`Cycle`] / [`SimClock`] — a monotonically increasing simulated time
-//!   base with nanosecond conversion helpers,
+//! * [`Cycle`] — a point in simulated time, an ordered newtype over a
+//!   cycle count,
 //! * [`EventQueue`] — a priority queue of timestamped events with a
 //!   deterministic FIFO tie-break,
 //! * [`DetRng`] — a seedable, reproducible pseudo-random number generator
@@ -43,7 +43,7 @@ pub mod telemetry;
 pub mod timer;
 pub mod trace;
 
-pub use clock::{Cycle, Freq, SimClock};
+pub use clock::Cycle;
 pub use events::EventQueue;
 pub use fault::{FaultEvent, FaultHandle, FaultKind, FaultPlan, FiredFault};
 pub use rng::DetRng;

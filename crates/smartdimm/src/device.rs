@@ -192,8 +192,6 @@ pub struct SmartDimmDevice {
     /// Offload currently owning each result slot (for live partial reads).
     slot_owner: Vec<Option<u64>>,
     stats: DeviceStats,
-    /// Cycle at which each staged line was produced, for slack tracking.
-    produce_time: BTreeMap<(usize, usize), Cycle>,
     /// rdCAS(sbuf) → wrCAS(dbuf) slack histogram (cycles, §IV-D).
     slack: Histogram,
     /// Fault injector (tests only; `None` costs nothing).
@@ -234,7 +232,6 @@ impl SmartDimmDevice {
             results: vec![ResultSlot::empty().to_bytes(); cfg.result_slots],
             slot_owner: vec![None; cfg.result_slots],
             stats: DeviceStats::default(),
-            produce_time: BTreeMap::new(),
             slack: Histogram::new("smartdimm.slack_cycles", 200, 2000),
             fault: None,
             injected_xlat_pages: Vec::new(),
@@ -379,7 +376,7 @@ impl SmartDimmDevice {
                 break;
             }
             for line in 0..LINES_PER_PAGE {
-                self.scratchpad.produce(sp, line, [0xA5u8; 64]);
+                self.scratchpad.produce(sp, line, [0xA5u8; 64], None);
             }
             self.injected_hog_pages.push(dst_page);
             staged += 1;
@@ -746,7 +743,6 @@ impl SmartDimmDevice {
             .process_line(byte_offset, data, (msg_len - byte_offset).min(64));
         Self::stage_outputs(
             &mut self.scratchpad,
-            &mut self.produce_time,
             &mut self.stats,
             off,
             at,
@@ -761,7 +757,6 @@ impl SmartDimmDevice {
     /// Routes DSA output lines into the scratchpad pages of the offload.
     fn stage_outputs(
         scratchpad: &mut Scratchpad,
-        produce_time: &mut BTreeMap<(usize, usize), Cycle>,
         stats: &mut DeviceStats,
         off: &Offload,
         at: Cycle,
@@ -778,8 +773,7 @@ impl SmartDimmDevice {
                 continue;
             };
             if scratchpad.line_state(scratch, line_in_page) == LineState::Pending {
-                scratchpad.produce(scratch, line_in_page, data);
-                produce_time.insert((scratch, line_in_page), at);
+                scratchpad.produce(scratch, line_in_page, data, Some(at));
             }
         }
     }
@@ -1044,10 +1038,10 @@ impl BufferDevice for SmartDimmDevice {
                 match self.scratchpad.line_state(scratch_page, line_in_page) {
                     LineState::Valid => {
                         // S9: Self-Recycle — substitute the staged result.
-                        let (data, freed) =
+                        let (data, produced_at, freed) =
                             self.scratchpad.recycle(info.at, scratch_page, line_in_page);
                         self.stats.self_recycles += 1;
-                        if let Some(t0) = self.produce_time.remove(&(scratch_page, line_in_page)) {
+                        if let Some(t0) = produced_at {
                             self.slack.record(info.at.saturating_since(t0));
                         }
                         if freed {
@@ -1363,6 +1357,76 @@ mod tests {
         }
         let slot = ResultSlot::from_bytes(&dev.results[6]);
         assert_eq!((slot.status, slot.tag), (OffloadStatus::Done, want_tag));
+    }
+
+    /// Registers a `msg_len`-byte TLS offload `id` over one page pair.
+    fn register_tls(dev: &mut SmartDimmDevice, id: u64, msg_len: usize, src: u64, dst: u64) {
+        let base = dev.cfg.config_base.0;
+        let op = OffloadOp::TlsEncrypt {
+            key: [1; 16],
+            iv: [2; 12],
+        };
+        let ctx = ContextChunk {
+            offload_id: id,
+            payload: payload(op, msg_len),
+        };
+        let info = prepare(dev, PhysAddr(base + CONTEXT_OFFSET));
+        dev.on_wr_cas(&info, &ctx.to_bytes());
+        let reg = Registration {
+            offload_id: id,
+            src_page_addr: src,
+            dst_page_addr: dst,
+            msg_offset: 0,
+        };
+        let info = prepare(dev, PhysAddr(base + REGISTER_OFFSET));
+        dev.on_wr_cas(&info, &reg.to_bytes());
+    }
+
+    /// Produce stamps belong to the Scratchpad page: a superseded page's
+    /// stamps leave with it, so a later occupant of the same page (here a
+    /// phantom hog, whose lines no DSA produced) records no slack sample.
+    #[test]
+    fn superseded_page_leaves_no_stale_slack_stamp() {
+        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+
+        // Offload A stages two lines on dst page 0x20000; line 0 recycles.
+        register_tls(&mut dev, 1, 128, 0x10000, 0x20000);
+        let staged = |dev: &SmartDimmDevice, page| match dev.xlat().peek(page) {
+            Some(Mapping::Dest { scratch_page, .. }) => scratch_page,
+            other => panic!("page {page:#x} not staged: {other:?}"),
+        };
+        let page_a = staged(&dev, 0x20);
+        for l in 0..2 {
+            let info = prepare(&mut dev, PhysAddr(0x10000 + l * 64));
+            dev.on_rd_cas(&info, &[0x11; 64]);
+        }
+        let info = prepare(&mut dev, PhysAddr(0x20000));
+        assert!(matches!(
+            dev.on_wr_cas(&info, &[0; 64]),
+            WrResult::Commit(_)
+        ));
+
+        // Offload B supersedes the page with one line, produced and
+        // recycled: the page frees itself onto the (LIFO) free list.
+        register_tls(&mut dev, 2, 64, 0x50000, 0x20000);
+        let info = prepare(&mut dev, PhysAddr(0x50000));
+        dev.on_rd_cas(&info, &[0x22; 64]);
+        let info = prepare(&mut dev, PhysAddr(0x20000));
+        assert!(matches!(
+            dev.on_wr_cas(&info, &[0; 64]),
+            WrResult::Commit(_)
+        ));
+        assert_eq!(dev.slack_histogram().count(), 2);
+
+        // A hog takes that page; recycling its line 1 (A's unrecycled
+        // line) must not sample A's stamp.
+        assert_eq!(dev.inject_scratch_hog(Cycle(0), 1), 1);
+        let hog = dev.injected_hog_pages[0];
+        assert_eq!(staged(&dev, hog), page_a, "hog reuses A's page");
+        let info = prepare(&mut dev, PhysAddr((hog << 12) + 64));
+        assert_eq!(dev.on_wr_cas(&info, &[0; 64]), WrResult::Commit([0xA5; 64]));
+        assert_eq!(dev.stats().self_recycles, 3);
+        assert_eq!(dev.slack_histogram().count(), 2, "stale stamp sampled");
     }
 
     #[test]

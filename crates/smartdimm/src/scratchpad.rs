@@ -31,6 +31,10 @@ struct Page {
     dst_page: u64,
     lines: [LineState; LINES_PER_PAGE],
     data: Vec<[u8; 64]>,
+    /// Cycle at which each valid line was produced, for the rdCAS→wrCAS
+    /// slack (`None` for lines staged without a DSA, e.g. injected hogs).
+    /// Boxed so every `Option<Page>` slot of the scratchpad stays small.
+    stamps: Box<[Option<Cycle>; LINES_PER_PAGE]>,
     /// Bitmask of lines that must eventually be produced and recycled.
     /// Under memory-channel interleaving this is a strided subset of the
     /// page — each DIMM stages only its own channel's cachelines (§V-D).
@@ -171,6 +175,7 @@ impl Scratchpad {
             dst_page,
             lines,
             data: vec![[0u8; 64]; LINES_PER_PAGE],
+            stamps: Box::new([None; LINES_PER_PAGE]),
             expected_mask,
             recycled: 0,
         });
@@ -212,19 +217,23 @@ impl Scratchpad {
         }
     }
 
-    /// Stores a DSA result line, marking it valid.
+    /// Stores a DSA result line, marking it valid and stamping it with
+    /// the cycle it was produced at (`None` for a line no DSA produced).
     ///
     /// # Panics
     ///
     /// Panics if the page is unallocated, the line is out of the expected
     /// range, or the line was already produced.
-    pub fn produce(&mut self, page: usize, line: usize, data: [u8; 64]) {
+    pub fn produce(&mut self, page: usize, line: usize, data: [u8; 64], at: Option<Cycle>) {
         // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
         let p = self.pages[page].as_mut().expect("allocated page");
         assert!(p.expects(line), "line beyond expected output");
         assert_eq!(p.lines[line], LineState::Pending, "line already produced");
         p.lines[line] = LineState::Valid;
         p.data[line] = data;
+        if let Some(stamp) = p.stamps.get_mut(line) {
+            *stamp = at;
+        }
     }
 
     /// State of a line in an allocated page.
@@ -248,25 +257,31 @@ impl Scratchpad {
         p.data[line]
     }
 
-    /// Recycles a valid line: returns the staged data (to substitute into
-    /// the wrCAS) and marks the line done. Returns the page's destination
-    /// page and whether the whole page was freed.
+    /// Recycles a valid line and marks it done. Returns the staged data
+    /// (to substitute into the wrCAS), the cycle it was produced at, and
+    /// whether the whole page was freed.
     ///
     /// # Panics
     ///
     /// Panics if the line is not valid.
-    pub fn recycle(&mut self, at: Cycle, page: usize, line: usize) -> ([u8; 64], bool) {
+    pub fn recycle(
+        &mut self,
+        at: Cycle,
+        page: usize,
+        line: usize,
+    ) -> ([u8; 64], Option<Cycle>, bool) {
         // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
         let p = self.pages[page].as_mut().expect("allocated page");
         assert_eq!(p.lines[line], LineState::Valid, "recycling non-valid line");
         let data = p.data[line];
+        let produced_at = p.stamps.get(line).copied().flatten();
         p.lines[line] = LineState::Done;
         p.recycled += 1;
         self.in_use_lines -= 1;
         self.stats.self_recycled_lines += 1;
         let freed = self.maybe_free(page);
         self.sample(at);
-        (data, freed)
+        (data, produced_at, freed)
     }
 
     fn maybe_free(&mut self, page: usize) -> bool {
@@ -335,12 +350,12 @@ mod tests {
         let at = Cycle(0);
         let page = sp.alloc(at, 0x1000, prefix_mask(2)).unwrap();
         assert_eq!(sp.free_pages(), 3);
-        sp.produce(page, 0, [1u8; 64]);
-        sp.produce(page, 1, [2u8; 64]);
-        let (d0, freed) = sp.recycle(Cycle(10), page, 0);
-        assert_eq!(d0, [1u8; 64]);
+        sp.produce(page, 0, [1u8; 64], Some(Cycle(3)));
+        sp.produce(page, 1, [2u8; 64], None);
+        let (d0, t0, freed) = sp.recycle(Cycle(10), page, 0);
+        assert_eq!((d0, t0), ([1u8; 64], Some(Cycle(3))));
         assert!(!freed);
-        let (d1, freed) = sp.recycle(Cycle(20), page, 1);
+        let (d1, _, freed) = sp.recycle(Cycle(20), page, 1);
         assert_eq!(d1, [2u8; 64]);
         assert!(freed);
         assert_eq!(sp.free_pages(), 4);
@@ -361,7 +376,7 @@ mod tests {
         let mut sp = Scratchpad::new(1);
         let page = sp.alloc(Cycle(0), 7, prefix_mask(3)).unwrap();
         assert_eq!(sp.line_state(page, 0), LineState::Pending);
-        sp.produce(page, 0, [9u8; 64]);
+        sp.produce(page, 0, [9u8; 64], None);
         assert_eq!(sp.line_state(page, 0), LineState::Valid);
         assert_eq!(sp.read(page, 0), [9u8; 64]);
         let _ = sp.recycle(Cycle(1), page, 0);
@@ -372,13 +387,13 @@ mod tests {
     fn set_expected_trims_and_frees() {
         let mut sp = Scratchpad::new(1);
         let page = sp.alloc(Cycle(0), 7, prefix_mask(64)).unwrap();
-        sp.produce(page, 0, [1u8; 64]);
-        sp.produce(page, 1, [2u8; 64]);
+        sp.produce(page, 0, [1u8; 64], None);
+        sp.produce(page, 1, [2u8; 64], None);
         // Compression finished: only 2 output lines.
         sp.set_expected(Cycle(5), page, prefix_mask(2));
         assert_eq!(sp.occupied_bytes(), 2 * 64);
         let _ = sp.recycle(Cycle(6), page, 0);
-        let (_, freed) = sp.recycle(Cycle(7), page, 1);
+        let (_, _, freed) = sp.recycle(Cycle(7), page, 1);
         assert!(freed);
     }
 
@@ -387,7 +402,7 @@ mod tests {
         let mut sp = Scratchpad::new(1);
         let page = sp.alloc(Cycle(0), 7, prefix_mask(4)).unwrap();
         assert_eq!(sp.pending_lines(page), 4);
-        sp.produce(page, 2, [0u8; 64]);
+        sp.produce(page, 2, [0u8; 64], None);
         assert_eq!(sp.pending_lines(page), 3);
         assert_eq!(sp.valid_lines(page), vec![2]);
         assert_eq!(sp.pending_pages(), vec![(page, 7)]);
@@ -399,7 +414,7 @@ mod tests {
         let p = sp.alloc(Cycle(0), 1, prefix_mask(64)).unwrap();
         assert_eq!(sp.occupied_bytes(), 4096);
         for i in 0..64 {
-            sp.produce(p, i, [0u8; 64]);
+            sp.produce(p, i, [0u8; 64], None);
         }
         for i in 0..64 {
             let _ = sp.recycle(Cycle(100 + i as u64), p, i);
@@ -415,8 +430,8 @@ mod tests {
     fn double_produce_rejected() {
         let mut sp = Scratchpad::new(1);
         let page = sp.alloc(Cycle(0), 7, prefix_mask(2)).unwrap();
-        sp.produce(page, 0, [0u8; 64]);
-        sp.produce(page, 0, [0u8; 64]);
+        sp.produce(page, 0, [0u8; 64], None);
+        sp.produce(page, 0, [0u8; 64], None);
     }
 
     #[test]
