@@ -223,8 +223,8 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
     // interleave, deflate under coarse, TLS on the fast backend).
     // Before: the pre-parallel report builder — entries run one after
     // another on the caller's thread. After: the same entries fanned
-    // out on a 4-worker `simkit::par` pool, exactly as `run_report`
-    // now executes them. Results are byte-identical either way; the
+    // out on a 4-worker `simkit::par` pool, the fan-out `run_report`
+    // uses. Results are byte-identical either way; the
     // ratio is the wall-clock scaling of whole-simulation parallelism, bounded by
     // the slowest single entry (deflate).
     let entries = || -> Vec<(PlatformKind, WorkloadConfig)> {
@@ -268,7 +268,7 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
     HotPath {
         name: "whole_sim_parallel",
         before_impl: "sequential report builder (entries run back to back)",
-        after_impl: "4-worker simkit::par fan-out (work-stealing deque, ordered mount)",
+        after_impl: "4-worker simkit::par fan-out (one shared index queue, ordered mount)",
         work_units: format!(
             "4-channel run_report entries: TLS cpu+smartdimm fine, deflate \
              coarse, TLS fast-backend, {connections} conns x {requests} reqs"

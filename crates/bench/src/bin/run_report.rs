@@ -8,16 +8,18 @@
 //! `run_report/v1` metadata wrapper around the deterministic
 //! `telemetry/v1` snapshot.
 //!
-//! The wall-clock stamp lives *only* in the wrapper metadata; the inner
-//! snapshot is byte-identical across same-seed runs (enforced by
+//! The entries run in parallel on every worker the machine offers
+//! (`simkit::par::available_workers`). The wall-clock stamp lives *only*
+//! in the wrapper metadata; the inner snapshot is byte-identical across
+//! same-seed runs at any worker count (enforced by
 //! `tests/telemetry_determinism.rs`). Modes follow `bench_hotpaths`:
 //!
 //! * `smoke` — tiny workload for CI; writes `target/run_report.smoke.json`
 //!   so a CI run never clobbers the committed full-mode report,
 //! * `full` — the committed report at `results/run_report.json` (default),
 //! * `check` — validate the committed report (well-formed JSON, both
-//!   schema tags, the expected top-level scopes) and exit non-zero
-//!   otherwise (used by `ci.sh`).
+//!   schema tags, the expected top-level scopes, no host-dependent
+//!   wrapper fields) and exit non-zero otherwise (used by `ci.sh`).
 
 use bench::harness::json_parses;
 use cache::CacheConfig;
@@ -27,7 +29,6 @@ use platforms::{
     run_event_server_with_telemetry, run_server_with_telemetry, AdmissionConfig, AdmissionPolicy,
     EventWorkloadConfig, PlatformKind, UlpKind, WorkloadConfig,
 };
-use simkit::par::ParStats;
 use simkit::telemetry::{Registry, Scope};
 use smartdimm::PlacementPolicy;
 use std::path::PathBuf;
@@ -435,42 +436,40 @@ fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> V
 }
 
 /// Builds the full telemetry tree for one workload scale, fanning the
-/// independent entries across `threads` workers. Everything is seeded
+/// independent entries across `workers` threads. Everything is seeded
 /// and scopes mount in entry-list order, so the registry snapshots
 /// byte-identically for the same `(connections, requests,
-/// transfer_bytes)` triple at *any* worker count — only the returned
-/// [`ParStats`] (wall-clock metadata) varies.
+/// transfer_bytes)` triple at *any* worker count.
 fn build_registry(
     connections: usize,
     requests: usize,
     transfer_bytes: u64,
-    threads: usize,
-) -> (Registry, ParStats) {
+    workers: usize,
+) -> Registry {
     let entries = report_entries(connections, requests, transfer_bytes);
-    let (results, stats) = simkit::par::run_indexed(threads, entries, |_, e| run_entry(e));
+    let (results, _) = simkit::par::run_indexed(workers, entries, |_, e| run_entry(e));
     let mut reg = Registry::new();
     for (path, scope, line) in results {
         println!("{line}");
         *reg.scope(&path) = scope;
     }
-    (reg, stats)
+    reg
 }
 
+/// Wrapper fields that describe the host rather than the simulation.
+/// The committed report must not carry them, so it stays byte-identical
+/// on any machine apart from the wall-clock stamp.
+const HOST_FIELDS: &[&str] = &["workers", "par_tasks", "par_steals"];
+
 /// Wraps the telemetry snapshot in the `run_report/v1` metadata document.
-/// The wall-clock stamp and the scheduler stats (worker count, task and
-/// steal totals from the entry fan-out) are the only non-deterministic
-/// fields, which is why they live out here and not inside the snapshot.
-fn render_report(mode: &str, snapshot: &str, stats: ParStats) -> String {
+/// The wall-clock stamp is the only non-deterministic field, which is
+/// why it lives out here and not inside the snapshot.
+fn render_report(mode: &str, snapshot: &str) -> String {
     let indented = snapshot.replace('\n', "\n  ");
     format!(
         "{{\n  \"schema\": \"run_report/v1\",\n  \"mode\": \"{mode}\",\n  \
-         \"generated_at_unix\": {},\n  \"workers\": {},\n  \
-         \"par_tasks\": {},\n  \"par_steals\": {},\n  \
-         \"telemetry\": {indented}\n}}",
-        simkit::timer::unix_time_secs(),
-        stats.workers,
-        stats.tasks,
-        stats.steals
+         \"generated_at_unix\": {},\n  \"telemetry\": {indented}\n}}",
+        simkit::timer::unix_time_secs()
     )
 }
 
@@ -502,6 +501,16 @@ fn check(path: &PathBuf) -> ExitCode {
     for tag in ["run_report/v1", "telemetry/v1"] {
         if !doc.contains(tag) {
             eprintln!("[err] {} lacks schema tag {tag:?}", path.display());
+            return ExitCode::FAILURE;
+        }
+    }
+    let wrapper = doc.split("\"telemetry\":").next().unwrap_or(&doc);
+    for field in HOST_FIELDS {
+        if wrapper.contains(&format!("\"{field}\"")) {
+            eprintln!(
+                "[err] {} wrapper carries host-dependent field {field:?}",
+                path.display()
+            );
             return ExitCode::FAILURE;
         }
     }
@@ -560,11 +569,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let threads = simkit::par::configured_threads(0);
-    println!("run report ({mode} mode, {threads} worker(s))");
-    let (reg, stats) = build_registry(connections, requests, transfer_bytes, threads);
+    let workers = simkit::par::available_workers();
+    println!("run report ({mode} mode, {workers} worker(s))");
+    let reg = build_registry(connections, requests, transfer_bytes, workers);
     let snapshot = reg.snapshot();
-    let doc = render_report(&mode, &snapshot, stats);
+    let doc = render_report(&mode, &snapshot);
     assert!(json_parses(&doc), "emitted report must be valid JSON");
     for scope in REQUIRED_SCOPES {
         let leaf = scope.rsplit('.').next().expect("non-empty scope path");

@@ -68,9 +68,9 @@ impl Outcome {
                 force_recycles: host.force_recycle_count(),
                 injected_faults: host.injected_fault_count(),
                 fallbacks,
-                rd_cas: stats.rd_cas.value(),
-                wr_cas: stats.wr_cas.value(),
-                alert_retries: stats.retries.value(),
+                rd_cas: stats.rd_cas,
+                wr_cas: stats.wr_cas,
+                alert_retries: stats.retries,
             },
             now: dram.now().raw(),
             busy: (0..channels).map(|c| dram.channel_busy_cycles(c)).sum(),

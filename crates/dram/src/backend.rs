@@ -132,8 +132,8 @@ mod tests {
             acc.read_bytes(PhysAddr(0x2010), 900)
         );
         // Same CAS counts on the straight-line path (no retries here).
-        assert_eq!(fast.stats().rd_cas.value(), acc.stats().rd_cas.value());
-        assert_eq!(fast.stats().wr_cas.value(), acc.stats().wr_cas.value());
+        assert_eq!(fast.stats().rd_cas, acc.stats().rd_cas);
+        assert_eq!(fast.stats().wr_cas, acc.stats().wr_cas);
     }
 
     #[test]
@@ -151,7 +151,7 @@ mod tests {
             let (line, _) = b.read64(PhysAddr(0x4000 + (i as u64) * 64));
             assert_eq!(page[i], line, "line {i}");
         }
-        assert_eq!(a.stats().rd_cas.value(), b.stats().rd_cas.value());
+        assert_eq!(a.stats().rd_cas, b.stats().rd_cas);
         let t = a.timing();
         assert!(lat >= t.t_rcd + t.t_cl + 64 * t.t_burst);
     }
@@ -205,7 +205,7 @@ mod tests {
         let (_, remote) = s.read64(PhysAddr(64)); // channel 1, socket 1
         assert_eq!(local, read_service(&s));
         assert_eq!(remote, read_service(&s) + 300);
-        assert_eq!(s.stats().remote_accesses.value(), 1);
+        assert_eq!(s.stats().remote_accesses, 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! "now" and reports its completion cycle, so overlapping accesses from
 //! different banks pipeline exactly as the open-bank state allows.
 
-use simkit::{Counter, Cycle, TraceSink};
+use simkit::{Cycle, TraceSink};
 
 use crate::addr::{AddressMapper, DramTopology, PhysAddr};
 use crate::backend::BackendKind;
@@ -117,44 +117,31 @@ pub struct MemorySystemConfig {
 }
 
 /// Aggregate DRAM statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DramStats {
     /// Read CAS commands issued.
-    pub rd_cas: Counter,
+    pub rd_cas: u64,
     /// Write CAS commands issued.
-    pub wr_cas: Counter,
+    pub wr_cas: u64,
     /// Row activations.
-    pub activates: Counter,
+    pub activates: u64,
     /// Precharges (row conflicts; refresh precharges are not counted).
-    pub precharges: Counter,
+    pub precharges: u64,
     /// CAS commands that hit an open row.
-    pub row_hits: Counter,
+    pub row_hits: u64,
     /// `ALERT_N` retries observed (§IV-D).
-    pub retries: Counter,
+    pub retries: u64,
     /// All-bank refresh commands issued (tREFI cadence).
-    pub refreshes: Counter,
+    pub refreshes: u64,
     /// CAS commands that crossed the inter-socket link (the target
     /// channel belongs to a socket other than the home socket).
-    pub remote_accesses: Counter,
+    pub remote_accesses: u64,
 }
 
 impl DramStats {
-    pub(crate) fn new() -> DramStats {
-        DramStats {
-            rd_cas: Counter::new("dram.rd_cas"),
-            wr_cas: Counter::new("dram.wr_cas"),
-            activates: Counter::new("dram.act"),
-            precharges: Counter::new("dram.pre"),
-            row_hits: Counter::new("dram.row_hits"),
-            retries: Counter::new("dram.retries"),
-            refreshes: Counter::new("dram.refresh"),
-            remote_accesses: Counter::new("dram.remote"),
-        }
-    }
-
     /// Total bytes moved over the DDR buses.
     pub fn bytes_transferred(&self) -> u64 {
-        (self.rd_cas.value() + self.wr_cas.value()) * 64
+        (self.rd_cas + self.wr_cas) * 64
     }
 }
 
@@ -237,7 +224,7 @@ impl DramSystem {
             fidelity,
             channels,
             now: Cycle::ZERO,
-            stats: DramStats::new(),
+            stats: DramStats::default(),
             trace: if config.trace {
                 TraceSink::enabled()
             } else {
@@ -280,7 +267,7 @@ impl DramSystem {
         if self.mapper.topology().socket_of_channel(channel) == self.home_socket {
             return 0;
         }
-        self.stats.remote_accesses.add(cas);
+        self.stats.remote_accesses += cas;
         self.channels[channel].remote_accesses += cas;
         self.interconnect_penalty
     }
@@ -319,7 +306,7 @@ impl DramSystem {
 
     /// Resets statistics and per-channel busy counters.
     pub fn reset_stats(&mut self) {
-        self.stats = DramStats::new();
+        self.stats = DramStats::default();
         for ch in &mut self.channels {
             ch.busy_cycles = 0;
             ch.remote_accesses = 0;
@@ -356,17 +343,17 @@ impl DramSystem {
     /// bus-busy cycles, trace retention) under `scope` for a
     /// `telemetry/v1` snapshot.
     pub fn export_telemetry(&self, scope: &mut simkit::telemetry::Scope) {
-        scope.set_counter("rd_cas", self.stats.rd_cas.value());
-        scope.set_counter("wr_cas", self.stats.wr_cas.value());
-        scope.set_counter("activates", self.stats.activates.value());
-        scope.set_counter("precharges", self.stats.precharges.value());
-        scope.set_counter("row_hits", self.stats.row_hits.value());
-        scope.set_counter("retries", self.stats.retries.value());
-        scope.set_counter("refreshes", self.stats.refreshes.value());
+        scope.set_counter("rd_cas", self.stats.rd_cas);
+        scope.set_counter("wr_cas", self.stats.wr_cas);
+        scope.set_counter("activates", self.stats.activates);
+        scope.set_counter("precharges", self.stats.precharges);
+        scope.set_counter("row_hits", self.stats.row_hits);
+        scope.set_counter("retries", self.stats.retries);
+        scope.set_counter("refreshes", self.stats.refreshes);
         scope.set_counter("bytes_transferred", self.stats.bytes_transferred());
         scope.set_counter("trace_records", self.trace.records().len() as u64);
         scope.set_counter("trace_dropped_records", self.trace.dropped_records());
-        scope.set_counter("remote_accesses", self.stats.remote_accesses.value());
+        scope.set_counter("remote_accesses", self.stats.remote_accesses);
         for (i, ch) in self.channels.iter().enumerate() {
             let s = scope.scope(&format!("channel{i}"));
             s.set_counter("busy_cycles", ch.busy_cycles);
@@ -442,13 +429,13 @@ impl DramSystem {
             return ready;
         };
         if precharged {
-            self.stats.precharges.inc();
+            self.stats.precharges += 1;
         }
         if activated {
-            self.stats.activates.inc();
+            self.stats.activates += 1;
             ch.dimms[slot].activate(ready, rank, bank_index, row);
         } else {
-            self.stats.row_hits.inc();
+            self.stats.row_hits += 1;
         }
         ready
     }
@@ -468,7 +455,7 @@ impl DramSystem {
                 return at;
             }
             *next_refresh = due + t.t_refi;
-            self.stats.refreshes.inc();
+            self.stats.refreshes += 1;
             for rank in 0..topo.ranks_per_channel() {
                 for bank_index in 0..topo.banks_per_rank() {
                     self.bank_command(channel, due, rank, bank_index, None);
@@ -552,7 +539,7 @@ impl DramSystem {
                 loc.row,
                 BusDir::Read,
             );
-            self.stats.rd_cas.inc();
+            self.stats.rd_cas += 1;
             self.trace.record(issue, "rdCAS", addr.0, tag);
             let info = CasInfo {
                 loc,
@@ -565,7 +552,7 @@ impl DramSystem {
                 RdResult::Data(data) => return (data, done.saturating_since(self.now) + hop),
                 RdResult::Retry => {
                     // ALERT_N: retry after the standard delay.
-                    self.stats.retries.inc();
+                    self.stats.retries += 1;
                     attempt_at = issue + self.timing.retry_delay;
                 }
             }
@@ -595,7 +582,7 @@ impl DramSystem {
             loc.row,
             BusDir::Write,
         );
-        self.stats.wr_cas.inc();
+        self.stats.wr_cas += 1;
         self.trace.record(issue, "wrCAS", addr.0, tag);
         let info = CasInfo {
             loc,
@@ -693,7 +680,7 @@ impl DramSystem {
                 (ready, ready + service)
             }
         };
-        self.stats.rd_cas.add(LINES as u64);
+        self.stats.rd_cas += LINES as u64;
         if self.trace.is_enabled() {
             for i in 0..LINES {
                 self.trace.record(
@@ -796,9 +783,9 @@ mod tests {
         let (_, first) = s.read64(PhysAddr(0));
         s.advance(1000);
         let (_, _hit) = s.read64(PhysAddr(0));
-        let before = s.stats().precharges.value();
+        let before = s.stats().precharges;
         let (_, _conflict) = s.read64(PhysAddr(stride));
-        assert_eq!(s.stats().precharges.value(), before + 1);
+        assert_eq!(s.stats().precharges, before + 1);
         assert!(first > 0);
     }
 
@@ -811,8 +798,8 @@ mod tests {
         for i in 0..7u64 {
             let _ = s.read64(PhysAddr(i * 64));
         }
-        assert_eq!(s.stats().wr_cas.value(), 10);
-        assert_eq!(s.stats().rd_cas.value(), 7);
+        assert_eq!(s.stats().wr_cas, 10);
+        assert_eq!(s.stats().rd_cas, 7);
         assert_eq!(s.stats().bytes_transferred(), 17 * 64);
     }
 
@@ -823,8 +810,8 @@ mod tests {
             let _ = s.read64(PhysAddr(i * 64));
             s.advance(4);
         }
-        let hits = s.stats().row_hits.value();
-        let acts = s.stats().activates.value();
+        let hits = s.stats().row_hits;
+        let acts = s.stats().activates;
         // 16 banks activate once; the rest are hits.
         assert_eq!(acts, 16);
         assert_eq!(hits, 240);
@@ -874,9 +861,9 @@ mod tests {
         // processes every due refresh.
         s.advance(trefi * 4 + 10);
         let _ = s.read64(PhysAddr(0));
-        assert_eq!(s.stats().refreshes.value(), 4);
+        assert_eq!(s.stats().refreshes, 4);
         // Rows were closed by the refresh: the access re-activated.
-        assert!(s.stats().activates.value() >= 1);
+        assert!(s.stats().activates >= 1);
     }
 
     #[test]
@@ -885,21 +872,13 @@ mod tests {
         let trefi = s.timing().t_refi;
         let (_, _) = s.read64(PhysAddr(0));
         s.advance(100);
-        let before = s.stats().row_hits.value();
+        let before = s.stats().row_hits;
         let (_, _) = s.read64(PhysAddr(0));
-        assert_eq!(
-            s.stats().row_hits.value(),
-            before + 1,
-            "row hit before refresh"
-        );
+        assert_eq!(s.stats().row_hits, before + 1, "row hit before refresh");
         s.advance(trefi + 100);
-        let acts = s.stats().activates.value();
+        let acts = s.stats().activates;
         let (_, _) = s.read64(PhysAddr(0));
-        assert_eq!(
-            s.stats().activates.value(),
-            acts + 1,
-            "row reopened after refresh"
-        );
+        assert_eq!(s.stats().activates, acts + 1, "row reopened after refresh");
     }
 
     #[test]
@@ -924,8 +903,8 @@ mod tests {
         }
         assert!(lat > 0);
         // Same CAS count and bank behaviour as 64 per-line reads.
-        assert_eq!(a.stats().rd_cas.value(), b.stats().rd_cas.value());
-        assert_eq!(a.stats().activates.value(), b.stats().activates.value());
+        assert_eq!(a.stats().rd_cas, b.stats().rd_cas);
+        assert_eq!(a.stats().activates, b.stats().activates);
     }
 
     #[test]
@@ -1022,9 +1001,9 @@ mod tests {
         let (_, r_charged) = charged.read64(remote);
         assert_eq!(l_free, l_charged, "local access unaffected");
         assert_eq!(r_charged, r_free + 500, "remote access pays the hop");
-        assert_eq!(charged.stats().remote_accesses.value(), 1);
+        assert_eq!(charged.stats().remote_accesses, 1);
         // The remote counter tallies even when the penalty is zero.
-        assert_eq!(free.stats().remote_accesses.value(), 1);
+        assert_eq!(free.stats().remote_accesses, 1);
     }
 
     #[test]
@@ -1086,7 +1065,7 @@ mod tests {
         let _ = s.read64(PhysAddr(0));
         s.advance(s.timing().t_refi + 100);
         let _ = s.read64(PhysAddr(0));
-        assert_eq!(s.stats().refreshes.value(), 1);
+        assert_eq!(s.stats().refreshes, 1);
         let recorder = s.dimm_mut(0).buffer_mut().as_any_mut();
         let seen = &recorder.downcast_mut::<Recorder>().unwrap().commands;
         // The refresh closed the open bank: the device must see that PRE
@@ -1098,6 +1077,6 @@ mod tests {
         ];
         assert_eq!(seen.as_slice(), &want);
         // Refresh precharges are not counted as row-conflict precharges.
-        assert_eq!(s.stats().precharges.value(), 0);
+        assert_eq!(s.stats().precharges, 0);
     }
 }

@@ -102,13 +102,6 @@ pub struct MemConfig {
     /// range — stays on the per-line reference path. Disable to force
     /// per-line behaviour everywhere (the differential oracle does).
     pub batch_page_copy: bool,
-    /// Use the LLC page-residency fast paths (PR 3): `flush` may settle
-    /// a whole non-resident page in one step and `memcpy` may take the
-    /// batched page copy, both gated on `resident_lines_in_page`.
-    /// Disable to force the per-line reference walks everywhere — the
-    /// accounting must not change (the cache-bypass differential test
-    /// pins it), so a stale-residency bug cannot hide behind the skip.
-    pub llc_residency_fastpath: bool,
 }
 
 impl Default for MemConfig {
@@ -119,7 +112,6 @@ impl Default for MemConfig {
             llc: None,
             cost: CostModel::default(),
             batch_page_copy: true,
-            llc_residency_fastpath: true,
         }
     }
 }
@@ -179,8 +171,6 @@ pub struct MemSystem {
     fault_disturbances: u64,
     /// Whether `memcpy` may take the batched whole-page fast path.
     batch_page_copy: bool,
-    /// Whether the LLC page-residency fast paths may be taken.
-    llc_residency_fastpath: bool,
     /// Pages copied via the batched fast path (for tests/benchmarks).
     page_copies: u64,
 }
@@ -209,7 +199,6 @@ impl MemSystem {
             deferred_wb: Vec::new(),
             fault_disturbances: 0,
             batch_page_copy: config.batch_page_copy,
-            llc_residency_fastpath: config.llc_residency_fastpath,
             page_copies: 0,
         }
     }
@@ -460,7 +449,7 @@ impl MemSystem {
         // Batched whole-page fast path (unordered copies only — ordered
         // mode's per-line fences are the point of that mode; background
         // co-runners need per-line interleaving to contend realistically).
-        if self.batch_page_copy && self.llc_residency_fastpath && !ordered && self.bg.is_none() {
+        if self.batch_page_copy && !ordered && self.bg.is_none() {
             while (off as usize) + PAGE_BYTES <= size
                 && (src.0 + off).is_multiple_of(PAGE_BYTES as u64)
                 && (dst.0 + off).is_multiple_of(PAGE_BYTES as u64)
@@ -555,8 +544,7 @@ impl MemSystem {
             // Whole page with nothing resident: every line takes the
             // absent branch below, so charge the identical cycles in one
             // step instead of 64 set scans.
-            if self.llc_residency_fastpath
-                && cur.is_multiple_of(4096)
+            if cur.is_multiple_of(4096)
                 && cur + 4096 <= end
                 && self.llc.resident_lines_in_page(cur >> 12) == 0
             {
@@ -730,10 +718,7 @@ mod tests {
         for i in 0..1024u64 {
             assert_eq!(m.load_line(PhysAddr(i * 64), 0), [(i % 251) as u8; 64]);
         }
-        assert!(
-            m.dram().stats().wr_cas.value() > 0,
-            "evictions reached DRAM"
-        );
+        assert!(m.dram().stats().wr_cas > 0, "evictions reached DRAM");
     }
 
     #[test]
@@ -789,10 +774,7 @@ mod tests {
         assert_eq!(a.page_copies(), 2, "both pages took the batched path");
         assert_eq!(b.page_copies(), 0);
         // DRAM read traffic is identical: both paths miss all 128 lines.
-        assert_eq!(
-            a.dram().stats().rd_cas.value(),
-            b.dram().stats().rd_cas.value()
-        );
+        assert_eq!(a.dram().stats().rd_cas, b.dram().stats().rd_cas);
         let mut got_a = vec![0u8; 8192];
         let mut got_b = vec![0u8; 8192];
         a.load(dst, &mut got_a, 0);
@@ -802,59 +784,37 @@ mod tests {
     }
 
     #[test]
-    fn disabled_residency_fastpath_is_behavior_neutral() {
-        // `llc_residency_fastpath: false` turns off the page-residency
-        // shortcuts: flush scans every line individually (no whole-page
-        // absent step) and memcpy never takes the batched page path.
-        // Bytes, flush accounting and DRAM command counts must be
-        // identical to the fast-path build; only `page_copies` differs.
-        let mk = |fastpath| {
-            MemSystem::new(MemConfig {
+    fn whole_page_absent_flush_matches_per_line_flushes() {
+        // A flush over whole non-resident pages settles each page in one
+        // step. A one-line flush never covers a whole page, so 128 of
+        // them walk the per-line absent branch; the accounting and the
+        // clock must come out the same.
+        let mk = || {
+            let mut m = MemSystem::new(MemConfig {
                 llc: Some(CacheConfig::kb(16, 4)),
-                llc_residency_fastpath: fastpath,
                 ..MemConfig::default()
-            })
+            });
+            m.store(PhysAddr(0x10000), &[0x5Au8; 8192], 0);
+            m.flush(PhysAddr(0x10000), 8192);
+            m
         };
-        let mut on = mk(true);
-        let mut off = mk(false);
-        let src = PhysAddr(0x10000);
-        let dst = PhysAddr(0x20000);
-        let payload: Vec<u8> = (0..8192u32)
-            .map(|i| (i.wrapping_mul(0x9E3779B9) >> 9) as u8)
-            .collect();
-        let mut reports = Vec::new();
-        for m in [&mut on, &mut off] {
-            m.store(src, &payload, 0);
-            // Dirty flush: every line resident, none takes the shortcut
-            // even when it is enabled.
-            let dirty = m.flush(src, 8192);
-            // Absent flush: the enabled build takes the whole-page step,
-            // the disabled build scans 128 individual absent lines. The
-            // reports must still agree line for line and cycle for cycle.
-            let absent = m.flush(src, 8192);
-            m.memcpy(dst, src, 8192, 0, false);
-            reports.push((dirty, absent));
+        let mut paged = mk();
+        let mut lined = mk();
+        assert_eq!(paged.now(), lined.now(), "identical preparation");
+        let whole = paged.flush(PhysAddr(0x10000), 8192);
+        let mut sum = FlushReport::default();
+        for i in 0..128u64 {
+            let r = lined.flush(PhysAddr(0x10000 + i * 64), 64);
+            sum.lines += r.lines;
+            sum.resident += r.resident;
+            sum.dirty_writebacks += r.dirty_writebacks;
+            sum.deferred += r.deferred;
+            sum.cycles += r.cycles;
         }
-        assert_eq!(reports[0], reports[1], "flush accounting diverged");
-        assert_eq!(reports[0].1.resident, 0, "second flush found residents");
-        assert!(on.page_copies() > 0, "fast path never engaged");
-        assert_eq!(off.page_copies(), 0, "disabled build took the fast path");
-        assert_eq!(
-            on.dram().stats().rd_cas.value(),
-            off.dram().stats().rd_cas.value(),
-            "DRAM read traffic diverged"
-        );
-        assert_eq!(
-            on.dram().stats().wr_cas.value(),
-            off.dram().stats().wr_cas.value(),
-            "DRAM write traffic diverged"
-        );
-        let mut got_on = vec![0u8; 8192];
-        let mut got_off = vec![0u8; 8192];
-        on.load(dst, &mut got_on, 0);
-        off.load(dst, &mut got_off, 0);
-        assert_eq!(got_on, payload);
-        assert_eq!(got_on, got_off);
+        assert_eq!(whole.lines, 128);
+        assert_eq!(whole.resident, 0, "the range was flushed beforehand");
+        assert_eq!(whole, sum, "flush accounting diverged");
+        assert_eq!(paged.now(), lined.now(), "clocks diverged");
     }
 
     #[test]
@@ -887,14 +847,11 @@ mod tests {
     fn flush_writes_dirty_lines_to_dram() {
         let mut m = small();
         m.store(PhysAddr(0x3000), &[9u8; 4096], 0);
-        let before = m.dram().stats().wr_cas.value();
+        let before = m.dram().stats().wr_cas;
         let report = m.flush(PhysAddr(0x3000), 4096);
         assert_eq!(report.lines, 64);
         assert!(report.dirty_writebacks > 0);
-        assert_eq!(
-            m.dram().stats().wr_cas.value(),
-            before + report.dirty_writebacks
-        );
+        assert_eq!(m.dram().stats().wr_cas, before + report.dirty_writebacks);
         // Data must still be correct after the flush (now from DRAM).
         let mut buf = vec![0u8; 4096];
         m.load(PhysAddr(0x3000), &mut buf, 0);
@@ -975,11 +932,11 @@ mod tests {
     fn large_dma_leaks_to_dram_via_ddio() {
         // Observation 3: DMA bursts beyond the DDIO ways leak to DRAM.
         let mut m = small();
-        let before = m.dram().stats().wr_cas.value();
+        let before = m.dram().stats().wr_cas;
         let payload = vec![0x77u8; 64 * 1024];
         m.dma_write(PhysAddr(0x100000), &payload);
         assert!(
-            m.dram().stats().wr_cas.value() > before + 500,
+            m.dram().stats().wr_cas > before + 500,
             "DDIO overflow must spill writebacks to DRAM"
         );
         // Functional correctness preserved.

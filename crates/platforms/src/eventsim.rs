@@ -229,6 +229,8 @@ pub enum EventConfigError {
     ZeroDimms,
     /// `sockets` is zero or does not divide `channels` evenly.
     BadSockets(usize, usize),
+    /// `channel_interleave_lines` is not a power of two (0 included).
+    BadInterleave(usize),
     /// `churn_permille` or `slow_client_permille` above 1000.
     BadPermille(u64),
     /// `inflight_window == 0`.
@@ -249,6 +251,9 @@ impl std::fmt::Display for EventConfigError {
             EventConfigError::ZeroDimms => write!(f, "at least one DIMM per channel"),
             EventConfigError::BadSockets(ch, so) => {
                 write!(f, "{ch} channels cannot split evenly across {so} sockets")
+            }
+            EventConfigError::BadInterleave(n) => {
+                write!(f, "channel interleave of {n} lines is not a power of two")
             }
             EventConfigError::BadPermille(v) => write!(f, "permille {v} above 1000"),
             EventConfigError::ZeroWindow => write!(f, "inflight_window must be >= 1"),
@@ -290,6 +295,11 @@ impl EventWorkloadConfig {
         }
         if self.sockets == 0 || !self.channels.is_multiple_of(self.sockets) {
             return Err(EventConfigError::BadSockets(self.channels, self.sockets));
+        }
+        if !self.channel_interleave_lines.is_power_of_two() {
+            return Err(EventConfigError::BadInterleave(
+                self.channel_interleave_lines,
+            ));
         }
         for p in [self.churn_permille, self.slow_client_permille] {
             if p > 1000 {
@@ -833,6 +843,14 @@ mod tests {
             ..EventWorkloadConfig::default()
         };
         assert_eq!(bad.validate(), Err(EventConfigError::BadSockets(2, 3)));
+        for lines in [3, 0] {
+            let bad = EventWorkloadConfig {
+                channels: 2,
+                channel_interleave_lines: lines,
+                ..EventWorkloadConfig::default()
+            };
+            assert_eq!(bad.validate(), Err(EventConfigError::BadInterleave(lines)));
+        }
     }
 
     #[test]

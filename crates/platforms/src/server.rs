@@ -140,6 +140,8 @@ pub enum WorkloadConfigError {
     ZeroDimms,
     /// `sockets` is zero or does not divide `channels` evenly.
     BadSockets(usize, usize),
+    /// `channel_interleave_lines` is not a power of two (0 included).
+    BadInterleave(usize),
 }
 
 impl std::fmt::Display for WorkloadConfigError {
@@ -167,6 +169,9 @@ impl std::fmt::Display for WorkloadConfigError {
             WorkloadConfigError::ZeroDimms => write!(f, "at least one DIMM per channel"),
             WorkloadConfigError::BadSockets(ch, so) => {
                 write!(f, "{ch} channels cannot split evenly across {so} sockets")
+            }
+            WorkloadConfigError::BadInterleave(n) => {
+                write!(f, "channel interleave of {n} lines is not a power of two")
             }
         }
     }
@@ -204,6 +209,11 @@ impl WorkloadConfig {
         if self.sockets == 0 || !self.channels.is_multiple_of(self.sockets) {
             return Err(WorkloadConfigError::BadSockets(self.channels, self.sockets));
         }
+        if !self.channel_interleave_lines.is_power_of_two() {
+            return Err(WorkloadConfigError::BadInterleave(
+                self.channel_interleave_lines,
+            ));
+        }
         Ok(())
     }
 
@@ -215,9 +225,9 @@ impl WorkloadConfig {
         host_cfg.mem.backend = self.backend;
         let topo = &mut host_cfg.mem.dram.topology;
         topo.channels = self.channels;
-        topo.channel_interleave_lines = self.channel_interleave_lines.max(1);
-        topo.dimms_per_channel = self.dimms_per_channel.max(1);
-        topo.sockets = self.sockets.max(1);
+        topo.channel_interleave_lines = self.channel_interleave_lines;
+        topo.dimms_per_channel = self.dimms_per_channel;
+        topo.sockets = self.sockets;
         host_cfg.mem.dram.interconnect_penalty_cycles = self.interconnect_penalty_cycles;
         host_cfg.sched.policy = self.placement;
         host_cfg
@@ -1036,6 +1046,21 @@ mod tests {
                     ..WorkloadConfig::default()
                 },
                 WorkloadConfigError::ZeroChannels,
+            ),
+            (
+                WorkloadConfig {
+                    channels: 2,
+                    channel_interleave_lines: 3,
+                    ..WorkloadConfig::default()
+                },
+                WorkloadConfigError::BadInterleave(3),
+            ),
+            (
+                WorkloadConfig {
+                    channel_interleave_lines: 0,
+                    ..WorkloadConfig::default()
+                },
+                WorkloadConfigError::BadInterleave(0),
             ),
         ];
         for (cfg, want) in cases {

@@ -2,7 +2,7 @@
 //! SmartDIMM reproduction.
 //!
 //! Every simulator in this workspace (the DDR4 model, the LLC model, the
-//! network model, the server harness) is built on four primitives provided
+//! network model, the server harness) is built on the primitives provided
 //! here:
 //!
 //! * [`Cycle`] — a point in simulated time, an ordered newtype over a
@@ -11,10 +11,14 @@
 //!   deterministic FIFO tie-break,
 //! * [`DetRng`] — a seedable, reproducible pseudo-random number generator
 //!   (SplitMix64 seeded xoshiro256++),
-//! * the [`stats`] module — counters, histograms and time series used to
-//!   produce every number reported in `EXPERIMENTS.md`,
-//! * the [`telemetry`] module — a hierarchical registry that gathers every
-//!   component's stats into one deterministic `telemetry/v1` JSON snapshot.
+//! * the [`stats`] module — histograms and time series used to produce
+//!   every number reported in `EXPERIMENTS.md`,
+//! * the [`telemetry`] module — a hierarchical registry of plain-value
+//!   metrics that gathers every component's stats into one deterministic
+//!   `telemetry/v1` JSON snapshot,
+//! * the [`par`] module — the one threading doorway: it runs independent
+//!   whole simulations in parallel on as many workers as the machine
+//!   offers and returns their results in input order.
 //!
 //! # Example
 //!
@@ -47,6 +51,6 @@ pub use clock::Cycle;
 pub use events::EventQueue;
 pub use fault::{FaultEvent, FaultHandle, FaultKind, FaultPlan, FiredFault};
 pub use rng::DetRng;
-pub use stats::{Counter, Histogram, QuantileEstimate, Summary, TimeSeries};
-pub use telemetry::{CounterHandle, GaugeHandle, Registry, Scope};
+pub use stats::{Histogram, QuantileEstimate, TimeSeries};
+pub use telemetry::{Registry, Scope};
 pub use trace::{TraceRecord, TraceSink};

@@ -1,13 +1,11 @@
-//! The sanctioned threading doorway (`THREAD-DET`) and the deterministic
-//! parallel runtime built behind it.
+//! The sanctioned threading doorway (`THREAD-DET`) and the whole-run
+//! fan-out built behind it.
 //!
 //! Live sim code must not name `std::thread`/`Mutex`/`Atomic*`/channel
 //! primitives directly — scheduler-dependent event order breaks the
 //! byte-determinism every differential suite relies on. This module is
 //! the one place allowed to own such primitives (mirroring the
-//! `simkit::timer` wall-clock doorway for `DET-NOW`), so that every
-//! cross-thread interaction of the parallel runtime is funneled through
-//! wrappers this crate keeps deterministic.
+//! `simkit::timer` wall-clock doorway for `DET-NOW`).
 //!
 //! # Shared-state wrapper
 //!
@@ -19,36 +17,32 @@
 //!   guard, so locks recover the inner value from a [`PoisonError`]
 //!   instead of propagating it;
 //! * **closure-scoped access** — guards never escape ([`Shared::with`]
-//!   takes a closure), so lock scopes are lexical and the deterministic
-//!   scheduler can reason about (and instrument) every critical section.
+//!   takes a closure), so every critical section is lexical.
 //!
-//! # The parallel runtime
+//! # Whole-run fan-out
 //!
-//! [`run_indexed`] executes a batch of independent tasks on a small
-//! work-stealing pool and returns the results **in input order**,
-//! regardless of which worker ran what. Determinism is preserved by
-//! construction, not by prayer:
+//! [`run_indexed`] runs a batch of independent whole simulations (one
+//! report entry, one benchmark copy) on a small scoped pool and returns
+//! the results **in input order**, regardless of which worker ran what:
 //!
-//! * tasks must be *disjoint* (each owns its input — e.g. one sweep
-//!   configuration); the type system enforces this by moving each item
-//!   into exactly one task invocation;
-//! * result order is the input index order, so telemetry mounting never
-//!   observes scheduler order;
-//! * scheduler-dependent observables (which worker ran a task, how many
-//!   steals happened) are quarantined in [`ParStats`] and must never be
-//!   folded into a `telemetry/v1` snapshot — they may only be reported
-//!   in non-deterministic wrapper metadata (the same quarantine as
-//!   `run_report/v1`'s `generated_at_unix`).
+//! * each item is moved into exactly one task, so tasks share no
+//!   simulated state;
+//! * workers claim the next input from one shared queue, and results
+//!   are placed by input index, so telemetry mounting never observes
+//!   scheduler order.
+//!
+//! [`available_workers`] sizes the pool from the machine (CPU affinity
+//! included, so `taskset -c 0` gives a one-worker run). The worker count
+//! changes wall-clock only; it is reported in [`ParStats`] and never
+//! written into a `telemetry/v1` snapshot.
 #![deny(missing_docs)]
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Shared, cloneable, poison-recovering access to one value — the
 /// `Arc<Mutex<T>>` idiom behind the doorway. Every component of a
-/// simulated stack can hold a clone (the fault injector and every
-/// telemetry counter handle do).
+/// simulated stack can hold a clone (the fault injector does).
 ///
 /// ```
 /// use simkit::par::Shared;
@@ -86,183 +80,85 @@ impl<T> Shared<T> {
     }
 }
 
-/// Environment knob naming the worker count for parallel sections
-/// (`SMARTDIMM_THREADS=2 cargo run -p bench --bin run_report`). Read
-/// only through [`configured_threads`].
-pub const THREADS_ENV: &str = "SMARTDIMM_THREADS";
-
-/// Resolves the effective worker count for a parallel section.
-///
-/// `requested > 0` wins; `requested == 0` means "configured": the
-/// [`THREADS_ENV`] environment variable if set to a positive integer,
-/// else `1` (fully sequential). The resolved count never influences
-/// simulated state — only wall-clock — so reading the environment here
-/// does not breach determinism.
-pub fn configured_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    match std::env::var(THREADS_ENV) {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or(1),
-        Err(_) => 1,
-    }
+/// The worker count for whole-run fan-out: the parallelism the machine
+/// makes available to this process, or 1 if it cannot be determined.
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
-/// Scheduler-dependent observables of one [`run_indexed`] call.
-///
-/// These numbers vary with thread count and OS scheduling; they exist
-/// for wall-clock reporting (the `run_report/v1` wrapper) and must never
-/// be written into a deterministic telemetry snapshot.
+/// Scheduler-facing facts of one [`run_indexed`] call. They vary with
+/// the worker count and must never be written into a deterministic
+/// telemetry snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParStats {
-    /// Workers that participated (1 for the inline sequential path).
+    /// Workers that ran tasks (1 for the inline sequential path).
     pub workers: usize,
     /// Tasks executed.
     pub tasks: u64,
-    /// Tasks a worker stole from another worker's deque.
-    pub steals: u64,
 }
 
-/// One worker's end of the work-stealing deque set: the owner pops from
-/// the bottom (LIFO, cache-warm), thieves steal from the top (FIFO,
-/// oldest task first). Mutex-backed — task bodies here are whole
-/// simulations, so deque overhead is noise.
-struct WsDeque<T> {
-    jobs: Mutex<VecDeque<(usize, T)>>,
-}
-
-impl<T> WsDeque<T> {
-    fn new() -> WsDeque<T> {
-        WsDeque {
-            jobs: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    fn push(&self, job: (usize, T)) {
-        self.jobs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(job);
-    }
-
-    /// Owner pop: newest task first.
-    fn pop(&self) -> Option<(usize, T)> {
-        self.jobs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_back()
-    }
-
-    /// Thief pop: oldest task first.
-    fn steal(&self) -> Option<(usize, T)> {
-        self.jobs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-    }
-}
-
-/// Runs `f(index, item)` for every item on a work-stealing worker pool
-/// and returns the results **in input order** plus the (non-
-/// deterministic) scheduler stats.
+/// Runs `f(index, item)` for every item on up to `threads` scoped
+/// workers and returns the results **in input order**.
 ///
-/// With `threads <= 1` or fewer than two items the call degrades to a
-/// plain inline loop on the caller's thread — byte-for-byte the
-/// sequential behavior, no threads spawned. Tasks must be independent:
-/// each item is moved into exactly one `f` invocation and nothing else
-/// of the caller's state is reachable (enforce with `Fn` + `Sync`).
+/// With `threads <= 1` or fewer than two items the call is a plain
+/// inline loop on the caller's thread; no threads are spawned. Otherwise
+/// each worker repeatedly claims the next `(index, item)` from one
+/// shared queue until it is empty. Each item is moved into exactly one
+/// `f` invocation.
 ///
-/// Panic containment: a panicking task poisons nothing (results and
-/// deques recover from poison) and the panic is re-raised on the caller
-/// thread after the scope joins, so a worker never dies silently.
+/// A panicking task is re-raised on the caller thread once the scope
+/// joins, so a worker never dies silently.
 pub fn run_indexed<T, R, F>(threads: usize, items: Vec<T>, f: F) -> (Vec<R>, ParStats)
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let tasks = items.len() as u64;
-    if threads <= 1 || items.len() < 2 {
+    let tasks = items.len();
+    let workers = threads.clamp(1, tasks.max(1));
+    let stats = ParStats {
+        workers,
+        tasks: tasks as u64,
+    };
+    if workers == 1 {
         let results = items
             .into_iter()
             .enumerate()
             .map(|(i, item)| f(i, item))
             .collect();
-        return (
-            results,
-            ParStats {
-                workers: 1,
-                tasks,
-                steals: 0,
-            },
-        );
+        return (results, stats);
     }
 
-    let workers = threads.min(items.len());
-    let deques: Vec<WsDeque<T>> = (0..workers).map(|_| WsDeque::new()).collect();
-    // Round-robin seeding spreads the initial load; stealing fixes any
-    // imbalance that develops from uneven task costs.
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % workers].push((i, item));
-        slots.push(None);
-    }
-    let results = Shared::new(slots);
-    let steals = AtomicU64::new(0);
-
+    let queue = Shared::new(items.into_iter().enumerate());
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(tasks).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let deques = &deques;
-                let f = &f;
-                let results = results.clone();
-                let steals = &steals;
-                scope.spawn(move || {
-                    loop {
-                        let job = deques[w].pop().or_else(|| {
-                            // Scan siblings round-robin from our right
-                            // neighbor; count successful steals.
-                            (1..workers).find_map(|d| {
-                                let job = deques[(w + d) % workers].steal();
-                                if job.is_some() {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                }
-                                job
-                            })
-                        });
-                        let Some((i, item)) = job else { break };
-                        let r = f(i, item);
-                        results.with(|slots| slots[i] = Some(r));
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some((i, item)) = queue.with(Iterator::next) {
+                        done.push((i, f(i, item)));
                     }
+                    done
                 })
             })
             .collect();
         for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
+            match h.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        slots[i] = Some(r);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
-
-    let collected = results.with(|slots| {
-        slots
-            .iter_mut()
-            .map(|s| s.take().expect("every task index produced a result"))
-            .collect()
-    });
-    (
-        collected,
-        ParStats {
-            workers,
-            tasks,
-            steals: steals.load(Ordering::Relaxed),
-        },
-    )
+    let results = slots
+        .into_iter()
+        .map(|s| s.expect("every task index produced a result"))
+        .collect();
+    (results, stats)
 }
 
 #[cfg(test)]
@@ -338,12 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn configured_threads_prefers_explicit_request() {
-        assert_eq!(configured_threads(3), 3);
-        // requested == 0 falls back to env-or-1; without the variable
-        // this is 1.
-        if std::env::var(THREADS_ENV).is_err() {
-            assert_eq!(configured_threads(0), 1);
-        }
+    fn available_workers_is_at_least_one() {
+        assert!(available_workers() >= 1);
     }
 }

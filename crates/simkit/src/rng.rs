@@ -66,11 +66,6 @@ impl DetRng {
         result
     }
 
-    /// Returns the next 32 random bits (one raw draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly distributed value in `range` (one raw draw).
     ///
     /// Uses Lemire's multiply-shift reduction; the modulo bias is
@@ -111,38 +106,12 @@ impl DetRng {
         -mean * (1.0 - u).max(f64::MIN_POSITIVE).ln()
     }
 
-    /// Samples an index from a discrete distribution given by `weights`
-    /// (one raw draw).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn gen_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
-        let mut x = self.gen_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
-
     /// Fills `buf` with random bytes (`ceil(len/8)` raw draws).
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         for chunk in buf.chunks_mut(8) {
             let v = self.next_u64().to_le_bytes();
             chunk.copy_from_slice(&v[..chunk.len()]);
         }
-    }
-
-    /// Derives an independent child generator. Children with different
-    /// `stream` values produce uncorrelated streams from the same parent.
-    pub fn fork(&mut self, stream: u64) -> DetRng {
-        let base = self.next_u64();
-        DetRng::new(base ^ stream.wrapping_mul(0xA076_1D64_78BD_642F))
     }
 
     /// Performs a Fisher–Yates shuffle of `slice` (one raw draw per element).
@@ -229,18 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn gen_weighted_respects_weights() {
-        let mut r = DetRng::new(9);
-        let mut counts = [0usize; 3];
-        for _ in 0..60_000 {
-            counts[r.gen_weighted(&[1.0, 2.0, 3.0])] += 1;
-        }
-        assert!(counts[0] < counts[1] && counts[1] < counts[2]);
-        let p0 = counts[0] as f64 / 60_000.0;
-        assert!((p0 - 1.0 / 6.0).abs() < 0.02, "p0={p0}");
-    }
-
-    #[test]
     fn fill_bytes_deterministic_and_full() {
         let mut a = DetRng::new(10);
         let mut b = DetRng::new(10);
@@ -250,17 +207,6 @@ mod tests {
         b.fill_bytes(&mut bb);
         assert_eq!(ba, bb);
         assert!(ba.iter().any(|&x| x != 0));
-    }
-
-    #[test]
-    fn fork_streams_are_distinct() {
-        let mut parent = DetRng::new(11);
-        let mut c1 = parent.fork(1);
-        let mut parent2 = DetRng::new(11);
-        let mut c2 = parent2.fork(2);
-        let v1: Vec<u64> = (0..8).map(|_| c1.next_u64()).collect();
-        let v2: Vec<u64> = (0..8).map(|_| c2.next_u64()).collect();
-        assert_ne!(v1, v2);
     }
 
     #[test]

@@ -1,62 +1,7 @@
-//! Statistics collection: counters, histograms, summaries and time series.
+//! Statistics collection: histograms and time series.
 //!
 //! Every number in `EXPERIMENTS.md` is produced by one of these types, so
 //! they favour exactness and introspectability over speed.
-
-/// A named monotonic event counter.
-///
-/// # Example
-///
-/// ```
-/// use simkit::Counter;
-/// let mut c = Counter::new("dram.rd_cas");
-/// c.add(3);
-/// c.inc();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with the given name.
-    pub fn new(name: impl Into<String>) -> Counter {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Increments the counter by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Returns the current count.
-    #[inline]
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Returns the counter's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
 
 /// A histogram with fixed-width linear buckets plus an overflow bucket.
 ///
@@ -230,98 +175,6 @@ pub struct QuantileEstimate {
     pub resolvable: bool,
 }
 
-/// A compact numeric summary of a sequence of `f64` samples.
-///
-/// Unlike [`Histogram`], `Summary` stores every sample, so quantiles are
-/// exact. Used for experiment outputs where sample counts are modest.
-///
-/// # Example
-///
-/// ```
-/// use simkit::Summary;
-/// let mut s = Summary::new();
-/// for v in [1.0, 2.0, 3.0, 4.0] { s.record(v); }
-/// assert_eq!(s.mean(), 2.5);
-/// assert_eq!(s.percentile(50.0), 2.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Summary {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Summary {
-        Summary::default()
-    }
-
-    /// Records one sample.
-    ///
-    /// Non-finite samples (NaN, infinities) indicate a degenerate rate
-    /// computation upstream; they are caught here in debug builds rather
-    /// than at report time deep inside an experiment run.
-    pub fn record(&mut self, v: f64) {
-        debug_assert!(v.is_finite(), "non-finite summary sample: {v}");
-        self.samples.push(v);
-        self.sorted = false;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Arithmetic mean; 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
-
-    /// Sample standard deviation; 0.0 with fewer than two samples.
-    pub fn stddev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
-    }
-
-    /// Exact percentile (nearest-rank). `p` is in `[0, 100]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range or the summary is empty.
-    pub fn percentile(&mut self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        assert!(!self.samples.is_empty(), "empty summary has no percentile");
-        if !self.sorted {
-            // total_cmp gives NaN a defined order (after +inf) instead of
-            // panicking mid-report; record() already flags non-finite
-            // samples in debug builds.
-            self.samples.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        let rank = ((p / 100.0) * self.samples.len() as f64).ceil().max(1.0) as usize;
-        self.samples[rank - 1]
-    }
-
-    /// Smallest sample; `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::min)
-    }
-
-    /// Largest sample; `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::max)
-    }
-}
-
 /// A `(time, value)` series sampled during a simulation, e.g. scratchpad
 /// occupancy over time (Fig. 10).
 ///
@@ -417,18 +270,6 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.value(), 0);
-        c.inc();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.name(), "x");
-        c.reset();
-        assert_eq!(c.value(), 0);
-    }
 
     #[test]
     fn histogram_bucketing() {
@@ -576,52 +417,6 @@ mod tests {
     #[should_panic(expected = "bucket width")]
     fn histogram_zero_width_rejected() {
         let _ = Histogram::new("h", 0, 4);
-    }
-
-    #[test]
-    fn summary_stats() {
-        let mut s = Summary::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.138089935299395).abs() < 1e-9);
-        assert_eq!(s.percentile(50.0), 4.0);
-        assert_eq!(s.percentile(100.0), 9.0);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn summary_percentile_survives_nan_sample() {
-        // Regression: percentile() used partial_cmp().expect("NaN sample")
-        // and panicked at report time if a degenerate rate slipped in. The
-        // struct literal bypasses record()'s debug_assert on purpose — we
-        // are testing the report path, not the intake path.
-        let mut s = Summary {
-            samples: vec![3.0, f64::NAN, 1.0, 2.0],
-            sorted: false,
-        };
-        // total_cmp orders NaN after +inf, so finite percentiles are sane.
-        assert_eq!(s.percentile(50.0), 2.0);
-        assert_eq!(s.percentile(0.0), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite summary sample")]
-    #[cfg(debug_assertions)]
-    fn summary_record_rejects_non_finite_in_debug() {
-        let mut s = Summary::new();
-        s.record(f64::NAN);
-    }
-
-    #[test]
-    fn summary_empty() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.min(), None);
     }
 
     #[test]

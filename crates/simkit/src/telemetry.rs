@@ -9,16 +9,12 @@
 //! by [`Registry::snapshot`] into a stable-ordered JSON document
 //! (schema [`SCHEMA`] = `telemetry/v1`).
 //!
-//! Handles are live and shared: [`CounterHandle`] / [`GaugeHandle`] can
-//! be registered once and bumped from the hot path without re-walking
-//! the tree, while components that already aggregate their own
-//! statistics (e.g. `DramStats`, `CacheStats`, `DeviceStats`) export
-//! them with the `set_*` methods at snapshot time. Both styles meet in
-//! the same tree. The cells behind the handles are
-//! [`crate::par::Shared`] — the `THREAD-DET` doorway wrapper — so a
-//! whole [`Scope`] is `Send` and a parallel sweep (`simkit::par`) can
-//! build per-entry scopes on worker threads and mount them into one
-//! registry in deterministic input order.
+//! Metrics are plain values. Components keep their own statistics
+//! (e.g. `DramStats`, `CacheStats`, `DeviceStats`) and export them with
+//! the `set_*` methods at snapshot time. A [`Scope`] is plain data, so a
+//! whole-run fan-out (`simkit::par::run_indexed`) can build per-entry
+//! scopes on worker threads and mount them into one registry in input
+//! order.
 //!
 //! Determinism contract: two runs with the same seeds must produce
 //! **byte-identical** snapshots. Everything that renders is ordered by
@@ -32,8 +28,7 @@
 //! use simkit::telemetry::Registry;
 //!
 //! let mut reg = Registry::new();
-//! let reqs = reg.scope("server").counter("requests");
-//! reqs.add(3);
+//! reg.scope("server").set_counter("requests", 3);
 //! reg.scope("server.llc").set_gauge("miss_rate", 0.25);
 //! let doc = reg.snapshot();
 //! assert!(doc.starts_with("{\n  \"schema\": \"telemetry/v1\""));
@@ -42,61 +37,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::par::Shared;
 use crate::stats::{Histogram, TimeSeries};
 
 /// Schema identifier stamped into every snapshot document.
 pub const SCHEMA: &str = "telemetry/v1";
-
-/// A live, shared handle to a registered counter.
-///
-/// Cloning is cheap (reference-counted); all clones observe the same
-/// value, and [`Registry::snapshot`] reads through the shared cell.
-#[derive(Debug, Clone)]
-pub struct CounterHandle(Shared<u64>);
-
-impl CounterHandle {
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.with(|v| *v += 1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.with(|v| *v += n);
-    }
-
-    /// Overwrites the value (used when mirroring an externally
-    /// maintained counter into the tree).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.with(|c| *c = v);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.0.with(|v| *v)
-    }
-}
-
-/// A live, shared handle to a registered gauge (an instantaneous `f64`).
-#[derive(Debug, Clone)]
-pub struct GaugeHandle(Shared<f64>);
-
-impl GaugeHandle {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.with(|c| *c = v);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        self.0.with(|v| *v)
-    }
-}
 
 /// A rendered-at-registration summary of a [`Histogram`]: count, moments
 /// and the quantiles the paper's figures actually report.
@@ -174,8 +118,8 @@ impl TimeSeriesSnapshot {
 
 #[derive(Debug, Clone)]
 enum Metric {
-    Counter(Shared<u64>),
-    Gauge(Shared<f64>),
+    Counter(u64),
+    Gauge(f64),
     Histogram(HistogramSnapshot),
     TimeSeries(TimeSeriesSnapshot),
 }
@@ -210,50 +154,33 @@ impl Scope {
         cur
     }
 
-    /// Registers (or retrieves) the counter `name` and returns a live
-    /// handle to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter(&mut self, name: &str) -> CounterHandle {
-        let metric = self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Shared::new(0)));
-        match metric {
-            Metric::Counter(cell) => CounterHandle(cell.clone()),
-            // simlint: allow(PANIC-REACH): documented "# Panics" contract; a kind mismatch is a registration bug the suite must surface loudly
-            other => panic!("{name:?} is a {}, not a counter", other.kind()),
-        }
-    }
-
-    /// Registers (or retrieves) the gauge `name` and returns a live
-    /// handle to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn gauge(&mut self, name: &str) -> GaugeHandle {
-        let metric = self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Shared::new(0.0)));
-        match metric {
-            Metric::Gauge(cell) => GaugeHandle(cell.clone()),
-            other => panic!("{name:?} is a {}, not a gauge", other.kind()),
-        }
-    }
-
     /// Sets counter `name` to `v` (registering it if needed) — the
     /// export-time mirror of an externally maintained stat field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric kind.
     pub fn set_counter(&mut self, name: &str, v: u64) {
-        self.counter(name).set(v);
+        self.set_scalar(name, Metric::Counter(v));
     }
 
     /// Sets gauge `name` to `v` (registering it if needed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric kind.
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauge(name).set(v);
+        self.set_scalar(name, Metric::Gauge(v));
+    }
+
+    fn set_scalar(&mut self, name: &str, metric: Metric) {
+        let kind = metric.kind();
+        if let Some(old) = self.metrics.insert(name.to_string(), metric) {
+            if old.kind() != kind {
+                // simlint: allow(PANIC-REACH): documented "# Panics" contract; a kind mismatch is a registration bug the suite must surface loudly
+                panic!("{name:?} is a {}, not a {kind}", old.kind());
+            }
+        }
     }
 
     /// Registers (or replaces) a histogram summary under `name`.
@@ -424,15 +351,12 @@ fn render_metric(out: &mut String, metric: &Metric, indent: usize) {
     let pad = "  ".repeat(indent);
     let inner = "  ".repeat(indent + 1);
     match metric {
-        Metric::Counter(cell) => {
-            out.push_str(&format!(
-                "{{ \"kind\": \"counter\", \"value\": {} }}",
-                cell.with(|v| *v)
-            ));
+        Metric::Counter(v) => {
+            out.push_str(&format!("{{ \"kind\": \"counter\", \"value\": {v} }}"));
         }
-        Metric::Gauge(cell) => {
+        Metric::Gauge(v) => {
             out.push_str("{ \"kind\": \"gauge\", \"value\": ");
-            push_f64(out, cell.with(|v| *v));
+            push_f64(out, *v);
             out.push_str(" }");
         }
         Metric::Histogram(h) => {
@@ -535,17 +459,6 @@ mod tests {
     use crate::Cycle;
 
     #[test]
-    fn counter_handles_are_shared() {
-        let mut reg = Registry::new();
-        let a = reg.scope("x").counter("hits");
-        let b = reg.scope("x").counter("hits");
-        a.inc();
-        b.add(4);
-        assert_eq!(a.value(), 5);
-        assert!(reg.snapshot().contains("\"value\": 5"));
-    }
-
-    #[test]
     fn set_counter_mirrors_external_values() {
         let mut reg = Registry::new();
         reg.scope("dram").set_counter("rd_cas", 42);
@@ -641,6 +554,6 @@ mod tests {
     fn kind_mismatch_panics() {
         let mut reg = Registry::new();
         reg.scope("x").set_gauge("v", 1.0);
-        let _ = reg.scope("x").counter("v");
+        reg.scope("x").set_counter("v", 1);
     }
 }

@@ -106,7 +106,7 @@ fn remote_offloads_bill_the_interconnect() {
     assert_eq!(host.use_buffer(&handle), want);
 
     assert!(
-        host.mem().dram().stats().remote_accesses.value() > 0,
+        host.mem().dram().stats().remote_accesses > 0,
         "remote-socket offload never touched the interconnect counter"
     );
     assert_eq!(host.sched_stats().remote_placements, 1);
