@@ -39,8 +39,9 @@ fi
 
 # Rustdoc gate: the API docs must build warning-clean (broken intra-doc
 # links, missing code-block languages, bad HTML all fail the build).
-# `simkit::par`, `simkit::events` and `dram::backend` additionally carry
-# `#![deny(missing_docs)]`, so every public item there must be documented.
+# `simkit::par`, `simkit::events`, `dram::backend`, `dram::addr` and
+# `smartdimm::configmem` additionally carry `#![deny(missing_docs)]`, so
+# every public item there must be documented.
 stage "cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q || status=1
 

@@ -10,6 +10,11 @@
 //! with fine interleave striping every page across shards and coarse
 //! interleave (`channel_interleave_lines ≥ 64`) pinning whole pages to
 //! one channel while consecutive pages rotate.
+//!
+//! [`AddressMapper`] owns the channel split: all channel math goes
+//! through [`AddressMapper::split_line`] and its inverse.
+
+#![deny(missing_docs)]
 
 use std::fmt;
 
@@ -220,19 +225,50 @@ impl AddressMapper {
         &self.topo
     }
 
+    /// Splits physical cacheline `line` into its channel and its index
+    /// among that channel's lines (the channel-local line).
+    pub fn split_line(&self, line: u64) -> (usize, u64) {
+        let g = self.topo.channel_interleave_lines as u64;
+        let n = self.topo.channels as u64;
+        let block = line / g;
+        ((block % n) as usize, (block / n) * g + line % g)
+    }
+
+    /// Inverse of [`AddressMapper::split_line`]: the physical cacheline
+    /// index of channel-local line `local` on `channel`.
+    pub fn merge_line(&self, channel: usize, local: u64) -> u64 {
+        let g = self.topo.channel_interleave_lines as u64;
+        let n = self.topo.channels as u64;
+        ((local / g) * n + channel as u64) * g + local % g
+    }
+
+    /// How many of `channel`'s lines lie below physical cacheline
+    /// `line`: the local index of its first line at or after `line`.
+    pub fn lines_below(&self, channel: usize, line: u64) -> u64 {
+        let g = self.topo.channel_interleave_lines as u64;
+        let (at, local) = self.split_line(line);
+        if channel == at {
+            return local;
+        }
+        local - local % g + if channel < at { g } else { 0 }
+    }
+
+    /// The channel `addr` decodes to, without the bank split.
+    pub fn channel_of(&self, addr: PhysAddr) -> usize {
+        self.split_line(addr.0 >> 6).0
+    }
+
+    /// The line offset of `addr` within the interleave period: buffers
+    /// at one phase map their line *i* to one channel.
+    pub fn interleave_phase(&self, addr: PhysAddr) -> u64 {
+        (addr.0 >> 6) % (self.topo.channels * self.topo.channel_interleave_lines) as u64
+    }
+
     /// Decodes a physical address to its DRAM location (cacheline
     /// granularity; the 6 offset bits are dropped).
     pub fn decode(&self, addr: PhysAddr) -> Loc {
         let t = &self.topo;
-        let mut line = addr.0 >> 6;
-        // Channel bits sit above `channel_interleave_lines` lines.
-        let gran = t.channel_interleave_lines as u64;
-        let within = line % gran;
-        line /= gran;
-        let channel = (line % t.channels as u64) as usize;
-        line /= t.channels as u64;
-        let line = line * gran + within;
-
+        let (channel, line) = self.split_line(addr.0 >> 6);
         let bg = (line % t.bank_groups as u64) as usize;
         let rest = line / t.bank_groups as u64;
         let bank = (rest % t.banks_per_group as u64) as usize;
@@ -263,12 +299,7 @@ impl AddressMapper {
         line = line * t.lines_per_row as u64 + loc.col as u64;
         line = line * t.banks_per_group as u64 + loc.bank as u64;
         line = line * t.bank_groups as u64 + loc.bg as u64;
-
-        let gran = t.channel_interleave_lines as u64;
-        let within = line % gran;
-        let blocks = line / gran;
-        let line = (blocks * t.channels as u64 + loc.channel as u64) * gran + within;
-        PhysAddr(line << 6)
+        PhysAddr(self.merge_line(loc.channel, line) << 6)
     }
 }
 
@@ -443,6 +474,15 @@ mod tests {
             let mapper = AddressMapper::new(topo);
             let a = PhysAddr(addr_line * 64);
             prop_assert_eq!(mapper.encode(&mapper.decode(a)), a);
+            let (channel, local) = mapper.split_line(addr_line);
+            prop_assert_eq!(mapper.merge_line(channel, local), addr_line);
+            prop_assert_eq!(mapper.channel_of(a), mapper.decode(a).channel);
+            prop_assert_eq!(channel, mapper.channel_of(a));
+            for c in 0..channels {
+                let below = mapper.lines_below(c, addr_line);
+                prop_assert!(mapper.merge_line(c, below) >= addr_line);
+                prop_assert!(below == 0 || mapper.merge_line(c, below - 1) < addr_line);
+            }
         }
 
         #[test]

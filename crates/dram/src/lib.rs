@@ -1,5 +1,6 @@
 //! `dram` models a DDR4 memory subsystem at command granularity:
-//! address mapping, per-bank state machines with DDR4 timing, a FR-FCFS
+//! address mapping (with [`AddressMapper`] the one owner of the channel
+//! split), per-bank state machines with DDR4 timing, a FR-FCFS
 //! memory controller with write batching, and — the piece SmartDIMM
 //! needs — a [`BufferDevice`] hook on every DIMM through which on-module
 //! logic observes ACT/PRE commands and *intercepts* rdCAS/wrCAS data.

@@ -1,8 +1,6 @@
 //! A minimal HTTP/1.1 codec: enough for the Nginx-like server harness
 //! (request parsing, response building, Content-Encoding negotiation).
 
-use bytes::Bytes;
-
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -34,7 +32,7 @@ impl Request {
     }
 
     /// Serializes to wire format.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut s = format!("{} {} HTTP/1.1\r\nHost: bench\r\n", self.method, self.path);
         if self.accepts_deflate {
             s.push_str("Accept-Encoding: deflate\r\n");
@@ -43,7 +41,7 @@ impl Request {
             s.push_str("Connection: close\r\n");
         }
         s.push_str("\r\n");
-        Bytes::from(s)
+        s.into_bytes()
     }
 
     /// Parses a request head.
@@ -95,14 +93,14 @@ pub struct Response {
     /// Status code (200, 404, ...).
     pub status: u16,
     /// Body bytes (possibly already content-encoded).
-    pub body: Bytes,
+    pub body: Vec<u8>,
     /// Whether the body carries `Content-Encoding: deflate`.
     pub deflate_encoded: bool,
 }
 
 impl Response {
     /// A 200 response with a plain body.
-    pub fn ok(body: impl Into<Bytes>) -> Response {
+    pub fn ok(body: impl Into<Vec<u8>>) -> Response {
         Response {
             status: 200,
             body: body.into(),
@@ -114,20 +112,20 @@ impl Response {
     pub fn not_found() -> Response {
         Response {
             status: 404,
-            body: Bytes::from_static(b"not found"),
+            body: b"not found".to_vec(),
             deflate_encoded: false,
         }
     }
 
     /// Marks the body as deflate-encoded.
-    pub fn with_deflate_body(mut self, body: impl Into<Bytes>) -> Response {
+    pub fn with_deflate_body(mut self, body: impl Into<Vec<u8>>) -> Response {
         self.body = body.into();
         self.deflate_encoded = true;
         self
     }
 
     /// Serializes header + body to wire format.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let reason = match self.status {
             200 => "OK",
             404 => "Not Found",
@@ -146,7 +144,7 @@ impl Response {
         let mut out = Vec::with_capacity(s.len() + self.body.len());
         out.extend_from_slice(s.as_bytes());
         out.extend_from_slice(&self.body);
-        Bytes::from(out)
+        out
     }
 
     /// Parses a full response (header + complete body).
@@ -189,7 +187,7 @@ impl Response {
         }
         Ok(Response {
             status,
-            body: Bytes::copy_from_slice(&body[..len]),
+            body: body[..len].to_vec(),
             deflate_encoded: deflate,
         })
     }

@@ -11,7 +11,7 @@ use memsys::{MemConfig, MemSystem};
 use std::collections::BTreeMap;
 
 use crate::configmem::{
-    unpack_pending, ContextChunk, OffloadStatus, Registration, ResultSlot, StatusReg,
+    unpack_pending, ConfigWindow, ContextChunk, OffloadStatus, Registration, ResultSlot, StatusReg,
     CONTEXT_OFFSET, PENDING_BASE, REGISTER_OFFSET, RESULT_BASE, STATUS_OFFSET,
 };
 use crate::device::{SmartDimmConfig, SmartDimmDevice};
@@ -118,8 +118,8 @@ pub struct OffloadHandle {
 /// resident on the DSA-bearing DIMM slot of its channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Staging {
-    /// The same offset within the channel-interleave period as the
-    /// buffer it stands in for, so line *i* keeps its channel.
+    /// The same [`AddressMapper::interleave_phase`] as the buffer it
+    /// stands in for, so line *i* keeps its channel.
     Phase(u64),
     /// Every covered line on this one channel (single-shard placement).
     Channel(usize),
@@ -128,10 +128,8 @@ enum Staging {
 /// The CompCpy host runtime.
 pub struct CompCpyHost {
     mem: MemSystem,
-    config_base: PhysAddr,
-    result_slots: usize,
-    channels: usize,
-    interleave_lines: usize,
+    /// Every channel's Config Memory window.
+    window: ConfigWindow,
     /// Algorithm 2's lazy scratchpad-space tracker. The algorithm guards
     /// it with a lock against concurrent callers; this host is
     /// single-threaded, so it is a plain count.
@@ -192,10 +190,7 @@ impl CompCpyHost {
         }
         CompCpyHost {
             mem,
-            config_base: config.dimm.config_base,
-            result_slots: config.dimm.result_slots,
-            channels: topo.channels,
-            interleave_lines: topo.channel_interleave_lines,
+            window: ConfigWindow::new(config.dimm.config_base, topo, config.dimm.result_slots),
             free_pages: -1, // Algorithm 2 line 1
             next_id: 1,
             alloc_next: 0x0010_0000, // driver pool starts at 1 MB
@@ -216,7 +211,7 @@ impl CompCpyHost {
     /// issued; see [`simkit::FaultPlan`].
     pub fn set_fault_handle(&mut self, fault: simkit::FaultHandle) {
         self.mem.set_fault_handle(fault.clone());
-        for channel in 0..self.channels {
+        for channel in 0..self.channels() {
             self.device_on(channel).set_fault_handle(fault.clone());
         }
         self.fault = Some(fault);
@@ -234,13 +229,13 @@ impl CompCpyHost {
         for kind in preps {
             match kind {
                 simkit::FaultKind::XlatPressure { entries } => {
-                    for channel in 0..self.channels {
+                    for channel in 0..self.channels() {
                         self.device_on(channel).inject_xlat_pressure(entries);
                     }
                 }
                 simkit::FaultKind::ScratchHog { pages } => {
                     let at = self.mem.now();
-                    for channel in 0..self.channels {
+                    for channel in 0..self.channels() {
                         self.device_on(channel).inject_scratch_hog(at, pages);
                     }
                 }
@@ -253,14 +248,14 @@ impl CompCpyHost {
     /// from all channel devices (fault-recovery path).
     pub fn clear_injected_faults(&mut self) {
         let at = self.mem.now();
-        for channel in 0..self.channels {
+        for channel in 0..self.channels() {
             self.device_on(channel).clear_injected(at);
         }
     }
 
     /// Number of memory channels (= SmartDIMMs installed).
     pub fn channels(&self) -> usize {
-        self.channels
+        self.mapper.topology().channels
     }
 
     /// The memory system (CAT configuration, statistics, time).
@@ -311,7 +306,7 @@ impl CompCpyHost {
             scratch_free_fraction: 1.0,
             xlat_occupancy: 0.0,
         };
-        for ch in 0..self.channels {
+        for ch in 0..self.channels() {
             let p = self.shard_pressure(ch);
             worst.scratch_free_fraction = worst.scratch_free_fraction.min(p.scratch_free_fraction);
             worst.xlat_occupancy = worst.xlat_occupancy.max(p.xlat_occupancy);
@@ -354,7 +349,7 @@ impl CompCpyHost {
             sch.set_counter("remote_placements", self.sched_stats.remote_placements);
             sch.set_counter("local_placements", self.sched_stats.local_placements);
         }
-        for ch in 0..self.channels {
+        for ch in 0..self.channels() {
             let mut dev_scope = simkit::telemetry::Scope::default();
             self.device_on(ch).export_telemetry(&mut dev_scope);
             *scope.scope(&format!("channel{ch}")) = dev_scope;
@@ -385,32 +380,17 @@ impl CompCpyHost {
         let addr = PhysAddr(self.alloc_next);
         self.alloc_next += (pages * PAGE) as u64;
         assert!(
-            self.alloc_next <= self.config_base.0,
+            self.alloc_next <= self.window.start().0,
             "driver pool ran into the MMIO window"
         );
         addr
     }
 
-    /// The physical alias of logical register offset `logical` on
-    /// `channel`: inverts the device's de-interleave so each DIMM sees a
-    /// private register window despite fine-grain interleaving (§V-D).
-    fn mmio_alias(&self, logical: u64, channel: usize) -> PhysAddr {
-        let ch = self.channels as u64;
-        let g = self.interleave_lines as u64;
-        let li = logical / 64;
-        let phys_line = (li / g) * ch * g + (channel as u64) * g + li % g;
-        PhysAddr(self.config_base.0 + phys_line * 64 + logical % 64)
-    }
-
-    fn mmio(&self, offset: u64) -> PhysAddr {
-        self.mmio_alias(offset, 0)
-    }
-
     /// Writes a 64-byte register on every channel's SmartDIMM — how the
     /// registration step replicates configuration data per DIMM (§V-D).
     fn mmio_broadcast(&mut self, logical: u64, data: &[u8; 64]) {
-        for c in 0..self.channels {
-            let addr = self.mmio_alias(logical, c);
+        for c in 0..self.channels() {
+            let addr = self.window.alias(logical, c);
             self.mem.mmio_write64(addr, data);
         }
     }
@@ -418,45 +398,35 @@ impl CompCpyHost {
     /// Reads the SmartDIMM status register. With multiple channels, the
     /// scratchpad-space fields report the *scarcest* DIMM.
     pub fn read_status(&mut self) -> StatusReg {
-        let mut agg: Option<StatusReg> = None;
-        for c in 0..self.channels {
-            let addr = self.mmio_alias(STATUS_OFFSET, c);
-            let data = self.mem.mmio_read64(addr);
-            let s = StatusReg::from_bytes(&data);
-            agg = Some(match agg {
-                None => s,
-                Some(a) => StatusReg {
-                    free_pages: a.free_pages.min(s.free_pages),
-                    pending_pages: a.pending_pages.max(s.pending_pages),
-                    self_recycled: a.self_recycled + s.self_recycled,
-                    ignored_writebacks: a.ignored_writebacks + s.ignored_writebacks,
-                },
-            });
-        }
-        agg.expect("at least one channel")
-    }
-
-    /// The channel the cacheline containing `addr` decodes to (the
-    /// `dram::addr` channel-bit extraction, kept in sync with
-    /// [`dram::AddressMapper::decode`]).
-    fn line_channel(&self, addr: u64) -> usize {
-        (((addr >> 6) / self.interleave_lines as u64) % self.channels as u64) as usize
+        let regs: Vec<StatusReg> = (0..self.channels())
+            .map(|c| {
+                StatusReg::from_bytes(&self.mem.mmio_read64(self.window.alias(STATUS_OFFSET, c)))
+            })
+            .collect();
+        regs.into_iter()
+            .reduce(|a, s| StatusReg {
+                free_pages: a.free_pages.min(s.free_pages),
+                pending_pages: a.pending_pages.max(s.pending_pages),
+                self_recycled: a.self_recycled + s.self_recycled,
+                ignored_writebacks: a.ignored_writebacks + s.ignored_writebacks,
+            })
+            .expect("at least one channel")
     }
 
     /// `Some(channel)` when every covered cacheline of `[base,
     /// base+size)` decodes to a single channel — a "flex mode" placement
     /// (§V-D) that lets one shard run a full (metadata-absorbing) engine.
     fn sole_channel(&self, base: PhysAddr, size: usize) -> Option<usize> {
-        if self.channels == 1 {
-            return Some(0);
-        }
-        let first = self.line_channel(base.0);
-        for l in 1..size.div_ceil(64) as u64 {
-            if self.line_channel(base.0 + l * 64) != first {
-                return None;
-            }
-        }
-        Some(first)
+        let first = self.mapper.channel_of(base);
+        self.line_channels(base, size)
+            .all(|c| c == first)
+            .then_some(first)
+    }
+
+    /// The channel of each covered cacheline of `[base, base+size)`.
+    fn line_channels(&self, base: PhysAddr, size: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..size.div_ceil(64) as u64)
+            .map(move |l| self.mapper.channel_of(PhysAddr(base.0 + l * 64)))
     }
 
     /// Whether source line *i* and destination line *i* decode to the
@@ -466,17 +436,8 @@ impl CompCpyHost {
     /// page); can fail under coarse interleave when sbuf and dbuf sit at
     /// different phases of the interleave period.
     fn channel_maps_match(&self, sbuf: PhysAddr, dbuf: PhysAddr, size: usize) -> bool {
-        if self.channels == 1 {
-            return true;
-        }
-        (0..size.div_ceil(64) as u64)
-            .all(|l| self.line_channel(sbuf.0 + l * 64) == self.line_channel(dbuf.0 + l * 64))
-    }
-
-    /// The [`Staging::Phase`] key of `base`: its offset within the
-    /// channel-interleave period.
-    fn phase_of(&self, base: PhysAddr) -> Staging {
-        Staging::Phase(base.0 % (self.channels * self.interleave_lines * 64) as u64)
+        self.line_channels(sbuf, size)
+            .eq(self.line_channels(dbuf, size))
     }
 
     /// A pooled staging region of `size` bytes that decodes as `need`
@@ -496,24 +457,17 @@ impl CompCpyHost {
         }
         // Carve a fresh region from the driver pool. `alloc_next` and
         // every phase key come from page-aligned addresses, so page-sized
-        // steps cycle `alloc_next % period` through every page-aligned
-        // phase and the phase search terminates within
-        // `period / gcd(period, 4096)` iterations.
-        let period = (self.channels * self.interleave_lines * 64) as u64;
+        // steps cycle through every page-aligned phase and the search
+        // terminates within one interleave period.
         loop {
-            if let Staging::Phase(phase) = need {
-                while self.alloc_next % period != phase {
-                    self.alloc_next += PAGE as u64;
-                }
-            }
             let cand = PhysAddr(self.alloc_next);
             let end = cand.0 + pages * PAGE as u64;
             assert!(
-                end <= self.config_base.0,
+                end <= self.window.start().0,
                 "driver staging pool collides with MMIO space"
             );
             let decodes = match need {
-                Staging::Phase(_) => true,
+                Staging::Phase(phase) => self.mapper.interleave_phase(cand) == phase,
                 Staging::Channel(ch) => self.sole_channel(cand, size) == Some(ch),
             };
             if decodes && self.dsa_resident(cand, (pages as usize) * PAGE) {
@@ -556,7 +510,7 @@ impl CompCpyHost {
     fn shard_snapshots(&mut self) -> Vec<sched::ShardSnapshot> {
         let topo = *self.mapper.topology();
         let home_socket = self.home_socket;
-        (0..self.channels)
+        (0..self.channels())
             .map(|ch| sched::ShardSnapshot {
                 channel: ch,
                 pressure: self.shard_pressure(ch).scalar(),
@@ -568,21 +522,18 @@ impl CompCpyHost {
     /// The score of an offload's current (static) placement: the worst
     /// [`sched::score`] over the channels its source lines touch.
     fn placement_score(&self, base: PhysAddr, size: usize, snaps: &[sched::ShardSnapshot]) -> f64 {
-        let mut worst = f64::MIN;
-        for l in 0..size.div_ceil(64) as u64 {
-            let ch = self.line_channel(base.0 + l * 64);
-            worst = worst.max(sched::score(&self.sched, &snaps[ch]));
-        }
-        worst
+        self.line_channels(base, size)
+            .map(|ch| sched::score(&self.sched, &snaps[ch]))
+            .fold(f64::MIN, f64::max)
     }
 
     /// Counts the offload as remote or local: remote when any effective
     /// source line decodes to a channel on a non-home socket.
     fn note_locality(&mut self, base: PhysAddr, size: usize) {
         let topo = *self.mapper.topology();
-        let remote = (0..size.div_ceil(64) as u64).any(|l| {
-            topo.socket_of_channel(self.line_channel(base.0 + l * 64)) != self.home_socket
-        });
+        let remote = self
+            .line_channels(base, size)
+            .any(|ch| topo.socket_of_channel(ch) != self.home_socket);
         if remote {
             self.sched_stats.remote_placements += 1;
         } else {
@@ -614,10 +565,11 @@ impl CompCpyHost {
         class: usize,
     ) -> (PhysAddr, Option<Staging>) {
         let resident = self.dsa_resident(sbuf, size);
-        let pinnable = self.channels == 1 || size <= self.interleave_lines * 64;
+        let pinnable =
+            self.channels() == 1 || size <= self.mapper.topology().channel_interleave_lines * 64;
         let policy = self.sched.policy;
         if resident {
-            if policy == PlacementPolicy::OccupancyLocality && pinnable && self.channels > 1 {
+            if policy == PlacementPolicy::OccupancyLocality && pinnable && self.channels() > 1 {
                 let snaps = self.shard_snapshots();
                 let best = sched::pick(&self.sched, &snaps);
                 let cur = self.placement_score(sbuf, size, &snaps);
@@ -635,14 +587,14 @@ impl CompCpyHost {
         self.sched_stats.rehomed_offloads += 1;
         let need = if pinnable {
             Staging::Channel(match policy {
-                PlacementPolicy::Static => self.line_channel(sbuf.0),
+                PlacementPolicy::Static => self.mapper.channel_of(sbuf),
                 PlacementPolicy::OccupancyLocality => {
                     let snaps = self.shard_snapshots();
                     sched::pick(&self.sched, &snaps).channel
                 }
             })
         } else {
-            self.phase_of(sbuf)
+            Staging::Phase(self.mapper.interleave_phase(sbuf))
         };
         self.stage_source(need, sbuf, size, class)
     }
@@ -669,9 +621,9 @@ impl CompCpyHost {
         &mut self,
         handle: &OffloadHandle,
     ) -> Result<(Vec<[u8; 16]>, usize), OffloadStatus> {
-        let mut partials = Vec::with_capacity(self.channels);
+        let mut partials = Vec::with_capacity(self.channels());
         let mut bytes = 0;
-        for c in 0..self.channels {
+        for c in 0..self.channels() {
             let r = self.read_result_on(handle, c);
             match r.status {
                 OffloadStatus::Partial => {
@@ -726,9 +678,10 @@ impl CompCpyHost {
 
     /// Reads the result slot of `handle` on `channel`.
     pub fn read_result_on(&mut self, handle: &OffloadHandle, channel: usize) -> ResultSlot {
-        let slot = (handle.id as usize) % self.result_slots;
-        let addr = self.mmio_alias(RESULT_BASE + (slot as u64) * 64, channel);
-        let data = self.mem.mmio_read64(addr);
+        let slot = self.window.result_slot(handle.id) as u64;
+        let data = self
+            .mem
+            .mmio_read64(self.window.alias(RESULT_BASE + slot * 64, channel));
         ResultSlot::from_bytes(&data)
     }
 
@@ -797,10 +750,10 @@ impl CompCpyHost {
     pub fn force_recycle(&mut self, required: usize) -> usize {
         self.force_recycles += 1;
         let mut freed = 0usize;
-        for channel in 0..self.channels {
+        for channel in 0..self.channels() {
             let mut index = 0u64;
             loop {
-                let addr = self.mmio_alias(PENDING_BASE + index * 64, channel);
+                let addr = self.window.alias(PENDING_BASE + index * 64, channel);
                 let line = self.mem.mmio_read64(addr);
                 let records = unpack_pending(&line);
                 if records.is_empty() {
@@ -811,7 +764,6 @@ impl CompCpyHost {
                     // Pass 1: flush cached dirty lines (Algorithm 1 line 4).
                     self.mem.flush(page, PAGE);
                     // Pass 2: explicit write-requests for lines still staged.
-                    let addr = self.mmio_alias(PENDING_BASE + index * 64, channel);
                     let line = self.mem.mmio_read64(addr);
                     let again = unpack_pending(&line);
                     if let Some(rec2) = again.iter().find(|r| r.dst_page_addr == rec.dst_page_addr)
@@ -882,7 +834,7 @@ impl CompCpyHost {
             // split larger messages into per-page CompCpy calls.
             return Err(CompCpyError::BadSize);
         }
-        if !op.size_preserving() && self.channels > 1 && self.sole_channel(sbuf, size).is_none() {
+        if !op.size_preserving() && self.channels() > 1 && self.sole_channel(sbuf, size).is_none() {
             // §V-D: non-size-preserving transforms need their *source* on
             // a single channel so one shard's engine sees the whole
             // message (single-channel mode, flex mode, or a coarse
@@ -913,7 +865,7 @@ impl CompCpyHost {
         // after the device completes.
         let src_sole = self.sole_channel(eff_sbuf, size);
         let direct = self.channel_maps_match(eff_sbuf, dbuf, size) && self.dsa_resident(dbuf, size);
-        let bounce = (!direct).then(|| self.phase_of(eff_sbuf));
+        let bounce = (!direct).then(|| Staging::Phase(self.mapper.interleave_phase(eff_sbuf)));
         let stage_dbuf = match bounce {
             Some(need) => {
                 self.bounced_offloads += 1;
@@ -959,7 +911,7 @@ impl CompCpyHost {
             return Ok(());
         }
         // Lazy refresh from SmartDIMMConfig[0] (line 9).
-        let data = self.mem.mmio_read64(self.mmio(STATUS_OFFSET));
+        let data = self.mem.mmio_read64(self.window.alias(STATUS_OFFSET, 0));
         let mut refreshed = StatusReg::from_bytes(&data).free_pages as i64;
         if refreshed <= pages_needed {
             // Unlikely path (lines 10-13).
@@ -1081,7 +1033,7 @@ impl CompCpyHost {
         let Some(mut ctx) = OffloadContext::new(op, size, aad).filter(|_| size > 0) else {
             return Err(CompCpyError::BadSize);
         };
-        if !op.size_preserving() || self.channels > 1 {
+        if !op.size_preserving() || self.channels() > 1 {
             return Err(CompCpyError::SingleChannelOnly);
         }
         if !self.dsa_resident(sbuf, size) || !self.dsa_resident(dbuf, size) {

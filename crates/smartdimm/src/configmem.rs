@@ -18,6 +18,13 @@
 //! are generated device-side by the GF multiplier as soon as the
 //! registration lands: one power per full cacheline, in strides of `H^4`
 //! (see `ulp_crypto::gcm::OooGcm::with_metadata_policy`).
+//!
+//! [`ConfigWindow`] places these offsets in every channel's physical
+//! address space, for the host and the device alike.
+
+#![deny(missing_docs)]
+
+use dram::{AddressMapper, DramTopology, PhysAddr};
 
 /// Read-only status register offset.
 pub const STATUS_OFFSET: u64 = 0x000;
@@ -31,6 +38,68 @@ pub const RESULT_BASE: u64 = 0x10000;
 pub const PENDING_BASE: u64 = 0x20000;
 /// Total size of the MMIO config space in bytes.
 pub const CONFIG_SPACE_SIZE: u64 = 0x40000;
+
+/// Every channel's private Config Memory window, and the result slot
+/// each offload reports through (§V-D). The window is channel-local:
+/// channel `c`'s is its first `CONFIG_SPACE_SIZE / 64` lines at or after
+/// `config_base`, and logical offset `o` sits in the `o / 64`-th of them,
+/// whether or not `config_base` is a multiple of the interleave period.
+#[derive(Debug, Clone)]
+pub struct ConfigWindow {
+    mapper: AddressMapper,
+    /// Physical cacheline index of `config_base`.
+    base_line: u64,
+    /// One past the last physical byte of any channel's window.
+    end: u64,
+    result_slots: usize,
+}
+
+impl ConfigWindow {
+    /// The windows of `topology`'s channels, starting at the
+    /// (line-aligned) `config_base`, with `result_slots` result slots.
+    pub fn new(config_base: PhysAddr, topology: DramTopology, result_slots: usize) -> ConfigWindow {
+        let mut window = ConfigWindow {
+            mapper: AddressMapper::new(topology),
+            base_line: config_base.0 >> 6,
+            end: 0,
+            result_slots,
+        };
+        window.end = (0..topology.channels)
+            .map(|c| window.alias(CONFIG_SPACE_SIZE - 64, c).0 + 64)
+            .max()
+            .unwrap_or(config_base.0);
+        window
+    }
+
+    /// The lowest physical address of any channel's window.
+    pub fn start(&self) -> PhysAddr {
+        PhysAddr(self.base_line << 6)
+    }
+
+    /// The physical address of logical register offset `offset` in
+    /// `channel`'s window.
+    pub fn alias(&self, offset: u64, channel: usize) -> PhysAddr {
+        let first = self.mapper.lines_below(channel, self.base_line);
+        let line = self.mapper.merge_line(channel, first + offset / 64);
+        PhysAddr((line << 6) + offset % 64)
+    }
+
+    /// The logical register offset of `addr` within the window of the
+    /// channel it decodes to, or `None` outside every window.
+    pub fn offset_of(&self, addr: PhysAddr) -> Option<u64> {
+        if addr.0 < self.start().0 || addr.0 >= self.end {
+            return None;
+        }
+        let (channel, local) = self.mapper.split_line(addr.0 >> 6);
+        let rel = local.checked_sub(self.mapper.lines_below(channel, self.base_line))?;
+        (rel < CONFIG_SPACE_SIZE / 64).then_some(rel * 64 + addr.0 % 64)
+    }
+
+    /// The result slot offload `offload_id` reports through.
+    pub fn result_slot(&self, offload_id: u64) -> usize {
+        (offload_id % self.result_slots as u64) as usize
+    }
+}
 
 /// Offload status codes stored in result slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,6 +321,7 @@ impl StatusReg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn registration_round_trip() {
@@ -310,6 +380,69 @@ mod tests {
         let packed = pack_pending(&records);
         assert_eq!(unpack_pending(&packed), records);
         assert!(unpack_pending(&[0u8; 64]).is_empty());
+    }
+
+    proptest! {
+        /// Every logical offset of every channel's window has an alias
+        /// that decodes to that channel and maps back to the offset, for
+        /// any channel count and any page-aligned base — also one that is
+        /// not a multiple of the interleave period (3 or 6 channels). On
+        /// a period-aligned base the alias is the historical layout:
+        /// whole periods of `channels × interleave` lines from the base.
+        #[test]
+        fn prop_window_alias_round_trips(
+            channels in 1usize..=6,
+            gran_log in 0u32..8,
+            base_page in 0x4_0000u64..0x4_0100,
+            line in 0..CONFIG_SPACE_SIZE / 64,
+            byte in 0u64..64,
+            pick in 0usize..6,
+        ) {
+            let topo = DramTopology {
+                channels,
+                channel_interleave_lines: 1 << gran_log,
+                ..DramTopology::default()
+            };
+            let base = PhysAddr(base_page << 12);
+            let window = ConfigWindow::new(base, topo, 1024);
+            let mapper = AddressMapper::new(topo);
+            let (channel, offset) = (pick % channels, line * 64 + byte);
+            let alias = window.alias(offset, channel);
+            prop_assert!(alias >= window.start());
+            // The window opens at the channel's first line at or after
+            // the base: its line before that lies below the base.
+            let (c, first) = mapper.split_line(window.alias(0, channel).0 >> 6);
+            prop_assert!(window.alias(0, channel) >= base);
+            prop_assert!(first == 0 || mapper.merge_line(c, first - 1) < base.0 >> 6);
+            prop_assert_eq!(mapper.decode(alias).channel, channel);
+            prop_assert_eq!(window.offset_of(alias), Some(offset));
+            let period = (channels << gran_log) as u64;
+            if (base.0 / 64).is_multiple_of(period) {
+                let g = 1u64 << gran_log;
+                let phys_line = (line / g) * period + channel as u64 * g + line % g;
+                prop_assert_eq!(alias, PhysAddr(base.0 + phys_line * 64 + byte));
+            }
+        }
+    }
+
+    #[test]
+    fn window_edges_and_result_slots() {
+        let topo = DramTopology {
+            channels: 3,
+            channel_interleave_lines: 64,
+            ..DramTopology::default()
+        };
+        let window = ConfigWindow::new(PhysAddr(0x4000_0000), topo, 4);
+        assert_eq!(window.offset_of(PhysAddr(0x4000_0000 - 64)), None);
+        for channel in 0..3 {
+            assert!(window.alias(0, channel) >= window.start());
+            let last = window.alias(CONFIG_SPACE_SIZE - 64, channel);
+            assert_eq!(window.offset_of(last), Some(CONFIG_SPACE_SIZE - 64));
+            // The line after a window's last belongs to no window.
+            let past = window.alias(CONFIG_SPACE_SIZE, channel);
+            assert_eq!(window.offset_of(past), None);
+        }
+        assert_eq!(window.result_slot(9), 1);
     }
 
     #[test]

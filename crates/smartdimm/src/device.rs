@@ -8,7 +8,8 @@
 //!   CAS carries no row, so a CAS to a bank the table holds closed
 //!   counts a `bank_desync` and passes through untouched;
 //! * serve the MMIO config space (status, registration, context, result
-//!   slots, pending list) — these accesses never touch the DRAM chips;
+//!   slots, pending list) at the addresses [`ConfigWindow`] assigns this
+//!   channel — these accesses never touch the DRAM chips;
 //! * on a rdCAS inside a registered *source* range, forward the DRAM
 //!   data to the DSA (S6) and stage the results in the Scratchpad, while
 //!   returning the unmodified data to the host (CompCpy's copy still
@@ -31,8 +32,9 @@ use ulp_compress::hwmodel::HwDeflateConfig;
 
 use crate::banktable::BankTable;
 use crate::configmem::{
-    pack_pending, ContextChunk, OffloadStatus, PendingRecord, Registration, ResultSlot, StatusReg,
-    CONFIG_SPACE_SIZE, CONTEXT_OFFSET, PENDING_BASE, REGISTER_OFFSET, RESULT_BASE, STATUS_OFFSET,
+    pack_pending, ConfigWindow, ContextChunk, OffloadStatus, PendingRecord, Registration,
+    ResultSlot, StatusReg, CONFIG_SPACE_SIZE, CONTEXT_OFFSET, PENDING_BASE, REGISTER_OFFSET,
+    RESULT_BASE, STATUS_OFFSET,
 };
 use crate::dsa::{DsaInstance, OffloadContext, OffloadOp};
 use crate::scratchpad::{LineState, Scratchpad};
@@ -124,16 +126,22 @@ pub struct DeviceStats {
     pub cross_channel_rejects: u64,
 }
 
+/// One registered page pair of an offload on this shard.
+#[derive(Debug, Clone, Copy)]
+struct PagePair {
+    /// Source page number.
+    src: u64,
+    /// Destination page number and its Scratchpad page, while staged.
+    dst: Option<(u64, usize)>,
+}
+
+/// One offload's state on this shard.
 #[derive(Debug)]
 struct Offload {
     ctx: OffloadContext,
     dsa: DsaInstance,
-    /// scratch page per destination page index of the message.
-    dst_scratch: Vec<Option<usize>>,
-    /// physical page address per destination page index.
-    dst_phys: Vec<Option<u64>>,
-    /// registered source page addresses (for cleanup).
-    src_pages: Vec<u64>,
+    /// Per page index of the message: the pair registered here, if any.
+    pages: Vec<Option<PagePair>>,
     /// per-source-line processed flags (dedup repeated rdCAS).
     processed: Vec<bool>,
     done: bool,
@@ -157,15 +165,15 @@ impl Offload {
             .to_bytes(),
         )
     }
+}
 
-    /// Forgets destination page `page_index` (recycled or superseded);
-    /// returns the page number it was registered at.
-    fn forget_dst_page(&mut self, page_index: usize) -> Option<u64> {
-        if let Some(s) = self.dst_scratch.get_mut(page_index) {
-            *s = None;
-        }
-        self.dst_phys.get_mut(page_index).and_then(Option::take)
-    }
+/// One Config Memory result slot.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The 64-byte MMIO view last stored.
+    result: [u8; 64],
+    /// The live offload whose partial result reads expose instead.
+    owner: Option<u64>,
 }
 
 /// The CAS path a source line arrives on (S6).
@@ -183,14 +191,14 @@ enum FeedPath {
 pub struct SmartDimmDevice {
     cfg: SmartDimmConfig,
     mapper: AddressMapper,
+    window: ConfigWindow,
     bank_table: BankTable,
     xlat: TranslationTable,
     scratchpad: Scratchpad,
     offloads: BTreeMap<u64, Offload>,
-    contexts: BTreeMap<u64, [u8; 48]>,
-    results: Vec<[u8; 64]>,
-    /// Offload currently owning each result slot (for live partial reads).
-    slot_owner: Vec<Option<u64>>,
+    /// Decoded contexts by offload id, at most one per result slot.
+    contexts: BTreeMap<u64, OffloadContext>,
+    slots: Vec<Slot>,
     stats: DeviceStats,
     /// rdCAS(sbuf) → wrCAS(dbuf) slack histogram (cycles, §IV-D).
     slack: Histogram,
@@ -224,13 +232,19 @@ impl SmartDimmDevice {
         let topo = cfg.topology;
         SmartDimmDevice {
             mapper: AddressMapper::new(topo),
+            window: ConfigWindow::new(cfg.config_base, topo, cfg.result_slots),
             bank_table: BankTable::new(topo.ranks, topo.banks_per_rank()),
             xlat: TranslationTable::new(cfg.xlat_entries, cfg.cam_entries),
             scratchpad: Scratchpad::new(cfg.scratchpad_pages),
             offloads: BTreeMap::new(),
             contexts: BTreeMap::new(),
-            results: vec![ResultSlot::empty().to_bytes(); cfg.result_slots],
-            slot_owner: vec![None; cfg.result_slots],
+            slots: vec![
+                Slot {
+                    result: ResultSlot::empty().to_bytes(),
+                    owner: None,
+                };
+                cfg.result_slots
+            ],
             stats: DeviceStats::default(),
             slack: Histogram::new("smartdimm.slack_cycles", 200, 2000),
             fault: None,
@@ -409,36 +423,32 @@ impl SmartDimmDevice {
                 .count()
     }
 
-    fn in_config_space(&self, addr: PhysAddr) -> bool {
-        let span = CONFIG_SPACE_SIZE * self.cfg.topology.channels as u64;
-        addr.0 >= self.cfg.config_base.0 && addr.0 < self.cfg.config_base.0 + span
+    /// Bit `l` set for each of the first `lines` lines of page `page`
+    /// that decode to this shard's channel *and* DIMM slot — the only
+    /// lines whose CAS traffic this device observes (capacity DIMMs on
+    /// the same bus carry no DSA).
+    fn shard_mask(&self, page: u64, lines: usize) -> u64 {
+        let on_shard = |l: &u64| {
+            let loc = self.mapper.decode(PhysAddr((page << 12) + l * 64));
+            loc.channel == self.cfg.channel
+                && self.cfg.topology.dimm_slot_of_rank(loc.rank) == self.cfg.dimm_slot
+        };
+        (0..lines as u64)
+            .filter(on_shard)
+            .fold(0, |mask, l| mask | 1 << l)
     }
 
-    /// Whether `line_addr` decodes to this shard's channel *and* DIMM
-    /// slot — the only lines whose CAS traffic this device observes
-    /// (capacity DIMMs on the same bus carry no DSA).
-    fn line_on_shard(&self, line_addr: PhysAddr) -> bool {
-        let loc = self.mapper.decode(line_addr);
-        loc.channel == self.cfg.channel
-            && self.cfg.topology.dimm_slot_of_rank(loc.rank) == self.cfg.dimm_slot
-    }
-
-    /// De-interleaves a physical config-space address into this device's
-    /// logical register offset. Fine-grain channel interleaving spreads
-    /// consecutive cachelines across channels, so each DIMM's private
-    /// register window is the subset of lines that map to its channel;
-    /// the logical offset is the line's rank within that subset (§V-D).
-    fn mmio_logical_offset(&self, addr: PhysAddr) -> u64 {
-        let topo = &self.cfg.topology;
-        let ch = topo.channels as u64;
-        let g = topo.channel_interleave_lines as u64;
-        let li = (addr.0 - self.cfg.config_base.0) / 64;
-        let logical_line = (li / (ch * g)) * g + li % g;
-        logical_line * 64 + (addr.0 - self.cfg.config_base.0) % 64
-    }
-
-    fn handle_mmio_read(&mut self, addr: PhysAddr) -> [u8; 64] {
-        let off = self.mmio_logical_offset(addr);
+    /// Serves a read of logical register offset `off`.
+    fn handle_mmio_read(&self, off: u64) -> [u8; 64] {
+        let slot = off.checked_sub(RESULT_BASE).map(|o| (o / 64) as usize);
+        if let Some(slot) = slot.and_then(|i| self.slots.get(i)) {
+            // Live TLS offloads expose their running partial result.
+            return slot
+                .owner
+                .and_then(|id| self.offloads.get(&id))
+                .and_then(Offload::partial_slot)
+                .unwrap_or(slot.result);
+        }
         match off {
             STATUS_OFFSET => StatusReg {
                 free_pages: self.scratchpad.free_pages() as u64,
@@ -447,16 +457,6 @@ impl SmartDimmDevice {
                 ignored_writebacks: self.stats.ignored_writebacks,
             }
             .to_bytes(),
-            o if o >= RESULT_BASE && o < RESULT_BASE + (self.results.len() as u64) * 64 => {
-                let slot = ((o - RESULT_BASE) / 64) as usize;
-                // Live TLS offloads expose their running partial result.
-                let owner = self.slot_owner.get(slot).copied().flatten();
-                owner
-                    .and_then(|id| self.offloads.get(&id))
-                    .and_then(Offload::partial_slot)
-                    .or_else(|| self.results.get(slot).copied())
-                    .unwrap_or([0u8; 64])
-            }
             o if (PENDING_BASE..CONFIG_SPACE_SIZE).contains(&o) => {
                 let index = ((o - PENDING_BASE) / 64) as usize * 4;
                 let pending = self.scratchpad.pending_pages();
@@ -464,15 +464,13 @@ impl SmartDimmDevice {
                     .iter()
                     .skip(index)
                     .take(4)
-                    .map(|&(sp, dst_page)| {
-                        let mut bitmap = 0u64;
-                        for line in self.scratchpad.valid_lines(sp) {
-                            bitmap |= 1 << line;
-                        }
-                        PendingRecord {
-                            dst_page_addr: dst_page << 12,
-                            valid_bitmap: bitmap,
-                        }
+                    .map(|&(sp, dst_page)| PendingRecord {
+                        dst_page_addr: dst_page << 12,
+                        valid_bitmap: self
+                            .scratchpad
+                            .valid_lines(sp)
+                            .iter()
+                            .fold(0, |b, l| b | 1 << l),
                     })
                     .collect();
                 pack_pending(&records)
@@ -481,20 +479,25 @@ impl SmartDimmDevice {
         }
     }
 
-    fn handle_mmio_write(&mut self, at: Cycle, addr: PhysAddr, data: &[u8; 64]) {
+    /// Handles a write of logical register offset `off`.
+    fn handle_mmio_write(&mut self, at: Cycle, off: u64, data: &[u8; 64]) {
         self.stats.mmio_writes += 1;
-        let off = self.mmio_logical_offset(addr);
         match off {
             REGISTER_OFFSET => self.register(at, Registration::from_bytes(data)),
             CONTEXT_OFFSET => {
                 let chunk = ContextChunk::from_bytes(data);
-                self.contexts.insert(chunk.offload_id, chunk.payload);
+                // Decode once, here. A corrupt payload leaves no context,
+                // so each registration of its id is rejected.
+                match OffloadContext::decode(&chunk.payload) {
+                    Some(ctx) => self.contexts.insert(chunk.offload_id, ctx),
+                    None => self.contexts.remove(&chunk.offload_id),
+                };
                 // Hardware context memory is finite: retire the oldest
                 // entries once we exceed the result-slot count (ids are
                 // monotonic, so first = oldest). Keeps non-participating
                 // shards of a multi-channel broadcast from growing the
                 // map without bound.
-                while self.contexts.len() > self.results.len() {
+                while self.contexts.len() > self.slots.len() {
                     self.contexts.pop_first();
                 }
             }
@@ -504,26 +507,21 @@ impl SmartDimmDevice {
 
     fn register(&mut self, at: Cycle, reg: Registration) {
         self.stats.registrations += 1;
-        let Some(payload) = self.contexts.get(&reg.offload_id).copied() else {
-            // Context must precede registration; drop silently (counts as
-            // a software bug surfaced by the xlat_failures stat).
+        // A registration needs its id's context (sent first) and a page
+        // inside the message. Anything else is a driver bug the hardware
+        // rejects, never faults on (surfaced by the xlat_failures stat).
+        let Some(ctx) = self.contexts.get(&reg.offload_id).copied() else {
             self.stats.xlat_failures += 1;
             return;
         };
-        let Some(ctx) = OffloadContext::decode(&payload) else {
-            // Corrupt context payload: reject the registration.
-            self.stats.xlat_failures += 1;
-            return;
-        };
-        let (op, msg_len) = (ctx.op, ctx.msg_len);
-        let page_index = (reg.msg_offset as usize) / PAGE;
-        let num_pages = msg_len.div_ceil(PAGE);
-        if page_index >= num_pages {
-            // A descriptor whose msg_offset lies beyond the message is a
-            // driver bug; the hardware must reject it, not fault on it.
+        let msg_len = ctx.msg_len;
+        if reg.msg_offset >= msg_len as u64 {
             self.stats.xlat_failures += 1;
             return;
         }
+        let msg_offset = reg.msg_offset as usize;
+        let page_index = msg_offset / PAGE;
+        let (src_page, dst_page) = (reg.src_page_addr >> 12, reg.dst_page_addr >> 12);
 
         // Lazily create the offload state on its first page registration.
         if !self.offloads.contains_key(&reg.offload_id) {
@@ -532,19 +530,17 @@ impl SmartDimmDevice {
                 Offload {
                     ctx,
                     dsa: DsaInstance::new(&ctx, self.cfg.hw_deflate),
-                    dst_scratch: vec![None; num_pages],
-                    dst_phys: vec![None; num_pages],
-                    src_pages: Vec::new(),
+                    pages: vec![None; msg_len.div_ceil(PAGE)],
                     processed: vec![false; msg_len.div_ceil(64)],
                     done: false,
                 },
             );
-            let slot = self.slot_of(reg.offload_id);
-            if let Some(r) = self.results.get_mut(slot) {
-                *r = ResultSlot::empty().to_bytes();
-            }
-            if let Some(owner) = self.slot_owner.get_mut(slot) {
-                *owner = Some(reg.offload_id);
+            let slot = self.window.result_slot(reg.offload_id);
+            if let Some(slot) = self.slots.get_mut(slot) {
+                *slot = Slot {
+                    result: ResultSlot::empty().to_bytes(),
+                    owner: Some(reg.offload_id),
+                };
             }
         }
 
@@ -556,142 +552,111 @@ impl SmartDimmDevice {
             offload: old_id,
             msg_offset: old_off,
             scratch_page: old_sp,
-        }) = self.xlat.peek(reg.dst_page_addr >> 12)
+        }) = self.xlat.peek(dst_page)
         {
             self.scratchpad.force_free(at, old_sp);
-            self.xlat.remove(reg.dst_page_addr >> 12);
-            if let Some(old) = self.offloads.get_mut(&old_id) {
-                old.forget_dst_page(old_off / PAGE);
-            }
+            self.unstage(dst_page, old_id, old_off);
             if old_id != reg.offload_id {
-                // Same-id re-registration must not drop the offload we are
-                // in the middle of (re)registering: its first page pair has
-                // no staging yet, so maybe_drop_offload would reap it here.
-                self.maybe_drop_offload(old_id);
+                // Not the record being (re)registered: it has no staging yet.
+                self.retire(old_id);
             }
         }
 
         // Bytes of the message covered by this page.
-        let covered = (msg_len - reg.msg_offset as usize).min(PAGE);
-        let covered_lines = match op {
-            // Size-preserving: output lines mirror the input coverage.
-            OffloadOp::TlsEncrypt { .. } | OffloadOp::TlsDecrypt { .. } => covered.div_ceil(64),
-            // Compression output never exceeds its input (stored/raw
-            // fallback), so the input coverage bounds it.
-            OffloadOp::Compress => covered.div_ceil(64),
-            // Decompression can expand up to the full 4 KB page; the
-            // actual count is trimmed at completion (§V-C registers as
-            // many destination pages as source pages).
-            OffloadOp::Decompress => LINES_PER_PAGE,
+        let covered = (msg_len - msg_offset).min(PAGE);
+        let src_lines = covered.div_ceil(64);
+        // Output never exceeds the input coverage (compression falls back
+        // to stored/raw), except that decompression may fill the whole
+        // page; completion trims it (§V-C).
+        let decompress = matches!(ctx.op, OffloadOp::Decompress);
+        let covered_lines = if decompress {
+            LINES_PER_PAGE
+        } else {
+            src_lines
         };
         // Under channel interleaving this DIMM stages only the covered
         // lines whose addresses map to its channel (§V-D).
-        let mut expected_mask = 0u64;
-        for l in 0..covered_lines {
-            let line_addr = PhysAddr(reg.dst_page_addr + (l as u64) * 64);
-            if self.line_on_shard(line_addr) {
-                expected_mask |= 1u64 << l;
-            }
-        }
-        // The source lines this shard will see on its own channel. A
-        // shard can only serve a page pair it sees both sides of: the
-        // rd-CAS feed (source) and the wr-CAS/rd-CAS staging (dest) are
-        // both routed per channel decode, so a pair whose masks disagree
-        // would stage destination lines that are never fed (or feed a
-        // DSA whose output it cannot stage) and hang at S13.
-        let src_lines = covered.div_ceil(64);
-        let mut src_mask = 0u64;
-        for l in 0..src_lines {
-            let line_addr = PhysAddr(reg.src_page_addr + (l as u64) * 64);
-            if self.line_on_shard(line_addr) {
-                src_mask |= 1u64 << l;
-            }
-        }
+        let expected_mask = self.shard_mask(dst_page, covered_lines);
+        // A shard can only serve a page pair it sees both sides of: a pair
+        // whose masks disagree would stage destination lines that are
+        // never fed (or feed output it cannot stage) and hang at S13.
+        let src_mask = self.shard_mask(src_page, src_lines);
         if expected_mask == 0 && src_mask == 0 {
             // No cacheline of this pair lands on this DIMM; drop the
-            // lazily-created record if no earlier page touched us (the
-            // context stays: a later page of the offload may land here).
-            self.reap_if_untouched(reg.offload_id);
+            // lazily-created record if no earlier page touched us.
+            self.retire(reg.offload_id);
             return;
         }
-        let aligned = match op {
-            // Size-preserving ops and compression cover the same line
-            // count on both sides: the shard must see line i of the
-            // source exactly when it stages line i of the destination.
-            OffloadOp::TlsEncrypt { .. } | OffloadOp::TlsDecrypt { .. } | OffloadOp::Compress => {
-                src_mask == expected_mask
-            }
-            // Decompression output spans the whole page regardless of
-            // input coverage, so both pages must be entirely on this
-            // channel (page-granular placement, e.g. coarse interleave).
-            OffloadOp::Decompress => {
-                src_mask == crate::scratchpad::prefix_mask(src_lines)
-                    && expected_mask == crate::scratchpad::prefix_mask(covered_lines)
-            }
+        // The shard must see source line i exactly when it stages
+        // destination line i; decompression needs both pages wholly on
+        // this shard (page-granular placement, e.g. coarse interleave).
+        let aligned = if decompress {
+            src_mask == crate::scratchpad::prefix_mask(src_lines)
+                && expected_mask == crate::scratchpad::prefix_mask(covered_lines)
+        } else {
+            src_mask == expected_mask
         };
         if !aligned {
             // Cross-channel page pair: the host driver must bounce it
             // through a channel-aligned buffer. Reject loudly instead of
             // hanging the offload.
             self.stats.cross_channel_rejects += 1;
-            self.reap_if_untouched(reg.offload_id);
+            self.retire(reg.offload_id);
             return;
         }
-        let Some(scratch_page) = self
-            .scratchpad
-            .alloc(at, reg.dst_page_addr >> 12, expected_mask)
-        else {
+        let Some(scratch_page) = self.scratchpad.alloc(at, dst_page, expected_mask) else {
             self.stats.alloc_failures += 1;
             return;
         };
 
         let src_ok = self.xlat.insert(
-            reg.src_page_addr >> 12,
+            src_page,
             Mapping::Source {
                 offload: reg.offload_id,
-                msg_offset: reg.msg_offset as usize,
+                msg_offset,
             },
         );
         let dst_ok = self.xlat.insert(
-            reg.dst_page_addr >> 12,
+            dst_page,
             Mapping::Dest {
                 offload: reg.offload_id,
-                msg_offset: reg.msg_offset as usize,
+                msg_offset,
                 scratch_page,
             },
         );
-        if src_ok.is_err() || dst_ok.is_err() {
+        let pair = PagePair {
+            src: src_page,
+            dst: Some((dst_page, scratch_page)),
+        };
+        let entry = self
+            .offloads
+            .get_mut(&reg.offload_id)
+            .and_then(|off| off.pages.get_mut(page_index))
+            .filter(|_| src_ok.is_ok() && dst_ok.is_ok());
+        let Some(entry) = entry else {
             // Roll back: a half-registered page pair must not leak its
             // scratchpad page or leave a dangling translation behind.
             self.stats.xlat_failures += 1;
             self.scratchpad.force_free(at, scratch_page);
             if src_ok.is_ok() {
-                self.xlat.remove(reg.src_page_addr >> 12);
+                self.xlat.remove(src_page);
             }
             if dst_ok.is_ok() {
-                self.xlat.remove(reg.dst_page_addr >> 12);
+                self.xlat.remove(dst_page);
             }
             return;
-        }
-        let Some(off) = self.offloads.get_mut(&reg.offload_id) else {
-            // The offload record vanished (should be unreachable now that
-            // same-id supersede keeps it alive); unwind the registration
-            // instead of faulting the device.
-            self.stats.xlat_failures += 1;
-            self.scratchpad.force_free(at, scratch_page);
-            self.xlat.remove(reg.src_page_addr >> 12);
-            self.xlat.remove(reg.dst_page_addr >> 12);
-            return;
         };
-        // `page_index < num_pages` was checked above; the vectors were
-        // sized with `num_pages` when the record was created.
-        if let Some(s) = off.dst_scratch.get_mut(page_index) {
-            *s = Some(scratch_page);
+        // A repeat registration of the page index replaces its earlier
+        // pair: release what of that pair the new one does not reuse.
+        if let Some(old) = entry.replace(pair) {
+            if let Some((page, sp)) = old.dst {
+                self.scratchpad.force_free(at, sp);
+                self.xlat.remove(page);
+            }
+            if old.src != src_page {
+                self.drop_source(old.src, reg.offload_id);
+            }
         }
-        if let Some(p) = off.dst_phys.get_mut(page_index) {
-            *p = Some(reg.dst_page_addr >> 12);
-        }
-        off.src_pages.push(reg.src_page_addr >> 12);
     }
 
     /// The one S6 line acceptor. Feeds the source line at message byte
@@ -768,7 +733,8 @@ impl SmartDimmDevice {
             // An output line beyond the registered destination range (or
             // landing on a superseded page) has nowhere to go: count it
             // and drop the data rather than faulting the device.
-            let Some(Some(scratch)) = off.dst_scratch.get(page_index).copied() else {
+            let staged = off.pages.get(page_index).copied().flatten();
+            let Some((_, scratch)) = staged.and_then(|pair| pair.dst) else {
                 stats.orphan_lines += 1;
                 continue;
             };
@@ -778,15 +744,10 @@ impl SmartDimmDevice {
         }
     }
 
-    /// The result slot an offload reports through.
-    fn slot_of(&self, offload_id: u64) -> usize {
-        (offload_id as usize) % self.results.len()
-    }
-
     fn finalize(&mut self, at: Cycle, offload_id: u64, completion: crate::dsa::DsaCompletion) {
-        let slot = self.slot_of(offload_id);
-        if let Some(r) = self.results.get_mut(slot) {
-            *r = ResultSlot {
+        let slot = self.window.result_slot(offload_id);
+        if let Some(slot) = self.slots.get_mut(slot) {
+            slot.result = ResultSlot {
                 status: completion.status,
                 out_len: completion.out_len as u64,
                 tag: completion.tag.unwrap_or([0u8; 16]),
@@ -801,8 +762,11 @@ impl SmartDimmDevice {
         if !off.ctx.op.size_preserving() {
             // Trim destination pages to the actual output size.
             let out_lines = completion.out_len.div_ceil(64);
-            for (page_index, scratch) in off.dst_scratch.clone().iter().enumerate() {
-                let Some(sp) = *scratch else { continue };
+            for (page_index, pair) in off.pages.iter_mut().enumerate() {
+                let Some(pair) = pair else { continue };
+                let Some((dst_page, sp)) = pair.dst else {
+                    continue;
+                };
                 let start_line = page_index * LINES_PER_PAGE;
                 let lines_here = out_lines.saturating_sub(start_line).min(LINES_PER_PAGE);
                 let freed_before = self.scratchpad.free_pages();
@@ -810,80 +774,67 @@ impl SmartDimmDevice {
                     .set_expected(at, sp, crate::scratchpad::prefix_mask(lines_here));
                 if self.scratchpad.free_pages() > freed_before {
                     // Page freed entirely (no output lines landed here).
-                    self.cleanup_dst_page(offload_id, page_index);
+                    self.xlat.remove(dst_page);
+                    pair.dst = None;
                 }
             }
         }
-        self.maybe_drop_offload(offload_id);
+        self.retire(offload_id);
     }
 
-    fn cleanup_dst_page(&mut self, offload_id: u64, page_index: usize) {
-        let off = self.offloads.get_mut(&offload_id);
-        if let Some(dst_page) = off.and_then(|off| off.forget_dst_page(page_index)) {
-            self.xlat.remove(dst_page);
+    /// Drops the translation of destination page `page` (recycled or
+    /// superseded) and its staging in the record of `offload`, which
+    /// registered it at `msg_offset`. The translation goes by page, so a
+    /// page staged without a live record (an injected hog) leaves none.
+    fn unstage(&mut self, page: u64, offload: u64, msg_offset: usize) {
+        self.xlat.remove(page);
+        let off = self.offloads.get_mut(&offload);
+        if let Some(Some(pair)) = off.and_then(|off| off.pages.get_mut(msg_offset / PAGE)) {
+            pair.dst = None;
         }
     }
 
-    /// Removes the lazily-created record for `offload_id` if no page
-    /// pair has actually landed on this shard. The registration
-    /// broadcast reaches every channel, so non-participating shards must
-    /// not accumulate empty records. The context entry is kept: a later
-    /// page of the same offload may still decode to this channel.
-    fn reap_if_untouched(&mut self, offload_id: u64) {
-        let untouched = match self.offloads.get(&offload_id) {
-            Some(off) => off.src_pages.is_empty() && off.dst_scratch.iter().all(|s| s.is_none()),
-            None => false,
-        };
-        if !untouched {
-            return;
-        }
-        self.offloads.remove(&offload_id);
-        self.release_slot(offload_id);
-    }
-
-    /// Clears `offload_id`'s claim on its result slot, if it still holds it.
-    fn release_slot(&mut self, offload_id: u64) {
-        let slot = self.slot_of(offload_id);
-        if let Some(owner) = self.slot_owner.get_mut(slot) {
-            if *owner == Some(offload_id) {
-                *owner = None;
-            }
-        }
-    }
-
-    fn maybe_drop_offload(&mut self, offload_id: u64) {
-        // An offload is dead once no destination page stages output for
-        // it anymore — either it completed and fully recycled, or every
-        // page was superseded by re-registrations.
-        let drop_it = match self.offloads.get(&offload_id) {
-            Some(off) => off.dst_scratch.iter().all(|s| s.is_none()),
-            None => false,
-        };
-        if !drop_it {
+    /// The one retire path: drops `offload_id`'s record once no page
+    /// stages output for it (completed and recycled, superseded, or none
+    /// of the broadcast pairs landed here). A record no page landed on
+    /// keeps its context, as a later page may still land; any other
+    /// persists its partial TLS result for the host-side combine (§V-D)
+    /// and drops its context and the source translations it still owns.
+    fn retire(&mut self, offload_id: u64) {
+        let idle = |off: &Offload| off.pages.iter().flatten().all(|pair| pair.dst.is_none());
+        if !self.offloads.get(&offload_id).is_some_and(idle) {
             return;
         }
         let Some(off) = self.offloads.remove(&offload_id) else {
             return;
         };
-        // A partial TLS engine (channel interleaving) fully recycled
-        // without a device-local completion: persist its partial result
-        // for the host-side combine.
-        let slot = self.slot_of(offload_id);
-        if let (Some(partial), Some(r)) = (off.partial_slot(), self.results.get_mut(slot)) {
-            *r = partial;
-        }
-        self.release_slot(offload_id);
-        for src in off.src_pages {
-            // A newer offload may have re-registered the same source
-            // page (persistent connections reuse buffers): remove the
-            // translation only if it still belongs to this offload.
-            if let Some(Mapping::Source { offload, .. }) = self.xlat.peek(src) {
-                if offload == offload_id {
-                    self.xlat.remove(src);
-                }
+        let touched = off.pages.iter().any(Option::is_some);
+        if let Some(slot) = self.slots.get_mut(self.window.result_slot(offload_id)) {
+            if slot.owner == Some(offload_id) {
+                slot.owner = None;
+            }
+            if let Some(partial) = off.partial_slot().filter(|_| touched) {
+                slot.result = partial;
             }
         }
+        if !touched {
+            return;
+        }
+        for pair in off.pages.iter().flatten() {
+            self.drop_source(pair.src, offload_id);
+        }
         self.contexts.remove(&offload_id);
+    }
+
+    /// Removes the translation of source page `page` if it still belongs
+    /// to `offload_id` — a newer offload may have re-registered the page
+    /// (persistent connections reuse buffers).
+    fn drop_source(&mut self, page: u64, offload_id: u64) {
+        if let Some(Mapping::Source { offload, .. }) = self.xlat.peek(page) {
+            if offload == offload_id {
+                self.xlat.remove(page);
+            }
+        }
     }
 
     /// Addr Remap (§IV-C): regenerates the physical address of a CAS
@@ -922,8 +873,8 @@ impl BufferDevice for SmartDimmDevice {
         let Some(phys) = self.remap(info) else {
             return RdResult::Data(*dram_data);
         };
-        if self.in_config_space(phys) {
-            return RdResult::Data(self.handle_mmio_read(phys));
+        if let Some(off) = self.window.offset_of(phys) {
+            return RdResult::Data(self.handle_mmio_read(off));
         }
 
         let line_in_page = ((phys.0 & 0xFFF) / 64) as usize;
@@ -959,15 +910,13 @@ impl BufferDevice for SmartDimmDevice {
     fn page_read_supported(&mut self, base: PhysAddr) -> bool {
         // Batched page reads bypass the per-line CAS interception, so they
         // are only safe when nothing on this page needs per-line handling:
-        //  * config-space reads must go through the MMIO handler,
+        //  * config-space reads must go through the MMIO handler (window
+        //    bounds are page aligned, so the first line decides),
         //  * destination pages can hold Pending lines that demand a Retry
         //    (inexpressible in a batch),
         //  * an installed fault handle must see each source feed
         //    individually to decide which ones to drop.
-        if self.fault.is_some() {
-            return false;
-        }
-        if self.in_config_space(base) || self.in_config_space(PhysAddr(base.0 + 0xFFF)) {
+        if self.fault.is_some() || self.window.offset_of(base).is_some() {
             return false;
         }
         !matches!(self.xlat.peek(base.page()), Some(Mapping::Dest { .. }))
@@ -1010,8 +959,8 @@ impl BufferDevice for SmartDimmDevice {
         let Some(phys) = self.remap(info) else {
             return WrResult::Commit(*host_data);
         };
-        if self.in_config_space(phys) {
-            self.handle_mmio_write(info.at, phys, host_data);
+        if let Some(off) = self.window.offset_of(phys) {
+            self.handle_mmio_write(info.at, off, host_data);
             return WrResult::Ignore;
         }
 
@@ -1045,15 +994,8 @@ impl BufferDevice for SmartDimmDevice {
                             self.slack.record(info.at.saturating_since(t0));
                         }
                         if freed {
-                            // Remove the translation by page, not through
-                            // the offload record: pages staged without a
-                            // live offload (injected hogs, races with
-                            // supersede) must not orphan their entry.
-                            self.xlat.remove(page);
-                            if let Some(off) = self.offloads.get_mut(&offload) {
-                                off.forget_dst_page(msg_offset / PAGE);
-                            }
-                            self.maybe_drop_offload(offload);
+                            self.unstage(page, offload, msg_offset);
+                            self.retire(offload);
                         }
                         WrResult::Commit(data)
                     }
@@ -1355,31 +1297,172 @@ mod tests {
                 "line {line}"
             );
         }
-        let slot = ResultSlot::from_bytes(&dev.results[6]);
+        let slot = ResultSlot::from_bytes(&dev.slots[6].result);
         assert_eq!((slot.status, slot.tag), (OffloadStatus::Done, want_tag));
     }
 
-    /// Registers a `msg_len`-byte TLS offload `id` over one page pair.
-    fn register_tls(dev: &mut SmartDimmDevice, id: u64, msg_len: usize, src: u64, dst: u64) {
-        let base = dev.cfg.config_base.0;
-        let op = OffloadOp::TlsEncrypt {
-            key: [1; 16],
-            iv: [2; 12],
-        };
-        let ctx = ContextChunk {
+    /// Writes `data` to logical register `offset` of the device's own
+    /// Config Memory window.
+    fn mmio_write(dev: &mut SmartDimmDevice, offset: u64, data: [u8; 64]) {
+        let addr = dev.window.alias(offset, dev.cfg.channel);
+        let info = prepare(dev, addr);
+        assert_eq!(dev.on_wr_cas(&info, &data), WrResult::Ignore);
+    }
+
+    const TLS: OffloadOp = OffloadOp::TlsEncrypt {
+        key: [1; 16],
+        iv: [2; 12],
+    };
+
+    /// Sends offload `id`'s context with `payload`.
+    fn send_context(dev: &mut SmartDimmDevice, id: u64, payload: [u8; 48]) {
+        let chunk = ContextChunk {
             offload_id: id,
-            payload: payload(op, msg_len),
+            payload,
         };
-        let info = prepare(dev, PhysAddr(base + CONTEXT_OFFSET));
-        dev.on_wr_cas(&info, &ctx.to_bytes());
+        mmio_write(dev, CONTEXT_OFFSET, chunk.to_bytes());
+    }
+
+    /// Registers page pair `src` → `dst` at `msg_offset` of offload `id`.
+    fn send_pair(dev: &mut SmartDimmDevice, id: u64, src: u64, dst: u64, msg_offset: u64) {
         let reg = Registration {
             offload_id: id,
             src_page_addr: src,
             dst_page_addr: dst,
-            msg_offset: 0,
+            msg_offset,
         };
-        let info = prepare(dev, PhysAddr(base + REGISTER_OFFSET));
-        dev.on_wr_cas(&info, &reg.to_bytes());
+        mmio_write(dev, REGISTER_OFFSET, reg.to_bytes());
+    }
+
+    /// Registers a `msg_len`-byte TLS offload `id` over one page pair.
+    fn register_tls(dev: &mut SmartDimmDevice, id: u64, msg_len: usize, src: u64, dst: u64) {
+        send_context(dev, id, payload(TLS, msg_len));
+        send_pair(dev, id, src, dst, 0);
+    }
+
+    /// Feeds every line of source page `src` and writes back every line
+    /// of destination page `dst` — a one-page offload's copy and `USE`.
+    fn copy_and_use(dev: &mut SmartDimmDevice, src: u64, dst: u64) {
+        for line in 0..LINES_PER_PAGE as u64 {
+            let info = prepare(dev, PhysAddr(src + line * 64));
+            dev.on_rd_cas(&info, &[line as u8; 64]);
+        }
+        for line in 0..LINES_PER_PAGE as u64 {
+            let info = prepare(dev, PhysAddr(dst + line * 64));
+            dev.on_wr_cas(&info, &[0; 64]);
+        }
+    }
+
+    /// The device holds no record, Scratchpad page or translation (and,
+    /// once a page landed, no context) for offload `id`.
+    fn assert_retired(dev: &SmartDimmDevice, id: u64, what: &str) {
+        assert!(!dev.offloads.contains_key(&id), "{what}: record");
+        assert!(!dev.contexts.contains_key(&id), "{what}: context");
+        assert_eq!(
+            dev.free_pages(),
+            dev.cfg.scratchpad_pages,
+            "{what}: scratch"
+        );
+        assert_eq!(dev.xlat().len(), 0, "{what}: translations");
+    }
+
+    /// Malformed registrations are rejected with the same counter as
+    /// ever, and leave no state behind: once the offload then runs and
+    /// retires, the device holds nothing for it.
+    #[test]
+    fn hostile_registrations_leave_no_state() {
+        type Counter = fn(&DeviceStats) -> u64;
+        let xlat_failures: Counter = |s| s.xlat_failures;
+        let cases: [(&str, Option<[u8; 48]>, u64, Counter); 3] = [
+            ("no context", None, 0, xlat_failures),
+            ("corrupt context", Some([0xFF; 48]), 0, xlat_failures),
+            (
+                "msg_offset past the message",
+                Some(payload(TLS, 100)),
+                200,
+                xlat_failures,
+            ),
+        ];
+        for (what, context, msg_offset, counter) in cases {
+            let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+            if let Some(context) = context {
+                send_context(&mut dev, 7, context);
+            }
+            send_pair(&mut dev, 7, 0x10000, 0x20000, msg_offset);
+            let stats = dev.stats();
+            assert_eq!((stats.registrations, counter(&stats)), (1, 1), "{what}");
+            assert!(dev.offloads.is_empty(), "{what}: record");
+            assert_eq!(dev.xlat().len(), 0, "{what}: translations");
+
+            register_tls(&mut dev, 7, 4096, 0x10000, 0x20000);
+            copy_and_use(&mut dev, 0x10000, 0x20000);
+            assert_eq!(dev.stats().offloads_completed, 1, "{what}");
+            assert_retired(&dev, 7, what);
+        }
+    }
+
+    /// A live offload that registers one of its page indices again with
+    /// another source page is accepted (it bumps only `registrations`,
+    /// as ever); the new pair replaces the old, whose translations and
+    /// staging are released, so the offload still retires clean.
+    #[test]
+    fn repeat_page_registration_replaces_the_pair() {
+        for dst in [0x20000, 0x60000] {
+            let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+            register_tls(&mut dev, 7, 4096, 0x10000, 0x20000);
+            let before = dev.stats();
+            send_pair(&mut dev, 7, 0x50000, dst, 0);
+            let after = dev.stats();
+            assert_eq!(after.registrations, before.registrations + 1);
+            assert_eq!(
+                (
+                    after.xlat_failures,
+                    after.alloc_failures,
+                    after.cross_channel_rejects
+                ),
+                (0, 0, 0)
+            );
+            assert_eq!(dev.free_pages(), dev.cfg.scratchpad_pages - 1);
+            assert_eq!(dev.xlat().len(), 2, "one source and one destination page");
+
+            copy_and_use(&mut dev, 0x50000, dst);
+            assert_eq!(dev.stats().offloads_completed, 1);
+            assert_retired(&dev, 7, "repeat registration");
+            // The replaced source page no longer feeds anything.
+            copy_and_use(&mut dev, 0x10000, 0x20000);
+            assert_eq!(dev.stats().dsa_lines, 64);
+        }
+    }
+
+    /// A shard that none of the broadcast page pairs land on keeps each
+    /// context (a later page might land) but no record, and its context
+    /// memory stays bounded by the result-slot count.
+    #[test]
+    fn contexts_stay_bounded_on_an_idle_shard() {
+        let cfg = SmartDimmConfig {
+            result_slots: 8,
+            topology: DramTopology {
+                channels: 3,
+                channel_interleave_lines: 64,
+                ..DramTopology::default()
+            },
+            channel: 1,
+            ..SmartDimmConfig::default()
+        };
+        let mut dev = SmartDimmDevice::new(cfg);
+        // Pages 0x30 and 0x60 both decode to channel 0.
+        for id in 1..=20 {
+            register_tls(&mut dev, id, 4096, 0x30000, 0x60000);
+            assert!(dev.contexts.len() <= 8, "{} contexts", dev.contexts.len());
+            assert!(dev.offloads.is_empty());
+        }
+        let stats = dev.stats();
+        assert_eq!((stats.registrations, stats.mmio_writes), (20, 40));
+        assert_eq!((stats.xlat_failures, stats.cross_channel_rejects), (0, 0));
+        assert_eq!(
+            dev.contexts.keys().copied().collect::<Vec<_>>(),
+            (13..=20).collect::<Vec<_>>()
+        );
     }
 
     /// Produce stamps belong to the Scratchpad page: a superseded page's

@@ -16,6 +16,8 @@
 //!   LLC writebacks recycle them (**Self-Recycle**) or software forces
 //!   them out (**Force-Recycle**),
 //! * **Config Memory** holding per-offload contexts and result slots,
+//!   mapped into every channel's physical address space by the one
+//!   [`configmem::ConfigWindow`] that host and device share,
 //! * two **DSAs**: AES-GCM TLS (out-of-order cachelines via precomputed
 //!   powers of H) and Deflate compression (the `ulp-compress` hardware
 //!   model).

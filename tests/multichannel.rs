@@ -82,46 +82,61 @@ fn cross_channel_tls_multi_page() {
 
 #[test]
 fn cross_channel_tls_four_channels() {
-    let mut host = host_with(4, COARSE);
-    let mut bounced = 0;
-    for seed in 0..4 {
-        bounced = tls_round_trip(&mut host, 4096, b"hd", 10 + seed);
+    // 3 and 6 channels put the Config Memory base at a different phase
+    // of the interleave period on every channel: the host must still
+    // read each pinned offload's tag from the shard that computed it.
+    for channels in [4, 3, 6] {
+        let mut host = host_with(channels, COARSE);
+        let mut bounced = 0;
+        for seed in 0..channels as u64 {
+            bounced = tls_round_trip(&mut host, 4096, b"hd", 10 + seed);
+        }
+        tls_round_trip(&mut host, 1024, b"hd", 9);
+        assert!(bounced >= 1, "some pair must have crossed channels");
+        // Repeated single-page offloads rotate through the channels.
+        let active = (0..channels)
+            .filter(|&c| host.device_on(c).stats().dsa_lines > 0)
+            .count();
+        assert!(
+            active >= 2,
+            "only {active} of {channels} shards processed lines"
+        );
     }
-    assert!(bounced >= 1, "some pair must have crossed channels");
-    // Repeated single-page offloads rotate through all four channels.
-    let active = (0..4)
-        .filter(|&c| host.device_on(c).stats().dsa_lines > 0)
-        .count();
-    assert!(active >= 2, "only {active} of 4 shards processed lines");
 }
 
 #[test]
 fn cross_channel_compression_round_trip() {
-    let mut host = host_with(2, COARSE);
-    let page = ulp_compress::corpus::html(4096, 7);
-    let src = host.alloc_pages(1);
-    let dst = host.alloc_pages(1); // opposite channel from src
-    host.mem_mut().store(src, &page, 0);
-    let handle = host
-        .comp_cpy(dst, src, 4096, OffloadOp::Compress, true, 0)
-        .expect("coarse interleave keeps the source on one channel");
-    let compressed = host.use_buffer(&handle);
-    assert!(host.bounced_offload_count() >= 1);
-    assert_eq!(
-        ulp_compress::inflate::decompress(&compressed).expect("valid deflate stream"),
-        page,
-        "compressed output corrupted by the bounce path"
-    );
+    for channels in [2, 3, 6] {
+        let mut host = host_with(channels, COARSE);
+        let page = ulp_compress::corpus::html(4096, 7);
+        let src = host.alloc_pages(1);
+        let dst = host.alloc_pages(1); // next channel over from src
+        host.mem_mut().store(src, &page, 0);
+        let handle = host
+            .comp_cpy(dst, src, 4096, OffloadOp::Compress, true, 0)
+            .expect("coarse interleave keeps the source on one channel");
+        let compressed = host.use_buffer(&handle);
+        assert!(host.bounced_offload_count() >= 1);
+        assert!(compressed.len() < page.len(), "{channels} channels");
+        assert_eq!(
+            ulp_compress::inflate::decompress(&compressed).expect("valid deflate stream"),
+            page,
+            "compressed output corrupted by the bounce path"
+        );
 
-    // And back: decompress across channels too.
-    let csrc = host.alloc_pages(1);
-    let cdst = host.alloc_pages(1);
-    host.mem_mut().store(csrc, &compressed, 0);
-    let handle = host
-        .comp_cpy(cdst, csrc, compressed.len(), OffloadOp::Decompress, true, 0)
-        .expect("decompression accepted");
-    let restored = host.use_buffer(&handle);
-    assert_eq!(restored, page, "decompression round trip");
+        // And back: decompress across channels too.
+        let csrc = host.alloc_pages(1);
+        let cdst = host.alloc_pages(1);
+        host.mem_mut().store(csrc, &compressed, 0);
+        let handle = host
+            .comp_cpy(cdst, csrc, compressed.len(), OffloadOp::Decompress, true, 0)
+            .expect("decompression accepted");
+        let restored = host.use_buffer(&handle);
+        assert_eq!(
+            restored, page,
+            "decompression round trip ({channels} channels)"
+        );
+    }
 }
 
 #[test]
