@@ -265,11 +265,6 @@ impl Llc {
         }
     }
 
-    /// Number of completed miss-rate sampling windows.
-    pub fn sample_windows_completed(&self) -> u64 {
-        self.windows_completed
-    }
-
     /// Registers every cache statistic (access counters, cumulative and
     /// sampled miss rates) under `scope` for a `telemetry/v1` snapshot.
     pub fn export_telemetry(&self, scope: &mut simkit::telemetry::Scope) {

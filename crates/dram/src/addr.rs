@@ -55,6 +55,10 @@ impl fmt::Display for PhysAddr {
     }
 }
 
+/// The DIMM slot of every channel that carries the SmartDIMM buffer
+/// device; the other slots are plain capacity DIMMs.
+pub const DSA_SLOT: usize = 0;
+
 /// DRAM organization parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTopology {
@@ -62,15 +66,15 @@ pub struct DramTopology {
     pub channels: usize,
     /// Ranks per DIMM.
     pub ranks: usize,
-    /// DIMMs per channel. Only the slot-0 DIMM of each channel carries
-    /// the SmartDIMM buffer device; the remaining slots are plain
-    /// capacity DIMMs, so offload placement has to care which DIMM a
-    /// buffer decodes to.
+    /// DIMMs per channel. Only the [`DSA_SLOT`] DIMM of each channel
+    /// carries the SmartDIMM buffer device; the remaining slots are
+    /// plain capacity DIMMs, so offload placement has to care which DIMM
+    /// a buffer decodes to.
     pub dimms_per_channel: usize,
     /// CPU sockets. Channels are split evenly across sockets
-    /// (`channels % sockets == 0`); accesses from the home socket to a
-    /// channel owned by another socket cross the inter-socket link and
-    /// pay the configured interconnect penalty.
+    /// (`channels % sockets == 0`); the driving host runs on socket 0,
+    /// and its accesses to a channel owned by another socket cross the
+    /// inter-socket link and pay the configured interconnect penalty.
     pub sockets: usize,
     /// Bank groups per rank (DDR4: 4).
     pub bank_groups: usize,
@@ -128,10 +132,24 @@ impl DramTopology {
         channel / self.channels_per_socket()
     }
 
+    /// Whether `channel` belongs to a socket other than socket 0, the
+    /// one the driving host runs on: its CAS commands cross the
+    /// inter-socket link.
+    pub fn is_remote(&self, channel: usize) -> bool {
+        self.socket_of_channel(channel) != 0
+    }
+
     /// The DIMM slot within a channel that a decoded (channel-local)
-    /// rank index belongs to. Slot 0 is the DSA-bearing DIMM.
+    /// rank index belongs to.
     pub fn dimm_slot_of_rank(&self, rank: usize) -> usize {
         rank / self.ranks
+    }
+
+    /// Whether a decoded (channel-local) rank index lies on the
+    /// [`DSA_SLOT`] DIMM, the only one whose CAS traffic a buffer
+    /// device sees.
+    pub fn on_dsa_slot(&self, rank: usize) -> bool {
+        self.dimm_slot_of_rank(rank) == DSA_SLOT
     }
 
     /// Total addressable bytes.
@@ -459,15 +477,18 @@ mod tests {
         #[test]
         fn prop_round_trip_arbitrary_topology(
             addr_line in 0u64..(1 << 24),
-            channels in 1usize..4,
+            channels in 1usize..=4,
             ranks in 1usize..3,
             dimms in 1usize..3,
             gran_log in 0u32..3,
+            two_sockets: bool,
         ) {
+            let sockets = if two_sockets && channels.is_multiple_of(2) { 2 } else { 1 };
             let topo = DramTopology {
                 channels,
                 ranks,
                 dimms_per_channel: dimms,
+                sockets,
                 channel_interleave_lines: 1 << gran_log,
                 ..DramTopology::default()
             };
@@ -478,7 +499,10 @@ mod tests {
             prop_assert_eq!(mapper.merge_line(channel, local), addr_line);
             prop_assert_eq!(mapper.channel_of(a), mapper.decode(a).channel);
             prop_assert_eq!(channel, mapper.channel_of(a));
+            let loc = mapper.decode(a);
+            prop_assert_eq!(topo.on_dsa_slot(loc.rank), loc.rank < ranks);
             for c in 0..channels {
+                prop_assert_eq!(topo.is_remote(c), c >= channels / sockets);
                 let below = mapper.lines_below(c, addr_line);
                 prop_assert!(mapper.merge_line(c, below) >= addr_line);
                 prop_assert!(below == 0 || mapper.merge_line(c, below - 1) < addr_line);

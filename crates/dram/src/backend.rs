@@ -74,6 +74,7 @@ impl std::fmt::Display for BackendKind {
 mod tests {
     use super::*;
     use crate::addr::{AddressMapper, DramTopology, PhysAddr};
+    use crate::Timing;
 
     fn fast_with(config: MemorySystemConfig) -> DramSystem {
         BackendKind::FastQueue.build(config)
@@ -84,9 +85,7 @@ mod tests {
     }
 
     /// Fast-tier service time of one cacheline read.
-    fn read_service(s: &DramSystem) -> u64 {
-        s.timing().t_cl + s.timing().t_burst
-    }
+    const READ_SERVICE: u64 = Timing::DDR4_3200.t_cl + Timing::DDR4_3200.t_burst;
 
     #[test]
     fn fast_write_then_read_round_trip() {
@@ -96,7 +95,7 @@ mod tests {
         s.advance(1_000); // drain the posted write from the FIFO
         let (data, lat) = s.read64(addr);
         assert_eq!(data, [0x5A; 64]);
-        assert_eq!(lat, read_service(&s));
+        assert_eq!(lat, READ_SERVICE);
     }
 
     #[test]
@@ -105,9 +104,9 @@ mod tests {
         // Two back-to-back reads: the second queues behind the first.
         let (_, first) = s.read64(PhysAddr(0));
         let (_, second) = s.read64(PhysAddr(64));
-        assert_eq!(first, read_service(&s));
-        assert_eq!(second, 2 * read_service(&s));
-        assert_eq!(s.channel_busy_cycles(0), 2 * read_service(&s));
+        assert_eq!(first, READ_SERVICE);
+        assert_eq!(second, 2 * READ_SERVICE);
+        assert_eq!(s.channel_busy_cycles(0), 2 * READ_SERVICE);
     }
 
     #[test]
@@ -116,7 +115,7 @@ mod tests {
         let _ = s.read64(PhysAddr(0));
         s.advance(10_000);
         let _ = s.read64(PhysAddr(0));
-        assert_eq!(s.channel_busy_cycles(0), 2 * read_service(&s));
+        assert_eq!(s.channel_busy_cycles(0), 2 * READ_SERVICE);
         assert!(s.bus_utilization(20_000) < 0.1);
     }
 
@@ -152,7 +151,7 @@ mod tests {
             assert_eq!(page[i], line, "line {i}");
         }
         assert_eq!(a.stats().rd_cas, b.stats().rd_cas);
-        let t = a.timing();
+        let t = Timing::DDR4_3200;
         assert!(lat >= t.t_rcd + t.t_cl + 64 * t.t_burst);
     }
 
@@ -198,13 +197,12 @@ mod tests {
         let mut s = fast_with(MemorySystemConfig {
             topology: topo,
             interconnect_penalty_cycles: 300,
-            home_socket: 0,
             ..MemorySystemConfig::default()
         });
         let (_, local) = s.read64(PhysAddr(0)); // channel 0, socket 0
         let (_, remote) = s.read64(PhysAddr(64)); // channel 1, socket 1
-        assert_eq!(local, read_service(&s));
-        assert_eq!(remote, read_service(&s) + 300);
+        assert_eq!(local, READ_SERVICE);
+        assert_eq!(remote, READ_SERVICE + 300);
         assert_eq!(s.stats().remote_accesses, 1);
     }
 

@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn closed_bank_needs_activation() {
         let mut b = Bank::default();
-        let t = Timing::default();
+        let t = Timing::DDR4_3200;
         let (cas_at, act, pre) = b.open_row(Cycle(100), 5, &t);
         assert!(act && !pre);
         assert_eq!(cas_at, Cycle(100 + t.t_rcd));
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn row_hit_issues_immediately() {
         let mut b = Bank::default();
-        let t = Timing::default();
+        let t = Timing::DDR4_3200;
         let (first, _, _) = b.open_row(Cycle(0), 5, &t);
         let (again, act, pre) = b.open_row(first + 10, 5, &t);
         assert!(!act && !pre);
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn row_conflict_precharges_first() {
         let mut b = Bank::default();
-        let t = Timing::default();
+        let t = Timing::DDR4_3200;
         let (cas1, _, _) = b.open_row(Cycle(0), 5, &t);
         b.on_read(cas1, &t);
         let (cas2, act, pre) = b.open_row(cas1 + 1, 9, &t);
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn earliest_cas_matches_open_row() {
-        let t = Timing::default();
+        let t = Timing::DDR4_3200;
         for row in [3usize, 7] {
             let mut b = Bank::default();
             b.open_row(Cycle(0), 3, &t);
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn write_recovery_delays_precharge() {
         let mut b = Bank::default();
-        let t = Timing::default();
+        let t = Timing::DDR4_3200;
         let (cas, _, _) = b.open_row(Cycle(0), 1, &t);
         b.on_write(cas, &t);
         let before = cas + t.t_cwl + t.t_burst + t.t_wr;

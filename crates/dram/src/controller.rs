@@ -2,8 +2,10 @@
 //!
 //! The controller owns every bank's row state (SmartDIMM's cardinal
 //! constraint: the *host* controller is the only agent that manages DRAM
-//! state — the buffer device never issues its own commands), schedules
-//! CAS commands, runs the `ALERT_N` retry protocol, and exposes
+//! state — the buffer device never issues its own commands), issues
+//! every access in arrival order with an open-page policy (no request
+//! queue, no reordering, no write batching), runs the `ALERT_N` retry
+//! protocol, and exposes
 //! per-channel bandwidth statistics plus the rdCAS/wrCAS trace used by
 //! Fig. 9.
 //!
@@ -35,11 +37,14 @@
 
 use simkit::{Cycle, TraceSink};
 
-use crate::addr::{AddressMapper, DramTopology, PhysAddr};
+use crate::addr::{AddressMapper, DramTopology, PhysAddr, DSA_SLOT};
 use crate::backend::BackendKind;
 use crate::bank::{Bank, RowState};
 use crate::dimm::{CasInfo, Dimm, RdResult};
 use crate::timing::Timing;
+
+/// The DDR timing every channel applies.
+const DDR: Timing = Timing::DDR4_3200;
 
 /// Data-bus direction, for turnaround penalties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,10 +57,10 @@ enum BusDir {
 impl BusDir {
     /// Turnaround a CAS in direction `next` pays after the bus last
     /// carried `self`.
-    fn turnaround(self, next: BusDir, t: &Timing) -> u64 {
+    fn turnaround(self, next: BusDir) -> u64 {
         match (self, next) {
-            (BusDir::Write, BusDir::Read) => t.t_wtr,
-            (BusDir::Read, BusDir::Write) => t.t_rtw,
+            (BusDir::Write, BusDir::Read) => DDR.t_wtr,
+            (BusDir::Read, BusDir::Write) => DDR.t_rtw,
             _ => 0,
         }
     }
@@ -82,9 +87,9 @@ enum Tier {
 }
 
 struct Channel {
-    /// DIMM slots on this channel's bus; slot 0 is the DSA-bearing
-    /// DIMM, the rest are plain capacity DIMMs. The decoded rank field
-    /// spans all slots (`rank / ranks` selects the slot).
+    /// DIMM slots on this channel's bus; [`DSA_SLOT`] is the
+    /// DSA-bearing DIMM, the rest are plain capacity DIMMs. The decoded
+    /// rank field spans all slots (`rank / ranks` selects the slot).
     dimms: Vec<Dimm>,
     /// Busy cycles since the last stats reset: data-burst cycles on the
     /// accurate tier, whole service occupancy on the fast tier (so under
@@ -101,19 +106,13 @@ struct Channel {
 pub struct MemorySystemConfig {
     /// DRAM organization.
     pub topology: DramTopology,
-    /// DDR timing parameters.
-    pub timing: Timing,
     /// Whether to collect a rdCAS/wrCAS trace (Fig. 9).
     pub trace: bool,
     /// Extra completion latency (command-clock cycles) charged on every
-    /// CAS that targets a channel owned by a socket other than
-    /// [`MemorySystemConfig::home_socket`] — the inter-socket link hop.
-    /// The penalty rides on the request path, not the DDR bus, so bank
-    /// and bus state are unaffected.
+    /// CAS that targets a remote channel ([`DramTopology::is_remote`]) —
+    /// the inter-socket link hop. The penalty rides on the request path,
+    /// not the DDR bus, so bank and bus state are unaffected.
     pub interconnect_penalty_cycles: u64,
-    /// The socket the driving host runs on; accesses to channels of
-    /// other sockets are remote.
-    pub home_socket: usize,
 }
 
 /// Aggregate DRAM statistics.
@@ -134,7 +133,7 @@ pub struct DramStats {
     /// All-bank refresh commands issued (tREFI cadence).
     pub refreshes: u64,
     /// CAS commands that crossed the inter-socket link (the target
-    /// channel belongs to a socket other than the home socket).
+    /// channel is remote, [`DramTopology::is_remote`]).
     pub remote_accesses: u64,
 }
 
@@ -159,7 +158,6 @@ impl DramStats {
 /// ```
 pub struct DramSystem {
     mapper: AddressMapper,
-    timing: Timing,
     fidelity: BackendKind,
     channels: Vec<Channel>,
     now: Cycle,
@@ -167,7 +165,6 @@ pub struct DramSystem {
     trace: TraceSink,
     max_retries: usize,
     interconnect_penalty: u64,
-    home_socket: usize,
 }
 
 impl std::fmt::Debug for DramSystem {
@@ -206,7 +203,7 @@ impl DramSystem {
                         ],
                         bus_free: Cycle::ZERO,
                         bus_dir: BusDir::Idle,
-                        next_refresh: Cycle(config.timing.t_refi),
+                        next_refresh: Cycle(DDR.t_refi),
                     },
                     BackendKind::FastQueue => Tier::Fast {
                         free_at: Cycle::ZERO,
@@ -220,7 +217,6 @@ impl DramSystem {
             .collect();
         DramSystem {
             mapper: AddressMapper::new(topo),
-            timing: config.timing,
             fidelity,
             channels,
             now: Cycle::ZERO,
@@ -232,7 +228,6 @@ impl DramSystem {
             },
             max_retries: 64,
             interconnect_penalty: config.interconnect_penalty_cycles,
-            home_socket: config.home_socket,
         }
     }
 
@@ -241,30 +236,29 @@ impl DramSystem {
         self.fidelity
     }
 
-    /// Replaces the slot-0 DIMM on `channel` with one using the given
-    /// buffer device — how SmartDIMM is installed. Slot 0 is by
-    /// convention the only DSA-bearing DIMM of a channel; the remaining
+    /// Replaces the [`DSA_SLOT`] DIMM on `channel` with one using the
+    /// given buffer device — how SmartDIMM is installed. The remaining
     /// slots stay pass-through capacity DIMMs.
     ///
     /// # Panics
     ///
     /// Panics if `channel` is out of range.
     pub fn install_dimm(&mut self, channel: usize, dimm: Dimm) {
-        self.channels[channel].dimms[0] = dimm;
+        self.channels[channel].dimms[DSA_SLOT] = dimm;
     }
 
-    /// Mutable access to the slot-0 (DSA-bearing) DIMM on `channel`
+    /// Mutable access to the [`DSA_SLOT`] DIMM on `channel`
     /// (for buffer-device state inspection via
     /// [`crate::BufferDevice::as_any_mut`]).
     pub fn dimm_mut(&mut self, channel: usize) -> &mut Dimm {
-        &mut self.channels[channel].dimms[0]
+        &mut self.channels[channel].dimms[DSA_SLOT]
     }
 
     /// Charges the inter-socket hop for `cas` commands to `channel`:
     /// bumps the remote counters and returns the extra completion
-    /// latency (zero for a channel of the home socket).
+    /// latency (zero for a local channel).
     fn interconnect_charge(&mut self, channel: usize, cas: u64) -> u64 {
-        if self.mapper.topology().socket_of_channel(channel) == self.home_socket {
+        if !self.mapper.topology().is_remote(channel) {
             return 0;
         }
         self.stats.remote_accesses += cas;
@@ -275,11 +269,6 @@ impl DramSystem {
     /// The address mapper in use.
     pub fn mapper(&self) -> &AddressMapper {
         &self.mapper
-    }
-
-    /// The timing parameters in use.
-    pub fn timing(&self) -> &Timing {
-        &self.timing
     }
 
     /// Current controller time.
@@ -316,11 +305,6 @@ impl DramSystem {
     /// The CAS trace (empty unless tracing was enabled in the config).
     pub fn trace(&self) -> &TraceSink {
         &self.trace
-    }
-
-    /// Clears the collected trace.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
     }
 
     /// Busy cycles on `channel` since the last stats reset (data-bus
@@ -392,7 +376,6 @@ impl DramSystem {
         bank_index: usize,
         row: Option<usize>,
     ) -> Cycle {
-        let t = self.timing;
         let slot = self.mapper.topology().dimm_slot_of_rank(rank);
         let ch = &mut self.channels[channel];
         let (ready, precharged, activated) = match &mut ch.tier {
@@ -400,12 +383,12 @@ impl DramSystem {
                 let bank = &mut banks[rank][bank_index];
                 match row {
                     Some(row) => {
-                        let (ready, activated, precharged) = bank.open_row(at, row, &t);
+                        let (ready, activated, precharged) = bank.open_row(at, row, &DDR);
                         (ready, precharged, activated)
                     }
                     None => {
                         let was_open = bank.state() != RowState::Closed;
-                        bank.precharge(at, &t);
+                        bank.precharge(at, &DDR);
                         (at, was_open, false)
                     }
                 }
@@ -444,7 +427,6 @@ impl DramSystem {
     /// each due tREFI tick precharges every bank and pushes the command
     /// past the tRFC window. The fast tier models no refresh.
     fn refresh_gate(&mut self, channel: usize, mut at: Cycle) -> Cycle {
-        let t = self.timing;
         let topo = *self.mapper.topology();
         loop {
             let Tier::Accurate { next_refresh, .. } = &mut self.channels[channel].tier else {
@@ -454,14 +436,14 @@ impl DramSystem {
             if at < due {
                 return at;
             }
-            *next_refresh = due + t.t_refi;
+            *next_refresh = due + DDR.t_refi;
             self.stats.refreshes += 1;
             for rank in 0..topo.ranks_per_channel() {
                 for bank_index in 0..topo.banks_per_rank() {
                     self.bank_command(channel, due, rank, bank_index, None);
                 }
             }
-            at = at.max(due + t.t_rfc);
+            at = at.max(due + DDR.t_rfc);
         }
     }
 
@@ -478,8 +460,11 @@ impl DramSystem {
         row: usize,
         dir: BusDir,
     ) -> (Cycle, Cycle) {
-        let t = self.timing;
-        let latency = if dir == BusDir::Read { t.t_cl } else { t.t_cwl };
+        let latency = if dir == BusDir::Read {
+            DDR.t_cl
+        } else {
+            DDR.t_cwl
+        };
         let ready = self.bank_command(channel, at, rank, bank_index, Some(row));
         let ch = &mut self.channels[channel];
         let issue = match &mut ch.tier {
@@ -489,25 +474,25 @@ impl DramSystem {
                 bus_dir,
                 ..
             } => {
-                let issue = ready.max(*bus_free) + bus_dir.turnaround(dir, &t);
-                *bus_free = issue + latency + t.t_burst;
+                let issue = ready.max(*bus_free) + bus_dir.turnaround(dir);
+                *bus_free = issue + latency + DDR.t_burst;
                 *bus_dir = dir;
-                ch.busy_cycles += t.t_burst;
+                ch.busy_cycles += DDR.t_burst;
                 let bank = &mut banks[rank][bank_index];
                 if dir == BusDir::Read {
-                    bank.on_read(issue, &t);
+                    bank.on_read(issue, &DDR);
                 } else {
-                    bank.on_write(issue, &t);
+                    bank.on_write(issue, &DDR);
                 }
                 issue
             }
             Tier::Fast { free_at, .. } => {
-                *free_at = ready + latency + t.t_burst;
-                ch.busy_cycles += latency + t.t_burst;
+                *free_at = ready + latency + DDR.t_burst;
+                ch.busy_cycles += latency + DDR.t_burst;
                 ready
             }
         };
-        (issue, issue + latency + t.t_burst)
+        (issue, issue + latency + DDR.t_burst)
     }
 
     /// Reads one cacheline. Returns the data and the access latency in
@@ -553,7 +538,7 @@ impl DramSystem {
                 RdResult::Retry => {
                     // ALERT_N: retry after the standard delay.
                     self.stats.retries += 1;
-                    attempt_at = issue + self.timing.retry_delay;
+                    attempt_at = issue + DDR.retry_delay;
                 }
             }
         }
@@ -638,7 +623,6 @@ impl DramSystem {
         if !self.channels[channel].dimms[slot].page_read_supported(base) {
             return None;
         }
-        let t = self.timing;
         let start = self.refresh_gate(channel, self.now);
         let mut coords = [(0usize, 0usize, 0usize, 0usize); LINES];
         // Every line opens its row at `start`: the first line on a
@@ -661,20 +645,20 @@ impl DramSystem {
                 bus_dir,
                 ..
             } => {
-                let issue = ready.max(*bus_free) + bus_dir.turnaround(BusDir::Read, &t);
-                let last_issue = issue + (LINES as u64 - 1) * t.t_burst;
-                let done = last_issue + t.t_cl + t.t_burst;
+                let issue = ready.max(*bus_free) + bus_dir.turnaround(BusDir::Read);
+                let last_issue = issue + (LINES as u64 - 1) * DDR.t_burst;
+                let done = last_issue + DDR.t_cl + DDR.t_burst;
                 *bus_free = done;
                 *bus_dir = BusDir::Read;
-                ch.busy_cycles += LINES as u64 * t.t_burst;
+                ch.busy_cycles += LINES as u64 * DDR.t_burst;
                 for &(rank, bank_index, _, _) in &coords {
-                    banks[rank][bank_index].on_read(last_issue, &t);
+                    banks[rank][bank_index].on_read(last_issue, &DDR);
                 }
                 (issue, done)
             }
             // One row open plus 64 back-to-back bursts.
             Tier::Fast { free_at, .. } => {
-                let service = t.t_rcd + t.t_cl + LINES as u64 * t.t_burst;
+                let service = DDR.t_rcd + DDR.t_cl + LINES as u64 * DDR.t_burst;
                 *free_at = ready + service;
                 ch.busy_cycles += service;
                 (ready, ready + service)
@@ -684,7 +668,7 @@ impl DramSystem {
         if self.trace.is_enabled() {
             for i in 0..LINES {
                 self.trace.record(
-                    issue + (i as u64) * t.t_burst,
+                    issue + (i as u64) * DDR.t_burst,
                     "rdCAS",
                     base.0 + (i as u64) * 64,
                     tag,
@@ -692,7 +676,7 @@ impl DramSystem {
             }
         }
         let hop = self.interconnect_charge(channel, LINES as u64);
-        let data = self.channels[channel].dimms[slot].rd_page(base, issue, t.t_burst, &coords);
+        let data = self.channels[channel].dimms[slot].rd_page(base, issue, DDR.t_burst, &coords);
         Some((data, done.saturating_since(self.now) + hop))
     }
 
@@ -856,7 +840,7 @@ mod tests {
     #[test]
     fn refresh_fires_on_trefi_cadence() {
         let mut s = sys();
-        let trefi = s.timing().t_refi;
+        let trefi = DDR.t_refi;
         // Idle past several refresh intervals, then access: the gate
         // processes every due refresh.
         s.advance(trefi * 4 + 10);
@@ -869,7 +853,7 @@ mod tests {
     #[test]
     fn refresh_closes_open_rows() {
         let mut s = sys();
-        let trefi = s.timing().t_refi;
+        let trefi = DDR.t_refi;
         let (_, _) = s.read64(PhysAddr(0));
         s.advance(100);
         let before = s.stats().row_hits;
@@ -986,7 +970,6 @@ mod tests {
             DramSystem::new(MemorySystemConfig {
                 topology: topo,
                 interconnect_penalty_cycles: penalty,
-                home_socket: 0,
                 ..MemorySystemConfig::default()
             })
         };
@@ -1063,7 +1046,7 @@ mod tests {
         let loc = s.mapper().decode(PhysAddr(0));
         let bank = loc.bank_index(s.mapper().topology());
         let _ = s.read64(PhysAddr(0));
-        s.advance(s.timing().t_refi + 100);
+        s.advance(DDR.t_refi + 100);
         let _ = s.read64(PhysAddr(0));
         assert_eq!(s.stats().refreshes, 1);
         let recorder = s.dimm_mut(0).buffer_mut().as_any_mut();

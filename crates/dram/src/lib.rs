@@ -1,8 +1,10 @@
 //! `dram` models a DDR4 memory subsystem at command granularity:
 //! address mapping (with [`AddressMapper`] the one owner of the channel
-//! split), per-bank state machines with DDR4 timing, a FR-FCFS
-//! memory controller with write batching, and — the piece SmartDIMM
-//! needs — a [`BufferDevice`] hook on every DIMM through which on-module
+//! split), per-bank state machines with DDR4-3200 timing
+//! ([`Timing::DDR4_3200`]), an open-page memory controller that issues
+//! every access in arrival order — no request queue, no FR-FCFS
+//! reordering, no write batching, no tCCD — and, the piece SmartDIMM
+//! needs, a [`BufferDevice`] hook on every DIMM through which on-module
 //! logic observes ACT/PRE commands and *intercepts* rdCAS/wrCAS data.
 //!
 //! The SmartDIMM paper's entire mechanism lives in that interception
@@ -33,7 +35,7 @@ pub mod controller;
 pub mod dimm;
 pub mod timing;
 
-pub use addr::{AddressMapper, DramTopology, Loc, PhysAddr};
+pub use addr::{AddressMapper, DramTopology, Loc, PhysAddr, DSA_SLOT};
 pub use backend::BackendKind;
 pub use controller::{DramStats, DramSystem, MemorySystemConfig};
 pub use dimm::{BufferDevice, CasInfo, Dimm, Passthrough, RdResult, WrResult};

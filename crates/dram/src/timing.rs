@@ -1,8 +1,11 @@
 //! DDR4 timing parameters, expressed in DRAM command-clock cycles
 //! (DDR4-3200: 1600 MHz command clock, so 1 cycle = 0.625 ns).
 
+#![deny(missing_docs)]
+
 /// DDR timing constraints used by the bank state machines and the
-/// controller's bus scheduler.
+/// controller's data-bus rule. The simulated machine has one set:
+/// [`Timing::DDR4_3200`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timing {
     /// ACT to CAS delay (tRCD).
@@ -16,11 +19,8 @@ pub struct Timing {
     /// Minimum row-open time before precharge (tRAS).
     pub t_ras: u64,
     /// Burst duration on the data bus (BL8 on a 2n prefetch = 4 cycles).
+    /// Back-to-back bursts serialize on it; tCCD is not modelled.
     pub t_burst: u64,
-    /// CAS-to-CAS, same bank group (tCCD_L).
-    pub t_ccd_l: u64,
-    /// CAS-to-CAS, different bank group (tCCD_S).
-    pub t_ccd_s: u64,
     /// Write recovery before precharge (tWR).
     pub t_wr: u64,
     /// Write-to-read turnaround (tWTR).
@@ -37,38 +37,22 @@ pub struct Timing {
     pub t_rfc: u64,
 }
 
-impl Default for Timing {
-    /// DDR4-3200AA-class numbers in command-clock cycles.
-    fn default() -> Self {
-        Timing {
-            t_rcd: 22,
-            t_rp: 22,
-            t_cl: 22,
-            t_cwl: 16,
-            t_ras: 52,
-            t_burst: 4,
-            t_ccd_l: 8,
-            t_ccd_s: 4,
-            t_wr: 24,
-            t_wtr: 12,
-            t_rtw: 8,
-            retry_delay: 50,
-            t_refi: 12_480,
-            t_rfc: 560,
-        }
-    }
-}
-
 impl Timing {
-    /// Idle-bank read latency in cycles: ACT + tRCD + CL + burst.
-    pub fn closed_row_read(&self) -> u64 {
-        self.t_rcd + self.t_cl + self.t_burst
-    }
-
-    /// Row-hit read latency in cycles: CL + burst.
-    pub fn open_row_read(&self) -> u64 {
-        self.t_cl + self.t_burst
-    }
+    /// DDR4-3200AA-class numbers in command-clock cycles.
+    pub const DDR4_3200: Timing = Timing {
+        t_rcd: 22,
+        t_rp: 22,
+        t_cl: 22,
+        t_cwl: 16,
+        t_ras: 52,
+        t_burst: 4,
+        t_wr: 24,
+        t_wtr: 12,
+        t_rtw: 8,
+        retry_delay: 50,
+        t_refi: 12_480,
+        t_rfc: 560,
+    };
 }
 
 #[cfg(test)]
@@ -76,25 +60,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_consistent() {
-        let t = Timing::default();
+    fn ddr4_3200_is_consistent() {
+        let t = Timing::DDR4_3200;
         assert!(t.t_ras >= t.t_rcd, "row must stay open past tRCD");
-        assert!(t.t_ccd_l >= t.t_ccd_s, "same-BG CCD is the longer one");
-        assert!(t.closed_row_read() > t.open_row_read());
     }
 
     #[test]
     fn refresh_parameters_are_sane() {
-        let t = Timing::default();
+        let t = Timing::DDR4_3200;
         // Refresh overhead must stay in the single-digit percent range.
         let overhead = t.t_rfc as f64 / t.t_refi as f64;
         assert!((0.01..0.10).contains(&overhead), "overhead {overhead}");
-    }
-
-    #[test]
-    fn latency_helpers() {
-        let t = Timing::default();
-        assert_eq!(t.open_row_read(), 26);
-        assert_eq!(t.closed_row_read(), 48);
     }
 }

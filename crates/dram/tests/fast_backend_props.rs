@@ -12,7 +12,7 @@
 //!    sum of the service times of the accesses routed to that channel —
 //!    exactly, with zero contention (idle gaps never count as busy).
 
-use dram::{BackendKind, DramSystem, DramTopology, MemorySystemConfig, PhysAddr};
+use dram::{BackendKind, DramSystem, DramTopology, MemorySystemConfig, PhysAddr, Timing};
 use proptest::prelude::*;
 
 fn sys(channels: usize, interleave: usize) -> DramSystem {
@@ -61,7 +61,7 @@ proptest! {
         channels in 1usize..4,
     ) {
         let mut s = sys(channels, 1);
-        let t = *s.timing();
+        let t = Timing::DDR4_3200;
         let mut want = vec![0u64; channels];
         for (line, is_write) in ops {
             let addr = PhysAddr(line * 64);
@@ -97,7 +97,7 @@ proptest! {
         // regardless of address.
         let mut s = sys(1, 1);
         let addr = PhysAddr(line * 64);
-        let service = s.timing().t_cl + s.timing().t_burst;
+        let service = Timing::DDR4_3200.t_cl + Timing::DDR4_3200.t_burst;
         let mut prev = {
             let (_, latency) = s.read64(addr);
             s.now().raw() + latency

@@ -16,7 +16,7 @@
 //!
 //! Time is a single clock domain: DDR4-3200 command-clock cycles
 //! (1600 MHz, 0.625 ns/cycle). CPU-side costs are expressed in the same
-//! unit via [`CostModel`].
+//! unit.
 //!
 //! # Example
 //!
@@ -37,63 +37,46 @@ use simkit::{Cycle, DetRng};
 
 pub use dram::BackendKind;
 
-/// CPU-side operation costs, in DDR command-clock cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostModel {
-    /// LLC hit latency.
-    pub llc_hit: u64,
-    /// Core-side cost of moving one cacheline during memcpy.
-    pub copy_per_line: u64,
-    /// `clflush` of a line that is resident in the cache.
-    pub flush_present: u64,
-    /// `clflush` of a line that is already only in DRAM (cheaper: the
-    /// paper measures flushing 4 KB as 50 % faster in this case).
-    pub flush_absent: u64,
-    /// A memory fence (`membar`) between ordered copies.
-    pub fence: u64,
-    /// Extra cycles charged on an LLC miss beyond the raw DDR command
-    /// latency: controller queueing, on-chip network, refresh shadow.
-    /// Makes the hit/miss ratio realistic (~12 ns vs ~75 ns).
-    pub miss_extra: u64,
-    /// An uncached MMIO access.
-    pub mmio: u64,
-    /// Store-buffer depth, in cycles of tolerated posted-write backlog:
-    /// when writebacks outpace DRAM by more than this, the writing core
-    /// stalls (write-buffer backpressure). Without it, bursty flushes
-    /// would push their queueing delay onto whoever reads next.
-    pub write_backlog: u64,
-}
+// CPU-side operation costs, in DDR command-clock cycles.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            llc_hit: 20,      // ~12.5 ns
-            copy_per_line: 4, // 2.5 ns/64B ≈ 25 GB/s single-core copy
-            flush_present: 40,
-            flush_absent: 20, // the 50% discount from §IV-A
-            fence: 16,
-            miss_extra: 96,
-            mmio: 60,
-            write_backlog: 256,
-        }
-    }
-}
+/// LLC hit latency (~12.5 ns).
+const LLC_HIT: u64 = 20;
+/// Core-side cost of moving one cacheline during memcpy (2.5 ns/64 B ≈
+/// 25 GB/s single-core copy).
+const COPY_PER_LINE: u64 = 4;
+/// `clflush` of a line that is resident in the cache.
+const FLUSH_PRESENT: u64 = 40;
+/// `clflush` of a line that is already only in DRAM — the paper measures
+/// flushing 4 KB as 50 % faster in this case (§IV-A).
+const FLUSH_ABSENT: u64 = 20;
+/// A memory fence (`membar`) between ordered copies.
+const FENCE: u64 = 16;
+/// Extra cycles charged on an LLC miss beyond the raw DDR command
+/// latency: controller queueing, on-chip network, refresh shadow.
+/// Makes the hit/miss ratio realistic (~12 ns vs ~75 ns).
+const MISS_EXTRA: u64 = 96;
+/// An uncached MMIO access.
+const MMIO: u64 = 60;
+/// Store-buffer depth, in cycles of tolerated posted-write backlog: when
+/// writebacks outpace DRAM by more than this, the writing core stalls
+/// (write-buffer backpressure). Without it, bursty flushes would push
+/// their queueing delay onto whoever reads next.
+const WRITE_BACKLOG: u64 = 256;
 
 /// Configuration for the host memory system.
 #[derive(Debug, Clone)]
 pub struct MemConfig {
-    /// DRAM topology / timing / tracing.
+    /// DRAM topology, interconnect penalty and tracing.
     pub dram: MemorySystemConfig,
-    /// Memory-backend fidelity tier: the cycle-accurate FR-FCFS
-    /// controller (default) or the fixed-latency + per-channel-FIFO
-    /// fast model. Functional behaviour is identical by contract (the
-    /// differential harness pins it); only timing fidelity differs.
+    /// Memory-backend fidelity tier: the cycle-accurate in-order
+    /// open-page controller (default) or the fixed-latency +
+    /// per-channel-FIFO fast model. Functional behaviour is identical by
+    /// contract (the differential harness pins it); only timing fidelity
+    /// differs.
     pub backend: BackendKind,
     /// LLC geometry. Default: 16 MB, 16-way (a contended slice of a
     /// server LLC).
     pub llc: Option<CacheConfig>,
-    /// CPU-side costs.
-    pub cost: CostModel,
     /// Use the batched whole-page `memcpy` fast path: one buffer-device
     /// interception (translation probe) per 4 KB page instead of one per
     /// 64 B line. Taken only for unordered, page-aligned, DRAM-resident
@@ -110,7 +93,6 @@ impl Default for MemConfig {
             dram: MemorySystemConfig::default(),
             backend: BackendKind::default(),
             llc: None,
-            cost: CostModel::default(),
             batch_page_copy: true,
         }
     }
@@ -158,7 +140,6 @@ pub struct BackgroundTraffic {
 pub struct MemSystem {
     llc: Llc,
     dram: DramSystem,
-    cost: CostModel,
     bg: Option<(BackgroundTraffic, DetRng)>,
     bg_acc: f64,
     bg_active: bool,
@@ -191,7 +172,6 @@ impl MemSystem {
         MemSystem {
             llc: Llc::new(llc_cfg),
             dram: config.backend.build(config.dram),
-            cost: config.cost,
             bg: None,
             bg_acc: 0.0,
             bg_active: false,
@@ -219,12 +199,6 @@ impl MemSystem {
         self.deferred_wb.len()
     }
 
-    /// Flushes whose writebacks the installed fault injector disturbed
-    /// (zero without a fault plan).
-    pub fn fault_disturbance_count(&self) -> u64 {
-        self.fault_disturbances
-    }
-
     /// Delivers every deferred writeback to DRAM. Returns how many were
     /// drained.
     pub fn drain_writebacks(&mut self) -> usize {
@@ -233,7 +207,7 @@ impl MemSystem {
         for (addr, data) in pending {
             let done = self.dram.write64(addr, &data);
             self.write_backpressure(done);
-            self.dram.advance(self.cost.flush_present);
+            self.dram.advance(FLUSH_PRESENT);
         }
         n
     }
@@ -316,11 +290,6 @@ impl MemSystem {
         &mut self.dram
     }
 
-    /// The CPU cost model.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Registers the memory-hierarchy statistics under `scope` for a
     /// `telemetry/v1` snapshot: bandwidth accounting at this level, the
     /// LLC under `llc`, DRAM under `dram`.
@@ -359,10 +328,9 @@ impl MemSystem {
             self.write_backpressure(done);
         }
         if ev.hit {
-            self.dram.advance(self.cost.llc_hit);
+            self.dram.advance(LLC_HIT);
         } else {
-            self.dram
-                .advance(self.cost.llc_hit + miss_latency + self.cost.miss_extra);
+            self.dram.advance(LLC_HIT + miss_latency + MISS_EXTRA);
         }
         data
     }
@@ -370,10 +338,9 @@ impl MemSystem {
     /// Stalls the writer if the posted-write backlog exceeds the store
     /// buffer depth (write-buffer backpressure).
     fn write_backpressure(&mut self, done: Cycle) {
-        let limit = self.cost.write_backlog;
         let now = self.dram.now();
-        if done.raw() > now.raw() + limit {
-            self.dram.advance_to(Cycle(done.raw() - limit));
+        if done.raw() > now.raw() + WRITE_BACKLOG {
+            self.dram.advance_to(Cycle(done.raw() - WRITE_BACKLOG));
         }
     }
 
@@ -385,7 +352,7 @@ impl MemSystem {
             let done = self.dram.write64_tagged(wb.addr, &wb.data, class as u64);
             self.write_backpressure(done);
         }
-        self.dram.advance(self.cost.llc_hit);
+        self.dram.advance(LLC_HIT);
     }
 
     /// Byte-granular load through the cache.
@@ -467,9 +434,9 @@ impl MemSystem {
                 data[take..].copy_from_slice(&old[take..]);
             }
             self.store_line(PhysAddr(dst.0 + off), data, class);
-            self.dram.advance(self.cost.copy_per_line);
+            self.dram.advance(COPY_PER_LINE);
             if ordered {
-                self.dram.advance(self.cost.fence);
+                self.dram.advance(FENCE);
             }
             off += take as u64;
         }
@@ -495,7 +462,6 @@ impl MemSystem {
         let Some((page, dram_latency)) = self.dram.read_page_tagged(src, class as u64) else {
             return false;
         };
-        let cost = self.cost;
         for i in 0..64usize {
             let ev = self
                 .llc
@@ -504,7 +470,7 @@ impl MemSystem {
                 let done = self.dram.write64_tagged(wb.addr, &wb.data, class as u64);
                 self.write_backpressure(done);
             }
-            self.dram.advance(cost.llc_hit + cost.copy_per_line);
+            self.dram.advance(LLC_HIT + COPY_PER_LINE);
         }
         self.dram.advance(dram_latency);
         self.page_copies += 1;
@@ -549,8 +515,8 @@ impl MemSystem {
                 && self.llc.resident_lines_in_page(cur >> 12) == 0
             {
                 report.lines += 64;
-                report.cycles += 64 * self.cost.flush_absent;
-                self.dram.advance(64 * self.cost.flush_absent);
+                report.cycles += 64 * FLUSH_ABSENT;
+                self.dram.advance(64 * FLUSH_ABSENT);
                 cur += 4096;
                 continue;
             }
@@ -568,11 +534,11 @@ impl MemSystem {
                         self.write_backpressure(done);
                     }
                 }
-                report.cycles += self.cost.flush_present;
-                self.dram.advance(self.cost.flush_present);
+                report.cycles += FLUSH_PRESENT;
+                self.dram.advance(FLUSH_PRESENT);
             } else {
-                report.cycles += self.cost.flush_absent;
-                self.dram.advance(self.cost.flush_absent);
+                report.cycles += FLUSH_ABSENT;
+                self.dram.advance(FLUSH_ABSENT);
             }
             cur += CACHELINE as u64;
         }
@@ -597,7 +563,7 @@ impl MemSystem {
             self.dram.write64(wb.addr, &wb.data);
         }
         self.dram.write64(addr, data);
-        self.dram.advance(self.cost.mmio);
+        self.dram.advance(MMIO);
     }
 
     /// Uncached MMIO read of 64 bytes.
@@ -606,7 +572,7 @@ impl MemSystem {
             self.dram.write64(wb.addr, &wb.data);
         }
         let (data, lat) = self.dram.read64(addr);
-        self.dram.advance(self.cost.mmio + lat);
+        self.dram.advance(MMIO + lat);
         data
     }
 

@@ -15,7 +15,7 @@
 //!   fallback. Under packet drops these resyncs erase the offload's
 //!   benefit — the effect Fig. 2 shows.
 
-use crate::tcp::{simulate_transfer_with_faults, FlowEvent, TcpConfig, TcpRun};
+use crate::tcp::{simulate_transfer_with_faults, wire_time_ns, FlowEvent, TcpConfig, TcpRun};
 
 /// Where TLS record encryption runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,7 +151,7 @@ pub fn run_encrypted_flow_with_faults(
                 // Parallel crypto pipelines: the sender only stalls when
                 // per-core crypto falls behind the wire.
                 let effective = ns / crypto_cores.max(1) as u64;
-                let wire = tcp.wire_time_ns(len);
+                let wire = wire_time_ns(len);
                 effective.saturating_sub(wire)
             }
             TlsPlacement::SmartNic {

@@ -8,25 +8,35 @@
 //! is an asserted invariant: the receiver must see every byte exactly
 //! once, in order.
 //!
-//! Time is in nanoseconds.
+//! Time is in nanoseconds. The link, its round trip and the window
+//! limits are those of the paper's testbed and fixed here; a
+//! [`TcpConfig`] varies only the loss and reordering processes and their
+//! seed.
+
+#![deny(missing_docs)]
 
 use std::collections::BTreeMap;
 
 use simkit::{Cycle, DetRng, EventQueue};
 
+/// Maximum segment size in bytes.
+const MSS: usize = 1460;
+/// Link rate in Gbit/s (100 GbE in the paper's testbed).
+const LINK_GBPS: f64 = 100.0;
+/// Round-trip time in nanoseconds (datacenter scale).
+const RTT_NS: u64 = 50_000;
+/// Initial congestion window in segments.
+const INIT_CWND: usize = 10;
+/// Maximum congestion window in segments (receive-window cap).
+const MAX_CWND: usize = 1024;
+/// Extra in-network delay applied to reordered segments (ns).
+const REORDER_DELAY_NS: u64 = 150_000;
+/// Retransmission timeout in nanoseconds.
+const RTO_NS: u64 = 200_000;
+
 /// Flow configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
-    /// Maximum segment size in bytes.
-    pub mss: usize,
-    /// Link rate in Gbit/s (100 GbE in the paper's testbed).
-    pub link_gbps: f64,
-    /// Round-trip time in nanoseconds (datacenter-scale default).
-    pub rtt_ns: u64,
-    /// Initial congestion window in segments.
-    pub init_cwnd: usize,
-    /// Maximum congestion window in segments (receive-window cap).
-    pub max_cwnd: usize,
     /// Per-segment drop probability (the programmable-switch injection
     /// of §III / Fig. 2).
     pub loss_prob: f64,
@@ -35,10 +45,6 @@ pub struct TcpConfig {
     /// reordering alongside loss as what breaks autonomous NIC offloads —
     /// late arrivals trigger duplicate ACKs and spurious retransmits).
     pub reorder_prob: f64,
-    /// Extra in-network delay applied to reordered segments (ns).
-    pub reorder_delay_ns: u64,
-    /// Retransmission timeout in nanoseconds.
-    pub rto_ns: u64,
     /// RNG seed for loss decisions.
     pub seed: u64,
 }
@@ -46,27 +52,18 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1460,
-            link_gbps: 100.0,
-            rtt_ns: 50_000,
-            init_cwnd: 10,
-            max_cwnd: 1024,
             loss_prob: 0.0,
             reorder_prob: 0.0,
-            reorder_delay_ns: 150_000,
-            rto_ns: 200_000,
             seed: 1,
         }
     }
 }
 
-impl TcpConfig {
-    /// Wire time of `len` payload bytes (with ~Ethernet/IP/TCP framing
-    /// overhead of 78 bytes per segment).
-    pub fn wire_time_ns(&self, len: usize) -> u64 {
-        let bits = ((len + 78) * 8) as f64;
-        (bits / self.link_gbps).ceil() as u64
-    }
+/// Wire time of `len` payload bytes on the link (with ~Ethernet/IP/TCP
+/// framing overhead of 78 bytes per segment).
+pub(crate) fn wire_time_ns(len: usize) -> u64 {
+    let bits = ((len + 78) * 8) as f64;
+    (bits / LINK_GBPS).ceil() as u64
 }
 
 /// Events surfaced to the flow observer.
@@ -187,8 +184,8 @@ pub fn simulate_transfer_with_faults(
     // Sender state.
     let mut send_base: u64 = 0;
     let mut next_seq: u64 = 0;
-    let mut cwnd: f64 = (cfg.init_cwnd * cfg.mss) as f64;
-    let mut ssthresh: f64 = (cfg.max_cwnd * cfg.mss) as f64;
+    let mut cwnd: f64 = (INIT_CWND * MSS) as f64;
+    let mut ssthresh: f64 = (MAX_CWND * MSS) as f64;
     let mut dup_acks = 0u32;
     // RFC 5681 §3.2 fast-recovery state: while set, additional duplicate
     // ACKs inflate cwnd (segments have left the network) and the next new
@@ -212,8 +209,8 @@ pub fn simulate_transfer_with_faults(
         reordered: 0,
     };
 
-    let max_cwnd_bytes = (cfg.max_cwnd * cfg.mss) as f64;
-    let one_way = cfg.rtt_ns / 2;
+    let max_cwnd_bytes = (MAX_CWND * MSS) as f64;
+    let one_way = RTT_NS / 2;
 
     macro_rules! send_segment {
         ($q:expr, $seq:expr, $len:expr, $rtx:expr) => {{
@@ -226,7 +223,7 @@ pub fn simulate_transfer_with_faults(
                 now,
             });
             let start = now.max(link_free) + extra;
-            let done = start + cfg.wire_time_ns(len);
+            let done = start + wire_time_ns(len);
             link_free = done;
             if $rtx {
                 run.retransmits += 1;
@@ -244,7 +241,7 @@ pub fn simulate_transfer_with_faults(
             } else if rng.gen_bool(cfg.reorder_prob) {
                 run.reordered += 1;
                 $q.push(
-                    Cycle(done + one_way + cfg.reorder_delay_ns),
+                    Cycle(done + one_way + REORDER_DELAY_NS),
                     Ev::Arrival { seq, len },
                 );
             } else {
@@ -256,13 +253,13 @@ pub fn simulate_transfer_with_faults(
     macro_rules! arm_timer {
         ($q:expr) => {{
             timer_epoch += 1;
-            $q.push(Cycle(now + cfg.rto_ns), Ev::Timeout { epoch: timer_epoch });
+            $q.push(Cycle(now + RTO_NS), Ev::Timeout { epoch: timer_epoch });
         }};
     }
 
     // Prime the window.
-    while next_seq < total_bytes && (next_seq - send_base) as f64 + cfg.mss as f64 <= cwnd {
-        let len = ((total_bytes - next_seq) as usize).min(cfg.mss);
+    while next_seq < total_bytes && (next_seq - send_base) as f64 + MSS as f64 <= cwnd {
+        let len = ((total_bytes - next_seq) as usize).min(MSS);
         send_segment!(q, next_seq, len, false);
         next_seq += len as u64;
     }
@@ -318,10 +315,10 @@ pub fn simulate_transfer_with_faults(
                         cwnd = ssthresh;
                     } else if cwnd < ssthresh {
                         // Slow start.
-                        cwnd += cfg.mss as f64;
+                        cwnd += MSS as f64;
                     } else {
                         // Congestion avoidance.
-                        cwnd += (cfg.mss * cfg.mss) as f64 / cwnd;
+                        cwnd += (MSS * MSS) as f64 / cwnd;
                     }
                     cwnd = cwnd.min(max_cwnd_bytes);
                     if send_base < total_bytes {
@@ -335,23 +332,21 @@ pub fn simulate_transfer_with_faults(
                         // have left the network (RFC 5681 §3.2 steps 2–3).
                         run.fast_retransmits += 1;
                         in_recovery = true;
-                        ssthresh = (cwnd / 2.0).max(2.0 * cfg.mss as f64);
-                        cwnd = (ssthresh + 3.0 * cfg.mss as f64).min(max_cwnd_bytes);
-                        let len = ((total_bytes - send_base) as usize).min(cfg.mss);
+                        ssthresh = (cwnd / 2.0).max(2.0 * MSS as f64);
+                        cwnd = (ssthresh + 3.0 * MSS as f64).min(max_cwnd_bytes);
+                        let len = ((total_bytes - send_base) as usize).min(MSS);
                         send_segment!(q, send_base, len, true);
                         arm_timer!(q);
                     } else if in_recovery {
                         // Each further duplicate ACK means another segment
                         // left the network: inflate by one MSS so new data
                         // can be clocked out (RFC 5681 §3.2 step 4).
-                        cwnd = (cwnd + cfg.mss as f64).min(max_cwnd_bytes);
+                        cwnd = (cwnd + MSS as f64).min(max_cwnd_bytes);
                     }
                 }
                 // Transmit whatever the updated window allows.
-                while next_seq < total_bytes
-                    && (next_seq - send_base) as f64 + cfg.mss as f64 <= cwnd
-                {
-                    let len = ((total_bytes - next_seq) as usize).min(cfg.mss);
+                while next_seq < total_bytes && (next_seq - send_base) as f64 + MSS as f64 <= cwnd {
+                    let len = ((total_bytes - next_seq) as usize).min(MSS);
                     send_segment!(q, next_seq, len, false);
                     next_seq += len as u64;
                 }
@@ -359,14 +354,14 @@ pub fn simulate_transfer_with_faults(
             Ev::Timeout { epoch } => {
                 if epoch == timer_epoch && send_base < total_bytes {
                     run.timeouts += 1;
-                    ssthresh = (cwnd / 2.0).max(2.0 * cfg.mss as f64);
-                    cwnd = cfg.mss as f64;
+                    ssthresh = (cwnd / 2.0).max(2.0 * MSS as f64);
+                    cwnd = MSS as f64;
                     // An RTO abandons fast recovery and its dup-ACK count;
                     // stale dup ACKs must not trigger a spurious fast
                     // retransmit after the window restarts.
                     dup_acks = 0;
                     in_recovery = false;
-                    let len = ((total_bytes - send_base) as usize).min(cfg.mss);
+                    let len = ((total_bytes - send_base) as usize).min(MSS);
                     send_segment!(q, send_base, len, true);
                     arm_timer!(q);
                 }
@@ -396,7 +391,7 @@ mod tests {
     fn goodput_bounded_by_link_rate() {
         let cfg = TcpConfig::default();
         let run = simulate_transfer(64 << 20, &cfg, |_| 0);
-        assert!(run.goodput_gbps() <= cfg.link_gbps * 1.01);
+        assert!(run.goodput_gbps() <= LINK_GBPS * 1.01);
     }
 
     #[test]

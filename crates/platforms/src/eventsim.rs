@@ -55,8 +55,8 @@ use ulp_compress::corpus;
 
 use crate::params::CostParams;
 use crate::server::{
-    advance_ns, conn_file_addr, cycles_to_ns, ns_to_cycles, Engine, PlatformKind, UlpKind,
-    WorkloadConfig,
+    advance_ns, conn_file_addr, cycles_to_ns, ns_to_cycles, validate_topology, ConfigError, Engine,
+    PlatformKind, UlpKind, WorkloadConfig,
 };
 
 /// Buffer-arena slots shared by all logical connections. Matches the
@@ -68,6 +68,9 @@ const ARENA_SLOTS: usize = 1024;
 /// every channel shard, so a fixed cadence bounds that cost while
 /// keeping the admission decision deterministic.
 const PRESSURE_SAMPLE_EVERY: u64 = 16;
+
+/// Extra drain time a slow client adds before its next request (ns).
+const SLOW_DRAIN_NS: u64 = 200_000;
 
 /// What to do with a request admitted while the device is saturated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -150,10 +153,8 @@ pub struct EventWorkloadConfig {
     /// Reconnect penalty for churned connections (ns).
     pub reconnect_ns: u64,
     /// Per-request probability (‰) that the client drains the response
-    /// slowly, delaying its next request by `slow_drain_ns`.
+    /// slowly, delaying its next request by an extra 200 µs.
     pub slow_client_permille: u64,
-    /// Extra drain time for slow clients (ns).
-    pub slow_drain_ns: u64,
     /// Object catalog size (zipfian popularity).
     pub objects: usize,
     /// Zipf exponent `s` (`weight ∝ 1/rank^s`; 0 = uniform).
@@ -197,7 +198,6 @@ impl Default for EventWorkloadConfig {
             churn_permille: 0,
             reconnect_ns: 1_000_000,
             slow_client_permille: 0,
-            slow_drain_ns: 200_000,
             objects: 2048,
             zipf_s: 1.0,
             min_object_bytes: 1024,
@@ -209,105 +209,46 @@ impl Default for EventWorkloadConfig {
     }
 }
 
-/// A degenerate [`EventWorkloadConfig`] caught by
-/// [`EventWorkloadConfig::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventConfigError {
-    /// `workers == 0`.
-    ZeroWorkers,
-    /// `connections == 0`.
-    ZeroConnections,
-    /// `requests == 0`.
-    ZeroRequests,
-    /// `objects == 0`.
-    ZeroObjects,
-    /// Object size range empty, zero, or above the 64 KB record limit.
-    BadObjectSizes(usize, usize),
-    /// `channels == 0`.
-    ZeroChannels,
-    /// `dimms_per_channel == 0`.
-    ZeroDimms,
-    /// `sockets` is zero or does not divide `channels` evenly.
-    BadSockets(usize, usize),
-    /// `channel_interleave_lines` is not a power of two (0 included).
-    BadInterleave(usize),
-    /// `churn_permille` or `slow_client_permille` above 1000.
-    BadPermille(u64),
-    /// `inflight_window == 0`.
-    ZeroWindow,
-}
-
-impl std::fmt::Display for EventConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EventConfigError::ZeroWorkers => write!(f, "workers must be >= 1"),
-            EventConfigError::ZeroConnections => write!(f, "connections must be >= 1"),
-            EventConfigError::ZeroRequests => write!(f, "requests must be >= 1"),
-            EventConfigError::ZeroObjects => write!(f, "objects must be >= 1"),
-            EventConfigError::BadObjectSizes(lo, hi) => {
-                write!(f, "object sizes {lo}..={hi} outside 1..=65536 or empty")
-            }
-            EventConfigError::ZeroChannels => write!(f, "at least one memory channel"),
-            EventConfigError::ZeroDimms => write!(f, "at least one DIMM per channel"),
-            EventConfigError::BadSockets(ch, so) => {
-                write!(f, "{ch} channels cannot split evenly across {so} sockets")
-            }
-            EventConfigError::BadInterleave(n) => {
-                write!(f, "channel interleave of {n} lines is not a power of two")
-            }
-            EventConfigError::BadPermille(v) => write!(f, "permille {v} above 1000"),
-            EventConfigError::ZeroWindow => write!(f, "inflight_window must be >= 1"),
-        }
-    }
-}
-
-impl std::error::Error for EventConfigError {}
-
 impl EventWorkloadConfig {
     /// Validates the configuration, returning the first degeneracy found.
-    pub fn validate(&self) -> Result<(), EventConfigError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
-            return Err(EventConfigError::ZeroWorkers);
+            return Err(ConfigError::ZeroWorkers);
         }
         if self.connections == 0 {
-            return Err(EventConfigError::ZeroConnections);
+            return Err(ConfigError::ZeroConnections);
         }
         if self.requests == 0 {
-            return Err(EventConfigError::ZeroRequests);
+            return Err(ConfigError::ZeroRequests);
         }
         if self.objects == 0 {
-            return Err(EventConfigError::ZeroObjects);
+            return Err(ConfigError::ZeroObjects);
         }
         if self.min_object_bytes == 0
             || self.max_object_bytes > 65536
             || self.min_object_bytes > self.max_object_bytes
         {
-            return Err(EventConfigError::BadObjectSizes(
+            return Err(ConfigError::BadObjectSizes(
                 self.min_object_bytes,
                 self.max_object_bytes,
             ));
         }
-        if self.channels == 0 {
-            return Err(EventConfigError::ZeroChannels);
-        }
-        if self.dimms_per_channel == 0 {
-            return Err(EventConfigError::ZeroDimms);
-        }
-        if self.sockets == 0 || !self.channels.is_multiple_of(self.sockets) {
-            return Err(EventConfigError::BadSockets(self.channels, self.sockets));
-        }
-        if !self.channel_interleave_lines.is_power_of_two() {
-            return Err(EventConfigError::BadInterleave(
-                self.channel_interleave_lines,
-            ));
-        }
+        validate_topology(
+            self.channels,
+            self.dimms_per_channel,
+            self.sockets,
+            self.channel_interleave_lines,
+        )?;
         for p in [self.churn_permille, self.slow_client_permille] {
             if p > 1000 {
-                return Err(EventConfigError::BadPermille(p));
+                return Err(ConfigError::BadPermille(p));
             }
         }
         if self.inflight_window == 0 {
-            return Err(EventConfigError::ZeroWindow);
+            return Err(ConfigError::ZeroWindow);
+        }
+        if self.scratchpad_pages == Some(0) {
+            return Err(ConfigError::ZeroScratchpad);
         }
         Ok(())
     }
@@ -588,7 +529,7 @@ fn run_event_server_instrumented(
             req_rng(cfg.seed, conn, req_no, 0xE0E0).gen_exp(cfg.think_time_ns.max(1) as f64) as u64;
         if permille_coin(cfg.seed, conn, req_no, 0x510C, cfg.slow_client_permille) {
             slow_drains += 1;
-            gap += cfg.slow_drain_ns;
+            gap += SLOW_DRAIN_NS;
         }
         if permille_coin(cfg.seed, conn, req_no, 0xC4A2, cfg.churn_permille) {
             reconnects += 1;
@@ -780,21 +721,24 @@ mod tests {
             workers: 0,
             ..EventWorkloadConfig::default()
         };
-        assert_eq!(bad.validate(), Err(EventConfigError::ZeroWorkers));
+        assert_eq!(bad.validate(), Err(ConfigError::ZeroWorkers));
         let bad = EventWorkloadConfig {
             min_object_bytes: 8192,
             max_object_bytes: 4096,
             ..EventWorkloadConfig::default()
         };
-        assert_eq!(
-            bad.validate(),
-            Err(EventConfigError::BadObjectSizes(8192, 4096))
-        );
+        assert_eq!(bad.validate(), Err(ConfigError::BadObjectSizes(8192, 4096)));
         let bad = EventWorkloadConfig {
             churn_permille: 1001,
             ..EventWorkloadConfig::default()
         };
-        assert_eq!(bad.validate(), Err(EventConfigError::BadPermille(1001)));
+        assert_eq!(bad.validate(), Err(ConfigError::BadPermille(1001)));
+        // Accepted here, the run would panic building the Scratchpad.
+        let bad = EventWorkloadConfig {
+            scratchpad_pages: Some(0),
+            ..EventWorkloadConfig::default()
+        };
+        assert_eq!(bad.validate(), Err(ConfigError::ZeroScratchpad));
     }
 
     #[test]
@@ -836,20 +780,20 @@ mod tests {
             dimms_per_channel: 0,
             ..EventWorkloadConfig::default()
         };
-        assert_eq!(bad.validate(), Err(EventConfigError::ZeroDimms));
+        assert_eq!(bad.validate(), Err(ConfigError::ZeroDimms));
         let bad = EventWorkloadConfig {
             channels: 2,
             sockets: 3,
             ..EventWorkloadConfig::default()
         };
-        assert_eq!(bad.validate(), Err(EventConfigError::BadSockets(2, 3)));
+        assert_eq!(bad.validate(), Err(ConfigError::BadSockets(2, 3)));
         for lines in [3, 0] {
             let bad = EventWorkloadConfig {
                 channels: 2,
                 channel_interleave_lines: lines,
                 ..EventWorkloadConfig::default()
             };
-            assert_eq!(bad.validate(), Err(EventConfigError::BadInterleave(lines)));
+            assert_eq!(bad.validate(), Err(ConfigError::BadInterleave(lines)));
         }
     }
 

@@ -31,10 +31,10 @@ pub mod server;
 pub use dram::BackendKind;
 pub use eventsim::{
     run_event_server, run_event_server_with_telemetry, AdmissionConfig, AdmissionPolicy,
-    EventConfigError, EventServerMetrics, EventWorkloadConfig,
+    EventServerMetrics, EventWorkloadConfig,
 };
 pub use params::CostParams;
 pub use server::{
-    run_server, run_server_with_telemetry, PlatformKind, ServerMetrics, UlpKind, WorkloadConfig,
-    WorkloadConfigError,
+    run_server, run_server_with_telemetry, ConfigError, PlatformKind, ServerMetrics, UlpKind,
+    WorkloadConfig,
 };

@@ -19,8 +19,6 @@ pub struct CostParams {
     pub aesni_cpb: f64,
     /// Software deflate (zlib-6-class), CPU cycles per byte.
     pub deflate_cpb: f64,
-    /// Software inflate, CPU cycles per byte.
-    pub inflate_cpb: f64,
     /// QuickAssist: CPU cost per synchronous offload — descriptor build,
     /// doorbell, and completion polling (the stock sync driver burns tens
     /// of microseconds per call; QTLS's async rework exists precisely
@@ -46,7 +44,6 @@ impl Default for CostParams {
             request_overhead_ns: 2_500,
             aesni_cpb: 1.0,
             deflate_cpb: 35.0,
-            inflate_cpb: 9.0,
             qat_call_cpu_ns: 25_000,
             qat_latency_ns: 12_000,
             qat_gbps: 40.0,

@@ -118,9 +118,11 @@ pub struct WorkloadConfig {
     pub threads: usize,
 }
 
-/// A degenerate [`WorkloadConfig`] caught by [`WorkloadConfig::validate`].
+/// A degenerate harness configuration, caught by
+/// [`WorkloadConfig::validate`] or
+/// [`EventWorkloadConfig::validate`](crate::eventsim::EventWorkloadConfig::validate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadConfigError {
+pub enum ConfigError {
     /// `workers == 0`: the per-worker batch split would divide by zero.
     ZeroWorkers,
     /// `connections == 0`: nothing to serve.
@@ -134,6 +136,10 @@ pub enum WorkloadConfigError {
     ZeroRequests,
     /// `message_bytes` is zero or exceeds the 64 KB record limit.
     BadMessageSize(usize),
+    /// `objects == 0`.
+    ZeroObjects,
+    /// Object size range empty, zero, or above the 64 KB record limit.
+    BadObjectSizes(usize, usize),
     /// `channels == 0`: at least one memory channel is required.
     ZeroChannels,
     /// `dimms_per_channel == 0`.
@@ -142,79 +148,106 @@ pub enum WorkloadConfigError {
     BadSockets(usize, usize),
     /// `channel_interleave_lines` is not a power of two (0 included).
     BadInterleave(usize),
+    /// `churn_permille` or `slow_client_permille` above 1000.
+    BadPermille(u64),
+    /// `inflight_window == 0`.
+    ZeroWindow,
+    /// `scratchpad_pages == Some(0)`: a Scratchpad needs at least one
+    /// page.
+    ZeroScratchpad,
 }
 
-impl std::fmt::Display for WorkloadConfigError {
+impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WorkloadConfigError::ZeroWorkers => {
+            ConfigError::ZeroWorkers => {
                 write!(
                     f,
                     "workers must be >= 1 (a zero-worker pool serves nothing)"
                 )
             }
-            WorkloadConfigError::ZeroConnections => write!(f, "connections must be >= 1"),
-            WorkloadConfigError::TooManyConnections(n) => {
+            ConfigError::ZeroConnections => write!(f, "connections must be >= 1"),
+            ConfigError::TooManyConnections(n) => {
                 write!(
                     f,
                     "{n} connections exceeds the lock-step arena limit of 1024; \
                      use the event-driven harness (eventsim) for larger counts"
                 )
             }
-            WorkloadConfigError::ZeroRequests => write!(f, "requests must be >= 1"),
-            WorkloadConfigError::BadMessageSize(n) => {
+            ConfigError::ZeroRequests => write!(f, "requests must be >= 1"),
+            ConfigError::BadMessageSize(n) => {
                 write!(f, "message_bytes {n} outside 1..=65536")
             }
-            WorkloadConfigError::ZeroChannels => write!(f, "at least one memory channel"),
-            WorkloadConfigError::ZeroDimms => write!(f, "at least one DIMM per channel"),
-            WorkloadConfigError::BadSockets(ch, so) => {
+            ConfigError::ZeroObjects => write!(f, "objects must be >= 1"),
+            ConfigError::BadObjectSizes(lo, hi) => {
+                write!(f, "object sizes {lo}..={hi} outside 1..=65536 or empty")
+            }
+            ConfigError::ZeroChannels => write!(f, "at least one memory channel"),
+            ConfigError::ZeroDimms => write!(f, "at least one DIMM per channel"),
+            ConfigError::BadSockets(ch, so) => {
                 write!(f, "{ch} channels cannot split evenly across {so} sockets")
             }
-            WorkloadConfigError::BadInterleave(n) => {
+            ConfigError::BadInterleave(n) => {
                 write!(f, "channel interleave of {n} lines is not a power of two")
             }
+            ConfigError::BadPermille(v) => write!(f, "permille {v} above 1000"),
+            ConfigError::ZeroWindow => write!(f, "inflight_window must be >= 1"),
+            ConfigError::ZeroScratchpad => write!(f, "scratchpad_pages must be >= 1"),
         }
     }
 }
 
-impl std::error::Error for WorkloadConfigError {}
+impl std::error::Error for ConfigError {}
+
+/// The topology checks both harnesses share.
+pub(crate) fn validate_topology(
+    channels: usize,
+    dimms_per_channel: usize,
+    sockets: usize,
+    channel_interleave_lines: usize,
+) -> Result<(), ConfigError> {
+    if channels == 0 {
+        return Err(ConfigError::ZeroChannels);
+    }
+    if dimms_per_channel == 0 {
+        return Err(ConfigError::ZeroDimms);
+    }
+    if sockets == 0 || !channels.is_multiple_of(sockets) {
+        return Err(ConfigError::BadSockets(channels, sockets));
+    }
+    if !channel_interleave_lines.is_power_of_two() {
+        return Err(ConfigError::BadInterleave(channel_interleave_lines));
+    }
+    Ok(())
+}
 
 impl WorkloadConfig {
     /// Validates the configuration, returning the first degeneracy found.
     /// [`run_server`] calls this up front and panics with the rendered
     /// error, so a `workers: 0` misconfiguration fails with a message
     /// instead of a divide-by-zero deep inside the batch split.
-    pub fn validate(&self) -> Result<(), WorkloadConfigError> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.message_bytes == 0 || self.message_bytes > 65536 {
-            return Err(WorkloadConfigError::BadMessageSize(self.message_bytes));
+            return Err(ConfigError::BadMessageSize(self.message_bytes));
         }
         if self.workers == 0 {
-            return Err(WorkloadConfigError::ZeroWorkers);
+            return Err(ConfigError::ZeroWorkers);
         }
         if self.connections == 0 {
-            return Err(WorkloadConfigError::ZeroConnections);
+            return Err(ConfigError::ZeroConnections);
         }
         if self.connections > 1024 {
-            return Err(WorkloadConfigError::TooManyConnections(self.connections));
+            return Err(ConfigError::TooManyConnections(self.connections));
         }
         if self.requests == 0 {
-            return Err(WorkloadConfigError::ZeroRequests);
+            return Err(ConfigError::ZeroRequests);
         }
-        if self.channels == 0 {
-            return Err(WorkloadConfigError::ZeroChannels);
-        }
-        if self.dimms_per_channel == 0 {
-            return Err(WorkloadConfigError::ZeroDimms);
-        }
-        if self.sockets == 0 || !self.channels.is_multiple_of(self.sockets) {
-            return Err(WorkloadConfigError::BadSockets(self.channels, self.sockets));
-        }
-        if !self.channel_interleave_lines.is_power_of_two() {
-            return Err(WorkloadConfigError::BadInterleave(
-                self.channel_interleave_lines,
-            ));
-        }
-        Ok(())
+        validate_topology(
+            self.channels,
+            self.dimms_per_channel,
+            self.sockets,
+            self.channel_interleave_lines,
+        )
     }
 
     /// The simulated machine this workload runs on: LLC, DRAM backend,
@@ -997,55 +1030,55 @@ mod tests {
         let ok = WorkloadConfig::default();
         assert_eq!(ok.validate(), Ok(()));
 
-        let cases: &[(WorkloadConfig, WorkloadConfigError)] = &[
+        let cases: &[(WorkloadConfig, ConfigError)] = &[
             (
                 WorkloadConfig {
                     workers: 0,
                     ..WorkloadConfig::default()
                 },
-                WorkloadConfigError::ZeroWorkers,
+                ConfigError::ZeroWorkers,
             ),
             (
                 WorkloadConfig {
                     connections: 0,
                     ..WorkloadConfig::default()
                 },
-                WorkloadConfigError::ZeroConnections,
+                ConfigError::ZeroConnections,
             ),
             (
                 WorkloadConfig {
                     connections: 1025,
                     ..WorkloadConfig::default()
                 },
-                WorkloadConfigError::TooManyConnections(1025),
+                ConfigError::TooManyConnections(1025),
             ),
             (
                 WorkloadConfig {
                     requests: 0,
                     ..WorkloadConfig::default()
                 },
-                WorkloadConfigError::ZeroRequests,
+                ConfigError::ZeroRequests,
             ),
             (
                 WorkloadConfig {
                     message_bytes: 0,
                     ..WorkloadConfig::default()
                 },
-                WorkloadConfigError::BadMessageSize(0),
+                ConfigError::BadMessageSize(0),
             ),
             (
                 WorkloadConfig {
                     message_bytes: 65537,
                     ..WorkloadConfig::default()
                 },
-                WorkloadConfigError::BadMessageSize(65537),
+                ConfigError::BadMessageSize(65537),
             ),
             (
                 WorkloadConfig {
                     channels: 0,
                     ..WorkloadConfig::default()
                 },
-                WorkloadConfigError::ZeroChannels,
+                ConfigError::ZeroChannels,
             ),
             (
                 WorkloadConfig {
@@ -1053,14 +1086,14 @@ mod tests {
                     channel_interleave_lines: 3,
                     ..WorkloadConfig::default()
                 },
-                WorkloadConfigError::BadInterleave(3),
+                ConfigError::BadInterleave(3),
             ),
             (
                 WorkloadConfig {
                     channel_interleave_lines: 0,
                     ..WorkloadConfig::default()
                 },
-                WorkloadConfigError::BadInterleave(0),
+                ConfigError::BadInterleave(0),
             ),
         ];
         for (cfg, want) in cases {

@@ -290,11 +290,6 @@ impl FaultHandle {
         })
     }
 
-    /// Number of offloads seen so far.
-    pub fn offloads_seen(&self) -> u64 {
-        self.state.with(|s| s.offload_index.map_or(0, |i| i + 1))
-    }
-
     /// Every fault that fired, in order.
     pub fn fired(&self) -> Vec<FiredFault> {
         self.state.with(|s| s.fired.clone())

@@ -8,6 +8,7 @@
 //! published figures, with dynamic power scaling linearly in channel
 //! utilization.
 
+use crate::configmem::RESULT_SLOTS;
 use crate::device::SmartDimmConfig;
 use crate::LINES_PER_PAGE;
 
@@ -98,7 +99,7 @@ pub fn estimate(cfg: &SmartDimmConfig) -> AreaPowerReport {
         + (cfg.scratchpad_pages * LINES_PER_PAGE * 2) as u64; // data + state
     let xlat_bits = (cfg.xlat_entries as u64) * (52 + 40) // tag + mapping
         + (cfg.cam_entries as u64) * 92;
-    let config_bits = (cfg.result_slots as u64) * 512 + 8 * 1024 * 1024; // results + 8MB ctx
+    let config_bits = (RESULT_SLOTS as u64) * 512 + 8 * 1024 * 1024; // results + 8MB ctx
     let deflate_bits = cfg.hw_deflate.candidate_memory_bits() as u64;
 
     // Logic-unit model calibrated so the TLS share lands at ~21.8% of a

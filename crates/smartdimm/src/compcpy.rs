@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use crate::configmem::{
     unpack_pending, ConfigWindow, ContextChunk, OffloadStatus, Registration, ResultSlot, StatusReg,
-    CONTEXT_OFFSET, PENDING_BASE, REGISTER_OFFSET, RESULT_BASE, STATUS_OFFSET,
+    CONFIG_BASE, CONTEXT_OFFSET, PENDING_BASE, REGISTER_OFFSET, RESULT_BASE, STATUS_OFFSET,
 };
 use crate::device::{SmartDimmConfig, SmartDimmDevice};
 use crate::dsa::{OffloadContext, OffloadOp};
@@ -57,15 +57,15 @@ impl std::error::Error for CompCpyError {}
 /// Host configuration.
 #[derive(Debug, Clone, Default)]
 pub struct HostConfig {
-    /// Memory-system configuration (LLC geometry, DRAM topology, costs).
+    /// Memory-system configuration (LLC geometry, DRAM topology).
     pub mem: MemConfig,
     /// SmartDIMM hardware configuration.
     pub dimm: SmartDimmConfig,
     /// No effect: DSA feeds compute inline at CAS time, so there is no
     /// shard-settle pool to size. Kept for existing callers.
     pub threads: usize,
-    /// Offload placement scheduling: policy plus tuning knobs (see
-    /// [`crate::sched`]). The default keeps the static per-line decode.
+    /// Offload placement policy (see [`crate::sched`]). The default
+    /// keeps the static per-line decode.
     pub sched: sched::SchedConfig,
 }
 
@@ -145,14 +145,11 @@ pub struct CompCpyHost {
     bounced_offloads: u64,
     /// Placement-decision counters (see [`crate::sched::SchedStats`]).
     sched_stats: SchedStats,
-    /// Scheduler policy and tuning.
-    sched: sched::SchedConfig,
+    /// Offload placement policy.
+    policy: PlacementPolicy,
     /// Address mapper mirroring the memory system's topology, for
     /// host-side residency checks.
     mapper: AddressMapper,
-    /// The socket the issuing host lives on; shards on other sockets
-    /// are remote to the scheduler.
-    home_socket: usize,
     /// Software-side counters.
     force_recycles: u64,
     /// Preparation faults (xlat pressure, scratch hogs) armed and applied.
@@ -175,31 +172,26 @@ impl CompCpyHost {
     /// driver state.
     pub fn new(config: HostConfig) -> CompCpyHost {
         let topo = config.mem.dram.topology;
-        let home_socket = config.mem.dram.home_socket;
         let mut mem = MemSystem::new(config.mem);
         for channel in 0..topo.channels {
             let mut dimm_cfg = config.dimm;
             dimm_cfg.topology = topo;
             dimm_cfg.channel = channel;
-            // `install_dimm` places the buffer device in slot 0 of the
-            // channel; the shard must filter registrations to match.
-            dimm_cfg.dimm_slot = 0;
             let device = SmartDimmDevice::new(dimm_cfg);
             mem.dram_mut()
                 .install_dimm(channel, Dimm::new(Box::new(device)));
         }
         CompCpyHost {
             mem,
-            window: ConfigWindow::new(config.dimm.config_base, topo, config.dimm.result_slots),
+            window: ConfigWindow::new(CONFIG_BASE, topo),
             free_pages: -1, // Algorithm 2 line 1
             next_id: 1,
             alloc_next: 0x0010_0000, // driver pool starts at 1 MB
             staging_pool: BTreeMap::new(),
             bounced_offloads: 0,
             sched_stats: SchedStats::default(),
-            sched: config.sched,
+            policy: config.sched.policy,
             mapper: AddressMapper::new(topo),
-            home_socket,
             force_recycles: 0,
             injected_faults: 0,
             fault: None,
@@ -497,11 +489,8 @@ impl CompCpyHost {
         if topo.dimms_per_channel == 1 {
             return true;
         }
-        (0..size.div_ceil(64) as u64).all(|l| {
-            let loc = self.mapper.decode(PhysAddr(base.0 + l * 64));
-            // `new` installs every buffer device in slot 0.
-            topo.dimm_slot_of_rank(loc.rank) == 0
-        })
+        (0..size.div_ceil(64) as u64)
+            .all(|l| topo.on_dsa_slot(self.mapper.decode(PhysAddr(base.0 + l * 64)).rank))
     }
 
     /// Samples every shard's placement inputs — the same scratchpad and
@@ -509,12 +498,11 @@ impl CompCpyHost {
     /// reports, per channel, plus socket locality.
     fn shard_snapshots(&mut self) -> Vec<sched::ShardSnapshot> {
         let topo = *self.mapper.topology();
-        let home_socket = self.home_socket;
         (0..self.channels())
             .map(|ch| sched::ShardSnapshot {
                 channel: ch,
                 pressure: self.shard_pressure(ch).scalar(),
-                remote: topo.socket_of_channel(ch) != home_socket,
+                remote: topo.is_remote(ch),
             })
             .collect()
     }
@@ -523,7 +511,7 @@ impl CompCpyHost {
     /// [`sched::score`] over the channels its source lines touch.
     fn placement_score(&self, base: PhysAddr, size: usize, snaps: &[sched::ShardSnapshot]) -> f64 {
         self.line_channels(base, size)
-            .map(|ch| sched::score(&self.sched, &snaps[ch]))
+            .map(|ch| sched::score(&snaps[ch]))
             .fold(f64::MIN, f64::max)
     }
 
@@ -531,9 +519,7 @@ impl CompCpyHost {
     /// source line decodes to a channel on a non-home socket.
     fn note_locality(&mut self, base: PhysAddr, size: usize) {
         let topo = *self.mapper.topology();
-        let remote = self
-            .line_channels(base, size)
-            .any(|ch| topo.socket_of_channel(ch) != self.home_socket);
+        let remote = self.line_channels(base, size).any(|ch| topo.is_remote(ch));
         if remote {
             self.sched_stats.remote_placements += 1;
         } else {
@@ -554,7 +540,7 @@ impl CompCpyHost {
     /// *optional* and only under [`PlacementPolicy::OccupancyLocality`]:
     /// a pinnable offload moves to the best-scoring shard when that
     /// beats its current placement by more than
-    /// [`sched::SchedConfig::migrate_margin`].
+    /// [`sched::MIGRATE_MARGIN`].
     ///
     /// The staging copy runs *before* registration, so the devices see
     /// it as plain (unregistered) write traffic.
@@ -567,13 +553,13 @@ impl CompCpyHost {
         let resident = self.dsa_resident(sbuf, size);
         let pinnable =
             self.channels() == 1 || size <= self.mapper.topology().channel_interleave_lines * 64;
-        let policy = self.sched.policy;
+        let policy = self.policy;
         if resident {
             if policy == PlacementPolicy::OccupancyLocality && pinnable && self.channels() > 1 {
                 let snaps = self.shard_snapshots();
-                let best = sched::pick(&self.sched, &snaps);
+                let best = sched::pick(&snaps);
                 let cur = self.placement_score(sbuf, size, &snaps);
-                if sched::score(&self.sched, &best) + self.sched.migrate_margin < cur {
+                if sched::score(&best) + sched::MIGRATE_MARGIN < cur {
                     self.sched_stats.migrated_offloads += 1;
                     return self.stage_source(Staging::Channel(best.channel), sbuf, size, class);
                 }
@@ -590,7 +576,7 @@ impl CompCpyHost {
                 PlacementPolicy::Static => self.mapper.channel_of(sbuf),
                 PlacementPolicy::OccupancyLocality => {
                     let snaps = self.shard_snapshots();
-                    sched::pick(&self.sched, &snaps).channel
+                    sched::pick(&snaps).channel
                 }
             })
         } else {

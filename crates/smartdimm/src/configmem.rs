@@ -38,36 +38,42 @@ pub const RESULT_BASE: u64 = 0x10000;
 pub const PENDING_BASE: u64 = 0x20000;
 /// Total size of the MMIO config space in bytes.
 pub const CONFIG_SPACE_SIZE: u64 = 0x40000;
+/// Base physical address of the MMIO config space (page aligned).
+pub const CONFIG_BASE: PhysAddr = PhysAddr(0x4000_0000);
+/// Result slots in Config Memory; offload `id` reports through slot
+/// `id % RESULT_SLOTS`.
+pub const RESULT_SLOTS: usize = 1024;
+
+const _: () = assert!(CONFIG_BASE.0.is_multiple_of(4096), "config base alignment");
 
 /// Every channel's private Config Memory window, and the result slot
 /// each offload reports through (§V-D). The window is channel-local:
 /// channel `c`'s is its first `CONFIG_SPACE_SIZE / 64` lines at or after
-/// `config_base`, and logical offset `o` sits in the `o / 64`-th of them,
-/// whether or not `config_base` is a multiple of the interleave period.
+/// the window's base ([`CONFIG_BASE`] on the simulated machine), and
+/// logical offset `o` sits in the `o / 64`-th of them, whether or not the
+/// base is a multiple of the interleave period.
 #[derive(Debug, Clone)]
 pub struct ConfigWindow {
     mapper: AddressMapper,
-    /// Physical cacheline index of `config_base`.
+    /// Physical cacheline index of the window's base.
     base_line: u64,
     /// One past the last physical byte of any channel's window.
     end: u64,
-    result_slots: usize,
 }
 
 impl ConfigWindow {
     /// The windows of `topology`'s channels, starting at the
-    /// (line-aligned) `config_base`, with `result_slots` result slots.
-    pub fn new(config_base: PhysAddr, topology: DramTopology, result_slots: usize) -> ConfigWindow {
+    /// (line-aligned) `base`.
+    pub fn new(base: PhysAddr, topology: DramTopology) -> ConfigWindow {
         let mut window = ConfigWindow {
             mapper: AddressMapper::new(topology),
-            base_line: config_base.0 >> 6,
+            base_line: base.0 >> 6,
             end: 0,
-            result_slots,
         };
         window.end = (0..topology.channels)
             .map(|c| window.alias(CONFIG_SPACE_SIZE - 64, c).0 + 64)
             .max()
-            .unwrap_or(config_base.0);
+            .unwrap_or(base.0);
         window
     }
 
@@ -97,7 +103,7 @@ impl ConfigWindow {
 
     /// The result slot offload `offload_id` reports through.
     pub fn result_slot(&self, offload_id: u64) -> usize {
-        (offload_id % self.result_slots as u64) as usize
+        (offload_id % RESULT_SLOTS as u64) as usize
     }
 }
 
@@ -404,7 +410,7 @@ mod tests {
                 ..DramTopology::default()
             };
             let base = PhysAddr(base_page << 12);
-            let window = ConfigWindow::new(base, topo, 1024);
+            let window = ConfigWindow::new(base, topo);
             let mapper = AddressMapper::new(topo);
             let (channel, offset) = (pick % channels, line * 64 + byte);
             let alias = window.alias(offset, channel);
@@ -432,8 +438,8 @@ mod tests {
             channel_interleave_lines: 64,
             ..DramTopology::default()
         };
-        let window = ConfigWindow::new(PhysAddr(0x4000_0000), topo, 4);
-        assert_eq!(window.offset_of(PhysAddr(0x4000_0000 - 64)), None);
+        let window = ConfigWindow::new(CONFIG_BASE, topo);
+        assert_eq!(window.offset_of(PhysAddr(CONFIG_BASE.0 - 64)), None);
         for channel in 0..3 {
             assert!(window.alias(0, channel) >= window.start());
             let last = window.alias(CONFIG_SPACE_SIZE - 64, channel);
@@ -442,7 +448,7 @@ mod tests {
             let past = window.alias(CONFIG_SPACE_SIZE, channel);
             assert_eq!(window.offset_of(past), None);
         }
-        assert_eq!(window.result_slot(9), 1);
+        assert_eq!(window.result_slot(RESULT_SLOTS as u64 + 9), 9);
     }
 
     #[test]
@@ -451,7 +457,7 @@ mod tests {
         assert!(REGISTER_OFFSET >= STATUS_OFFSET + 64);
         assert!(CONTEXT_OFFSET >= REGISTER_OFFSET + 64);
         assert!(RESULT_BASE >= CONTEXT_OFFSET + 64);
-        assert!(PENDING_BASE >= RESULT_BASE + 64 * 1024);
+        assert!(PENDING_BASE >= RESULT_BASE + 64 * RESULT_SLOTS as u64);
         assert!(CONFIG_SPACE_SIZE >= PENDING_BASE + 64 * 512);
     }
 }

@@ -33,8 +33,8 @@ use ulp_compress::hwmodel::HwDeflateConfig;
 use crate::banktable::BankTable;
 use crate::configmem::{
     pack_pending, ConfigWindow, ContextChunk, OffloadStatus, PendingRecord, Registration,
-    ResultSlot, StatusReg, CONFIG_SPACE_SIZE, CONTEXT_OFFSET, PENDING_BASE, REGISTER_OFFSET,
-    RESULT_BASE, STATUS_OFFSET,
+    ResultSlot, StatusReg, CONFIG_BASE, CONFIG_SPACE_SIZE, CONTEXT_OFFSET, PENDING_BASE,
+    REGISTER_OFFSET, RESULT_BASE, RESULT_SLOTS, STATUS_OFFSET,
 };
 use crate::dsa::{DsaInstance, OffloadContext, OffloadOp};
 use crate::scratchpad::{LineState, Scratchpad};
@@ -50,20 +50,11 @@ pub struct SmartDimmConfig {
     pub xlat_entries: usize,
     /// CAM stash entries (8).
     pub cam_entries: usize,
-    /// Result slots in Config Memory.
-    pub result_slots: usize,
-    /// Base physical address of the MMIO config space (page aligned).
-    pub config_base: PhysAddr,
     /// DRAM topology (must match the memory system's).
     pub topology: DramTopology,
     /// Which memory channel this device sits on (one SmartDIMM per
     /// channel under interleaving, §V-D).
     pub channel: usize,
-    /// Which DIMM slot of the channel carries this device. Slot 0 by
-    /// convention — the other slots are plain capacity DIMMs whose CAS
-    /// traffic this device never sees, so registrations must only claim
-    /// lines that decode to this slot.
-    pub dimm_slot: usize,
     /// Deflate DSA geometry.
     pub hw_deflate: HwDeflateConfig,
 }
@@ -74,11 +65,8 @@ impl Default for SmartDimmConfig {
             scratchpad_pages: 2048,
             xlat_entries: 12288,
             cam_entries: 8,
-            result_slots: 1024,
-            config_base: PhysAddr(0x4000_0000),
             topology: DramTopology::default(),
             channel: 0,
-            dimm_slot: 0,
             hw_deflate: HwDeflateConfig::default(),
         }
     }
@@ -223,16 +211,11 @@ impl std::fmt::Debug for SmartDimmDevice {
 
 impl SmartDimmDevice {
     /// Builds the device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config_base` is not page aligned.
     pub fn new(cfg: SmartDimmConfig) -> SmartDimmDevice {
-        assert!(cfg.config_base.is_page_aligned(), "config base alignment");
         let topo = cfg.topology;
         SmartDimmDevice {
             mapper: AddressMapper::new(topo),
-            window: ConfigWindow::new(cfg.config_base, topo, cfg.result_slots),
+            window: ConfigWindow::new(CONFIG_BASE, topo),
             bank_table: BankTable::new(topo.ranks, topo.banks_per_rank()),
             xlat: TranslationTable::new(cfg.xlat_entries, cfg.cam_entries),
             scratchpad: Scratchpad::new(cfg.scratchpad_pages),
@@ -243,7 +226,7 @@ impl SmartDimmDevice {
                     result: ResultSlot::empty().to_bytes(),
                     owner: None,
                 };
-                cfg.result_slots
+                RESULT_SLOTS
             ],
             stats: DeviceStats::default(),
             slack: Histogram::new("smartdimm.slack_cycles", 200, 2000),
@@ -424,14 +407,13 @@ impl SmartDimmDevice {
     }
 
     /// Bit `l` set for each of the first `lines` lines of page `page`
-    /// that decode to this shard's channel *and* DIMM slot — the only
-    /// lines whose CAS traffic this device observes (capacity DIMMs on
-    /// the same bus carry no DSA).
+    /// that decode to this shard's channel *and* the DSA-bearing DIMM
+    /// slot — the only lines whose CAS traffic this device observes
+    /// (capacity DIMMs on the same bus carry no DSA).
     fn shard_mask(&self, page: u64, lines: usize) -> u64 {
         let on_shard = |l: &u64| {
             let loc = self.mapper.decode(PhysAddr((page << 12) + l * 64));
-            loc.channel == self.cfg.channel
-                && self.cfg.topology.dimm_slot_of_rank(loc.rank) == self.cfg.dimm_slot
+            loc.channel == self.cfg.channel && self.cfg.topology.on_dsa_slot(loc.rank)
         };
         (0..lines as u64)
             .filter(on_shard)
@@ -1046,7 +1028,7 @@ mod tests {
     #[test]
     fn mmio_status_read() {
         let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
-        let addr = PhysAddr(dev.cfg.config_base.0 + STATUS_OFFSET);
+        let addr = PhysAddr(CONFIG_BASE.0 + STATUS_OFFSET);
         let info = prepare(&mut dev, addr);
         match dev.on_rd_cas(&info, &[0u8; 64]) {
             RdResult::Data(d) => {
@@ -1061,7 +1043,7 @@ mod tests {
     #[test]
     fn mmio_writes_never_reach_dram() {
         let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
-        let addr = PhysAddr(dev.cfg.config_base.0 + CONTEXT_OFFSET);
+        let addr = PhysAddr(CONFIG_BASE.0 + CONTEXT_OFFSET);
         let info = prepare(&mut dev, addr);
         let chunk = ContextChunk {
             offload_id: 1,
@@ -1094,7 +1076,7 @@ mod tests {
     #[test]
     fn cas_to_precharged_bank_passes_through_untouched() {
         let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
-        let base = dev.cfg.config_base.0;
+        let base = CONFIG_BASE.0;
         let ctx = ContextChunk {
             offload_id: 5,
             payload: payload(
@@ -1174,7 +1156,7 @@ mod tests {
     #[test]
     fn end_to_end_tls_offload_at_cas_level() {
         let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
-        let base = dev.cfg.config_base.0;
+        let base = CONFIG_BASE.0;
         let key = [1u8; 16];
         let iv = [2u8; 12];
         let msg: Vec<u8> = (0..4096u32).map(|i| (i * 13) as u8).collect();
@@ -1250,7 +1232,7 @@ mod tests {
     #[test]
     fn source_reads_alone_produce_the_staged_output() {
         let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
-        let base = dev.cfg.config_base.0;
+        let base = CONFIG_BASE.0;
         let (key, iv) = ([3u8; 16], [4u8; 12]);
         let msg: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 1) as u8).collect();
         let ctx = ContextChunk {
@@ -1440,7 +1422,6 @@ mod tests {
     #[test]
     fn contexts_stay_bounded_on_an_idle_shard() {
         let cfg = SmartDimmConfig {
-            result_slots: 8,
             topology: DramTopology {
                 channels: 3,
                 channel_interleave_lines: 64,
@@ -1450,18 +1431,24 @@ mod tests {
             ..SmartDimmConfig::default()
         };
         let mut dev = SmartDimmDevice::new(cfg);
-        // Pages 0x30 and 0x60 both decode to channel 0.
-        for id in 1..=20 {
+        // Twelve more broadcast contexts than result slots. Pages 0x30
+        // and 0x60 both decode to channel 0.
+        let ids = RESULT_SLOTS as u64 + 12;
+        for id in 1..=ids {
             register_tls(&mut dev, id, 4096, 0x30000, 0x60000);
-            assert!(dev.contexts.len() <= 8, "{} contexts", dev.contexts.len());
+            assert!(
+                dev.contexts.len() <= RESULT_SLOTS,
+                "{} contexts",
+                dev.contexts.len()
+            );
             assert!(dev.offloads.is_empty());
         }
         let stats = dev.stats();
-        assert_eq!((stats.registrations, stats.mmio_writes), (20, 40));
+        assert_eq!((stats.registrations, stats.mmio_writes), (ids, 2 * ids));
         assert_eq!((stats.xlat_failures, stats.cross_channel_rejects), (0, 0));
         assert_eq!(
             dev.contexts.keys().copied().collect::<Vec<_>>(),
-            (13..=20).collect::<Vec<_>>()
+            (13..=ids).collect::<Vec<_>>()
         );
     }
 
@@ -1516,7 +1503,7 @@ mod tests {
     fn premature_writeback_ignored_then_read_retries() {
         // Compression: output pending until the whole page arrives.
         let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
-        let base = dev.cfg.config_base.0;
+        let base = CONFIG_BASE.0;
         let page = ulp_compress::corpus::text(4096, 3);
         let ctx = ContextChunk {
             offload_id: 9,
@@ -1575,7 +1562,7 @@ mod tests {
             ..Default::default()
         };
         let mut dev = SmartDimmDevice::new(cfg);
-        let base = dev.cfg.config_base.0;
+        let base = CONFIG_BASE.0;
         for id in 0..2u64 {
             let ctx = ContextChunk {
                 offload_id: id,

@@ -17,6 +17,18 @@
 //! the scoring pure keeps the decision deterministic: identical
 //! simulated state yields identical placements at any thread count.
 
+#![deny(missing_docs)]
+
+/// Score penalty for a shard on a remote socket, in the same unit as the
+/// pressure scalar (`0.0`–`1.0` occupancy): a remote shard must be half
+/// a scratchpad emptier than a local one before it wins.
+const REMOTE_WEIGHT: f64 = 0.5;
+
+/// Minimum score improvement before a resident offload is migrated off
+/// its statically decoded placement. Guards against churning the
+/// staging pools for marginal wins.
+pub const MIGRATE_MARGIN: f64 = 0.25;
+
 /// How CompCpy places offloads onto channel shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
@@ -29,36 +41,16 @@ pub enum PlacementPolicy {
     /// Occupancy + locality scheduling: pinnable offloads go to the
     /// shard with the lowest combined pressure/remoteness [`score`];
     /// already-resident offloads migrate when the best shard beats their
-    /// current placement by more than
-    /// [`SchedConfig::migrate_margin`].
+    /// current placement by more than [`MIGRATE_MARGIN`].
     OccupancyLocality,
 }
 
-/// Scheduler tuning knobs, carried in
+/// Scheduler configuration, carried in
 /// [`crate::HostConfig`](crate::compcpy::HostConfig).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SchedConfig {
     /// The placement policy.
     pub policy: PlacementPolicy,
-    /// Score penalty for a shard on a remote socket, in the same unit
-    /// as the pressure scalar (`0.0`–`1.0` occupancy). `0.5` means a
-    /// remote shard must be half a scratchpad emptier than a local one
-    /// before it wins.
-    pub remote_weight: f64,
-    /// Minimum score improvement before a resident offload is migrated
-    /// off its statically decoded placement. Guards against churning
-    /// the staging pools for marginal wins.
-    pub migrate_margin: f64,
-}
-
-impl Default for SchedConfig {
-    fn default() -> SchedConfig {
-        SchedConfig {
-            policy: PlacementPolicy::Static,
-            remote_weight: 0.5,
-            migrate_margin: 0.25,
-        }
-    }
 }
 
 /// One shard's inputs to a placement decision.
@@ -77,8 +69,8 @@ pub struct ShardSnapshot {
 
 /// The placement score of one shard — lower is better. Occupancy plus
 /// the locality penalty for remote-socket shards.
-pub fn score(cfg: &SchedConfig, shard: &ShardSnapshot) -> f64 {
-    shard.pressure + if shard.remote { cfg.remote_weight } else { 0.0 }
+pub fn score(shard: &ShardSnapshot) -> f64 {
+    shard.pressure + if shard.remote { REMOTE_WEIGHT } else { 0.0 }
 }
 
 /// Picks the best-scoring shard; ties break to the lowest channel so
@@ -87,11 +79,11 @@ pub fn score(cfg: &SchedConfig, shard: &ShardSnapshot) -> f64 {
 /// # Panics
 ///
 /// Panics on an empty snapshot slice.
-pub fn pick(cfg: &SchedConfig, shards: &[ShardSnapshot]) -> ShardSnapshot {
+pub fn pick(shards: &[ShardSnapshot]) -> ShardSnapshot {
     assert!(!shards.is_empty(), "no shards to place onto");
     let mut best = shards[0];
     for s in &shards[1..] {
-        if score(cfg, s) < score(cfg, &best) {
+        if score(s) < score(&best) {
             best = *s;
         }
     }
@@ -135,41 +127,28 @@ mod tests {
 
     #[test]
     fn pick_prefers_low_pressure() {
-        let cfg = SchedConfig::default();
         let shards = [snap(0, 0.8, false), snap(1, 0.2, false)];
-        assert_eq!(pick(&cfg, &shards).channel, 1);
+        assert_eq!(pick(&shards).channel, 1);
     }
 
     #[test]
     fn locality_outweighs_small_pressure_gap() {
-        // A remote shard must be more than `remote_weight` emptier to
+        // A remote shard must be more than `REMOTE_WEIGHT` emptier to
         // win; a 0.3 pressure gap does not clear the 0.5 penalty.
-        let cfg = SchedConfig::default();
         let shards = [snap(0, 0.4, false), snap(1, 0.1, true)];
-        assert_eq!(pick(&cfg, &shards).channel, 0);
+        assert_eq!(pick(&shards).channel, 0);
         // A large enough gap does.
         let shards = [snap(0, 0.9, false), snap(1, 0.1, true)];
-        assert_eq!(pick(&cfg, &shards).channel, 1);
+        assert_eq!(pick(&shards).channel, 1);
     }
 
     #[test]
     fn ties_break_to_lowest_channel() {
-        let cfg = SchedConfig::default();
         let shards = [
             snap(0, 0.5, false),
             snap(1, 0.5, false),
             snap(2, 0.5, false),
         ];
-        assert_eq!(pick(&cfg, &shards).channel, 0);
-    }
-
-    #[test]
-    fn zero_remote_weight_ignores_locality() {
-        let cfg = SchedConfig {
-            remote_weight: 0.0,
-            ..SchedConfig::default()
-        };
-        let shards = [snap(0, 0.4, false), snap(1, 0.3, true)];
-        assert_eq!(pick(&cfg, &shards).channel, 1);
+        assert_eq!(pick(&shards).channel, 0);
     }
 }

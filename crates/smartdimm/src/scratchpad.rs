@@ -110,11 +110,6 @@ impl Scratchpad {
         }
     }
 
-    /// Total page capacity.
-    pub fn capacity_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Currently free pages — the value `SmartDIMMConfig[0]` reports to
     /// CompCpy's lazy `freePages` refresh.
     pub fn free_pages(&self) -> usize {
