@@ -23,6 +23,11 @@
 //! 8. `dimm_cell_store` — a seeded TLS-like wrCAS/rdCAS trace replayed
 //!    on a per-line `BTreeMap` (the DIMM's former cell store) vs a
 //!    `Dimm` and its column slab.
+//! 9. `hw_compress_page` — the Deflate DSA model on 4 KB HTML pages:
+//!    the byte-comparing tokenizer, fixed codes rebuilt per page and the
+//!    byte-at-a-time bit writer (`HwCompressor::compress_page_reference`)
+//!    vs word-wide comparators, cached codes, closed-form symbol maps
+//!    and a 32-bit-flush writer (`HwCompressor::compress_page`).
 //!
 //! All inputs are seeded and deterministic; only the wall-clock timings
 //! vary run to run. Modes:
@@ -45,13 +50,14 @@ use smartdimm::{CompCpyHost, HostConfig};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use ulp_compress::hwmodel::{HwCompressor, HwDeflateConfig};
 use ulp_crypto::aes::Aes;
 use ulp_crypto::gcm::{AesGcm, Direction, OooGcm};
 use ulp_crypto::gf128::{Gf128, GfMulTable};
 use ulp_crypto::ghash::{HPowers, OooGhash};
 
 /// The rows every report carries, in emission order.
-const HOT_PATHS: [&str; 8] = [
+const HOT_PATHS: [&str; 9] = [
     "gf128_mul",
     "compcpy_page_copy",
     "lz77_match_finder",
@@ -60,6 +66,7 @@ const HOT_PATHS: [&str; 8] = [
     "aes_block",
     "ooo_gcm_offload",
     "dimm_cell_store",
+    "hw_compress_page",
 ];
 
 fn repo_root() -> PathBuf {
@@ -448,6 +455,39 @@ fn bench_dimm_cells(spec: BenchSpec, offloads: usize) -> HotPath {
     }
 }
 
+fn bench_hw_compress(spec: BenchSpec, pages: usize) -> HotPath {
+    // The pages `deflate_numa` compresses: HTML bodies of one page each.
+    let corpus: Vec<Vec<u8>> = (0..pages as u64)
+        .map(|seed| ulp_compress::corpus::html(4096, seed))
+        .collect();
+    let mut dsa = HwCompressor::new(HwDeflateConfig::default());
+    let mut oracle = HwCompressor::new(HwDeflateConfig::default());
+    for page in &corpus {
+        assert_eq!(
+            dsa.compress_page(page),
+            oracle.compress_page_reference(page),
+            "both paths must compress alike"
+        );
+    }
+    assert_eq!(dsa.stats(), oracle.stats(), "both paths must count alike");
+    HotPath {
+        name: "hw_compress_page",
+        before_impl: "byte-compare tokenizer, fixed codes built per page, per-byte bit writer",
+        after_impl: "u64 XOR comparators, codes built once, closed-form symbols, 32-bit flushes",
+        work_units: format!("Deflate DSA model over {pages} seeded 4 KB HTML pages"),
+        before_ns_per_op: median_ns_per_op(spec, || {
+            for page in &corpus {
+                std::hint::black_box(oracle.compress_page_reference(page));
+            }
+        }),
+        after_ns_per_op: median_ns_per_op(spec, || {
+            for page in &corpus {
+                std::hint::black_box(dsa.compress_page(page));
+            }
+        }),
+    }
+}
+
 /// Names the rows of a rendered report lacks, out of [`HOT_PATHS`].
 fn missing_rows(doc: &str) -> Vec<&'static str> {
     HOT_PATHS
@@ -487,30 +527,33 @@ fn main() -> ExitCode {
         };
     }
 
-    let (spec, blocks, pages, lz_len, sweep_scale, offloads, out_path) = match mode.as_str() {
-        "smoke" => (
-            BenchSpec::smoke(),
-            256,
-            4,
-            1024,
-            (16, 60),
-            (1, 16),
-            repo_root().join("target").join("BENCH_hotpaths.smoke.json"),
-        ),
-        "full" => (
-            BenchSpec::full(),
-            256,
-            32,
-            8192,
-            (32, 150),
-            (16, 256),
-            out_path,
-        ),
-        other => {
-            eprintln!("usage: bench_hotpaths [smoke|full|check] (got {other:?})");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (spec, blocks, pages, lz_len, sweep_scale, offloads, hw_pages, out_path) =
+        match mode.as_str() {
+            "smoke" => (
+                BenchSpec::smoke(),
+                256,
+                4,
+                1024,
+                (16, 60),
+                (1, 16),
+                4,
+                repo_root().join("target").join("BENCH_hotpaths.smoke.json"),
+            ),
+            "full" => (
+                BenchSpec::full(),
+                256,
+                32,
+                8192,
+                (32, 150),
+                (16, 256),
+                256,
+                out_path,
+            ),
+            other => {
+                eprintln!("usage: bench_hotpaths [smoke|full|check] (got {other:?})");
+                return ExitCode::FAILURE;
+            }
+        };
 
     println!("hot-path benchmarks ({mode} mode)");
     let paths = vec![
@@ -522,6 +565,7 @@ fn main() -> ExitCode {
         bench_aes(spec, blocks),
         bench_ooo_gcm(spec, offloads.0),
         bench_dimm_cells(spec, offloads.1),
+        bench_hw_compress(spec, hw_pages),
     ];
     assert_eq!(
         paths.iter().map(|p| p.name).collect::<Vec<_>>(),

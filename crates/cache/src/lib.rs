@@ -90,6 +90,34 @@ impl CacheConfig {
     pub fn sets(&self) -> usize {
         self.size_bytes / (64 * self.ways)
     }
+
+    /// Checks the geometry [`Llc::new`] requires: 1..=64 ways, at least
+    /// one set, `ddio_ways` in 1..=`ways` and a non-empty sampling
+    /// window. The error names the first rule broken.
+    ///
+    /// # Errors
+    ///
+    /// Returns the broken rule as a static message.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if !(1..=64).contains(&self.ways) {
+            return Err("1..=64 ways");
+        }
+        if self.sets() == 0 {
+            return Err("cache too small for its ways");
+        }
+        if !(1..=self.ways).contains(&self.ddio_ways) {
+            return Err("ddio_ways outside 1..=ways");
+        }
+        if self.sample_window == 0 {
+            return Err("sample_window must be >= 1");
+        }
+        Ok(())
+    }
+}
+
+/// The way mask selecting the first `n` ways (`n` in 1..=64).
+fn low_ways(n: usize) -> u64 {
+    u64::MAX >> (64 - n)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -182,20 +210,13 @@ impl Llc {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets/ways, more than 64
-    /// ways, or `ddio_ways > ways`).
+    /// Panics if [`CacheConfig::validate`] rejects the geometry.
     pub fn new(config: CacheConfig) -> Llc {
-        assert!(config.ways >= 1 && config.ways <= 64, "1..=64 ways");
-        assert!(config.sets() >= 1, "cache too small for its ways");
-        assert!(config.ddio_ways >= 1 && config.ddio_ways <= config.ways);
-        assert!(config.sample_window >= 1);
-        let all_ways = if config.ways == 64 {
-            u64::MAX
-        } else {
-            (1u64 << config.ways) - 1
-        };
-        let mut masks = vec![all_ways; 64];
-        masks[DDIO_CLASS] = (1u64 << config.ddio_ways) - 1;
+        if let Err(why) = config.validate() {
+            panic!("{why}");
+        }
+        let mut masks = vec![low_ways(config.ways); 64];
+        masks[DDIO_CLASS] = low_ways(config.ddio_ways);
         Llc {
             sets: vec![vec![Line::default(); config.ways]; config.sets()],
             config,
@@ -239,19 +260,17 @@ impl Llc {
     /// Panics if the mask is zero or selects ways beyond the geometry.
     pub fn set_way_mask(&mut self, class: usize, mask: u64) {
         assert!(mask != 0, "empty way mask");
-        let all = if self.config.ways == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.config.ways) - 1
-        };
-        assert!(mask & !all == 0, "mask selects nonexistent ways");
+        assert!(
+            mask & !low_ways(self.config.ways) == 0,
+            "mask selects nonexistent ways"
+        );
         self.masks[class] = mask;
     }
 
     /// Convenience: restrict `class` to its first `n` ways.
     pub fn set_ways(&mut self, class: usize, n: usize) {
         assert!(n >= 1 && n <= self.config.ways);
-        self.set_way_mask(class, (1u64 << n) - 1);
+        self.set_way_mask(class, low_ways(n));
     }
 
     /// The most recently completed sampling-window miss rate — the signal
@@ -718,6 +737,41 @@ mod tests {
     #[should_panic(expected = "empty way mask")]
     fn zero_mask_rejected() {
         tiny().set_way_mask(0, 0);
+    }
+
+    #[test]
+    fn validate_names_each_degenerate_geometry() {
+        let ok = CacheConfig::kb(64, 8);
+        assert_eq!(ok.validate(), Ok(()));
+        let cases = [
+            (CacheConfig { ways: 0, ..ok }, "1..=64 ways"),
+            (CacheConfig { ways: 65, ..ok }, "1..=64 ways"),
+            (CacheConfig::kb(1, 32), "cache too small for its ways"),
+            (
+                CacheConfig { ddio_ways: 0, ..ok },
+                "ddio_ways outside 1..=ways",
+            ),
+            (
+                CacheConfig { ddio_ways: 9, ..ok },
+                "ddio_ways outside 1..=ways",
+            ),
+            (
+                CacheConfig {
+                    sample_window: 0,
+                    ..ok
+                },
+                "sample_window must be >= 1",
+            ),
+        ];
+        for (cfg, why) in cases {
+            assert_eq!(cfg.validate(), Err(why), "{cfg:?}");
+        }
+        // The widest geometry builds: all 64 ways open to DDIO too.
+        let wide = Llc::new(CacheConfig {
+            ddio_ways: 64,
+            ..CacheConfig::kb(64, 64)
+        });
+        assert_eq!(wide.config().ways, 64);
     }
 
     #[test]

@@ -250,6 +250,9 @@ impl EventWorkloadConfig {
         if self.scratchpad_pages == Some(0) {
             return Err(ConfigError::ZeroScratchpad);
         }
+        if let Some(llc) = self.llc {
+            llc.validate().map_err(ConfigError::BadLlc)?;
+        }
         Ok(())
     }
 }
@@ -739,6 +742,35 @@ mod tests {
             ..EventWorkloadConfig::default()
         };
         assert_eq!(bad.validate(), Err(ConfigError::ZeroScratchpad));
+    }
+
+    #[test]
+    fn event_validate_rejects_llc_geometry_the_cache_would_panic_on() {
+        let llc = CacheConfig::mb(2, 16);
+        for (bad, why) in [
+            (CacheConfig { ways: 0, ..llc }, "1..=64 ways"),
+            (CacheConfig { ways: 65, ..llc }, "1..=64 ways"),
+            (
+                CacheConfig {
+                    ddio_ways: 0,
+                    ..llc
+                },
+                "ddio_ways outside 1..=ways",
+            ),
+            (
+                CacheConfig {
+                    ddio_ways: 17,
+                    ..llc
+                },
+                "ddio_ways outside 1..=ways",
+            ),
+        ] {
+            let cfg = EventWorkloadConfig {
+                llc: Some(bad),
+                ..EventWorkloadConfig::default()
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::BadLlc(why)));
+        }
     }
 
     #[test]

@@ -155,6 +155,9 @@ pub enum ConfigError {
     /// `scratchpad_pages == Some(0)`: a Scratchpad needs at least one
     /// page.
     ZeroScratchpad,
+    /// `llc` geometry that [`cache::Llc::new`] would reject; carries the
+    /// rule [`CacheConfig::validate`] names.
+    BadLlc(&'static str),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -193,6 +196,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadPermille(v) => write!(f, "permille {v} above 1000"),
             ConfigError::ZeroWindow => write!(f, "inflight_window must be >= 1"),
             ConfigError::ZeroScratchpad => write!(f, "scratchpad_pages must be >= 1"),
+            ConfigError::BadLlc(why) => write!(f, "bad LLC config: {why}"),
         }
     }
 }
@@ -241,6 +245,9 @@ impl WorkloadConfig {
         }
         if self.requests == 0 {
             return Err(ConfigError::ZeroRequests);
+        }
+        if let Some(llc) = self.llc {
+            llc.validate().map_err(ConfigError::BadLlc)?;
         }
         validate_topology(
             self.channels,
@@ -1100,6 +1107,35 @@ mod tests {
             assert_eq!(cfg.validate(), Err(*want));
             // Every variant renders a non-empty human-readable message.
             assert!(!want.to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_llc_geometry_the_cache_would_panic_on() {
+        let llc = CacheConfig::mb(2, 16);
+        for (bad, why) in [
+            (CacheConfig { ways: 0, ..llc }, "1..=64 ways"),
+            (CacheConfig { ways: 65, ..llc }, "1..=64 ways"),
+            (
+                CacheConfig {
+                    ddio_ways: 0,
+                    ..llc
+                },
+                "ddio_ways outside 1..=ways",
+            ),
+            (
+                CacheConfig {
+                    ddio_ways: 17,
+                    ..llc
+                },
+                "ddio_ways outside 1..=ways",
+            ),
+        ] {
+            let cfg = WorkloadConfig {
+                llc: Some(bad),
+                ..WorkloadConfig::default()
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::BadLlc(why)));
         }
     }
 

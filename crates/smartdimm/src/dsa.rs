@@ -360,8 +360,10 @@ impl DsaInstance {
                 if !complete {
                     return DsaOutput::default();
                 }
-                match ulp_compress::inflate::decompress(&buf.data) {
-                    Ok(out) if !out.is_empty() && out.len() <= 4096 => DsaOutput {
+                // Inflation stops at one page, so a hostile stream
+                // cannot grow the engine's buffer past it.
+                match ulp_compress::hwmodel::decompress_page(&buf.data) {
+                    Ok((out, _)) if !out.is_empty() => DsaOutput {
                         produced: to_lines(&out),
                         completion: Some(DsaCompletion {
                             status: OffloadStatus::Done,
@@ -618,6 +620,29 @@ mod tests {
             completion = completion.or(dsa.process_line(start, &line, 64).completion);
         }
         assert_eq!(completion.expect("terminal").status, OffloadStatus::Error);
+    }
+
+    #[test]
+    fn decompress_dsa_rejects_streams_that_outgrow_a_page() {
+        // 1 MB of zeros deflates to a short run of 258-byte matches: a
+        // sub-page stream that inflates 256 pages deep.
+        let bomb = ulp_compress::deflate::compress(&vec![0u8; 1 << 20]);
+        assert!(bomb.len() <= 4096, "{} B", bomb.len());
+        let mut dsa = DsaInstance::new(
+            &ctx(OffloadOp::Decompress, bomb.len()),
+            HwDeflateConfig::default(),
+        );
+        let mut completion = None;
+        for start in (0..bomb.len()).step_by(64) {
+            let valid = (bomb.len() - start).min(64);
+            let mut line = [0u8; 64];
+            line[..valid].copy_from_slice(&bomb[start..start + valid]);
+            let o = dsa.process_line(start, &line, valid);
+            assert!(o.produced.is_empty());
+            completion = completion.or(o.completion);
+        }
+        let c = completion.expect("terminal");
+        assert_eq!((c.status, c.out_len), (OffloadStatus::Error, 0));
     }
 
     #[test]

@@ -71,6 +71,8 @@ pub struct XlatStats {
 #[derive(Debug, Clone)]
 pub struct TranslationTable {
     slots: Vec<Option<Entry>>,
+    /// Live count of filled cuckoo slots, so `len`/`occupancy` are O(1).
+    occupied: usize,
     stash: Vec<Entry>,
     stash_capacity: usize,
     stats: XlatStats,
@@ -100,6 +102,7 @@ impl TranslationTable {
         assert!(capacity >= 3, "cuckoo table needs at least 3 slots");
         TranslationTable {
             slots: vec![None; capacity],
+            occupied: 0,
             stash: Vec::with_capacity(stash_capacity),
             stash_capacity,
             stats: XlatStats::default(),
@@ -114,7 +117,7 @@ impl TranslationTable {
 
     /// Number of live entries (cuckoo + stash).
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count() + self.stash.len()
+        self.occupied + self.stash.len()
     }
 
     /// Whether the table holds no entries.
@@ -124,7 +127,7 @@ impl TranslationTable {
 
     /// Occupancy fraction of the cuckoo array.
     pub fn occupancy(&self) -> f64 {
-        self.slots.iter().filter(|s| s.is_some()).count() as f64 / self.slots.len() as f64
+        self.occupied as f64 / self.slots.len() as f64
     }
 
     /// Every mapped page number (cuckoo + stash), in unspecified order.
@@ -219,6 +222,7 @@ impl TranslationTable {
             let idx = self.hash(page, way);
             if self.slots[idx].is_none() {
                 self.slots[idx] = Some(Entry { page, mapping });
+                self.occupied += 1;
                 self.stats.inserts += 1;
                 if way == 0 {
                     self.stats.first_try += 1;
@@ -240,6 +244,7 @@ impl TranslationTable {
                 // The slot was free after all (cannot happen after the
                 // empty-way scan above, but an empty slot just absorbed
                 // the entry either way): the insert is complete.
+                self.occupied += 1;
                 self.stats.inserts += 1;
                 return Ok(());
             };
@@ -252,6 +257,7 @@ impl TranslationTable {
                 let i = self.hash(cur.page, w);
                 if self.slots[i].is_none() {
                     self.slots[i] = Some(cur);
+                    self.occupied += 1;
                     placed = true;
                     break;
                 }
@@ -271,7 +277,8 @@ impl TranslationTable {
         } else {
             // Unwind the displacement chain so failure is atomic: every
             // pre-existing entry returns to its slot and the would-be new
-            // entry is the only one left out.
+            // entry is the only one left out. Every chain slot stays
+            // filled throughout, so `occupied` is unchanged.
             for (idx, evicted) in chain.into_iter().rev() {
                 self.slots[idx] = Some(evicted);
             }
@@ -288,6 +295,7 @@ impl TranslationTable {
         for way in 0..3 {
             let idx = self.hash(page, way);
             if self.slots[idx].map(|e| e.page) == Some(page) {
+                self.occupied -= 1;
                 return self.slots[idx].take().map(|e| e.mapping);
             }
         }
@@ -304,6 +312,38 @@ mod tests {
         Mapping::Source {
             offload: o,
             msg_offset: 0,
+        }
+    }
+
+    /// Checks the O(1) counts against a full slot scan.
+    fn assert_counts_match_scan(t: &TranslationTable) {
+        let filled = t.slots.iter().filter(|s| s.is_some()).count();
+        assert_eq!(t.len(), filled + t.stash.len());
+        assert_eq!(t.occupancy(), filled as f64 / t.slots.len() as f64);
+        assert_eq!(t.is_empty(), filled + t.stash.len() == 0);
+    }
+
+    #[test]
+    fn live_count_survives_kicks_spills_and_unwinds() {
+        // Stash-less and tiny tables fill until inserts kick, spill and
+        // fail (the unwind path); removals then drain them.
+        for (slots, stash) in [(3, 0), (9, 0), (12, 2), (3, 8)] {
+            let mut t = TranslationTable::new(slots, stash);
+            for page in 0..40u64 {
+                let _ = t.insert(page, src(page));
+                assert_counts_match_scan(&t);
+            }
+            let s = t.stats();
+            assert!(
+                s.failures > 0 && s.displacements > 0,
+                "{slots}/{stash}: {s:?}"
+            );
+            assert_eq!(s.stash_spills > 0, stash > 0, "{slots}/{stash}");
+            for page in (0..40u64).rev() {
+                t.remove(page);
+                assert_counts_match_scan(&t);
+            }
+            assert!(t.is_empty());
         }
     }
 
@@ -388,6 +428,25 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_live_count_equals_slot_scan(
+            shape in 0usize..4,
+            ops in proptest::collection::vec((0u64..48, 0u64..3), 1..300),
+        ) {
+            // Insert (op 0), replace under a new mapping (op 1), remove
+            // (op 2); small shapes kick, spill and fail.
+            let (slots, stash) = [(3, 0), (12, 2), (24, 1), (1024, 8)][shape];
+            let mut t = TranslationTable::new(slots, stash);
+            for (page, op) in ops {
+                match op {
+                    0 => { let _ = t.insert(page, src(page)); }
+                    1 => { let _ = t.insert(page, src(page + 1)); }
+                    _ => { t.remove(page); }
+                }
+                assert_counts_match_scan(&t);
+            }
+        }
+
         #[test]
         fn prop_model_equivalence(
             ops in proptest::collection::vec((0u64..128, 0u64..3), 1..400),

@@ -2,10 +2,14 @@
 //! within a byte, bits are consumed least-significant first; Huffman
 //! codes are packed starting from their *most* significant bit, so the
 //! writer provides [`BitWriter::write_huffman`] which reverses the code.
+//!
+//! [`BitWriter`] flushes 32 bits at a time; [`BytewiseBitWriter`] is the
+//! byte-at-a-time writer it replaced, kept as the test oracle.
 
 use crate::DecodeError;
 
-/// Accumulates bits LSB-first into a byte vector.
+/// Accumulates bits LSB-first into a byte vector, flushing whole 32-bit
+/// words.
 ///
 /// # Example
 ///
@@ -20,6 +24,7 @@ use crate::DecodeError;
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
+    /// Pending bits, LSB first; fewer than 32 between calls.
     acc: u64,
     nbits: u32,
 }
@@ -40,10 +45,10 @@ impl BitWriter {
         debug_assert!(n == 32 || value < (1 << n), "value wider than n bits");
         self.acc |= (value as u64) << self.nbits;
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+        if self.nbits >= 32 {
+            self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.nbits -= 32;
         }
     }
 
@@ -55,6 +60,85 @@ impl BitWriter {
     }
 
     /// Pads to a byte boundary with zero bits (used before stored blocks).
+    pub fn align_byte(&mut self) {
+        let partial = self.nbits % 8;
+        if partial > 0 {
+            self.write_bits(0, 8 - partial);
+        }
+    }
+
+    /// Moves the pending whole bytes to the output.
+    fn flush_bytes(&mut self) {
+        let bytes = (self.nbits / 8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
+        self.acc >>= bytes * 8;
+        self.nbits %= 8;
+    }
+
+    /// Appends raw bytes; the writer must be byte-aligned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the writer is not at a byte boundary.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        assert_eq!(self.nbits % 8, 0, "write_bytes requires byte alignment");
+        self.flush_bytes();
+        self.out.extend_from_slice(bytes);
+    }
+
+    /// Total bits written so far.
+    pub fn bit_len(&self) -> usize {
+        self.out.len() * 8 + self.nbits as usize
+    }
+
+    /// Flushes any partial byte (zero-padded) and returns the bytes.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.align_byte();
+        self.flush_bytes();
+        self.out
+    }
+}
+
+/// The byte-at-a-time LSB-first writer [`BitWriter`] replaced: same
+/// output, one `push` per completed byte. Kept as the oracle the word
+/// writer is checked against and as the `before` side of the
+/// `hw_compress_page` hot-path row.
+#[derive(Debug, Clone, Default)]
+pub struct BytewiseBitWriter {
+    out: Vec<u8>,
+    acc: u64,
+    nbits: u32,
+}
+
+impl BytewiseBitWriter {
+    /// Creates an empty writer.
+    pub fn new() -> BytewiseBitWriter {
+        BytewiseBitWriter::default()
+    }
+
+    /// Writes the low `n` bits of `value`, LSB-first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 32`.
+    pub fn write_bits(&mut self, value: u32, n: u32) {
+        assert!(n <= 32, "at most 32 bits per call");
+        self.acc |= (value as u64) << self.nbits;
+        self.nbits += n;
+        while self.nbits >= 8 {
+            self.out.push((self.acc & 0xff) as u8);
+            self.acc >>= 8;
+            self.nbits -= 8;
+        }
+    }
+
+    /// Writes a bit-reversed Huffman code of `len` bits.
+    pub fn write_huffman(&mut self, code: u32, len: u32) {
+        let reversed = code.reverse_bits() >> (32 - len);
+        self.write_bits(reversed, len);
+    }
+
+    /// Pads to a byte boundary with zero bits.
     pub fn align_byte(&mut self) {
         if self.nbits > 0 {
             let pad = 8 - self.nbits;
@@ -278,7 +362,72 @@ mod tests {
         assert_eq!(r.read_bytes(1).unwrap(), vec![0x42]);
     }
 
+    #[test]
+    #[should_panic(expected = "write_bytes requires byte alignment")]
+    fn unaligned_write_bytes_panics_past_a_word() {
+        let mut w = BitWriter::new();
+        w.write_bits(0x1_FFFF, 17);
+        w.write_bits(0x7FFF, 15);
+        w.write_bits(1, 3);
+        w.write_bytes(&[0]);
+    }
+
+    /// One writer call of the interleaving proptest.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Bits(u32, u32),
+        Huffman(u32, u32),
+        Align,
+        Bytes(Vec<u8>),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (
+            0u32..4,
+            any::<u32>(),
+            0u32..=32,
+            proptest::collection::vec(any::<u8>(), 0..9),
+        )
+            .prop_map(|(kind, v, n, bytes)| match kind {
+                0 => Op::Bits(if n == 32 { v } else { v & ((1 << n) - 1) }, n),
+                1 => Op::Huffman(v & ((1 << n.clamp(1, 15)) - 1), n.clamp(1, 15)),
+                2 => Op::Align,
+                _ => Op::Bytes(bytes),
+            })
+    }
+
     proptest! {
+        #[test]
+        fn prop_word_writer_matches_bytewise_writer(ops in proptest::collection::vec(op(), 0..200)) {
+            let mut w = BitWriter::new();
+            let mut oracle = BytewiseBitWriter::new();
+            for op in ops {
+                match op {
+                    Op::Bits(v, n) => {
+                        w.write_bits(v, n);
+                        oracle.write_bits(v, n);
+                    }
+                    Op::Huffman(c, l) => {
+                        w.write_huffman(c, l);
+                        oracle.write_huffman(c, l);
+                    }
+                    Op::Align => {
+                        w.align_byte();
+                        oracle.align_byte();
+                    }
+                    // Raw bytes need alignment: both writers pad first.
+                    Op::Bytes(b) => {
+                        w.align_byte();
+                        w.write_bytes(&b);
+                        oracle.align_byte();
+                        oracle.write_bytes(&b);
+                    }
+                }
+                prop_assert_eq!(w.bit_len(), oracle.bit_len());
+            }
+            prop_assert_eq!(w.finish(), oracle.finish());
+        }
+
         #[test]
         fn prop_round_trip_bit_sequences(fields in proptest::collection::vec((0u32..=0xFFFF, 1u32..=16), 0..64)) {
             let mut w = BitWriter::new();

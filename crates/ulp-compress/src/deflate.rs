@@ -7,9 +7,13 @@
 //! [`Strategy::Fixed`], matching the deterministic-latency hardware
 //! design choice of §V-B.
 
-use crate::bitio::BitWriter;
+use crate::bitio::{BitWriter, BytewiseBitWriter};
 use crate::huffman::{build_lengths, fixed_distance_lengths, fixed_literal_lengths, CanonicalCode};
-use crate::lz77::{self, distance_to_symbol, length_to_symbol, MatcherConfig, Token};
+use crate::lz77::{
+    self, distance_to_symbol, distance_to_symbol_reference, length_to_symbol,
+    length_to_symbol_reference, MatcherConfig, Token,
+};
+use std::sync::OnceLock;
 
 /// Which Deflate block type to emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -144,13 +148,60 @@ fn write_token_stream(
     w.write_huffman(c, l);
 }
 
-/// Writes a fixed-Huffman block.
+/// The fixed literal/length and distance codes (RFC 1951 §3.2.6).
+fn build_fixed_codes() -> (CanonicalCode, CanonicalCode) {
+    (
+        CanonicalCode::from_lengths(&fixed_literal_lengths()).expect("fixed literal code"),
+        CanonicalCode::from_lengths(&fixed_distance_lengths()).expect("fixed distance code"),
+    )
+}
+
+/// Writes a fixed-Huffman block; the fixed codes are built once per
+/// process.
 pub(crate) fn write_fixed_block(w: &mut BitWriter, tokens: &[Token], is_final: bool) {
+    static FIXED: OnceLock<(CanonicalCode, CanonicalCode)> = OnceLock::new();
+    let (lit, dist) = FIXED.get_or_init(build_fixed_codes);
     w.write_bits(is_final as u32, 1);
     w.write_bits(0b01, 2);
-    let lit = CanonicalCode::from_lengths(&fixed_literal_lengths()).expect("fixed literal code");
-    let dist = CanonicalCode::from_lengths(&fixed_distance_lengths()).expect("fixed distance code");
-    write_token_stream(w, tokens, &lit, &dist);
+    write_token_stream(w, tokens, lit, dist);
+}
+
+/// The fixed-Huffman encoder as it stood before the table-driven one:
+/// both codes rebuilt per call, [`BytewiseBitWriter`] and the scan-based
+/// symbol maps. Returns the same bytes as
+/// `encode_tokens(tokens, _, Strategy::Fixed)`; kept as that path's
+/// oracle and as the `before` side of the `hw_compress_page` hot-path
+/// row.
+pub fn encode_fixed_reference(tokens: &[Token]) -> Vec<u8> {
+    let (lit, dist) = build_fixed_codes();
+    let mut w = BytewiseBitWriter::new();
+    w.write_bits(1, 1);
+    w.write_bits(0b01, 2);
+    for &t in tokens {
+        match t {
+            Token::Literal(b) => {
+                let (c, l) = lit.code(b as usize);
+                w.write_huffman(c, l);
+            }
+            Token::Match { length, distance } => {
+                let (sym, extra, val) = length_to_symbol_reference(length);
+                let (c, l) = lit.code(sym as usize);
+                w.write_huffman(c, l);
+                if extra > 0 {
+                    w.write_bits(val as u32, extra as u32);
+                }
+                let (dsym, dextra, dval) = distance_to_symbol_reference(distance);
+                let (c, l) = dist.code(dsym as usize);
+                w.write_huffman(c, l);
+                if dextra > 0 {
+                    w.write_bits(dval as u32, dextra as u32);
+                }
+            }
+        }
+    }
+    let (c, l) = lit.code(256);
+    w.write_huffman(c, l);
+    w.finish()
 }
 
 /// Order in which code-length-code lengths are transmitted (RFC 1951).
@@ -413,6 +464,23 @@ mod tests {
             for strategy in [Strategy::Stored, Strategy::Fixed, Strategy::Dynamic, Strategy::Auto] {
                 let out = compress_with(&data, MatcherConfig::default(), strategy);
                 prop_assert_eq!(&decompress(&out).unwrap(), &data, "strategy {:?}", strategy);
+            }
+        }
+
+        #[test]
+        fn prop_fixed_encoder_matches_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..3000),
+            word in proptest::collection::vec(any::<u8>(), 1..40),
+        ) {
+            // Random bytes give literal-heavy streams; a repeated word
+            // gives long matches at many distances.
+            let repeated: Vec<u8> = word.iter().cycle().take(data.len()).copied().collect();
+            for input in [&data, &repeated] {
+                let tokens = lz77::tokenize(input, MatcherConfig::default());
+                prop_assert_eq!(
+                    encode_tokens(&tokens, input, Strategy::Fixed),
+                    encode_fixed_reference(&tokens)
+                );
             }
         }
 

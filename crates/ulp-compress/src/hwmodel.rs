@@ -25,7 +25,7 @@
 //! Every output page is a valid Deflate stream decodable by
 //! [`crate::inflate`].
 
-use crate::deflate::{encode_tokens, Strategy};
+use crate::deflate::{encode_fixed_reference, encode_tokens, Strategy};
 use crate::lz77::{Token, MAX_MATCH, MIN_MATCH};
 
 /// Deflate-DSA configuration. Defaults mirror the paper's prototype.
@@ -164,12 +164,33 @@ impl HwCompressor {
     ///
     /// Panics if `page` is empty or longer than 4 KB.
     pub fn compress_page(&mut self, page: &[u8]) -> PageResult {
-        assert!(!page.is_empty(), "empty page");
-        assert!(page.len() <= PAGE, "DSA compresses at 4KB page granularity");
+        assert_page(page);
         let tokens = self.tokenize_page(page);
+        let fixed = encode_tokens(&tokens, page, Strategy::Fixed);
+        self.finish_page(page, fixed)
+    }
+
+    /// [`HwCompressor::compress_page`] on the kernels it replaced: the
+    /// byte-comparing tokenizer and the per-call fixed-Huffman encoder
+    /// ([`encode_fixed_reference`]). Same result and statistics; kept
+    /// as the oracle and the `before` side of the `hw_compress_page`
+    /// hot-path row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is empty or longer than 4 KB.
+    pub fn compress_page_reference(&mut self, page: &[u8]) -> PageResult {
+        assert_page(page);
+        let tokens = self.tokenize_page_reference(page);
+        let fixed = encode_fixed_reference(&tokens);
+        self.finish_page(page, fixed)
+    }
+
+    /// Charges the page's cycles and applies the stored fallback to its
+    /// fixed-Huffman encoding.
+    fn finish_page(&mut self, page: &[u8], fixed: Vec<u8>) -> PageResult {
         let cycles = page.len().div_ceil(CACHELINE) as u64;
         self.stats.cycles += cycles;
-        let fixed = encode_tokens(&tokens, page, Strategy::Fixed);
         let (data, stored) = if fixed.len() >= page.len() + 5 {
             // Stored fallback keeps the compressed page within the
             // registered destination pages.
@@ -193,7 +214,109 @@ impl HwCompressor {
     }
 
     /// Best-effort banked-hash-table tokenizer for one page.
+    ///
+    /// Each cacheline is one cycle: every position with a 3-byte hash
+    /// window looks up and inserts its hash slot, as long as the slot's
+    /// bank has ports left this cycle. A lookup and its insert take one
+    /// read and one write port of the same bank, so the two port counts
+    /// are always equal and one counter per bank tracks both (and
+    /// `lookups_dropped == inserts_dropped`). Uncovered positions
+    /// then compare the table candidate and the adjacent lane (distance
+    /// 1, free of ports) eight bytes at a time, and the table candidate
+    /// wins only when strictly longer. `tokenize_page_reference` is the
+    /// byte-at-a-time original; tokens and statistics are identical.
     fn tokenize_page(&mut self, page: &[u8]) -> Vec<Token> {
+        const EMPTY: u32 = u32::MAX;
+        let cfg = self.config;
+        let max_match = cfg.max_match();
+        let slots = cfg.banks * cfg.entries_per_bank;
+        let slot_mask = slots.is_power_of_two().then(|| slots - 1);
+        let bank_mask = cfg.banks.is_power_of_two().then(|| cfg.banks - 1);
+        // slot -> position of the most recent candidate (oldest replaced).
+        let mut table = vec![EMPTY; slots];
+        let mut tokens = Vec::with_capacity(page.len());
+        let mut ports_used = vec![0usize; cfg.banks];
+        let (mut literals, mut matches, mut dropped) = (0u64, 0u64, 0u64);
+        // Positions from here on have no 3-byte window to hash.
+        let hashed_end = page.len().saturating_sub(MIN_MATCH - 1);
+
+        let mut covered_until = 0usize; // positions below this are inside an emitted match
+        for line_start in (0..page.len()).step_by(CACHELINE) {
+            let line_end = (line_start + CACHELINE).min(page.len());
+            ports_used.fill(0);
+            for p in line_start..line_end {
+                if p >= hashed_end {
+                    if p >= covered_until {
+                        tokens.push(Token::Literal(page[p]));
+                        literals += 1;
+                    }
+                    continue;
+                }
+                let h = hash3(page, p);
+                let slot = slot_mask.map_or_else(|| h % slots, |m| h & m);
+                let bank = bank_mask.map_or_else(|| slot % cfg.banks, |m| slot & m);
+
+                // Read the candidate and insert this position in its place.
+                let candidate = if ports_used[bank] < cfg.ports_per_bank {
+                    ports_used[bank] += 1;
+                    std::mem::replace(&mut table[slot], p as u32)
+                } else {
+                    dropped += 1;
+                    EMPTY
+                };
+                if p < covered_until {
+                    continue;
+                }
+
+                // Match lengths below MIN_MATCH count as no match.
+                let limit = (page.len() - p).min(max_match);
+                let usable = |len: usize| if len >= MIN_MATCH { len } else { 0 };
+                let neighbor = if p >= 1 {
+                    usable(match_len(page, p - 1, p, limit))
+                } else {
+                    0
+                };
+                let cand = candidate as usize;
+                let table_len = if candidate != EMPTY && p - cand <= cfg.history {
+                    usable(match_len(page, cand, p, limit))
+                } else {
+                    0
+                };
+                let matched = if table_len > neighbor {
+                    Some((table_len, p - cand))
+                } else if neighbor > 0 {
+                    Some((neighbor, 1))
+                } else {
+                    None
+                };
+                match matched {
+                    Some((len, dist)) => {
+                        tokens.push(Token::Match {
+                            length: len as u16,
+                            distance: dist as u16,
+                        });
+                        matches += 1;
+                        covered_until = p + len;
+                    }
+                    None => {
+                        tokens.push(Token::Literal(page[p]));
+                        literals += 1;
+                    }
+                }
+            }
+        }
+        self.stats.literals_emitted += literals;
+        self.stats.matches_emitted += matches;
+        self.stats.lookups_dropped += dropped;
+        self.stats.inserts_dropped += dropped;
+        tokens
+    }
+
+    /// The tokenizer [`tokenize_page`](Self::tokenize_page) replaced:
+    /// byte-at-a-time comparators, `%` reductions, `Option` slots and
+    /// separate read and write port counters, two `Vec`s per cacheline.
+    /// Kept as its oracle.
+    fn tokenize_page_reference(&mut self, page: &[u8]) -> Vec<Token> {
         let cfg = self.config;
         let max_match = cfg.max_match();
         let slots = cfg.banks * cfg.entries_per_bank;
@@ -201,13 +324,7 @@ impl HwCompressor {
         let mut table: Vec<Option<u32>> = vec![None; slots];
         let mut tokens = Vec::new();
 
-        let hash = |data: &[u8], pos: usize| -> usize {
-            let h = (data[pos] as u32)
-                .wrapping_mul(0x1_93)
-                .wrapping_add((data[pos + 1] as u32).wrapping_mul(0x61))
-                .wrapping_add((data[pos + 2] as u32).wrapping_mul(0x1F));
-            (h as usize) % slots
-        };
+        let hash = |data: &[u8], pos: usize| -> usize { hash3(data, pos) % slots };
 
         let mut covered_until = 0usize; // positions below this are inside an emitted match
         let mut pos = 0usize;
@@ -299,15 +416,51 @@ impl HwCompressor {
     }
 }
 
+/// Hashes the three bytes at `pos` (before reduction onto the slots).
+fn hash3(data: &[u8], pos: usize) -> usize {
+    (data[pos] as u32)
+        .wrapping_mul(0x1_93)
+        .wrapping_add((data[pos + 1] as u32).wrapping_mul(0x61))
+        .wrapping_add((data[pos + 2] as u32).wrapping_mul(0x1F)) as usize
+}
+
+/// Length of the common prefix of `page[cand..]` and `page[p..]`, at most
+/// `limit` (with `cand < p` and `p + limit <= page.len()`), compared
+/// eight bytes at a time: the first set bit of the XOR of two
+/// little-endian words marks the first differing byte.
+fn match_len(page: &[u8], cand: usize, p: usize, limit: usize) -> usize {
+    let word = |i: usize| u64::from_le_bytes(page[i..i + 8].try_into().expect("8 bytes"));
+    let mut len = 0;
+    while len + 8 <= limit {
+        let diff = word(cand + len) ^ word(p + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < limit && page[cand + len] == page[p + len] {
+        len += 1;
+    }
+    len
+}
+
+/// Asserts the DSA's page contract: 1..=4096 bytes.
+fn assert_page(page: &[u8]) {
+    assert!(!page.is_empty(), "empty page");
+    assert!(page.len() <= PAGE, "DSA compresses at 4KB page granularity");
+}
+
 /// The decompression DSA: functionally a streaming inflater with the same
 /// deterministic cacheline-per-cycle model. Returns the decompressed page
 /// and the buffer-device cycles consumed (one per 64 output bytes).
 ///
 /// # Errors
 ///
-/// Propagates [`crate::DecodeError`] from the inflater.
+/// Propagates [`crate::DecodeError`] from the inflater, which stops with
+/// [`crate::DecodeError::OutputTooLarge`] as soon as the output would
+/// outgrow one 4 KB page.
 pub fn decompress_page(data: &[u8]) -> Result<(Vec<u8>, u64), crate::DecodeError> {
-    let out = crate::inflate::decompress(data)?;
+    let out = crate::inflate::decompress_bounded(data, PAGE)?;
     let cycles = out.len().div_ceil(CACHELINE) as u64;
     Ok((out, cycles))
 }
@@ -441,6 +594,20 @@ mod tests {
     }
 
     #[test]
+    fn decompress_page_stops_at_one_page() {
+        // A sub-page stream of 258-byte matches that inflates to 1 MB.
+        let bomb = deflate::compress(&vec![0u8; 1 << 20]);
+        assert!(bomb.len() <= PAGE, "{} B", bomb.len());
+        assert_eq!(
+            decompress_page(&bomb),
+            Err(crate::DecodeError::OutputTooLarge(PAGE))
+        );
+        // Exactly one page still decodes.
+        let page = deflate::compress(&[0u8; PAGE]);
+        assert_eq!(decompress_page(&page).unwrap(), (vec![0u8; PAGE], 64));
+    }
+
+    #[test]
     fn decompress_page_cycle_accounting() {
         let page = corpus::json(2048, 1);
         let mut dsa = HwCompressor::new(Default::default());
@@ -450,7 +617,99 @@ mod tests {
         assert_eq!(cycles, (page.len() as u64).div_ceil(64));
     }
 
+    /// Runs the fast and reference paths on fresh compressors and checks
+    /// tokens, output and every statistic agree.
+    fn assert_matches_reference(config: HwDeflateConfig, page: &[u8]) {
+        let (mut fast, mut oracle) = (HwCompressor::new(config), HwCompressor::new(config));
+        assert_eq!(
+            fast.tokenize_page(page),
+            oracle.tokenize_page_reference(page),
+            "{config:?}"
+        );
+        assert_eq!(fast.stats(), oracle.stats(), "{config:?}");
+        assert_eq!(
+            fast.compress_page(page),
+            oracle.compress_page_reference(page),
+            "{config:?}"
+        );
+        assert_eq!(fast.stats(), oracle.stats(), "{config:?}");
+    }
+
+    #[test]
+    fn fast_path_matches_reference_on_corpus_pages() {
+        // Port starvation and non-power-of-two geometries included, so
+        // the drop counters and the `%` fallbacks are exercised.
+        let shapes = [
+            HwDeflateConfig::default(),
+            HwDeflateConfig {
+                banks: 1,
+                ports_per_bank: 1,
+                ..Default::default()
+            },
+            HwDeflateConfig {
+                banks: 6,
+                entries_per_bank: 500,
+                ..Default::default()
+            },
+        ];
+        for kind in corpus::Kind::ALL {
+            let page = kind.generate(4096, 17);
+            for config in shapes {
+                assert_matches_reference(config, &page);
+            }
+        }
+        // A tie the neighbour must win: 15 distinct bytes, then a run.
+        // The run's line-0 inserts stop when its bank runs out of ports,
+        // so at position 64 the table offers position 22, as long a
+        // match as the adjacent lane's.
+        let mut page: Vec<u8> = (0..15).collect();
+        page.resize(200, b'x');
+        assert_matches_reference(HwDeflateConfig::default(), &page);
+        let mut dsa = HwCompressor::new(HwDeflateConfig::default());
+        assert!(dsa.tokenize_page(&page).contains(&Token::Match {
+            length: 16,
+            distance: 1
+        }));
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_fast_path_matches_reference(
+            source in 0u8..5,
+            seed in any::<u64>(),
+            len in 1usize..=4096,
+            word in proptest::collection::vec(any::<u8>(), 1..24),
+            window in 2usize..16,
+            shape in 0usize..5,
+        ) {
+            // Runs after a short prefix make table-vs-neighbour ties.
+            let page = match source {
+                0 => corpus::random(len, seed),
+                1 => corpus::html(len, seed),
+                2 => corpus::text(len, seed),
+                3 => word.iter().cycle().take(len).copied().collect(),
+                _ => {
+                    let mut page = corpus::random(seed as usize % 64, seed);
+                    page.resize(len.max(page.len()), word[0]);
+                    page
+                }
+            };
+            let base = HwDeflateConfig { window, ..Default::default() };
+            let config = match shape {
+                0 => base,
+                1 => HwDeflateConfig { history: 64, ..base },
+                2 => HwDeflateConfig { banks: 1, ports_per_bank: 1, ..base },
+                3 => HwDeflateConfig { banks: 6, entries_per_bank: 500, ..base },
+                _ => HwDeflateConfig { entries_per_bank: 300, ports_per_bank: 2, ..base },
+            };
+            assert_matches_reference(config, &page[..len.min(page.len())]);
+        }
+    }
+
+    proptest! {
+
         #[test]
         fn prop_hw_round_trips_any_page(
             data in proptest::collection::vec(any::<u8>(), 1..4096),

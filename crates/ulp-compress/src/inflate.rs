@@ -30,23 +30,46 @@ const CLC_ORDER: [usize; 19] = [
 /// assert_eq!(inflate::decompress(&out).unwrap(), b"inflate me");
 /// ```
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    decompress_bounded(data, usize::MAX)
+}
+
+/// Decompresses a complete raw Deflate stream whose output may hold at
+/// most `max_out` bytes. Decoding stops at the first symbol or stored
+/// block that would cross the bound, so a small hostile stream (13-bit
+/// fixed-code 258-byte matches expand about 160×) never inflates past
+/// it.
+///
+/// # Errors
+///
+/// Returns [`DecodeError::OutputTooLarge`] once the output would exceed
+/// `max_out`, otherwise the errors of [`decompress`].
+///
+/// # Example
+///
+/// ```
+/// use ulp_compress::{deflate, inflate, DecodeError};
+/// let out = deflate::compress(&[0u8; 10_000]);
+/// assert_eq!(inflate::decompress_bounded(&out, 10_000).unwrap().len(), 10_000);
+/// assert_eq!(inflate::decompress_bounded(&out, 4096), Err(DecodeError::OutputTooLarge(4096)));
+/// ```
+pub fn decompress_bounded(data: &[u8], max_out: usize) -> Result<Vec<u8>, DecodeError> {
     let mut reader = BitReader::new(data);
     let mut out = Vec::new();
     loop {
         let is_final = reader.read_bits(1)? == 1;
         let btype = reader.read_bits(2)?;
         match btype {
-            0b00 => inflate_stored(&mut reader, &mut out)?,
+            0b00 => inflate_stored(&mut reader, &mut out, max_out)?,
             0b01 => {
                 let lit = Decoder::from_lengths(&fixed_literal_lengths())
                     .ok_or(DecodeError::InvalidStream("fixed literal table"))?;
                 let dist = Decoder::from_lengths(&fixed_distance_lengths())
                     .ok_or(DecodeError::InvalidStream("fixed distance table"))?;
-                inflate_block(&mut reader, &mut out, &lit, Some(&dist))?;
+                inflate_block(&mut reader, &mut out, max_out, &lit, Some(&dist))?;
             }
             0b10 => {
                 let (lit, dist) = read_dynamic_tables(&mut reader)?;
-                inflate_block(&mut reader, &mut out, &lit, dist.as_ref())?;
+                inflate_block(&mut reader, &mut out, max_out, &lit, dist.as_ref())?;
             }
             _ => return Err(DecodeError::InvalidStream("reserved block type")),
         }
@@ -56,7 +79,20 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
     }
 }
 
-fn inflate_stored(reader: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), DecodeError> {
+/// Fails with [`DecodeError::OutputTooLarge`] unless `more` bytes still
+/// fit in `out` under `max_out`.
+fn check_room(out: &[u8], more: usize, max_out: usize) -> Result<(), DecodeError> {
+    if more > max_out - out.len() {
+        return Err(DecodeError::OutputTooLarge(max_out));
+    }
+    Ok(())
+}
+
+fn inflate_stored(
+    reader: &mut BitReader<'_>,
+    out: &mut Vec<u8>,
+    max_out: usize,
+) -> Result<(), DecodeError> {
     reader.align_byte();
     let len_bytes = reader.read_bytes(2)?;
     let nlen_bytes = reader.read_bytes(2)?;
@@ -65,6 +101,7 @@ fn inflate_stored(reader: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), D
     if len != !nlen {
         return Err(DecodeError::InvalidStream("stored LEN/NLEN mismatch"));
     }
+    check_room(out, len as usize, max_out)?;
     let payload = reader.read_bytes(len as usize)?;
     out.extend_from_slice(&payload);
     Ok(())
@@ -129,13 +166,17 @@ fn read_dynamic_tables(
 fn inflate_block(
     reader: &mut BitReader<'_>,
     out: &mut Vec<u8>,
+    max_out: usize,
     lit: &Decoder,
     dist: Option<&Decoder>,
 ) -> Result<(), DecodeError> {
     loop {
         let sym = lit.decode(reader)?;
         match sym {
-            0..=255 => out.push(sym as u8),
+            0..=255 => {
+                check_room(out, 1, max_out)?;
+                out.push(sym as u8);
+            }
             256 => return Ok(()),
             257..=285 => {
                 let (base, extra) = LENGTH_TABLE[(sym - 257) as usize];
@@ -151,6 +192,7 @@ fn inflate_block(
                 if distance == 0 || distance > out.len() {
                     return Err(DecodeError::BadDistance);
                 }
+                check_room(out, length, max_out)?;
                 for _ in 0..length {
                     let b = out[out.len() - distance];
                     out.push(b);
@@ -239,6 +281,50 @@ mod tests {
         crate::deflate::write_fixed_block(&mut w, &[Token::Literal(b'a')], false);
         crate::deflate::write_fixed_block(&mut w, &[Token::Literal(b'b')], true);
         assert_eq!(decompress(&w.finish()).unwrap(), b"ab");
+    }
+
+    /// A fixed block of one literal and then 258-byte distance-1 matches
+    /// for `stream_bytes` of input (13 bits each, ~160x expansion), with
+    /// no end-of-block: the whole stream decodes to far more than a page
+    /// and then ends mid-block.
+    fn match_bomb(stream_bytes: usize) -> Vec<u8> {
+        use crate::bitio::BitWriter;
+        let mut w = BitWriter::new();
+        w.write_bits(1, 1);
+        w.write_bits(0b01, 2);
+        w.write_huffman(0b0011_0000 + u32::from(b'a'), 8);
+        while w.bit_len() + 13 <= stream_bytes * 8 {
+            w.write_huffman(0b1100_0101, 8); // length symbol 285: 258
+            w.write_huffman(0, 5); // distance symbol 0: 1
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn match_bomb_stops_at_the_bound() {
+        let bomb = match_bomb(4096);
+        assert!(bomb.len() <= 4096);
+        // Unbounded, the stream inflates ~650 KB before it runs out of
+        // input; bounded, decoding stops at the first match past 4 KB.
+        assert_eq!(decompress(&bomb), Err(DecodeError::UnexpectedEof));
+        assert_eq!(
+            decompress_bounded(&bomb, 4096),
+            Err(DecodeError::OutputTooLarge(4096))
+        );
+    }
+
+    #[test]
+    fn bound_is_inclusive_for_every_block_type() {
+        let data = crate::corpus::html(4096, 3);
+        for s in [Strategy::Stored, Strategy::Fixed, Strategy::Dynamic] {
+            let out = compress_with(&data, MatcherConfig::default(), s);
+            assert_eq!(decompress_bounded(&out, 4096).unwrap(), data, "{s:?}");
+            assert_eq!(
+                decompress_bounded(&out, 4095),
+                Err(DecodeError::OutputTooLarge(4095)),
+                "{s:?}"
+            );
+        }
     }
 
     proptest! {

@@ -51,6 +51,9 @@ pub enum DecodeError {
     InvalidStream(&'static str),
     /// A back-reference pointed before the start of the output.
     BadDistance,
+    /// The output would exceed the caller's bound (the payload, in
+    /// bytes): decoding stops there instead of inflating the rest.
+    OutputTooLarge(usize),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -59,6 +62,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::UnexpectedEof => write!(f, "unexpected end of compressed input"),
             DecodeError::InvalidStream(what) => write!(f, "invalid deflate stream: {what}"),
             DecodeError::BadDistance => write!(f, "back-reference beyond window start"),
+            DecodeError::OutputTooLarge(limit) => {
+                write!(f, "decompressed output exceeds {limit} bytes")
+            }
         }
     }
 }

@@ -96,10 +96,41 @@ pub const DIST_TABLE: [(u16, u8); 30] = [
 
 /// Maps a match length (3..=258) to `(symbol, extra_bits, extra_value)`.
 ///
+/// Closed form of [`LENGTH_TABLE`]: above the eight zero-extra codes,
+/// each extra-bit count covers four codes, so the leading one of
+/// `length - 3` picks the group and the two bits below it the code.
+///
 /// # Panics
 ///
 /// Panics if `length` is out of range.
 pub fn length_to_symbol(length: u16) -> (u16, u8, u16) {
+    assert!(
+        (MIN_MATCH..=MAX_MATCH).contains(&(length as usize)),
+        "match length out of range: {length}"
+    );
+    if length as usize == MAX_MATCH {
+        return (285, 0, 0);
+    }
+    let l0 = length - 3;
+    if l0 < 8 {
+        return (257 + l0, 0, 0);
+    }
+    let top = 15 - l0.leading_zeros() as u16;
+    let extra = top - 2;
+    (
+        257 + 4 * (top - 1) + ((l0 >> extra) & 3),
+        extra as u8,
+        l0 & ((1 << extra) - 1),
+    )
+}
+
+/// [`length_to_symbol`] by a scan of [`LENGTH_TABLE`]: the oracle the
+/// closed form is checked against.
+///
+/// # Panics
+///
+/// Panics if `length` is out of range.
+pub fn length_to_symbol_reference(length: u16) -> (u16, u8, u16) {
     assert!(
         (MIN_MATCH..=MAX_MATCH).contains(&(length as usize)),
         "match length out of range: {length}"
@@ -116,10 +147,38 @@ pub fn length_to_symbol(length: u16) -> (u16, u8, u16) {
 
 /// Maps a distance (1..=32768) to `(symbol, extra_bits, extra_value)`.
 ///
+/// Closed form of [`DIST_TABLE`]: above the four zero-extra codes, each
+/// extra-bit count covers two codes, picked by the bit below the leading
+/// one of `distance - 1`.
+///
 /// # Panics
 ///
 /// Panics if `distance` is out of range.
 pub fn distance_to_symbol(distance: u16) -> (u16, u8, u16) {
+    assert!(
+        (1..=MAX_DISTANCE as u32).contains(&(distance as u32)),
+        "distance out of range: {distance}"
+    );
+    let d0 = distance - 1;
+    if d0 < 4 {
+        return (d0, 0, 0);
+    }
+    let top = 15 - d0.leading_zeros() as u16;
+    let extra = top - 1;
+    (
+        2 * top + ((d0 >> extra) & 1),
+        extra as u8,
+        d0 & ((1 << extra) - 1),
+    )
+}
+
+/// [`distance_to_symbol`] by a scan of [`DIST_TABLE`]: the oracle the
+/// closed form is checked against.
+///
+/// # Panics
+///
+/// Panics if `distance` is out of range.
+pub fn distance_to_symbol_reference(distance: u16) -> (u16, u8, u16) {
     assert!(
         (1..=MAX_DISTANCE as u32).contains(&(distance as u32)),
         "distance out of range: {distance}"
@@ -412,6 +471,24 @@ mod tests {
         assert_eq!(distance_to_symbol(6), (4, 1, 1));
         assert_eq!(distance_to_symbol(24577), (29, 13, 0));
         assert_eq!(distance_to_symbol(32768), (29, 13, 8191));
+    }
+
+    #[test]
+    fn closed_form_symbols_equal_table_scan_everywhere() {
+        for len in MIN_MATCH as u16..=MAX_MATCH as u16 {
+            assert_eq!(
+                length_to_symbol(len),
+                length_to_symbol_reference(len),
+                "length {len}"
+            );
+        }
+        for dist in 1..=MAX_DISTANCE as u16 {
+            assert_eq!(
+                distance_to_symbol(dist),
+                distance_to_symbol_reference(dist),
+                "distance {dist}"
+            );
+        }
     }
 
     #[test]
