@@ -81,8 +81,19 @@ if [ "$lock_diff" -eq 1 ]; then
     echo "!!! benchmark:  git checkout -- simbench/Cargo.lock"
 fi
 
+# Paper artifacts: `figures check` reruns every figure, table,
+# micro-experiment and ablation at full size (fanned out over the
+# available CPUs, ~21 s on two) and requires every results/ file to be
+# byte-identical to what it computes. It then judges the paper's claim
+# shapes and fails on a shape that stops holding or on a listed
+# deviation that starts to (bench::figures, EXPERIMENTS.md).
+stage "figures check (paper artifacts byte for byte + claim shapes)"
+cargo run --release -p bench --bin figures -q -- check || status=1
+
 # Hot-path bench smoke: tiny iteration counts — asserts the harness
-# runs and BENCH_hotpaths.json is produced and parses (check mode).
+# runs and BENCH_hotpaths.json is produced. Check mode then validates
+# the committed file: every row present, and every row that claims a
+# speedup has per-pair ratios whose interquartile range clears 1.0.
 # Ratios in smoke mode are not meaningful; committed numbers come from
 # a `-- full` run (DESIGN.md §7).
 stage "bench_hotpaths smoke + check"

@@ -34,7 +34,7 @@ use bench::harness::json_parses;
 use bench::Json;
 use memsys::BackendKind;
 use simkit::timer::Stopwatch;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 /// The five rows of the report, in order; `check` requires exactly these.
@@ -45,14 +45,6 @@ const WORKLOADS: [&str; 5] = [
     "deflate_ch2_coarse",
     "fault_seed_sweep",
 ];
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root")
-        .to_path_buf()
-}
 
 struct Row {
     workload: String,
@@ -122,7 +114,7 @@ fn check(path: &Path) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "full".into());
-    let committed = repo_root()
+    let committed = bench::repo_root()
         .join("results")
         .join("backend_differential.json");
 
@@ -147,7 +139,7 @@ fn main() -> ExitCode {
             2u64,
             1u64,
             2u64,
-            repo_root()
+            bench::repo_root()
                 .join("target")
                 .join("backend_differential.smoke.json"),
         ),
@@ -180,18 +172,21 @@ fn main() -> ExitCode {
             format!("{}", r.functional_match),
         ]);
     }
-    bench::print_table(
-        "fast vs accurate backend",
-        &[
-            "workload",
-            "acc cycles",
-            "fast cycles",
-            "ratio",
-            "acc ms",
-            "fast ms",
-            "match",
-        ],
-        &table,
+    print!(
+        "{}",
+        bench::table(
+            "fast vs accurate backend",
+            &[
+                "workload",
+                "acc cycles",
+                "fast cycles",
+                "ratio",
+                "acc ms",
+                "fast ms",
+                "match",
+            ],
+            &table,
+        )
     );
 
     let all_match = rows.iter().all(|r| r.functional_match);

@@ -34,14 +34,6 @@ use smartdimm::PlacementPolicy;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root")
-        .to_path_buf()
-}
-
 /// Scope names every report must contain — `check` mode and the
 /// acceptance criteria both key off this list.
 const REQUIRED_SCOPES: &[&str] = &[
@@ -560,7 +552,9 @@ fn main() -> ExitCode {
             64,
             200,
             1u64 << 20,
-            repo_root().join("target").join("run_report.smoke.json"),
+            bench::repo_root()
+                .join("target")
+                .join("run_report.smoke.json"),
         ),
         "full" => (512, 2000, 16u64 << 20, committed),
         other => {

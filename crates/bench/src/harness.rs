@@ -1,8 +1,9 @@
 //! Self-timing micro-benchmark harness for the hot-path pass.
 //!
 //! It is built to be *CI-friendly*: fixed iteration counts, a warmup
-//! phase, a median-of-N wall-clock measurement via [`simkit::timer`],
-//! and stable JSON emission (`BENCH_hotpaths.json` at the workspace root)
+//! phase, before and after timed in alternating pairs via
+//! [`simkit::timer`] (median ratio plus its interquartile range), and
+//! stable JSON emission (`BENCH_hotpaths.json` at the workspace root)
 //! that a shell step can assert on. No sampling heuristics, no adaptive run
 //! time — smoke mode finishes in seconds on any machine.
 
@@ -16,7 +17,8 @@ pub struct BenchSpec {
     pub warmup_iters: u64,
     /// Timed calls per sample.
     pub iters: u64,
-    /// Samples taken; the median is reported. Keep this odd.
+    /// Alternating before/after pairs taken; medians and quartiles are
+    /// reported.
     pub samples: usize,
 }
 
@@ -36,31 +38,78 @@ impl BenchSpec {
         BenchSpec {
             warmup_iters: 3,
             iters: 10,
-            samples: 7,
+            samples: 11,
         }
     }
 }
 
-/// Runs `f` under the spec and returns the median ns per call.
-///
-/// Each sample times `iters` back-to-back calls with one [`Stopwatch`]
-/// and divides, so per-call clock-read overhead never enters the
-/// number; the median over samples discards scheduler outliers.
-pub fn median_ns_per_op(spec: BenchSpec, mut f: impl FnMut()) -> f64 {
-    for _ in 0..spec.warmup_iters {
+/// Wall-clock ns per call of `f` over one sample of `iters` calls: one
+/// [`Stopwatch`] around the loop, so per-call clock reads never enter
+/// the number.
+fn sample_ns_per_op(iters: u64, f: &mut impl FnMut()) -> f64 {
+    let sw = Stopwatch::start();
+    for _ in 0..iters {
         f();
     }
-    let mut per_op: Vec<f64> = (0..spec.samples)
-        .map(|_| {
-            let sw = Stopwatch::start();
-            for _ in 0..spec.iters {
-                f();
+    sw.elapsed_ns() as f64 / iters as f64
+}
+
+/// The nearest-rank quartiles `(q1, median, q3)` of `v`.
+fn quartiles(mut v: Vec<f64>) -> (f64, f64, f64) {
+    v.sort_by(|a, b| a.partial_cmp(b).expect("timings are never NaN"));
+    let n = v.len();
+    (v[n / 4], v[n / 2], v[3 * n / 4])
+}
+
+/// A before/after measurement taken in alternating pairs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
+    /// Median ns per `before` call.
+    pub before_ns_per_op: f64,
+    /// Median ns per `after` call.
+    pub after_ns_per_op: f64,
+    /// Median of the per-pair `before / after` ratios.
+    pub speedup: f64,
+    /// Lower quartile of the per-pair ratios.
+    pub speedup_q1: f64,
+    /// Upper quartile of the per-pair ratios.
+    pub speedup_q3: f64,
+}
+
+/// Times `before` and `after` under the spec in alternating pairs: each
+/// sample runs `iters` calls of one, then of the other, and yields one
+/// ratio; odd samples run `after` first, so state one side leaves the
+/// other (caches, a clock step) does not favour either. Machine drift
+/// (frequency, a co-tenant) lands on both sides of a pair, so the
+/// spread of the ratios shows how far the speedup can be trusted.
+pub fn paired_ns_per_op(
+    spec: BenchSpec,
+    mut before: impl FnMut(),
+    mut after: impl FnMut(),
+) -> Timing {
+    for _ in 0..spec.warmup_iters {
+        before();
+        after();
+    }
+    let pairs: Vec<(f64, f64)> = (0..spec.samples)
+        .map(|i| {
+            if i % 2 == 0 {
+                let b = sample_ns_per_op(spec.iters, &mut before);
+                (b, sample_ns_per_op(spec.iters, &mut after))
+            } else {
+                let a = sample_ns_per_op(spec.iters, &mut after);
+                (sample_ns_per_op(spec.iters, &mut before), a)
             }
-            sw.elapsed_ns() as f64 / spec.iters as f64
         })
         .collect();
-    per_op.sort_by(|a, b| a.partial_cmp(b).expect("ns/op is never NaN"));
-    per_op[per_op.len() / 2]
+    let (speedup_q1, speedup, speedup_q3) = quartiles(pairs.iter().map(|(b, a)| b / a).collect());
+    Timing {
+        before_ns_per_op: quartiles(pairs.iter().map(|p| p.0).collect()).1,
+        after_ns_per_op: quartiles(pairs.iter().map(|p| p.1).collect()).1,
+        speedup,
+        speedup_q1,
+        speedup_q3,
+    }
 }
 
 /// One before/after pair in the hot-path report.
@@ -74,25 +123,26 @@ pub struct HotPath {
     pub after_impl: &'static str,
     /// Units processed per op call (for ns-per-unit context).
     pub work_units: String,
-    pub before_ns_per_op: f64,
-    pub after_ns_per_op: f64,
+    pub timing: Timing,
+    /// Whether the row claims `after` is faster; a row that does not
+    /// gives its reason in DESIGN.md §7.
+    pub speed_claim: bool,
 }
 
 impl HotPath {
-    /// `before / after` — how many times faster the new path is.
-    pub fn speedup(&self) -> f64 {
-        self.before_ns_per_op / self.after_ns_per_op
-    }
-
     pub fn to_json(&self) -> Json {
+        let t = &self.timing;
         Json::Obj(vec![
             ("name".into(), self.name.into()),
             ("before_impl".into(), self.before_impl.into()),
             ("after_impl".into(), self.after_impl.into()),
             ("work_units".into(), self.work_units.clone().into()),
-            ("before_ns_per_op".into(), self.before_ns_per_op.into()),
-            ("after_ns_per_op".into(), self.after_ns_per_op.into()),
-            ("speedup".into(), self.speedup().into()),
+            ("before_ns_per_op".into(), t.before_ns_per_op.into()),
+            ("after_ns_per_op".into(), t.after_ns_per_op.into()),
+            ("speedup".into(), t.speedup.into()),
+            ("speedup_q1".into(), t.speedup_q1.into()),
+            ("speedup_q3".into(), t.speedup_q3.into()),
+            ("speed_claim".into(), self.speed_claim.into()),
         ])
     }
 }
@@ -100,7 +150,7 @@ impl HotPath {
 /// Renders the full report document.
 pub fn report(mode: &str, spec: BenchSpec, paths: &[HotPath]) -> Json {
     Json::Obj(vec![
-        ("schema".into(), "bench_hotpaths/v1".into()),
+        ("schema".into(), "bench_hotpaths/v2".into()),
         ("mode".into(), mode.into()),
         (
             "spec".into(),
@@ -115,6 +165,16 @@ pub fn report(mode: &str, spec: BenchSpec, paths: &[HotPath]) -> Json {
             Json::Arr(paths.iter().map(HotPath::to_json).collect()),
         ),
     ])
+}
+
+/// The raw value of field `key` in the report row named `row`, read
+/// from a rendered report (one field per line, as [`report`] renders
+/// it).
+pub fn row_field<'a>(doc: &'a str, row: &str, key: &str) -> Option<&'a str> {
+    let start = doc.find(&format!("\"name\": \"{row}\""))?;
+    let body = &doc[start..start + doc[start..].find('}')?];
+    let at = body.find(&format!("\"{key}\": "))? + key.len() + 4;
+    Some(body[at..].split([',', '\n']).next()?.trim())
 }
 
 /// Minimal JSON well-formedness check (objects, arrays, strings,
@@ -268,16 +328,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn median_is_taken_over_samples() {
-        let mut calls = 0u64;
+    fn pairs_alternate_and_quartiles_bracket_the_median() {
+        let calls = std::cell::RefCell::new(Vec::new());
         let spec = BenchSpec {
-            warmup_iters: 2,
-            iters: 4,
+            warmup_iters: 1,
+            iters: 2,
             samples: 5,
         };
-        let ns = median_ns_per_op(spec, || calls += 1);
-        assert_eq!(calls, 2 + 4 * 5);
-        assert!(ns >= 0.0);
+        let t = paired_ns_per_op(
+            spec,
+            || calls.borrow_mut().push('b'),
+            || calls.borrow_mut().push('a'),
+        );
+        let calls: String = calls.into_inner().into_iter().collect();
+        assert_eq!(calls, format!("ba{}bbaa", "bbaaaabb".repeat(2)));
+        assert!(t.speedup_q1 <= t.speedup && t.speedup <= t.speedup_q3);
+        assert_eq!(quartiles(vec![5.0, 1.0, 4.0, 2.0, 3.0]), (2.0, 3.0, 4.0));
     }
 
     #[test]
@@ -287,12 +353,21 @@ mod tests {
             before_impl: "bitwise",
             after_impl: "table",
             work_units: "1 multiply".into(),
-            before_ns_per_op: 100.0,
-            after_ns_per_op: 25.0,
+            timing: Timing {
+                before_ns_per_op: 100.0,
+                after_ns_per_op: 25.0,
+                speedup: 4.0,
+                speedup_q1: 3.5,
+                speedup_q3: 4.5,
+            },
+            speed_claim: true,
         }];
         let doc = report("smoke", BenchSpec::smoke(), &paths).render();
         assert!(json_parses(&doc), "emitted report must parse:\n{doc}");
-        assert!(doc.contains("\"speedup\": 4"));
+        assert_eq!(row_field(&doc, "gf128_mul", "speedup"), Some("4"));
+        assert_eq!(row_field(&doc, "gf128_mul", "speedup_q3"), Some("4.5"));
+        assert_eq!(row_field(&doc, "gf128_mul", "speed_claim"), Some("true"));
+        assert_eq!(row_field(&doc, "gf128_mul", "absent"), None);
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Shared plumbing for the experiment binaries: result-file locations,
-//! CSV/JSON emission and a fixed-width table printer.
+//! Shared plumbing for the experiment binaries: the result-file
+//! location, a JSON document model and a fixed-width table renderer.
 //!
-//! Every `fig*`/`table*`/`ablate*`/`micro*` binary in `src/bin/` prints
-//! its table to stdout *and* writes machine-readable results under
-//! `results/` at the workspace root, which `EXPERIMENTS.md` references
-//! (its appendix maps each artifact back to the binary regenerating it).
+//! The [`figures`] module is the registry of every paper artifact (the
+//! figures, Table I, the micro-experiments and the ablations) and of the
+//! claim shapes they carry; the `figures` binary runs it, writing
+//! machine-readable results under `results/` at the workspace root or
+//! checking them byte for byte (EXPERIMENTS.md).
 //!
-//! The [`harness`] module is the exception to the figure-reproduction
-//! rule: it times the *simulator's own* hot paths (wall-clock, not
-//! simulated cycles) for the `bench_hotpaths` binary, which writes
-//! `BENCH_hotpaths.json` at the repo root. See DESIGN.md §7.
+//! The [`harness`] module times the *simulator's own* hot paths
+//! (wall-clock, not simulated cycles) for the `bench_hotpaths` binary,
+//! which writes `BENCH_hotpaths.json` at the repo root. See DESIGN.md §7.
 //!
 //! The [`differential`] module holds the backend-differential workloads,
 //! shared by the `backend_differential` report binary and the
@@ -19,38 +19,30 @@ use std::fs;
 use std::path::PathBuf;
 
 pub mod differential;
+pub mod figures;
 pub mod harness;
+
+/// The workspace root.
+pub fn repo_root() -> PathBuf {
+    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    manifest
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+        .to_path_buf()
+}
 
 /// Resolves (and creates) the workspace-level `results/` directory.
 pub fn results_dir() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let dir = manifest
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root")
-        .join("results");
+    let dir = repo_root().join("results");
     fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
 
-/// Writes a CSV file into `results/`.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let mut out = String::from(header);
-    out.push('\n');
-    for r in rows {
-        out.push_str(r);
-        out.push('\n');
-    }
-    let path = results_dir().join(name);
-    fs::write(&path, out).expect("write csv");
-    println!("\n[results written to {}]", path.display());
-}
-
 /// Minimal JSON document model, replacing serde_json so the workspace
-/// builds without network access. Only what the `fig*` binaries emit.
+/// builds without network access. Only what the report binaries emit.
 #[derive(Debug, Clone)]
 pub enum Json {
-    Null,
     Bool(bool),
     Num(f64),
     Str(String),
@@ -69,7 +61,6 @@ impl Json {
         let pad = "  ".repeat(indent);
         let inner_pad = "  ".repeat(indent + 1);
         match self {
-            Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 1e15 {
@@ -167,58 +158,35 @@ impl From<String> for Json {
     }
 }
 
-/// Conversion into the JSON document model; the replacement for
-/// `serde::Serialize` in result emission.
-pub trait ToJson {
-    fn to_json(&self) -> Json;
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(|v| v.to_json()).collect())
-    }
-}
-
-/// Writes a JSON file into `results/`.
-pub fn write_json<T: ToJson>(name: &str, value: &T) {
-    let path = results_dir().join(name);
-    fs::write(&path, value.to_json().render()).expect("write json");
-    println!("[results written to {}]", path.display());
-}
-
-/// Prints a fixed-width table: header row plus data rows.
-pub fn print_table(title: &str, columns: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
+/// Renders a fixed-width table: a title line, a header row and the data
+/// rows, each cell right-aligned to its column's widest entry.
+pub fn table(title: &str, columns: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = columns.iter().map(|c| c.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let header: Vec<String> = columns
-        .iter()
-        .zip(&widths)
-        .map(|(c, w)| format!("{c:>w$}"))
-        .collect();
-    println!("{}", header.join("  "));
-    for row in rows {
-        let line: Vec<String> = row
+    let line = |cells: Vec<&str>| {
+        let cells: Vec<String> = cells
             .iter()
             .zip(&widths)
             .map(|(c, w)| format!("{c:>w$}"))
             .collect();
-        println!("{}", line.join("  "));
-    }
+        cells.join("  ") + "\n"
+    };
+    let rows = rows
+        .iter()
+        .map(|row| line(row.iter().map(String::as_str).collect()));
+    rows.fold(
+        format!("\n=== {title} ===\n{}", line(columns.to_vec())),
+        |t, r| t + &r,
+    )
 }
 
 /// Formats a ratio as `1.23x`.
 pub fn ratio(v: f64) -> String {
     format!("{v:.2}x")
-}
-
-/// Formats a percentage.
-pub fn pct(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
 }
 
 #[cfg(test)]
@@ -233,6 +201,5 @@ mod tests {
     #[test]
     fn formatting() {
         assert_eq!(ratio(1.234), "1.23x");
-        assert_eq!(pct(0.215), "21.5%");
     }
 }

@@ -1100,7 +1100,12 @@ impl CompCpyHost {
                 pt
             }
             OffloadOp::Compress => ulp_compress::deflate::compress(&input),
-            OffloadOp::Decompress => ulp_compress::inflate::decompress(&input).unwrap_or_default(),
+            // The same one-page bound the Decompress DSA applies: a stream
+            // that inflates past 4 KB yields nothing, never an unbounded
+            // write at `dbuf`.
+            OffloadOp::Decompress => ulp_compress::hwmodel::decompress_page(&input)
+                .map(|(page, _)| page)
+                .unwrap_or_default(),
         };
         self.mem.store(dbuf, &out, class);
         out
@@ -1253,6 +1258,20 @@ mod tests {
             .unwrap();
         let out = h.use_buffer(&handle);
         assert_eq!(out, page);
+    }
+
+    #[test]
+    fn cpu_decompress_stops_at_one_page() {
+        // 1 MB of zeros deflates into one page; the CPU baseline must
+        // apply the Decompress DSA's one-page bound, not store 1 MB.
+        let mut h = host();
+        let stream = ulp_compress::deflate::compress(&vec![0u8; 1 << 20]);
+        assert!(stream.len() <= 4096, "{} B stream", stream.len());
+        let src = h.alloc_pages(1);
+        let dst = h.alloc_pages(1);
+        h.mem_mut().store(src, &stream, 0);
+        let out = h.cpu_transform(dst, src, stream.len(), OffloadOp::Decompress, b"", 0);
+        assert!(out.len() <= 4096, "cpu_transform wrote {} B", out.len());
     }
 
     #[test]

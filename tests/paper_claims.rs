@@ -1,22 +1,27 @@
-//! The paper's headline claims, asserted as integration tests (at
-//! test-friendly scales — the full-size sweeps live in `crates/bench`).
+//! The paper's headline claims, asserted as integration tests at
+//! test-friendly scales. Each claim is the shape predicate the `figures
+//! check` registry judges at full size (`bench::figures`), applied to
+//! rows the same artifact functions build here on smaller sweeps.
 
+use bench::figures::{model, net, offload, server};
 use cache::CacheConfig;
-use netsim::ktls::{run_encrypted_flow, TlsPlacement};
-use netsim::tcp::TcpConfig;
-use platforms::{run_server, PlatformKind, UlpKind, WorkloadConfig};
-use smartdimm::xlat::{Mapping, TranslationTable};
-use smartdimm::{CompCpyHost, HostConfig, OffloadOp};
+use platforms::{PlatformKind, UlpKind, WorkloadConfig};
+use smartdimm::{CompCpyHost, HostConfig};
 
-fn contended(ulp: UlpKind, message: usize) -> WorkloadConfig {
-    WorkloadConfig {
-        message_bytes: message,
+/// CPU and SmartDIMM at 4 KB: 512 connections, 400 requests, 2 MB LLC.
+fn contended(ulp: UlpKind) -> Vec<server::ServerRow> {
+    let base = WorkloadConfig {
         connections: 512,
         requests: 400,
         ulp,
         llc: Some(CacheConfig::mb(2, 16)),
         ..WorkloadConfig::default()
-    }
+    };
+    server::sweep(
+        &base,
+        &[4096],
+        &[PlatformKind::Cpu, PlatformKind::SmartDimm],
+    )
 }
 
 /// §I: "SmartDIMM achieves 21.0% to 10.28× higher requests per second"
@@ -24,150 +29,56 @@ fn contended(ulp: UlpKind, message: usize) -> WorkloadConfig {
 /// must dwarf TLS gains (AES-NI makes software crypto cheap).
 #[test]
 fn headline_rps_claims() {
-    let tls_cpu = run_server(PlatformKind::Cpu, &contended(UlpKind::Tls, 4096));
-    let tls_sd = run_server(PlatformKind::SmartDimm, &contended(UlpKind::Tls, 4096));
-    let tls_gain = tls_sd.rps / tls_cpu.rps;
-    assert!(tls_gain > 1.1, "TLS gain {tls_gain}");
-
-    let c_cpu = run_server(PlatformKind::Cpu, &contended(UlpKind::Compression, 4096));
-    let c_sd = run_server(
-        PlatformKind::SmartDimm,
-        &contended(UlpKind::Compression, 4096),
-    );
-    let c_gain = c_sd.rps / c_cpu.rps;
-    assert!(c_gain > 3.0, "compression gain {c_gain}");
-    assert!(
-        c_gain > 2.0 * tls_gain,
-        "compression gains ({c_gain}) must dwarf TLS gains ({tls_gain})"
-    );
+    let tls = contended(UlpKind::Tls);
+    let compression = contended(UlpKind::Compression);
+    server::smartdimm_wins_tls(&tls).unwrap();
+    server::smartdimm_wins_compression(&compression).unwrap();
+    server::dwarfs_tls(&tls, &compression).unwrap();
 }
 
 /// §I: "36.3% to 88.9% lower memory bandwidth utilization" — SmartDIMM
 /// moves less DRAM data per request than the CPU configuration.
 #[test]
 fn headline_memory_claims() {
-    let cpu = run_server(PlatformKind::Cpu, &contended(UlpKind::Tls, 4096));
-    let sd = run_server(PlatformKind::SmartDimm, &contended(UlpKind::Tls, 4096));
-    let reduction = 1.0 - sd.dram_bytes_per_req / cpu.dram_bytes_per_req;
-    assert!(reduction > 0.2, "TLS memory reduction {reduction}");
-
-    let ccpu = run_server(PlatformKind::Cpu, &contended(UlpKind::Compression, 4096));
-    let csd = run_server(
-        PlatformKind::SmartDimm,
-        &contended(UlpKind::Compression, 4096),
-    );
-    let creduction = 1.0 - csd.dram_bytes_per_req / ccpu.dram_bytes_per_req;
-    assert!(
-        creduction > reduction,
-        "compression saves more ({creduction} vs {reduction})"
-    );
+    let tls = contended(UlpKind::Tls);
+    let compression = contended(UlpKind::Compression);
+    server::smartdimm_cuts_tls_dram(&tls).unwrap();
+    server::saves_more_dram(&tls, &compression).unwrap();
 }
 
-/// Observation 1 / Fig. 2: the SmartNIC's benefit disappears under packet
-/// drops.
+/// Observation 1 / Figs. 2 and 13: the SmartNIC's benefit disappears
+/// under packet drops.
 #[test]
 fn smartnic_benefit_fades_under_loss() {
-    let clean = TcpConfig::default();
-    let lossy = TcpConfig {
-        loss_prob: 0.01,
-        ..clean
-    };
-    let nic_clean = run_encrypted_flow(8 << 20, &clean, TlsPlacement::smartnic_default());
-    let cpu_clean = run_encrypted_flow(8 << 20, &clean, TlsPlacement::cpu_default());
-    let nic_lossy = run_encrypted_flow(8 << 20, &lossy, TlsPlacement::smartnic_default());
-    let cpu_lossy = run_encrypted_flow(8 << 20, &lossy, TlsPlacement::cpu_default());
-    assert!(nic_clean.goodput_gbps() >= cpu_clean.goodput_gbps() * 0.95);
-    assert!(nic_lossy.goodput_gbps() < cpu_lossy.goodput_gbps());
+    net::smartnic_loses_edge(&net::loss_check()).unwrap();
 }
 
 /// Observation 3 / Fig. 3: HTTPS inflates DRAM traffic vs HTTP as
 /// connections scale.
 #[test]
 fn https_membw_amplification() {
-    let http = run_server(PlatformKind::Cpu, &contended(UlpKind::None, 4096));
-    let https = run_server(PlatformKind::Cpu, &contended(UlpKind::Tls, 4096));
-    assert!(https.dram_bytes_per_req > 1.5 * http.dram_bytes_per_req);
+    server::https_amplifies_dram(&server::membw_sweep(&[512], 400)).unwrap();
 }
 
 /// §VII-A: with the paper's 2048-page Scratchpad, Force-Recycle is never
 /// needed; with a tiny Scratchpad it is — and correctness holds anyway.
 #[test]
 fn scratchpad_sizing_claim() {
-    for (pages, expect_force) in [(2048usize, false), (4, true)] {
-        let mut cfg = HostConfig::default();
-        cfg.dimm.scratchpad_pages = pages;
-        cfg.mem.llc = Some(CacheConfig::mb(8, 16)); // late writebacks
-        let mut host = CompCpyHost::new(cfg);
-        let key = [3u8; 16];
-        for i in 0..12u64 {
-            let src = host.alloc_pages(1);
-            let dst = host.alloc_pages(1);
-            let msg = ulp_compress::corpus::text(4096, i);
-            host.mem_mut().store(src, &msg, 0);
-            let iv = [i as u8; 12];
-            let _ = host
-                .comp_cpy(
-                    dst,
-                    src,
-                    msg.len(),
-                    OffloadOp::TlsEncrypt { key, iv },
-                    false,
-                    0,
-                )
-                .expect("offload accepted");
-        }
-        assert_eq!(
-            host.force_recycle_count() > 0,
-            expect_force,
-            "{pages} pages"
-        );
-    }
+    offload::only_below_2048(&offload::scratchpad_sweep(&[2048, 4], 12)).unwrap();
 }
 
 /// §IV-D: the rdCAS→wrCAS slack exceeds 1 µs (1600 DDR command cycles),
 /// which is why the DSA needs no completion notification.
 #[test]
 fn slack_exceeds_one_microsecond() {
-    let mut host = CompCpyHost::new(HostConfig::default());
-    let key = [9u8; 16];
-    for i in 0..10u64 {
-        let src = host.alloc_pages(1);
-        let dst = host.alloc_pages(1);
-        host.mem_mut()
-            .store(src, &ulp_compress::corpus::text(4096, i), 0);
-        let iv = [i as u8; 12];
-        let handle = host
-            .comp_cpy(dst, src, 4096, OffloadOp::TlsEncrypt { key, iv }, false, 0)
-            .expect("offload accepted");
-        let _ = host.use_buffer(&handle);
-    }
-    let hist = host.device().slack_histogram();
-    assert!(hist.count() > 0);
-    assert!(
-        hist.min().unwrap() > 1600,
-        "min slack {} cycles",
-        hist.min().unwrap()
-    );
+    offload::slack_exceeds_1us(&offload::slack(10)).unwrap();
 }
 
 /// §IV-C: at the paper's 3× over-provisioning, translation-table inserts
 /// effectively never fail and rarely displace.
 #[test]
 fn cuckoo_sizing_claim() {
-    let mut t = TranslationTable::new(12288, 8);
-    for page in 0..4096u64 {
-        t.insert(
-            page.wrapping_mul(0x9E37_79B9),
-            Mapping::Source {
-                offload: page,
-                msg_offset: 0,
-            },
-        )
-        .expect("no failures below 33% occupancy");
-    }
-    let s = t.stats();
-    assert_eq!(s.failures, 0);
-    assert!((s.displacements as f64 / s.inserts as f64) < 0.05);
+    model::cuckoo_sound_at_3x(&model::cuckoo_sweep(&[4096])).unwrap();
 }
 
 /// §IV-A: flushing a 4 KB buffer that is already in DRAM is ~50% faster
