@@ -81,13 +81,15 @@ if [ "$lock_diff" -eq 1 ]; then
     echo "!!! benchmark:  git checkout -- simbench/Cargo.lock"
 fi
 
-# Paper artifacts: `figures check` reruns every figure, table,
-# micro-experiment and ablation at full size (fanned out over the
-# available CPUs, ~21 s on two) and requires every results/ file to be
-# byte-identical to what it computes. It then judges the paper's claim
-# shapes and fails on a shape that stops holding or on a listed
-# deviation that starts to (bench::figures, EXPERIMENTS.md).
-stage "figures check (paper artifacts byte for byte + claim shapes)"
+# Artifacts: `figures check` reruns every figure, table,
+# micro-experiment, ablation, the run report and the backend-differential
+# report at full size (fanned out over the available CPUs, ~30 s on two)
+# and requires every results/ file to be byte-identical to what it
+# computes. It then judges the paper's claim shapes and the reports'
+# invariants (zero Bank Table desyncs, every stat surface present, both
+# DRAM tiers functionally equal) and fails on a shape that stops holding
+# or on a listed deviation that starts to (bench::figures, EXPERIMENTS.md).
+stage "figures check (every results/ file byte for byte + claim shapes)"
 cargo run --release -p bench --bin figures -q -- check || status=1
 
 # Hot-path bench smoke: tiny iteration counts — asserts the harness
@@ -99,27 +101,6 @@ cargo run --release -p bench --bin figures -q -- check || status=1
 stage "bench_hotpaths smoke + check"
 cargo run --release -p bench --bin bench_hotpaths -q -- smoke || status=1
 cargo run --release -p bench --bin bench_hotpaths -q -- check || status=1
-
-# Run-report smoke: exercises the unified telemetry registry end to end,
-# including the placement × channel-count sweep (1/2/4 channels, §V-D)
-# with its per-channel device/scratchpad/xlat scopes, and the
-# event-driven tail-latency sweep (fast backend, reduced connection
-# count in smoke mode). Smoke mode writes target/run_report.smoke.json,
-# never the committed report; check mode then validates the committed
-# results/run_report.json still parses and covers every stat surface —
-# including the new sweep.tail_latency_* scopes (DESIGN.md §8, §12).
-stage "run_report smoke + check"
-cargo run --release -p bench --bin run_report -q -- smoke || status=1
-cargo run --release -p bench --bin run_report -q -- check || status=1
-
-# Backend differential report: smoke mode reruns every workload shape on
-# both backends (exits non-zero on any functional divergence) and writes
-# target/backend_differential.smoke.json; check mode validates the
-# committed results/backend_differential.json: it must parse, report
-# "all_functional_match": true and hold exactly the five workload rows.
-stage "backend_differential smoke + check"
-cargo run --release -p bench --bin backend_differential -q -- smoke || status=1
-cargo run --release -p bench --bin backend_differential -q -- check || status=1
 
 stage ""
 echo "ci.sh total: $SECONDS s"

@@ -1,7 +1,7 @@
-//! Regenerates or checks every paper artifact under `results/`.
+//! Regenerates or checks every artifact under `results/`.
 //!
-//! * `figures full` — run every figure, table, micro-experiment and
-//!   ablation, write `results/`, judge the paper's claim shapes;
+//! * `figures full` — run every figure, table, micro-experiment,
+//!   ablation and report, write `results/`, judge the claim shapes;
 //! * `figures check` — rerun them all and require byte identity with
 //!   the committed files (CI);
 //! * `figures <name>…` — run and write only the named artifacts.

@@ -1,5 +1,6 @@
 //! The backend-differential workloads, defined once for the
-//! `backend_differential` report binary and `tests/backend_differential.rs`.
+//! `backend_differential` artifact (`bench::figures::report`) and
+//! `tests/backend_differential.rs`.
 //!
 //! Each workload runs on one timing tier of [`dram::DramSystem`] —
 //! cycle-accurate bank and bus timing (tier 0) or the fixed-latency

@@ -1,15 +1,17 @@
-//! The paper-artifact registry. Each [`Artifact`] runs one figure,
-//! table, micro-experiment or ablation at full size and returns a
-//! [`Run`]: its printed table, its `results/` files and its typed rows.
-//! Each [`Shape`] is a claim of the paper (who wins, where the crossover
-//! falls) as a predicate over those rows, defined next to its artifact
-//! and asserted on smaller sweeps by `tests/paper_claims.rs`. A shape
-//! the model does not reproduce sits in [`DEVIATIONS`] with its cause.
+//! The artifact registry. Each [`Artifact`] runs one figure, table,
+//! micro-experiment, ablation or whole-stack report at full size and
+//! returns a [`Run`]: its printed table, its `results/` files and its
+//! typed rows. Each [`Shape`] is a claim of the paper (who wins, where
+//! the crossover falls) or a report invariant as a predicate over those
+//! rows, defined next to its artifact; the paper's claims are also
+//! asserted on smaller sweeps by `tests/paper_claims.rs`. A shape the
+//! model does not reproduce sits in [`DEVIATIONS`] with its cause.
 //!
 //! [`cli`] is the `figures` binary: `full` writes every artifact,
 //! `<name>…` writes the named ones, and `check` requires every committed
-//! file to be byte-identical to a rerun. Every mode judges the shapes of
-//! the artifacts it ran. Artifacts fan out on [`simkit::par::run_indexed`].
+//! `results/` file to be byte-identical to a rerun. Every mode judges
+//! the shapes of the artifacts it ran. Artifacts fan out on
+//! [`simkit::par::run_indexed`].
 
 use std::any::Any;
 use std::fmt::Debug;
@@ -19,6 +21,7 @@ use std::process::ExitCode;
 pub mod model;
 pub mod net;
 pub mod offload;
+pub mod report;
 pub mod server;
 
 /// What one artifact run produces: its printed table, `(file under
@@ -112,10 +115,14 @@ const SCRATCHPAD: &str = "ablate_scratchpad";
 const CUCKOO: &str = "ablate_cuckoo";
 const WINDOW: &str = "ablate_window";
 const ORDERED: &str = "ablate_ordered";
+const REPORT: &str = "run_report";
+const DIFFERENTIAL: &str = "backend_differential";
 
 /// Every artifact, slowest first so a two-worker fan-out ends together
-/// (fig11 alone takes about as long as the rest).
-pub const ARTIFACTS: [Artifact; 14] = [
+/// (the run report fans its own entries out over every worker; fig11
+/// alone takes about as long as the paper's other artifacts).
+pub const ARTIFACTS: [Artifact; 16] = [
+    (REPORT, report::run_report),
     (FIG11, server::fig11),
     (FIG12, server::fig12),
     (FIG02, net::fig02),
@@ -130,11 +137,13 @@ pub const ARTIFACTS: [Artifact; 14] = [
     (CUCKOO, model::ablate_cuckoo),
     (WINDOW, model::ablate_window),
     (ORDERED, offload::ablate_ordered),
+    (DIFFERENTIAL, report::backend_differential),
 ];
 
-/// Every claim shape, in paper order, named `<artifact>: <predicate>`;
-/// each predicate's doc comment states the claim.
-pub const SHAPES: [Shape; 19] = [
+/// Every claim shape, in paper order and then the reports' invariants,
+/// named `<artifact>: <predicate>`; each predicate's doc comment states
+/// the claim.
+pub const SHAPES: [Shape; 22] = [
     ("fig02: smartnic_fades", |r| {
         r.rows(FIG02).map(net::smartnic_fades)
     }),
@@ -191,6 +200,15 @@ pub const SHAPES: [Shape; 19] = [
     }),
     ("ablate_ordered: fence_adds_little", |r| {
         r.list(ORDERED).map(offload::fence_adds_little)
+    }),
+    ("run_report: no_bank_desyncs", |r| {
+        r.rows::<String>(REPORT).map(|d| report::no_bank_desyncs(d))
+    }),
+    ("run_report: covers_every_stat_surface", |r| {
+        (r.rows::<String>(REPORT)).map(|d| report::covers_every_stat_surface(d))
+    }),
+    ("backend_differential: tiers_agree_functionally", |r| {
+        r.list(DIFFERENTIAL).map(report::tiers_agree_functionally)
     }),
 ];
 

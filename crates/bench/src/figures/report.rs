@@ -1,28 +1,12 @@
-//! Unified run report → `results/run_report.json`.
-//!
-//! Drives the HTTPS-server workload (§VI) on all four placements plus the
-//! kTLS encrypted-flow models, gathers every component's statistics into
-//! one `simkit::telemetry` registry — server harness {RPS, CPU util, BW},
-//! LLC miss rates, DRAM CAS counters, SmartDIMM device/scratchpad/xlat
-//! counters, TCP flow metrics — and emits a single JSON document: a
-//! `run_report/v1` metadata wrapper around the deterministic
-//! `telemetry/v1` snapshot.
-//!
-//! The entries run in parallel on every worker the machine offers
-//! (`simkit::par::available_workers`). The wall-clock stamp lives *only*
-//! in the wrapper metadata; the inner snapshot is byte-identical across
-//! same-seed runs at any worker count (enforced by
-//! `tests/telemetry_determinism.rs`). Modes follow `bench_hotpaths`:
-//!
-//! * `smoke` — tiny workload for CI; writes `target/run_report.smoke.json`
-//!   so a CI run never clobbers the committed full-mode report,
-//! * `full` — the committed report at `results/run_report.json` (default),
-//! * `check` — validate the committed report (well-formed JSON, both
-//!   schema tags, the expected top-level scopes, no host-dependent
-//!   wrapper fields) and exit non-zero otherwise (used by `ci.sh`).
+//! The two whole-stack reports: `run_report.json`, every component's
+//! statistics from the HTTPS-server workload (§VI) on all four
+//! placements, the channel, topology, fidelity-tier and tail-latency
+//! sweeps and the kTLS flows in one `simkit::telemetry` registry; and
+//! `backend_differential.json`, every differential workload on both
+//! DRAM timing tiers.
 
-use bench::harness::json_parses;
 use cache::CacheConfig;
+use memsys::BackendKind;
 use netsim::ktls::{run_encrypted_flow, TlsPlacement};
 use netsim::tcp::TcpConfig;
 use platforms::{
@@ -31,51 +15,16 @@ use platforms::{
 };
 use simkit::telemetry::{Registry, Scope};
 use smartdimm::PlacementPolicy;
-use std::path::PathBuf;
-use std::process::ExitCode;
 
-/// Scope names every report must contain — `check` mode and the
-/// acceptance criteria both key off this list.
-const REQUIRED_SCOPES: &[&str] = &[
-    "server.https_cpu",
-    "server.https_smartnic",
-    "server.https_quickassist",
-    "server.https_smartdimm",
-    "netsim.ktls_cpu",
-    "netsim.ktls_smartnic",
-    // Placement × channel-count sweep (§V-D): 1/2/4 channels.
-    "sweep.tls_ch1_cpu",
-    "sweep.tls_ch1_smartdimm",
-    "sweep.tls_ch2_cpu",
-    "sweep.tls_ch2_smartdimm",
-    "sweep.tls_ch4_cpu",
-    "sweep.tls_ch4_smartdimm",
-    "sweep.deflate_ch1_smartdimm",
-    "sweep.deflate_ch2_smartdimm",
-    "sweep.deflate_ch4_smartdimm",
-    // Scale-out topology sweep (§V-D on a NUMA box): 2 sockets ×
-    // 2 DIMMs/channel, CPU baseline plus SmartDIMM under both
-    // placement policies.
-    "sweep.topology_cpu",
-    "sweep.topology_static_smartdimm",
-    "sweep.topology_sched_smartdimm",
-    // Fidelity-tier coverage: the 4-channel TLS sweep repeated on the
-    // fast fixed-latency backend (tier 1). The differential harness
-    // pins its functional equality with the accurate run above.
-    "sweep.tls_ch4_smartdimm_fast",
-    // Event-driven tail-latency sweep: >10k zipfian closed-loop
-    // connections on the tier-1 backend, per placement, plus an
-    // admission-controlled row on a starved scratchpad.
-    "sweep.tail_latency_cpu",
-    "sweep.tail_latency_smartnic",
-    "sweep.tail_latency_quickassist",
-    "sweep.tail_latency_smartdimm",
-    "sweep.tail_latency_deflate_smartdimm",
-    "sweep.tail_latency_smartdimm_admission",
-];
+use super::{all, csv_table, Run, Verdict};
+use crate::differential::{
+    deflate_sweep, fault_sweep, tls_sweep, Outcome, COARSE, DEFLATE_ROUNDS, FAULT_SEEDS,
+    TLS_OFFLOADS,
+};
+use crate::Json;
 
-/// Metric names that prove each stat surface named in the issue is
-/// reachable from the one snapshot.
+/// Metric names that prove each stat surface is reachable from the one
+/// snapshot.
 const REQUIRED_METRICS: &[&str] = &[
     "\"rps\"",
     "\"cpu_utilization\"",
@@ -133,9 +82,10 @@ const REQUIRED_METRICS: &[&str] = &[
     "\"max_pressure\"",
 ];
 
-/// One independent simulation of the report: a server workload or a
-/// kTLS flow, plus the dotted registry path its scope mounts at.
-enum Entry {
+/// One independent simulation of the run report: a server workload, a
+/// kTLS flow or an event-driven server, plus the dotted registry path
+/// its scope mounts at and its progress-line label.
+pub enum Entry {
     Server {
         kind: PlatformKind,
         cfg: WorkloadConfig,
@@ -212,10 +162,12 @@ fn run_entry(e: Entry) -> (String, Scope, String) {
     }
 }
 
-/// The report's full entry list for one workload scale. Every entry is
-/// independent (own host, own seed), which is what lets the builder fan
-/// them out across workers and still mount scopes in list order.
-fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> Vec<Entry> {
+/// The report's entry list: 512 connections and 2000 requests per
+/// server run, 16 MB kTLS flows. Every entry is independent (own host,
+/// own seed), which is what lets [`render`] fan them out across workers
+/// and still mount scopes in list order.
+fn entries() -> Vec<Entry> {
+    let (connections, requests, transfer_bytes) = (512, 2000, 16u64 << 20);
     let mut entries = Vec::new();
 
     let cfg = WorkloadConfig {
@@ -246,8 +198,8 @@ fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> V
     // deflate requires page-granular (coarse) interleave, where
     // cross-channel record→skb pairs exercise the driver's bounce path.
     // Runs at a reduced scale so the sweep adds breadth, not wall-clock.
-    let sweep_conns = (connections / 4).max(16);
-    let sweep_reqs = (requests / 4).max(64);
+    let sweep_conns = connections / 4;
+    let sweep_reqs = requests / 4;
     for channels in [1usize, 2, 4] {
         let tls_cfg = WorkloadConfig {
             message_bytes: 4096,
@@ -351,15 +303,13 @@ fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> V
         label: "sweep/tls_ch4_smartdimm_fast".to_string(),
     });
 
-    // Event-driven tail-latency sweep: the full-mode scale is 10240
-    // logical zipfian connections and 12000 requests — enough samples to
-    // resolve p999 — on the tier-1 fast backend (a cycle-accurate run at
-    // this concurrency would dominate the report's wall-clock).
-    let event_conns = connections * 20;
-    let event_reqs = requests * 6;
+    // Event-driven tail-latency sweep: 10240 logical zipfian connections
+    // and 12000 requests — enough samples to resolve p999 — on the
+    // tier-1 fast backend (a cycle-accurate run at this concurrency
+    // would dominate the report's wall-clock).
     let event_cfg = EventWorkloadConfig {
-        connections: event_conns,
-        requests: event_reqs,
+        connections: connections * 20,
+        requests: requests * 6,
         workers: 64,
         ulp: UlpKind::Tls,
         llc: Some(CacheConfig::mb(2, 16)),
@@ -427,42 +377,33 @@ fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> V
     entries
 }
 
-/// Builds the full telemetry tree for one workload scale, fanning the
-/// independent entries across `workers` threads. Everything is seeded
-/// and scopes mount in entry-list order, so the registry snapshots
-/// byte-identically for the same `(connections, requests,
-/// transfer_bytes)` triple at *any* worker count.
-fn build_registry(
-    connections: usize,
-    requests: usize,
-    transfer_bytes: u64,
-    workers: usize,
-) -> Registry {
-    let entries = report_entries(connections, requests, transfer_bytes);
+/// Runs `entries` on `workers` threads, mounts their scopes in list
+/// order and renders the `run_report/v1` document around the
+/// `telemetry/v1` snapshot; returns it with one progress line per
+/// entry. Everything is seeded, so the document is byte-identical at
+/// any worker count.
+pub fn render(entries: Vec<Entry>, workers: usize) -> (String, Vec<String>) {
     let (results, _) = simkit::par::run_indexed(workers, entries, |_, e| run_entry(e));
     let mut reg = Registry::new();
+    let mut lines = Vec::new();
     for (path, scope, line) in results {
-        println!("{line}");
         *reg.scope(&path) = scope;
+        lines.push(line);
     }
-    reg
+    let telemetry = reg.snapshot().replace('\n', "\n  ");
+    let doc = format!("{{\n  \"schema\": \"run_report/v1\",\n  \"telemetry\": {telemetry}\n}}");
+    (doc, lines)
 }
 
-/// Wrapper fields that describe the host rather than the simulation.
-/// The committed report must not carry them, so it stays byte-identical
-/// on any machine apart from the wall-clock stamp.
-const HOST_FIELDS: &[&str] = &["workers", "par_tasks", "par_steals"];
-
-/// Wraps the telemetry snapshot in the `run_report/v1` metadata document.
-/// The wall-clock stamp is the only non-deterministic field, which is
-/// why it lives out here and not inside the snapshot.
-fn render_report(mode: &str, snapshot: &str) -> String {
-    let indented = snapshot.replace('\n', "\n  ");
-    format!(
-        "{{\n  \"schema\": \"run_report/v1\",\n  \"mode\": \"{mode}\",\n  \
-         \"generated_at_unix\": {},\n  \"telemetry\": {indented}\n}}",
-        simkit::timer::unix_time_secs()
-    )
+/// The unified run report, its entries fanned out over every available
+/// worker.
+pub fn run_report() -> Run {
+    let (doc, lines) = render(entries(), simkit::par::available_workers());
+    Run {
+        table: format!("\n=== run report ===\n{}\n", lines.join("\n")),
+        files: vec![("run_report.json", doc.clone())],
+        rows: Box::new(doc),
+    }
 }
 
 /// How many counters named `name` in a rendered snapshot hold a
@@ -478,109 +419,104 @@ fn nonzero_counters(doc: &str, name: &str) -> usize {
         .count()
 }
 
-fn check(path: &PathBuf) -> ExitCode {
-    let doc = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("[err] {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if !json_parses(&doc) {
-        eprintln!("[err] {} is not well-formed JSON", path.display());
-        return ExitCode::FAILURE;
+/// Every entry is fault-free and the buffer device sees every PRE/ACT
+/// the controller issues (refresh precharges included), so no device
+/// scope may report a Bank Table desync.
+pub fn no_bank_desyncs(doc: &str) -> Verdict {
+    match nonzero_counters(doc, "bank_desyncs") {
+        0 => Ok(()),
+        n => Err(format!("{n} device scope(s) report non-zero bank_desyncs")),
     }
-    for tag in ["run_report/v1", "telemetry/v1"] {
-        if !doc.contains(tag) {
-            eprintln!("[err] {} lacks schema tag {tag:?}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    let wrapper = doc.split("\"telemetry\":").next().unwrap_or(&doc);
-    for field in HOST_FIELDS {
-        if wrapper.contains(&format!("\"{field}\"")) {
-            eprintln!(
-                "[err] {} wrapper carries host-dependent field {field:?}",
-                path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    // Scopes render as nested objects, so `server.https_cpu` appears as
-    // the leaf name under the `server` scope.
-    for scope in REQUIRED_SCOPES {
-        let leaf = scope.rsplit('.').next().expect("non-empty scope path");
-        if !doc.contains(&format!("\"{leaf}\"")) {
-            eprintln!("[err] {} lacks scope {scope:?}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    for metric in REQUIRED_METRICS {
-        if !doc.contains(metric) {
-            eprintln!("[err] {} lacks metric {metric}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    // Every entry is fault-free and the buffer device sees every PRE/ACT
-    // the controller issues (refresh precharges included), so no device
-    // scope may report a Bank Table desync.
-    let desynced = nonzero_counters(&doc, "bank_desyncs");
-    if desynced > 0 {
-        eprintln!(
-            "[err] {}: {desynced} device scope(s) report non-zero bank_desyncs",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "[ok] {} parses and covers all stat surfaces",
-        path.display()
-    );
-    ExitCode::SUCCESS
 }
 
-fn main() -> ExitCode {
-    let mode = std::env::args().nth(1).unwrap_or_else(|| "full".into());
-    let committed = bench::results_dir().join("run_report.json");
+/// Every stat surface (server harness, LLC, DRAM, device, scheduler,
+/// topology, event loop, TCP) is reachable from the one snapshot.
+pub fn covers_every_stat_surface(doc: &str) -> Verdict {
+    all(REQUIRED_METRICS, |m| doc.contains(**m))
+}
 
-    if mode == "check" {
-        return check(&committed);
-    }
+/// One differential workload on both timing tiers.
+#[derive(Debug)]
+pub struct TierRow {
+    pub workload: &'static str,
+    pub accurate_cycles: u64,
+    pub fast_cycles: u64,
+    pub functional_match: bool,
+}
 
-    let (connections, requests, transfer_bytes, out_path) = match mode.as_str() {
-        "smoke" => (
-            64,
-            200,
-            1u64 << 20,
-            bench::repo_root()
-                .join("target")
-                .join("run_report.smoke.json"),
-        ),
-        "full" => (512, 2000, 16u64 << 20, committed),
-        other => {
-            eprintln!("usage: run_report [smoke|full|check] (got {other:?})");
-            return ExitCode::FAILURE;
+impl TierRow {
+    fn measure(workload: &'static str, run: impl Fn(BackendKind) -> Outcome) -> TierRow {
+        let acc = run(BackendKind::CycleAccurate);
+        let fast = run(BackendKind::FastQueue);
+        TierRow {
+            workload,
+            accurate_cycles: acc.now,
+            fast_cycles: fast.now,
+            functional_match: acc.functional == fast.functional,
         }
-    };
+    }
 
-    let workers = simkit::par::available_workers();
-    println!("run report ({mode} mode, {workers} worker(s))");
-    let reg = build_registry(connections, requests, transfer_bytes, workers);
-    let snapshot = reg.snapshot();
-    let doc = render_report(&mode, &snapshot);
-    assert!(json_parses(&doc), "emitted report must be valid JSON");
-    for scope in REQUIRED_SCOPES {
-        let leaf = scope.rsplit('.').next().expect("non-empty scope path");
-        assert!(doc.contains(&format!("\"{leaf}\"")), "missing {scope}");
+    fn cycle_ratio(&self) -> f64 {
+        self.fast_cycles as f64 / self.accurate_cycles as f64
     }
-    if let Some(dir) = out_path.parent() {
-        std::fs::create_dir_all(dir).expect("create report dir");
+}
+
+/// Every differential workload (`bench::differential`) on the
+/// cycle-accurate tier and the fixed-latency FIFO tier: simulated
+/// end-of-run cycles, their ratio, and whether payload bytes and
+/// functional counters matched.
+pub fn backend_differential() -> Run {
+    let rows = vec![
+        TierRow::measure("tls_ch1_fine", |b| tls_sweep(b, 1, 1, TLS_OFFLOADS)),
+        TierRow::measure("tls_ch2_coarse", |b| tls_sweep(b, 2, COARSE, TLS_OFFLOADS)),
+        TierRow::measure("tls_ch4_coarse", |b| tls_sweep(b, 4, COARSE, TLS_OFFLOADS)),
+        TierRow::measure("deflate_ch2_coarse", |b| {
+            deflate_sweep(b, 2, DEFLATE_ROUNDS)
+        }),
+        TierRow::measure("fault_seed_sweep", |b| fault_sweep(b, FAULT_SEEDS)),
+    ];
+    let lines: Vec<String> = (rows.iter())
+        .map(|r| {
+            let (acc, fast, ratio) = (r.accurate_cycles, r.fast_cycles, r.cycle_ratio());
+            format!(
+                "{},{acc},{fast},{ratio:.3},{}",
+                r.workload, r.functional_match
+            )
+        })
+        .collect();
+    let row_json = |r: &TierRow| {
+        Json::Obj(vec![
+            ("workload".into(), r.workload.into()),
+            ("accurate_cycles".into(), r.accurate_cycles.into()),
+            ("fast_cycles".into(), r.fast_cycles.into()),
+            ("cycle_ratio".into(), r.cycle_ratio().into()),
+            ("functional_match".into(), r.functional_match.into()),
+        ])
+    };
+    let doc = Json::Obj(vec![
+        ("schema".into(), "backend_differential/v1".into()),
+        (
+            "all_functional_match".into(),
+            rows.iter().all(|r| r.functional_match).into(),
+        ),
+        (
+            "workloads".into(),
+            Json::Arr(rows.iter().map(row_json).collect()),
+        ),
+    ]);
+    Run {
+        table: csv_table(
+            "fast vs accurate backend",
+            "workload,acc cycles,fast cycles,ratio,match",
+            &lines,
+        ),
+        files: vec![("backend_differential.json", doc.render())],
+        rows: Box::new(rows),
     }
-    std::fs::write(&out_path, &doc).expect("write run_report.json");
-    println!(
-        "\n[{} metrics across the registry; report written to {}]",
-        reg.metric_count(),
-        out_path.display()
-    );
-    ExitCode::SUCCESS
+}
+
+/// The fixed-latency tier changes timing only: every workload's payload
+/// bytes and functional counters match the cycle-accurate tier's.
+pub fn tiers_agree_functionally(rows: &[TierRow]) -> Verdict {
+    all(rows, |r| r.functional_match)
 }

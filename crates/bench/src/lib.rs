@@ -1,18 +1,19 @@
 //! Shared plumbing for the experiment binaries: the result-file
 //! location, a JSON document model and a fixed-width table renderer.
 //!
-//! The [`figures`] module is the registry of every paper artifact (the
-//! figures, Table I, the micro-experiments and the ablations) and of the
-//! claim shapes they carry; the `figures` binary runs it, writing
-//! machine-readable results under `results/` at the workspace root or
-//! checking them byte for byte (EXPERIMENTS.md).
+//! The [`figures`] module is the registry of every `results/` artifact
+//! (the figures, Table I, the micro-experiments, the ablations, the run
+//! report and the backend-differential report) and of the claim shapes
+//! they carry; the `figures` binary runs it, writing machine-readable
+//! results under `results/` at the workspace root or checking them byte
+//! for byte (EXPERIMENTS.md).
 //!
 //! The [`harness`] module times the *simulator's own* hot paths
 //! (wall-clock, not simulated cycles) for the `bench_hotpaths` binary,
 //! which writes `BENCH_hotpaths.json` at the repo root. See DESIGN.md §7.
 //!
 //! The [`differential`] module holds the backend-differential workloads,
-//! shared by the `backend_differential` report binary and the
+//! shared by the `backend_differential` artifact and the
 //! `tests/backend_differential.rs` suite.
 
 use std::fs;

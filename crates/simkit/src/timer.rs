@@ -11,19 +11,6 @@
 
 use std::time::{Duration, Instant};
 
-/// Seconds since the Unix epoch, for *metadata stamps only* (e.g. the
-/// `generated_at_unix` field of `results/run_report.json`). Simulation
-/// results must never depend on this — a run report keeps its stamp in
-/// the outer metadata wrapper precisely so the inner `telemetry/v1`
-/// snapshot stays byte-identical across same-seed runs.
-pub fn unix_time_secs() -> u64 {
-    // simlint: allow(DET-NOW): sanctioned wall-clock doorway — report metadata stamps only
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
 /// A started wall-clock timer.
 ///
 /// # Example

@@ -140,11 +140,6 @@ const TELEM_DYNAMIC: [&str; 2] = [
     "fast_queue",
 ];
 
-/// Metric names registered in code but intentionally absent from the
-/// committed full-mode report (smoke-only or bench-only scopes). Each
-/// entry documents why the code→report direction must not fail on it.
-const TELEM_SMOKE_ONLY: [&str; 0] = [];
-
 /// Everything the workspace pass consumes.
 pub struct Workspace<'a> {
     /// (workspace-relative path, parsed context), sorted by path.
@@ -426,7 +421,7 @@ struct TelemReg {
 /// 1. a counter/gauge mirroring a plain field must see that field
 ///    updated somewhere in live code (orphan metrics read 0 forever);
 /// 2. every literal name must appear as a metric leaf in the committed
-///    `results/run_report.json` (minus [`TELEM_SMOKE_ONLY`]);
+///    `results/run_report.json`;
 /// 3. every metric leaf in the report must be registered by some
 ///    literal in code (minus [`TELEM_DYNAMIC`]) — a leaf with no
 ///    registration means the committed report has drifted.
@@ -459,10 +454,7 @@ fn telem_cons(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     // Check 2: code → report (first registration site anchors).
     let mut seen = BTreeSet::new();
     for r in &regs {
-        if !seen.insert(r.name.as_str())
-            || leaf_names.contains(r.name.as_str())
-            || TELEM_SMOKE_ONLY.contains(&r.name.as_str())
-        {
+        if !seen.insert(r.name.as_str()) || leaf_names.contains(r.name.as_str()) {
             continue;
         }
         diags.push(Diagnostic {
@@ -471,7 +463,7 @@ fn telem_cons(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
             rule: "TELEM-CONS".to_string(),
             message: format!(
                 "telemetry metric \"{}\" is registered in code but absent from the committed \
-                 results/run_report.json; regenerate the report or allowlist a smoke-only scope",
+                 results/run_report.json; regenerate the report",
                 r.name
             ),
         });

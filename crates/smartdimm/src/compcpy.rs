@@ -8,7 +8,7 @@
 
 use dram::{AddressMapper, Dimm, PhysAddr};
 use memsys::{MemConfig, MemSystem};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::configmem::{
     unpack_pending, ConfigWindow, ContextChunk, OffloadStatus, Registration, ResultSlot, StatusReg,
@@ -733,10 +733,15 @@ impl CompCpyHost {
     /// second look at the valid-line bitmap catches lines whose premature
     /// writebacks were ignored (S7) — those are recycled with explicit
     /// write-requests that the device substitutes.
+    ///
+    /// Every reclaimed page compacts the pending list under the walk, so
+    /// a line is re-read until it holds no page visited before; a page
+    /// that stays pending is visited once, which bounds the walk.
     pub fn force_recycle(&mut self, required: usize) -> usize {
         self.force_recycles += 1;
         let mut freed = 0usize;
         for channel in 0..self.channels() {
+            let mut visited = BTreeSet::new();
             let mut index = 0u64;
             loop {
                 let addr = self.window.alias(PENDING_BASE + index * 64, channel);
@@ -745,7 +750,13 @@ impl CompCpyHost {
                 if records.is_empty() {
                     break;
                 }
-                for rec in &records {
+                let fresh: Vec<_> = (records.into_iter())
+                    .filter(|r| visited.insert(r.dst_page_addr))
+                    .collect();
+                if fresh.is_empty() {
+                    index += 1;
+                }
+                for rec in &fresh {
                     let page = PhysAddr(rec.dst_page_addr);
                     // Pass 1: flush cached dirty lines (Algorithm 1 line 4).
                     self.mem.flush(page, PAGE);
@@ -767,7 +778,6 @@ impl CompCpyHost {
                         return freed;
                     }
                 }
-                index += 1;
             }
         }
         freed
@@ -1356,6 +1366,28 @@ mod tests {
             let _ = handle;
         }
         assert!(h.force_recycle_count() > 0);
+    }
+
+    #[test]
+    fn force_recycle_drains_every_pending_page() {
+        // Each reclaimed page compacts the pending list under the walk;
+        // one call must still reach every page and record every line.
+        let mut h = host();
+        for i in 0..100u64 {
+            let (src, dst) = (h.alloc_pages(1), h.alloc_pages(1));
+            let msg = ulp_compress::corpus::text(4096, i);
+            h.mem_mut().store(src, &msg, 0);
+            let op = OffloadOp::TlsEncrypt {
+                key: [7u8; 16],
+                iv: [i as u8; 12],
+            };
+            h.comp_cpy(dst, src, msg.len(), op, false, 0).unwrap();
+        }
+        let capacity = HostConfig::default().dimm.scratchpad_pages;
+        assert_eq!(h.device().free_pages(), capacity - 100);
+        h.force_recycle(usize::MAX);
+        assert_eq!(h.device().free_pages(), capacity, "pages left pending");
+        assert_eq!(h.device().slack_histogram().count(), 100 * 64);
     }
 
     #[test]

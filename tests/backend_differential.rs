@@ -18,7 +18,7 @@
 //!   the fast backend exactly as to the accurate one).
 //!
 //! The workloads live in `bench::differential`, shared with the
-//! `backend_differential` binary that writes
+//! `backend_differential` artifact that writes
 //! `results/backend_differential.json`; each sweep there checks its own
 //! output against the software golden path. This file holds the
 //! cross-tier assertions, the bands and the snapshot tests.

@@ -3,8 +3,10 @@
 //! and the HTTP codec.
 
 use netsim::http::{Request, Response};
+use proptest::prelude::*;
+use smartdimm::configmem::OffloadStatus;
 use smartdimm::{CompCpyHost, HostConfig, OffloadOp};
-use ulp_compress::{corpus, deflate, inflate};
+use ulp_compress::{corpus, deflate, hwmodel, inflate};
 
 /// Compresses a response body at page granularity on the DIMM (§V-C) and
 /// returns the per-page streams.
@@ -108,4 +110,53 @@ fn mixed_content_stream_with_incompressible_pages() {
         }
     }
     assert_eq!(restored, body);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Hostile host input: a real page's Deflate stream with bits
+    /// flipped and, half the time, its tail cut off. The software
+    /// inflater, the Decompress DSA model and a Decompress offload
+    /// through the whole device stack must each stop at one page and
+    /// agree: the same page, or a typed `DecodeError` that the device
+    /// reports as `OffloadStatus::Error`.
+    #[test]
+    fn hostile_deflate_streams_are_bounded_typed_rejects(
+        kind in 0..3usize,
+        seed in any::<u64>(),
+        flips in proptest::collection::vec((any::<usize>(), 0..8u32), 1..4),
+        cut in any::<usize>(),
+    ) {
+        let page = [corpus::html, corpus::text, corpus::json][kind](4096, seed);
+        let mut stream = deflate::compress(&page);
+        let len = stream.len();
+        for (at, bit) in flips {
+            stream[at % len] ^= 1 << bit;
+        }
+        stream.truncate((cut % (2 * len)).clamp(1, len));
+
+        let inflated = inflate::decompress_bounded(&stream, 4096);
+        if let Ok(out) = &inflated {
+            prop_assert!(out.len() <= 4096);
+        }
+        let dsa = hwmodel::decompress_page(&stream).map(|(out, _)| out);
+        prop_assert_eq!(&dsa, &inflated);
+
+        let mut host = CompCpyHost::new(HostConfig::default());
+        let (src, dst) = (host.alloc_pages(1), host.alloc_pages(1));
+        host.mem_mut().store(src, &stream, 0);
+        let handle = host
+            .comp_cpy(dst, src, stream.len(), OffloadOp::Decompress, true, 0)
+            .expect("a one-page stream is a valid request");
+        let out = host.use_buffer(&handle);
+        let status = host.read_result(&handle).status;
+        match inflated {
+            Ok(want) => {
+                prop_assert_eq!(status, OffloadStatus::Done);
+                prop_assert_eq!(out, want);
+            }
+            Err(_) => prop_assert_eq!(status, OffloadStatus::Error),
+        }
+    }
 }
