@@ -64,15 +64,25 @@ cargo build --release || status=1
 stage "cargo test --release --workspace"
 cargo test --release --workspace -q || status=1
 
+# The examples are documentation that compiles; running each one (every
+# file under examples/, in release) keeps it working too. Their output
+# is discarded; a panic or nonzero exit fails the stage.
+stage "examples (cargo run --release --example, each)"
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    cargo run --release -q --example "$name" > /dev/null || status=1
+done
+
 # The simulator benchmark (simbench/) is its own workspace over the
 # crates/ APIs; building and testing it here catches an API change that
 # would break the benchmark build.
 stage "cargo test --release --offline (simbench)"
 cargo test --release --offline -q --manifest-path simbench/Cargo.toml || status=1
-# The committed simbench/Cargo.lock still lists a deleted shim, so the
-# build above rewrites it. That edit belongs to a benchmark change only:
-# say so loudly, without failing CI. (`git diff --quiet` exits 1 on a
-# difference; outside a git checkout it exits higher and stays quiet.)
+# The committed simbench/Cargo.lock still lists a deleted shim and the
+# removed platforms -> netsim edge, so the build above rewrites it.
+# That edit belongs to a benchmark change only: say so loudly, without
+# failing CI. (`git diff --quiet` exits 1 on a difference; outside a
+# git checkout it exits higher and stays quiet.)
 lock_diff=0
 git diff --quiet -- simbench/Cargo.lock 2>/dev/null || lock_diff=$?
 if [ "$lock_diff" -eq 1 ]; then

@@ -1,8 +1,8 @@
 //! `netsim` models the network path of the SmartDIMM evaluation: a
-//! discrete-event TCP sender/receiver with configurable segment loss, the
-//! autonomous-SmartNIC kTLS offload state machine of Pismenny et al.
-//! (which the paper's Observation 1 and Fig. 2 are built on), and a
-//! minimal HTTP/1.1 codec used by the server harness in `platforms`.
+//! discrete-event TCP sender/receiver with configurable segment loss and
+//! the autonomous-SmartNIC kTLS offload state machine of Pismenny et al.
+//! (which the paper's Observation 1 and Fig. 2 are built on). Encryption is
+//! billed as a cost per byte; no payload bytes are modelled.
 //!
 //! # Example
 //!
@@ -15,6 +15,5 @@
 //! assert!(run.goodput_gbps() > 1.0);
 //! ```
 
-pub mod http;
 pub mod ktls;
 pub mod tcp;

@@ -144,9 +144,7 @@ fn server_background(
 
 /// Server foreground cycles per request with optional background traffic.
 fn measure_server(kind: PlatformKind, cfg: &WorkloadConfig, bg: Option<BackgroundTraffic>) -> f64 {
-    let mut host_cfg = smartdimm::HostConfig::default();
-    host_cfg.mem.llc = cfg.llc;
-    let mut host = CompCpyHost::new(host_cfg);
+    let mut host = cfg.build_host(cfg.host_config());
     let mut rng = DetRng::new(cfg.seed);
     let mut engine = crate::server::Engine::new(kind, cfg);
     engine.preload(&mut host);
@@ -178,9 +176,7 @@ fn measure_server(kind: PlatformKind, cfg: &WorkloadConfig, bg: Option<Backgroun
 
 /// mcf foreground cycles per access with optional background traffic.
 fn measure_mcf(cfg: &WorkloadConfig, footprint: usize, bg: Option<BackgroundTraffic>) -> f64 {
-    let mut host_cfg = smartdimm::HostConfig::default();
-    host_cfg.mem.llc = cfg.llc;
-    let mut host = CompCpyHost::new(host_cfg);
+    let mut host = CompCpyHost::new(cfg.host_config());
     let mut mcf = McfLike::new(PhysAddr(MCF_BASE), footprint, cfg.seed);
     host.mem_mut().set_background(bg);
     mcf.run(&mut host, 30_000); // warm the hot region
@@ -188,7 +184,13 @@ fn measure_mcf(cfg: &WorkloadConfig, footprint: usize, bg: Option<BackgroundTraf
 }
 
 /// Runs solo and co-run phases for the given platform and returns the
-/// Table I slowdowns.
+/// Table I slowdowns. Both sides run on the machine [`crate::run_server`]
+/// builds for `cfg` (LLC, topology, placement, DRAM backend); the server
+/// side also gets the workload's fault plan.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`WorkloadConfig::validate`].
 ///
 /// `mcf_footprint` is the co-runner's cold working set; `intensity` is
 /// the ratio of co-runner accesses per foreground memory operation (1.0 ≈
@@ -200,6 +202,9 @@ pub fn run_corun(
     mcf_footprint: usize,
     intensity: f64,
 ) -> CorunReport {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid WorkloadConfig: {e}");
+    }
     assert!(cfg.ulp != UlpKind::None, "co-run needs a ULP workload");
 
     let nginx_solo = measure_server(kind, cfg, None);
@@ -261,6 +266,38 @@ mod tests {
             cpu.mcf_slowdown
         );
         assert!(sd.nginx_slowdown > 0.0, "{sd:?}");
+    }
+
+    #[test]
+    fn corun_runs_on_the_workload_machine() {
+        // The topology reaches both hosts: a second channel changes the
+        // SmartDIMM server's solo cycles per request.
+        let small = WorkloadConfig {
+            connections: 16,
+            requests: 64,
+            ..cfg()
+        };
+        let one = run_corun(PlatformKind::SmartDimm, &small, 16 << 20, 1.0);
+        let two = run_corun(
+            PlatformKind::SmartDimm,
+            &WorkloadConfig {
+                channels: 2,
+                ..small.clone()
+            },
+            16 << 20,
+            1.0,
+        );
+        assert_ne!(one.nginx_solo_cycles, two.nginx_solo_cycles);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid WorkloadConfig")]
+    fn corun_validates_the_workload() {
+        let zero_workers = WorkloadConfig {
+            workers: 0,
+            ..cfg()
+        };
+        run_corun(PlatformKind::Cpu, &zero_workers, 16 << 20, 1.0);
     }
 
     #[test]

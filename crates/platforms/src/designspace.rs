@@ -89,35 +89,6 @@ pub fn score(placement: PlatformKind, criterion: Criterion) -> u8 {
     }
 }
 
-/// Renders the full Fig. 13 matrix as text.
-pub fn render_matrix() -> String {
-    let placements = [
-        PlatformKind::Cpu,
-        PlatformKind::SmartNic,
-        PlatformKind::QuickAssist,
-        PlatformKind::SmartDimm,
-    ];
-    let glyph = |s: u8| match s {
-        0 => "-",
-        1 => "o",
-        _ => "+",
-    };
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>10} {:>10} {:>12} {:>10}\n",
-        "criterion", "CPU", "SmartNIC", "QuickAssist", "SmartDIMM"
-    ));
-    for c in Criterion::ALL {
-        out.push_str(&format!("{:<22}", c.label()));
-        for p in placements {
-            out.push_str(&format!(" {:>10}", glyph(score(p, c))));
-        }
-        out.push('\n');
-    }
-    out.push_str("\n+ strong   o partial   - poor\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,14 +118,5 @@ mod tests {
     fn cpu_is_most_flexible_but_contention_bound() {
         assert_eq!(score(PlatformKind::Cpu, Criterion::DiverseUlps), 2);
         assert_eq!(score(PlatformKind::Cpu, Criterion::HighLlcContention), 0);
-    }
-
-    #[test]
-    fn matrix_renders_all_rows() {
-        let m = render_matrix();
-        for c in Criterion::ALL {
-            assert!(m.contains(c.label()), "missing {}", c.label());
-        }
-        assert!(m.contains("SmartDIMM"));
     }
 }

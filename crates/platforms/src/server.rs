@@ -415,12 +415,6 @@ fn touch_deflate_state(host: &mut CompCpyHost, conn: usize, seed: u64, pages: us
     }
 }
 
-/// DDR command-clock cycles per nanosecond (1600 MHz → 1.6 cyc/ns).
-/// Live code converts via the exact rational forms below; the float
-/// constant remains as the committed ratio the equivalence tests pin.
-#[cfg_attr(not(test), allow(dead_code))]
-const CYC_PER_NS: f64 = 1.6;
-
 /// Nanoseconds → command-clock cycles, rounded to nearest.
 ///
 /// 1.6 cyc/ns is the rational 8/5, so the conversion is computed in exact
@@ -884,6 +878,10 @@ fn run_server_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// DDR command-clock cycles per nanosecond (1600 MHz → 1.6 cyc/ns):
+    /// the float ratio the exact rational conversions are pinned to.
+    const CYC_PER_NS: f64 = 1.6;
 
     fn quick(ulp: UlpKind, message: usize, conns: usize) -> WorkloadConfig {
         WorkloadConfig {

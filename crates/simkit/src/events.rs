@@ -92,15 +92,6 @@ impl<T> EventQueue<T> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Removes and returns the earliest event only if it is due at or
-    /// before `now`.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
-        match self.peek_time() {
-            Some(t) if t <= now => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -152,17 +143,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((Cycle(7), i)));
         }
-    }
-
-    #[test]
-    fn pop_due_respects_now() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(10), 'a');
-        q.push(Cycle(20), 'b');
-        assert_eq!(q.pop_due(Cycle(5)), None);
-        assert_eq!(q.pop_due(Cycle(10)), Some((Cycle(10), 'a')));
-        assert_eq!(q.pop_due(Cycle(15)), None);
-        assert_eq!(q.pop_due(Cycle(25)), Some((Cycle(20), 'b')));
     }
 
     #[test]

@@ -99,35 +99,9 @@ impl TraceSink {
         self.enabled
     }
 
-    /// Turns collection on or off.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// The retention cap, if any.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
-    }
-
-    /// Sets (or clears, with `None`) the retention cap. If the sink
-    /// already holds more than the new cap, the oldest records are
-    /// evicted immediately and counted as dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is `Some(0)`.
-    pub fn set_capacity(&mut self, cap: Option<usize>) {
-        if let Some(c) = cap {
-            assert!(c > 0, "trace capacity must be non-zero");
-        }
-        self.capacity = cap;
-        if let Some(c) = self.capacity {
-            if self.records.len() > c {
-                let evict = self.records.len() - c;
-                self.dropped += evict as u64;
-                self.records.drain(..evict);
-            }
-        }
     }
 
     /// Number of records evicted by the retention cap since the last
@@ -211,16 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn toggle_enable() {
-        let mut s = TraceSink::disabled();
-        s.set_enabled(true);
-        s.record(Cycle(1), "x", 1, 0);
-        s.set_enabled(false);
-        s.record(Cycle(2), "y", 2, 0);
-        assert_eq!(s.records().len(), 1);
-    }
-
-    #[test]
     fn capped_sink_evicts_oldest_and_counts_drops() {
         let mut s = TraceSink::enabled_with_capacity(3);
         for i in 0..10u64 {
@@ -234,6 +198,11 @@ mod tests {
         assert_eq!(s.capacity(), Some(3));
         // CSV renders only the retained window.
         assert_eq!(s.to_csv().lines().count(), 4); // header + 3 rows
+
+        // Clearing resets both the window and the drop count.
+        s.clear();
+        assert_eq!(s.dropped_records(), 0);
+        assert!(s.records().is_empty());
     }
 
     #[test]
@@ -246,22 +215,6 @@ mod tests {
         }
         assert_eq!(s.records().len(), 4);
         assert_eq!(s.dropped_records(), 996);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_immediately() {
-        let mut s = TraceSink::enabled();
-        for i in 0..6u64 {
-            s.record(Cycle(i), "e", i, 0);
-        }
-        s.set_capacity(Some(2));
-        assert_eq!(s.records().len(), 2);
-        assert_eq!(s.records()[0].value, 4);
-        assert_eq!(s.dropped_records(), 4);
-        // Clearing resets both the window and the drop count.
-        s.clear();
-        assert_eq!(s.dropped_records(), 0);
-        assert!(s.records().is_empty());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! (< 30 % channel utilization), and ~21.8 % of FPGA resources for the
 //! TLS offload. This module reproduces that accounting: per-component
 //! SRAM-bit and logic-unit estimates whose totals are calibrated to the
-//! published figures, with dynamic power scaling linearly in channel
-//! utilization.
+//! published full-rate power and TLS share.
 
 use crate::configmem::RESULT_SLOTS;
 use crate::device::SmartDimmConfig;
@@ -48,13 +47,6 @@ impl AreaPowerReport {
     /// Dynamic power at full channel utilization (the paper: 4.78 W).
     pub fn full_dynamic_watts(&self) -> f64 {
         self.components.iter().map(|c| c.dynamic_watts).sum()
-    }
-
-    /// Dynamic power at the given DDR channel utilization (0.0–1.0) —
-    /// the paper's benchmarks average ~0.92 W below 30 % utilization.
-    pub fn dynamic_watts_at(&self, channel_utilization: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&channel_utilization));
-        self.full_dynamic_watts() * channel_utilization
     }
 
     /// Fraction of the FPGA consumed by the TLS DSA + its tables.
@@ -182,9 +174,6 @@ mod tests {
         let report = estimate(&SmartDimmConfig::default());
         let full = report.full_dynamic_watts();
         assert!((full - 4.78).abs() < 0.05, "full-rate power {full}");
-        // <30% utilization averages ~0.92W in the paper.
-        let avg = report.dynamic_watts_at(0.20);
-        assert!((0.7..1.2).contains(&avg), "avg power {avg}");
         let tls = report.tls_fpga_fraction();
         assert!((0.18..0.26).contains(&tls), "tls fraction {tls}");
     }
@@ -199,13 +188,6 @@ mod tests {
             .unwrap();
         // 8 MB scratchpad = 64 Mbit data + state.
         assert!(scratch.sram_bits > 64 * 1024 * 1024);
-    }
-
-    #[test]
-    fn power_scales_with_utilization() {
-        let report = estimate(&SmartDimmConfig::default());
-        assert_eq!(report.dynamic_watts_at(0.0), 0.0);
-        assert!(report.dynamic_watts_at(0.5) < report.dynamic_watts_at(1.0));
     }
 
     #[test]

@@ -1166,30 +1166,39 @@ mod tests {
 
     #[test]
     fn tls_multi_page_message() {
+        // A stream of 16 KB TLS records, the last one ending mid-block,
+        // back to back on one host.
         let mut h = host();
-        let pages = 4; // 16 KB TLS record
-        let src = h.alloc_pages(pages);
-        let dst = h.alloc_pages(pages);
-        let msg = ulp_compress::corpus::html(pages * 4096, 1);
-        h.mem_mut().store(src, &msg, 0);
-        let key = [1u8; 16];
-        let iv = [2u8; 12];
-        let handle = h
-            .comp_cpy_with_aad(
-                dst,
-                src,
-                msg.len(),
-                OffloadOp::TlsEncrypt { key, iv },
-                b"hdr#1",
-                false,
-                0,
-            )
-            .unwrap();
-        let ct = h.use_buffer(&handle);
-        let gcm = ulp_crypto::gcm::AesGcm::new_128(&key);
-        let (want, tag) = gcm.seal(&iv, b"hdr#1", &msg);
-        assert_eq!(ct, want);
-        assert_eq!(h.tag(&handle), Some(tag));
+        let pages = 4;
+        for (i, len) in [pages * 4096, pages * 4096 - 1].into_iter().enumerate() {
+            let src = h.alloc_pages(pages);
+            let dst = h.alloc_pages(pages);
+            let msg = ulp_compress::corpus::html(len, 1 + i as u64);
+            h.mem_mut().store(src, &msg, 0);
+            let key = [1u8; 16];
+            let iv = [2 + i as u8; 12];
+            let handle = h
+                .comp_cpy_with_aad(
+                    dst,
+                    src,
+                    msg.len(),
+                    OffloadOp::TlsEncrypt { key, iv },
+                    b"hdr#1",
+                    false,
+                    0,
+                )
+                .unwrap();
+            let ct = h.use_buffer(&handle);
+            let gcm = ulp_crypto::gcm::AesGcm::new_128(&key);
+            let (want, tag) = gcm.seal(&iv, b"hdr#1", &msg);
+            assert_eq!(ct, want, "record {i}");
+            assert_eq!(h.tag(&handle), Some(tag), "record {i}");
+        }
+        // The stack stayed healthy: no force recycles, no device errors.
+        assert_eq!(h.force_recycle_count(), 0);
+        let stats = h.device_stats();
+        assert_eq!(stats.alloc_failures, 0);
+        assert_eq!(stats.xlat_failures, 0);
     }
 
     #[test]

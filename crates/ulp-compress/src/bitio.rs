@@ -224,28 +224,6 @@ impl<'a> BitReader<'a> {
         Ok(v)
     }
 
-    /// Peeks up to `n` bits without consuming them; missing bits at the
-    /// end of input read as zero (standard for Huffman table lookup).
-    pub fn peek_bits(&mut self, n: u32) -> u32 {
-        self.refill();
-        (self.acc & ((1u64 << n) - 1)) as u32
-    }
-
-    /// Consumes `n` bits previously peeked.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::UnexpectedEof`] if fewer than `n` bits
-    /// remain.
-    pub fn consume(&mut self, n: u32) -> Result<(), DecodeError> {
-        if self.nbits < n {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        self.acc >>= n;
-        self.nbits -= n;
-        Ok(())
-    }
-
     /// Discards bits to the next byte boundary.
     pub fn align_byte(&mut self) {
         let drop = self.nbits % 8;
@@ -332,21 +310,6 @@ mod tests {
         let mut r = BitReader::new(&[0xFF]);
         assert_eq!(r.read_bits(8).unwrap(), 0xFF);
         assert_eq!(r.read_bits(1), Err(DecodeError::UnexpectedEof));
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut r = BitReader::new(&[0b0101_0101]);
-        assert_eq!(r.peek_bits(4), 0b0101);
-        assert_eq!(r.peek_bits(4), 0b0101);
-        r.consume(2).unwrap();
-        assert_eq!(r.read_bits(2).unwrap(), 0b01);
-    }
-
-    #[test]
-    fn peek_past_end_reads_zeros() {
-        let mut r = BitReader::new(&[0b1]);
-        assert_eq!(r.peek_bits(16), 1);
     }
 
     #[test]

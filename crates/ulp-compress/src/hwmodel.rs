@@ -206,13 +206,6 @@ impl HwCompressor {
         }
     }
 
-    /// Compresses an arbitrary message as a sequence of independent 4 KB
-    /// page streams (the §V-C software-stack contract: each page is
-    /// written to the TCP socket separately).
-    pub fn compress_message(&mut self, data: &[u8]) -> Vec<PageResult> {
-        data.chunks(PAGE).map(|p| self.compress_page(p)).collect()
-    }
-
     /// Best-effort banked-hash-table tokenizer for one page.
     ///
     /// Each cacheline is one cycle: every position with a 3-byte hash
@@ -500,19 +493,6 @@ mod tests {
         assert!(result.data.len() <= page.len() + 5);
         assert_eq!(decompress(&result.data).unwrap(), page);
         assert_eq!(dsa.stats().stored_fallbacks, 1);
-    }
-
-    #[test]
-    fn message_splits_into_pages() {
-        let msg = corpus::html(10_000, 7);
-        let mut dsa = HwCompressor::new(Default::default());
-        let pages = dsa.compress_message(&msg);
-        assert_eq!(pages.len(), 3); // 4096 + 4096 + 1808
-        let mut out = Vec::new();
-        for p in &pages {
-            out.extend(decompress(&p.data).unwrap());
-        }
-        assert_eq!(out, msg);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! class of table-typo bugs; the derivation itself is pinned by the
 //! FIPS-197 known-answer tests below.
 //!
-//! Only the forward cipher is needed by GCM (CTR mode), but the inverse
-//! cipher is provided for completeness and verified by round-trip tests.
+//! Only AES-128 and only the forward cipher: GCM is CTR mode, and every
+//! key in the program is 16 bytes (SmartDIMM's DSA takes a 128-bit key
+//! through Config Memory, §V-A).
 //!
 //! The forward cipher is table-driven: [`Aes::encrypt_block`] folds
 //! SubBytes, ShiftRows and MixColumns into four 256-entry "T-tables" of
@@ -68,20 +69,8 @@ const fn build_sbox() -> [u8; 256] {
     sbox
 }
 
-const fn build_inv_sbox(sbox: &[u8; 256]) -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[sbox[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-}
-
 /// The AES substitution box, derived at compile time.
 pub const SBOX: [u8; 256] = build_sbox();
-/// The inverse substitution box.
-pub const INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
 
 /// Builds the encryption T-tables. `TE[r][x]` is the MixColumns image,
 /// as a big-endian column word, of a column holding `SBOX[x]` in row `r`
@@ -108,36 +97,12 @@ const fn build_te() -> [[u32; 256]; 4] {
 /// The encryption T-tables (4 KB), derived at compile time.
 static TE: [[u32; 256]; 4] = build_te();
 
-/// Round keys of AES-256, the largest supported schedule.
-const MAX_ROUND_KEYS: usize = 14 + 1;
+/// AES-128 rounds; the schedule holds one more round key.
+const ROUNDS: usize = 10;
 
 const RCON: [u8; 11] = [
     0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
 ];
-
-/// AES key size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KeySize {
-    /// 128-bit key, 10 rounds.
-    Aes128,
-    /// 256-bit key, 14 rounds.
-    Aes256,
-}
-
-impl KeySize {
-    fn rounds(self) -> usize {
-        match self {
-            KeySize::Aes128 => 10,
-            KeySize::Aes256 => 14,
-        }
-    }
-    fn key_words(self) -> usize {
-        match self {
-            KeySize::Aes128 => 4,
-            KeySize::Aes256 => 8,
-        }
-    }
-}
 
 /// An expanded AES key (the "key schedule").
 ///
@@ -151,53 +116,30 @@ impl KeySize {
 /// use ulp_crypto::aes::Aes;
 /// let aes = Aes::new_128(&[0u8; 16]);
 /// let ct = aes.encrypt_block(&[0u8; 16]);
-/// assert_eq!(aes.decrypt_block(&ct), [0u8; 16]);
+/// assert_eq!(ct, aes.encrypt_block_bytewise(&[0u8; 16]));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes {
-    /// Round keys `0..=rounds`; entries beyond that stay zero.
-    round_keys: [[u8; 16]; MAX_ROUND_KEYS],
-    size: KeySize,
+    round_keys: [[u8; 16]; ROUNDS + 1],
 }
 
 impl Aes {
     /// Expands a 128-bit key.
     pub fn new_128(key: &[u8; 16]) -> Aes {
-        Aes::expand(key, KeySize::Aes128)
-    }
-
-    /// Expands a 256-bit key.
-    pub fn new_256(key: &[u8; 32]) -> Aes {
-        Aes::expand(key, KeySize::Aes256)
-    }
-
-    /// Expands a key of either supported size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` does not match `size`.
-    pub fn expand(key: &[u8], size: KeySize) -> Aes {
-        let nk = size.key_words();
-        assert_eq!(key.len(), nk * 4, "key length mismatch");
-        let total_words = 4 * (size.rounds() + 1);
-        let mut w = [[0u8; 4]; 4 * MAX_ROUND_KEYS];
+        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
         for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
             word.copy_from_slice(bytes);
         }
-        for i in nk..total_words {
+        for i in 4..w.len() {
             let mut temp = w[i - 1];
-            if i % nk == 0 {
+            if i % 4 == 0 {
                 temp.rotate_left(1);
                 for b in &mut temp {
                     *b = SBOX[*b as usize];
                 }
-                temp[0] ^= RCON[i / nk];
-            } else if nk > 6 && i % nk == 4 {
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
+                temp[0] ^= RCON[i / 4];
             }
-            let prev = w[i - nk];
+            let prev = w[i - 4];
             w[i] = [
                 prev[0] ^ temp[0],
                 prev[1] ^ temp[1],
@@ -205,37 +147,26 @@ impl Aes {
                 prev[3] ^ temp[3],
             ];
         }
-        let mut round_keys = [[0u8; 16]; MAX_ROUND_KEYS];
-        for (rk, words) in round_keys.iter_mut().zip(w[..total_words].chunks_exact(4)) {
+        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
+        for (rk, words) in round_keys.iter_mut().zip(w.chunks_exact(4)) {
             for (dst, word) in rk.chunks_exact_mut(4).zip(words) {
                 dst.copy_from_slice(word);
             }
         }
-        Aes { round_keys, size }
+        Aes { round_keys }
     }
 
-    /// The key size this schedule was expanded from.
-    pub fn key_size(&self) -> KeySize {
-        self.size
-    }
-
-    /// Number of rounds (10 for AES-128, 14 for AES-256).
-    pub fn rounds(&self) -> usize {
-        self.size.rounds()
-    }
-
-    /// The expanded round keys (rounds + 1 entries of 16 bytes).
+    /// The expanded round keys (11 entries of 16 bytes).
     pub fn round_keys(&self) -> &[[u8; 16]] {
-        &self.round_keys[..=self.rounds()]
+        &self.round_keys
     }
 
     /// Encrypts one 16-byte block with the T-tables: each inner round is
     /// 16 table lookups and XORs over four big-endian column words.
     /// Agrees bit-for-bit with [`Aes::encrypt_block_bytewise`].
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let nr = self.rounds();
         let mut s = xor_words(columns(block), columns(&self.round_keys[0]));
-        for rk in &self.round_keys[1..nr] {
+        for rk in &self.round_keys[1..ROUNDS] {
             let k = columns(rk);
             let t = |c: usize| {
                 TE[0][(s[c] >> 24) as usize]
@@ -247,7 +178,7 @@ impl Aes {
             s = [t(0), t(1), t(2), t(3)];
         }
         // Final round: SubBytes and ShiftRows only.
-        let k = columns(&self.round_keys[nr]);
+        let k = columns(&self.round_keys[ROUNDS]);
         let mut out = [0u8; 16];
         for (c, col) in out.chunks_exact_mut(4).enumerate() {
             let w = u32::from_be_bytes([
@@ -270,33 +201,15 @@ impl Aes {
     pub fn encrypt_block_bytewise(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut state = *block;
         add_round_key(&mut state, &self.round_keys[0]);
-        let nr = self.rounds();
-        for round in 1..nr {
+        for rk in &self.round_keys[1..ROUNDS] {
             sub_bytes(&mut state);
             shift_rows(&mut state);
             mix_columns(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
+            add_round_key(&mut state, rk);
         }
         sub_bytes(&mut state);
         shift_rows(&mut state);
-        add_round_key(&mut state, &self.round_keys[nr]);
-        state
-    }
-
-    /// Decrypts one 16-byte block.
-    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut state = *block;
-        let nr = self.rounds();
-        add_round_key(&mut state, &self.round_keys[nr]);
-        for round in (1..nr).rev() {
-            inv_shift_rows(&mut state);
-            inv_sub_bytes(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
-            inv_mix_columns(&mut state);
-        }
-        inv_shift_rows(&mut state);
-        inv_sub_bytes(&mut state);
-        add_round_key(&mut state, &self.round_keys[0]);
+        add_round_key(&mut state, &self.round_keys[ROUNDS]);
         state
     }
 }
@@ -337,12 +250,6 @@ fn sub_bytes(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
 /// Row `r` of the state is bytes `r, r+4, r+8, r+12`; ShiftRows rotates
 /// row `r` left by `r`.
 fn shift_rows(state: &mut [u8; 16]) {
@@ -350,15 +257,6 @@ fn shift_rows(state: &mut [u8; 16]) {
     for r in 1..4 {
         for c in 0..4 {
             state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-        }
-    }
-}
-
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
         }
     }
 }
@@ -375,33 +273,6 @@ fn mix_columns(state: &mut [u8; 16]) {
         state[4 * c + 1] = col[0] ^ gf256_mul(col[1], 2) ^ gf256_mul(col[2], 3) ^ col[3];
         state[4 * c + 2] = col[0] ^ col[1] ^ gf256_mul(col[2], 2) ^ gf256_mul(col[3], 3);
         state[4 * c + 3] = gf256_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf256_mul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] = gf256_mul(col[0], 14)
-            ^ gf256_mul(col[1], 11)
-            ^ gf256_mul(col[2], 13)
-            ^ gf256_mul(col[3], 9);
-        state[4 * c + 1] = gf256_mul(col[0], 9)
-            ^ gf256_mul(col[1], 14)
-            ^ gf256_mul(col[2], 11)
-            ^ gf256_mul(col[3], 13);
-        state[4 * c + 2] = gf256_mul(col[0], 13)
-            ^ gf256_mul(col[1], 9)
-            ^ gf256_mul(col[2], 14)
-            ^ gf256_mul(col[3], 11);
-        state[4 * c + 3] = gf256_mul(col[0], 11)
-            ^ gf256_mul(col[1], 13)
-            ^ gf256_mul(col[2], 9)
-            ^ gf256_mul(col[3], 14);
     }
 }
 
@@ -424,8 +295,6 @@ mod tests {
         assert_eq!(SBOX[0x01], 0x7c);
         assert_eq!(SBOX[0x53], 0xed);
         assert_eq!(SBOX[0xff], 0x16);
-        assert_eq!(INV_SBOX[0x63], 0x00);
-        assert_eq!(INV_SBOX[0xed], 0x53);
     }
 
     #[test]
@@ -445,31 +314,6 @@ mod tests {
         let ct = aes.encrypt_block(&pt);
         assert_eq!(ct.to_vec(), hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
         assert_eq!(aes.encrypt_block_bytewise(&pt), ct);
-        assert_eq!(aes.decrypt_block(&ct), pt);
-    }
-
-    #[test]
-    fn fips197_aes256_known_answer() {
-        let key: [u8; 32] = hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
-            .try_into()
-            .unwrap();
-        let pt: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        let aes = Aes::new_256(&key);
-        let ct = aes.encrypt_block(&pt);
-        assert_eq!(ct.to_vec(), hex("8ea2b7ca516745bfeafc49904b496089"));
-        assert_eq!(aes.encrypt_block_bytewise(&pt), ct);
-        assert_eq!(aes.decrypt_block(&ct), pt);
-    }
-
-    #[test]
-    fn key_schedule_lengths() {
-        let a128 = Aes::new_128(&[0u8; 16]);
-        assert_eq!(a128.round_keys().len(), 11);
-        assert_eq!(a128.rounds(), 10);
-        let a256 = Aes::new_256(&[0u8; 32]);
-        assert_eq!(a256.round_keys().len(), 15);
-        assert_eq!(a256.rounds(), 14);
-        assert_eq!(a256.key_size(), KeySize::Aes256);
     }
 
     #[test]
@@ -491,12 +335,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "key length mismatch")]
-    fn expand_rejects_wrong_length() {
-        let _ = Aes::expand(&[0u8; 15], KeySize::Aes128);
-    }
-
-    #[test]
     fn t_tables_match_sbox_and_mix_columns() {
         // Column (S[x], 0, 0, 0) through MixColumns is TE[0][x]; the
         // other rows are byte rotations of it.
@@ -512,47 +350,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shift_rows_round_trips() {
-        let mut s: [u8; 16] = (0..16u8).collect::<Vec<_>>().try_into().unwrap();
-        let orig = s;
-        shift_rows(&mut s);
-        assert_ne!(s, orig);
-        inv_shift_rows(&mut s);
-        assert_eq!(s, orig);
-    }
-
-    #[test]
-    fn mix_columns_round_trips() {
-        let mut s: [u8; 16] = (16..32u8).collect::<Vec<_>>().try_into().unwrap();
-        let orig = s;
-        mix_columns(&mut s);
-        inv_mix_columns(&mut s);
-        assert_eq!(s, orig);
-    }
-
     proptest! {
-        #[test]
-        fn prop_encrypt_decrypt_roundtrip_128(key: [u8; 16], pt: [u8; 16]) {
-            let aes = Aes::new_128(&key);
-            prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
-        }
-
-        #[test]
-        fn prop_encrypt_decrypt_roundtrip_256(key: [u8; 32], pt: [u8; 16]) {
-            let aes = Aes::new_256(&key);
-            prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
-        }
-
         #[test]
         fn prop_t_table_matches_bytewise_128(key: [u8; 16], pt: [u8; 16]) {
             let aes = Aes::new_128(&key);
-            prop_assert_eq!(aes.encrypt_block(&pt), aes.encrypt_block_bytewise(&pt));
-        }
-
-        #[test]
-        fn prop_t_table_matches_bytewise_256(key: [u8; 32], pt: [u8; 16]) {
-            let aes = Aes::new_256(&key);
             prop_assert_eq!(aes.encrypt_block(&pt), aes.encrypt_block_bytewise(&pt));
         }
 

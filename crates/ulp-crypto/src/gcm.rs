@@ -80,16 +80,7 @@ pub struct AesGcm {
 impl AesGcm {
     /// Creates a GCM instance from a 128-bit key.
     pub fn new_128(key: &[u8; 16]) -> AesGcm {
-        AesGcm::from_aes(Aes::new_128(key))
-    }
-
-    /// Creates a GCM instance from a 256-bit key.
-    pub fn new_256(key: &[u8; 32]) -> AesGcm {
-        AesGcm::from_aes(Aes::new_256(key))
-    }
-
-    /// Wraps an existing AES key schedule.
-    pub fn from_aes(aes: Aes) -> AesGcm {
+        let aes = Aes::new_128(key);
         let h = Gf128::from_bytes(&aes.encrypt_block(&[0u8; 16]));
         AesGcm {
             aes,
@@ -108,11 +99,6 @@ impl AesGcm {
     /// DSA; the final tag is `GHASH ⊕ EIV`.
     pub fn encrypted_iv(&self, iv: &[u8; IV_LEN]) -> [u8; 16] {
         self.aes.encrypt_block(&j0(iv))
-    }
-
-    /// Borrows the underlying AES key schedule.
-    pub fn aes(&self) -> &Aes {
-        &self.aes
     }
 
     /// Generates the CTR keystream for plaintext block `index` (0-based).

@@ -92,11 +92,6 @@ impl Gf128 {
         self.0.to_be_bytes()
     }
 
-    /// Whether this is the zero element.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Computes `self^n` by square-and-multiply (n ≥ 0; `x^0 == ONE`).
     pub fn pow(self, mut n: u64) -> Gf128 {
         let mut result = Gf128::ONE;
@@ -284,8 +279,6 @@ mod tests {
         assert_eq!(a * Gf128::ONE, a);
         assert_eq!(a * Gf128::ZERO, Gf128::ZERO);
         assert_eq!(a + Gf128::ZERO, a);
-        assert!(Gf128::ZERO.is_zero());
-        assert!(!a.is_zero());
     }
 
     #[test]

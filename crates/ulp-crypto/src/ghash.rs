@@ -72,11 +72,6 @@ impl HPowers {
         assert!(exp >= 1, "H^0 is not stored");
         self.powers[exp - 1]
     }
-
-    /// Largest precomputed exponent.
-    pub fn max_exp(&self) -> usize {
-        self.powers.len()
-    }
 }
 
 /// Textbook sequential GHASH.
@@ -103,12 +98,6 @@ impl Ghash {
     /// Absorbs one 16-byte block.
     pub fn update_block(&mut self, block: &[u8; 16]) {
         self.y = self.h.mul(self.y + Gf128::from_bytes(block));
-    }
-
-    /// Absorbs `data`, zero-padding the final partial block (as GCM does
-    /// between the AAD and ciphertext sections).
-    pub fn update_padded(&mut self, data: &[u8]) {
-        self.y = fold_padded(&self.h, self.y, data);
     }
 
     /// Returns the current hash value.
@@ -227,7 +216,6 @@ mod tests {
         let p = HPowers::new(h, 4);
         assert_eq!(p.get(1), h);
         assert_eq!(p.get(2), h * h);
-        assert_eq!(p.max_exp(), 4);
     }
 
     #[test]
@@ -242,18 +230,6 @@ mod tests {
         g.update_block(&[0u8; 16]);
         // (0 + 0) * H = 0
         assert_eq!(g.finalize(), [0u8; 16]);
-    }
-
-    #[test]
-    fn update_padded_pads_with_zeros() {
-        let h = h_fixture();
-        let mut a = Ghash::new(h);
-        a.update_padded(&[1, 2, 3]);
-        let mut b = Ghash::new(h);
-        let mut block = [0u8; 16];
-        block[..3].copy_from_slice(&[1, 2, 3]);
-        b.update_block(&block);
-        assert_eq!(a.finalize(), b.finalize());
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! `ulp-crypto` implements the cryptographic upper-layer protocol (ULP)
-//! stack that SmartDIMM offloads: AES, GHASH over GF(2^128), AES-GCM, and
-//! the TLS 1.3 record layer, plus SHA-256/HMAC/HKDF for key derivation.
+//! `ulp-crypto` implements the cryptography SmartDIMM's TLS DSA offloads:
+//! the AES-128 forward cipher, GHASH over GF(2^128) and AES-GCM. TLS
+//! record framing and the TLS traffic-key derivation stay in the host's
+//! software stack, which the simulator bills as cost constants. SHA-256
+//! is kept for the benchmark's snapshot digests.
 //!
 //! Everything is written from scratch (no external crypto crates) because
 //! the SmartDIMM DSA model in the `smartdimm` crate needs access to the
@@ -10,8 +12,8 @@
 //! buffer device.
 //!
 //! Functional correctness is anchored to published test vectors
-//! (FIPS-197 for AES, the McGrew–Viega GCM vectors, RFC 4231 for HMAC and
-//! RFC 5869 for HKDF) plus round-trip property tests.
+//! (FIPS-197 for AES, the McGrew–Viega GCM vectors, FIPS 180-4 for
+//! SHA-256) plus round-trip property tests.
 //!
 //! # Example
 //!
@@ -31,28 +33,18 @@ pub mod gcm;
 pub mod gf128;
 pub mod ghash;
 pub mod sha256;
-pub mod tls;
 
 /// Errors produced by this crate's fallible operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CryptoError {
     /// Authentication tag mismatch during AEAD open.
     TagMismatch,
-    /// A TLS record failed structural validation.
-    MalformedRecord,
-    /// A TLS record exceeded the maximum permitted payload size.
-    RecordTooLarge,
-    /// A record arrived with an unexpected sequence number.
-    SequenceMismatch,
 }
 
 impl std::fmt::Display for CryptoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CryptoError::TagMismatch => write!(f, "authentication tag mismatch"),
-            CryptoError::MalformedRecord => write!(f, "malformed TLS record"),
-            CryptoError::RecordTooLarge => write!(f, "TLS record exceeds maximum size"),
-            CryptoError::SequenceMismatch => write!(f, "unexpected record sequence number"),
         }
     }
 }

@@ -1,8 +1,8 @@
-//! SHA-256 (FIPS 180-4), HMAC (RFC 2104) and HKDF (RFC 5869).
+//! SHA-256 (FIPS 180-4), verified against the FIPS "abc", empty and
+//! two-block vectors.
 //!
-//! These supply the TLS 1.3 key schedule used by [`crate::tls`]. Verified
-//! against the FIPS "abc" vector, RFC 4231 HMAC vectors and the RFC 5869
-//! HKDF test case.
+//! The simulator itself never hashes; the benchmark fingerprints its
+//! telemetry snapshots with [`Sha256::digest`].
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -154,80 +154,6 @@ impl Sha256 {
     }
 }
 
-/// HMAC-SHA256 (RFC 2104).
-pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut k = [0u8; 64];
-    if key.len() > 64 {
-        k[..32].copy_from_slice(&Sha256::digest(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
-}
-
-/// HKDF-Extract (RFC 5869 §2.2).
-pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
-    hmac_sha256(salt, ikm)
-}
-
-/// HKDF-Expand (RFC 5869 §2.3).
-///
-/// # Panics
-///
-/// Panics if `out_len > 255 * 32` (the RFC limit).
-pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], out_len: usize) -> Vec<u8> {
-    assert!(out_len <= 255 * 32, "HKDF output length limit exceeded");
-    let mut out = Vec::with_capacity(out_len);
-    let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while out.len() < out_len {
-        let mut msg = t.clone();
-        msg.extend_from_slice(info);
-        msg.push(counter);
-        t = hmac_sha256(prk, &msg).to_vec();
-        let take = (out_len - out.len()).min(32);
-        out.extend_from_slice(&t[..take]);
-        counter += 1;
-    }
-    out
-}
-
-/// TLS 1.3 `HKDF-Expand-Label` (RFC 8446 §7.1).
-pub fn hkdf_expand_label(prk: &[u8; 32], label: &str, context: &[u8], out_len: usize) -> Vec<u8> {
-    let full_label = format!("tls13 {label}");
-    let mut info = Vec::with_capacity(4 + full_label.len() + context.len());
-    info.extend_from_slice(&(out_len as u16).to_be_bytes());
-    info.push(full_label.len() as u8);
-    info.extend_from_slice(full_label.as_bytes());
-    info.push(context.len() as u8);
-    info.extend_from_slice(context);
-    hkdf_expand(prk, &info, out_len)
-}
-
-/// `HKDF-Expand-Label` with a compile-time output size, for callers that
-/// need a fixed-width key or IV without a fallible slice conversion.
-pub fn hkdf_expand_label_arr<const N: usize>(
-    prk: &[u8; 32],
-    label: &str,
-    context: &[u8],
-) -> [u8; N] {
-    let v = hkdf_expand_label(prk, label, context, N);
-    let mut out = [0u8; N];
-    for (o, b) in out.iter_mut().zip(v) {
-        *o = b;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,64 +200,6 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "split {split}");
         }
-    }
-
-    #[test]
-    fn hmac_rfc4231_case_1() {
-        let key = [0x0b; 20];
-        assert_eq!(
-            hmac_sha256(&key, b"Hi There").to_vec(),
-            hex("b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7")
-        );
-    }
-
-    #[test]
-    fn hmac_rfc4231_case_2() {
-        assert_eq!(
-            hmac_sha256(b"Jefe", b"what do ya want for nothing?").to_vec(),
-            hex("5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843")
-        );
-    }
-
-    #[test]
-    fn hmac_long_key_is_hashed() {
-        let key = [0xaa; 131];
-        assert_eq!(
-            hmac_sha256(
-                &key,
-                b"Test Using Larger Than Block-Size Key - Hash Key First"
-            )
-            .to_vec(),
-            hex("60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54")
-        );
-    }
-
-    #[test]
-    fn hkdf_rfc5869_case_1() {
-        let ikm = [0x0b; 22];
-        let salt = hex("000102030405060708090a0b0c");
-        let info = hex("f0f1f2f3f4f5f6f7f8f9");
-        let prk = hkdf_extract(&salt, &ikm);
-        assert_eq!(
-            prk.to_vec(),
-            hex("077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5")
-        );
-        let okm = hkdf_expand(&prk, &info, 42);
-        assert_eq!(
-            okm,
-            hex("3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865")
-        );
-    }
-
-    #[test]
-    fn hkdf_expand_label_is_deterministic_and_distinct() {
-        let prk = [7u8; 32];
-        let a = hkdf_expand_label(&prk, "key", b"", 16);
-        let b = hkdf_expand_label(&prk, "iv", b"", 12);
-        assert_eq!(a.len(), 16);
-        assert_eq!(b.len(), 12);
-        assert_ne!(a[..12], b[..]);
-        assert_eq!(a, hkdf_expand_label(&prk, "key", b"", 16));
     }
 
     proptest! {

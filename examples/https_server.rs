@@ -1,46 +1,14 @@
 //! An HTTPS web-server scenario: compare the four accelerator placements
 //! of the paper on the same TLS workload and print a Fig. 11-style
-//! summary, then demonstrate the full TLS 1.3 record path end to end.
+//! summary.
 //!
 //! Run with: `cargo run --release --example https_server`
 
 use cache::CacheConfig;
-use netsim::http::{Request, Response};
 use platforms::{run_server, PlatformKind, UlpKind, WorkloadConfig};
-use ulp_crypto::tls::RecordLayer;
 
 fn main() {
-    // 1. A full HTTPS request/response over the TLS 1.3 record layer.
-    let secret = [0x33u8; 32];
-    let mut client_tx = RecordLayer::new(&secret);
-    let mut server_rx = RecordLayer::new(&secret);
-    let mut server_tx = RecordLayer::new(&secret);
-    let mut client_rx = RecordLayer::new(&secret);
-
-    let request = Request::get("/index.html").to_bytes();
-    let record = client_tx.encrypt(&request).expect("encrypt request");
-    let (_, plain) = server_rx.decrypt(&record).expect("decrypt request");
-    let parsed = Request::parse(&plain).expect("parse request");
-    println!("server received: {} {}", parsed.method, parsed.path);
-
-    let body = ulp_compress::corpus::html(4096, 1);
-    let response = Response::ok(body).to_bytes();
-    let mut received = Vec::new();
-    for rec in server_tx
-        .encrypt_stream(&response)
-        .expect("encrypt response")
-    {
-        let (_, part) = client_rx.decrypt(&rec).expect("decrypt response");
-        received.extend(part);
-    }
-    let resp = Response::parse(&received).expect("parse response");
-    println!(
-        "client received: HTTP {} ({} body bytes)\n",
-        resp.status,
-        resp.body.len()
-    );
-
-    // 2. The paper's comparison: where should the TLS work run?
+    // The paper's comparison: where should the TLS work run?
     let cfg = WorkloadConfig {
         message_bytes: 4096,
         connections: 512,
