@@ -24,6 +24,8 @@
 //! (`harness::paired_ns_per_op`), so drift on a shared host lands on
 //! both sides of each ratio.
 
+#![forbid(unsafe_code)]
+
 use bench::harness::{json_parses, paired_ns_per_op, report, row_field, BenchSpec, HotPath};
 use cache::CacheConfig;
 use dram::dimm::CellCoord;
@@ -38,9 +40,10 @@ use ulp_crypto::aes::Aes;
 use ulp_crypto::gcm::{AesGcm, Direction, OooGcm};
 use ulp_crypto::gf128::{Gf128, GfMulTable};
 use ulp_crypto::ghash::{HPowers, OooGhash};
+use ulp_crypto::Backend;
 
 /// The rows every report carries, in emission order.
-const HOT_PATHS: [&str; 9] = [
+const HOT_PATHS: [&str; 10] = [
     "gf128_mul",
     "compcpy_page_copy",
     "lz77_match_finder",
@@ -48,9 +51,20 @@ const HOT_PATHS: [&str; 9] = [
     "whole_sim_parallel",
     "aes_block",
     "ooo_gcm_offload",
+    "gcm_seal_page",
     "dimm_cell_store",
     "hw_compress_page",
 ];
+
+/// Picks the `after_impl` text for the backend `AesGcm::new_128` takes
+/// on this host, so a host without AES-NI and PCLMULQDQ does not report
+/// hardware kernels it never ran.
+fn on_backend(hardware: &'static str, portable: &'static str) -> &'static str {
+    match AesGcm::new_128(&[0; 16]).backend() {
+        Backend::Hardware => hardware,
+        Backend::Portable => portable,
+    }
+}
 
 fn bench_gf128(spec: BenchSpec, blocks: usize) -> HotPath {
     let mut rng = DetRng::new(0x9e3779b97f4a7c15);
@@ -72,7 +86,7 @@ fn bench_gf128(spec: BenchSpec, blocks: usize) -> HotPath {
             assert_ne!(y, Gf128::ZERO);
         },
         || {
-            let table = GfMulTable::new(h); // once per key, as in GHASH
+            let table = GfMulTable::new(h); // once per key, as in GHASH (just H on CLMUL)
             let mut y = Gf128::ZERO;
             for &b in &data {
                 y = table.mul(y + b);
@@ -83,7 +97,10 @@ fn bench_gf128(spec: BenchSpec, blocks: usize) -> HotPath {
     HotPath {
         name: "gf128_mul",
         before_impl: "Gf128::mul_bitwise (bit-at-a-time, SP 800-38D reference)",
-        after_impl: "GfMulTable (per-key 8-bit table, 16-step byte Horner)",
+        after_impl: on_backend(
+            "GfMulTable on PCLMULQDQ (reflected CLMUL, two-fold reduction, no table)",
+            "GfMulTable (per-key 8-bit table, 16-step byte Horner)",
+        ),
         work_units: format!(
             "GHASH fold over {blocks} blocks ({} KB)",
             blocks * 16 / 1024
@@ -294,7 +311,10 @@ fn bench_aes(spec: BenchSpec, blocks: usize) -> HotPath {
     HotPath {
         name: "aes_block",
         before_impl: "Aes::encrypt_block_bytewise (FIPS-197 rounds, gf256_mul MixColumns)",
-        after_impl: "Aes::encrypt_block (four compile-time 256-entry T-tables)",
+        after_impl: on_backend(
+            "Aes::encrypt_block on AES-NI (one aesenc per round)",
+            "Aes::encrypt_block (four compile-time 256-entry T-tables)",
+        ),
         work_units: format!("AES-128 encryption of {blocks} blocks ({} KB)", blocks / 64),
         timing,
         speed_claim: true,
@@ -313,8 +333,9 @@ fn bench_ooo_gcm(spec: BenchSpec, offloads: usize) -> HotPath {
 
     // Before: the per-block engine — a 258-entry `HPowers` fill at
     // registration and one `OooGhash::absorb` (a full multiply by that
-    // block's power) per 16 B block. Both sides share the T-table AES
-    // and the GF(2^128) primitives, so the ratio is the GHASH scheme's.
+    // block's power) per 16 B block. Both sides run on the detected
+    // backend's AES and GF(2^128) kernels, so the ratio is the GHASH
+    // scheme's.
     let per_block = || {
         let gcm = AesGcm::new_128(&key);
         let total = PAGE / 16 + 1;
@@ -362,11 +383,61 @@ fn bench_ooo_gcm(spec: BenchSpec, offloads: usize) -> HotPath {
     HotPath {
         name: "ooo_gcm_offload",
         before_impl: "per-block OooGhash over a 258-entry HPowers table (one multiply per block)",
-        after_impl: "OooGcm: per-line Horner by H, one multiply by a stride-4 power of H",
+        after_impl: on_backend(
+            "OooGcm on AES-NI + PCLMULQDQ: per-line Horner by H, one multiply by a stride-4 power",
+            "OooGcm: per-line Horner by H, one multiply by a stride-4 power of H",
+        ),
         work_units: format!(
             "{offloads} x (key setup + registration + 64 shuffled 64 B lines of a 4 KB page)"
         ),
         timing,
+        speed_claim: true,
+    }
+}
+
+fn bench_gcm_seal(spec: BenchSpec, pages: usize) -> HotPath {
+    // One op = the event harness's CPU-fallback unit, once per page: a
+    // fresh key (`AesGcm::new_128`) and a `seal` of one 4 KB page, on
+    // the portable tables vs the detected (hardware) backend.
+    const PAGE: usize = 4096;
+    let mut rng = DetRng::new(0x5EA1);
+    let corpus: Vec<([u8; 16], [u8; 12], Vec<u8>)> = (0..pages)
+        .map(|_| {
+            let (mut key, mut iv, mut page) = ([0u8; 16], [0u8; 12], vec![0u8; PAGE]);
+            rng.fill_bytes(&mut key);
+            rng.fill_bytes(&mut iv);
+            rng.fill_bytes(&mut page);
+            (key, iv, page)
+        })
+        .collect();
+    for (key, iv, page) in &corpus {
+        assert_eq!(
+            AesGcm::new_128_portable(key).seal(iv, b"", page),
+            AesGcm::new_128(key).seal(iv, b"", page),
+            "both backends must seal alike"
+        );
+    }
+    let seal_all = |setup: fn(&[u8; 16]) -> AesGcm| {
+        let corpus = &corpus;
+        move || {
+            for (key, iv, page) in corpus {
+                std::hint::black_box(setup(key).seal(iv, b"", page));
+            }
+        }
+    };
+    HotPath {
+        name: "gcm_seal_page",
+        before_impl: "AesGcm portable backend (T-table AES CTR, 8-bit Shoup GHASH table per key)",
+        after_impl: on_backend(
+            "AesGcm hardware backend (AES-NI 4-wide CTR, PCLMULQDQ GHASH, no tables)",
+            "AesGcm portable backend (no AES-NI/PCLMULQDQ on this host)",
+        ),
+        work_units: format!("{pages} x (AesGcm::new_128 + seal of a seeded 4 KB page)"),
+        timing: paired_ns_per_op(
+            spec,
+            seal_all(AesGcm::new_128_portable),
+            seal_all(AesGcm::new_128),
+        ),
         speed_claim: true,
     }
 }
@@ -562,6 +633,7 @@ fn main() -> ExitCode {
         bench_whole_sim_parallel(spec, sweep_scale.0, sweep_scale.1),
         bench_aes(spec, blocks),
         bench_ooo_gcm(spec, offloads.0),
+        bench_gcm_seal(spec, offloads.0),
         bench_dimm_cells(spec, offloads.1),
         bench_hw_compress(spec, hw_pages),
     ];

@@ -9,6 +9,8 @@
 //! The registry, the shapes and the deviation list live in
 //! `bench::figures`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -16,6 +16,8 @@
 //! shared by the `backend_differential` artifact and the
 //! `tests/backend_differential.rs` suite.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::PathBuf;
 

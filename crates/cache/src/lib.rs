@@ -31,6 +31,8 @@
 //! assert!(ev.hit);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dram::PhysAddr;
 
 /// A dirty line leaving the cache; the caller must write it to DRAM.

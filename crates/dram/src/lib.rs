@@ -28,6 +28,8 @@
 //! assert!(latency > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod backend;
 pub mod bank;

@@ -31,6 +31,8 @@
 //! assert_eq!(&buf, b"hello");
 //! ```
 
+#![forbid(unsafe_code)]
+
 use cache::{CacheConfig, Llc};
 use dram::{DramSystem, MemorySystemConfig, PhysAddr, CACHELINE};
 use simkit::{Cycle, DetRng};

@@ -15,5 +15,7 @@
 //! assert!(run.goodput_gbps() > 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ktls;
 pub mod tcp;

@@ -22,6 +22,8 @@
 //! connections with zipfian object popularity, connection churn, slow
 //! clients, and pressure-aware admission control on the offload path.
 
+#![forbid(unsafe_code)]
+
 pub mod corun;
 pub mod designspace;
 pub mod eventsim;

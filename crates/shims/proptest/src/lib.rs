@@ -12,6 +12,8 @@
 //! - Cases are derived deterministically from the test name and case index,
 //!   so every run (and every machine) explores the identical inputs.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     /// xoshiro256++ seeded via SplitMix64 — same construction simkit uses,
     /// reimplemented here so the shim has no dependencies.

@@ -36,6 +36,8 @@
 //! assert_eq!(q.pop(), None);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod events;
 pub mod fault;

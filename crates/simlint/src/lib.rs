@@ -12,6 +12,8 @@
 //! The library surface exists so the fixture tests can drive scans
 //! in-process; the CI entry point is the `simlint` binary.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod callgraph;
 pub mod context;

@@ -13,6 +13,8 @@
 //! AND no baseline entry is stale; 1 if any live finding or stale entry
 //! remains; 2 on usage errors.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

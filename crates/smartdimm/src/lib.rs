@@ -55,6 +55,8 @@
 //! assert_eq!(host.tag(&handle), Some(tag));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod areapower;
 pub mod banktable;
 pub mod compcpy;

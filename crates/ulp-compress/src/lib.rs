@@ -34,6 +34,8 @@
 //! assert_eq!(restored, data);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitio;
 pub mod corpus;
 pub mod deflate;

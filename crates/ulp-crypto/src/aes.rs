@@ -9,12 +9,18 @@
 //! key in the program is 16 bytes (SmartDIMM's DSA takes a 128-bit key
 //! through Config Memory, §V-A).
 //!
-//! The forward cipher is table-driven: [`Aes::encrypt_block`] folds
-//! SubBytes, ShiftRows and MixColumns into four 256-entry "T-tables" of
-//! 32-bit column images, derived at compile time from [`SBOX`] the same
-//! way `SBOX` itself is derived. The byte-oriented FIPS-197 rounds are
-//! kept as [`Aes::encrypt_block_bytewise`], the reference the T-table
-//! cipher is tested against.
+//! [`Aes::new_128`] picks the backend once per key (see [`crate::Backend`]).
+//! On the hardware backend [`Aes::encrypt_block`] and the CTR keystream
+//! run on AES-NI, four counter blocks in flight. The portable backend
+//! ([`Aes::new_128_portable`]) is table-driven: it folds SubBytes,
+//! ShiftRows and MixColumns into four 256-entry "T-tables" of 32-bit
+//! column images, derived at compile time from [`SBOX`] the same way
+//! `SBOX` itself is derived. Both backends share the scalar key
+//! expansion. The byte-oriented FIPS-197 rounds are kept as
+//! [`Aes::encrypt_block_bytewise`], the reference both ciphers are
+//! tested against.
+
+use crate::{Backend, Kernels};
 
 /// Multiplies two elements of GF(2^8) modulo the AES polynomial x^8+x^4+x^3+x+1.
 const fn gf256_mul(mut a: u8, mut b: u8) -> u8 {
@@ -117,15 +123,28 @@ const RCON: [u8; 11] = [
 /// let aes = Aes::new_128(&[0u8; 16]);
 /// let ct = aes.encrypt_block(&[0u8; 16]);
 /// assert_eq!(ct, aes.encrypt_block_bytewise(&[0u8; 16]));
+/// assert_eq!(ct, Aes::new_128_portable(&[0u8; 16]).encrypt_block(&[0u8; 16]));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes {
     round_keys: [[u8; 16]; ROUNDS + 1],
+    kernels: Kernels,
 }
 
 impl Aes {
-    /// Expands a 128-bit key.
+    /// Expands a 128-bit key, on the hardware backend if this host has
+    /// AES-NI and PCLMULQDQ, else on the portable one.
     pub fn new_128(key: &[u8; 16]) -> Aes {
+        Aes::with_kernels(key, Kernels::detect())
+    }
+
+    /// Expands a 128-bit key on the portable (T-table) backend, whatever
+    /// the host supports.
+    pub fn new_128_portable(key: &[u8; 16]) -> Aes {
+        Aes::with_kernels(key, Kernels::Portable)
+    }
+
+    fn with_kernels(key: &[u8; 16], kernels: Kernels) -> Aes {
         let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
         for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
             word.copy_from_slice(bytes);
@@ -153,7 +172,10 @@ impl Aes {
                 dst.copy_from_slice(word);
             }
         }
-        Aes { round_keys }
+        Aes {
+            round_keys,
+            kernels,
+        }
     }
 
     /// The expanded round keys (11 entries of 16 bytes).
@@ -161,10 +183,52 @@ impl Aes {
         &self.round_keys
     }
 
-    /// Encrypts one 16-byte block with the T-tables: each inner round is
-    /// 16 table lookups and XORs over four big-endian column words.
-    /// Agrees bit-for-bit with [`Aes::encrypt_block_bytewise`].
+    /// The backend this key was set up on.
+    pub fn backend(&self) -> Backend {
+        self.kernels.backend()
+    }
+
+    pub(crate) fn kernels(&self) -> Kernels {
+        self.kernels
+    }
+
+    /// Encrypts one 16-byte block: one AES-NI round per round key on the
+    /// hardware backend, T-table rounds on the portable one. Agrees
+    /// bit-for-bit with [`Aes::encrypt_block_bytewise`].
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+        match self.kernels {
+            Kernels::Portable => self.encrypt_block_ttable(block),
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Hardware(hw) => hw.encrypt_block(&self.round_keys, block),
+        }
+    }
+
+    /// XORs `data` with the CTR keystream whose first block encrypts
+    /// `iv ‖ counter`, the counter a 32-bit big-endian word that wraps
+    /// (GCM's `inc32`); a short last chunk uses a keystream prefix.
+    pub(crate) fn ctr32_xor(&self, iv: &[u8; 12], counter: u32, data: &mut [u8]) {
+        match self.kernels {
+            Kernels::Portable => {
+                let mut block = [0u8; 16];
+                block[..12].copy_from_slice(iv);
+                let mut counter = counter;
+                for chunk in data.chunks_mut(16) {
+                    block[12..].copy_from_slice(&counter.to_be_bytes());
+                    let ks = self.encrypt_block_ttable(&block);
+                    for (b, k) in chunk.iter_mut().zip(ks) {
+                        *b ^= k;
+                    }
+                    counter = counter.wrapping_add(1);
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Hardware(hw) => hw.ctr32_xor(&self.round_keys, iv, counter, data),
+        }
+    }
+
+    /// The T-table cipher: each inner round is 16 table lookups and XORs
+    /// over four big-endian column words.
+    fn encrypt_block_ttable(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut s = xor_words(columns(block), columns(&self.round_keys[0]));
         for rk in &self.round_keys[1..ROUNDS] {
             let k = columns(rk);
@@ -195,7 +259,7 @@ impl Aes {
     /// Encrypts one 16-byte block with the byte-oriented FIPS-197 rounds
     /// (SubBytes, ShiftRows, MixColumns by `gf256_mul`, AddRoundKey).
     ///
-    /// This is the reference the T-table [`Aes::encrypt_block`] is
+    /// This is the reference both backends of [`Aes::encrypt_block`] are
     /// validated against, and the "before" side of the `bench_hotpaths`
     /// AES measurement. Hot paths should use `encrypt_block`.
     pub fn encrypt_block_bytewise(&self, block: &[u8; 16]) -> [u8; 16] {
@@ -350,11 +414,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn new_128_takes_the_hardware_backend_exactly_when_the_host_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        let hardware = is_x86_feature_detected!("aes")
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware = false;
+        let want = if hardware {
+            Backend::Hardware
+        } else {
+            Backend::Portable
+        };
+        assert_eq!(Aes::new_128(&[0u8; 16]).backend(), want);
+        assert_eq!(
+            Aes::new_128_portable(&[0u8; 16]).backend(),
+            Backend::Portable
+        );
+    }
+
     proptest! {
         #[test]
-        fn prop_t_table_matches_bytewise_128(key: [u8; 16], pt: [u8; 16]) {
-            let aes = Aes::new_128(&key);
-            prop_assert_eq!(aes.encrypt_block(&pt), aes.encrypt_block_bytewise(&pt));
+        fn prop_both_backends_match_bytewise_128(key: [u8; 16], pt: [u8; 16]) {
+            let portable = Aes::new_128_portable(&key);
+            let detected = Aes::new_128(&key);
+            let want = portable.encrypt_block_bytewise(&pt);
+            prop_assert_eq!(portable.encrypt_block(&pt), want);
+            prop_assert_eq!(detected.encrypt_block(&pt), want);
+            prop_assert_eq!(detected.round_keys(), portable.round_keys());
         }
 
         #[test]

@@ -13,12 +13,17 @@
 //! Horner with the per-key `H` table and the fold is then multiplied
 //! once by `H^(C+1−b)`, `b` being the line's last block. Every full
 //! line takes that power from a table of `⌊C/4⌋` powers spaced `H^4`
-//! apart, filled at registration with a per-key `H^4` table (the
-//! paper's "strides of 4"); the short tail line always ends at block
+//! apart, filled at registration by multiplying by `H^4` (the paper's
+//! "strides of 4"); the short tail line always ends at block
 //! `C−1` and uses `H^2`. The length block uses `H^1`, and the AAD's own
-//! sequential GHASH is weighted by `H^(C+1)` through [`Gf128::pow`]. The
-//! per-block [`crate::ghash::HPowers`] / [`crate::ghash::OooGhash`] form
-//! stays as the test oracle.
+//! sequential GHASH is weighted by `H^(C+1)`. The per-block
+//! [`crate::ghash::HPowers`] / [`crate::ghash::OooGhash`] form stays as
+//! the test oracle.
+//!
+//! Both forms run every AES block and GF(2^128) product on the backend
+//! their key was set up on ([`AesGcm::new_128`] picks the hardware one
+//! where the host has it, [`AesGcm::new_128_portable`] the tables), so a
+//! hardware key builds no per-key table at all.
 //!
 //! Only 96-bit IVs are supported — the TLS 1.2/1.3 AEAD nonce size, and
 //! the only case where `J0` needs no GHASH (the paper's DSA relies on
@@ -27,7 +32,7 @@
 use crate::aes::Aes;
 use crate::gf128::{Gf128, GfMulTable};
 use crate::ghash::fold_padded;
-use crate::CryptoError;
+use crate::{Backend, CryptoError, Kernels};
 
 /// GCM tag length in bytes (full 128-bit tags only).
 pub const TAG_LEN: usize = 16;
@@ -40,13 +45,6 @@ fn j0(iv: &[u8; IV_LEN]) -> [u8; 16] {
     let mut block = [0u8; 16];
     block[..IV_LEN].copy_from_slice(iv);
     block[15] = 1;
-    block
-}
-
-fn ctr_block(iv: &[u8; IV_LEN], counter: u32) -> [u8; 16] {
-    let mut block = [0u8; 16];
-    block[..IV_LEN].copy_from_slice(iv);
-    block[12..].copy_from_slice(&counter.to_be_bytes());
     block
 }
 
@@ -73,20 +71,36 @@ fn length_block(aad_bits: u64, ct_bits: u64) -> [u8; 16] {
 pub struct AesGcm {
     aes: Aes,
     h: Gf128,
-    /// Per-key multiplication table for `H`.
+    /// Per-key multiplication by `H` (just `H` on the hardware backend).
     h_table: GfMulTable,
 }
 
 impl AesGcm {
-    /// Creates a GCM instance from a 128-bit key.
+    /// Creates a GCM instance from a 128-bit key, on the hardware
+    /// backend if this host has AES-NI and PCLMULQDQ.
     pub fn new_128(key: &[u8; 16]) -> AesGcm {
-        let aes = Aes::new_128(key);
+        AesGcm::from_aes(Aes::new_128(key))
+    }
+
+    /// Creates a GCM instance on the portable backend (T-table AES,
+    /// 8-bit Shoup GHASH table), whatever the host supports.
+    pub fn new_128_portable(key: &[u8; 16]) -> AesGcm {
+        AesGcm::from_aes(Aes::new_128_portable(key))
+    }
+
+    fn from_aes(aes: Aes) -> AesGcm {
         let h = Gf128::from_bytes(&aes.encrypt_block(&[0u8; 16]));
-        AesGcm {
-            aes,
-            h,
-            h_table: GfMulTable::new(h),
-        }
+        let h_table = GfMulTable::with_kernels(h, aes.kernels());
+        AesGcm { aes, h, h_table }
+    }
+
+    /// The backend this key was set up on.
+    pub fn backend(&self) -> Backend {
+        self.aes.backend()
+    }
+
+    fn kernels(&self) -> Kernels {
+        self.aes.kernels()
     }
 
     /// The hash subkey `H = E_K(0^128)` — the value the CPU writes into
@@ -108,7 +122,9 @@ impl AesGcm {
     /// Observation 4.
     pub fn keystream_block(&self, iv: &[u8; IV_LEN], index: u32) -> [u8; 16] {
         // Data counters start at 2: J0 has counter 1.
-        self.aes.encrypt_block(&ctr_block(iv, index + 2))
+        let mut block = [0u8; 16];
+        self.aes.ctr32_xor(iv, index.wrapping_add(2), &mut block);
+        block
     }
 
     /// XORs `data` (located at byte `offset` within the message) with the
@@ -120,13 +136,9 @@ impl AesGcm {
     /// not needed anywhere in the stack and would complicate the DSA).
     pub fn xor_keystream(&self, iv: &[u8; IV_LEN], offset: usize, data: &mut [u8]) {
         assert!(offset.is_multiple_of(16), "offset must be block aligned");
-        let first_block = (offset / 16) as u32;
-        for (block_index, chunk) in (first_block..).zip(data.chunks_mut(16)) {
-            let ks = self.keystream_block(iv, block_index);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-        }
+        // Data counters start at 2: J0 has counter 1.
+        let first_counter = ((offset / 16) as u32).wrapping_add(2);
+        self.aes.ctr32_xor(iv, first_counter, data);
     }
 
     /// Encrypts `plaintext` with associated data `aad`, returning the
@@ -289,7 +301,7 @@ impl OooGcm {
         let h3 = gcm.h_table.mul(h2);
         let h4 = gcm.h_table.mul(h3);
         let h5 = gcm.h_table.mul(h4);
-        let h4_table = GfMulTable::new(h4);
+        let h4_table = GfMulTable::with_kernels(h4, gcm.kernels());
         let mut line_powers = vec![Gf128::ZERO; ct_blocks / 4];
         let mut power = [h2, h3, h4, h5][ct_blocks % 4];
         for (k, slot) in line_powers.iter_mut().rev().enumerate() {
@@ -375,7 +387,7 @@ impl OooGcm {
             Some(&p) if blocks == 4 => p,
             _ => self.gcm.h_table.mul(self.gcm.h),
         };
-        self.acc = self.acc + fold * weight;
+        self.acc = self.acc + self.gcm.kernels().mul(fold, weight);
     }
 
     /// Whether every cacheline of the message has been processed. A
@@ -433,7 +445,8 @@ fn metadata_ghash(gcm: &AesGcm, aad: &[u8], msg_len: usize) -> Gf128 {
     let mut acc = gcm.h_table.mul(Gf128::from_bytes(&len_block));
     if !aad.is_empty() {
         let aad_ghash = fold_padded(&gcm.h_table, Gf128::ZERO, aad);
-        acc = acc + aad_ghash * gcm.h.pow(msg_len.div_ceil(16) as u64 + 1);
+        let k = gcm.kernels();
+        acc = acc + k.mul(aad_ghash, k.pow(gcm.h, msg_len.div_ceil(16) as u64 + 1));
     }
     acc
 }
@@ -478,6 +491,34 @@ mod tests {
     use crate::ghash::{HPowers, OooGhash};
     use proptest::prelude::*;
     use simkit::DetRng;
+
+    /// The same key on the detected backend (the hardware one where the
+    /// host has it) and on the portable one.
+    fn both_backends(key: &[u8; 16]) -> [AesGcm; 2] {
+        [AesGcm::new_128(key), AesGcm::new_128_portable(key)]
+    }
+
+    /// `data` XORed with the keystream from message byte `offset`, one
+    /// `encrypt_block_bytewise` per block with GCM's wrapping `inc32`.
+    fn bytewise_keystream_xor(
+        key: &[u8; 16],
+        iv: &[u8; 12],
+        offset: usize,
+        data: &[u8],
+    ) -> Vec<u8> {
+        let aes = Aes::new_128_portable(key);
+        let mut out = data.to_vec();
+        for (i, chunk) in out.chunks_mut(16).enumerate() {
+            let mut block = [0u8; 16];
+            block[..IV_LEN].copy_from_slice(iv);
+            let counter = (offset / 16 + i + 2) as u32;
+            block[12..].copy_from_slice(&counter.to_be_bytes());
+            for (b, k) in chunk.iter_mut().zip(aes.encrypt_block_bytewise(&block)) {
+                *b ^= k;
+            }
+        }
+        out
+    }
 
     fn padded(chunk: &[u8]) -> [u8; 16] {
         let mut block = [0u8; 16];
@@ -623,6 +664,40 @@ mod tests {
         let iv = [8u8; 12];
         let (ct, _) = gcm.seal(&iv, b"", &[0u8; 16]);
         assert_eq!(ct, gcm.keystream_block(&iv, 0).to_vec());
+    }
+
+    #[test]
+    fn keystream_backends_match_bytewise_for_every_short_shape() {
+        // Every tail of 1–15 bytes and every block count around the
+        // 4-wide groups, from offsets at and off a group boundary, and
+        // across the 32-bit counter wrap.
+        let key = [0xA7; 16];
+        let iv = [0x19; 12];
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 29 + 3) as u8).collect();
+        let wrap = (u32::MAX as usize - 4) * 16;
+        for offset in [0usize, 16, 48, 64, 1008, wrap] {
+            for len in 1..=data.len() {
+                let want = bytewise_keystream_xor(&key, &iv, offset, &data[..len]);
+                for gcm in both_backends(&key) {
+                    let mut got = data[..len].to_vec();
+                    gcm.xor_keystream(&iv, offset, &mut got);
+                    assert_eq!(got, want, "{:?} offset {offset} len {len}", gcm.backend());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_setup_builds_a_shoup_table_only_on_the_portable_backend() {
+        let [detected, portable] = both_backends(&[0x42; 16]);
+        assert_eq!(portable.backend(), Backend::Portable);
+        for gcm in [detected, portable] {
+            let want_table = gcm.backend() == Backend::Portable;
+            assert_eq!(
+                gcm.h_table == GfMulTable::new_portable(gcm.hash_subkey()),
+                want_table
+            );
+        }
     }
 
     #[test]
@@ -772,8 +847,7 @@ mod tests {
             let mut rng = DetRng::new(seed);
             let mut pt = vec![0u8; msg_len];
             rng.fill_bytes(&mut pt);
-            let gcm = AesGcm::new_128(&key);
-            let (ct, tag) = gcm.seal(&iv, &aad, &pt);
+            let (ct, tag) = AesGcm::new_128_portable(&key).seal(&iv, &aad, &pt);
             let mut lines: Vec<usize> = (0..msg_len.div_ceil(CACHELINE)).collect();
             rng.shuffle(&mut lines);
 
@@ -782,16 +856,20 @@ mod tests {
             } else {
                 (Direction::Encrypt, &pt, &ct)
             };
-            let mut dsa = OooGcm::new(gcm.clone(), iv, &aad, msg_len, direction);
-            let mut got = vec![0u8; msg_len];
-            feed(&mut dsa, input, &lines, &mut got);
-            prop_assert!(dsa.is_complete());
-            prop_assert_eq!(&got, want);
-            prop_assert_eq!(dsa.tag(), tag);
-            prop_assert_eq!(
-                dsa.partial_ghash(),
-                per_block_ghash(&gcm, &aad, &ct, &lines, true)
-            );
+            for gcm in both_backends(&key) {
+                prop_assert_eq!(gcm.seal(&iv, &aad, &pt), (ct.clone(), tag));
+                prop_assert_eq!(&gcm.open(&iv, &aad, &ct, &tag).unwrap(), &pt);
+                let mut dsa = OooGcm::new(gcm.clone(), iv, &aad, msg_len, direction);
+                let mut got = vec![0u8; msg_len];
+                feed(&mut dsa, input, &lines, &mut got);
+                prop_assert!(dsa.is_complete());
+                prop_assert_eq!(&got, want);
+                prop_assert_eq!(dsa.tag(), tag);
+                prop_assert_eq!(
+                    dsa.partial_ghash(),
+                    per_block_ghash(&gcm, &aad, &ct, &lines, true)
+                );
+            }
         }
 
         #[test]
@@ -805,36 +883,56 @@ mod tests {
             let mut rng = DetRng::new(seed);
             let mut pt = vec![0u8; msg_len];
             rng.fill_bytes(&mut pt);
-            let gcm = AesGcm::new_128(&key);
-            let (ct, tag) = gcm.seal(&iv, &aad, &pt);
+            let (ct, tag) = AesGcm::new_128_portable(&key).seal(&iv, &aad, &pt);
             for ways in [2usize, 4] {
-                // Fine interleave: line `l` goes to channel `l mod ways`,
-                // each channel's lines in its own random order.
-                let mut got = vec![0u8; msg_len];
-                let mut partials = Vec::new();
-                for channel in 0..ways {
-                    let mut lines: Vec<usize> = (channel..msg_len.div_ceil(CACHELINE))
-                        .step_by(ways)
-                        .collect();
-                    rng.shuffle(&mut lines);
-                    let mut dsa = OooGcm::with_metadata_policy(
-                        gcm.clone(), iv, &aad, msg_len, Direction::Encrypt, false,
-                    );
-                    feed(&mut dsa, &pt, &lines, &mut got);
-                    prop_assert!(!dsa.is_complete());
-                    prop_assert_eq!(
-                        dsa.partial_ghash(),
-                        per_block_ghash(&gcm, &aad, &ct, &lines, false)
-                    );
-                    partials.push(dsa.partial_ghash());
+                for gcm in both_backends(&key) {
+                    // Fine interleave: line `l` goes to channel `l mod ways`,
+                    // each channel's lines in its own random order.
+                    let mut got = vec![0u8; msg_len];
+                    let mut partials = Vec::new();
+                    for channel in 0..ways {
+                        let mut lines: Vec<usize> = (channel..msg_len.div_ceil(CACHELINE))
+                            .step_by(ways)
+                            .collect();
+                        rng.shuffle(&mut lines);
+                        let mut dsa = OooGcm::with_metadata_policy(
+                            gcm.clone(), iv, &aad, msg_len, Direction::Encrypt, false,
+                        );
+                        feed(&mut dsa, &pt, &lines, &mut got);
+                        prop_assert!(!dsa.is_complete());
+                        prop_assert_eq!(
+                            dsa.partial_ghash(),
+                            per_block_ghash(&gcm, &aad, &ct, &lines, false)
+                        );
+                        partials.push(dsa.partial_ghash());
+                    }
+                    prop_assert_eq!(&got, &ct);
+                    prop_assert_eq!(combine_partial_tags(&gcm, &iv, &aad, msg_len, &partials), tag);
                 }
-                prop_assert_eq!(&got, &ct);
-                prop_assert_eq!(combine_partial_tags(&gcm, &iv, &aad, msg_len, &partials), tag);
             }
         }
     }
 
     proptest! {
+        #[test]
+        fn prop_keystream_backends_match_bytewise(
+            key: [u8; 16],
+            iv: [u8; 12],
+            offset_blocks in 0usize..1024,
+            len in 1usize..=8192,
+            seed: u64,
+        ) {
+            let mut data = vec![0u8; len];
+            DetRng::new(seed).fill_bytes(&mut data);
+            let offset = offset_blocks * 16;
+            let want = bytewise_keystream_xor(&key, &iv, offset, &data);
+            for gcm in both_backends(&key) {
+                let mut got = data.clone();
+                gcm.xor_keystream(&iv, offset, &mut got);
+                prop_assert_eq!(&got, &want);
+            }
+        }
+
         #[test]
         fn prop_seal_open_roundtrip(
             key: [u8; 16],

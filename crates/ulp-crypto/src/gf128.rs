@@ -7,7 +7,13 @@
 //!
 //! [`Gf128`] is the element type used by GHASH and by the SmartDIMM TLS
 //! DSA's precomputed table of powers of `H` (§V-A).
+//!
+//! Products run on PCLMULQDQ when the host has it (the hardware
+//! [`crate::Backend`]) and on Shoup tables otherwise; a
+//! [`GfMulTable`] fixes its backend when it is built, and `*` checks the
+//! host per product. [`Gf128::mul_bitwise`] is the oracle for both.
 
+use crate::Kernels;
 use std::ops::{Add, Mul};
 
 /// Multiplies by `x` (one bit of polynomial degree): shift right in the
@@ -93,28 +99,17 @@ impl Gf128 {
     }
 
     /// Computes `self^n` by square-and-multiply (n ≥ 0; `x^0 == ONE`).
-    pub fn pow(self, mut n: u64) -> Gf128 {
-        let mut result = Gf128::ONE;
-        let mut base = self;
-        while n > 0 {
-            if n & 1 == 1 {
-                result = result * base;
-            }
-            n >>= 1;
-            if n > 0 {
-                base = base * base;
-            }
-        }
-        result
+    pub fn pow(self, n: u64) -> Gf128 {
+        Kernels::detect().pow(self, n)
     }
 
     /// Reference multiplication: the bit-at-a-time algorithm of NIST SP
     /// 800-38D §6.3, one conditional XOR per bit of `rhs`.
     ///
-    /// This is the oracle the table-driven [`GfMulTable`] (and the `Mul`
-    /// impl built on it) is validated against, and the "before" side of
-    /// the `bench_hotpaths` GHASH measurement. Hot paths should use `*`
-    /// or a per-key [`GfMulTable`] instead.
+    /// This is the oracle both backends of [`GfMulTable`] and `*` are
+    /// validated against, and the "before" side of the `bench_hotpaths`
+    /// GHASH measurement. Hot paths should use `*` or a per-key
+    /// [`GfMulTable`] instead.
     pub fn mul_bitwise(self, rhs: Gf128) -> Gf128 {
         const R: u128 = 0xE1 << 120;
         let mut z: u128 = 0;
@@ -134,15 +129,18 @@ impl Gf128 {
     }
 }
 
-/// Shoup-style 8-bit multiplication table for a fixed element `H`.
+/// Multiplication by a fixed element `H`, the GHASH hash subkey.
 ///
+/// On the hardware backend the table holds only `H`, and each product
+/// is one PCLMULQDQ multiply and reduction. On the portable backend
+/// ([`GfMulTable::new_portable`]) it is a Shoup-style 8-bit table:
 /// GHASH multiplies everything by the same hash subkey, so the table is
 /// built **once per key** (256 entries, 4 KB: every 8-bit polynomial
 /// times `H`) and each subsequent product costs 16 byte steps instead of
 /// the 128 conditional-XOR iterations of [`Gf128::mul_bitwise`] — the
 /// §V-A observation that the multiplier, not the data, is the loop
 /// invariant. Building it costs about as much as ten products, so
-/// one-off products of two varying elements (`*`) use a 16-entry 4-bit
+/// portable products of two varying elements (`*`) use a 16-entry 4-bit
 /// table built per call instead.
 ///
 /// # Example
@@ -153,45 +151,112 @@ impl Gf128 {
 /// let x = Gf128::from_bytes(&[0x77; 16]);
 /// let table = GfMulTable::new(h);
 /// assert_eq!(table.mul(x), x.mul_bitwise(h));
+/// assert_eq!(GfMulTable::new_portable(h).mul(x), x.mul_bitwise(h));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GfMulTable {
+    kernel: TableKernel,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum TableKernel {
     /// `m[i]` = (the degree-≤7 polynomial spelled by byte `i`) · H,
     /// where bit `j` of `i` carries the coefficient of `x^(7-j)`.
-    m: Box<[u128; 256]>,
+    Shoup(Box<[u128; 256]>),
+    /// `H` itself, multiplied in on PCLMULQDQ.
+    #[cfg(target_arch = "x86_64")]
+    Clmul(crate::hw::Hw, u128),
 }
 
 impl GfMulTable {
-    /// Builds the 256-entry table for multiplication by `h`.
+    /// Sets up multiplication by `h` on the hardware backend if this
+    /// host has PCLMULQDQ, else builds the portable 256-entry table.
     pub fn new(h: Gf128) -> GfMulTable {
-        let mut m = Box::new([0u128; 256]);
-        // Single-bit entries by repeated ·x, composites by linearity.
-        let mut v = h.0;
-        for bit in [0x80usize, 0x40, 0x20, 0x10, 8, 4, 2, 1] {
-            m[bit] = v;
-            v = mulx(v);
-        }
-        for top in [2usize, 4, 8, 16, 32, 64, 128] {
-            for low in 1..top {
-                m[top | low] = m[top] ^ m[low];
-            }
-        }
-        GfMulTable { m }
+        GfMulTable::with_kernels(h, Kernels::detect())
     }
 
-    /// Computes `x · H` with the precomputed table.
+    /// Builds the portable 256-entry table for multiplication by `h`,
+    /// whatever the host supports.
+    pub fn new_portable(h: Gf128) -> GfMulTable {
+        GfMulTable::with_kernels(h, Kernels::Portable)
+    }
+
+    pub(crate) fn with_kernels(h: Gf128, kernels: Kernels) -> GfMulTable {
+        let kernel = match kernels {
+            Kernels::Portable => TableKernel::Shoup(shoup_table(h)),
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Hardware(hw) => TableKernel::Clmul(hw, h.0),
+        };
+        GfMulTable { kernel }
+    }
+
+    /// Computes `x · H`.
     #[inline]
     pub fn mul(&self, x: Gf128) -> Gf128 {
-        // Horner over the 16 bytes of x, least-significant (highest
-        // polynomial degree) first: z ← z·x^8 + byte·H.
-        let x = x.0;
-        let mut z = self.m[(x & 0xFF) as usize];
-        for n in 1..16 {
-            z = (z >> 8)
-                ^ ((R8[(z & 0xFF) as usize] as u128) << 112)
-                ^ self.m[((x >> (8 * n)) & 0xFF) as usize];
+        match &self.kernel {
+            TableKernel::Shoup(m) => shoup_mul(m, x),
+            #[cfg(target_arch = "x86_64")]
+            TableKernel::Clmul(hw, h) => Gf128(hw.gf_mul(x.0, *h)),
         }
-        Gf128(z)
+    }
+}
+
+/// The 8-bit Shoup table of `h`: single-bit entries by repeated ·x,
+/// composites by linearity.
+fn shoup_table(h: Gf128) -> Box<[u128; 256]> {
+    let mut m = Box::new([0u128; 256]);
+    let mut v = h.0;
+    for bit in [0x80usize, 0x40, 0x20, 0x10, 8, 4, 2, 1] {
+        m[bit] = v;
+        v = mulx(v);
+    }
+    for top in [2usize, 4, 8, 16, 32, 64, 128] {
+        for low in 1..top {
+            m[top | low] = m[top] ^ m[low];
+        }
+    }
+    m
+}
+
+#[inline]
+fn shoup_mul(m: &[u128; 256], x: Gf128) -> Gf128 {
+    // Horner over the 16 bytes of x, least-significant (highest
+    // polynomial degree) first: z ← z·x^8 + byte·H.
+    let x = x.0;
+    let mut z = m[(x & 0xFF) as usize];
+    for n in 1..16 {
+        z = (z >> 8)
+            ^ ((R8[(z & 0xFF) as usize] as u128) << 112)
+            ^ m[((x >> (8 * n)) & 0xFF) as usize];
+    }
+    Gf128(z)
+}
+
+impl Kernels {
+    /// `a · b` for two varying elements.
+    #[inline]
+    pub(crate) fn mul(self, a: Gf128, b: Gf128) -> Gf128 {
+        match self {
+            Kernels::Portable => NibbleTable::new(a).mul(b),
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Hardware(hw) => Gf128(hw.gf_mul(a.0, b.0)),
+        }
+    }
+
+    /// `x^n` by square-and-multiply (`x^0 == ONE`).
+    pub(crate) fn pow(self, x: Gf128, mut n: u64) -> Gf128 {
+        let mut result = Gf128::ONE;
+        let mut base = x;
+        while n > 0 {
+            if n & 1 == 1 {
+                result = self.mul(result, base);
+            }
+            n >>= 1;
+            if n > 0 {
+                base = self.mul(base, base);
+            }
+        }
+        result
     }
 }
 
@@ -250,13 +315,14 @@ impl Add for Gf128 {
 
 impl Mul for Gf128 {
     type Output = Gf128;
-    /// Carry-less multiplication with on-the-fly reduction via a 4-bit
-    /// window table built per call (cheap: 3 shifts + 11 XORs). Both
-    /// operands may vary — the out-of-order GHASH multiplies each line
-    /// by a *different* power of `H`, so no per-key table applies there.
-    /// Agrees bit-for-bit with [`Gf128::mul_bitwise`].
+    /// The product of two varying elements — the out-of-order GHASH
+    /// multiplies each line by a *different* power of `H`, so no per-key
+    /// table applies there. On a host with PCLMULQDQ it is one carry-less
+    /// multiply and reduction; otherwise a 4-bit window table is built
+    /// per call (cheap: 3 shifts + 11 XORs). Agrees bit-for-bit with
+    /// [`Gf128::mul_bitwise`].
     fn mul(self, rhs: Gf128) -> Gf128 {
-        NibbleTable::new(self).mul(rhs)
+        Kernels::detect().mul(self, rhs)
     }
 }
 
@@ -331,7 +397,62 @@ mod tests {
         assert_eq!(table.mul(h), h.mul_bitwise(h));
     }
 
+    /// Every multiplier agrees with the bitwise oracle on `a · b`: the
+    /// detected backend (CLMUL where the host has it) through `*` and a
+    /// per-key table, the portable 8-bit table and the portable 4-bit
+    /// `*` kernel.
+    fn assert_all_products_agree(a: Gf128, b: Gf128) {
+        let want = a.mul_bitwise(b);
+        assert_eq!(a * b, want, "{a:?} * {b:?}");
+        assert_eq!(GfMulTable::new(b).mul(a), want);
+        assert_eq!(GfMulTable::new_portable(b).mul(a), want);
+        assert_eq!(Kernels::Portable.mul(a, b), want);
+    }
+
+    #[test]
+    fn every_backend_matches_bitwise_on_edge_operands() {
+        // Zero, x^0, all ones, the lone top coefficient x^127 (whose
+        // square x^254 needs both reduction folds), the qword boundary
+        // x^63 / x^64, and x^121..x^127, the terms the first fold spills.
+        let edges = [
+            Gf128::ZERO,
+            Gf128::ONE,
+            Gf128(u128::MAX),
+            Gf128(1),
+            Gf128(1 << 63),
+            Gf128(1 << 64),
+            Gf128(0x7F),
+        ];
+        for &a in &edges {
+            for &b in &edges {
+                assert_all_products_agree(a, b);
+            }
+        }
+        let x127 = Gf128(1);
+        assert_eq!(x127 * x127, x127.mul_bitwise(x127));
+        assert_ne!(x127 * x127, Gf128::ZERO);
+    }
+
+    #[test]
+    fn hardware_table_holds_only_h() {
+        let h = Gf128::from_bytes(&hex16("66e94bd4ef8a2c3b884cfa59ca342b2e"));
+        match GfMulTable::new(h).kernel {
+            TableKernel::Shoup(_) => assert_eq!(Kernels::detect(), Kernels::Portable),
+            #[cfg(target_arch = "x86_64")]
+            TableKernel::Clmul(_, stored) => assert_eq!(stored, h.0),
+        }
+        assert!(matches!(
+            GfMulTable::new_portable(h).kernel,
+            TableKernel::Shoup(_)
+        ));
+    }
+
     proptest! {
+        #[test]
+        fn prop_every_backend_matches_bitwise(a: [u8; 16], b: [u8; 16]) {
+            assert_all_products_agree(Gf128::from_bytes(&a), Gf128::from_bytes(&b));
+        }
+
         #[test]
         fn prop_mul_commutative(a: [u8; 16], b: [u8; 16]) {
             let x = Gf128::from_bytes(&a);
@@ -359,15 +480,6 @@ mod tests {
         fn prop_add_self_inverse(a: [u8; 16]) {
             let x = Gf128::from_bytes(&a);
             prop_assert_eq!(x + x, Gf128::ZERO);
-        }
-
-        #[test]
-        fn prop_table_and_mul_match_bitwise(a: [u8; 16], b: [u8; 16]) {
-            let x = Gf128::from_bytes(&a);
-            let y = Gf128::from_bytes(&b);
-            let expected = x.mul_bitwise(y);
-            prop_assert_eq!(x * y, expected);
-            prop_assert_eq!(GfMulTable::new(y).mul(x), expected);
         }
     }
 }

@@ -10,6 +10,9 @@
 //!   the plaintext.
 //! * **Tag failure**: `open` with any corrupted tag byte must return
 //!   `TagMismatch` and release no plaintext.
+//!
+//! Every check runs on both backends: the hardware one where the host
+//! has AES-NI and PCLMULQDQ, and the portable tables.
 
 use ulp_crypto::gcm::AesGcm;
 use ulp_crypto::CryptoError;
@@ -79,14 +82,18 @@ fn hex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-fn cipher_for(key: &str) -> AesGcm {
-    AesGcm::new_128(&hex(key).try_into().unwrap())
+/// Every vector with its key set up on both backends: the detected one
+/// (AES-NI and PCLMULQDQ where the host has them) and the portable one.
+fn cases() -> impl Iterator<Item = (&'static Kat, AesGcm)> {
+    KATS.iter().flat_map(|kat| {
+        let key = hex(kat.key).try_into().unwrap();
+        [AesGcm::new_128(&key), AesGcm::new_128_portable(&key)].map(|gcm| (kat, gcm))
+    })
 }
 
 #[test]
 fn cavp_encrypt_vectors() {
-    for kat in KATS {
-        let gcm = cipher_for(kat.key);
+    for (kat, gcm) in cases() {
         let iv: [u8; 12] = hex(kat.iv).try_into().unwrap();
         let (ct, tag) = gcm.seal(&iv, &hex(kat.aad), &hex(kat.pt));
         assert_eq!(ct, hex(kat.ct), "{}: ciphertext", kat.name);
@@ -96,8 +103,7 @@ fn cavp_encrypt_vectors() {
 
 #[test]
 fn cavp_decrypt_vectors() {
-    for kat in KATS {
-        let gcm = cipher_for(kat.key);
+    for (kat, gcm) in cases() {
         let iv: [u8; 12] = hex(kat.iv).try_into().unwrap();
         let tag: [u8; 16] = hex(kat.tag).try_into().unwrap();
         let pt = gcm
@@ -109,8 +115,7 @@ fn cavp_decrypt_vectors() {
 
 #[test]
 fn cavp_tag_failure_vectors() {
-    for kat in KATS {
-        let gcm = cipher_for(kat.key);
+    for (kat, gcm) in cases() {
         let iv: [u8; 12] = hex(kat.iv).try_into().unwrap();
         let tag: [u8; 16] = hex(kat.tag).try_into().unwrap();
         for byte in 0..16 {
@@ -130,8 +135,7 @@ fn cavp_tag_failure_vectors() {
 fn cavp_aad_binding() {
     // Tampering with the AAD must invalidate the tag even though the
     // AAD is never encrypted.
-    for kat in KATS.iter().filter(|k| !k.aad.is_empty()) {
-        let gcm = cipher_for(kat.key);
+    for (kat, gcm) in cases().filter(|(kat, _)| !kat.aad.is_empty()) {
         let iv: [u8; 12] = hex(kat.iv).try_into().unwrap();
         let tag: [u8; 16] = hex(kat.tag).try_into().unwrap();
         let mut aad = hex(kat.aad);

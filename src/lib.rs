@@ -19,6 +19,8 @@
 //! assert!(ulp_compress::inflate::decompress(&compressed).is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// One-stop imports for examples and integration tests.
 pub mod prelude {
     pub use platforms::{run_server, PlatformKind, ServerMetrics, UlpKind, WorkloadConfig};

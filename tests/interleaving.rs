@@ -8,75 +8,42 @@
 //! metadata contribution and EIV. Non-size-preserving ULPs must be mapped
 //! to a single channel and are rejected otherwise.
 
-use dram::DramTopology;
-use smartdimm::{CompCpyError, CompCpyHost, HostConfig, OffloadOp};
+mod common;
+
+use common::{host_with, tls_round_trip};
+use smartdimm::{CompCpyError, OffloadOp};
 use ulp_crypto::gcm::AesGcm;
 
-fn host_with(channels: usize, interleave: usize) -> CompCpyHost {
-    let mut cfg = HostConfig::default();
-    cfg.mem.dram.topology = DramTopology {
-        channels,
-        channel_interleave_lines: interleave,
-        ..DramTopology::default()
-    };
-    CompCpyHost::new(cfg)
-}
-
-fn tls_round_trip(host: &mut CompCpyHost, size: usize, aad: &[u8], seed: u64) {
-    let pages = size.div_ceil(4096);
-    let src = host.alloc_pages(pages);
-    let dst = host.alloc_pages(pages);
-    let msg = ulp_compress::corpus::html(size, seed);
-    host.mem_mut().store(src, &msg, 0);
-    let key = [0x77u8; 16];
-    let iv = [seed as u8; 12];
-    let handle = host
-        .comp_cpy_with_aad(
-            dst,
-            src,
-            size,
-            OffloadOp::TlsEncrypt { key, iv },
-            aad,
-            false,
-            0,
-        )
-        .expect("offload accepted");
-    let ct = host.use_buffer(&handle);
-    let tag = host.tag(&handle).expect("combined tag available");
-
-    let gcm = AesGcm::new_128(&key);
-    let (want_ct, want_tag) = gcm.seal(&iv, aad, &msg);
-    assert_eq!(ct, want_ct, "ciphertext ({size}B, seed {seed})");
-    assert_eq!(tag, want_tag, "tag ({size}B, seed {seed})");
-}
+/// The key every `tls_round_trip` here encrypts under.
+const KEY: [u8; 16] = [0x77; 16];
 
 #[test]
 fn two_channels_line_interleaved_tls() {
     let mut host = host_with(2, 1);
     assert_eq!(host.channels(), 2);
-    tls_round_trip(&mut host, 4096, b"", 1);
-    tls_round_trip(&mut host, 16384, b"hdr#2", 2);
+    tls_round_trip(&mut host, KEY, 4096, b"", 1);
+    tls_round_trip(&mut host, KEY, 16384, b"hdr#2", 2);
 }
 
 #[test]
 fn two_channels_coarser_interleave() {
     // 4 consecutive cachelines per channel (§V-D's upper end).
     let mut host = host_with(2, 4);
-    tls_round_trip(&mut host, 4096, b"", 3);
-    tls_round_trip(&mut host, 8192, b"aad", 4);
+    tls_round_trip(&mut host, KEY, 4096, b"", 3);
+    tls_round_trip(&mut host, KEY, 8192, b"aad", 4);
 }
 
 #[test]
 fn four_channels_tls() {
     let mut host = host_with(4, 1);
-    tls_round_trip(&mut host, 4096, b"", 5);
-    tls_round_trip(&mut host, 12288, b"hd", 6);
+    tls_round_trip(&mut host, KEY, 4096, b"", 5);
+    tls_round_trip(&mut host, KEY, 12288, b"hd", 6);
 }
 
 #[test]
 fn both_devices_participate() {
     let mut host = host_with(2, 1);
-    tls_round_trip(&mut host, 4096, b"", 7);
+    tls_round_trip(&mut host, KEY, 4096, b"", 7);
     for c in 0..2 {
         let stats = host.device_on(c).stats();
         assert!(
@@ -125,7 +92,7 @@ fn compression_rejected_on_interleaved_channels() {
         Err(CompCpyError::SingleChannelOnly)
     );
     // TLS on the same host still works.
-    tls_round_trip(&mut host, 4096, b"", 9);
+    tls_round_trip(&mut host, KEY, 4096, b"", 9);
 }
 
 #[test]

@@ -11,54 +11,18 @@
 //! once the device completes. Every path must stay byte-exact against
 //! the software golden path and deterministic across same-seed runs.
 
-use dram::DramTopology;
+mod common;
+
+use common::{config_with, host_with, tls_round_trip};
 use simkit::telemetry::Registry;
 use simkit::FaultPlan;
-use smartdimm::{CompCpyHost, FaultOracle, HostConfig, OffloadOp};
-use ulp_crypto::gcm::AesGcm;
+use smartdimm::{FaultOracle, OffloadOp};
 
 /// 64 lines per channel: page-granular (coarse) channel rotation.
 const COARSE: usize = 64;
 
-fn host_with(channels: usize, interleave: usize) -> CompCpyHost {
-    let mut cfg = HostConfig::default();
-    cfg.mem.dram.topology = DramTopology {
-        channels,
-        channel_interleave_lines: interleave,
-        ..DramTopology::default()
-    };
-    CompCpyHost::new(cfg)
-}
-
-/// Encrypts `size` bytes and checks ciphertext + tag against software
-/// AES-GCM. Returns how many offloads the host bounced so far.
-fn tls_round_trip(host: &mut CompCpyHost, size: usize, aad: &[u8], seed: u64) -> u64 {
-    let pages = size.div_ceil(4096);
-    let src = host.alloc_pages(pages);
-    let dst = host.alloc_pages(pages);
-    let msg = ulp_compress::corpus::html(size, seed);
-    host.mem_mut().store(src, &msg, 0);
-    let key = [0x2Au8; 16];
-    let iv = [seed as u8; 12];
-    let handle = host
-        .comp_cpy_with_aad(
-            dst,
-            src,
-            size,
-            OffloadOp::TlsEncrypt { key, iv },
-            aad,
-            false,
-            0,
-        )
-        .expect("offload accepted");
-    let ct = host.use_buffer(&handle);
-    let tag = host.tag(&handle).expect("tag available");
-    let gcm = AesGcm::new_128(&key);
-    let (want_ct, want_tag) = gcm.seal(&iv, aad, &msg);
-    assert_eq!(ct, want_ct, "ciphertext ({size}B, seed {seed})");
-    assert_eq!(tag, want_tag, "tag ({size}B, seed {seed})");
-    host.bounced_offload_count()
-}
+/// The key every `tls_round_trip` here encrypts under.
+const KEY: [u8; 16] = [0x2A; 16];
 
 #[test]
 fn cross_channel_tls_two_channels_coarse() {
@@ -66,7 +30,7 @@ fn cross_channel_tls_two_channels_coarse() {
     // alternating channels, so sbuf and dbuf are guaranteed to sit on
     // *different* SmartDIMMs.
     let mut host = host_with(2, COARSE);
-    let bounced = tls_round_trip(&mut host, 4096, b"hdr#1", 1);
+    let bounced = tls_round_trip(&mut host, KEY, 4096, b"hdr#1", 1);
     assert!(bounced >= 1, "cross-channel pair must take the bounce path");
 }
 
@@ -76,8 +40,8 @@ fn cross_channel_tls_multi_page() {
     // pages start at an odd page offset, so every page pair is
     // phase-mismatched. The partial engines on both shards must combine.
     let mut host = host_with(2, COARSE);
-    tls_round_trip(&mut host, 3 * 4096, b"hdr#3", 2);
-    tls_round_trip(&mut host, 2 * 4096 + 100, b"", 3);
+    tls_round_trip(&mut host, KEY, 3 * 4096, b"hdr#3", 2);
+    tls_round_trip(&mut host, KEY, 2 * 4096 + 100, b"", 3);
 }
 
 #[test]
@@ -89,9 +53,9 @@ fn cross_channel_tls_four_channels() {
         let mut host = host_with(channels, COARSE);
         let mut bounced = 0;
         for seed in 0..channels as u64 {
-            bounced = tls_round_trip(&mut host, 4096, b"hd", 10 + seed);
+            bounced = tls_round_trip(&mut host, KEY, 4096, b"hd", 10 + seed);
         }
-        tls_round_trip(&mut host, 1024, b"hd", 9);
+        tls_round_trip(&mut host, KEY, 1024, b"hd", 9);
         assert!(bounced >= 1, "some pair must have crossed channels");
         // Repeated single-page offloads rotate through the channels.
         let active = (0..channels)
@@ -163,12 +127,7 @@ fn cross_channel_offloads_under_fault_injection() {
     let mut fallbacks = 0;
     for seed in 0..12u64 {
         let plan = FaultPlan::generate(seed, 4);
-        let mut cfg = HostConfig::default();
-        cfg.mem.dram.topology = DramTopology {
-            channels: 2,
-            channel_interleave_lines: COARSE,
-            ..DramTopology::default()
-        };
+        let mut cfg = config_with(2, COARSE);
         cfg.dimm.scratchpad_pages = 16;
         cfg.dimm.xlat_entries = 64;
         cfg.dimm.cam_entries = 4;
@@ -214,13 +173,8 @@ fn cross_channel_fault_recovery_on_the_fast_backend() {
     let mut fallbacks = 0;
     for seed in 0..12u64 {
         let plan = FaultPlan::generate(seed, 4);
-        let mut cfg = HostConfig::default();
+        let mut cfg = config_with(2, COARSE);
         cfg.mem.backend = memsys::BackendKind::FastQueue;
-        cfg.mem.dram.topology = DramTopology {
-            channels: 2,
-            channel_interleave_lines: COARSE,
-            ..DramTopology::default()
-        };
         cfg.dimm.scratchpad_pages = 16;
         cfg.dimm.xlat_entries = 64;
         cfg.dimm.cam_entries = 4;
@@ -260,7 +214,7 @@ fn channel_snapshot(channels: usize, interleave: usize) -> String {
     let mut host = host_with(channels, interleave);
     for seed in 0..6u64 {
         let size = 2048 + (seed * 1777) as usize % 6000;
-        tls_round_trip(&mut host, size, b"det", 40 + seed);
+        tls_round_trip(&mut host, KEY, size, b"det", 40 + seed);
     }
     let mut reg = Registry::new();
     host.export_telemetry(reg.scope("host"));
