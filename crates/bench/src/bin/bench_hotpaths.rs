@@ -39,11 +39,11 @@ use ulp_compress::hwmodel::{HwCompressor, HwDeflateConfig};
 use ulp_crypto::aes::Aes;
 use ulp_crypto::gcm::{AesGcm, Direction, OooGcm};
 use ulp_crypto::gf128::{Gf128, GfMulTable};
-use ulp_crypto::ghash::{HPowers, OooGhash};
+use ulp_crypto::ghash::{Ghash, HPowers, OooGhash};
 use ulp_crypto::Backend;
 
 /// The rows every report carries, in emission order.
-const HOT_PATHS: [&str; 10] = [
+const HOT_PATHS: [&str; 11] = [
     "gf128_mul",
     "compcpy_page_copy",
     "lz77_match_finder",
@@ -54,6 +54,7 @@ const HOT_PATHS: [&str; 10] = [
     "gcm_seal_page",
     "dimm_cell_store",
     "hw_compress_page",
+    "ghash_fold_page",
 ];
 
 /// Picks the `after_impl` text for the backend `AesGcm::new_128` takes
@@ -98,7 +99,7 @@ fn bench_gf128(spec: BenchSpec, blocks: usize) -> HotPath {
         name: "gf128_mul",
         before_impl: "Gf128::mul_bitwise (bit-at-a-time, SP 800-38D reference)",
         after_impl: on_backend(
-            "GfMulTable on PCLMULQDQ (reflected CLMUL, two-fold reduction, no table)",
+            "GfMulTable on PCLMULQDQ (reflected CLMUL, two-fold reduction, no Shoup table)",
             "GfMulTable (per-key 8-bit table, 16-step byte Horner)",
         ),
         work_units: format!(
@@ -384,7 +385,7 @@ fn bench_ooo_gcm(spec: BenchSpec, offloads: usize) -> HotPath {
         name: "ooo_gcm_offload",
         before_impl: "per-block OooGhash over a 258-entry HPowers table (one multiply per block)",
         after_impl: on_backend(
-            "OooGcm on AES-NI + PCLMULQDQ: per-line Horner by H, one multiply by a stride-4 power",
+            "OooGcm on AES-NI + PCLMULQDQ: per-line fold by H^3..H^0 reduced once, one multiply by a stride-4 power",
             "OooGcm: per-line Horner by H, one multiply by a stride-4 power of H",
         ),
         work_units: format!(
@@ -429,7 +430,7 @@ fn bench_gcm_seal(spec: BenchSpec, pages: usize) -> HotPath {
         name: "gcm_seal_page",
         before_impl: "AesGcm portable backend (T-table AES CTR, 8-bit Shoup GHASH table per key)",
         after_impl: on_backend(
-            "AesGcm hardware backend (AES-NI 4-wide CTR, PCLMULQDQ GHASH, no tables)",
+            "AesGcm hardware backend (AES-NI 4-wide CTR, PCLMULQDQ GHASH reduced once per 4 blocks)",
             "AesGcm portable backend (no AES-NI/PCLMULQDQ on this host)",
         ),
         work_units: format!("{pages} x (AesGcm::new_128 + seal of a seeded 4 KB page)"),
@@ -554,6 +555,62 @@ fn bench_hw_compress(spec: BenchSpec, pages: usize) -> HotPath {
     }
 }
 
+fn bench_ghash_fold(spec: BenchSpec, pages: usize) -> HotPath {
+    // One op = GHASH over each of `pages` seeded 4 KB pages, continuing
+    // one running hash, under the same key on both sides: one multiply
+    // and reduction per block vs the aggregated fold.
+    let mut rng = DetRng::new(0x6F01D);
+    let mut h = [0u8; 16];
+    rng.fill_bytes(&mut h);
+    let corpus: Vec<Vec<u8>> = (0..pages)
+        .map(|_| {
+            let mut page = vec![0u8; 4096];
+            rng.fill_bytes(&mut page);
+            page
+        })
+        .collect();
+    let ghash = Ghash::new(Gf128::from_bytes(&h));
+    let (mut per_block, mut folded) = (ghash.clone(), ghash);
+    let by_block = |g: &mut Ghash| {
+        for page in &corpus {
+            for block in page.as_chunks::<16>().0 {
+                g.update_block(block);
+            }
+        }
+        g.finalize()
+    };
+    let by_group = |g: &mut Ghash| {
+        for page in &corpus {
+            g.update(page);
+        }
+        g.finalize()
+    };
+    assert_eq!(
+        by_block(&mut per_block),
+        by_group(&mut folded),
+        "both folds must hash alike"
+    );
+    HotPath {
+        name: "ghash_fold_page",
+        before_impl: "Ghash::update_block per 16 B block (one multiply and reduction each)",
+        after_impl: on_backend(
+            "Ghash::update on PCLMULQDQ: 4 blocks times H^4..H^1, one reduction per 64 B",
+            "Ghash::update (portable: one 8-bit-table multiply per block)",
+        ),
+        work_units: format!("GHASH over {pages} seeded 4 KB pages"),
+        timing: paired_ns_per_op(
+            spec,
+            || {
+                std::hint::black_box(by_block(&mut per_block));
+            },
+            || {
+                std::hint::black_box(by_group(&mut folded));
+            },
+        ),
+        speed_claim: true,
+    }
+}
+
 /// Why a rendered report fails `check`: a bad document, a missing row
 /// or quartile, or a speed claim whose lower-quartile per-pair ratio is
 /// not above 1.0.
@@ -636,6 +693,7 @@ fn main() -> ExitCode {
         bench_gcm_seal(spec, offloads.0),
         bench_dimm_cells(spec, offloads.1),
         bench_hw_compress(spec, hw_pages),
+        bench_ghash_fold(spec, offloads.0),
     ];
     assert_eq!(
         paths.iter().map(|p| p.name).collect::<Vec<_>>(),

@@ -190,6 +190,35 @@ impl Loc {
     }
 }
 
+/// One field of the address decode: splits `x` into `x % n` and `x / n`,
+/// by a mask and a shift when `n` is a power of two and by a divide
+/// otherwise (3 or 6 channels, say).
+#[derive(Debug, Clone, Copy)]
+struct Radix {
+    n: u64,
+    /// `log2(n)` when `n` is a power of two.
+    shift: Option<u32>,
+}
+
+impl Radix {
+    fn new(n: usize) -> Radix {
+        let n = n as u64;
+        Radix {
+            n,
+            shift: n.is_power_of_two().then(|| n.trailing_zeros()),
+        }
+    }
+
+    /// `(x % n, x / n)`.
+    #[inline]
+    fn split(self, x: u64) -> (u64, u64) {
+        match self.shift {
+            Some(s) => (x & (self.n - 1), x >> s),
+            None => (x % self.n, x / self.n),
+        }
+    }
+}
+
 /// Bidirectional physical-address ⇄ location mapper.
 ///
 /// # Example
@@ -203,6 +232,16 @@ impl Loc {
 #[derive(Debug, Clone)]
 pub struct AddressMapper {
     topo: DramTopology,
+    /// The decode's fields in the order they split a line index:
+    /// interleave, channels, bank groups, banks, columns, ranks per
+    /// channel and rows.
+    interleave: Radix,
+    channels: Radix,
+    bank_groups: Radix,
+    banks: Radix,
+    columns: Radix,
+    ranks: Radix,
+    rows: Radix,
 }
 
 impl AddressMapper {
@@ -235,7 +274,16 @@ impl AddressMapper {
             topo.channel_interleave_lines.is_power_of_two(),
             "interleave granularity must be a power of two"
         );
-        AddressMapper { topo }
+        AddressMapper {
+            topo,
+            interleave: Radix::new(topo.channel_interleave_lines),
+            channels: Radix::new(topo.channels),
+            bank_groups: Radix::new(topo.bank_groups),
+            banks: Radix::new(topo.banks_per_group),
+            columns: Radix::new(topo.lines_per_row),
+            ranks: Radix::new(topo.ranks_per_channel()),
+            rows: Radix::new(topo.rows),
+        }
     }
 
     /// The topology this mapper serves.
@@ -246,10 +294,9 @@ impl AddressMapper {
     /// Splits physical cacheline `line` into its channel and its index
     /// among that channel's lines (the channel-local line).
     pub fn split_line(&self, line: u64) -> (usize, u64) {
-        let g = self.topo.channel_interleave_lines as u64;
-        let n = self.topo.channels as u64;
-        let block = line / g;
-        ((block % n) as usize, (block / n) * g + line % g)
+        let (within, block) = self.interleave.split(line);
+        let (channel, rest) = self.channels.split(block);
+        (channel as usize, rest * self.interleave.n + within)
     }
 
     /// Inverse of [`AddressMapper::split_line`]: the physical cacheline
@@ -285,24 +332,19 @@ impl AddressMapper {
     /// Decodes a physical address to its DRAM location (cacheline
     /// granularity; the 6 offset bits are dropped).
     pub fn decode(&self, addr: PhysAddr) -> Loc {
-        let t = &self.topo;
         let (channel, line) = self.split_line(addr.0 >> 6);
-        let bg = (line % t.bank_groups as u64) as usize;
-        let rest = line / t.bank_groups as u64;
-        let bank = (rest % t.banks_per_group as u64) as usize;
-        let rest = rest / t.banks_per_group as u64;
-        let col = (rest % t.lines_per_row as u64) as usize;
-        let rest = rest / t.lines_per_row as u64;
-        let ranks = t.ranks_per_channel() as u64;
-        let rank = (rest % ranks) as usize;
-        let row = (rest / ranks) as usize % t.rows;
+        let (bg, rest) = self.bank_groups.split(line);
+        let (bank, rest) = self.banks.split(rest);
+        let (col, rest) = self.columns.split(rest);
+        let (rank, rest) = self.ranks.split(rest);
+        let (row, _) = self.rows.split(rest);
         Loc {
             channel,
-            rank,
-            bg,
-            bank,
-            row,
-            col,
+            rank: rank as usize,
+            bg: bg as usize,
+            bank: bank as usize,
+            row: row as usize,
+            col: col as usize,
         }
     }
 
@@ -471,6 +513,65 @@ mod tests {
             assert_eq!(mapper.encode(&loc), a);
         }
         assert!(seen_slot1, "slot-1 DIMM never addressed");
+    }
+
+    /// The division form of [`AddressMapper::decode`], the oracle of
+    /// its shift-and-mask fields.
+    fn decode_by_division(t: &DramTopology, addr: PhysAddr) -> Loc {
+        let (g, n) = (t.channel_interleave_lines as u64, t.channels as u64);
+        let line = addr.0 >> 6;
+        let block = line / g;
+        let (channel, line) = ((block % n) as usize, (block / n) * g + line % g);
+        let bg = (line % t.bank_groups as u64) as usize;
+        let rest = line / t.bank_groups as u64;
+        let bank = (rest % t.banks_per_group as u64) as usize;
+        let rest = rest / t.banks_per_group as u64;
+        let col = (rest % t.lines_per_row as u64) as usize;
+        let rest = rest / t.lines_per_row as u64;
+        let ranks = t.ranks_per_channel() as u64;
+        let rank = (rest % ranks) as usize;
+        let row = (rest / ranks) as usize % t.rows;
+        Loc {
+            channel,
+            rank,
+            bg,
+            bank,
+            row,
+            col,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_decode_matches_division_form(
+            addr in any::<u64>(),
+            channels in 1usize..=6,
+            ranks in 1usize..=3,
+            dimms in 1usize..=2,
+            bank_groups in 1usize..=4,
+            banks_per_group in 1usize..=4,
+            lines_per_row in 1usize..=160,
+            rows in 1usize..=5000,
+            gran_log in 0u32..7,
+        ) {
+            let topo = DramTopology {
+                channels,
+                ranks,
+                dimms_per_channel: dimms,
+                bank_groups,
+                banks_per_group,
+                lines_per_row,
+                rows,
+                channel_interleave_lines: 1 << gran_log,
+                ..DramTopology::default()
+            };
+            let mapper = AddressMapper::new(topo);
+            let a = PhysAddr(addr);
+            prop_assert_eq!(mapper.decode(a), decode_by_division(&topo, a));
+            prop_assert_eq!(mapper.channel_of(a), mapper.decode(a).channel);
+        }
     }
 
     proptest! {

@@ -409,11 +409,13 @@ impl SmartDimmDevice {
     /// Bit `l` set for each of the first `lines` lines of page `page`
     /// that decode to this shard's channel *and* the DSA-bearing DIMM
     /// slot — the only lines whose CAS traffic this device observes
-    /// (capacity DIMMs on the same bus carry no DSA).
+    /// (capacity DIMMs on the same bus carry no DSA). Only this
+    /// channel's lines take the full decode, for their rank.
     fn shard_mask(&self, page: u64, lines: usize) -> u64 {
         let on_shard = |l: &u64| {
-            let loc = self.mapper.decode(PhysAddr((page << 12) + l * 64));
-            loc.channel == self.cfg.channel && self.cfg.topology.on_dsa_slot(loc.rank)
+            let addr = PhysAddr((page << 12) + l * 64);
+            self.mapper.channel_of(addr) == self.cfg.channel
+                && self.cfg.topology.on_dsa_slot(self.mapper.decode(addr).rank)
         };
         (0..lines as u64)
             .filter(on_shard)

@@ -25,16 +25,28 @@ pub enum LineState {
     Done,
 }
 
+/// One staged line: its data and the cycle it was produced at, for
+/// the rdCAS→wrCAS slack (`None` for lines staged without a DSA, e.g.
+/// injected hogs).
+type Staged = ([u8; 64], Option<Cycle>);
+
 #[derive(Debug, Clone)]
 struct Page {
     /// Destination physical page this allocation serves.
     dst_page: u64,
     lines: [LineState; LINES_PER_PAGE],
-    data: Vec<[u8; 64]>,
-    /// Cycle at which each valid line was produced, for the rdCAS→wrCAS
-    /// slack (`None` for lines staged without a DSA, e.g. injected hogs).
-    /// Boxed so every `Option<Page>` slot of the scratchpad stays small.
-    stamps: Box<[Option<Cycle>; LINES_PER_PAGE]>,
+    /// The lines `alloc` expected; the `k`-th of them, in line order,
+    /// is staged at `staged[k]`.
+    alloc_mask: u64,
+    /// The staged lines: only those of `alloc_mask` (a quarter of the
+    /// page per shard under 4-way fine interleave), and only up to the
+    /// last one produced (a compressed page fills a prefix). The
+    /// buffer belongs to the page slot: it comes from
+    /// `Scratchpad::spare` and goes back there when the page frees, so
+    /// a slot allocates only when a page stages further into it than
+    /// any before. A line is read only after `produce` wrote its data
+    /// and stamp, so nothing in it is ever reset.
+    staged: Vec<Staged>,
     /// Bitmask of lines that must eventually be produced and recycled.
     /// Under memory-channel interleaving this is a strided subset of the
     /// page — each DIMM stages only its own channel's cachelines (§V-D).
@@ -43,6 +55,21 @@ struct Page {
 }
 
 impl Page {
+    /// Where `line` sits in `staged`: how many allocated lines precede it.
+    fn slot(&self, line: usize) -> usize {
+        let below = 1u64
+            .checked_shl(line as u32)
+            .map_or(u64::MAX, |bit| bit - 1);
+        (self.alloc_mask & below).count_ones() as usize
+    }
+
+    /// The data and stamp `produce` staged for `line`. It accepts only
+    /// expected lines, a subset of `alloc_mask`, so the entry exists.
+    fn staged(&self, line: usize) -> Staged {
+        let slot = self.slot(line);
+        self.staged.get(slot).copied().unwrap_or(([0u8; 64], None))
+    }
+
     fn expected_count(&self) -> usize {
         self.expected_mask.count_ones() as usize
     }
@@ -78,6 +105,11 @@ pub struct ScratchpadStats {
 /// The Scratchpad SRAM.
 pub struct Scratchpad {
     pages: Vec<Option<Page>>,
+    /// The parked `staged` buffer of each free page slot, indexed by
+    /// slot and only as long as the highest slot ever freed: the free
+    /// list hands out low slots first, so a scratchpad of 2048 pages
+    /// that never holds more than a few at once keeps a few entries.
+    spare: Vec<Vec<Staged>>,
     free_list: Vec<usize>,
     stats: ScratchpadStats,
     occupancy: TimeSeries,
@@ -103,6 +135,7 @@ impl Scratchpad {
         assert!(pages > 0, "scratchpad needs at least one page");
         Scratchpad {
             pages: (0..pages).map(|_| None).collect(),
+            spare: Vec::new(),
             free_list: (0..pages).rev().collect(),
             stats: ScratchpadStats::default(),
             occupancy: TimeSeries::new("scratchpad.bytes"),
@@ -166,11 +199,16 @@ impl Scratchpad {
                 *l = LineState::Pending;
             }
         }
+        let staged = self
+            .spare
+            .get_mut(idx)
+            .map(std::mem::take)
+            .unwrap_or_default();
         self.pages[idx] = Some(Page {
             dst_page,
             lines,
-            data: vec![[0u8; 64]; LINES_PER_PAGE],
-            stamps: Box::new([None; LINES_PER_PAGE]),
+            alloc_mask: expected_mask,
+            staged,
             expected_mask,
             recycled: 0,
         });
@@ -225,9 +263,12 @@ impl Scratchpad {
         assert!(p.expects(line), "line beyond expected output");
         assert_eq!(p.lines[line], LineState::Pending, "line already produced");
         p.lines[line] = LineState::Valid;
-        p.data[line] = data;
-        if let Some(stamp) = p.stamps.get_mut(line) {
-            *stamp = at;
+        let slot = p.slot(line);
+        if p.staged.len() <= slot {
+            p.staged.resize(slot + 1, ([0u8; 64], None));
+        }
+        if let Some(staged) = p.staged.get_mut(slot) {
+            *staged = (data, at);
         }
     }
 
@@ -249,7 +290,7 @@ impl Scratchpad {
         // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
         let p = self.pages[page].as_ref().expect("allocated page");
         assert_eq!(p.lines[line], LineState::Valid, "reading a non-valid line");
-        p.data[line]
+        p.staged(line).0
     }
 
     /// Recycles a valid line and marks it done. Returns the staged data
@@ -268,8 +309,7 @@ impl Scratchpad {
         // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
         let p = self.pages[page].as_mut().expect("allocated page");
         assert_eq!(p.lines[line], LineState::Valid, "recycling non-valid line");
-        let data = p.data[line];
-        let produced_at = p.stamps.get(line).copied().flatten();
+        let (data, produced_at) = p.staged(line);
         p.lines[line] = LineState::Done;
         p.recycled += 1;
         self.in_use_lines -= 1;
@@ -286,11 +326,23 @@ impl Scratchpad {
             p.recycled >= p.expected_count()
         };
         if done {
-            self.pages[page] = None;
-            self.free_list.push(page);
-            self.stats.frees += 1;
+            self.release(page);
         }
         done
+    }
+
+    /// Returns an allocated slot to the free list, parking its buffers.
+    fn release(&mut self, page: usize) {
+        // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
+        let p = self.pages[page].take().expect("allocated page");
+        if self.spare.len() <= page {
+            self.spare.resize_with(page + 1, Vec::new);
+        }
+        if let Some(spare) = self.spare.get_mut(page) {
+            *spare = p.staged;
+        }
+        self.free_list.push(page);
+        self.stats.frees += 1;
     }
 
     /// Unconditionally frees an allocated page, discarding any staged
@@ -303,13 +355,12 @@ impl Scratchpad {
     /// Panics if the page is not allocated.
     pub fn force_free(&mut self, at: Cycle, page: usize) {
         // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
-        let p = self.pages[page].take().expect("allocated page");
+        let p = self.pages[page].as_ref().expect("allocated page");
         let live = (0..LINES_PER_PAGE)
             .filter(|&i| p.expects(i) && p.lines[i] != LineState::Done)
             .count();
         self.in_use_lines -= live;
-        self.free_list.push(page);
-        self.stats.frees += 1;
+        self.release(page);
         self.sample(at);
     }
 
@@ -418,6 +469,57 @@ mod tests {
         assert!(sp.occupancy_series().len() >= 2);
         assert_eq!(sp.stats().peak_bytes, 4096);
         assert_eq!(sp.occupancy_series().last().unwrap().1, 0.0);
+    }
+
+    #[test]
+    fn a_reused_slot_serves_only_what_its_new_page_produced() {
+        let mut sp = Scratchpad::new(2);
+        let page = sp.alloc(Cycle(0), 1, prefix_mask(2)).unwrap();
+        sp.produce(page, 0, [1u8; 64], Some(Cycle(5)));
+        sp.produce(page, 1, [2u8; 64], Some(Cycle(6)));
+        sp.force_free(Cycle(7), page);
+        // The freed slot is the next one handed out, buffers and all.
+        let again = sp.alloc(Cycle(8), 2, prefix_mask(2)).unwrap();
+        assert_eq!(again, page);
+        assert_eq!(sp.pending_lines(again), 2);
+        assert!(sp.valid_lines(again).is_empty());
+        sp.produce(again, 1, [3u8; 64], None);
+        assert_eq!(sp.read(again, 1), [3u8; 64]);
+        assert_eq!(sp.recycle(Cycle(9), again, 1), ([3u8; 64], None, false));
+        assert_eq!(sp.stats().frees, 1);
+    }
+
+    #[test]
+    fn sparse_masks_stage_every_line_in_place() {
+        // A strided mask (one channel of a fine interleave), the whole
+        // page, lone end lines and random masks; lines produced and
+        // recycled in random order through slots whose buffers earlier
+        // pages sized.
+        let mut rng = simkit::DetRng::new(0x5EED);
+        let mut sp = Scratchpad::new(2);
+        let mut masks = vec![
+            0x1111_1111_1111_1111u64 << 2,
+            u64::MAX,
+            1 << 63,
+            0x8000_0000_0000_0001,
+        ];
+        masks.extend((0..20).map(|_| rng.next_u64() | 1));
+        for (n, &mask) in masks.iter().enumerate() {
+            let page = sp.alloc(Cycle(n as u64), n as u64, mask).unwrap();
+            let mut lines: Vec<usize> = (0..64).filter(|l| mask & 1 << l != 0).collect();
+            rng.shuffle(&mut lines);
+            let line_data = |l: usize| [(n * 64 + l) as u8; 64];
+            for &l in &lines {
+                sp.produce(page, l, line_data(l), Some(Cycle(l as u64)));
+            }
+            rng.shuffle(&mut lines);
+            for &l in &lines {
+                assert_eq!(sp.read(page, l), line_data(l), "mask {mask:#x} line {l}");
+                let (data, at, _) = sp.recycle(Cycle(100), page, l);
+                assert_eq!((data, at), (line_data(l), Some(Cycle(l as u64))));
+            }
+            assert_eq!(sp.free_pages(), 2);
+        }
     }
 
     #[test]

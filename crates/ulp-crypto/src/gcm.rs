@@ -23,7 +23,7 @@
 //! Both forms run every AES block and GF(2^128) product on the backend
 //! their key was set up on ([`AesGcm::new_128`] picks the hardware one
 //! where the host has it, [`AesGcm::new_128_portable`] the tables), so a
-//! hardware key builds no per-key table at all.
+//! hardware key builds no 4 KB table, only `H^2..H^4`.
 //!
 //! Only 96-bit IVs are supported — the TLS 1.2/1.3 AEAD nonce size, and
 //! the only case where `J0` needs no GHASH (the paper's DSA relies on
@@ -71,7 +71,8 @@ fn length_block(aad_bits: u64, ct_bits: u64) -> [u8; 16] {
 pub struct AesGcm {
     aes: Aes,
     h: Gf128,
-    /// Per-key multiplication by `H` (just `H` on the hardware backend).
+    /// Per-key multiplication by `H` (`H` and its first four powers on
+    /// the hardware backend).
     h_table: GfMulTable,
 }
 
@@ -297,19 +298,10 @@ impl OooGcm {
         // The last full line ends `C mod 4` blocks before the message
         // does, so its weight is H^(C mod 4 + 2); each earlier line sits
         // four blocks further out.
-        let h2 = gcm.h_table.mul(gcm.h);
-        let h3 = gcm.h_table.mul(h2);
-        let h4 = gcm.h_table.mul(h3);
-        let h5 = gcm.h_table.mul(h4);
-        let h4_table = GfMulTable::with_kernels(h4, gcm.kernels());
+        let [_, h2, h3, h4] = gcm.h_table.powers();
         let mut line_powers = vec![Gf128::ZERO; ct_blocks / 4];
-        let mut power = [h2, h3, h4, h5][ct_blocks % 4];
-        for (k, slot) in line_powers.iter_mut().rev().enumerate() {
-            if k > 0 {
-                power = h4_table.mul(power);
-            }
-            *slot = power;
-        }
+        let last = [h2, h3, h4, gcm.h_table.mul(h4)][ct_blocks % 4];
+        gcm.kernels().fill_powers(last, h4, &mut line_powers);
         let acc = if absorb_metadata {
             metadata_ghash(&gcm, aad, msg_len)
         } else {
@@ -371,21 +363,26 @@ impl OooGcm {
 
     /// Adds the line's first `blocks` ciphertext blocks to the GHASH
     /// accumulator: a Horner fold by `H`, then one multiply by the
-    /// weight of the line's last block.
+    /// weight of the line's last block. A full line's fold is one
+    /// aggregated step ([`GfMulTable::fold_line`]: one reduction on the
+    /// hardware backend); the short tail line folds block by block.
     fn absorb_line(&mut self, offset: usize, line: &[u8; CACHELINE], blocks: usize) {
         let (chunks, _) = line.as_chunks::<16>();
-        let mut fold = Gf128::ZERO;
-        for (k, block) in chunks.iter().take(blocks).enumerate() {
-            if k > 0 {
-                fold = self.gcm.h_table.mul(fold);
-            }
-            fold = fold + Gf128::from_bytes(block);
-        }
+        let h = &self.gcm.h_table;
         // A full line's power is in the stride table; a short line is
         // the tail, whose last block is block C−1, weight H^2.
-        let weight = match self.line_powers.get(offset / CACHELINE) {
-            Some(&p) if blocks == 4 => p,
-            _ => self.gcm.h_table.mul(self.gcm.h),
+        let (fold, weight) = match self.line_powers.get(offset / CACHELINE) {
+            Some(&p) if blocks == 4 => (h.fold_line(line), p),
+            _ => {
+                let mut fold = Gf128::ZERO;
+                for (k, block) in chunks[..blocks].iter().enumerate() {
+                    if k > 0 {
+                        fold = h.mul(fold);
+                    }
+                    fold = fold + Gf128::from_bytes(block);
+                }
+                (fold, h.mul(self.gcm.h))
+            }
         };
         self.acc = self.acc + self.gcm.kernels().mul(fold, weight);
     }
@@ -954,23 +951,21 @@ mod tests {
             pt in proptest::collection::vec(any::<u8>(), 1..600),
             seed: u64,
         ) {
-            let gcm = AesGcm::new_128(&key);
-            let (want_ct, want_tag) = gcm.seal(&iv, &aad, &pt);
-
-            let mut dsa = OooGcm::new(
-                AesGcm::new_128(&key), iv, &aad, pt.len(), Direction::Encrypt,
-            );
             let mut starts: Vec<usize> = (0..pt.len()).step_by(CACHELINE).collect();
             simkit::DetRng::new(seed).shuffle(&mut starts);
-            let mut got = vec![0u8; pt.len()];
-            for start in starts {
-                let end = (start + CACHELINE).min(pt.len());
-                let out = dsa.process_cacheline(start, &pt[start..end]);
-                got[start..end].copy_from_slice(&out[..end - start]);
+            for gcm in both_backends(&key) {
+                let (want_ct, want_tag) = gcm.seal(&iv, &aad, &pt);
+                let mut dsa = OooGcm::new(gcm, iv, &aad, pt.len(), Direction::Encrypt);
+                let mut got = vec![0u8; pt.len()];
+                for &start in &starts {
+                    let end = (start + CACHELINE).min(pt.len());
+                    let out = dsa.process_cacheline(start, &pt[start..end]);
+                    got[start..end].copy_from_slice(&out[..end - start]);
+                }
+                prop_assert!(dsa.is_complete());
+                prop_assert_eq!(got, want_ct);
+                prop_assert_eq!(dsa.tag(), want_tag);
             }
-            prop_assert!(dsa.is_complete());
-            prop_assert_eq!(got, want_ct);
-            prop_assert_eq!(dsa.tag(), want_tag);
         }
 
         #[test]

@@ -131,8 +131,10 @@ impl Gf128 {
 
 /// Multiplication by a fixed element `H`, the GHASH hash subkey.
 ///
-/// On the hardware backend the table holds only `H`, and each product
-/// is one PCLMULQDQ multiply and reduction. On the portable backend
+/// On the hardware backend the table holds `H` and its first four
+/// powers (three products at key setup): each product by `H` is one
+/// PCLMULQDQ multiply and reduction, and a four-block GHASH step is four
+/// multiplies by `H^4..H^1` summed and reduced once. On the portable backend
 /// ([`GfMulTable::new_portable`]) it is a Shoup-style 8-bit table:
 /// GHASH multiplies everything by the same hash subkey, so the table is
 /// built **once per key** (256 entries, 4 KB: every 8-bit polynomial
@@ -163,9 +165,10 @@ enum TableKernel {
     /// `m[i]` = (the degree-≤7 polynomial spelled by byte `i`) · H,
     /// where bit `j` of `i` carries the coefficient of `x^(7-j)`.
     Shoup(Box<[u128; 256]>),
-    /// `H` itself, multiplied in on PCLMULQDQ.
+    /// `[H^4, H^3, H^2, H]`, the weights of four consecutive blocks
+    /// one Horner step from the end, multiplied in on PCLMULQDQ.
     #[cfg(target_arch = "x86_64")]
-    Clmul(crate::hw::Hw, u128),
+    Clmul(crate::hw::Hw, [u128; 4]),
 }
 
 impl GfMulTable {
@@ -185,7 +188,11 @@ impl GfMulTable {
         let kernel = match kernels {
             Kernels::Portable => TableKernel::Shoup(shoup_table(h)),
             #[cfg(target_arch = "x86_64")]
-            Kernels::Hardware(hw) => TableKernel::Clmul(hw, h.0),
+            Kernels::Hardware(hw) => {
+                let h2 = hw.gf_mul(h.0, h.0);
+                let h3 = hw.gf_mul(h2, h.0);
+                TableKernel::Clmul(hw, [hw.gf_mul(h3, h.0), h3, h2, h.0])
+            }
         };
         GfMulTable { kernel }
     }
@@ -196,7 +203,61 @@ impl GfMulTable {
         match &self.kernel {
             TableKernel::Shoup(m) => shoup_mul(m, x),
             #[cfg(target_arch = "x86_64")]
-            TableKernel::Clmul(hw, h) => Gf128(hw.gf_mul(x.0, *h)),
+            TableKernel::Clmul(hw, hn) => Gf128(hw.gf_mul(x.0, hn[3])),
+        }
+    }
+
+    /// `[H, H^2, H^3, H^4]`: read from the hardware table, multiplied
+    /// out on the portable one.
+    pub(crate) fn powers(&self) -> [Gf128; 4] {
+        match &self.kernel {
+            TableKernel::Shoup(m) => {
+                let h = Gf128(m[0x80]);
+                let h2 = shoup_mul(m, h);
+                let h3 = shoup_mul(m, h2);
+                [h, h2, h3, shoup_mul(m, h3)]
+            }
+            #[cfg(target_arch = "x86_64")]
+            TableKernel::Clmul(_, [h4, h3, h2, h]) => [*h, *h2, *h3, *h4].map(Gf128),
+        }
+    }
+
+    /// Four GHASH steps `y ← (y + X_k)·H` per 64-byte group of blocks
+    /// `X_0..X_3`, which is `(y + X_0)·H^4 + X_1·H^3 + X_2·H^2 + X_3·H`:
+    /// four products and one reduction on the hardware backend, four
+    /// table multiplies on the portable one.
+    pub(crate) fn fold_groups(&self, y: Gf128, groups: &[[u8; 64]]) -> Gf128 {
+        match &self.kernel {
+            TableKernel::Shoup(m) => groups.iter().fold(y, |y, group| {
+                let (blocks, _) = group.as_chunks::<16>();
+                blocks
+                    .iter()
+                    .fold(y, |y, x| shoup_mul(m, y + Gf128::from_bytes(x)))
+            }),
+            #[cfg(target_arch = "x86_64")]
+            TableKernel::Clmul(hw, hn) => Gf128(hw.fold_groups(y.0, groups, hn)),
+        }
+    }
+
+    /// The Horner fold `X_0·H^3 + X_1·H^2 + X_2·H + X_3` of a line's four
+    /// blocks, with no multiply after the last: one reduction on the
+    /// hardware backend (`X_3` rides along times `ONE`), three table
+    /// multiplies on the portable one.
+    #[inline]
+    pub(crate) fn fold_line(&self, line: &[u8; 64]) -> Gf128 {
+        match &self.kernel {
+            TableKernel::Shoup(m) => {
+                let (blocks, _) = line.as_chunks::<16>();
+                blocks[1..]
+                    .iter()
+                    .fold(Gf128::from_bytes(&blocks[0]), |acc, x| {
+                        shoup_mul(m, acc) + Gf128::from_bytes(x)
+                    })
+            }
+            #[cfg(target_arch = "x86_64")]
+            TableKernel::Clmul(hw, [_, h3, h2, h]) => {
+                Gf128(hw.fold_groups(0, std::slice::from_ref(line), &[*h3, *h2, *h, Gf128::ONE.0]))
+            }
         }
     }
 }
@@ -240,6 +301,25 @@ impl Kernels {
             Kernels::Portable => NibbleTable::new(a).mul(b),
             #[cfg(target_arch = "x86_64")]
             Kernels::Hardware(hw) => Gf128(hw.gf_mul(a.0, b.0)),
+        }
+    }
+
+    /// Fills `out` back to front with `start·r^k`, `k = 0, 1, …`: the
+    /// stride table of [`crate::gcm::OooGcm`]'s line weights (`r = H^4`).
+    /// The portable backend multiplies on `r`'s 8-bit table; the
+    /// hardware one multiplies by `r` alone and computes none of its
+    /// powers.
+    pub(crate) fn fill_powers(self, start: Gf128, r: Gf128, out: &mut [Gf128]) {
+        let table = (self == Kernels::Portable).then(|| shoup_table(r));
+        let mut power = start;
+        for (k, slot) in out.iter_mut().rev().enumerate() {
+            if k > 0 {
+                power = match &table {
+                    Some(m) => shoup_mul(m, power),
+                    None => self.mul(power, r),
+                };
+            }
+            *slot = power;
         }
     }
 
@@ -434,23 +514,72 @@ mod tests {
     }
 
     #[test]
-    fn hardware_table_holds_only_h() {
+    fn hardware_table_holds_h_and_its_first_four_powers() {
         let h = Gf128::from_bytes(&hex16("66e94bd4ef8a2c3b884cfa59ca342b2e"));
+        let want = [1, 2, 3, 4].map(|n| h.pow(n));
         match GfMulTable::new(h).kernel {
             TableKernel::Shoup(_) => assert_eq!(Kernels::detect(), Kernels::Portable),
             #[cfg(target_arch = "x86_64")]
-            TableKernel::Clmul(_, stored) => assert_eq!(stored, h.0),
+            TableKernel::Clmul(_, stored) => {
+                assert_eq!(stored, [want[3], want[2], want[1], want[0]].map(|p| p.0))
+            }
         }
+        assert_eq!(GfMulTable::new(h).powers(), want);
+        assert_eq!(GfMulTable::new_portable(h).powers(), want);
         assert!(matches!(
             GfMulTable::new_portable(h).kernel,
             TableKernel::Shoup(_)
         ));
     }
 
+    /// Both backends' four-block steps agree with the per-block
+    /// `mul_bitwise` chain: `fold_groups` with four steps `y ← (y + x)·H`,
+    /// `fold_line` with the same chain from `x_0` that stops before the
+    /// last multiply.
+    fn assert_four_block_steps_agree(h: Gf128, y: Gf128, x: [Gf128; 4]) {
+        let chain = x.into_iter().fold(y, |y, x| (y + x).mul_bitwise(h));
+        let fold = x[1..].iter().fold(x[0], |acc, &x| acc.mul_bitwise(h) + x);
+        let mut line = [0u8; 64];
+        for (block, x) in line.chunks_mut(16).zip(x) {
+            block.copy_from_slice(&x.to_bytes());
+        }
+        for table in [GfMulTable::new(h), GfMulTable::new_portable(h)] {
+            let step = table.fold_groups(y, std::slice::from_ref(&line));
+            assert_eq!(step, chain, "fold_groups {h:?} {y:?} {x:?}");
+            assert_eq!(table.fold_line(&line), fold, "fold_line {h:?} {x:?}");
+        }
+    }
+
+    #[test]
+    fn four_block_steps_match_bitwise_on_edge_summands() {
+        // Zero, x^0, all ones and the lone x^127: every summand alike
+        // (under every H), then every mix of them under one H.
+        let edges = [Gf128::ZERO, Gf128::ONE, Gf128(u128::MAX), Gf128(1)];
+        let h = Gf128::from_bytes(&hex16("66e94bd4ef8a2c3b884cfa59ca342b2e"));
+        for &e in &edges {
+            for &key in edges.iter().chain([&h]) {
+                assert_four_block_steps_agree(key, e, [e; 4]);
+            }
+        }
+        for n in 0..4usize.pow(5) {
+            let pick = |k: u32| edges[n / 4usize.pow(k) % 4];
+            assert_four_block_steps_agree(h, pick(4), [pick(0), pick(1), pick(2), pick(3)]);
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_every_backend_matches_bitwise(a: [u8; 16], b: [u8; 16]) {
             assert_all_products_agree(Gf128::from_bytes(&a), Gf128::from_bytes(&b));
+        }
+
+        #[test]
+        fn prop_four_block_steps_match_bitwise(h: [u8; 16], y: [u8; 16], x: [[u8; 16]; 4]) {
+            assert_four_block_steps_agree(
+                Gf128::from_bytes(&h),
+                Gf128::from_bytes(&y),
+                x.map(|b| Gf128::from_bytes(&b)),
+            );
         }
 
         #[test]

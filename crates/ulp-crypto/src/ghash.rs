@@ -100,6 +100,13 @@ impl Ghash {
         self.y = self.h.mul(self.y + Gf128::from_bytes(block));
     }
 
+    /// Absorbs `data`, zero-padding its final partial block: the fold
+    /// [`crate::gcm::AesGcm`]'s `seal` and `open` run, four blocks per
+    /// step, and the same value as one [`Ghash::update_block`] per block.
+    pub fn update(&mut self, data: &[u8]) {
+        self.y = fold_padded(&self.h, self.y, data);
+    }
+
     /// Returns the current hash value.
     pub fn finalize(&self) -> [u8; 16] {
         self.y.to_bytes()
@@ -107,9 +114,14 @@ impl Ghash {
 }
 
 /// Continues sequential GHASH from `y` over `data`, zero-padding the
-/// final partial block.
+/// final partial block. Each whole 64-byte group takes one four-block
+/// step, `y ← (y + X_0)·H^4 + X_1·H^3 + X_2·H^2 + X_3·H` (one reduction
+/// on the hardware backend); the blocks after the last group take the
+/// textbook step `y ← (y + X)·H` one at a time.
 pub(crate) fn fold_padded(h: &GfMulTable, mut y: Gf128, data: &[u8]) -> Gf128 {
-    for chunk in data.chunks(16) {
+    let (groups, rest) = data.as_chunks::<64>();
+    y = h.fold_groups(y, groups);
+    for chunk in rest.chunks(16) {
         let mut block = [0u8; 16];
         block[..chunk.len()].copy_from_slice(chunk);
         y = h.mul(y + Gf128::from_bytes(&block));
@@ -278,7 +290,57 @@ mod tests {
         OooGhash::new(2).absorb(&powers, 2, &[0; 16]);
     }
 
+    /// GHASH of `data` from `y` by the per-block `mul_bitwise` chain
+    /// over zero-padded blocks, the oracle of the four-block fold.
+    fn bitwise_chain(h: Gf128, y: Gf128, data: &[u8]) -> Gf128 {
+        data.chunks(16).fold(y, |y, chunk| {
+            let mut block = [0u8; 16];
+            block[..chunk.len()].copy_from_slice(chunk);
+            (y + Gf128::from_bytes(&block)).mul_bitwise(h)
+        })
+    }
+
+    /// Both backends' `fold_padded` (and `Ghash::update`) equal the chain.
+    fn assert_fold_matches_chain(h: Gf128, y: Gf128, data: &[u8]) {
+        let want = bitwise_chain(h, y, data);
+        for table in [GfMulTable::new(h), GfMulTable::new_portable(h)] {
+            assert_eq!(fold_padded(&table, y, data), want, "len {}", data.len());
+        }
+        let mut ghash = Ghash::new(h);
+        ghash.update(data);
+        assert_eq!(
+            ghash.finalize(),
+            bitwise_chain(h, Gf128::ZERO, data).to_bytes()
+        );
+    }
+
+    #[test]
+    fn fold_matches_chain_for_every_short_length() {
+        let h = h_fixture();
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 31 + 5) as u8).collect();
+        for len in 0..=data.len() {
+            assert_fold_matches_chain(h, Gf128::ONE, &data[..len]);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_fold_matches_bitwise_chain(
+            hbytes: [u8; 16],
+            ybytes: [u8; 16],
+            len in 0usize..=300,
+            page: bool,
+            seed: u64,
+        ) {
+            let mut data = vec![0u8; if page { 4096 } else { len }];
+            simkit::DetRng::new(seed).fill_bytes(&mut data);
+            let mut y = Gf128::from_bytes(&ybytes);
+            if y == Gf128::ZERO {
+                y = Gf128::ONE;
+            }
+            assert_fold_matches_chain(Gf128::from_bytes(&hbytes), y, &data);
+        }
+
         #[test]
         fn prop_ooo_equals_sequential(
             hbytes: [u8; 16],

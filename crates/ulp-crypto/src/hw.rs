@@ -73,6 +73,16 @@ impl Hw {
         // SAFETY: `self` exists only if `Hw::detect` saw aes, pclmulqdq and sse4.1.
         unsafe { gf_mul(a, b) }
     }
+
+    /// Folds each 64-byte group of big-endian blocks `X_0..X_3` into
+    /// `y` as `y ← (y + X_0)·p_0 + X_1·p_1 + X_2·p_2 + X_3·p_3`: the four
+    /// carry-less products are summed unreduced and reduced once, which
+    /// gives the bits of four reduced products XORed together because
+    /// reduction is linear.
+    pub(crate) fn fold_groups(self, y: u128, groups: &[[u8; 64]], p: &[u128; 4]) -> u128 {
+        // SAFETY: `self` exists only if `Hw::detect` saw aes, pclmulqdq and sse4.1.
+        unsafe { fold_groups(y, groups, p) }
+    }
 }
 
 #[inline]
@@ -164,14 +174,57 @@ fn ctr32_xor(round_keys: &RoundKeys, iv: &[u8; 12], mut counter: u32, data: &mut
 
 #[target_feature(enable = "aes,pclmulqdq,sse4.1")]
 fn gf_mul(a: u128, b: u128) -> u128 {
-    let (a, b) = (to_m128(a), to_m128(b));
+    let (lo, mid, hi) = clmul(to_m128(a), to_m128(b));
+    reduce_words(lo, mid, hi)
+}
+
+/// The low, middle and high words of the carry-less product `a·b`:
+/// `lo + mid·x^64 + hi·x^128`, with `mid` straddling the other two.
+#[inline]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+fn clmul(a: __m128i, b: __m128i) -> (__m128i, __m128i, __m128i) {
     let mid = _mm_xor_si128(
         _mm_clmulepi64_si128::<0x01>(a, b),
         _mm_clmulepi64_si128::<0x10>(a, b),
     );
-    let lo = _mm_xor_si128(_mm_clmulepi64_si128::<0x00>(a, b), _mm_slli_si128::<8>(mid));
-    let hi = _mm_xor_si128(_mm_clmulepi64_si128::<0x11>(a, b), _mm_srli_si128::<8>(mid));
+    (
+        _mm_clmulepi64_si128::<0x00>(a, b),
+        mid,
+        _mm_clmulepi64_si128::<0x11>(a, b),
+    )
+}
+
+/// Splits the middle word of a carry-less product between its low and
+/// high halves and reduces the result.
+#[inline]
+#[target_feature(enable = "sse4.1")]
+fn reduce_words(lo: __m128i, mid: __m128i, hi: __m128i) -> u128 {
+    let lo = _mm_xor_si128(lo, _mm_slli_si128::<8>(mid));
+    let hi = _mm_xor_si128(hi, _mm_srli_si128::<8>(mid));
     reduce(to_u128(hi), to_u128(lo))
+}
+
+/// Each product's low, middle and high words accumulate into the
+/// group's, which is reduced once.
+#[target_feature(enable = "aes,pclmulqdq,sse4.1")]
+fn fold_groups(mut y: u128, groups: &[[u8; 64]], p: &[u128; 4]) -> u128 {
+    let p = p.map(|v| to_m128(v));
+    for group in groups {
+        let (blocks, _) = group.as_chunks::<16>();
+        let (mut lo, mut mid, mut hi) = (to_m128(0), to_m128(0), to_m128(0));
+        for (k, (block, &p)) in blocks.iter().zip(&p).enumerate() {
+            let mut x = u128::from_be_bytes(*block);
+            if k == 0 {
+                x ^= y;
+            }
+            let (l, m, h) = clmul(to_m128(x), p);
+            lo = _mm_xor_si128(lo, l);
+            mid = _mm_xor_si128(mid, m);
+            hi = _mm_xor_si128(hi, h);
+        }
+        y = reduce_words(lo, mid, hi);
+    }
+    y
 }
 
 /// Reduces the carry-less product `hi:lo` of two reflected operands.
