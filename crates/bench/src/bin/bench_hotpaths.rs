@@ -536,7 +536,7 @@ fn bench_hw_compress(spec: BenchSpec, pages: usize) -> HotPath {
     HotPath {
         name: "hw_compress_page",
         before_impl: "byte-compare tokenizer, fixed codes built per page, per-byte bit writer",
-        after_impl: "u64 XOR comparators, codes built once, closed-form symbols, 32-bit flushes",
+        after_impl: "one pass per line: branch-free hash/port pass, then a u64-compare match walk writing fixed-code bits (no token Vec)",
         work_units: format!("Deflate DSA model over {pages} seeded 4 KB HTML pages"),
         timing: paired_ns_per_op(
             spec,

@@ -44,6 +44,18 @@ pub struct Writeback {
     pub data: [u8; 64],
 }
 
+/// What a `clflush` of one line found ([`Llc::flush_line`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flushed {
+    /// The line was not resident.
+    Absent,
+    /// The line was resident and clean: invalidated, nothing to write.
+    Clean,
+    /// The line was resident and dirty: invalidated, and the caller must
+    /// write this back to DRAM.
+    Dirty(Writeback),
+}
+
 /// What happened during a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheEvent {
@@ -496,25 +508,26 @@ impl Llc {
         })
     }
 
-    /// `clflush`: invalidates the line, returning its data if dirty (the
-    /// caller must write it back to DRAM). Returns `None` if the line was
-    /// absent or clean.
-    pub fn flush_line(&mut self, addr: PhysAddr) -> Option<Writeback> {
+    /// `clflush`: invalidates the line and reports what it found, with
+    /// the data to write back if it was dirty. One probe of the set.
+    pub fn flush_line(&mut self, addr: PhysAddr) -> Flushed {
         let addr = addr.cacheline();
         let (set, tag) = self.index(addr);
-        if let Some(w) = self.find(set, tag) {
-            self.stats.flushes += 1;
-            let line = self.sets[set][w];
-            self.sets[set][w].valid = false;
-            self.page_dec(set, tag);
-            if line.dirty {
-                return Some(Writeback {
-                    addr,
-                    data: line.data,
-                });
-            }
+        let Some(w) = self.find(set, tag) else {
+            return Flushed::Absent;
+        };
+        self.stats.flushes += 1;
+        let line = self.sets[set][w];
+        self.sets[set][w].valid = false;
+        self.page_dec(set, tag);
+        if line.dirty {
+            Flushed::Dirty(Writeback {
+                addr,
+                data: line.data,
+            })
+        } else {
+            Flushed::Clean
         }
-        None
     }
 
     /// Drops the line without writing it back — DMA-overwrite semantics:
@@ -637,15 +650,21 @@ mod tests {
     fn flush_returns_dirty_data_and_invalidates() {
         let mut c = tiny();
         c.write_line(PhysAddr(0x80), 0, [7u8; 64]);
-        let wb = c.flush_line(PhysAddr(0x80)).expect("dirty flush");
-        assert_eq!(wb.data, [7u8; 64]);
+        assert_eq!(
+            c.flush_line(PhysAddr(0x80)),
+            Flushed::Dirty(Writeback {
+                addr: PhysAddr(0x80),
+                data: [7u8; 64]
+            })
+        );
         assert!(!c.contains(PhysAddr(0x80)));
         // Second flush: nothing.
-        assert!(c.flush_line(PhysAddr(0x80)).is_none());
+        assert_eq!(c.flush_line(PhysAddr(0x80)), Flushed::Absent);
         // Clean line: invalidated, no writeback.
         let _ = c.read_line(PhysAddr(0xC0), 0, |_| [1u8; 64]);
-        assert!(c.flush_line(PhysAddr(0xC0)).is_none());
+        assert_eq!(c.flush_line(PhysAddr(0xC0)), Flushed::Clean);
         assert!(!c.contains(PhysAddr(0xC0)));
+        assert_eq!(c.stats().flushes, 2, "only resident lines count");
     }
 
     #[test]

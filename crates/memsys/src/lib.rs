@@ -33,7 +33,7 @@
 
 #![forbid(unsafe_code)]
 
-use cache::{CacheConfig, Llc};
+use cache::{CacheConfig, Flushed, Llc};
 use dram::{DramSystem, MemorySystemConfig, PhysAddr, CACHELINE};
 use simkit::{Cycle, DetRng};
 
@@ -524,10 +524,14 @@ impl MemSystem {
             }
             let line = PhysAddr(cur);
             report.lines += 1;
-            if self.llc.contains(line) {
+            let flushed = self.llc.flush_line(line);
+            if flushed == Flushed::Absent {
+                report.cycles += FLUSH_ABSENT;
+                self.dram.advance(FLUSH_ABSENT);
+            } else {
                 report.resident += 1;
-                // flush_line on a clean resident line just invalidates it.
-                if let Some(wb) = self.llc.flush_line(line) {
+                // A clean resident line is just invalidated.
+                if let Flushed::Dirty(wb) = flushed {
                     report.dirty_writebacks += 1;
                     if disturbed {
                         held.push((wb.addr, wb.data));
@@ -538,9 +542,6 @@ impl MemSystem {
                 }
                 report.cycles += FLUSH_PRESENT;
                 self.dram.advance(FLUSH_PRESENT);
-            } else {
-                report.cycles += FLUSH_ABSENT;
-                self.dram.advance(FLUSH_ABSENT);
             }
             cur += CACHELINE as u64;
         }
@@ -561,7 +562,7 @@ impl MemSystem {
     /// CompCpy registration path, §IV-C).
     pub fn mmio_write64(&mut self, addr: PhysAddr, data: &[u8; 64]) {
         // MMIO must not leave a stale cached copy.
-        if let Some(wb) = self.llc.flush_line(addr) {
+        if let Flushed::Dirty(wb) = self.llc.flush_line(addr) {
             self.dram.write64(wb.addr, &wb.data);
         }
         self.dram.write64(addr, data);
@@ -570,7 +571,7 @@ impl MemSystem {
 
     /// Uncached MMIO read of 64 bytes.
     pub fn mmio_read64(&mut self, addr: PhysAddr) -> [u8; 64] {
-        if let Some(wb) = self.llc.flush_line(addr) {
+        if let Flushed::Dirty(wb) = self.llc.flush_line(addr) {
             self.dram.write64(wb.addr, &wb.data);
         }
         let (data, lat) = self.dram.read64(addr);

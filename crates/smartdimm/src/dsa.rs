@@ -220,6 +220,8 @@ pub struct StreamBuf {
     msg_len: usize,
     data: Vec<u8>,
     received: Vec<bool>, // per cacheline
+    /// How many entries of `received` are set.
+    lines_received: usize,
     hw_config: HwDeflateConfig,
 }
 
@@ -229,19 +231,27 @@ impl StreamBuf {
             msg_len,
             data: vec![0u8; msg_len],
             received: vec![false; msg_len.div_ceil(64)],
+            lines_received: 0,
             hw_config,
         }
     }
 
+    /// Stores the line at message byte `offset` (64-aligned) and returns
+    /// whether it was the last one missing. A repeated line, or one past
+    /// the message, changes nothing.
     fn absorb(&mut self, offset: usize, line: &[u8; 64]) -> bool {
-        let idx = offset / 64;
-        if self.received[idx] {
+        let Some(seen) = self.received.get_mut(offset / 64) else {
+            return false;
+        };
+        if std::mem::replace(seen, true) {
             return false;
         }
-        self.received[idx] = true;
-        let take = (self.msg_len - offset).min(64);
-        self.data[offset..offset + take].copy_from_slice(&line[..take]);
-        self.received.iter().all(|&r| r)
+        // The line's slot of the message; `zip` stops at its valid bytes.
+        for (dst, src) in self.data.iter_mut().skip(offset).zip(line) {
+            *dst = *src;
+        }
+        self.lines_received += 1;
+        self.lines_received == self.received.len()
     }
 }
 
@@ -252,7 +262,9 @@ fn to_lines(bytes: &[u8]) -> Vec<(usize, [u8; 64])> {
         .enumerate()
         .map(|(i, c)| {
             let mut line = [0u8; 64];
-            line[..c.len()].copy_from_slice(c);
+            for (dst, src) in line.iter_mut().zip(c) {
+                *dst = *src;
+            }
             (i, line)
         })
         .collect()
@@ -657,5 +669,39 @@ mod tests {
         let _ = dsa.process_line(0, &line0, 64);
         let again = dsa.process_line(0, &line0, 64);
         assert!(again.produced.is_empty() && again.completion.is_none());
+    }
+
+    #[test]
+    fn stream_completes_once_on_its_last_new_line_in_any_order() {
+        // Four lines, the last holding 8 bytes; fed out of order, with a
+        // repeat and a line past the message that both change nothing.
+        let page = ulp_compress::corpus::html(200, 4);
+        let line = |i: usize| {
+            let mut line = [0u8; 64];
+            for (dst, src) in line.iter_mut().zip(&page[i * 64..]) {
+                *dst = *src;
+            }
+            line
+        };
+        let mut dsa = DsaInstance::new(
+            &ctx(OffloadOp::Compress, page.len()),
+            HwDeflateConfig::default(),
+        );
+        let mut completion = None;
+        for (i, expect_done) in [(3, false), (1, false), (1, false), (0, false), (2, true)] {
+            let o = dsa.process_line(i * 64, &line(i), if i == 3 { 8 } else { 64 });
+            assert_eq!(o.completion.is_some(), expect_done, "line {i}");
+            completion = completion.or(o.completion.map(|c| (c, o.produced)));
+        }
+        let past = dsa.process_line(256, &[0xAB; 64], 64);
+        assert!(past.produced.is_empty() && past.completion.is_none());
+        let again = dsa.process_line(128, &line(2), 64);
+        assert!(again.produced.is_empty() && again.completion.is_none());
+
+        let (c, produced) = completion.expect("completed");
+        assert_eq!(c.status, OffloadStatus::Done);
+        let mut bytes: Vec<u8> = produced.iter().flat_map(|(_, l)| *l).collect();
+        bytes.truncate(c.out_len);
+        assert_eq!(ulp_compress::inflate::decompress(&bytes).unwrap(), page);
     }
 }

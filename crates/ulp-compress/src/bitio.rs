@@ -35,6 +35,14 @@ impl BitWriter {
         BitWriter::default()
     }
 
+    /// Creates an empty writer with room for `bytes` of output.
+    pub fn with_capacity(bytes: usize) -> BitWriter {
+        BitWriter {
+            out: Vec::with_capacity(bytes),
+            ..BitWriter::default()
+        }
+    }
+
     /// Writes the low `n` bits of `value`, LSB-first.
     ///
     /// # Panics

@@ -3,9 +3,9 @@
 //!
 //! [`compress`] is the software baseline — what "the CPU running zlib"
 //! does in the paper's `CPU` configuration. The hardware-model compressor
-//! in [`crate::hwmodel`] reuses [`encode_tokens`] with
-//! [`Strategy::Fixed`], matching the deterministic-latency hardware
-//! design choice of §V-B.
+//! in [`crate::hwmodel`] writes the same fixed-Huffman codes (the
+//! deterministic-latency hardware design choice of §V-B), with
+//! [`encode_fixed_reference`] as its oracle.
 
 use crate::bitio::{BitWriter, BytewiseBitWriter};
 use crate::huffman::{build_lengths, fixed_distance_lengths, fixed_literal_lengths, CanonicalCode};
@@ -156,11 +156,15 @@ fn build_fixed_codes() -> (CanonicalCode, CanonicalCode) {
     )
 }
 
-/// Writes a fixed-Huffman block; the fixed codes are built once per
-/// process.
-pub(crate) fn write_fixed_block(w: &mut BitWriter, tokens: &[Token], is_final: bool) {
+/// The fixed literal/length and distance codes, built once per process.
+pub(crate) fn fixed_codes() -> &'static (CanonicalCode, CanonicalCode) {
     static FIXED: OnceLock<(CanonicalCode, CanonicalCode)> = OnceLock::new();
-    let (lit, dist) = FIXED.get_or_init(build_fixed_codes);
+    FIXED.get_or_init(build_fixed_codes)
+}
+
+/// Writes a fixed-Huffman block.
+pub(crate) fn write_fixed_block(w: &mut BitWriter, tokens: &[Token], is_final: bool) {
+    let (lit, dist) = fixed_codes();
     w.write_bits(is_final as u32, 1);
     w.write_bits(0b01, 2);
     write_token_stream(w, tokens, lit, dist);

@@ -18,15 +18,18 @@
 //!   describes;
 //! * output uses fixed-Huffman encoding (no second pass over the data,
 //!   deterministic latency) with a stored-block fallback so a page never
-//!   expands past `input + 5` bytes;
+//!   expands past `input + 5` bytes; the model's kernel writes each
+//!   token's bits as it selects the token, with no token buffer;
 //! * compression happens at 4 KB page granularity only; larger messages
 //!   take one CompCpy call per page (§V-C).
 //!
 //! Every output page is a valid Deflate stream decodable by
 //! [`crate::inflate`].
 
-use crate::deflate::{encode_fixed_reference, encode_tokens, Strategy};
-use crate::lz77::{Token, MAX_MATCH, MIN_MATCH};
+use crate::bitio::BitWriter;
+use crate::deflate::{encode_fixed_reference, encode_tokens, fixed_codes, Strategy};
+use crate::lz77::{length_to_symbol, Token, MAX_MATCH, MIN_MATCH};
+use std::sync::OnceLock;
 
 /// Deflate-DSA configuration. Defaults mirror the paper's prototype.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +126,12 @@ pub struct HwCompressor {
 
 const PAGE: usize = 4096;
 const CACHELINE: usize = 64;
+/// Zero bytes after the page copy, so the kernel's word comparators and
+/// 3-byte hashes never run off its end.
+const PAD: usize = 8;
+/// An empty hash slot: further back than any history, so its distance
+/// never passes the history test.
+const NO_POSITION: i32 = -(1 << 16);
 
 impl HwCompressor {
     /// Creates a compressor with the given configuration.
@@ -165,16 +174,15 @@ impl HwCompressor {
     /// Panics if `page` is empty or longer than 4 KB.
     pub fn compress_page(&mut self, page: &[u8]) -> PageResult {
         assert_page(page);
-        let tokens = self.tokenize_page(page);
-        let fixed = encode_tokens(&tokens, page, Strategy::Fixed);
+        let fixed = self.encode_fixed_page(page);
         self.finish_page(page, fixed)
     }
 
     /// [`HwCompressor::compress_page`] on the kernels it replaced: the
-    /// byte-comparing tokenizer and the per-call fixed-Huffman encoder
-    /// ([`encode_fixed_reference`]). Same result and statistics; kept
-    /// as the oracle and the `before` side of the `hw_compress_page`
-    /// hot-path row.
+    /// byte-comparing tokenizer, its token `Vec`, and the per-call
+    /// fixed-Huffman encoder ([`encode_fixed_reference`]) as a second
+    /// pass. Same result and statistics; kept as the oracle and the
+    /// `before` side of the `hw_compress_page` hot-path row.
     ///
     /// # Panics
     ///
@@ -206,108 +214,124 @@ impl HwCompressor {
         }
     }
 
-    /// Best-effort banked-hash-table tokenizer for one page.
+    /// The DSA kernel: one page to its fixed-Huffman stream (before the
+    /// stored fallback), one 64-byte line (one cycle) at a time.
     ///
-    /// Each cacheline is one cycle: every position with a 3-byte hash
-    /// window looks up and inserts its hash slot, as long as the slot's
-    /// bank has ports left this cycle. A lookup and its insert take one
-    /// read and one write port of the same bank, so the two port counts
-    /// are always equal and one counter per bank tracks both (and one
-    /// drop count, `lookups_dropped`, covers both). Uncovered positions
-    /// then compare the table candidate and the adjacent lane (distance
-    /// 1, free of ports) eight bytes at a time, and the table candidate
-    /// wins only when strictly longer. `tokenize_page_reference` is the
-    /// byte-at-a-time original; tokens and statistics are identical.
-    fn tokenize_page(&mut self, page: &[u8]) -> Vec<Token> {
-        const EMPTY: u32 = u32::MAX;
+    /// * *Hash/port pass.* Every position of the line with a 3-byte hash
+    ///   window looks up and inserts its hash slot, in order, as long as
+    ///   the slot's bank has ports left this cycle. A lookup and its
+    ///   insert take one read and one write port of the same bank, so one
+    ///   counter per bank tracks both (and `lookups_dropped` counts
+    ///   both). The port test selects the table write and the candidate
+    ///   without a branch; each candidate is kept as a distance.
+    /// * *Match walk.* Only uncovered positions are visited: a match
+    ///   moves the walk past its last byte, into later lines if it is
+    ///   long. Each compares the adjacent lane (distance 1, free of
+    ///   ports) and the table candidate eight bytes at a time, and the
+    ///   table wins only when strictly longer. Each literal, and each
+    ///   match's length code, extra bits, distance code and extra bits
+    ///   (at most 31 bits), goes to the bit writer in one write from
+    ///   [`FixedCodes`].
+    ///
+    /// Neither pass depends on the other within a line: every position
+    /// is inserted whether or not a match covers it, and a position's
+    /// candidate is read before its own insert. So this emits the bytes
+    /// and counts of `encode_fixed_reference(&tokenize_page_reference(..))`.
+    fn encode_fixed_page(&mut self, page: &[u8]) -> Vec<u8> {
         let cfg = self.config;
+        let codes = FixedCodes::get();
+        let n = page.len();
         let max_match = cfg.max_match();
+        // Every distance is below one page, so a longer history admits
+        // exactly the candidates a one-page history does.
+        let history = cfg.history.min(PAGE);
         let slots = cfg.banks * cfg.entries_per_bank;
         let slot_mask = slots.is_power_of_two().then(|| slots - 1);
         let bank_mask = cfg.banks.is_power_of_two().then(|| cfg.banks - 1);
+        let mut buf = [0u8; PAGE + PAD];
+        buf[..n].copy_from_slice(page);
         // slot -> position of the most recent candidate (oldest replaced).
-        let mut table = vec![EMPTY; slots];
-        let mut tokens = Vec::with_capacity(page.len());
-        let mut ports_used = vec![0usize; cfg.banks];
+        let mut table = vec![NO_POSITION; slots];
+        let mut ports = vec![0usize; cfg.banks];
+        // Line lane -> distance to its candidate (`u32::MAX`: none).
+        let mut dists = [u32::MAX; CACHELINE];
         let (mut literals, mut matches, mut dropped) = (0u64, 0u64, 0u64);
         // Positions from here on have no 3-byte window to hash.
-        let hashed_end = page.len().saturating_sub(MIN_MATCH - 1);
+        let hashed_end = n.saturating_sub(MIN_MATCH - 1);
 
-        let mut covered_until = 0usize; // positions below this are inside an emitted match
-        for line_start in (0..page.len()).step_by(CACHELINE) {
-            let line_end = (line_start + CACHELINE).min(page.len());
-            ports_used.fill(0);
-            for p in line_start..line_end {
-                if p >= hashed_end {
-                    if p >= covered_until {
-                        tokens.push(Token::Literal(page[p]));
-                        literals += 1;
-                    }
-                    continue;
-                }
-                let h = hash3(page, p);
+        // Room for a page of 9-bit literals.
+        let mut w = BitWriter::with_capacity(n + n / 8 + 8);
+        w.write_bits(1, 1); // BFINAL
+        w.write_bits(0b01, 2); // fixed Huffman
+        let mut p = 0usize; // the next uncovered position
+        for line_start in (0..n).step_by(CACHELINE) {
+            let line_end = (line_start + CACHELINE).min(n);
+            let hashed = line_end.min(hashed_end).saturating_sub(line_start);
+            ports.fill(0);
+            let hashes = hash_line(&buf, line_start);
+            for (lane, (dist, &h)) in dists[..hashed].iter_mut().zip(&hashes).enumerate() {
+                let q = line_start + lane;
+                let h = h as usize;
                 let slot = slot_mask.map_or_else(|| h % slots, |m| h & m);
                 let bank = bank_mask.map_or_else(|| slot % cfg.banks, |m| slot & m);
+                let ok = ports[bank] < cfg.ports_per_bank;
+                ports[bank] += usize::from(ok);
+                dropped += u64::from(!ok);
+                let old = table[slot];
+                table[slot] = if ok { q as i32 } else { old };
+                *dist = if ok {
+                    (q as i32 - old) as u32
+                } else {
+                    u32::MAX
+                };
+            }
 
-                // Read the candidate and insert this position in its place.
-                let candidate = if ports_used[bank] < cfg.ports_per_bank {
-                    ports_used[bank] += 1;
-                    std::mem::replace(&mut table[slot], p as u32)
+            while p < line_end {
+                let limit = (n - p).min(max_match);
+                let (len, dist) = if p == 0 || limit < MIN_MATCH {
+                    (0, 0) // nothing behind, or too close to the end
                 } else {
-                    dropped += 1;
-                    EMPTY
-                };
-                if p < covered_until {
-                    continue;
-                }
-
-                // Match lengths below MIN_MATCH count as no match.
-                let limit = (page.len() - p).min(max_match);
-                let usable = |len: usize| if len >= MIN_MATCH { len } else { 0 };
-                let neighbor = if p >= 1 {
-                    usable(match_len(page, p - 1, p, limit))
-                } else {
-                    0
-                };
-                let cand = candidate as usize;
-                let table_len = if candidate != EMPTY && p - cand <= cfg.history {
-                    usable(match_len(page, cand, p, limit))
-                } else {
-                    0
-                };
-                let matched = if table_len > neighbor {
-                    Some((table_len, p - cand))
-                } else if neighbor > 0 {
-                    Some((neighbor, 1))
-                } else {
-                    None
-                };
-                match matched {
-                    Some((len, dist)) => {
-                        tokens.push(Token::Match {
-                            length: len as u16,
-                            distance: dist as u16,
-                        });
-                        matches += 1;
-                        covered_until = p + len;
+                    let neighbor = match_len(&buf, p - 1, p, limit);
+                    let dist = dists[p - line_start] as usize;
+                    // The table wins only when strictly longer, so a
+                    // candidate at distance 1 or a neighbour run of
+                    // `limit` settles it.
+                    if dist <= history && dist > 1 && neighbor < limit {
+                        let table_len = match_len(&buf, p - dist, p, limit);
+                        if table_len > neighbor {
+                            (table_len, dist)
+                        } else {
+                            (neighbor, 1)
+                        }
+                    } else {
+                        (neighbor, 1)
                     }
-                    None => {
-                        tokens.push(Token::Literal(page[p]));
-                        literals += 1;
-                    }
+                };
+                if len >= MIN_MATCH {
+                    let (lbits, lcount) = codes.length[len];
+                    let (dbits, dcount) = codes.distance(dist);
+                    w.write_bits(lbits | dbits << lcount, lcount + dcount);
+                    matches += 1;
+                    p += len;
+                } else {
+                    let (bits, count) = codes.literal[buf[p] as usize];
+                    w.write_bits(bits, count);
+                    literals += 1;
+                    p += 1;
                 }
             }
         }
+        let (bits, count) = codes.end_of_block;
+        w.write_bits(bits, count);
         self.stats.literals_emitted += literals;
         self.stats.matches_emitted += matches;
         self.stats.lookups_dropped += dropped;
-        tokens
+        w.finish()
     }
 
-    /// The tokenizer [`tokenize_page`](Self::tokenize_page) replaced:
-    /// byte-at-a-time comparators, `%` reductions, `Option` slots and
-    /// separate read and write port counters, two `Vec`s per cacheline.
-    /// Kept as its oracle.
+    /// The tokenizer of the reference path: byte-at-a-time comparators,
+    /// `%` reductions, `Option` slots and separate read and write port
+    /// counters, two `Vec`s per cacheline. Kept as the kernel's oracle.
     fn tokenize_page_reference(&mut self, page: &[u8]) -> Vec<Token> {
         let cfg = self.config;
         let max_match = cfg.max_match();
@@ -316,7 +340,9 @@ impl HwCompressor {
         let mut table: Vec<Option<u32>> = vec![None; slots];
         let mut tokens = Vec::new();
 
-        let hash = |data: &[u8], pos: usize| -> usize { hash3(data, pos) % slots };
+        let slot_of = |data: &[u8], pos: usize| -> usize {
+            hash(data[pos], data[pos + 1], data[pos + 2]) as usize % slots
+        };
 
         let (mut lookups_dropped, mut inserts_dropped) = (0u64, 0u64);
         let mut covered_until = 0usize; // positions below this are inside an emitted match
@@ -336,7 +362,7 @@ impl HwCompressor {
                     }
                     continue;
                 }
-                let slot = hash(page, p);
+                let slot = slot_of(page, p);
                 let bank = slot % cfg.banks;
 
                 // Candidate lookup (only needed for uncovered positions,
@@ -414,32 +440,112 @@ impl HwCompressor {
     }
 }
 
-/// Hashes the three bytes at `pos` (before reduction onto the slots).
-fn hash3(data: &[u8], pos: usize) -> usize {
-    (data[pos] as u32)
+/// Hashes three bytes (before reduction onto the slots).
+#[inline(always)]
+fn hash(a: u8, b: u8, c: u8) -> u32 {
+    (a as u32)
         .wrapping_mul(0x1_93)
-        .wrapping_add((data[pos + 1] as u32).wrapping_mul(0x61))
-        .wrapping_add((data[pos + 2] as u32).wrapping_mul(0x1F)) as usize
+        .wrapping_add((b as u32).wrapping_mul(0x61))
+        .wrapping_add((c as u32).wrapping_mul(0x1F))
 }
 
-/// Length of the common prefix of `page[cand..]` and `page[p..]`, at most
-/// `limit` (with `cand < p` and `p + limit <= page.len()`), compared
+/// The hash of every position of the line at `line_start`, in one loop
+/// the compiler vectorizes (on 32-bit lanes: `usize` lanes were slower).
+/// Lanes past the page's last 3-byte window hash padding and are never
+/// used.
+#[inline(always)]
+fn hash_line(buf: &[u8; PAGE + PAD], line_start: usize) -> [u32; CACHELINE] {
+    let window: &[u8; CACHELINE + 2] = buf[line_start..line_start + CACHELINE + 2]
+        .try_into()
+        .expect("a line and two bytes");
+    let mut hashes = [0; CACHELINE];
+    for (lane, h) in hashes.iter_mut().enumerate() {
+        *h = hash(window[lane], window[lane + 1], window[lane + 2]);
+    }
+    hashes
+}
+
+/// Length of the common prefix of `buf[cand..]` and `buf[p..]`, at most
+/// `limit` (with `cand < p` and `p + limit` within the page), compared
 /// eight bytes at a time: the first set bit of the XOR of two
-/// little-endian words marks the first differing byte.
-fn match_len(page: &[u8], cand: usize, p: usize, limit: usize) -> usize {
-    let word = |i: usize| u64::from_le_bytes(page[i..i + 8].try_into().expect("8 bytes"));
+/// little-endian words marks the first differing byte. A word may read
+/// up to seven bytes past the page into the padding; the clamp to
+/// `limit` discards what it finds there.
+#[inline(always)]
+fn match_len(buf: &[u8; PAGE + PAD], cand: usize, p: usize, limit: usize) -> usize {
+    let word = |i: usize| u64::from_le_bytes(buf[i..i + 8].try_into().expect("8 bytes"));
     let mut len = 0;
-    while len + 8 <= limit {
+    loop {
         let diff = word(cand + len) ^ word(p + len);
         if diff != 0 {
-            return len + (diff.trailing_zeros() / 8) as usize;
+            return (len + (diff.trailing_zeros() / 8) as usize).min(limit);
         }
         len += 8;
+        if len >= limit {
+            return limit;
+        }
     }
-    while len < limit && page[cand + len] == page[p + len] {
-        len += 1;
+}
+
+/// The fixed-Huffman codes (RFC 1951 §3.2.6) as the kernel writes them:
+/// bit-reversed for the LSB-first writer, each length code with its
+/// extra bits folded in, built once per process from
+/// `deflate::fixed_codes`.
+struct FixedCodes {
+    /// Literal byte -> `(code, bit count)`: 8 bits below 144, 9 above.
+    literal: [(u32, u32); 256],
+    /// Match length (3..=258) -> `(code and extra bits, bit count)`.
+    length: [(u32, u32); MAX_MATCH + 1],
+    /// Distance symbol -> its 5-bit code.
+    distance: [u32; 30],
+    /// The end-of-block symbol's `(code, bit count)`.
+    end_of_block: (u32, u32),
+}
+
+impl FixedCodes {
+    fn get() -> &'static FixedCodes {
+        static CODES: OnceLock<FixedCodes> = OnceLock::new();
+        CODES.get_or_init(|| {
+            let (lit, dist) = fixed_codes();
+            let reversed = |(code, len): (u32, u32)| code.reverse_bits() >> (32 - len);
+            let mut codes = FixedCodes {
+                literal: [(0, 0); 256],
+                length: [(0, 0); MAX_MATCH + 1],
+                distance: [0; 30],
+                end_of_block: (reversed(lit.code(256)), lit.code(256).1),
+            };
+            for (b, code) in codes.literal.iter_mut().enumerate() {
+                let (c, l) = lit.code(b);
+                *code = (reversed((c, l)), l);
+            }
+            for len in MIN_MATCH..=MAX_MATCH {
+                let (sym, extra, val) = length_to_symbol(len as u16);
+                let (c, l) = lit.code(sym as usize);
+                codes.length[len] = (reversed((c, l)) | u32::from(val) << l, l + u32::from(extra));
+            }
+            for (sym, code) in codes.distance.iter_mut().enumerate() {
+                *code = reversed(dist.code(sym));
+            }
+            codes
+        })
     }
-    len
+
+    /// `(code and extra bits, bit count)` for a distance, by the closed
+    /// form of `distance_to_symbol`: at most 5 + 13 bits.
+    #[inline(always)]
+    fn distance(&self, distance: usize) -> (u32, u32) {
+        let d0 = distance as u32 - 1;
+        if d0 < 4 {
+            return (self.distance[d0 as usize], 5);
+        }
+        let top = 31 - d0.leading_zeros();
+        let extra = top - 1;
+        let sym = 2 * top + ((d0 >> extra) & 1);
+        (
+            self.distance[sym as usize] | (d0 & ((1 << extra) - 1)) << 5,
+            5 + extra,
+        )
+    }
 }
 
 /// Asserts the DSA's page contract: 1..=4096 bytes.
@@ -601,44 +707,67 @@ mod tests {
         assert_eq!(cycles, (page.len() as u64).div_ceil(64));
     }
 
-    /// Runs the fast and reference paths on fresh compressors and checks
-    /// tokens, output and every statistic agree.
+    /// Runs the kernel and the reference path on fresh compressors and
+    /// checks the fixed stream before the stored fallback (which would
+    /// hide a stored page's tokens), the final result and every
+    /// statistic agree.
     fn assert_matches_reference(config: HwDeflateConfig, page: &[u8]) {
         let (mut fast, mut oracle) = (HwCompressor::new(config), HwCompressor::new(config));
         assert_eq!(
-            fast.tokenize_page(page),
-            oracle.tokenize_page_reference(page),
-            "{config:?}"
+            fast.encode_fixed_page(page),
+            encode_fixed_reference(&oracle.tokenize_page_reference(page)),
+            "{config:?}, {} B",
+            page.len()
         );
-        assert_eq!(fast.stats(), oracle.stats(), "{config:?}");
+        assert_eq!(fast.stats(), oracle.stats(), "{config:?}, {} B", page.len());
         assert_eq!(
             fast.compress_page(page),
             oracle.compress_page_reference(page),
-            "{config:?}"
+            "{config:?}, {} B",
+            page.len()
         );
-        assert_eq!(fast.stats(), oracle.stats(), "{config:?}");
+        assert_eq!(fast.stats(), oracle.stats(), "{config:?}, {} B", page.len());
+    }
+
+    /// The five configuration shapes of the equality tests around a
+    /// window: defaults, a 64-byte history, port starvation,
+    /// non-power-of-two banks and slots, and two ports per bank.
+    fn shapes(window: usize) -> [HwDeflateConfig; 5] {
+        let base = HwDeflateConfig {
+            window,
+            ..Default::default()
+        };
+        [
+            base,
+            HwDeflateConfig {
+                history: 64.max(base.max_match()),
+                ..base
+            },
+            HwDeflateConfig {
+                banks: 1,
+                ports_per_bank: 1,
+                ..base
+            },
+            HwDeflateConfig {
+                banks: 6,
+                entries_per_bank: 500,
+                ..base
+            },
+            HwDeflateConfig {
+                entries_per_bank: 300,
+                ports_per_bank: 2,
+                ..base
+            },
+        ]
     }
 
     #[test]
     fn fast_path_matches_reference_on_corpus_pages() {
         // Port starvation and non-power-of-two geometries included, so
         // the drop counters and the `%` fallbacks are exercised.
-        let shapes = [
-            HwDeflateConfig::default(),
-            HwDeflateConfig {
-                banks: 1,
-                ports_per_bank: 1,
-                ..Default::default()
-            },
-            HwDeflateConfig {
-                banks: 6,
-                entries_per_bank: 500,
-                ..Default::default()
-            },
-        ];
         for kind in corpus::Kind::ALL {
             let page = kind.generate(4096, 17);
-            for config in shapes {
+            for config in shapes(8) {
                 assert_matches_reference(config, &page);
             }
         }
@@ -649,11 +778,99 @@ mod tests {
         let mut page: Vec<u8> = (0..15).collect();
         page.resize(200, b'x');
         assert_matches_reference(HwDeflateConfig::default(), &page);
-        let mut dsa = HwCompressor::new(HwDeflateConfig::default());
-        assert!(dsa.tokenize_page(&page).contains(&Token::Match {
-            length: 16,
-            distance: 1
-        }));
+        let mut oracle = HwCompressor::new(HwDeflateConfig::default());
+        assert!(oracle
+            .tokenize_page_reference(&page)
+            .contains(&Token::Match {
+                length: 16,
+                distance: 1
+            }));
+        // The same tie below the limit: the run ends at 75, so at 64
+        // both candidates match 11 bytes.
+        let mut page: Vec<u8> = (0..15).collect();
+        page.resize(75, b'x');
+        page.extend(100..130);
+        assert_matches_reference(HwDeflateConfig::default(), &page);
+        assert!(oracle
+            .tokenize_page_reference(&page)
+            .contains(&Token::Match {
+                length: 11,
+                distance: 1
+            }));
+    }
+
+    #[test]
+    fn fast_path_matches_reference_at_edge_page_lengths() {
+        for len in [1, 2, 3, 63, 64, 65, 4095, 4096] {
+            for kind in corpus::Kind::ALL {
+                let page = kind.generate(len, 5);
+                for window in [2, 8, 32] {
+                    for config in shapes(window) {
+                        assert_matches_reference(config, &page[..len.min(page.len())]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_reference_across_line_boundaries() {
+        // A 20-byte word at 40 and again at 60 and 80: the match at 60
+        // runs over the line boundary at 64 (and at window 32 and
+        // above, past the next line's first uncovered position).
+        let mut page = corpus::random(40, 3);
+        let word = corpus::random(20, 4);
+        for _ in 0..3 {
+            page.extend_from_slice(&word);
+        }
+        page.extend(corpus::random(300, 5));
+        let crosses = |tokens: &[Token]| {
+            let mut pos = 0;
+            tokens.iter().any(|t| {
+                let start = pos;
+                pos += match *t {
+                    Token::Literal(_) => 1,
+                    Token::Match { length, .. } => length as usize,
+                };
+                matches!(t, Token::Match { .. }) && start / 64 != (pos - 1) / 64
+            })
+        };
+        for window in [8, 16, 32, 100, 200] {
+            let config = HwDeflateConfig {
+                window,
+                ..Default::default()
+            };
+            let tokens = HwCompressor::new(config).tokenize_page_reference(&page);
+            assert!(crosses(&tokens), "window {window}: no match crosses a line");
+            assert_matches_reference(config, &page);
+        }
+        // Long runs: windows past 128 match 258 bytes, skipping whole
+        // lines.
+        let run = [b"<p>".as_slice(), &[b'-'; 1000], b"</p>"].concat();
+        for window in [2, 32, 129, 200] {
+            for config in shapes(window) {
+                assert_matches_reference(config, &run);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_reference_on_window_ablation_pages() {
+        // The pages and windows of the `ablate_window` artifact.
+        for kind in [corpus::Kind::Text, corpus::Kind::Html, corpus::Kind::Json] {
+            for seed in 0..8 {
+                let page = kind.generate(4096, seed);
+                for window in [2, 4, 8, 16, 32] {
+                    assert_matches_reference(
+                        HwDeflateConfig {
+                            window,
+                            ..Default::default()
+                        },
+                        &page,
+                    );
+                }
+            }
+        }
     }
 
     proptest! {
@@ -665,30 +882,24 @@ mod tests {
             seed in any::<u64>(),
             len in 1usize..=4096,
             word in proptest::collection::vec(any::<u8>(), 1..24),
-            window in 2usize..16,
+            window in 2usize..=32,
             shape in 0usize..5,
         ) {
-            // Runs after a short prefix make table-vs-neighbour ties.
             let page = match source {
                 0 => corpus::random(len, seed),
                 1 => corpus::html(len, seed),
                 2 => corpus::text(len, seed),
                 3 => word.iter().cycle().take(len).copied().collect(),
                 _ => {
+                    // A run between random bytes: its bank runs out of
+                    // ports, and it may end below the match limit.
                     let mut page = corpus::random(seed as usize % 64, seed);
-                    page.resize(len.max(page.len()), word[0]);
+                    page.resize(page.len() + 1 + (seed >> 8) as usize % 96, word[0]);
+                    page.extend(corpus::random(len.saturating_sub(page.len()), !seed));
                     page
                 }
             };
-            let base = HwDeflateConfig { window, ..Default::default() };
-            let config = match shape {
-                0 => base,
-                1 => HwDeflateConfig { history: 64, ..base },
-                2 => HwDeflateConfig { banks: 1, ports_per_bank: 1, ..base },
-                3 => HwDeflateConfig { banks: 6, entries_per_bank: 500, ..base },
-                _ => HwDeflateConfig { entries_per_bank: 300, ports_per_bank: 2, ..base },
-            };
-            assert_matches_reference(config, &page[..len.min(page.len())]);
+            assert_matches_reference(shapes(window)[shape], &page[..len.min(page.len())]);
         }
     }
 
