@@ -27,11 +27,12 @@
 #![forbid(unsafe_code)]
 
 use bench::harness::{json_parses, paired_ns_per_op, report, row_field, BenchSpec, HotPath};
-use cache::CacheConfig;
+use cache::{CacheConfig, Llc};
 use dram::dimm::CellCoord;
 use dram::{AddressMapper, CasInfo, Dimm, DramTopology, PhysAddr, RdResult};
 use platforms::{run_server, BackendKind, PlatformKind, UlpKind, WorkloadConfig};
 use simkit::DetRng;
+use smartdimm::xlat::{Mapping, TranslationTable};
 use smartdimm::{CompCpyHost, HostConfig};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -43,7 +44,7 @@ use ulp_crypto::ghash::{Ghash, HPowers, OooGhash};
 use ulp_crypto::Backend;
 
 /// The rows every report carries, in emission order.
-const HOT_PATHS: [&str; 11] = [
+const HOT_PATHS: [&str; 13] = [
     "gf128_mul",
     "compcpy_page_copy",
     "lz77_match_finder",
@@ -55,6 +56,8 @@ const HOT_PATHS: [&str; 11] = [
     "dimm_cell_store",
     "hw_compress_page",
     "ghash_fold_page",
+    "llc_miss_probe",
+    "xlat_unmapped_lookup",
 ];
 
 /// Picks the `after_impl` text for the backend `AesGcm::new_128` takes
@@ -611,6 +614,99 @@ fn bench_ghash_fold(spec: BenchSpec, pages: usize) -> HotPath {
     }
 }
 
+fn bench_llc_probe(spec: BenchSpec, probes: usize) -> HotPath {
+    // The `event_fallback` LLC (2 MB, 16 ways) filled by seeded writes,
+    // with flushes leaving invalid ways that keep a stale `last_use`;
+    // one op probes a seeded stream of lines, almost all misses, by a
+    // class with every way open.
+    let mut llc = Llc::new(CacheConfig::mb(2, 16));
+    let mut rng = DetRng::new(0x11C);
+    let mut line = || PhysAddr(rng.gen_range(0..1 << 24) << 6);
+    for i in 0..1u32 << 16 {
+        llc.write_line(line(), 0, [i as u8; 64]);
+        if i % 8 == 0 {
+            llc.flush_line(line());
+        }
+    }
+    let stream: Vec<PhysAddr> = (0..probes).map(|_| line()).collect();
+    let run = |probe: fn(&Llc, PhysAddr, usize) -> Result<usize, usize>| {
+        let (llc, stream) = (&llc, &stream);
+        move || {
+            let ways = stream.iter().fold(0, |acc, &a| {
+                acc ^ probe(llc, std::hint::black_box(a), 0).unwrap_or_else(|w| w)
+            });
+            std::hint::black_box(ways);
+        }
+    };
+    assert!(
+        stream
+            .iter()
+            .all(|&a| llc.probe_line(a, 0) == llc.probe_line_two_pass(a, 0)),
+        "both probes must pick alike"
+    );
+    HotPath {
+        name: "llc_miss_probe",
+        before_impl: "tag scan, then a second pass over the set for the LRU victim",
+        after_impl: "one scan: tag compare plus a running min of (valid << 63 | last_use)",
+        work_units: format!("{probes} seeded line probes of a filled 2 MB 16-way LLC"),
+        timing: paired_ns_per_op(spec, run(Llc::probe_line_two_pass), run(Llc::probe_line)),
+        speed_claim: true,
+    }
+}
+
+fn bench_xlat_lookup(spec: BenchSpec, lookups: usize) -> HotPath {
+    // The device's Translation Table (12 K cuckoo slots, 8-entry stash)
+    // holding 512 registered pages; one op looks up a seeded stream of
+    // pages none of which is mapped, the common case of a CAS.
+    let mut table = TranslationTable::new(12288, 8);
+    let mut rng = DetRng::new(0x7AB1E);
+    for offload in 0..512 {
+        let page = rng.gen_range(0..1 << 20);
+        table
+            .insert(
+                page,
+                Mapping::Source {
+                    offload,
+                    msg_offset: 0,
+                },
+            )
+            .expect("a quarter-full table places every page");
+    }
+    let stream: Vec<u64> = (0..lookups)
+        .map(|_| rng.gen_range(1 << 20..1 << 21))
+        .collect();
+    assert!(
+        stream
+            .iter()
+            .all(|&p| table.peek_unfiltered(p).is_none() && table.peek(p).is_none()),
+        "the stream must miss, filtered or not"
+    );
+    let unfiltered = || {
+        let hits = stream
+            .iter()
+            .filter(|&&p| table.peek_unfiltered(std::hint::black_box(p)).is_some())
+            .count();
+        std::hint::black_box(hits);
+    };
+    // `lookup` counts each lookup, so it runs on a copy of the table.
+    let mut counted = table.clone();
+    let filtered = || {
+        let hits = stream
+            .iter()
+            .filter(|&&p| counted.lookup(std::hint::black_box(p)).is_some())
+            .count();
+        std::hint::black_box(hits);
+    };
+    HotPath {
+        name: "xlat_unmapped_lookup",
+        before_impl: "CAM stash scan, then three cuckoo hashes and slot loads",
+        after_impl: "per-bucket live counts answer an empty bucket before the stash and slots",
+        work_units: format!("{lookups} lookups of unmapped pages, 512 pages mapped"),
+        timing: paired_ns_per_op(spec, unfiltered, filtered),
+        speed_claim: true,
+    }
+}
+
 /// Why a rendered report fails `check`: a bad document, a missing row
 /// or quartile, or a speed claim whose lower-quartile per-pair ratio is
 /// not above 1.0.
@@ -651,7 +747,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let (spec, blocks, pages, lz_len, sweep_scale, offloads, hw_pages, out_path) =
+    let (spec, blocks, pages, lz_len, sweep_scale, offloads, hw_pages, probes, out_path) =
         match mode.as_str() {
             "smoke" => (
                 BenchSpec::smoke(),
@@ -661,6 +757,7 @@ fn main() -> ExitCode {
                 (16, 60),
                 (1, 16),
                 4,
+                256,
                 bench::repo_root()
                     .join("target")
                     .join("BENCH_hotpaths.smoke.json"),
@@ -673,6 +770,7 @@ fn main() -> ExitCode {
                 (32, 150),
                 (16, 256),
                 256,
+                4096,
                 out_path,
             ),
             other => {
@@ -694,6 +792,8 @@ fn main() -> ExitCode {
         bench_dimm_cells(spec, offloads.1),
         bench_hw_compress(spec, hw_pages),
         bench_ghash_fold(spec, offloads.0),
+        bench_llc_probe(spec, probes),
+        bench_xlat_lookup(spec, probes),
     ];
     assert_eq!(
         paths.iter().map(|p| p.name).collect::<Vec<_>>(),

@@ -336,8 +336,47 @@ impl Llc {
         }
     }
 
-    fn find(&mut self, set: usize, tag: u64) -> Option<usize> {
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
         self.sets[set].iter().position(|l| l.valid && l.tag == tag)
+    }
+
+    /// One scan of `set` for an access by `class` to `tag`: `Ok(way)` on
+    /// a hit, else `Err(way)`, the way the miss fills. The victim is the
+    /// least `(valid << 63) | last_use` among the ways `class` may
+    /// allocate, the lowest way on ties: an invalid way before any
+    /// valid one, else the LRU. This is `victimize`'s pick.
+    fn probe(&self, set: usize, tag: u64, class: usize) -> Result<usize, usize> {
+        let mask = self.masks[class];
+        let (mut victim, mut victim_key) = (0, u64::MAX);
+        for (w, line) in self.sets[set].iter().enumerate() {
+            if line.valid && line.tag == tag {
+                return Ok(w);
+            }
+            let key = u64::from(line.valid) << 63 | line.last_use;
+            if mask >> w & 1 == 1 && key < victim_key {
+                (victim, victim_key) = (w, key);
+            }
+        }
+        Err(victim)
+    }
+
+    /// Where an access by `class` to `addr` lands, without touching LRU
+    /// state or statistics: `Ok(way)` if the line is resident, else
+    /// `Err(way)`, the way a miss would fill. One scan of the set, as
+    /// [`Llc::read_line`] and [`Llc::write_line`] make.
+    pub fn probe_line(&self, addr: PhysAddr, class: usize) -> Result<usize, usize> {
+        let (set, tag) = self.index(addr.cacheline());
+        self.probe(set, tag, class)
+    }
+
+    /// [`Llc::probe_line`] by the two scans it replaced: the tag scan,
+    /// then on a miss `victimize`'s pass over the set. Kept as
+    /// the probe's oracle and the `before` side of the `llc_miss_probe`
+    /// hot-path row.
+    pub fn probe_line_two_pass(&self, addr: PhysAddr, class: usize) -> Result<usize, usize> {
+        let (set, tag) = self.index(addr.cacheline());
+        self.find(set, tag)
+            .ok_or_else(|| self.victimize(set, class))
     }
 
     /// Counts `addr`'s page into the residency index.
@@ -369,9 +408,9 @@ impl Llc {
         self.sets[set][w] = line;
     }
 
-    /// Picks the LRU way among those allowed for `class`, returning the
-    /// way index and any writeback needed to vacate it.
-    fn victimize(&mut self, set: usize, class: usize) -> (usize, Option<Writeback>) {
+    /// Picks the LRU way among those allowed for `class`, an invalid way
+    /// first, by comparing each way with the best so far.
+    fn victimize(&self, set: usize, class: usize) -> usize {
         let mask = self.masks[class];
         let mut victim = None;
         for (w, line) in self.sets[set].iter().enumerate() {
@@ -390,19 +429,22 @@ impl Llc {
                 }
             }
         }
-        let w = victim.expect("way mask is non-empty");
-        let line = self.sets[set][w];
-        let wb = if line.valid && line.dirty {
-            self.stats.writebacks += 1;
-            let addr = PhysAddr((line.tag * self.sets.len() as u64 + set as u64) << 6);
-            Some(Writeback {
-                addr,
-                data: line.data,
-            })
-        } else {
-            None
+        victim.expect("way mask is non-empty")
+    }
+
+    /// Vacates way `w` of `set` for a fill, returning the writeback its
+    /// line needs if it is valid and dirty.
+    fn evict_way(&mut self, set: usize, w: usize) -> Option<Writeback> {
+        let line = &self.sets[set][w];
+        if !(line.valid && line.dirty) {
+            return None;
+        }
+        let wb = Writeback {
+            addr: PhysAddr((line.tag * self.sets.len() as u64 + set as u64) << 6),
+            data: line.data,
         };
-        (w, wb)
+        self.stats.writebacks += 1;
+        Some(wb)
     }
 
     /// CPU load of a full cacheline. On a miss, `fill` supplies the data
@@ -416,20 +458,23 @@ impl Llc {
         let addr = addr.cacheline();
         let (set, tag) = self.index(addr);
         self.use_clock += 1;
-        if let Some(w) = self.find(set, tag) {
-            self.note_access(true);
-            self.sets[set][w].last_use = self.use_clock;
-            return (
-                self.sets[set][w].data,
-                CacheEvent {
-                    hit: true,
-                    writeback: None,
-                },
-            );
-        }
+        let w = match self.probe(set, tag, class) {
+            Ok(w) => {
+                self.note_access(true);
+                self.sets[set][w].last_use = self.use_clock;
+                return (
+                    self.sets[set][w].data,
+                    CacheEvent {
+                        hit: true,
+                        writeback: None,
+                    },
+                );
+            }
+            Err(w) => w,
+        };
         self.note_access(false);
         let data = fill(addr);
-        let (w, wb) = self.victimize(set, class);
+        let wb = self.evict_way(set, w);
         self.install(
             set,
             w,
@@ -456,19 +501,22 @@ impl Llc {
         let addr = addr.cacheline();
         let (set, tag) = self.index(addr);
         self.use_clock += 1;
-        if let Some(w) = self.find(set, tag) {
-            self.note_access(true);
-            let line = &mut self.sets[set][w];
-            line.data = data;
-            line.dirty = true;
-            line.last_use = self.use_clock;
-            return CacheEvent {
-                hit: true,
-                writeback: None,
-            };
-        }
+        let w = match self.probe(set, tag, class) {
+            Ok(w) => {
+                self.note_access(true);
+                let line = &mut self.sets[set][w];
+                line.data = data;
+                line.dirty = true;
+                line.last_use = self.use_clock;
+                return CacheEvent {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            Err(w) => w,
+        };
         self.note_access(false);
-        let (w, wb) = self.victimize(set, class);
+        let wb = self.evict_way(set, w);
         self.install(
             set,
             w,
@@ -544,7 +592,7 @@ impl Llc {
     /// Whether the line is present (no LRU update, no stats).
     pub fn contains(&self, addr: PhysAddr) -> bool {
         let (set, tag) = self.index(addr.cacheline());
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.find(set, tag).is_some()
     }
 
     /// Whether the line is present and dirty.
@@ -839,6 +887,48 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_probe_matches_find_then_victimize(
+            ops in proptest::collection::vec((0u64..48, 0u8..5, 0usize..3), 1..200),
+        ) {
+            // Reads, writes, DDIO writes, flushes and invalidates over 48
+            // lines of an 8-set, 4-way cache (6 tags per set), by class 0
+            // (all ways), class 1 (way 2 only) and the DDIO class (ways 0
+            // and 1). Flushed and invalidated ways keep a stale
+            // `last_use`. After every op, every line and class must probe
+            // alike both ways.
+            let classes = [0, 1, DDIO_CLASS];
+            let mut c = tiny();
+            c.set_way_mask(1, 0b0100);
+            for (line, op, class) in ops {
+                let addr = PhysAddr(line * 64);
+                let class = classes[class];
+                match op {
+                    0 => {
+                        c.read_line(addr, class, |_| [line as u8; 64]);
+                    }
+                    1 => {
+                        c.write_line(addr, class, [op; 64]);
+                    }
+                    2 => {
+                        c.dev_write_line(addr, [op; 64]);
+                    }
+                    3 => {
+                        c.flush_line(addr);
+                    }
+                    _ => c.invalidate_line(addr),
+                }
+                for probe in (0..48u64).map(|l| PhysAddr(l * 64)) {
+                    for class in classes {
+                        prop_assert_eq!(
+                            c.probe_line(probe, class),
+                            c.probe_line_two_pass(probe, class)
+                        );
+                    }
+                }
+            }
+        }
+
         #[test]
         fn prop_cache_is_coherent_with_memory_oracle(
             ops in proptest::collection::vec((0u64..64, any::<bool>(), any::<u8>()), 1..300),

@@ -302,9 +302,8 @@ impl AddressMapper {
     /// Inverse of [`AddressMapper::split_line`]: the physical cacheline
     /// index of channel-local line `local` on `channel`.
     pub fn merge_line(&self, channel: usize, local: u64) -> u64 {
-        let g = self.topo.channel_interleave_lines as u64;
-        let n = self.topo.channels as u64;
-        ((local / g) * n + channel as u64) * g + local % g
+        let (within, block) = self.interleave.split(local);
+        (block * self.channels.n + channel as u64) * self.interleave.n + within
     }
 
     /// How many of `channel`'s lines lie below physical cacheline

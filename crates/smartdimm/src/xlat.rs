@@ -10,6 +10,13 @@
 //!
 //! This module reproduces those structures and exposes displacement /
 //! failure statistics for the §IV-C ablation.
+//!
+//! Host-side only, the table also keeps a count of live entries per
+//! low 12 bits of the page number, so the lookup every DDR CAS makes
+//! answers an unmapped page, the common case, from one small array
+//! without touching the three cold cuckoo slots. The filter is exact
+//! (a zero count means absent), costs no simulated time and changes no
+//! statistic.
 
 /// What a translated page maps to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +84,18 @@ pub struct TranslationTable {
     stash_capacity: usize,
     stats: XlatStats,
     max_kicks: usize,
+    /// Live entries (cuckoo + stash) per filter bucket, the page
+    /// number's low bits: zero means no entry for any page there.
+    live: Box<[u32; FILTER_BUCKETS]>,
+}
+
+/// Buckets of the negative filter in front of the cuckoo probe (16 KB
+/// of counts per table).
+const FILTER_BUCKETS: usize = 1 << 12;
+
+/// The filter bucket of `page`.
+fn bucket(page: u64) -> usize {
+    (page & (FILTER_BUCKETS as u64 - 1)) as usize
 }
 
 /// Error returned when an insertion cannot be placed.
@@ -107,6 +126,7 @@ impl TranslationTable {
             stash_capacity,
             stats: XlatStats::default(),
             max_kicks: 32,
+            live: Box::new([0; FILTER_BUCKETS]),
         }
     }
 
@@ -161,22 +181,21 @@ impl TranslationTable {
     /// parallel).
     pub fn lookup(&mut self, page: u64) -> Option<Mapping> {
         self.stats.lookups += 1;
-        if let Some(e) = self.stash.iter().find(|e| e.page == page) {
-            return Some(e.mapping);
-        }
-        for way in 0..3 {
-            let idx = self.hash(page, way);
-            if let Some(e) = &self.slots[idx] {
-                if e.page == page {
-                    return Some(e.mapping);
-                }
-            }
-        }
-        None
+        self.peek(page)
     }
 
-    /// Read-only lookup (no stats side effects) for assertions/tests.
+    /// Read-only lookup (no stats side effects).
     pub fn peek(&self, page: u64) -> Option<Mapping> {
+        if self.live.get(bucket(page)).is_some_and(|&n| n == 0) {
+            return None;
+        }
+        self.peek_unfiltered(page)
+    }
+
+    /// [`TranslationTable::peek`] without the negative filter: the CAM
+    /// stash, then all three cuckoo ways. Kept as the filter's oracle and
+    /// the `before` side of the `xlat_unmapped_lookup` hot-path row.
+    pub fn peek_unfiltered(&self, page: u64) -> Option<Mapping> {
         if let Some(e) = self.stash.iter().find(|e| e.page == page) {
             return Some(e.mapping);
         }
@@ -217,6 +236,16 @@ impl TranslationTable {
                 }
             }
         }
+        self.place(page, mapping)?;
+        if let Some(n) = self.live.get_mut(bucket(page)) {
+            *n += 1;
+        }
+        Ok(())
+    }
+
+    /// Places `page`, which has no entry yet: an empty way, else a
+    /// cuckoo displacement chain, else the CAM stash.
+    fn place(&mut self, page: u64, mapping: Mapping) -> Result<(), TableFull> {
         // Try an empty way.
         for way in 0..3 {
             let idx = self.hash(page, way);
@@ -289,6 +318,15 @@ impl TranslationTable {
 
     /// Removes the mapping for `page`, returning it if present.
     pub fn remove(&mut self, page: u64) -> Option<Mapping> {
+        let mapping = self.take(page)?;
+        if let Some(n) = self.live.get_mut(bucket(page)) {
+            *n -= 1;
+        }
+        Some(mapping)
+    }
+
+    /// Takes `page`'s entry out of the stash or its cuckoo slot.
+    fn take(&mut self, page: u64) -> Option<Mapping> {
         if let Some(pos) = self.stash.iter().position(|e| e.page == page) {
             return Some(self.stash.swap_remove(pos).mapping);
         }
@@ -315,13 +353,23 @@ mod tests {
         }
     }
 
-    /// Checks the O(1) counts against a full slot scan.
+    /// Checks the O(1) counts and every filter bucket against a full
+    /// scan of the slots and the stash.
     fn assert_counts_match_scan(t: &TranslationTable) {
         let filled = t.slots.iter().filter(|s| s.is_some()).count();
         assert_eq!(t.len(), filled + t.stash.len());
         assert_eq!(t.occupancy(), filled as f64 / t.slots.len() as f64);
         assert_eq!(t.is_empty(), filled + t.stash.len() == 0);
+        let mut live = [0u32; FILTER_BUCKETS];
+        for page in t.pages() {
+            live[bucket(page)] += 1;
+        }
+        assert!(*t.live == live, "filter counts differ from a slot scan");
     }
+
+    /// One table shape per case: (cuckoo slots, stash entries). The
+    /// small ones kick, spill and fail.
+    const SHAPES: [(usize, usize); 4] = [(3, 0), (12, 2), (24, 1), (1024, 8)];
 
     #[test]
     fn live_count_survives_kicks_spills_and_unwinds() {
@@ -345,6 +393,25 @@ mod tests {
             }
             assert!(t.is_empty());
         }
+    }
+
+    #[test]
+    fn filter_rejects_only_empty_buckets() {
+        // Pages 4096 apart share a bucket: the filter passes a miss in a
+        // live bucket on to the cuckoo probe, and a removal empties the
+        // bucket only with its last entry.
+        let mut t = TranslationTable::new(64, 8);
+        t.insert(5, src(1)).unwrap();
+        t.insert(5 + 4096, src(2)).unwrap();
+        assert_eq!(t.lookup(5 + 2 * 4096), None);
+        assert_eq!(t.lookup(5 + 4096), Some(src(2)));
+        t.remove(5);
+        assert_eq!(t.peek(5 + 4096), Some(src(2)));
+        t.remove(5 + 4096);
+        assert_eq!(t.live[bucket(5)], 0);
+        assert_eq!(t.lookup(5), None);
+        // Every lookup counts, the filtered ones included.
+        assert_eq!(t.stats().lookups, 3);
     }
 
     #[test]
@@ -435,7 +502,7 @@ mod tests {
         ) {
             // Insert (op 0), replace under a new mapping (op 1), remove
             // (op 2); small shapes kick, spill and fail.
-            let (slots, stash) = [(3, 0), (12, 2), (24, 1), (1024, 8)][shape];
+            let (slots, stash) = SHAPES[shape];
             let mut t = TranslationTable::new(slots, stash);
             for (page, op) in ops {
                 match op {
@@ -449,14 +516,18 @@ mod tests {
 
         #[test]
         fn prop_model_equivalence(
+            shape in 0usize..4,
             ops in proptest::collection::vec((0u64..128, 0u64..3), 1..400),
         ) {
             // Against a HashMap oracle: insert (op 0), remove (op 1),
-            // lookup (op 2).
+            // lookup (op 2). Pages 4096 apart share a filter bucket, so
+            // every page shares its bucket with one other.
             use std::collections::HashMap;
-            let mut t = TranslationTable::new(1024, 8);
+            let (slots, stash) = SHAPES[shape];
+            let mut t = TranslationTable::new(slots, stash);
             let mut oracle: HashMap<u64, Mapping> = HashMap::new();
-            for (page, op) in ops {
+            for (key, op) in ops {
+                let page = (key & 63) + (key >> 6) * 4096;
                 match op {
                     0 => {
                         let m = src(page * 3);
@@ -470,6 +541,12 @@ mod tests {
                     _ => {
                         prop_assert_eq!(t.lookup(page), oracle.get(&page).copied());
                     }
+                }
+                assert_counts_match_scan(&t);
+                for probe in (0..128u64).map(|k| (k & 63) + (k >> 6) * 4096) {
+                    let want = oracle.get(&probe).copied();
+                    prop_assert_eq!(t.peek(probe), want);
+                    prop_assert_eq!(t.peek_unfiltered(probe), want);
                 }
             }
         }

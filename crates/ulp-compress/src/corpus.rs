@@ -49,15 +49,36 @@ const WORDS: &[&str] = &[
 
 /// English-like text of exactly `size` bytes.
 pub fn text(size: usize, seed: u64) -> Vec<u8> {
-    let mut rng = DetRng::new(seed ^ 0x7e57);
     let mut out = Vec::with_capacity(size + 16);
-    while out.len() < size {
+    push_text(&mut out, size, seed);
+    out
+}
+
+/// Appends exactly `size` bytes of [`text`]`(size, seed)` to `out`.
+fn push_text(out: &mut Vec<u8>, size: usize, seed: u64) {
+    let mut rng = DetRng::new(seed ^ 0x7e57);
+    let end = out.len() + size;
+    while out.len() < end {
         let w = WORDS[rng.gen_range(0..WORDS.len() as u64) as usize];
         out.extend_from_slice(w.as_bytes());
         out.push(if rng.gen_bool(0.1) { b'.' } else { b' ' });
     }
-    out.truncate(size);
-    out
+    out.truncate(end);
+}
+
+/// Appends `n` in decimal to `out`.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// HTML-like markup of exactly `size` bytes (tag-heavy, repetitive —
@@ -70,12 +91,13 @@ pub fn html(size: usize, seed: u64) -> Vec<u8> {
         match rng.gen_range(0..4) {
             0 => {
                 out.extend_from_slice(b"<div class=\"content-row\"><p>");
-                out.extend_from_slice(&text(rng.gen_range(20..120) as usize, rng.next_u64()));
+                let len = rng.gen_range(20..120) as usize;
+                push_text(&mut out, len, rng.next_u64());
                 out.extend_from_slice(b"</p></div>");
             }
             1 => {
                 out.extend_from_slice(b"<a href=\"/static/page-");
-                out.extend_from_slice(rng.gen_range(0..10_000).to_string().as_bytes());
+                push_decimal(&mut out, rng.gen_range(0..10_000));
                 out.extend_from_slice(b".html\">link</a>");
             }
             2 => {
@@ -83,7 +105,7 @@ pub fn html(size: usize, seed: u64) -> Vec<u8> {
             }
             _ => {
                 out.extend_from_slice(b"<li data-id=\"");
-                out.extend_from_slice(rng.gen_range(0..1_000).to_string().as_bytes());
+                push_decimal(&mut out, rng.gen_range(0..1_000));
                 out.extend_from_slice(b"\">entry</li>");
             }
         }
@@ -104,9 +126,10 @@ pub fn json(size: usize, seed: u64) -> Vec<u8> {
         }
         first = false;
         out.extend_from_slice(b"{\"id\":");
-        out.extend_from_slice(rng.gen_range(0..1_000_000).to_string().as_bytes());
+        push_decimal(&mut out, rng.gen_range(0..1_000_000));
         out.extend_from_slice(b",\"name\":\"");
-        out.extend_from_slice(&text(rng.gen_range(5..20) as usize, rng.next_u64()));
+        let len = rng.gen_range(5..20) as usize;
+        push_text(&mut out, len, rng.next_u64());
         out.extend_from_slice(b"\",\"active\":");
         out.extend_from_slice(if rng.gen_bool(0.5) { b"true" } else { b"false" });
         out.push(b'}');
@@ -194,6 +217,54 @@ mod tests {
     fn generators_are_deterministic() {
         for kind in Kind::ALL {
             assert_eq!(kind.generate(2048, 7), kind.generate(2048, 7), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn generated_bytes_are_pinned() {
+        // One SHA-256 per kind over sizes 1 B, 4 KB and 16 KB at seeds 1
+        // and 2, so a generator rewrite cannot move a byte unseen.
+        let pinned = [
+            (
+                Kind::Text,
+                "7008f6215aafea0278b653467dced145add41fd54443ab4d34ca45275646f901",
+            ),
+            (
+                Kind::Html,
+                "5bd88b5294335b65155e35b5c9d43f853f3d598d8dc37cce6d6afc1b26834753",
+            ),
+            (
+                Kind::Json,
+                "ff5bfcfa95d4d78225241226bc75c4a4ea37ad10e6df69014120ae667c17990e",
+            ),
+            (
+                Kind::Random,
+                "05a47eafcf082b9e7d70ab151dfc3778b0a6261f29af475130845086db7cf7a3",
+            ),
+            (
+                Kind::Zeros,
+                "97453091de75367a712a44a17c03fd84183dc3a5ef218c9ef697fd42f12b7961",
+            ),
+        ];
+        for (kind, want) in pinned {
+            let mut h = ulp_crypto::sha256::Sha256::new();
+            for seed in [1u64, 2] {
+                for size in [1usize, 4096, 16384] {
+                    h.update(&kind.generate(size, seed));
+                }
+            }
+            let got: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, want, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn decimals_match_display() {
+        let mut out = Vec::new();
+        for n in [0u64, 7, 10, 999, 1_000_000, u64::MAX] {
+            out.clear();
+            push_decimal(&mut out, n);
+            assert_eq!(out, n.to_string().as_bytes());
         }
     }
 

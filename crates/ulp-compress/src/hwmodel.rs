@@ -873,12 +873,36 @@ mod tests {
         }
     }
 
+    /// Runs of one random byte across line starts, each placed so the
+    /// match walk lands on the line start inside it: a literal at the
+    /// run's first byte, then whole `limit`-byte neighbour matches. At
+    /// least nine run positions before the line start use up the bank's
+    /// ports, so the last one's insert is dropped and the table offers an
+    /// earlier run position; the run ends 3 to `limit - 1` bytes past the
+    /// line start, where that candidate and the adjacent lane tie below
+    /// the limit.
+    fn runs_across_line_starts(seed: u64, limit: usize) -> Vec<u8> {
+        let mut rng = simkit::DetRng::new(seed);
+        let mut page = Vec::with_capacity(PAGE);
+        for line_start in (CACHELINE..PAGE).step_by(CACHELINE) {
+            let steps = 9usize.div_ceil(limit) + rng.gen_range(0..2) as usize;
+            let start = (line_start - 1).saturating_sub(steps * limit);
+            if start <= page.len() {
+                continue;
+            }
+            page.extend(corpus::random(start - page.len(), rng.next_u64()));
+            let end = line_start + 3 + rng.gen_range(0..limit as u64 - 3) as usize;
+            page.resize(end.min(PAGE), rng.next_u64() as u8);
+        }
+        page
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn prop_fast_path_matches_reference(
-            source in 0u8..5,
+            source in 0u8..6,
             seed in any::<u64>(),
             len in 1usize..=4096,
             word in proptest::collection::vec(any::<u8>(), 1..24),
@@ -890,6 +914,7 @@ mod tests {
                 1 => corpus::html(len, seed),
                 2 => corpus::text(len, seed),
                 3 => word.iter().cycle().take(len).copied().collect(),
+                4 => runs_across_line_starts(seed, shapes(window)[shape].max_match()),
                 _ => {
                     // A run between random bytes: its bank runs out of
                     // ports, and it may end below the match limit.
