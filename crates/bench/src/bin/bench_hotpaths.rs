@@ -30,10 +30,14 @@ use bench::harness::{json_parses, paired_ns_per_op, report, row_field, BenchSpec
 use cache::{CacheConfig, Llc};
 use dram::dimm::CellCoord;
 use dram::{AddressMapper, CasInfo, Dimm, DramTopology, PhysAddr, RdResult};
-use platforms::{run_server, BackendKind, PlatformKind, UlpKind, WorkloadConfig};
+use platforms::{
+    run_server, run_server_with_telemetry, BackendKind, PlatformKind, UlpKind, WorkloadConfig,
+};
+use simkit::par::with_helper_budget;
+use simkit::telemetry::Registry;
 use simkit::DetRng;
 use smartdimm::xlat::{Mapping, TranslationTable};
-use smartdimm::{CompCpyHost, HostConfig};
+use smartdimm::{CompCpyHost, HostConfig, PlacementPolicy};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use ulp_compress::hwmodel::{HwCompressor, HwDeflateConfig};
@@ -44,7 +48,7 @@ use ulp_crypto::ghash::{Ghash, HPowers, OooGhash};
 use ulp_crypto::Backend;
 
 /// The rows every report carries, in emission order.
-const HOT_PATHS: [&str; 13] = [
+const HOT_PATHS: [&str; 14] = [
     "gf128_mul",
     "compcpy_page_copy",
     "lz77_match_finder",
@@ -58,6 +62,7 @@ const HOT_PATHS: [&str; 13] = [
     "ghash_fold_page",
     "llc_miss_probe",
     "xlat_unmapped_lookup",
+    "deflate_offload_lookahead",
 ];
 
 /// Picks the `after_impl` text for the backend `AesGcm::new_128` takes
@@ -228,10 +233,13 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
     // interleave, deflate under coarse, TLS on the fast backend).
     // Before: the pre-parallel report builder — entries run one after
     // another on the caller's thread. After: the same entries fanned
-    // out on a 4-worker `simkit::par` pool, the fan-out `run_report`
-    // uses. Results are byte-identical either way; the
-    // ratio is the wall-clock scaling of whole-simulation parallelism, bounded by
-    // the slowest single entry (deflate).
+    // out on `available_workers()` `simkit::par` workers, the fan-out
+    // `run_report` uses. Results are byte-identical either way; the
+    // ratio is the wall-clock scaling of whole-simulation parallelism,
+    // bounded by the slowest single entry (deflate). Only the
+    // sequential side has a worker to spare for the deflate entry's
+    // page lookahead helper, as in a real sequential run.
+    let workers = simkit::par::available_workers();
     let entries = || -> Vec<(PlatformKind, WorkloadConfig)> {
         let tls_cfg = WorkloadConfig {
             message_bytes: 4096,
@@ -268,20 +276,68 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
             }
         },
         || {
-            let (metrics, _) =
-                simkit::par::run_indexed(4, entries(), |_, (kind, cfg)| run_server(kind, &cfg));
+            let (metrics, _) = simkit::par::run_indexed(workers, entries(), |_, (kind, cfg)| {
+                run_server(kind, &cfg)
+            });
             assert!(metrics.iter().all(|m| m.rps > 0.0));
         },
     );
     HotPath {
         name: "whole_sim_parallel",
         before_impl: "sequential report builder (entries run back to back)",
-        after_impl: "4-worker simkit::par fan-out (one shared index queue, ordered mount)",
+        after_impl: "simkit::par fan-out on available_workers() workers, as run_report runs it (one shared index queue, ordered mount)",
         work_units: format!(
             "4-channel run_report entries: TLS cpu+smartdimm fine, deflate \
-             coarse, TLS fast-backend, {connections} conns x {requests} reqs"
+             coarse, TLS fast-backend, {connections} conns x {requests} reqs, \
+             {workers} workers"
         ),
         timing,
+        speed_claim: true,
+    }
+}
+
+fn bench_deflate_lookahead(spec: BenchSpec, connections: usize, requests: usize) -> HotPath {
+    // One op = a small lock-step deflate run shaped like simbench's
+    // `deflate_numa`: 4 coarse-interleaved channels over 2 sockets with
+    // 2 DIMMs each and occupancy+locality placement. Before: every
+    // Deflate DSA page kernel runs inline on the simulation thread
+    // (helper budget 0). After: the default, where the announced pages'
+    // kernels run ahead on a `simkit::par` helper thread when the
+    // machine has a worker to spare.
+    let cfg = WorkloadConfig {
+        message_bytes: 4096,
+        connections,
+        requests,
+        ulp: UlpKind::Compression,
+        llc: Some(CacheConfig::mb(2, 16)),
+        channels: 4,
+        channel_interleave_lines: 64,
+        dimms_per_channel: 2,
+        sockets: 2,
+        interconnect_penalty_cycles: 200,
+        placement: PlacementPolicy::OccupancyLocality,
+        ..WorkloadConfig::default()
+    };
+    let snapshot = || {
+        let mut reg = Registry::new();
+        run_server_with_telemetry(PlatformKind::SmartDimm, &cfg, reg.root());
+        reg.snapshot()
+    };
+    assert_eq!(
+        with_helper_budget(0, snapshot),
+        snapshot(),
+        "the helper must not move a simulated number"
+    );
+    let run = || assert!(run_server(PlatformKind::SmartDimm, &cfg).rps > 0.0);
+    HotPath {
+        name: "deflate_offload_lookahead",
+        before_impl: "Deflate DSA page kernel inline on the simulation thread (helper budget 0)",
+        after_impl: "announced pages' kernels run ahead on a simkit::par helper, taken on byte-identical input",
+        work_units: format!(
+            "lock-step deflate, 4 coarse channels, 2 sockets x 2 DIMMs, \
+             {connections} conns x {requests} reqs"
+        ),
+        timing: paired_ns_per_op(spec, || with_helper_budget(0, run), run),
         speed_claim: true,
     }
 }
@@ -794,6 +850,7 @@ fn main() -> ExitCode {
         bench_ghash_fold(spec, offloads.0),
         bench_llc_probe(spec, probes),
         bench_xlat_lookup(spec, probes),
+        bench_deflate_lookahead(spec, sweep_scale.0, sweep_scale.1),
     ];
     assert_eq!(
         paths.iter().map(|p| p.name).collect::<Vec<_>>(),

@@ -589,6 +589,13 @@ impl Llc {
         }
     }
 
+    /// The cached copy of the line, if present: no LRU update, no
+    /// statistics.
+    pub fn peek_line(&self, addr: PhysAddr) -> Option<[u8; 64]> {
+        let (set, tag) = self.index(addr.cacheline());
+        self.find(set, tag).map(|w| self.sets[set][w].data)
+    }
+
     /// Whether the line is present (no LRU update, no stats).
     pub fn contains(&self, addr: PhysAddr) -> bool {
         let (set, tag) = self.index(addr.cacheline());

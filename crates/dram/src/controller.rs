@@ -680,6 +680,21 @@ impl DramSystem {
         Some((data, done.saturating_since(self.now) + hop))
     }
 
+    /// The cells of the cacheline at `addr` as the chips hold them: no
+    /// command issued, no time, statistics or trace, and no buffer
+    /// device callback.
+    pub fn peek(&self, addr: PhysAddr) -> [u8; 64] {
+        let loc = self.mapper.decode(addr.cacheline());
+        let topo = self.mapper.topology();
+        let slot = topo.dimm_slot_of_rank(loc.rank);
+        self.channels[loc.channel].dimms[slot].peek(
+            loc.rank,
+            loc.bank_index(topo),
+            loc.row,
+            loc.col,
+        )
+    }
+
     /// Functional convenience: reads a byte range spanning cachelines
     /// (debug/test use; does not model partial-line merging).
     pub fn read_bytes(&mut self, addr: PhysAddr, len: usize) -> Vec<u8> {

@@ -372,6 +372,24 @@ impl MemSystem {
         }
     }
 
+    /// Fills `buf` from `addr` as a load would see it, with no side
+    /// effect: each line is the LLC copy if one is cached, else the DRAM
+    /// cells. No LRU state, statistics, time or trace moves, and no
+    /// buffer device is called.
+    pub fn peek(&self, addr: PhysAddr, buf: &mut [u8]) {
+        let mut cur = addr.0;
+        let mut off = 0usize;
+        while off < buf.len() {
+            let line = PhysAddr(cur).cacheline();
+            let start = (cur - line.0) as usize;
+            let take = (buf.len() - off).min(CACHELINE - start);
+            let data = (self.llc.peek_line(line)).unwrap_or_else(|| self.dram.peek(line));
+            buf[off..off + take].copy_from_slice(&data[start..start + take]);
+            cur += take as u64;
+            off += take;
+        }
+    }
+
     /// Byte-granular store through the cache (read-modify-write on
     /// partial lines).
     pub fn store(&mut self, addr: PhysAddr, bytes: &[u8], class: usize) {
@@ -674,6 +692,29 @@ mod tests {
         let mut buf = vec![0u8; 500];
         m.load(PhysAddr(0x1234), &mut buf, 0);
         assert_eq!(buf, payload);
+    }
+
+    #[test]
+    fn peek_sees_cached_and_dram_lines_and_moves_nothing() {
+        let mut m = small(); // 16 KB cache
+        let payload: Vec<u8> = (0..64 * 1024u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        m.store(PhysAddr(0), &payload, 0); // early lines evicted to DRAM
+        let (now, llc, rd, wr) = (
+            m.now(),
+            m.llc().stats(),
+            m.dram().stats().rd_cas,
+            m.dram().stats().wr_cas,
+        );
+        let mut buf = vec![0u8; payload.len() - 100];
+        m.peek(PhysAddr(37), &mut buf);
+        assert_eq!(buf, payload[37..payload.len() - 63]);
+        assert_eq!(m.now(), now);
+        assert_eq!(m.llc().stats(), llc);
+        assert_eq!(m.dram().stats().rd_cas, rd);
+        assert_eq!(m.dram().stats().wr_cas, wr);
+        let mut loaded = vec![0u8; buf.len()];
+        m.load(PhysAddr(37), &mut loaded, 0);
+        assert_eq!(loaded, buf, "a load sees what the peek saw");
     }
 
     #[test]

@@ -415,6 +415,20 @@ fn touch_deflate_state(host: &mut CompCpyHost, conn: usize, seed: u64, pages: us
     }
 }
 
+/// §V-C: a SmartDIMM deflate of `len` bytes for `conn` is one CompCpy
+/// per 4 KB page, `(source, destination, bytes)` each.
+fn deflate_pages(conn: usize, len: usize) -> impl Iterator<Item = (PhysAddr, PhysAddr, usize)> {
+    let (file, rec) = (conn_file_addr(conn), rec_addr(conn));
+    (0..len.div_ceil(PAGE)).map(move |pg| {
+        let at = (pg * PAGE) as u64;
+        (
+            PhysAddr(file.0 + at),
+            PhysAddr(rec.0 + at),
+            (len - pg * PAGE).min(PAGE),
+        )
+    })
+}
+
 /// Nanoseconds → command-clock cycles, rounded to nearest.
 ///
 /// 1.6 cyc/ns is the rational 8/5, so the conversion is computed in exact
@@ -524,6 +538,15 @@ impl<'a> Engine<'a> {
 
     /// Serves one batch of requests through the staged pipeline.
     pub(crate) fn run_batch(&mut self, host: &mut CompCpyHost, conns: &[usize]) {
+        // Stage 1 copies every request's pages in this order: announce
+        // them so the deflate DSA's page kernel can run ahead.
+        if (self.cfg.ulp, self.kind) == (UlpKind::Compression, PlatformKind::SmartDimm) {
+            for &conn in conns {
+                for (src, _, len) in deflate_pages(conn, self.cfg.message_bytes) {
+                    host.announce(src, len, OffloadOp::Compress);
+                }
+            }
+        }
         // Stage 1: produce (content read + ULP).
         let mut inflight: Vec<Inflight> = Vec::with_capacity(conns.len());
         for &conn in conns {
@@ -659,11 +682,7 @@ impl<'a> Engine<'a> {
                 self.charge_cpu_ns(host, p.qat_call_cpu_ns);
             }
             (UlpKind::Compression, PlatformKind::SmartDimm) => {
-                // §V-C: one CompCpy per 4 KB page.
-                for pg in 0..m.div_ceil(PAGE) {
-                    let len = (m - pg * PAGE).min(PAGE);
-                    let src = PhysAddr(file.0 + (pg * PAGE) as u64);
-                    let dst = PhysAddr(rec.0 + (pg * PAGE) as u64);
+                for (src, dst, len) in deflate_pages(conn, m) {
                     self.charge_cpu_ns(host, p.compcpy_sw_overhead_ns);
                     let mut handle = None;
                     self.timed_cpu(host, |h| {

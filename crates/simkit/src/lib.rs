@@ -18,7 +18,8 @@
 //!   `telemetry/v1` JSON snapshot,
 //! * the [`par`] module — the one threading doorway: it runs independent
 //!   whole simulations in parallel on as many workers as the machine
-//!   offers and returns their results in input order.
+//!   offers and returns their results in input order, and runs a pure
+//!   kernel ahead of one simulation on a spare worker.
 //!
 //! # Example
 //!

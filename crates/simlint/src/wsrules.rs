@@ -2,8 +2,7 @@
 //!
 //! Per-file rules ([`crate::rules`]) see one token stream; the rules
 //! here consume the whole-workspace [`CallGraph`] plus every file's
-//! [`FileContext`], and encode the access discipline the parallel-shard
-//! work (ROADMAP item 3) depends on:
+//! [`FileContext`], and encode the device model's access discipline:
 //!
 //! | id            | invariant                                                      |
 //! |---------------|----------------------------------------------------------------|
@@ -55,8 +54,11 @@ pub const WS_RULES: [(&str, &str); 4] = [
 const HOT_FILES: [&str; 4] = ["device.rs", "dsa.rs", "scratchpad.rs", "xlat.rs"];
 
 /// Files that make up the per-channel `SmartDimmDevice` shard. Code in
-/// these files runs "on the DIMM" and must stay oblivious to host-side
-/// state so a future scheduler can run one shard per worker thread.
+/// these files runs "on the DIMM": the paper's buffer device sees only
+/// the DDR commands on its own channel (§IV), so the model must not
+/// reach host-side state any other way. The one thing a shard shares
+/// with the host is the Deflate page lookahead (`simkit::par`), which
+/// carries copies of page bytes and never shard or host state.
 const SHARD_FILES: [&str; 6] = [
     "device.rs",
     "dsa.rs",

@@ -8,14 +8,16 @@
 
 use dram::{AddressMapper, Dimm, PhysAddr};
 use memsys::{MemConfig, MemSystem};
-use std::collections::{BTreeMap, BTreeSet};
+use simkit::par::LookaheadStats;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use ulp_compress::hwmodel::HwDeflateConfig;
 
 use crate::configmem::{
     unpack_pending, ConfigWindow, ContextChunk, OffloadStatus, Registration, ResultSlot, StatusReg,
     CONFIG_BASE, CONTEXT_OFFSET, PENDING_BASE, REGISTER_OFFSET, RESULT_BASE, STATUS_OFFSET,
 };
 use crate::device::{SmartDimmConfig, SmartDimmDevice};
-use crate::dsa::{OffloadContext, OffloadOp};
+use crate::dsa::{page_kernel, OffloadContext, OffloadOp, PageJob, PageLookahead};
 use crate::sched::{self, PlacementPolicy, SchedStats};
 use crate::{LINES_PER_PAGE, PAGE};
 
@@ -125,6 +127,23 @@ enum Staging {
     Channel(usize),
 }
 
+/// Streaming offloads whose source bytes the host keeps on the page
+/// lookahead at once, the one being copied included.
+const LOOKAHEAD: usize = 3;
+
+/// Announced offloads the host remembers; older ones are forgotten.
+const ANNOUNCED_MAX: usize = 4096;
+
+/// A streaming offload announced ahead of its `comp_cpy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Announced {
+    sbuf: PhysAddr,
+    size: usize,
+    op: OffloadOp,
+    /// Whether its page is already on the lookahead.
+    submitted: bool,
+}
+
 /// The CompCpy host runtime.
 pub struct CompCpyHost {
     mem: MemSystem,
@@ -157,6 +176,13 @@ pub struct CompCpyHost {
     /// Fault injector (tests only); shared with the devices, the memory
     /// system and — if the caller threads it through — the TCP model.
     fault: Option<simkit::FaultHandle>,
+    /// The streaming DSAs' page kernel, run ahead on a helper thread
+    /// when the worker budget allows (host time only).
+    lookahead: PageLookahead,
+    /// The Deflate geometry every channel's DSA runs.
+    hw_deflate: HwDeflateConfig,
+    /// Streaming offloads announced and not yet copied, oldest first.
+    announced: VecDeque<Announced>,
 }
 
 impl std::fmt::Debug for CompCpyHost {
@@ -173,11 +199,12 @@ impl CompCpyHost {
     pub fn new(config: HostConfig) -> CompCpyHost {
         let topo = config.mem.dram.topology;
         let mut mem = MemSystem::new(config.mem);
+        let lookahead = PageLookahead::new(page_kernel);
         for channel in 0..topo.channels {
             let mut dimm_cfg = config.dimm;
             dimm_cfg.topology = topo;
             dimm_cfg.channel = channel;
-            let device = SmartDimmDevice::new(dimm_cfg);
+            let device = SmartDimmDevice::new(dimm_cfg).with_lookahead(lookahead.clone());
             mem.dram_mut()
                 .install_dimm(channel, Dimm::new(Box::new(device)));
         }
@@ -195,6 +222,9 @@ impl CompCpyHost {
             force_recycles: 0,
             injected_faults: 0,
             fault: None,
+            lookahead,
+            hw_deflate: config.dimm.hw_deflate,
+            announced: VecDeque::new(),
         }
     }
 
@@ -783,6 +813,68 @@ impl CompCpyHost {
         freed
     }
 
+    /// Announces a coming [`CompCpyHost::comp_cpy`] of `len` bytes from
+    /// `sbuf` under `op`, so that the page kernel of a streaming
+    /// (de)compression offload can run ahead on a helper thread. Each
+    /// streaming `comp_cpy` keeps its own page and the next announced
+    /// ones, [`LOOKAHEAD`] in all, in flight. The helper gets a copy of
+    /// the bytes `sbuf` holds when the page is submitted, and a device
+    /// uses its output only if the page it absorbs is byte-identical, so
+    /// announcing changes host time, never a simulated outcome. TLS
+    /// operations are ignored.
+    pub fn announce(&mut self, sbuf: PhysAddr, len: usize, op: OffloadOp) {
+        if !op.requires_ordered() {
+            return;
+        }
+        if self.announced.len() >= ANNOUNCED_MAX {
+            self.announced.pop_front();
+        }
+        self.announced.push_back(Announced {
+            sbuf,
+            size: len,
+            op,
+            submitted: false,
+        });
+    }
+
+    /// Outcome counts of the page lookahead. They depend on host timing,
+    /// so no telemetry snapshot carries them.
+    pub fn lookahead_stats(&self) -> LookaheadStats {
+        self.lookahead.stats()
+    }
+
+    /// Feeds the page lookahead at the start of a streaming `comp_cpy`:
+    /// this offload's page first, unless an announcement already put it
+    /// in flight, then the next announced pages.
+    fn feed_lookahead(&mut self, sbuf: PhysAddr, size: usize, op: OffloadOp) {
+        let (mem, hw) = (&self.mem, self.hw_deflate);
+        let job = |sbuf: PhysAddr, size: usize, op: OffloadOp| {
+            move || {
+                let mut bytes = vec![0u8; size];
+                mem.peek(sbuf, &mut bytes);
+                PageJob {
+                    op,
+                    config: hw,
+                    bytes,
+                }
+            }
+        };
+        let current = (self.announced.iter())
+            .position(|a| (a.sbuf, a.size, a.op) == (sbuf, size, op))
+            .and_then(|at| self.announced.drain(..=at).next_back());
+        if !current.is_some_and(|a| a.submitted) && !self.lookahead.submit_with(job(sbuf, size, op))
+        {
+            // No helper: nothing announced will run ahead.
+            self.announced.clear();
+            return;
+        }
+        for a in self.announced.iter_mut().take(LOOKAHEAD - 1) {
+            if !a.submitted {
+                a.submitted = self.lookahead.submit_with(job(a.sbuf, a.size, a.op));
+            }
+        }
+    }
+
     /// Algorithm 2: CompCpy. Transforms `size` bytes from `sbuf` into
     /// `dbuf` using the near-memory DSA while copying.
     ///
@@ -842,6 +934,9 @@ impl CompCpyHost {
         let Some(mut ctx) = OffloadContext::new(op, size, aad) else {
             return Err(CompCpyError::BadSize);
         };
+        if op.requires_ordered() {
+            self.feed_lookahead(sbuf, size, op);
+        }
         self.apply_armed_faults();
         self.reserve_scratchpad(size)?;
 

@@ -36,7 +36,7 @@ use crate::configmem::{
     ResultSlot, StatusReg, CONFIG_BASE, CONFIG_SPACE_SIZE, CONTEXT_OFFSET, PENDING_BASE,
     REGISTER_OFFSET, RESULT_BASE, RESULT_SLOTS, STATUS_OFFSET,
 };
-use crate::dsa::{DsaInstance, OffloadContext, OffloadOp};
+use crate::dsa::{DsaInstance, OffloadContext, OffloadOp, PageLookahead};
 use crate::scratchpad::{LineState, Scratchpad};
 use crate::xlat::{Mapping, TranslationTable};
 use crate::{LINES_PER_PAGE, PAGE};
@@ -192,6 +192,9 @@ pub struct SmartDimmDevice {
     slack: Histogram,
     /// Fault injector (tests only; `None` costs nothing).
     fault: Option<FaultHandle>,
+    /// Where the streaming DSAs may find their page kernel's output
+    /// already computed (host-side speed only; see [`PageLookahead`]).
+    lookahead: Option<PageLookahead>,
     /// Sentinel pages holding injected translation pressure.
     injected_xlat_pages: Vec<u64>,
     /// Sentinel destination pages of injected scratchpad hogs.
@@ -231,6 +234,7 @@ impl SmartDimmDevice {
             stats: DeviceStats::default(),
             slack: Histogram::new("smartdimm.slack_cycles", 200, 2000),
             fault: None,
+            lookahead: None,
             injected_xlat_pages: Vec::new(),
             injected_hog_pages: Vec::new(),
             // Sentinel pages for injected state: physical 0x3000_0000+,
@@ -238,6 +242,15 @@ impl SmartDimmDevice {
             sentinel_next: 0x30000,
             cfg,
         }
+    }
+
+    /// The device with its streaming DSAs taking page outputs from
+    /// `lookahead` when they match the absorbed page byte for byte. The
+    /// lookahead only ever holds copies of page bytes, never device
+    /// state, so no simulated outcome depends on it.
+    pub fn with_lookahead(mut self, lookahead: PageLookahead) -> SmartDimmDevice {
+        self.lookahead = Some(lookahead);
+        self
     }
 
     /// The hardware configuration.
@@ -513,7 +526,8 @@ impl SmartDimmDevice {
                 reg.offload_id,
                 Offload {
                     ctx,
-                    dsa: DsaInstance::new(&ctx, self.cfg.hw_deflate),
+                    dsa: DsaInstance::new(&ctx, self.cfg.hw_deflate)
+                        .with_lookahead(self.lookahead.as_ref()),
                     pages: vec![None; msg_len.div_ceil(PAGE)],
                     processed: vec![false; msg_len.div_ceil(64)],
                     done: false,

@@ -10,6 +10,7 @@
 //! is why compression destination lines can see premature writebacks
 //! (S7) that the Scratchpad ignores.
 
+use simkit::par::Lookahead;
 use ulp_compress::hwmodel::{HwCompressor, HwDeflateConfig};
 use ulp_crypto::gcm::{AesGcm, Direction, OooGcm};
 
@@ -194,6 +195,44 @@ pub struct DsaCompletion {
     pub tag: Option<[u8; 16]>,
 }
 
+/// Everything a streaming DSA's page kernel reads: the operation, the
+/// Deflate geometry and the page's bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PageJob {
+    /// [`OffloadOp::Compress`] or [`OffloadOp::Decompress`].
+    pub op: OffloadOp,
+    /// The Deflate DSA geometry.
+    pub config: HwDeflateConfig,
+    /// The whole input page, `msg_len` bytes.
+    pub bytes: Vec<u8>,
+}
+
+/// The streaming DSAs' page kernel, a pure function of the job: the
+/// output bytes, or `None` when the page yields no usable output (a
+/// compression that does not shrink it, a corrupt or oversized stream).
+pub fn page_kernel(job: &PageJob) -> Option<Vec<u8>> {
+    match job.op {
+        OffloadOp::Compress => {
+            let out = HwCompressor::new(job.config).compress_page(&job.bytes).data;
+            (out.len() < job.bytes.len()).then_some(out)
+        }
+        // Inflation stops at one page, so a hostile stream cannot grow
+        // the engine's buffer past it.
+        OffloadOp::Decompress => match ulp_compress::hwmodel::decompress_page(&job.bytes) {
+            Ok((out, _)) if !out.is_empty() => Some(out),
+            _ => None,
+        },
+        OffloadOp::TlsEncrypt { .. } | OffloadOp::TlsDecrypt { .. } => None,
+    }
+}
+
+/// [`page_kernel`] run ahead of the simulation on a `simkit::par`
+/// helper. The host submits copies of the pages it is about to offload;
+/// a streaming DSA takes the helper's output only for a job equal to
+/// the one it absorbed, byte for byte, and runs the kernel itself
+/// otherwise, so every simulated outcome is the same with or without it.
+pub type PageLookahead = Lookahead<PageJob, Option<Vec<u8>>>;
+
 /// A live DSA engine bound to one offload.
 pub enum DsaInstance {
     /// AES-GCM, out-of-order per cacheline.
@@ -208,8 +247,8 @@ impl std::fmt::Debug for DsaInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DsaInstance::Tls(g) => write!(f, "Tls({}B)", g.msg_len()),
-            DsaInstance::Compress(s) => write!(f, "Compress({}B)", s.msg_len),
-            DsaInstance::Decompress(s) => write!(f, "Decompress({}B)", s.msg_len),
+            DsaInstance::Compress(s) => write!(f, "Compress({}B)", s.msg_len()),
+            DsaInstance::Decompress(s) => write!(f, "Decompress({}B)", s.msg_len()),
         }
     }
 }
@@ -217,23 +256,40 @@ impl std::fmt::Debug for DsaInstance {
 /// Reassembly buffer for the streaming (de)compression DSAs.
 #[derive(Debug)]
 pub struct StreamBuf {
-    msg_len: usize,
-    data: Vec<u8>,
+    /// The page being absorbed, with the operation and geometry its
+    /// kernel runs under.
+    job: PageJob,
     received: Vec<bool>, // per cacheline
     /// How many entries of `received` are set.
     lines_received: usize,
-    hw_config: HwDeflateConfig,
+    /// Where the page's output may already be waiting.
+    lookahead: Option<PageLookahead>,
 }
 
 impl StreamBuf {
-    fn new(msg_len: usize, hw_config: HwDeflateConfig) -> StreamBuf {
+    fn new(op: OffloadOp, msg_len: usize, config: HwDeflateConfig) -> StreamBuf {
         StreamBuf {
-            msg_len,
-            data: vec![0u8; msg_len],
+            job: PageJob {
+                op,
+                config,
+                bytes: vec![0u8; msg_len],
+            },
             received: vec![false; msg_len.div_ceil(64)],
             lines_received: 0,
-            hw_config,
+            lookahead: None,
         }
+    }
+
+    fn msg_len(&self) -> usize {
+        self.job.bytes.len()
+    }
+
+    /// The kernel's output for the complete page: the lookahead's, if it
+    /// ran an equal job, else computed here.
+    fn run_kernel(&self) -> Option<Vec<u8>> {
+        (self.lookahead.as_ref())
+            .and_then(|l| l.take(&self.job))
+            .unwrap_or_else(|| page_kernel(&self.job))
     }
 
     /// Stores the line at message byte `offset` (64-aligned) and returns
@@ -247,7 +303,7 @@ impl StreamBuf {
             return false;
         }
         // The line's slot of the message; `zip` stops at its valid bytes.
-        for (dst, src) in self.data.iter_mut().skip(offset).zip(line) {
+        for (dst, src) in self.job.bytes.iter_mut().skip(offset).zip(line) {
             *dst = *src;
         }
         self.lines_received += 1;
@@ -296,13 +352,22 @@ impl DsaInstance {
             OffloadOp::TlsDecrypt { key, iv } => tls(&key, iv, Direction::Decrypt),
             OffloadOp::Compress => {
                 assert!(msg_len <= 4096, "compression is page-granular");
-                DsaInstance::Compress(StreamBuf::new(msg_len, hw))
+                DsaInstance::Compress(StreamBuf::new(ctx.op, msg_len, hw))
             }
             OffloadOp::Decompress => {
                 assert!(msg_len <= 4096, "decompression input is page-granular");
-                DsaInstance::Decompress(StreamBuf::new(msg_len, hw))
+                DsaInstance::Decompress(StreamBuf::new(ctx.op, msg_len, hw))
             }
         }
+    }
+
+    /// Lets a streaming engine take its page's output from `lookahead`
+    /// (see [`PageLookahead`]). No effect on a TLS engine.
+    pub fn with_lookahead(mut self, lookahead: Option<&PageLookahead>) -> DsaInstance {
+        if let DsaInstance::Compress(buf) | DsaInstance::Decompress(buf) = &mut self {
+            buf.lookahead = lookahead.cloned();
+        }
+        self
     }
 
     /// Feeds the cacheline at message byte `offset`. `valid` is the
@@ -338,44 +403,32 @@ impl DsaInstance {
                 }
             }
             DsaInstance::Compress(buf) => {
-                let complete = buf.absorb(offset, data);
-                if !complete {
+                if !buf.absorb(offset, data) {
                     return DsaOutput::default();
                 }
-                let mut hw = HwCompressor::new(buf.hw_config);
-                let result = hw.compress_page(&buf.data);
-                if result.data.len() >= buf.msg_len {
+                let compressed = buf.run_kernel();
+                let (status, out) = match &compressed {
+                    Some(out) => (OffloadStatus::Done, out),
                     // Did not compress below the original size: hand the
                     // raw input back so the output never outgrows the
                     // registered destination pages.
-                    DsaOutput {
-                        produced: to_lines(&buf.data),
-                        completion: Some(DsaCompletion {
-                            status: OffloadStatus::Incompressible,
-                            out_len: buf.msg_len,
-                            tag: None,
-                        }),
-                    }
-                } else {
-                    DsaOutput {
-                        produced: to_lines(&result.data),
-                        completion: Some(DsaCompletion {
-                            status: OffloadStatus::Done,
-                            out_len: result.data.len(),
-                            tag: None,
-                        }),
-                    }
+                    None => (OffloadStatus::Incompressible, &buf.job.bytes),
+                };
+                DsaOutput {
+                    produced: to_lines(out),
+                    completion: Some(DsaCompletion {
+                        status,
+                        out_len: out.len(),
+                        tag: None,
+                    }),
                 }
             }
             DsaInstance::Decompress(buf) => {
-                let complete = buf.absorb(offset, data);
-                if !complete {
+                if !buf.absorb(offset, data) {
                     return DsaOutput::default();
                 }
-                // Inflation stops at one page, so a hostile stream
-                // cannot grow the engine's buffer past it.
-                match ulp_compress::hwmodel::decompress_page(&buf.data) {
-                    Ok((out, _)) if !out.is_empty() => DsaOutput {
+                match buf.run_kernel() {
+                    Some(out) => DsaOutput {
                         produced: to_lines(&out),
                         completion: Some(DsaCompletion {
                             status: OffloadStatus::Done,
@@ -383,7 +436,7 @@ impl DsaInstance {
                             tag: None,
                         }),
                     },
-                    _ => DsaOutput {
+                    None => DsaOutput {
                         produced: Vec::new(),
                         completion: Some(DsaCompletion {
                             status: OffloadStatus::Error,
@@ -410,7 +463,7 @@ impl DsaInstance {
     pub fn msg_len(&self) -> usize {
         match self {
             DsaInstance::Tls(g) => g.msg_len(),
-            DsaInstance::Compress(s) | DsaInstance::Decompress(s) => s.msg_len,
+            DsaInstance::Compress(s) | DsaInstance::Decompress(s) => s.msg_len(),
         }
     }
 }

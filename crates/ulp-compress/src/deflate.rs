@@ -58,11 +58,7 @@ pub fn compress_with(data: &[u8], config: MatcherConfig, strategy: Strategy) -> 
 /// the stored-block path.
 pub fn encode_tokens(tokens: &[Token], original: &[u8], strategy: Strategy) -> Vec<u8> {
     match strategy {
-        Strategy::Stored => {
-            let mut w = BitWriter::new();
-            write_stored(&mut w, original);
-            w.finish()
-        }
+        Strategy::Stored => encode_stored(original),
         Strategy::Fixed => {
             let mut w = BitWriter::new();
             write_fixed_block(&mut w, tokens, true);
@@ -93,6 +89,13 @@ pub fn encode_tokens(tokens: &[Token], original: &[u8], strategy: Strategy) -> V
             best
         }
     }
+}
+
+/// `data` as stored (uncompressed) blocks: the stream of last resort.
+pub(crate) fn encode_stored(data: &[u8]) -> Vec<u8> {
+    let mut w = BitWriter::new();
+    write_stored(&mut w, data);
+    w.finish()
 }
 
 /// Writes one or more stored blocks covering `data` (stored blocks are

@@ -27,7 +27,7 @@
 //! [`crate::inflate`].
 
 use crate::bitio::BitWriter;
-use crate::deflate::{encode_fixed_reference, encode_tokens, fixed_codes, Strategy};
+use crate::deflate::{encode_fixed_reference, encode_stored, fixed_codes};
 use crate::lz77::{length_to_symbol, Token, MAX_MATCH, MIN_MATCH};
 use std::sync::OnceLock;
 
@@ -203,7 +203,7 @@ impl HwCompressor {
             // Stored fallback keeps the compressed page within the
             // registered destination pages.
             self.stats.stored_fallbacks += 1;
-            (encode_tokens(&[], page, Strategy::Stored), true)
+            (encode_stored(page), true)
         } else {
             (fixed, false)
         };

@@ -252,9 +252,13 @@ const HASH_SIZE: usize = 1 << HASH_BITS;
 fn match_len(data: &[u8], cand: usize, pos: usize, max_len: usize) -> usize {
     let mut l = 0;
     while l + 8 <= max_len {
-        let a = u64::from_le_bytes(data[cand + l..cand + l + 8].try_into().unwrap());
-        let b = u64::from_le_bytes(data[pos + l..pos + l + 8].try_into().unwrap());
-        let diff = a ^ b;
+        let (Some(a), Some(b)) = (
+            data[cand + l..].first_chunk::<8>(),
+            data[pos + l..].first_chunk::<8>(),
+        ) else {
+            break;
+        };
+        let diff = u64::from_le_bytes(*a) ^ u64::from_le_bytes(*b);
         if diff != 0 {
             return l + (diff.trailing_zeros() >> 3) as usize;
         }

@@ -4,7 +4,11 @@
 
 use cache::CacheConfig;
 use netsim::tcp::{simulate_transfer, TcpConfig};
-use platforms::{run_server, run_server_with_telemetry, PlatformKind, UlpKind, WorkloadConfig};
+use platforms::{
+    run_event_server_with_telemetry, run_server, run_server_with_telemetry, EventWorkloadConfig,
+    PlatformKind, UlpKind, WorkloadConfig,
+};
+use simkit::par::with_helper_budget;
 use simkit::telemetry::Registry;
 use smartdimm::{CompCpyHost, HostConfig, OffloadOp};
 
@@ -51,6 +55,48 @@ fn compcpy_stack_is_deterministic() {
         (trace, host.device_stats())
     };
     assert_eq!(run(), run());
+}
+
+/// The deflate DSA's page kernel runs ahead on a helper thread when
+/// one is allowed; the devices take its output only for byte-identical
+/// pages, so both harnesses' snapshots match the inline runs exactly.
+#[test]
+fn deflate_snapshots_match_with_and_without_the_page_lookahead() {
+    for seed in 1..=3 {
+        let lock_step = WorkloadConfig {
+            message_bytes: 8192,
+            connections: 16,
+            requests: 64,
+            ulp: UlpKind::Compression,
+            llc: Some(CacheConfig::mb(2, 16)),
+            channels: 2,
+            channel_interleave_lines: 64,
+            seed,
+            ..WorkloadConfig::default()
+        };
+        let run = |budget| with_helper_budget(budget, || smartdimm_run(&lock_step).1);
+        assert_eq!(run(1), run(0), "lock-step, seed {seed}");
+
+        let event = EventWorkloadConfig {
+            connections: 64,
+            requests: 160,
+            ulp: UlpKind::Compression,
+            objects: 32,
+            min_object_bytes: 1024,
+            max_object_bytes: 8192,
+            llc: Some(CacheConfig::mb(2, 16)),
+            seed,
+            ..EventWorkloadConfig::default()
+        };
+        let run = |budget| {
+            with_helper_budget(budget, || {
+                let mut reg = Registry::new();
+                run_event_server_with_telemetry(PlatformKind::SmartDimm, &event, reg.scope("e"));
+                reg.snapshot()
+            })
+        };
+        assert_eq!(run(1), run(0), "event, seed {seed}");
+    }
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! End-to-end compression integration: HTTP responses compressed near
 //! memory, page by page, interoperating with the software Deflate stack.
 
+use dram::PhysAddr;
 use proptest::prelude::*;
+use simkit::par::with_helper_budget;
 use smartdimm::configmem::OffloadStatus;
 use smartdimm::{CompCpyHost, HostConfig, OffloadOp};
 use ulp_compress::{corpus, deflate, hwmodel, inflate};
@@ -38,6 +40,60 @@ fn compressed_http_response_round_trips() {
     }
     assert_eq!(restored, body);
     assert!(wire_bytes < body.len(), "compression actually saved bytes");
+}
+
+/// A source line rewritten after its page went to the lookahead: the
+/// device absorbs the new bytes, rejects the helper's stale output and
+/// computes the page itself, exactly as a host without a helper does.
+#[test]
+fn rewritten_source_rejects_the_lookahead_output() {
+    let run = |budget| {
+        with_helper_budget(budget, || {
+            let mut host = CompCpyHost::new(HostConfig::default());
+            let (src, dst) = (host.alloc_pages(2), host.alloc_pages(2));
+            let body = corpus::html(8192, 21);
+            host.mem_mut().store(src, &body, 0);
+            let second = PhysAddr(src.0 + 4096);
+            host.announce(src, 4096, OffloadOp::Compress);
+            host.announce(second, 4096, OffloadOp::Compress);
+            // The first copy also puts the second page on the lookahead.
+            let first = host
+                .comp_cpy(dst, src, 4096, OffloadOp::Compress, true, 0)
+                .expect("offload accepted");
+            let first = host.use_buffer(&first);
+            let mut edited = body[4096..].to_vec();
+            edited[5 * 64..6 * 64].fill(b'#');
+            host.mem_mut()
+                .store(PhysAddr(second.0 + 5 * 64), &[b'#'; 64], 0);
+            let handle = host
+                .comp_cpy(
+                    PhysAddr(dst.0 + 4096),
+                    second,
+                    4096,
+                    OffloadOp::Compress,
+                    true,
+                    0,
+                )
+                .expect("offload accepted");
+            let out = host.use_buffer(&handle);
+            assert_eq!(inflate::decompress(&first).unwrap(), body[..4096]);
+            assert_eq!(inflate::decompress(&out).unwrap(), edited);
+            (first, out, host.device_stats(), host.lookahead_stats())
+        })
+    };
+    let (first, out, stats, ahead) = run(1);
+    assert_eq!(
+        (
+            ahead.submitted,
+            ahead.ready + ahead.waited + ahead.inline,
+            ahead.missed
+        ),
+        (2, 1, 1),
+        "the first page came from the helper, the rewritten one did not: {ahead:?}"
+    );
+    let (first0, out0, stats0, inline) = run(0);
+    assert_eq!((first, out, stats), (first0, out0, stats0));
+    assert_eq!(inline, simkit::par::LookaheadStats::default());
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! The host is deliberately starved — an 8-page scratchpad and a 48-slot
 //! translation table — so the injected pressure actually bites.
 
+use simkit::par::with_helper_budget;
 use simkit::{DetRng, FaultHandle, FaultKind, FaultPlan};
 use smartdimm::{FaultOracle, HostConfig, OffloadOp};
 
@@ -60,6 +61,12 @@ fn run_tls_plan(seed: u64) -> Vec<String> {
 
 /// Runs one seeded plan of compression offloads; returns the trace.
 fn run_compress_plan(seed: u64) -> Vec<String> {
+    let mut oracle = compress_plan(seed);
+    trace_of(&mut oracle, seed)
+}
+
+/// Runs one seeded plan of compression offloads; returns the oracle.
+fn compress_plan(seed: u64) -> FaultOracle {
     let plan = FaultPlan::generate(seed, OPS_PER_PLAN);
     let mut oracle = FaultOracle::new(stress_config(), plan);
     let mut rng = DetRng::new(seed ^ 0xC0);
@@ -80,7 +87,7 @@ fn run_compress_plan(seed: u64) -> Vec<String> {
         }
         oracle.assert_occupancy_bound();
     }
-    trace_of(&mut oracle, seed)
+    oracle
 }
 
 /// Everything a re-run with the same seed must reproduce exactly:
@@ -125,6 +132,28 @@ fn compression_sweep_is_byte_exact_and_recovers() {
         fired_any >= SEEDS / 4,
         "only {fired_any}/{SEEDS} compression plans fired any fault"
     );
+}
+
+/// The compression sweep with the page kernel run ahead on a helper
+/// thread: every offload still matches the golden path, and each plan
+/// reproduces the inline run's faults, recoveries and device stats.
+#[test]
+fn compression_sweep_with_the_page_lookahead_matches_inline() {
+    let mut taken = 0;
+    for seed in 0..SEEDS {
+        let (ahead, stats) = with_helper_budget(1, || {
+            let mut oracle = compress_plan(seed);
+            let stats = oracle.host().lookahead_stats();
+            (trace_of(&mut oracle, seed), stats)
+        });
+        assert_eq!(
+            ahead,
+            with_helper_budget(0, || run_compress_plan(seed)),
+            "seed {seed}"
+        );
+        taken += stats.ready + stats.waited + stats.inline;
+    }
+    assert!(taken > 0, "the helper served no offload");
 }
 
 #[test]
