@@ -95,7 +95,9 @@ impl Outcome {
     }
 }
 
-fn config_for(backend: BackendKind, channels: usize, interleave: usize) -> HostConfig {
+/// The default host configuration on `backend` with `channels` channels
+/// rotating every `interleave` lines.
+pub fn config_for(backend: BackendKind, channels: usize, interleave: usize) -> HostConfig {
     let mut cfg = HostConfig::default();
     cfg.mem.backend = backend;
     cfg.mem.dram.topology = DramTopology {
@@ -106,8 +108,7 @@ fn config_for(backend: BackendKind, channels: usize, interleave: usize) -> HostC
     cfg
 }
 
-/// A default host on `backend` with `channels` channels rotating every
-/// `interleave` lines.
+/// A host built from [`config_for`].
 pub fn host_for(backend: BackendKind, channels: usize, interleave: usize) -> CompCpyHost {
     CompCpyHost::new(config_for(backend, channels, interleave))
 }

@@ -221,13 +221,13 @@ pub const DEVIATIONS: [(&str, &str); 2] = [
         "the solo run's copies take the batched page copy (one pipelined DRAM \
          latency per 4 KB page) while a co-runner forces the per-line path, so \
          SmartDIMM's solo request costs 11 510 cycles and its co-run one 24 005: \
-         the slowdown measures two timing models (ROADMAP item 1(a))",
+         the slowdown measures two timing models (ROADMAP: \"One timing model per copy\")",
     ),
     (
         "ablate_ordered: fence_adds_little",
         "unordered copies take the batched page copy and ordered ones cannot, so \
          the 56-59% overhead compares two timing models, not fenced and \
-         unfenced copies (ROADMAP item 1(a))",
+         unfenced copies (ROADMAP: \"One timing model per copy\")",
     ),
 ];
 

@@ -602,14 +602,6 @@ impl Llc {
         self.find(set, tag).is_some()
     }
 
-    /// Whether the line is present and dirty.
-    pub fn is_dirty(&self, addr: PhysAddr) -> bool {
-        let (set, tag) = self.index(addr.cacheline());
-        self.sets[set]
-            .iter()
-            .any(|l| l.valid && l.dirty && l.tag == tag)
-    }
-
     /// Number of valid lines resident in the 4 KB page numbered `page`
     /// (`addr >> 12`). O(1) — one probe of the residency index instead
     /// of 64 per-line set scans; zero means a page-granular operation
@@ -669,7 +661,6 @@ mod tests {
         for i in 0..4u64 {
             c.write_line(PhysAddr(i * 512), 0, [i as u8; 64]);
         }
-        assert!(c.is_dirty(PhysAddr(0)));
         // Fifth distinct line in the same set evicts the LRU (addr 0).
         let ev = c.write_line(PhysAddr(4 * 512), 0, [9u8; 64]);
         assert!(!ev.hit);

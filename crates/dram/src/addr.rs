@@ -33,11 +33,6 @@ impl PhysAddr {
         PhysAddr(self.0 & !63)
     }
 
-    /// Byte offset within the cacheline.
-    pub fn line_offset(self) -> usize {
-        (self.0 & 63) as usize
-    }
-
     /// Whether the address is 64-byte aligned.
     pub fn is_line_aligned(self) -> bool {
         self.0 & 63 == 0
@@ -92,7 +87,7 @@ pub struct DramTopology {
 impl Default for DramTopology {
     /// Single-socket, single-channel, single-rank 4 GiB DIMM — the
     /// AxDIMM-class setup scaled down for simulation (16 banks ×
-    /// 32 Ki rows × 8 KB rows). `capacity_math` in this module asserts
+    /// 32 Ki rows × 8 KB rows). `default_geometry` in this module asserts
     /// this figure so the doc and the geometry cannot drift apart.
     fn default() -> Self {
         DramTopology {
@@ -150,16 +145,6 @@ impl DramTopology {
     /// device sees.
     pub fn on_dsa_slot(&self, rank: usize) -> bool {
         self.dimm_slot_of_rank(rank) == DSA_SLOT
-    }
-
-    /// Total addressable bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.channels
-            * self.ranks_per_channel()
-            * self.banks_per_rank()
-            * self.rows
-            * self.lines_per_row) as u64
-            * 64
     }
 }
 
@@ -372,7 +357,6 @@ mod tests {
         let a = PhysAddr(0x12345);
         assert_eq!(a.page(), 0x12);
         assert_eq!(a.cacheline(), PhysAddr(0x12340));
-        assert_eq!(a.line_offset(), 5);
         assert!(!a.is_line_aligned());
         assert!(PhysAddr(0x1000).is_page_aligned());
         assert!(!PhysAddr(0x1040).is_page_aligned());
@@ -436,18 +420,13 @@ mod tests {
     }
 
     #[test]
-    fn capacity_math() {
+    fn default_geometry() {
         let topo = DramTopology::default();
-        // 1 ch * 1 rank * 16 banks * 32768 rows * 128 lines * 64 B = 4 GiB —
+        // 1 ch * 1 rank * 16 banks * 32768 rows * 8 KB rows = 4 GiB —
         // exactly what `DramTopology::default()`'s rustdoc promises.
-        assert_eq!(topo.capacity_bytes(), 4 << 30);
+        assert_eq!((topo.channels, topo.ranks_per_channel()), (1, 1));
         assert_eq!(topo.banks_per_rank(), 16);
-        // Extra DIMM slots add capacity multiplicatively.
-        let multi = DramTopology {
-            dimms_per_channel: 2,
-            ..topo
-        };
-        assert_eq!(multi.capacity_bytes(), 8 << 30);
+        assert_eq!((topo.rows, topo.lines_per_row * 64), (1 << 15, 8192));
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl Bank {
         self.state
     }
 
-    /// Whether `row` is open in this bank.
-    pub fn is_open(&self, row: usize) -> bool {
-        self.state == RowState::Open(row)
-    }
-
     /// Earliest cycle at which a CAS to `row` could complete its command
     /// issue, accounting for any required PRE/ACT. Does not mutate.
     pub fn earliest_cas(&self, now: Cycle, row: usize, t: &Timing) -> Cycle {
@@ -129,7 +124,7 @@ mod tests {
         let (cas_at, act, pre) = b.open_row(Cycle(100), 5, &t);
         assert!(act && !pre);
         assert_eq!(cas_at, Cycle(100 + t.t_rcd));
-        assert!(b.is_open(5));
+        assert_eq!(b.state(), RowState::Open(5));
     }
 
     #[test]
@@ -152,7 +147,7 @@ mod tests {
         assert!(act && pre);
         // Must respect tRAS before precharge, then tRP + tRCD.
         assert!(cas2.raw() >= t.t_ras + t.t_rp + t.t_rcd);
-        assert!(b.is_open(9));
+        assert_eq!(b.state(), RowState::Open(9));
     }
 
     #[test]

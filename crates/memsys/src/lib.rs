@@ -196,11 +196,6 @@ impl MemSystem {
         self.fault = Some(fault);
     }
 
-    /// Writebacks currently stuck in the (fault-injected) write buffer.
-    pub fn deferred_writebacks(&self) -> usize {
-        self.deferred_wb.len()
-    }
-
     /// Delivers every deferred writeback to DRAM. Returns how many were
     /// drained.
     pub fn drain_writebacks(&mut self) -> usize {

@@ -19,7 +19,7 @@ use memsys::BackgroundTraffic;
 use simkit::DetRng;
 use smartdimm::CompCpyHost;
 
-use crate::server::{PlatformKind, UlpKind, WorkloadConfig};
+use crate::server::{run_server_instrumented, PlatformKind, UlpKind, WorkloadConfig};
 
 /// A 505.mcf-like pointer-chasing workload: a *hot* region (arc arrays)
 /// that is LLC-resident when run alone, plus a *cold* region (the network
@@ -142,38 +142,6 @@ fn server_background(
     }
 }
 
-/// Server foreground cycles per request with optional background traffic.
-fn measure_server(kind: PlatformKind, cfg: &WorkloadConfig, bg: Option<BackgroundTraffic>) -> f64 {
-    let mut host = cfg.build_host(cfg.host_config());
-    let mut rng = DetRng::new(cfg.seed);
-    let mut engine = crate::server::Engine::new(kind, cfg);
-    engine.preload(&mut host);
-    host.mem_mut().set_background(bg);
-
-    let batch = crate::server::batch_size(cfg).min(cfg.requests.max(1));
-    let warmup_batches = (cfg.requests / 4 / batch).max(1) + 1;
-    let measure_batches = cfg.requests.div_ceil(batch);
-    let mut cycles = 0u64;
-    for phase in 0..2 {
-        let batches = if phase == 0 {
-            warmup_batches
-        } else {
-            measure_batches
-        };
-        for _ in 0..batches {
-            let conns: Vec<usize> = (0..batch)
-                .map(|_| rng.gen_range(0..cfg.connections as u64) as usize)
-                .collect();
-            let t0 = host.mem().now();
-            engine.run_batch(&mut host, &conns);
-            if phase == 1 {
-                cycles += host.mem().now() - t0;
-            }
-        }
-    }
-    cycles as f64 / (measure_batches * batch) as f64
-}
-
 /// mcf foreground cycles per access with optional background traffic.
 fn measure_mcf(cfg: &WorkloadConfig, footprint: usize, bg: Option<BackgroundTraffic>) -> f64 {
     let mut host = CompCpyHost::new(cfg.host_config());
@@ -185,8 +153,10 @@ fn measure_mcf(cfg: &WorkloadConfig, footprint: usize, bg: Option<BackgroundTraf
 
 /// Runs solo and co-run phases for the given platform and returns the
 /// Table I slowdowns. Both sides run on the machine [`crate::run_server`]
-/// builds for `cfg` (LLC, topology, placement, DRAM backend); the server
-/// side also gets the workload's fault plan.
+/// builds for `cfg` (LLC, topology, placement, DRAM backend). Both server
+/// phases run through [`crate::run_server`]'s own warm-up and measure
+/// loop, fault plan included, so the solo cycles per request are the
+/// lock-step server's for `cfg`.
 ///
 /// # Panics
 ///
@@ -202,17 +172,15 @@ pub fn run_corun(
     mcf_footprint: usize,
     intensity: f64,
 ) -> CorunReport {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid WorkloadConfig: {e}");
-    }
     assert!(cfg.ulp != UlpKind::None, "co-run needs a ULP workload");
 
-    let nginx_solo = measure_server(kind, cfg, None);
-    let nginx_corun = measure_server(
-        kind,
-        cfg,
-        Some(mcf_background(mcf_footprint, intensity, cfg.seed ^ 0xBF)),
-    );
+    let server_cycles = |bg| run_server_instrumented(kind, cfg, bg).2;
+    let nginx_solo = server_cycles(None);
+    let nginx_corun = server_cycles(Some(mcf_background(
+        mcf_footprint,
+        intensity,
+        cfg.seed ^ 0xBF,
+    )));
     let mcf_solo = measure_mcf(cfg, mcf_footprint, None);
     let mcf_corun = measure_mcf(
         cfg,
@@ -288,6 +256,20 @@ mod tests {
             1.0,
         );
         assert_ne!(one.nginx_solo_cycles, two.nginx_solo_cycles);
+    }
+
+    #[test]
+    fn solo_phase_is_the_lock_step_server() {
+        // Fewer requests than one batch of 250: a loop that clamped the
+        // batch to the request count would measure a different server.
+        let small = WorkloadConfig {
+            connections: 256,
+            requests: 64,
+            ..cfg()
+        };
+        let solo = run_corun(PlatformKind::Cpu, &small, 16 << 20, 1.0).nginx_solo_cycles;
+        let server = crate::run_server(PlatformKind::Cpu, &small).avg_request_ns * 1.6;
+        assert!((solo - server).abs() <= 1e-9 * server, "{solo} vs {server}");
     }
 
     #[test]

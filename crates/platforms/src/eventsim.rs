@@ -143,7 +143,9 @@ pub struct EventWorkloadConfig {
     /// stay valid at small connection counts.
     pub backend: BackendKind,
     /// No effect: DSA feeds compute inline at CAS time, so there is no
-    /// shard-settle pool to size. Kept for existing callers.
+    /// shard-settle pool to size. Its one caller is simbench
+    /// (`Harness::with_threads`, `topology_into!`); the simbench change in
+    /// ROADMAP's "Benchmark v2" item deletes it.
     pub threads: usize,
     /// Mean exponential think time between a connection's requests (ns).
     pub think_time_ns: u64,

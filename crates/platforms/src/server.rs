@@ -24,7 +24,7 @@
 
 use cache::CacheConfig;
 use dram::{BackendKind, PhysAddr};
-use memsys::MemSystem;
+use memsys::{BackgroundTraffic, MemSystem};
 use simkit::DetRng;
 use smartdimm::{CompCpyHost, HostConfig, OffloadHandle, OffloadOp};
 use ulp_compress::corpus;
@@ -114,7 +114,9 @@ pub struct WorkloadConfig {
     /// wall-clock speed on long sweeps.
     pub backend: BackendKind,
     /// No effect: DSA feeds compute inline at CAS time, so there is no
-    /// shard-settle pool to size. Kept for existing callers.
+    /// shard-settle pool to size. Its one caller is simbench
+    /// (`Harness::with_threads`, `topology_into!`); the simbench change in
+    /// ROADMAP's "Benchmark v2" item deletes it.
     pub threads: usize,
 }
 
@@ -491,18 +493,18 @@ pub(crate) struct Inflight {
 
 /// Accumulated cost over a measurement window.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct WindowCost {
-    pub(crate) cpu_ns: u64,
-    pub(crate) accel_ns: u64,
-    pub(crate) wire_bytes: u64,
+struct WindowCost {
+    cpu_ns: u64,
+    accel_ns: u64,
+    wire_bytes: u64,
 }
 
-/// The batched-pipeline server engine, shared by the throughput harness
-/// and the co-run harness.
+/// The batched-pipeline server engine, shared by the lock-step loop and
+/// the event harness.
 pub(crate) struct Engine<'a> {
     kind: PlatformKind,
     cfg: &'a WorkloadConfig,
-    pub(crate) cost: WindowCost,
+    cost: WindowCost,
     req_counter: u64,
 }
 
@@ -521,12 +523,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    pub(crate) fn reset_window(&mut self) {
+    fn reset_window(&mut self) {
         self.cost = WindowCost::default();
     }
 
     /// Preloads every connection's page-cache content.
-    pub(crate) fn preload(&self, host: &mut CompCpyHost) {
+    fn preload(&self, host: &mut CompCpyHost) {
         for conn in 0..self.cfg.connections {
             let body = self
                 .cfg
@@ -537,7 +539,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Serves one batch of requests through the staged pipeline.
-    pub(crate) fn run_batch(&mut self, host: &mut CompCpyHost, conns: &[usize]) {
+    fn run_batch(&mut self, host: &mut CompCpyHost, conns: &[usize]) {
         // Stage 1 copies every request's pages in this order: announce
         // them so the deflate DSA's page kernel can run ahead.
         if (self.cfg.ulp, self.kind) == (UlpKind::Compression, PlatformKind::SmartDimm) {
@@ -788,7 +790,7 @@ impl<'a> Engine<'a> {
 
 /// In-flight responses across the worker pool at saturation: each worker
 /// multiplexes `connections/workers` sockets.
-pub(crate) fn batch_size(cfg: &WorkloadConfig) -> usize {
+fn batch_size(cfg: &WorkloadConfig) -> usize {
     (cfg.connections / cfg.workers).clamp(1, 64) * cfg.workers.min(16)
 }
 
@@ -800,7 +802,7 @@ pub(crate) fn batch_size(cfg: &WorkloadConfig) -> usize {
 /// Panics if the platform cannot run the ULP
 /// ([`PlatformKind::supports`]) or the configuration is degenerate.
 pub fn run_server(kind: PlatformKind, cfg: &WorkloadConfig) -> ServerMetrics {
-    run_server_instrumented(kind, cfg).0
+    run_server_instrumented(kind, cfg, None).0
 }
 
 /// [`run_server`], additionally exporting the full post-run state of the
@@ -812,7 +814,7 @@ pub fn run_server_with_telemetry(
     cfg: &WorkloadConfig,
     scope: &mut simkit::telemetry::Scope,
 ) -> ServerMetrics {
-    let (metrics, mut host) = run_server_instrumented(kind, cfg);
+    let (metrics, mut host, _) = run_server_instrumented(kind, cfg, None);
     metrics.export_telemetry(scope);
     // Every placement runs on the simulated machine (SmartDIMM devices are
     // installed on all channels regardless of which placement executes the
@@ -821,10 +823,15 @@ pub fn run_server_with_telemetry(
     metrics
 }
 
-fn run_server_instrumented(
+/// The one warm-up and measure loop behind [`run_server`] and
+/// [`crate::corun::run_corun`]. `background` (a co-runner's traffic) is
+/// installed after the page cache is preloaded. Returns the metrics, the
+/// post-run host and the elapsed cycles per measured request.
+pub(crate) fn run_server_instrumented(
     kind: PlatformKind,
     cfg: &WorkloadConfig,
-) -> (ServerMetrics, CompCpyHost) {
+    background: Option<BackgroundTraffic>,
+) -> (ServerMetrics, CompCpyHost, f64) {
     if let Err(e) = cfg.validate() {
         panic!("invalid WorkloadConfig: {e}");
     }
@@ -832,6 +839,7 @@ fn run_server_instrumented(
     let mut rng = DetRng::new(cfg.seed);
     let mut engine = Engine::new(kind, cfg);
     engine.preload(&mut host);
+    host.mem_mut().set_background(background);
 
     let batch = batch_size(cfg);
     let warmup_batches = ((cfg.requests / 4).max(cfg.connections)).div_ceil(batch);
@@ -891,7 +899,7 @@ fn run_server_instrumented(
         llc_miss_rate,
         force_recycles,
     };
-    (metrics, host)
+    (metrics, host, elapsed_cycles as f64 / measured)
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Good: cross-thread state goes through the simkit::par doorway, and
 //! raw threads are fine inside #[cfg(test)] code.
 
-use simkit::par::{DetMutex, Shared};
+use simkit::par::Shared;
 
 fn spin(&self) {
-    let m = DetMutex::new(0u64);
+    let m = Shared::new(0u64);
     m.with(|v| *v += 1);
 }
 

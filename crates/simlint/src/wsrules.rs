@@ -87,13 +87,12 @@ const HOST_IDENTS: [&str; 8] = [
 /// Inspection (stats/telemetry/translation-table reads) and fault
 /// injection are sanctioned; everything else must travel as memory
 /// commands so the shard boundary stays a message boundary.
-const SHARD_API: [&str; 14] = [
+const SHARD_API: [&str; 13] = [
     "stats",
     "free_pages",
     "occupancy_series",
     "slack_histogram",
     "scratchpad_stats",
-    "xlat_stats",
     "xlat",
     "injected_entries",
     "export_telemetry",

@@ -64,7 +64,9 @@ pub struct HostConfig {
     /// SmartDIMM hardware configuration.
     pub dimm: SmartDimmConfig,
     /// No effect: DSA feeds compute inline at CAS time, so there is no
-    /// shard-settle pool to size. Kept for existing callers.
+    /// shard-settle pool to size. Its one caller is simbench
+    /// (`Harness::with_threads`, `topology_into!`); the simbench change in
+    /// ROADMAP's "Benchmark v2" item deletes it.
     pub threads: usize,
     /// Offload placement policy (see [`crate::sched`]). The default
     /// keeps the static per-line decode.
@@ -201,10 +203,8 @@ impl CompCpyHost {
         let mut mem = MemSystem::new(config.mem);
         let lookahead = PageLookahead::new(page_kernel);
         for channel in 0..topo.channels {
-            let mut dimm_cfg = config.dimm;
-            dimm_cfg.topology = topo;
-            dimm_cfg.channel = channel;
-            let device = SmartDimmDevice::new(dimm_cfg).with_lookahead(lookahead.clone());
+            let device =
+                SmartDimmDevice::new(config.dimm, topo, channel).with_lookahead(lookahead.clone());
             mem.dram_mut()
                 .install_dimm(channel, Dimm::new(Box::new(device)));
         }

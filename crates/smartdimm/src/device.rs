@@ -50,11 +50,6 @@ pub struct SmartDimmConfig {
     pub xlat_entries: usize,
     /// CAM stash entries (8).
     pub cam_entries: usize,
-    /// DRAM topology (must match the memory system's).
-    pub topology: DramTopology,
-    /// Which memory channel this device sits on (one SmartDIMM per
-    /// channel under interleaving, §V-D).
-    pub channel: usize,
     /// Deflate DSA geometry.
     pub hw_deflate: HwDeflateConfig,
 }
@@ -65,8 +60,6 @@ impl Default for SmartDimmConfig {
             scratchpad_pages: 2048,
             xlat_entries: 12288,
             cam_entries: 8,
-            topology: DramTopology::default(),
-            channel: 0,
             hw_deflate: HwDeflateConfig::default(),
         }
     }
@@ -178,6 +171,8 @@ enum FeedPath {
 /// The buffer device. See the module docs for the protocol.
 pub struct SmartDimmDevice {
     cfg: SmartDimmConfig,
+    /// The memory channel this device sits on.
+    channel: usize,
     mapper: AddressMapper,
     window: ConfigWindow,
     bank_table: BankTable,
@@ -213,10 +208,12 @@ impl std::fmt::Debug for SmartDimmDevice {
 }
 
 impl SmartDimmDevice {
-    /// Builds the device.
-    pub fn new(cfg: SmartDimmConfig) -> SmartDimmDevice {
-        let topo = cfg.topology;
+    /// Builds the device for memory channel `channel` of a memory system
+    /// with DRAM topology `topo` (one SmartDIMM per channel under
+    /// interleaving, §V-D).
+    pub fn new(cfg: SmartDimmConfig, topo: DramTopology, channel: usize) -> SmartDimmDevice {
         SmartDimmDevice {
+            channel,
             mapper: AddressMapper::new(topo),
             window: ConfigWindow::new(CONFIG_BASE, topo),
             bank_table: BankTable::new(topo.ranks, topo.banks_per_rank()),
@@ -276,11 +273,6 @@ impl SmartDimmDevice {
     /// Scratchpad statistics.
     pub fn scratchpad_stats(&self) -> crate::scratchpad::ScratchpadStats {
         self.scratchpad.stats()
-    }
-
-    /// Translation-table statistics (for the §IV-C ablation).
-    pub fn xlat_stats(&self) -> crate::xlat::XlatStats {
-        self.xlat.stats()
     }
 
     /// Read-only view of the translation table (oracle invariants).
@@ -427,8 +419,11 @@ impl SmartDimmDevice {
     fn shard_mask(&self, page: u64, lines: usize) -> u64 {
         let on_shard = |l: &u64| {
             let addr = PhysAddr((page << 12) + l * 64);
-            self.mapper.channel_of(addr) == self.cfg.channel
-                && self.cfg.topology.on_dsa_slot(self.mapper.decode(addr).rank)
+            self.mapper.channel_of(addr) == self.channel
+                && self
+                    .mapper
+                    .topology()
+                    .on_dsa_slot(self.mapper.decode(addr).rank)
         };
         (0..lines as u64)
             .filter(on_shard)
@@ -1017,6 +1012,11 @@ impl BufferDevice for SmartDimmDevice {
 mod tests {
     use super::*;
 
+    /// A default device on the only channel of the default topology.
+    fn device() -> SmartDimmDevice {
+        SmartDimmDevice::new(SmartDimmConfig::default(), DramTopology::default(), 0)
+    }
+
     fn mk_info(mapper: &AddressMapper, addr: PhysAddr, at: Cycle) -> CasInfo {
         let loc = mapper.decode(addr);
         CasInfo {
@@ -1035,7 +1035,7 @@ mod tests {
     fn prepare(dev: &mut SmartDimmDevice, addr: PhysAddr) -> CasInfo {
         // Open the row at the device's bank table the way the controller
         // would before any CAS.
-        let mapper = AddressMapper::new(dev.cfg.topology);
+        let mapper = AddressMapper::new(*dev.mapper.topology());
         let info = mk_info(&mapper, addr, Cycle(0));
         dev.on_activate(Cycle(0), info.loc.rank, info.bank_index, info.loc.row);
         info
@@ -1043,7 +1043,7 @@ mod tests {
 
     #[test]
     fn mmio_status_read() {
-        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let mut dev = device();
         let addr = PhysAddr(CONFIG_BASE.0 + STATUS_OFFSET);
         let info = prepare(&mut dev, addr);
         match dev.on_rd_cas(&info, &[0u8; 64]) {
@@ -1058,7 +1058,7 @@ mod tests {
 
     #[test]
     fn mmio_writes_never_reach_dram() {
-        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let mut dev = device();
         let addr = PhysAddr(CONFIG_BASE.0 + CONTEXT_OFFSET);
         let info = prepare(&mut dev, addr);
         let chunk = ContextChunk {
@@ -1075,7 +1075,7 @@ mod tests {
         // controller issued an implicit precharge the device never saw)
         // used to overwrite the shadowed row silently. It must bump
         // `bank_desyncs` like the rd-CAS resync path does.
-        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let mut dev = device();
         dev.on_activate(Cycle(0), 0, 3, 100);
         assert_eq!(dev.stats().bank_desyncs, 0);
         dev.on_activate(Cycle(1), 0, 3, 200);
@@ -1091,7 +1091,7 @@ mod tests {
     /// through — no DSA feed, no staging, no MMIO handling.
     #[test]
     fn cas_to_precharged_bank_passes_through_untouched() {
-        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let mut dev = device();
         let base = CONFIG_BASE.0;
         let ctx = ContextChunk {
             offload_id: 5,
@@ -1116,7 +1116,7 @@ mod tests {
         let before = dev.stats();
         assert_eq!((before.registrations, before.bank_desyncs), (1, 0));
 
-        let mapper = AddressMapper::new(dev.cfg.topology);
+        let mapper = AddressMapper::new(*dev.mapper.topology());
         let another = Registration {
             offload_id: 6,
             src_page_addr: 0x30000,
@@ -1158,7 +1158,7 @@ mod tests {
 
     #[test]
     fn unregistered_pages_pass_through() {
-        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let mut dev = device();
         let addr = PhysAddr(0x123000);
         let info = prepare(&mut dev, addr);
         assert_eq!(dev.on_rd_cas(&info, &[9u8; 64]), RdResult::Data([9u8; 64]));
@@ -1171,7 +1171,7 @@ mod tests {
     /// Drives a complete single-page TLS offload at the raw CAS level.
     #[test]
     fn end_to_end_tls_offload_at_cas_level() {
-        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let mut dev = device();
         let base = CONFIG_BASE.0;
         let key = [1u8; 16];
         let iv = [2u8; 12];
@@ -1247,7 +1247,7 @@ mod tests {
     /// `&self` view already shows the finished offload.
     #[test]
     fn source_reads_alone_produce_the_staged_output() {
-        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let mut dev = device();
         let base = CONFIG_BASE.0;
         let (key, iv) = ([3u8; 16], [4u8; 12]);
         let msg: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 1) as u8).collect();
@@ -1302,7 +1302,7 @@ mod tests {
     /// Writes `data` to logical register `offset` of the device's own
     /// Config Memory window.
     fn mmio_write(dev: &mut SmartDimmDevice, offset: u64, data: [u8; 64]) {
-        let addr = dev.window.alias(offset, dev.cfg.channel);
+        let addr = dev.window.alias(offset, dev.channel);
         let info = prepare(dev, addr);
         assert_eq!(dev.on_wr_cas(&info, &data), WrResult::Ignore);
     }
@@ -1382,7 +1382,7 @@ mod tests {
             ),
         ];
         for (what, context, msg_offset, counter) in cases {
-            let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+            let mut dev = device();
             if let Some(context) = context {
                 send_context(&mut dev, 7, context);
             }
@@ -1406,7 +1406,7 @@ mod tests {
     #[test]
     fn repeat_page_registration_replaces_the_pair() {
         for dst in [0x20000, 0x60000] {
-            let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+            let mut dev = device();
             register_tls(&mut dev, 7, 4096, 0x10000, 0x20000);
             let before = dev.stats();
             send_pair(&mut dev, 7, 0x50000, dst, 0);
@@ -1437,16 +1437,12 @@ mod tests {
     /// memory stays bounded by the result-slot count.
     #[test]
     fn contexts_stay_bounded_on_an_idle_shard() {
-        let cfg = SmartDimmConfig {
-            topology: DramTopology {
-                channels: 3,
-                channel_interleave_lines: 64,
-                ..DramTopology::default()
-            },
-            channel: 1,
-            ..SmartDimmConfig::default()
+        let topo = DramTopology {
+            channels: 3,
+            channel_interleave_lines: 64,
+            ..DramTopology::default()
         };
-        let mut dev = SmartDimmDevice::new(cfg);
+        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default(), topo, 1);
         // Twelve more broadcast contexts than result slots. Pages 0x30
         // and 0x60 both decode to channel 0.
         let ids = RESULT_SLOTS as u64 + 12;
@@ -1473,7 +1469,7 @@ mod tests {
     /// phantom hog, whose lines no DSA produced) records no slack sample.
     #[test]
     fn superseded_page_leaves_no_stale_slack_stamp() {
-        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let mut dev = device();
 
         // Offload A stages two lines on dst page 0x20000; line 0 recycles.
         register_tls(&mut dev, 1, 128, 0x10000, 0x20000);
@@ -1518,7 +1514,7 @@ mod tests {
     #[test]
     fn premature_writeback_ignored_then_read_retries() {
         // Compression: output pending until the whole page arrives.
-        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let mut dev = device();
         let base = CONFIG_BASE.0;
         let page = ulp_compress::corpus::text(4096, 3);
         let ctx = ContextChunk {
@@ -1577,7 +1573,7 @@ mod tests {
             scratchpad_pages: 1,
             ..Default::default()
         };
-        let mut dev = SmartDimmDevice::new(cfg);
+        let mut dev = SmartDimmDevice::new(cfg, DramTopology::default(), 0);
         let base = CONFIG_BASE.0;
         for id in 0..2u64 {
             let ctx = ContextChunk {

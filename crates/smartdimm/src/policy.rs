@@ -37,7 +37,6 @@ pub struct AdaptivePolicy {
     current: Placement,
     switches: u64,
     decisions: u64,
-    offload_decisions: u64,
 }
 
 impl AdaptivePolicy {
@@ -57,7 +56,6 @@ impl AdaptivePolicy {
             current: Placement::Cpu,
             switches: 0,
             decisions: 0,
-            offload_decisions: 0,
         }
     }
 
@@ -91,9 +89,6 @@ impl AdaptivePolicy {
             }
             self.current = next;
         }
-        if next == Placement::SmartDimm {
-            self.offload_decisions += 1;
-        }
         next
     }
 
@@ -105,15 +100,6 @@ impl AdaptivePolicy {
     /// Number of CPU↔SmartDIMM transitions so far.
     pub fn switches(&self) -> u64 {
         self.switches
-    }
-
-    /// Fraction of decisions that chose SmartDIMM.
-    pub fn offload_fraction(&self) -> f64 {
-        if self.decisions == 0 {
-            0.0
-        } else {
-            self.offload_decisions as f64 / self.decisions as f64
-        }
     }
 }
 
@@ -184,16 +170,6 @@ mod tests {
         assert_eq!(p.decide(0.75), Placement::SmartDimm);
         assert_eq!(p.decide(0.375), Placement::SmartDimm);
         assert_eq!(p.decide(0.3749), Placement::Cpu);
-    }
-
-    #[test]
-    fn offload_fraction_tracks_decisions() {
-        let mut p = AdaptivePolicy::new(0.3, 0.0);
-        p.decide(0.1); // cpu
-        p.decide(0.5); // dimm
-        p.decide(0.5); // dimm
-        p.decide(0.1); // cpu
-        assert!((p.offload_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

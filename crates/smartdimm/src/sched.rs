@@ -1,4 +1,4 @@
-//! Host-side offload placement scheduling (ROADMAP item 5).
+//! Host-side offload placement scheduling.
 //!
 //! With one DIMM per channel, placement is a non-problem: the per-line
 //! channel decode fixes which shard serves every cacheline and each

@@ -98,11 +98,6 @@ impl CanonicalCode {
     pub fn length(&self, symbol: usize) -> u8 {
         self.codes[symbol].1
     }
-
-    /// Number of symbols covered by the table.
-    pub fn num_symbols(&self) -> usize {
-        self.codes.len()
-    }
 }
 
 /// A decoder for a canonical prefix code.
@@ -353,7 +348,7 @@ mod tests {
     #[test]
     fn all_zero_lengths() {
         let code = CanonicalCode::from_lengths(&[0, 0, 0]).unwrap();
-        assert_eq!(code.num_symbols(), 3);
+        assert_eq!(code.length(2), 0);
         assert!(Decoder::from_lengths(&[0, 0, 0]).is_none());
     }
 

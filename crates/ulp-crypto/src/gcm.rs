@@ -116,18 +116,6 @@ impl AesGcm {
         self.aes.encrypt_block(&j0(iv))
     }
 
-    /// Generates the CTR keystream for plaintext block `index` (0-based).
-    ///
-    /// Exposed so callers (the DSA model, incremental encryption) can
-    /// produce keystream for arbitrary byte ranges — the paper's
-    /// Observation 4.
-    pub fn keystream_block(&self, iv: &[u8; IV_LEN], index: u32) -> [u8; 16] {
-        // Data counters start at 2: J0 has counter 1.
-        let mut block = [0u8; 16];
-        self.aes.ctr32_xor(iv, index.wrapping_add(2), &mut block);
-        block
-    }
-
     /// XORs `data` (located at byte `offset` within the message) with the
     /// keystream in place. Works for encryption and decryption alike.
     ///
@@ -652,15 +640,6 @@ mod tests {
             gcm.open(&iv, b"aad", &ct, &tag),
             Err(CryptoError::TagMismatch)
         );
-    }
-
-    #[test]
-    fn keystream_block_matches_seal() {
-        // Sealing 16 zero bytes yields exactly keystream block 0.
-        let gcm = AesGcm::new_128(&[7u8; 16]);
-        let iv = [8u8; 12];
-        let (ct, _) = gcm.seal(&iv, b"", &[0u8; 16]);
-        assert_eq!(ct, gcm.keystream_block(&iv, 0).to_vec());
     }
 
     #[test]

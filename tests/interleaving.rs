@@ -8,42 +8,38 @@
 //! metadata contribution and EIV. Non-size-preserving ULPs must be mapped
 //! to a single channel and are rejected otherwise.
 
-mod common;
-
-use common::{host_with, tls_round_trip};
+use bench::differential::{host_for, tls_offload};
+use memsys::BackendKind::CycleAccurate;
 use smartdimm::{CompCpyError, OffloadOp};
 use ulp_crypto::gcm::AesGcm;
 
-/// The key every `tls_round_trip` here encrypts under.
-const KEY: [u8; 16] = [0x77; 16];
-
 #[test]
 fn two_channels_line_interleaved_tls() {
-    let mut host = host_with(2, 1);
+    let mut host = host_for(CycleAccurate, 2, 1);
     assert_eq!(host.channels(), 2);
-    tls_round_trip(&mut host, KEY, 4096, b"", 1);
-    tls_round_trip(&mut host, KEY, 16384, b"hdr#2", 2);
+    tls_offload(&mut host, 4096, 1, [1; 12], b"");
+    tls_offload(&mut host, 16384, 2, [2; 12], b"hdr#2");
 }
 
 #[test]
 fn two_channels_coarser_interleave() {
     // 4 consecutive cachelines per channel (§V-D's upper end).
-    let mut host = host_with(2, 4);
-    tls_round_trip(&mut host, KEY, 4096, b"", 3);
-    tls_round_trip(&mut host, KEY, 8192, b"aad", 4);
+    let mut host = host_for(CycleAccurate, 2, 4);
+    tls_offload(&mut host, 4096, 3, [3; 12], b"");
+    tls_offload(&mut host, 8192, 4, [4; 12], b"aad");
 }
 
 #[test]
 fn four_channels_tls() {
-    let mut host = host_with(4, 1);
-    tls_round_trip(&mut host, KEY, 4096, b"", 5);
-    tls_round_trip(&mut host, KEY, 12288, b"hd", 6);
+    let mut host = host_for(CycleAccurate, 4, 1);
+    tls_offload(&mut host, 4096, 5, [5; 12], b"");
+    tls_offload(&mut host, 12288, 6, [6; 12], b"hd");
 }
 
 #[test]
 fn both_devices_participate() {
-    let mut host = host_with(2, 1);
-    tls_round_trip(&mut host, KEY, 4096, b"", 7);
+    let mut host = host_for(CycleAccurate, 2, 1);
+    tls_offload(&mut host, 4096, 7, [7; 12], b"");
     for c in 0..2 {
         let stats = host.device_on(c).stats();
         assert!(
@@ -57,7 +53,7 @@ fn both_devices_participate() {
 
 #[test]
 fn decrypt_direction_interleaved() {
-    let mut host = host_with(2, 2);
+    let mut host = host_for(CycleAccurate, 2, 2);
     let key = [0x31u8; 16];
     let iv = [9u8; 12];
     let msg = ulp_compress::corpus::text(6000, 8);
@@ -83,7 +79,7 @@ fn decrypt_direction_interleaved() {
 
 #[test]
 fn compression_rejected_on_interleaved_channels() {
-    let mut host = host_with(2, 1);
+    let mut host = host_for(CycleAccurate, 2, 1);
     let src = host.alloc_pages(1);
     let dst = host.alloc_pages(1);
     host.mem_mut().store(src, &[7u8; 4096], 0);
@@ -92,12 +88,12 @@ fn compression_rejected_on_interleaved_channels() {
         Err(CompCpyError::SingleChannelOnly)
     );
     // TLS on the same host still works.
-    tls_round_trip(&mut host, KEY, 4096, b"", 9);
+    tls_offload(&mut host, 4096, 9, [9; 12], b"");
 }
 
 #[test]
 fn back_to_back_interleaved_offloads_reuse_buffers() {
-    let mut host = host_with(2, 1);
+    let mut host = host_for(CycleAccurate, 2, 1);
     let src = host.alloc_pages(1);
     let dst = host.alloc_pages(1);
     let key = [0x55u8; 16];

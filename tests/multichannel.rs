@@ -11,27 +11,23 @@
 //! once the device completes. Every path must stay byte-exact against
 //! the software golden path and deterministic across same-seed runs.
 
-mod common;
-
-use common::{config_with, host_with, tls_round_trip};
+use bench::differential::{config_for, host_for, tls_offload, COARSE};
+use memsys::BackendKind::{CycleAccurate, FastQueue};
 use simkit::telemetry::Registry;
 use simkit::FaultPlan;
 use smartdimm::{FaultOracle, OffloadOp};
-
-/// 64 lines per channel: page-granular (coarse) channel rotation.
-const COARSE: usize = 64;
-
-/// The key every `tls_round_trip` here encrypts under.
-const KEY: [u8; 16] = [0x2A; 16];
 
 #[test]
 fn cross_channel_tls_two_channels_coarse() {
     // One page per buffer: consecutive page allocations land on
     // alternating channels, so sbuf and dbuf are guaranteed to sit on
     // *different* SmartDIMMs.
-    let mut host = host_with(2, COARSE);
-    let bounced = tls_round_trip(&mut host, KEY, 4096, b"hdr#1", 1);
-    assert!(bounced >= 1, "cross-channel pair must take the bounce path");
+    let mut host = host_for(CycleAccurate, 2, COARSE);
+    tls_offload(&mut host, 4096, 1, [1; 12], b"hdr#1");
+    assert!(
+        host.bounced_offload_count() >= 1,
+        "cross-channel pair must take the bounce path"
+    );
 }
 
 #[test]
@@ -39,9 +35,9 @@ fn cross_channel_tls_multi_page() {
     // Three pages: src pages occupy channels (k, k+1, k+2) mod 2 and dst
     // pages start at an odd page offset, so every page pair is
     // phase-mismatched. The partial engines on both shards must combine.
-    let mut host = host_with(2, COARSE);
-    tls_round_trip(&mut host, KEY, 3 * 4096, b"hdr#3", 2);
-    tls_round_trip(&mut host, KEY, 2 * 4096 + 100, b"", 3);
+    let mut host = host_for(CycleAccurate, 2, COARSE);
+    tls_offload(&mut host, 3 * 4096, 2, [2; 12], b"hdr#3");
+    tls_offload(&mut host, 2 * 4096 + 100, 3, [3; 12], b"");
 }
 
 #[test]
@@ -50,13 +46,15 @@ fn cross_channel_tls_four_channels() {
     // of the interleave period on every channel: the host must still
     // read each pinned offload's tag from the shard that computed it.
     for channels in [4, 3, 6] {
-        let mut host = host_with(channels, COARSE);
-        let mut bounced = 0;
+        let mut host = host_for(CycleAccurate, channels, COARSE);
         for seed in 0..channels as u64 {
-            bounced = tls_round_trip(&mut host, KEY, 4096, b"hd", 10 + seed);
+            tls_offload(&mut host, 4096, 10 + seed, [(10 + seed) as u8; 12], b"hd");
         }
-        tls_round_trip(&mut host, KEY, 1024, b"hd", 9);
-        assert!(bounced >= 1, "some pair must have crossed channels");
+        tls_offload(&mut host, 1024, 9, [9; 12], b"hd");
+        assert!(
+            host.bounced_offload_count() >= 1,
+            "some pair must have crossed channels"
+        );
         // Repeated single-page offloads rotate through the channels.
         let active = (0..channels)
             .filter(|&c| host.device_on(c).stats().dsa_lines > 0)
@@ -71,7 +69,7 @@ fn cross_channel_tls_four_channels() {
 #[test]
 fn cross_channel_compression_round_trip() {
     for channels in [2, 3, 6] {
-        let mut host = host_with(channels, COARSE);
+        let mut host = host_for(CycleAccurate, channels, COARSE);
         let page = ulp_compress::corpus::html(4096, 7);
         let src = host.alloc_pages(1);
         let dst = host.alloc_pages(1); // next channel over from src
@@ -108,7 +106,7 @@ fn fine_interleave_still_rejects_compression() {
     // Fine interleave splits every page across channels: there is no
     // sole channel for the source, so non-size-preserving offloads stay
     // rejected (the pre-existing §V-D restriction).
-    let mut host = host_with(2, 1);
+    let mut host = host_for(CycleAccurate, 2, 1);
     let src = host.alloc_pages(1);
     let dst = host.alloc_pages(1);
     host.mem_mut().store(src, &[7u8; 4096], 0);
@@ -127,7 +125,7 @@ fn cross_channel_offloads_under_fault_injection() {
     let mut fallbacks = 0;
     for seed in 0..12u64 {
         let plan = FaultPlan::generate(seed, 4);
-        let mut cfg = config_with(2, COARSE);
+        let mut cfg = config_for(CycleAccurate, 2, COARSE);
         cfg.dimm.scratchpad_pages = 16;
         cfg.dimm.xlat_entries = 64;
         cfg.dimm.cam_entries = 4;
@@ -173,8 +171,7 @@ fn cross_channel_fault_recovery_on_the_fast_backend() {
     let mut fallbacks = 0;
     for seed in 0..12u64 {
         let plan = FaultPlan::generate(seed, 4);
-        let mut cfg = config_with(2, COARSE);
-        cfg.mem.backend = memsys::BackendKind::FastQueue;
+        let mut cfg = config_for(FastQueue, 2, COARSE);
         cfg.dimm.scratchpad_pages = 16;
         cfg.dimm.xlat_entries = 64;
         cfg.dimm.cam_entries = 4;
@@ -211,10 +208,10 @@ fn cross_channel_fault_recovery_on_the_fast_backend() {
 
 /// Runs a fixed multi-channel workload and snapshots its telemetry.
 fn channel_snapshot(channels: usize, interleave: usize) -> String {
-    let mut host = host_with(channels, interleave);
+    let mut host = host_for(CycleAccurate, channels, interleave);
     for seed in 0..6u64 {
         let size = 2048 + (seed * 1777) as usize % 6000;
-        tls_round_trip(&mut host, KEY, size, b"det", 40 + seed);
+        tls_offload(&mut host, size, 40 + seed, [(40 + seed) as u8; 12], b"det");
     }
     let mut reg = Registry::new();
     host.export_telemetry(reg.scope("host"));
