@@ -37,14 +37,15 @@ else
     echo "==> clippy not installed; skipping lints"
 fi
 
-# Rustdoc gate: the API docs must build warning-clean (broken intra-doc
-# links, missing code-block languages, bad HTML all fail the build).
+# Rustdoc gate: every workspace crate's API docs must build
+# warning-clean (broken or private intra-doc links, missing code-block
+# languages, bad HTML all fail the build).
 # `simkit::par`, `simkit::events`, `dram::backend`, `dram::addr`,
 # `dram::timing`, `smartdimm::configmem`, `smartdimm::sched` and
 # `netsim::tcp` additionally carry `#![deny(missing_docs)]`, so every
 # public item there must be documented.
-stage "cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q || status=1
+stage "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q || status=1
 
 # Two-pass static-analysis gate (per-file + workspace call-graph
 # rules). The stable JSON report is kept as a CI artifact; on failure

@@ -17,6 +17,7 @@
 #![deny(missing_docs)]
 
 use std::fmt;
+use std::ops::Range;
 
 /// A byte-granular physical address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -41,6 +42,56 @@ impl PhysAddr {
     /// Whether the address is 4 KB aligned.
     pub fn is_page_aligned(self) -> bool {
         self.0 & 4095 == 0
+    }
+
+    /// Splits the byte range `[self, self + len)` into its cachelines, in
+    /// address order: the one place a byte range meets the 64 B line
+    /// grid. A zero `len` yields nothing.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dram::PhysAddr;
+    /// let spans: Vec<_> = PhysAddr(0x30).line_spans(0x20).collect();
+    /// assert_eq!(spans.len(), 2);
+    /// assert_eq!((spans[0].line, spans[0].in_line.clone()), (PhysAddr(0), 0x30..64));
+    /// assert_eq!((spans[1].line, spans[1].in_range.clone()), (PhysAddr(64), 0x10..0x20));
+    /// ```
+    pub fn line_spans(self, len: usize) -> impl Iterator<Item = LineSpan> {
+        let end = self.0 + len as u64;
+        let mut cur = self.0;
+        std::iter::from_fn(move || {
+            (cur < end).then(|| {
+                let line = PhysAddr(cur).cacheline();
+                let start = (cur - line.0) as usize;
+                let take = (end - cur).min(64 - start as u64) as usize;
+                let at = (cur - self.0) as usize;
+                cur += take as u64;
+                LineSpan {
+                    line,
+                    in_line: start..start + take,
+                    in_range: at..at + take,
+                }
+            })
+        })
+    }
+}
+
+/// One cacheline's share of a byte range ([`PhysAddr::line_spans`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineSpan {
+    /// The cacheline's address.
+    pub line: PhysAddr,
+    /// The covered bytes, as offsets within the line.
+    pub in_line: Range<usize>,
+    /// The same bytes, as offsets within the range.
+    pub in_range: Range<usize>,
+}
+
+impl LineSpan {
+    /// Whether the range covers the whole line.
+    pub fn is_whole(&self) -> bool {
+        self.in_line.len() == 64
     }
 }
 
@@ -586,6 +637,27 @@ mod tests {
                 prop_assert!(mapper.merge_line(c, below) >= addr_line);
                 prop_assert!(below == 0 || mapper.merge_line(c, below - 1) < addr_line);
             }
+        }
+
+        /// The spans tile `[addr, addr + len)` exactly once, in order,
+        /// each inside one line; an empty range has no spans.
+        #[test]
+        fn prop_line_spans_tile_the_range(addr in any::<u32>(), len in 0usize..=3 * 64 + 1) {
+            let addr = PhysAddr(u64::from(addr));
+            let mut next = addr.0;
+            let mut spans = 0;
+            for s in addr.line_spans(len) {
+                prop_assert!(s.line.is_line_aligned());
+                prop_assert!(!s.in_line.is_empty() && s.in_line.end <= 64);
+                prop_assert_eq!(s.line.0 + s.in_line.start as u64, next);
+                prop_assert_eq!(addr.0 + s.in_range.start as u64, next);
+                prop_assert_eq!(s.in_range.len(), s.in_line.len());
+                prop_assert_eq!(s.is_whole(), s.in_line.len() == 64);
+                next += s.in_line.len() as u64;
+                spans += 1;
+            }
+            prop_assert_eq!(next, addr.0 + len as u64);
+            prop_assert_eq!(spans == 0, len == 0);
         }
 
         #[test]

@@ -73,30 +73,15 @@ impl std::fmt::Display for BackendKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::{AddressMapper, DramTopology, PhysAddr};
+    use crate::addr::PhysAddr;
     use crate::Timing;
 
-    fn fast_with(config: MemorySystemConfig) -> DramSystem {
-        BackendKind::FastQueue.build(config)
-    }
-
     fn fast() -> DramSystem {
-        fast_with(MemorySystemConfig::default())
+        BackendKind::FastQueue.build(MemorySystemConfig::default())
     }
 
     /// Fast-tier service time of one cacheline read.
     const READ_SERVICE: u64 = Timing::DDR4_3200.t_cl + Timing::DDR4_3200.t_burst;
-
-    #[test]
-    fn fast_write_then_read_round_trip() {
-        let mut s = fast();
-        let addr = PhysAddr(0x10000);
-        s.write64(addr, &[0x5A; 64]);
-        s.advance(1_000); // drain the posted write from the FIFO
-        let (data, lat) = s.read64(addr);
-        assert_eq!(data, [0x5A; 64]);
-        assert_eq!(lat, READ_SERVICE);
-    }
 
     #[test]
     fn fast_fifo_serializes_a_channel() {
@@ -116,120 +101,32 @@ mod tests {
         s.advance(10_000);
         let _ = s.read64(PhysAddr(0));
         assert_eq!(s.channel_busy_cycles(0), 2 * READ_SERVICE);
-        assert!(s.bus_utilization(20_000) < 0.1);
     }
 
     #[test]
     fn fast_functional_bytes_match_accurate_backend() {
         let mut fast = fast();
         let mut acc = DramSystem::new(MemorySystemConfig::default());
-        let payload: Vec<u8> = (0..900u32).map(|i| (i * 13) as u8).collect();
-        fast.write_bytes(PhysAddr(0x2010), &payload);
-        acc.write_bytes(PhysAddr(0x2010), &payload);
-        assert_eq!(
-            fast.read_bytes(PhysAddr(0x2010), 900),
-            acc.read_bytes(PhysAddr(0x2010), 900)
-        );
+        // 15 lines from an unaligned base: the first write lands on the
+        // line below 0x2010.
+        let lines: Vec<(PhysAddr, [u8; 64])> = (0..15u64)
+            .map(|i| {
+                let line = std::array::from_fn(|b| (i as u8).wrapping_mul(13) ^ b as u8);
+                (PhysAddr(0x2010 + i * 64), line)
+            })
+            .collect();
+        for s in [&mut fast, &mut acc] {
+            for (addr, line) in &lines {
+                s.write64(*addr, line);
+            }
+        }
+        for (addr, line) in &lines {
+            assert_eq!(fast.read64(*addr).0, *line);
+            assert_eq!(acc.read64(*addr).0, *line);
+        }
         // Same CAS counts on the straight-line path (no retries here).
         assert_eq!(fast.stats().rd_cas, acc.stats().rd_cas);
         assert_eq!(fast.stats().wr_cas, acc.stats().wr_cas);
-    }
-
-    #[test]
-    fn fast_page_read_matches_per_line_reads() {
-        let mut a = fast();
-        let mut b = fast();
-        for i in 0..64u64 {
-            let mut line = [0u8; 64];
-            line[0] = i as u8;
-            a.write64(PhysAddr(0x4000 + i * 64), &line);
-            b.write64(PhysAddr(0x4000 + i * 64), &line);
-        }
-        let (page, lat) = a.read_page(PhysAddr(0x4000)).expect("passthrough pages");
-        for i in 0..64usize {
-            let (line, _) = b.read64(PhysAddr(0x4000 + (i as u64) * 64));
-            assert_eq!(page[i], line, "line {i}");
-        }
-        assert_eq!(a.stats().rd_cas, b.stats().rd_cas);
-        let t = Timing::DDR4_3200;
-        assert!(lat >= t.t_rcd + t.t_cl + 64 * t.t_burst);
-    }
-
-    #[test]
-    fn fast_page_read_declines_when_page_spans_channels() {
-        let topo = DramTopology {
-            channels: 2,
-            ..DramTopology::default()
-        };
-        let mut s = fast_with(MemorySystemConfig {
-            topology: topo,
-            ..MemorySystemConfig::default()
-        });
-        assert!(s.read_page(PhysAddr(0)).is_none());
-        let _ = s.read64(PhysAddr(0));
-    }
-
-    #[test]
-    fn fast_multi_channel_addresses_route_correctly() {
-        let topo = DramTopology {
-            channels: 2,
-            ..DramTopology::default()
-        };
-        let mut s = fast_with(MemorySystemConfig {
-            topology: topo,
-            ..MemorySystemConfig::default()
-        });
-        s.write64(PhysAddr(0), &[1u8; 64]);
-        s.write64(PhysAddr(64), &[2u8; 64]);
-        assert_eq!(s.read64(PhysAddr(0)).0, [1u8; 64]);
-        assert_eq!(s.read64(PhysAddr(64)).0, [2u8; 64]);
-        assert!(s.channel_busy_cycles(0) > 0);
-        assert!(s.channel_busy_cycles(1) > 0);
-    }
-
-    #[test]
-    fn fast_remote_socket_access_pays_interconnect_penalty() {
-        let topo = DramTopology {
-            channels: 2,
-            sockets: 2,
-            ..DramTopology::default()
-        };
-        let mut s = fast_with(MemorySystemConfig {
-            topology: topo,
-            interconnect_penalty_cycles: 300,
-            ..MemorySystemConfig::default()
-        });
-        let (_, local) = s.read64(PhysAddr(0)); // channel 0, socket 0
-        let (_, remote) = s.read64(PhysAddr(64)); // channel 1, socket 1
-        assert_eq!(local, READ_SERVICE);
-        assert_eq!(remote, READ_SERVICE + 300);
-        assert_eq!(s.stats().remote_accesses, 1);
-    }
-
-    #[test]
-    fn fast_multi_dimm_slots_round_trip() {
-        let topo = DramTopology {
-            dimms_per_channel: 2,
-            ..DramTopology::default()
-        };
-        let mapper = AddressMapper::new(topo);
-        let mut s = fast_with(MemorySystemConfig {
-            topology: topo,
-            ..MemorySystemConfig::default()
-        });
-        let mut per_slot = [None, None];
-        for line in 0..1 << 16 {
-            let a = PhysAddr(line * 64);
-            let slot = topo.dimm_slot_of_rank(mapper.decode(a).rank);
-            if per_slot[slot].is_none() {
-                per_slot[slot] = Some(a);
-            }
-        }
-        let (a0, a1) = (per_slot[0].unwrap(), per_slot[1].unwrap());
-        s.write64(a0, &[0x33u8; 64]);
-        s.write64(a1, &[0x44u8; 64]);
-        assert_eq!(s.read64(a0).0, [0x33u8; 64]);
-        assert_eq!(s.read64(a1).0, [0x44u8; 64]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! data burst, and can substitute data, ignore writes, or NACK reads via
 //! `ALERT_N` ([`RdResult::Retry`]).
 //!
-//! The chips' storage is a *column slab*: one [`Column`] holds the 64 B
+//! The chips' storage is a *column slab*: one `Column` holds the 64 B
 //! lines of all 16 banks of a rank at one `(row, col)`, the columns sit
 //! in one `Vec`, and a fixed-hasher index maps a packed `(rank, row,
 //! col)` key to a column's slot. The address mapper puts bank group and

@@ -37,7 +37,7 @@ pub mod controller;
 pub mod dimm;
 pub mod timing;
 
-pub use addr::{AddressMapper, DramTopology, Loc, PhysAddr, DSA_SLOT};
+pub use addr::{AddressMapper, DramTopology, LineSpan, Loc, PhysAddr, DSA_SLOT};
 pub use backend::BackendKind;
 pub use controller::{DramStats, DramSystem, MemorySystemConfig};
 pub use dimm::{BufferDevice, CasInfo, Dimm, Passthrough, RdResult, WrResult};

@@ -34,7 +34,7 @@
 #![forbid(unsafe_code)]
 
 use cache::{CacheConfig, Flushed, Llc};
-use dram::{DramSystem, MemorySystemConfig, PhysAddr, CACHELINE};
+use dram::{DramSystem, MemorySystemConfig, PhysAddr};
 use simkit::{Cycle, DetRng};
 
 pub use dram::BackendKind;
@@ -202,8 +202,7 @@ impl MemSystem {
         let pending = std::mem::take(&mut self.deferred_wb);
         let n = pending.len();
         for (addr, data) in pending {
-            let done = self.dram.write64(addr, &data);
-            self.write_backpressure(done);
+            self.write_posted(addr, &data, 0);
             self.dram.advance(FLUSH_PRESENT);
         }
         n
@@ -321,8 +320,7 @@ impl MemSystem {
             d
         });
         if let Some(wb) = ev.writeback {
-            let done = self.dram.write64_tagged(wb.addr, &wb.data, class as u64);
-            self.write_backpressure(done);
+            self.write_posted(wb.addr, &wb.data, class as u64);
         }
         if ev.hit {
             self.dram.advance(LLC_HIT);
@@ -332,9 +330,12 @@ impl MemSystem {
         data
     }
 
-    /// Stalls the writer if the posted-write backlog exceeds the store
-    /// buffer depth (write-buffer backpressure).
-    fn write_backpressure(&mut self, done: Cycle) {
+    /// Posts a write of one line to DRAM, then stalls the writer if the
+    /// posted-write backlog exceeds the store buffer depth (write-buffer
+    /// backpressure). MMIO, DDIO DMA and background traffic write
+    /// without it.
+    fn write_posted(&mut self, addr: PhysAddr, data: &[u8; 64], tag: u64) {
+        let done = self.dram.write64_tagged(addr, data, tag);
         let now = self.dram.now();
         if done.raw() > now.raw() + WRITE_BACKLOG {
             self.dram.advance_to(Cycle(done.raw() - WRITE_BACKLOG));
@@ -346,24 +347,16 @@ impl MemSystem {
         self.bg_tick();
         let ev = self.llc.write_line(addr, class, data);
         if let Some(wb) = ev.writeback {
-            let done = self.dram.write64_tagged(wb.addr, &wb.data, class as u64);
-            self.write_backpressure(done);
+            self.write_posted(wb.addr, &wb.data, class as u64);
         }
         self.dram.advance(LLC_HIT);
     }
 
     /// Byte-granular load through the cache.
     pub fn load(&mut self, addr: PhysAddr, buf: &mut [u8], class: usize) {
-        let mut cur = addr.0;
-        let mut off = 0usize;
-        while off < buf.len() {
-            let line = PhysAddr(cur).cacheline();
-            let start = (cur - line.0) as usize;
-            let take = (buf.len() - off).min(CACHELINE - start);
-            let data = self.load_line(line, class);
-            buf[off..off + take].copy_from_slice(&data[start..start + take]);
-            cur += take as u64;
-            off += take;
+        for s in addr.line_spans(buf.len()) {
+            let data = self.load_line(s.line, class);
+            buf[s.in_range].copy_from_slice(&data[s.in_line]);
         }
     }
 
@@ -372,37 +365,23 @@ impl MemSystem {
     /// cells. No LRU state, statistics, time or trace moves, and no
     /// buffer device is called.
     pub fn peek(&self, addr: PhysAddr, buf: &mut [u8]) {
-        let mut cur = addr.0;
-        let mut off = 0usize;
-        while off < buf.len() {
-            let line = PhysAddr(cur).cacheline();
-            let start = (cur - line.0) as usize;
-            let take = (buf.len() - off).min(CACHELINE - start);
-            let data = (self.llc.peek_line(line)).unwrap_or_else(|| self.dram.peek(line));
-            buf[off..off + take].copy_from_slice(&data[start..start + take]);
-            cur += take as u64;
-            off += take;
+        for s in addr.line_spans(buf.len()) {
+            let data = (self.llc.peek_line(s.line)).unwrap_or_else(|| self.dram.peek(s.line));
+            buf[s.in_range].copy_from_slice(&data[s.in_line]);
         }
     }
 
     /// Byte-granular store through the cache (read-modify-write on
     /// partial lines).
     pub fn store(&mut self, addr: PhysAddr, bytes: &[u8], class: usize) {
-        let mut cur = addr.0;
-        let mut off = 0usize;
-        while off < bytes.len() {
-            let line = PhysAddr(cur).cacheline();
-            let start = (cur - line.0) as usize;
-            let take = (bytes.len() - off).min(CACHELINE - start);
-            let mut data = if start == 0 && take == CACHELINE {
+        for s in addr.line_spans(bytes.len()) {
+            let mut data = if s.is_whole() {
                 [0u8; 64]
             } else {
-                self.load_line(line, class)
+                self.load_line(s.line, class)
             };
-            data[start..start + take].copy_from_slice(&bytes[off..off + take]);
-            self.store_line(line, data, class);
-            cur += take as u64;
-            off += take;
+            data[s.in_line].copy_from_slice(&bytes[s.in_range]);
+            self.store_line(s.line, data, class);
         }
     }
 
@@ -440,20 +419,19 @@ impl MemSystem {
                 off += PAGE_BYTES as u64;
             }
         }
-        while (off as usize) < size {
-            let take = (size - off as usize).min(CACHELINE);
-            let mut data = self.load_line(PhysAddr(src.0 + off), class);
-            if take < CACHELINE {
+        for s in PhysAddr(src.0 + off).line_spans(size - off as usize) {
+            let to = PhysAddr(dst.0 + off + s.in_range.start as u64);
+            let mut data = self.load_line(s.line, class);
+            if !s.is_whole() {
                 // Partial tail line: merge with destination contents.
-                let old = self.load_line(PhysAddr(dst.0 + off), class);
-                data[take..].copy_from_slice(&old[take..]);
+                let old = self.load_line(to, class);
+                data[s.in_line.end..].copy_from_slice(&old[s.in_line.end..]);
             }
-            self.store_line(PhysAddr(dst.0 + off), data, class);
+            self.store_line(to, data, class);
             self.dram.advance(COPY_PER_LINE);
             if ordered {
                 self.dram.advance(FENCE);
             }
-            off += take as u64;
         }
     }
 
@@ -482,8 +460,7 @@ impl MemSystem {
                 .llc
                 .write_line(PhysAddr(dst.0 + (i as u64) * 64), class, page[i]);
             if let Some(wb) = ev.writeback {
-                let done = self.dram.write64_tagged(wb.addr, &wb.data, class as u64);
-                self.write_backpressure(done);
+                self.write_posted(wb.addr, &wb.data, class as u64);
             }
             self.dram.advance(LLC_HIT + COPY_PER_LINE);
         }
@@ -496,14 +473,11 @@ impl MemSystem {
     /// writing dirty ones back to DRAM. Models the paper's measured cost
     /// asymmetry between cached and uncached data.
     pub fn flush(&mut self, addr: PhysAddr, size: usize) -> FlushReport {
-        // A zero-length flush covers no lines. Without this guard an
-        // unaligned `addr` yields `start < end` below and the report
-        // over-counts one line (and consults the fault injector for a
-        // flush that never happens).
+        // A zero-length flush covers no lines and must not consult the
+        // fault injector for a flush that never happens.
         if size == 0 {
             return FlushReport::default();
         }
-        let start = addr.cacheline().0;
         let end = addr.0 + size as u64;
         let mut report = FlushReport::default();
         // Fault injection may reorder this flush's writebacks or defer
@@ -520,22 +494,22 @@ impl MemSystem {
             self.fault_disturbances += 1;
         }
         let mut held: Vec<(PhysAddr, [u8; 64])> = Vec::new();
-        let mut cur = start;
-        while cur < end {
+        let mut spans = addr.line_spans(size);
+        while let Some(span) = spans.next() {
+            let line = span.line;
             // Whole page with nothing resident: every line takes the
             // absent branch below, so charge the identical cycles in one
             // step instead of 64 set scans.
-            if cur.is_multiple_of(4096)
-                && cur + 4096 <= end
-                && self.llc.resident_lines_in_page(cur >> 12) == 0
+            if line.is_page_aligned()
+                && line.0 + 4096 <= end
+                && self.llc.resident_lines_in_page(line.page()) == 0
             {
                 report.lines += 64;
                 report.cycles += 64 * FLUSH_ABSENT;
                 self.dram.advance(64 * FLUSH_ABSENT);
-                cur += 4096;
+                spans.nth(62); // the page's other 63 lines
                 continue;
             }
-            let line = PhysAddr(cur);
             report.lines += 1;
             let flushed = self.llc.flush_line(line);
             if flushed == Flushed::Absent {
@@ -549,22 +523,19 @@ impl MemSystem {
                     if disturbed {
                         held.push((wb.addr, wb.data));
                     } else {
-                        let done = self.dram.write64(wb.addr, &wb.data);
-                        self.write_backpressure(done);
+                        self.write_posted(wb.addr, &wb.data, 0);
                     }
                 }
                 report.cycles += FLUSH_PRESENT;
                 self.dram.advance(FLUSH_PRESENT);
             }
-            cur += CACHELINE as u64;
         }
         if reorder {
             held.reverse();
         }
         let deliver = held.len().saturating_sub(delay);
         for (addr, data) in held.drain(..deliver) {
-            let done = self.dram.write64(addr, &data);
-            self.write_backpressure(done);
+            self.write_posted(addr, &data, 0);
         }
         report.deferred = held.len() as u64;
         self.deferred_wb.extend(held);
@@ -595,28 +566,21 @@ impl MemSystem {
     /// Device DMA write (NIC RX or storage read): DDIO allocates the
     /// lines into the DDIO ways; spills go to DRAM.
     pub fn dma_write(&mut self, addr: PhysAddr, bytes: &[u8]) {
-        let mut cur = addr.0;
-        let mut off = 0usize;
-        while off < bytes.len() {
-            let line = PhysAddr(cur).cacheline();
-            let start = (cur - line.0) as usize;
-            let take = (bytes.len() - off).min(CACHELINE - start);
-            let mut data = if start == 0 && take == CACHELINE {
+        for s in addr.line_spans(bytes.len()) {
+            let mut data = if s.is_whole() {
                 [0u8; 64]
             } else {
                 // Partial line: merge with current contents.
-                match self.llc.dev_read_line(line) {
+                match self.llc.dev_read_line(s.line) {
                     Some(d) => d,
-                    None => self.dram.read64(line).0,
+                    None => self.dram.read64(s.line).0,
                 }
             };
-            data[start..start + take].copy_from_slice(&bytes[off..off + take]);
-            let ev = self.llc.dev_write_line(line, data);
+            data[s.in_line].copy_from_slice(&bytes[s.in_range]);
+            let ev = self.llc.dev_write_line(s.line, data);
             if let Some(wb) = ev.writeback {
                 self.dram.write64(wb.addr, &wb.data);
             }
-            cur += take as u64;
-            off += take;
         }
     }
 
@@ -631,19 +595,14 @@ impl MemSystem {
     /// Panics unless `addr` is cacheline aligned (device rings are).
     pub fn dma_write_through(&mut self, addr: PhysAddr, bytes: &[u8]) {
         assert!(addr.is_line_aligned(), "DMA writes are line aligned");
-        let mut off = 0usize;
-        while off < bytes.len() {
-            let line = PhysAddr(addr.0 + off as u64);
-            let take = (bytes.len() - off).min(CACHELINE);
+        for s in addr.line_spans(bytes.len()) {
             let mut data = [0u8; 64];
-            if take < CACHELINE {
-                data = self.dram.read64(line).0;
+            if !s.is_whole() {
+                data = self.dram.read64(s.line).0;
             }
-            data[..take].copy_from_slice(&bytes[off..off + take]);
-            self.llc.invalidate_line(line);
-            let done = self.dram.write64(line, &data);
-            self.write_backpressure(done);
-            off += take;
+            data[s.in_line].copy_from_slice(&bytes[s.in_range]);
+            self.llc.invalidate_line(s.line);
+            self.write_posted(s.line, &data, 0);
         }
     }
 
@@ -651,18 +610,12 @@ impl MemSystem {
     /// otherwise from DRAM without allocating.
     pub fn dma_read(&mut self, addr: PhysAddr, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        let mut cur = addr.0;
-        let end = addr.0 + len as u64;
-        while cur < end {
-            let line = PhysAddr(cur).cacheline();
-            let start = (cur - line.0) as usize;
-            let take = ((end - cur) as usize).min(CACHELINE - start);
-            let data = match self.llc.dev_read_line(line) {
+        for s in addr.line_spans(len) {
+            let data = match self.llc.dev_read_line(s.line) {
                 Some(d) => d,
-                None => self.dram.read64(line).0,
+                None => self.dram.read64(s.line).0,
             };
-            out.extend_from_slice(&data[start..start + take]);
-            cur += take as u64;
+            out.extend_from_slice(&data[s.in_line]);
         }
         out
     }
@@ -687,6 +640,15 @@ mod tests {
         let mut buf = vec![0u8; 500];
         m.load(PhysAddr(0x1234), &mut buf, 0);
         assert_eq!(buf, payload);
+        // A device write with a partial tail line keeps the rest of that
+        // line as DRAM holds it.
+        m.store(PhysAddr(0x4000), &[0xEE; 128], 0);
+        m.flush(PhysAddr(0x4000), 128);
+        m.dma_write_through(PhysAddr(0x4000), &payload[..100]);
+        let mut buf = vec![0u8; 128];
+        m.load(PhysAddr(0x4000), &mut buf, 0);
+        assert_eq!(buf[..100], payload[..100]);
+        assert_eq!(buf[100..], [0xEE; 28]);
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl Default for AdmissionConfig {
 #[derive(Debug, Clone)]
 pub struct EventWorkloadConfig {
     /// Logical concurrent connections (tens of thousands are fine — they
-    /// multiplex over [`ARENA_SLOTS`] buffer arenas).
+    /// multiplex over `ARENA_SLOTS` (1024) buffer arenas).
     pub connections: usize,
     /// Total requests to issue across all connections.
     pub requests: usize,

@@ -14,7 +14,7 @@
 //!   cross-crate calls for free, at the cost of false edges between
 //!   same-named functions;
 //! * edges through *ubiquitous* names (`new`, `len`, `get`, ...) and
-//!   through names defined in more than [`AMBIGUITY_CAP`] places are
+//!   through names defined in more than `AMBIGUITY_CAP` (6) files are
 //!   dropped — they would connect everything to everything and drown
 //!   the reachability rules in noise. The residue is what baselines and
 //!   inline allows are for.
@@ -68,8 +68,6 @@ pub struct FnNode {
 pub struct CallGraph {
     /// All nodes, in (file, span) order — deterministic.
     pub nodes: Vec<FnNode>,
-    /// name → indices of non-test nodes defining it.
-    by_name: BTreeMap<String, Vec<usize>>,
     /// Resolved adjacency (caller index → callee indices).
     edges: Vec<Vec<usize>>,
 }
@@ -136,16 +134,7 @@ impl CallGraph {
                 out
             })
             .collect();
-        CallGraph {
-            nodes,
-            by_name,
-            edges,
-        }
-    }
-
-    /// Indices of the non-test definitions of `name`.
-    pub fn defs_of(&self, name: &str) -> &[usize] {
-        self.by_name.get(name).map_or(&[], |v| v.as_slice())
+        CallGraph { nodes, edges }
     }
 
     /// Direct callees of node `i`.

@@ -447,8 +447,8 @@ impl CompCpyHost {
 
     /// The channel of each covered cacheline of `[base, base+size)`.
     fn line_channels(&self, base: PhysAddr, size: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..size.div_ceil(64) as u64)
-            .map(move |l| self.mapper.channel_of(PhysAddr(base.0 + l * 64)))
+        base.line_spans(size)
+            .map(|s| self.mapper.channel_of(s.line))
     }
 
     /// Whether source line *i* and destination line *i* decode to the
@@ -519,8 +519,8 @@ impl CompCpyHost {
         if topo.dimms_per_channel == 1 {
             return true;
         }
-        (0..size.div_ceil(64) as u64)
-            .all(|l| topo.on_dsa_slot(self.mapper.decode(PhysAddr(base.0 + l * 64)).rank))
+        base.line_spans(size)
+            .all(|s| topo.on_dsa_slot(self.mapper.decode(s.line).rank))
     }
 
     /// Samples every shard's placement inputs — the same scratchpad and
@@ -679,14 +679,11 @@ impl CompCpyHost {
             return (0, 0);
         }
         let (mut rounds, mut drained) = (0, 0);
-        let covered = handle.size.div_ceil(64) * 64;
+        let mut reread = vec![0u8; handle.size.div_ceil(64) * 64];
         while rounds < 5 && self.offload_status(handle) == OffloadStatus::InProgress {
             drained += self.mem.drain_writebacks();
-            self.mem.flush(src, covered);
-            for l in (0..covered).step_by(64) {
-                let mut buf = [0u8; 64];
-                self.mem.load(PhysAddr(src.0 + l as u64), &mut buf, 0);
-            }
+            self.mem.flush(src, reread.len());
+            self.mem.load(src, &mut reread, 0);
             rounds += 1;
         }
         (rounds, drained)
@@ -817,7 +814,7 @@ impl CompCpyHost {
     /// `sbuf` under `op`, so that the page kernel of a streaming
     /// (de)compression offload can run ahead on a helper thread. Each
     /// streaming `comp_cpy` keeps its own page and the next announced
-    /// ones, [`LOOKAHEAD`] in all, in flight. The helper gets a copy of
+    /// ones, `LOOKAHEAD` (3) in all, in flight. The helper gets a copy of
     /// the bytes `sbuf` holds when the page is submitted, and a device
     /// uses its output only if the page it absorbs is byte-identical, so
     /// announcing changes host time, never a simulated outcome. TLS
@@ -1152,9 +1149,8 @@ impl CompCpyHost {
         // Drop the clean cached copies and recycle the staged lines with
         // explicit write-requests (the device substitutes staged data).
         self.mem.flush(handle.dbuf, handle.size.div_ceil(64) * 64);
-        for line in (0..handle.size.div_ceil(64) * 64).step_by(64) {
-            let addr = PhysAddr(handle.dbuf.0 + line as u64);
-            self.mem.dram_mut().write64(addr, &[0u8; 64]);
+        for s in handle.dbuf.line_spans(handle.size) {
+            self.mem.dram_mut().write64(s.line, &[0u8; 64]);
         }
         out
     }

@@ -417,17 +417,18 @@ impl SmartDimmDevice {
     /// (capacity DIMMs on the same bus carry no DSA). Only this
     /// channel's lines take the full decode, for their rank.
     fn shard_mask(&self, page: u64, lines: usize) -> u64 {
-        let on_shard = |l: &u64| {
-            let addr = PhysAddr((page << 12) + l * 64);
+        let on_shard = |addr: PhysAddr| {
             self.mapper.channel_of(addr) == self.channel
                 && self
                     .mapper
                     .topology()
                     .on_dsa_slot(self.mapper.decode(addr).rank)
         };
-        (0..lines as u64)
-            .filter(on_shard)
-            .fold(0, |mask, l| mask | 1 << l)
+        PhysAddr(page << 12)
+            .line_spans(lines * 64)
+            .enumerate()
+            .filter(|(_, s)| on_shard(s.line))
+            .fold(0, |mask, (l, _)| mask | 1 << l)
     }
 
     /// Serves a read of logical register offset `off`.

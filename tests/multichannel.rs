@@ -12,7 +12,7 @@
 //! the software golden path and deterministic across same-seed runs.
 
 use bench::differential::{config_for, host_for, tls_offload, COARSE};
-use memsys::BackendKind::{CycleAccurate, FastQueue};
+use memsys::BackendKind::{self, CycleAccurate, FastQueue};
 use simkit::telemetry::Registry;
 use simkit::FaultPlan;
 use smartdimm::{FaultOracle, OffloadOp};
@@ -116,16 +116,19 @@ fn fine_interleave_still_rejects_compression() {
     );
 }
 
-#[test]
-fn cross_channel_offloads_under_fault_injection() {
-    // Seeded fault plans against a starved 2-channel coarse-interleave
-    // host: the oracle allocates src and dst consecutively, so
-    // odd-page-count buffers produce cross-channel pairs. Every scenario
-    // must stay byte-exact (oracle.check panics otherwise).
+/// Seeded fault plans against a starved 2-channel coarse-interleave host
+/// on the given DRAM tier: the oracle allocates src and dst
+/// consecutively, so odd-page-count buffers produce cross-channel pairs.
+/// Bounce staging, fault injection and `finish_bounce` retries are
+/// protocol logic above the memory model, so every scenario must stay
+/// byte-exact on either tier (oracle.check panics otherwise). The
+/// differential harness (tests/backend_differential.rs) additionally
+/// pins the recovery counters equal across tiers.
+fn cross_channel_fault_sweep(backend: BackendKind) {
     let mut fallbacks = 0;
     for seed in 0..12u64 {
         let plan = FaultPlan::generate(seed, 4);
-        let mut cfg = config_for(CycleAccurate, 2, COARSE);
+        let mut cfg = config_for(backend, 2, COARSE);
         cfg.dimm.scratchpad_pages = 16;
         cfg.dimm.xlat_entries = 64;
         cfg.dimm.cam_entries = 4;
@@ -142,68 +145,33 @@ fn cross_channel_offloads_under_fault_injection() {
         }
         assert!(
             oracle.host().bounced_offload_count() >= 1,
-            "seed {seed}: no offload exercised the bounce path"
+            "{backend} seed {seed}: no offload exercised the bounce path"
         );
         // Every bank command reached each shard's Bank Table, so Addr
         // Remap never met a CAS it could not place.
         let desyncs: u64 = (0..2)
             .map(|ch| oracle.host().device_on(ch).stats().bank_desyncs)
             .sum();
-        assert_eq!(desyncs, 0, "seed {seed}: Bank Table out of sync");
+        assert_eq!(desyncs, 0, "{backend} seed {seed}: Bank Table out of sync");
     }
     // Device-path coverage: striped and bounced offloads must settle on
     // the device; only offloads the injected faults truly starved may
     // fall back to software.
     assert!(
         fallbacks <= 4,
-        "{fallbacks} of 48 scenarios fell back to software"
+        "{backend}: {fallbacks} of 48 scenarios fell back to software"
     );
 }
 
 #[test]
+fn cross_channel_offloads_under_fault_injection() {
+    cross_channel_fault_sweep(CycleAccurate);
+}
+
+#[test]
 fn cross_channel_fault_recovery_on_the_fast_backend() {
-    // The same 12-seed sweep on the fast fixed-latency backend
-    // (fidelity tier 1): cross-channel bounce staging, fault injection
-    // and `finish_bounce` retries are protocol logic above the memory
-    // model, so every scenario must stay byte-exact there too. The
-    // differential harness (tests/backend_differential.rs) additionally
-    // pins the recovery counters equal across backends.
-    let mut fallbacks = 0;
-    for seed in 0..12u64 {
-        let plan = FaultPlan::generate(seed, 4);
-        let mut cfg = config_for(FastQueue, 2, COARSE);
-        cfg.dimm.scratchpad_pages = 16;
-        cfg.dimm.xlat_entries = 64;
-        cfg.dimm.cam_entries = 4;
-        let mut oracle = FaultOracle::new(cfg, plan);
-        let key = [0x5Cu8; 16];
-        for i in 0..4u64 {
-            let size = 600 + (seed * 977 + i * 4099) as usize % 7000;
-            let msg = ulp_compress::corpus::text(size, seed * 31 + i);
-            let mut iv = [0u8; 12];
-            iv[..8].copy_from_slice(&(seed * 100 + i).to_le_bytes());
-            let out = oracle.check(OffloadOp::TlsEncrypt { key, iv }, &msg, b"hdr#f");
-            fallbacks += usize::from(out.used_fallback);
-            oracle.assert_occupancy_bound();
-        }
-        assert!(
-            oracle.host().bounced_offload_count() >= 1,
-            "seed {seed}: no offload exercised the bounce path on the fast backend"
-        );
-        // Every bank command reached each shard's Bank Table, so Addr
-        // Remap never met a CAS it could not place.
-        let desyncs: u64 = (0..2)
-            .map(|ch| oracle.host().device_on(ch).stats().bank_desyncs)
-            .sum();
-        assert_eq!(desyncs, 0, "seed {seed}: Bank Table out of sync");
-    }
-    // Device-path coverage: striped and bounced offloads must settle on
-    // the device; only offloads the injected faults truly starved may
-    // fall back to software.
-    assert!(
-        fallbacks <= 4,
-        "{fallbacks} of 48 scenarios fell back to software"
-    );
+    // The same sweep on the fast fixed-latency backend (fidelity tier 1).
+    cross_channel_fault_sweep(FastQueue);
 }
 
 /// Runs a fixed multi-channel workload and snapshots its telemetry.
