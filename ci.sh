@@ -47,9 +47,11 @@ fi
 stage "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q || status=1
 
-# Two-pass static-analysis gate (per-file + workspace call-graph
-# rules). The stable JSON report is kept as a CI artifact; on failure
-# the human rendering is printed for the log.
+# Static-analysis gate. `--workspace`, simlint's only scan mode, runs
+# both passes: six per-file rules, then four call-graph rules, among
+# them PANIC-REACH, the one panic rule for the device hot path. The
+# stable JSON report is kept as a CI artifact; on failure the human
+# rendering is printed for the log.
 stage "simlint --workspace (static-analysis gate; artifact: target/simlint.json)"
 mkdir -p target
 if ! cargo run --release -p simlint -q -- --workspace --json > target/simlint.json; then

@@ -278,11 +278,6 @@ impl DramSystem {
         self.interconnect_penalty
     }
 
-    /// The address mapper in use.
-    pub fn mapper(&self) -> &AddressMapper {
-        &self.mapper
-    }
-
     /// Current controller time.
     pub fn now(&self) -> Cycle {
         self.now
@@ -1036,8 +1031,9 @@ mod tests {
     fn refresh_precharge_reaches_the_buffer_device() {
         let mut s = sys();
         s.install_dimm(0, Dimm::new(Box::new(Recorder::default())));
-        let loc = s.mapper().decode(PhysAddr(0));
-        let bank = loc.bank_index(s.mapper().topology());
+        let mapper = AddressMapper::new(MemorySystemConfig::default().topology);
+        let loc = mapper.decode(PhysAddr(0));
+        let bank = loc.bank_index(mapper.topology());
         let _ = s.read64(PhysAddr(0));
         s.advance(DDR.t_refi + 100);
         let _ = s.read64(PhysAddr(0));

@@ -12,18 +12,24 @@
 //!    sum of the service times of the accesses routed to that channel —
 //!    exactly, with zero contention (idle gaps never count as busy).
 
-use dram::{BackendKind, DramSystem, DramTopology, MemorySystemConfig, PhysAddr, Timing};
+use dram::{
+    AddressMapper, BackendKind, DramSystem, DramTopology, MemorySystemConfig, PhysAddr, Timing,
+};
 use proptest::prelude::*;
 
-fn sys(channels: usize, interleave: usize) -> DramSystem {
-    BackendKind::FastQueue.build(MemorySystemConfig {
-        topology: DramTopology {
-            channels,
-            channel_interleave_lines: interleave,
-            ..DramTopology::default()
-        },
+/// A fast-tier system over `channels` channels, with the mapper that
+/// routes its addresses.
+fn sys(channels: usize, interleave: usize) -> (DramSystem, AddressMapper) {
+    let topology = DramTopology {
+        channels,
+        channel_interleave_lines: interleave,
+        ..DramTopology::default()
+    };
+    let s = BackendKind::FastQueue.build(MemorySystemConfig {
+        topology,
         ..MemorySystemConfig::default()
-    })
+    });
+    (s, AddressMapper::new(topology))
 }
 
 proptest! {
@@ -33,11 +39,11 @@ proptest! {
         channels in 1usize..4,
         interleave_log in 0u32..7,
     ) {
-        let mut s = sys(channels, 1 << interleave_log);
+        let (mut s, mapper) = sys(channels, 1 << interleave_log);
         let mut last_done = vec![0u64; channels];
         for (line, is_write) in ops {
             let addr = PhysAddr(line * 64);
-            let ch = s.mapper().decode(addr).channel;
+            let ch = mapper.decode(addr).channel;
             let done = if is_write {
                 s.write64(addr, &[0xABu8; 64]).raw()
             } else {
@@ -60,12 +66,12 @@ proptest! {
         ops in proptest::collection::vec((0u64..4096, any::<bool>()), 1..60),
         channels in 1usize..4,
     ) {
-        let mut s = sys(channels, 1);
+        let (mut s, mapper) = sys(channels, 1);
         let t = Timing::DDR4_3200;
         let mut want = vec![0u64; channels];
         for (line, is_write) in ops {
             let addr = PhysAddr(line * 64);
-            let ch = s.mapper().decode(addr).channel;
+            let ch = mapper.decode(addr).channel;
             if is_write {
                 s.write64(addr, &[0x5Au8; 64]);
                 want[ch] += t.t_cwl + t.t_burst;
@@ -95,7 +101,7 @@ proptest! {
         // Same-channel back-to-back reads: the FIFO serializes them at
         // exactly one read service time (`tCL + tBURST`) apart,
         // regardless of address.
-        let mut s = sys(1, 1);
+        let (mut s, _) = sys(1, 1);
         let addr = PhysAddr(line * 64);
         let service = Timing::DDR4_3200.t_cl + Timing::DDR4_3200.t_burst;
         let mut prev = {

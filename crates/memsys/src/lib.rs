@@ -232,7 +232,9 @@ impl MemSystem {
         self.bg_acc -= n as f64;
         self.bg_active = true;
         for _ in 0..n {
-            let (bg, rng) = self.bg.as_mut().expect("bg present");
+            let Some((bg, rng)) = self.bg.as_mut() else {
+                break;
+            };
             let hot = rng.gen_bool(bg.hot_fraction);
             let line = if hot {
                 rng.gen_range(0..bg.hot_lines.max(1))
@@ -598,6 +600,11 @@ impl MemSystem {
         for s in addr.line_spans(bytes.len()) {
             let mut data = [0u8; 64];
             if !s.is_whole() {
+                // Partial line: merge with the newest copy, writing a
+                // dirty cached one back first (as `mmio_write64` does).
+                if let Flushed::Dirty(wb) = self.llc.flush_line(s.line) {
+                    self.dram.write64(wb.addr, &wb.data);
+                }
                 data = self.dram.read64(s.line).0;
             }
             data[s.in_line].copy_from_slice(&bytes[s.in_range]);
@@ -641,9 +648,8 @@ mod tests {
         m.load(PhysAddr(0x1234), &mut buf, 0);
         assert_eq!(buf, payload);
         // A device write with a partial tail line keeps the rest of that
-        // line as DRAM holds it.
+        // line, even when its newest copy is dirty in the cache.
         m.store(PhysAddr(0x4000), &[0xEE; 128], 0);
-        m.flush(PhysAddr(0x4000), 128);
         m.dma_write_through(PhysAddr(0x4000), &payload[..100]);
         let mut buf = vec![0u8; 128];
         m.load(PhysAddr(0x4000), &mut buf, 0);

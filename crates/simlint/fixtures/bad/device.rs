@@ -1,4 +1,4 @@
-//! Known-bad: panics and unchecked indexing on the device hot path.
+//! Known-bad: unchecked indexing and panics on the device hot path.
 
 pub fn hot(v: &[u8], i: usize) -> u8 {
     let x = v[i];

@@ -7,3 +7,7 @@ pub fn decode_stage(x: Option<u32>) -> u32 {
     }
     v
 }
+
+pub fn fold_line(d: &[u8]) -> u8 {
+    d.first().copied().expect("non-empty line")
+}

@@ -117,8 +117,8 @@ mod tests {
 
     #[test]
     fn suppression_is_line_number_independent() {
-        let b = Baseline::parse("PANIC-HOT\tsrc/a.rs\tx . unwrap ( ) ;");
-        let d = diag("PANIC-HOT", "src/a.rs", 999);
+        let b = Baseline::parse("PANIC-REACH\tsrc/a.rs\tx . unwrap ( ) ;");
+        let d = diag("PANIC-REACH", "src/a.rs", 999);
         assert!(b.suppresses(&d, "   x . unwrap ( ) ;  "));
         assert!(!b.suppresses(&d, "y.unwrap();"));
         assert!(!b.suppresses(&diag("DET-HASH", "src/a.rs", 999), "x . unwrap ( ) ;"));

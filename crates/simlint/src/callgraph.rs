@@ -200,7 +200,7 @@ fn collect_nodes(rel: &str, ctx: &FileContext, out: &mut Vec<FnNode>) {
             }
             let next_is = |c: char| toks.get(k + 1).is_some_and(|a| a.is_punct(c));
             let prev_is = |c: char| k > 0 && toks[k - 1].is_punct(c);
-            // Direct panic sites (the PANIC-HOT token set).
+            // Direct panic sites (the PANIC-REACH token set).
             let method_call = |name: &str| t.is_ident(name) && prev_is('.') && next_is('(');
             let macro_call = |name: &str| t.is_ident(name) && next_is('!');
             let what = if method_call("unwrap") {

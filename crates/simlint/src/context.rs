@@ -202,31 +202,43 @@ fn find_test_spans(toks: &[Tok]) -> Vec<Span> {
                 k += 1;
             }
         }
-        // Find the item terminator.
-        let mut end = k;
-        let mut brace_depth = 0i32;
-        while end < toks.len() {
-            let t = &toks[end];
-            if brace_depth == 0 && t.is_punct(';') {
-                break;
-            }
-            if t.is_punct('{') {
-                brace_depth += 1;
-            } else if t.is_punct('}') {
-                brace_depth -= 1;
-                if brace_depth == 0 {
-                    break;
-                }
-            }
-            end += 1;
-        }
+        let (end, _) = item_end(toks, k);
         spans.push(Span {
             start: attr_start,
-            end: end.min(toks.len().saturating_sub(1)),
+            end,
         });
         i = end + 1;
     }
     spans
+}
+
+/// The last token of the item starting at `from`: its first `;` outside
+/// `[..]` (a `;` inside brackets belongs to an array type such as
+/// `[u8; 64]`), or the `}` matching its first `{`. The flag says which
+/// one ended it: `true` for a braced body.
+fn item_end(toks: &[Tok], from: usize) -> (usize, bool) {
+    let mut brackets = 0i32;
+    let mut braces = 0i32;
+    let mut k = from;
+    while k < toks.len() {
+        let t = &toks[k];
+        if t.is_punct('[') {
+            brackets += 1;
+        } else if t.is_punct(']') {
+            brackets -= 1;
+        } else if t.is_punct('{') {
+            braces += 1;
+        } else if t.is_punct('}') {
+            braces -= 1;
+            if braces == 0 {
+                return (k, true);
+            }
+        } else if braces == 0 && brackets == 0 && t.is_punct(';') {
+            return (k, false);
+        }
+        k += 1;
+    }
+    (toks.len().saturating_sub(1), braces > 0)
 }
 
 /// Finds every `fn` item/method body span.
@@ -243,42 +255,14 @@ fn find_fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.clone())
             .unwrap_or_default();
-        // Scan to the body `{` or a `;` (trait method declaration).
-        let mut j = i + 1;
-        let mut body = None;
-        while j < toks.len() {
-            if toks[j].is_punct(';') {
-                break;
-            }
-            if toks[j].is_punct('{') {
-                body = Some(j);
-                break;
-            }
-            j += 1;
-        }
-        let Some(open) = body else {
-            i = j + 1;
+        let (end, has_body) = item_end(toks, i + 1);
+        if !has_body {
+            i = end + 1; // trait method declaration
             continue;
-        };
-        let mut depth = 0i32;
-        let mut end = open;
-        while end < toks.len() {
-            if toks[end].is_punct('{') {
-                depth += 1;
-            } else if toks[end].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            end += 1;
         }
         spans.push(FnSpan {
             name,
-            span: Span {
-                start: i,
-                end: end.min(toks.len().saturating_sub(1)),
-            },
+            span: Span { start: i, end },
         });
         i += 1; // nested fns: keep scanning inside the body
     }
@@ -344,6 +328,44 @@ mod tests {
         let ctx = FileContext::new("a.rs", src);
         let at = ctx.toks.iter().position(|t| t.is_ident("unwrap")).unwrap();
         assert_eq!(ctx.enclosing_fn(at).unwrap().name, "inner");
+    }
+
+    #[test]
+    fn array_types_in_signatures_do_not_end_the_fn() {
+        let src = "
+            fn f(x: &[u8; 64]) -> [u8; 64] {}
+            fn g() -> [[u8; 4]; 2] {}
+            trait T { fn h(&self, x: [u8; 2]); }
+        ";
+        let ctx = FileContext::new("a.rs", src);
+        let names: Vec<&str> = ctx.all_fns().iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["f", "g"], "declaration `h` has no body span");
+        for f in ctx.all_fns() {
+            assert!(
+                ctx.toks[f.span.end].is_punct('}'),
+                "{} ends at its body",
+                f.name
+            );
+        }
+    }
+
+    #[test]
+    fn array_types_in_signatures_do_not_end_a_test_item() {
+        let src = "
+            #[cfg(test)]
+            fn helper(x: [u8; 4]) { a.unwrap(); }
+            fn live() { b.unwrap(); }
+        ";
+        let ctx = FileContext::new("a.rs", src);
+        let unwraps: Vec<usize> = ctx
+            .toks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.is_ident("unwrap"))
+            .map(|(i, _)| i)
+            .collect();
+        assert!(ctx.in_test(unwraps[0]));
+        assert!(!ctx.in_test(unwraps[1]));
     }
 
     #[test]

@@ -14,8 +14,6 @@ pub struct Report<'a> {
     pub files_scanned: usize,
     /// Diagnostics suppressed by the baseline file.
     pub baselined: usize,
-    /// Analysis passes that ran: `["file"]` or `["file", "workspace"]`.
-    pub passes: &'a [&'a str],
     /// Stale baseline entries (rule, file, normalized source) — a hard
     /// error: the reviewed code changed, so the review is void.
     pub stale_baseline: &'a [(String, String, String)],
@@ -55,14 +53,8 @@ pub fn render_json(r: &Report) -> String {
     out.push_str("{\n");
     out.push_str("  \"version\": 2,\n");
     out.push_str("  \"tool\": \"simlint\",\n");
-    out.push_str(&format!(
-        "  \"passes\": [{}],\n",
-        r.passes
-            .iter()
-            .map(|p| json_str(p))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
+    // Both passes always run; the field stays for schema v2 readers.
+    out.push_str("  \"passes\": [\"file\", \"workspace\"],\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", r.files_scanned));
     out.push_str(&format!("  \"baselined\": {},\n", r.baselined));
     out.push_str("  \"stale_baseline\": [");
@@ -139,7 +131,6 @@ mod tests {
             diagnostics: &diags,
             files_scanned: 1,
             baselined: 0,
-            passes: &["file"],
             stale_baseline: &[],
         };
         let j = render_json(&r);
@@ -153,7 +144,6 @@ mod tests {
             diagnostics: &[],
             files_scanned: 42,
             baselined: 7,
-            passes: &["file", "workspace"],
             stale_baseline: &[],
         };
         let j = render_json(&r);
@@ -164,7 +154,7 @@ mod tests {
     fn human_summary_counts() {
         let diags = sample();
         let stale = vec![(
-            "PANIC-HOT".to_string(),
+            "PANIC-REACH".to_string(),
             "crates/x/src/b.rs".to_string(),
             "y.unwrap();".to_string(),
         )];
@@ -172,12 +162,11 @@ mod tests {
             diagnostics: &diags,
             files_scanned: 2,
             baselined: 1,
-            passes: &["file"],
             stale_baseline: &stale,
         };
         let h = render_human(&r);
         assert!(h.contains("crates/x/src/a.rs:3: [DET-HASH]"));
-        assert!(h.contains("stale baseline entry [PANIC-HOT]"), "{h}");
+        assert!(h.contains("stale baseline entry [PANIC-REACH]"), "{h}");
         assert!(h.contains("1 finding in 2 files (1 baselined, 1 stale)"));
     }
 }

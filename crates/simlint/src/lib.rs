@@ -10,7 +10,7 @@
 //! mechanism.
 //!
 //! The library surface exists so the fixture tests can drive scans
-//! in-process; the CI entry point is the `simlint` binary.
+//! in-process; the CI entry point is `simlint --workspace`.
 
 #![forbid(unsafe_code)]
 
@@ -31,48 +31,10 @@ use callgraph::CallGraph;
 use context::FileContext;
 use rules::Diagnostic;
 
-/// Result of scanning a set of files.
-#[derive(Debug, Default)]
-pub struct ScanResult {
-    /// Unsuppressed findings, sorted by (file, line, rule).
-    pub diagnostics: Vec<Diagnostic>,
-    /// Findings suppressed by the baseline, with the raw source line
-    /// (kept so `--update-baseline` can re-render them).
-    pub baselined: Vec<(Diagnostic, String)>,
-    pub files_scanned: usize,
-}
-
 /// Scans one in-memory file. `path` should be workspace-relative with
 /// `/` separators — it becomes the `file` field of every diagnostic.
 pub fn scan_source(path: &str, src: &str) -> Vec<Diagnostic> {
     rules::check_file(&FileContext::new(path, src))
-}
-
-/// Scans `files` (absolute path, workspace-relative display path),
-/// splitting findings into live vs baselined.
-pub fn scan_files(files: &[(PathBuf, String)], base: &Baseline) -> ScanResult {
-    let mut result = ScanResult::default();
-    for (abs, rel) in files {
-        let Ok(src) = fs::read_to_string(abs) else {
-            continue; // unreadable file: the compiler will complain, not us
-        };
-        result.files_scanned += 1;
-        let lines: Vec<&str> = src.lines().collect();
-        for d in scan_source(rel, &src) {
-            let src_line = lines
-                .get(d.line.saturating_sub(1) as usize)
-                .copied()
-                .unwrap_or("")
-                .to_string();
-            if base.suppresses(&d, &src_line) {
-                result.baselined.push((d, src_line));
-            } else {
-                result.diagnostics.push(d);
-            }
-        }
-    }
-    result.diagnostics.sort();
-    result
 }
 
 /// Result of the two-pass workspace scan (per-file rules + workspace

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! simlint --workspace [--json] [--baseline FILE] [--update-baseline | --prune-baseline]
-//! simlint FILE.rs [FILE.rs ...] [--json]
 //! simlint --rules | --list-rules
 //! ```
 //!
@@ -20,7 +19,7 @@ use std::process::ExitCode;
 
 use simlint::baseline::Baseline;
 use simlint::emit::{render_human, render_json, Report};
-use simlint::{find_workspace_root, scan_files, WorkspaceScan};
+use simlint::find_workspace_root;
 
 struct Args {
     workspace: bool,
@@ -30,7 +29,6 @@ struct Args {
     list_rules: bool,
     rules: bool,
     baseline_path: Option<PathBuf>,
-    files: Vec<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -42,7 +40,6 @@ fn parse_args() -> Result<Args, String> {
         list_rules: false,
         rules: false,
         baseline_path: None,
-        files: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -59,19 +56,18 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: simlint --workspace [--json] [--baseline FILE] \
-                            [--update-baseline | --prune-baseline] | simlint FILE.rs ... | \
-                            simlint --rules | simlint --list-rules"
+                            [--update-baseline | --prune-baseline] | simlint --rules | \
+                            simlint --list-rules"
                     .to_string());
             }
-            f if !f.starts_with('-') => args.files.push(PathBuf::from(f)),
-            other => return Err(format!("unknown flag `{other}`")),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
     if args.update_baseline && args.prune_baseline {
         return Err("--update-baseline and --prune-baseline are mutually exclusive".to_string());
     }
-    if !args.workspace && args.files.is_empty() && !args.list_rules && !args.rules {
-        return Err("nothing to scan: pass --workspace or file paths (see --help)".to_string());
+    if !args.workspace && !args.list_rules && !args.rules {
+        return Err("nothing to scan: pass --workspace (see --help)".to_string());
     }
     Ok(args)
 }
@@ -113,73 +109,34 @@ fn main() -> ExitCode {
     }
 
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-
-    if args.workspace {
-        let Some(root) = find_workspace_root(&cwd) else {
-            eprintln!("simlint: no workspace root (Cargo.toml with [workspace]) above {cwd:?}");
-            return ExitCode::from(2);
-        };
-        let baseline_path = args
-            .baseline_path
-            .clone()
-            .unwrap_or_else(|| root.join("simlint.baseline"));
-        let base = std::fs::read_to_string(&baseline_path)
-            .map(|text| Baseline::parse(&text))
-            .unwrap_or_default();
-        let scan = simlint::scan_workspace(&root, &base);
-
-        if args.update_baseline || args.prune_baseline {
-            // --update-baseline absorbs live findings; --prune-baseline
-            // only keeps entries that still match something.
-            let mut items = scan.baselined.clone();
-            if args.update_baseline {
-                items.extend(scan.live.iter().cloned());
-            }
-            return write_baseline(&baseline_path, &items);
-        }
-
-        return report(&args, &scan);
-    }
-
-    // Single-file mode: per-file pass only, optional explicit baseline.
-    let base = args
+    let Some(root) = find_workspace_root(&cwd) else {
+        eprintln!("simlint: no workspace root (Cargo.toml with [workspace]) above {cwd:?}");
+        return ExitCode::from(2);
+    };
+    let baseline_path = args
         .baseline_path
-        .as_deref()
-        .and_then(|p| std::fs::read_to_string(p).ok())
+        .clone()
+        .unwrap_or_else(|| root.join("simlint.baseline"));
+    let base = std::fs::read_to_string(&baseline_path)
         .map(|text| Baseline::parse(&text))
         .unwrap_or_default();
-    let files: Vec<(PathBuf, String)> = args
-        .files
-        .iter()
-        .map(|p| (p.clone(), p.to_string_lossy().replace('\\', "/")))
-        .collect();
-    let result = scan_files(&files, &base);
-    let scan = WorkspaceScan {
-        live: result
-            .diagnostics
-            .iter()
-            .map(|d| (d.clone(), String::new()))
-            .collect(),
-        baselined: result.baselined,
-        stale_baseline: Vec::new(),
-        files_scanned: result.files_scanned,
-    };
-    report(&args, &scan)
-}
+    let scan = simlint::scan_workspace(&root, &base);
 
-/// Renders the scan and maps it to the exit code.
-fn report(args: &Args, scan: &WorkspaceScan) -> ExitCode {
+    if args.update_baseline || args.prune_baseline {
+        // --update-baseline absorbs live findings; --prune-baseline
+        // only keeps entries that still match something.
+        let mut items = scan.baselined.clone();
+        if args.update_baseline {
+            items.extend(scan.live.iter().cloned());
+        }
+        return write_baseline(&baseline_path, &items);
+    }
+
     let diags = scan.diagnostics();
-    let passes: &[&str] = if args.workspace {
-        &["file", "workspace"]
-    } else {
-        &["file"]
-    };
     let r = Report {
         diagnostics: &diags,
         files_scanned: scan.files_scanned,
         baselined: scan.baselined.len(),
-        passes,
         stale_baseline: &scan.stale_baseline,
     };
     if args.json {

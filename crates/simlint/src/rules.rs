@@ -1,11 +1,10 @@
-//! The rule registry: five families of syntactic invariants tied to the
-//! SmartDIMM mechanism the simulator reproduces.
+//! The per-file rule registry: five families of syntactic invariants
+//! tied to the SmartDIMM mechanism the simulator reproduces.
 //!
 //! | id            | family            | invariant                                                     |
 //! |---------------|-------------------|---------------------------------------------------------------|
 //! | `DET-NOW`     | determinism       | no wall-clock / OS randomness in sim code                     |
 //! | `DET-HASH`    | determinism       | no `HashMap`/`HashSet` (hasher-seed–dependent iteration)      |
-//! | `PANIC-HOT`   | panic-freedom     | no `unwrap`/`expect`/`panic!` on the device-side hot path     |
 //! | `PANIC-INDEX` | panic-freedom     | no panicking `[]` indexing on the device-side hot path        |
 //! | `PROTO-MMIO`  | protocol shape    | MMIO descriptors go through the typed 64 B `to_bytes` API     |
 //! | `PAIR-SCRATCH`| paired resource   | every `Scratchpad` reserve has a release on its error paths   |
@@ -15,6 +14,9 @@
 //! zero dependencies and speed, and rely on the baseline/allow
 //! mechanisms for the residue. Test code (`#[cfg(test)]`, `#[test]`) is
 //! exempt everywhere: tests may panic and may use `HashMap` oracles.
+//! `unwrap`/`expect`/`panic!` sites are the workspace rule PANIC-REACH's
+//! job ([`crate::wsrules`]): it roots at every hot-file function, so it
+//! covers the hot files themselves and everything they call.
 
 use crate::context::FileContext;
 use crate::lexer::TokKind;
@@ -32,10 +34,11 @@ pub struct Diagnostic {
     pub message: String,
 }
 
-/// Files the hot-path panic-freedom rules apply to: the per-CAS device
-/// dataflow (arbiter, DSA, Scratchpad, Translation Table). A panic here
-/// is a simulated-hardware fault triggered by host-controlled input.
-const HOT_PATH_FILES: [&str; 4] = ["device.rs", "dsa.rs", "scratchpad.rs", "xlat.rs"];
+/// Files the hot-path panic-freedom rules (PANIC-INDEX here, PANIC-REACH
+/// in [`crate::wsrules`]) apply to: the per-CAS device dataflow (arbiter,
+/// DSA, Scratchpad, Translation Table). A panic here is a
+/// simulated-hardware fault triggered by host-controlled input.
+pub const HOT_FILES: [&str; 4] = ["device.rs", "dsa.rs", "scratchpad.rs", "xlat.rs"];
 
 /// `FaultHandle` methods whose call sites must record a stats counter.
 const FAULT_CONSULTS: [&str; 4] = [
@@ -53,10 +56,9 @@ const COUNTER_HINTS: [&str; 8] = [
 ];
 
 /// All per-file rule ids, for `--list-rules` and docs.
-pub const RULE_IDS: [&str; 7] = [
+pub const RULE_IDS: [&str; 6] = [
     "DET-NOW",
     "DET-HASH",
-    "PANIC-HOT",
     "PANIC-INDEX",
     "PROTO-MMIO",
     "PAIR-SCRATCH",
@@ -65,7 +67,7 @@ pub const RULE_IDS: [&str; 7] = [
 
 /// Per-file rules with their one-line docs, for `--rules`. A test pins
 /// this table against [`RULE_IDS`] so the docs cannot drift.
-pub const RULES: [(&str, &str); 7] = [
+pub const RULES: [(&str, &str); 6] = [
     (
         "DET-NOW",
         "no wall-clock/OS-entropy sources in live sim code; use simkit::Cycle and DetRng",
@@ -73,10 +75,6 @@ pub const RULES: [(&str, &str); 7] = [
     (
         "DET-HASH",
         "no HashMap/HashSet in live sim code; hasher-seeded iteration breaks replay",
-    ),
-    (
-        "PANIC-HOT",
-        "no unwrap/expect/panic! in the device hot-path files; degrade with a stats counter",
     ),
     (
         "PANIC-INDEX",
@@ -101,8 +99,7 @@ pub fn check_file(ctx: &FileContext) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     det_now(ctx, &mut diags);
     det_hash(ctx, &mut diags);
-    if HOT_PATH_FILES.contains(&ctx.file_name.as_str()) {
-        panic_hot(ctx, &mut diags);
+    if HOT_FILES.contains(&ctx.file_name.as_str()) {
         panic_index(ctx, &mut diags);
     }
     proto_mmio(ctx, &mut diags);
@@ -180,52 +177,6 @@ fn det_hash(ctx: &FileContext, diags: &mut Vec<Diagnostic>) {
                      replay; use BTree{} or sort before iterating",
                     t.text,
                     &t.text[4..]
-                ),
-            );
-        }
-    }
-}
-
-/// PANIC-HOT: `unwrap`/`expect`/`panic!`-family on the per-CAS device
-/// path. Simulated hardware must degrade (stats counter + recovery),
-/// not abort the process, on malformed host input.
-fn panic_hot(ctx: &FileContext, diags: &mut Vec<Diagnostic>) {
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.in_test(i) {
-            continue;
-        }
-        let method_call = |name: &str| {
-            t.is_ident(name)
-                && i > 0
-                && ctx.toks[i - 1].is_punct('.')
-                && ctx.toks.get(i + 1).is_some_and(|a| a.is_punct('('))
-        };
-        let macro_call =
-            |name: &str| t.is_ident(name) && ctx.toks.get(i + 1).is_some_and(|a| a.is_punct('!'));
-        let what = if method_call("unwrap") {
-            Some(".unwrap()")
-        } else if method_call("expect") {
-            Some(".expect()")
-        } else if macro_call("panic") {
-            Some("panic!")
-        } else if macro_call("unreachable") {
-            Some("unreachable!")
-        } else if macro_call("todo") {
-            Some("todo!")
-        } else if macro_call("unimplemented") {
-            Some("unimplemented!")
-        } else {
-            None
-        };
-        if let Some(what) = what {
-            push(
-                diags,
-                ctx,
-                "PANIC-HOT",
-                t.line,
-                format!(
-                    "{what} on the device-side hot path aborts the simulated hardware on \
-                     malformed host input; return a typed error or degrade with a stats counter"
                 ),
             );
         }
@@ -463,8 +414,8 @@ mod tests {
     }
 
     #[test]
-    fn panic_rules_scope_to_hot_files() {
-        let src = "fn f(v: Vec<u8>) -> u8 { v.first().copied().unwrap() }";
+    fn panic_index_scopes_to_hot_files() {
+        let src = "fn f(v: Vec<u8>, i: usize) -> u8 { v[i] }";
         assert_eq!(diags("crates/x/src/device.rs", src).len(), 1);
         assert!(diags("crates/x/src/other.rs", src).is_empty());
     }
@@ -486,8 +437,8 @@ mod tests {
     fn allow_marker_suppresses() {
         let src = "
             fn f(v: Vec<u8>) -> u8 {
-                // simlint: allow(PANIC-HOT): contract documented
-                v.first().copied().unwrap()
+                // simlint: allow(PANIC-INDEX): bounded by construction
+                v[0]
             }
         ";
         assert!(diags("crates/x/src/device.rs", src).is_empty());

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::callgraph::CallGraph;
 use crate::context::FileContext;
 use crate::lexer::TokKind;
-use crate::rules::Diagnostic;
+use crate::rules::{Diagnostic, HOT_FILES};
 
 /// Rule ids implemented by this pass.
 pub const WS_RULE_IDS: [&str; 4] = ["PANIC-REACH", "SHARD-ISO", "THREAD-DET", "TELEM-CONS"];
@@ -48,10 +48,6 @@ pub const WS_RULES: [(&str, &str); 4] = [
         "every literal telemetry metric is driven by live code and matches results/run_report.json",
     ),
 ];
-
-/// Hot-path entry files (same set as the per-file `PANIC-HOT` rule):
-/// every non-test function defined here is a reachability root.
-const HOT_FILES: [&str; 4] = ["device.rs", "dsa.rs", "scratchpad.rs", "xlat.rs"];
 
 /// Files that make up the per-channel `SmartDimmDevice` shard. Code in
 /// these files runs "on the DIMM": the paper's buffer device sees only
@@ -172,12 +168,12 @@ pub fn check_workspace(ws: &Workspace) -> Vec<Diagnostic> {
     diags
 }
 
-/// PANIC-REACH: the per-file PANIC-HOT rule covers panic sites *inside*
-/// the hot-path files; this rule closes the gap for code those files
-/// call into. Every non-test function defined in a hot file is a root;
-/// any `unwrap`/`expect`/`panic!`-family site in live code reachable
-/// from a root — in any crate — aborts the simulated hardware on
-/// host-controlled input and is flagged with its shortest call path.
+/// PANIC-REACH: every non-test function defined in a hot file (the
+/// per-CAS device dataflow, [`HOT_FILES`]) is a root; any
+/// `unwrap`/`expect`/`panic!`-family site in live code reachable from a
+/// root — the root itself included, in any crate — aborts the simulated
+/// hardware on host-controlled input and is flagged with its shortest
+/// call path.
 fn panic_reach(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     let g = ws.graph;
     let entries: Vec<usize> = g
@@ -191,9 +187,7 @@ fn panic_reach(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
         .collect();
     for (&i, path) in &g.reachable(&entries) {
         let n = &g.nodes[i];
-        // Hot-file sites are PANIC-HOT's job; double-flagging them
-        // would force every baseline entry to exist twice.
-        if HOT_FILES.contains(&n.file_name.as_str()) || !n.file.starts_with("crates/") {
+        if !n.file.starts_with("crates/") {
             continue;
         }
         for &(line, what) in &n.panics {

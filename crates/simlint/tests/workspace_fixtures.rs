@@ -69,13 +69,17 @@ fn panic_reach_pair() {
         &[
             ("PANIC-REACH", "crates/ulp/src/lib.rs", 4),
             ("PANIC-REACH", "crates/ulp/src/lib.rs", 6),
+            ("PANIC-REACH", "crates/ulp/src/lib.rs", 12),
         ],
     );
-    // The rendered call path names the hot entry point.
+    // The rendered call path names the hot entry point; `on_line`'s
+    // array-typed signature does not hide it from the graph.
     let d = ws_scan(&bad, None);
+    let entry = |line| if line == 12 { "on_line" } else { "on_step" };
     assert!(
-        d.iter()
-            .all(|d| d.message.contains("smartdimm::device::on_step")),
+        d.iter().all(|d| d
+            .message
+            .contains(&format!("smartdimm::device::{}", entry(d.line)))),
         "{d:?}"
     );
 
@@ -90,6 +94,26 @@ fn panic_reach_pair() {
                 "fixtures/ws/good/panic_reach_ulp.rs",
             ),
         ],
+        None,
+        &[],
+    );
+}
+
+/// PANIC-REACH roots at every hot-file function, so panic sites inside
+/// the hot files themselves are flagged too (the per-file fixtures'
+/// `device.rs` pair, mounted as the device hot file).
+#[test]
+fn panic_reach_covers_hot_files() {
+    assert_ws(
+        &[("crates/smartdimm/src/device.rs", "fixtures/bad/device.rs")],
+        None,
+        &[
+            ("PANIC-REACH", "crates/smartdimm/src/device.rs", 5),
+            ("PANIC-REACH", "crates/smartdimm/src/device.rs", 10),
+        ],
+    );
+    assert_ws(
+        &[("crates/smartdimm/src/device.rs", "fixtures/good/device.rs")],
         None,
         &[],
     );
@@ -206,6 +230,11 @@ fn rules_listing_matches_registry() {
         .chain(simlint::wsrules::WS_RULE_IDS.iter())
         .copied()
         .collect();
+    assert_eq!(
+        all.len(),
+        10,
+        "six per-file rules plus four workspace rules"
+    );
     assert_eq!(lines.len(), all.len(), "one line per rule:\n{text}");
     for (line, id) in lines.iter().zip(&all) {
         let (got_id, doc) = line

@@ -147,6 +147,21 @@ impl OffloadStatus {
     }
 }
 
+/// The `N`-byte field at `at` of a 64-byte MMIO line. Every descriptor
+/// field lies inside the line, so the zero fallback never fires; it
+/// only keeps the MMIO decode path free of panics.
+fn field<const N: usize>(b: &[u8; 64], at: usize) -> [u8; N] {
+    b.get(at..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .unwrap_or([0; N])
+}
+
+/// The little-endian `u64` at `at` of a 64-byte MMIO line.
+fn le_u64(b: &[u8; 64], at: usize) -> u64 {
+    u64::from_le_bytes(field(b, at))
+}
+
 /// A decoded result slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResultSlot {
@@ -182,8 +197,8 @@ impl ResultSlot {
     pub fn from_bytes(b: &[u8; 64]) -> ResultSlot {
         ResultSlot {
             status: OffloadStatus::from_byte(b[0]),
-            out_len: u64::from_le_bytes(b[8..16].try_into().expect("8 bytes")),
-            tag: b[16..32].try_into().expect("16 bytes"),
+            out_len: le_u64(b, 8),
+            tag: field(b, 16),
         }
     }
 }
@@ -215,10 +230,10 @@ impl Registration {
     /// Parses the 64-byte MMIO payload.
     pub fn from_bytes(b: &[u8; 64]) -> Registration {
         Registration {
-            offload_id: u64::from_le_bytes(b[0..8].try_into().expect("8 bytes")),
-            src_page_addr: u64::from_le_bytes(b[8..16].try_into().expect("8 bytes")),
-            dst_page_addr: u64::from_le_bytes(b[16..24].try_into().expect("8 bytes")),
-            msg_offset: u64::from_le_bytes(b[24..32].try_into().expect("8 bytes")),
+            offload_id: le_u64(b, 0),
+            src_page_addr: le_u64(b, 8),
+            dst_page_addr: le_u64(b, 16),
+            msg_offset: le_u64(b, 24),
         }
     }
 }
@@ -244,8 +259,8 @@ impl ContextChunk {
     /// Parses the 64-byte MMIO payload.
     pub fn from_bytes(b: &[u8; 64]) -> ContextChunk {
         ContextChunk {
-            offload_id: u64::from_le_bytes(b[0..8].try_into().expect("8 bytes")),
-            payload: b[16..64].try_into().expect("48 bytes"),
+            offload_id: le_u64(b, 0),
+            payload: field(b, 16),
         }
     }
 }
@@ -276,11 +291,11 @@ pub fn pack_pending(records: &[PendingRecord]) -> [u8; 64] {
 pub fn unpack_pending(b: &[u8; 64]) -> Vec<PendingRecord> {
     let mut out = Vec::new();
     for i in 0..4 {
-        let addr = u64::from_le_bytes(b[i * 16..i * 16 + 8].try_into().expect("8 bytes"));
+        let addr = le_u64(b, i * 16);
         if addr == 0 {
             break;
         }
-        let bitmap = u64::from_le_bytes(b[i * 16 + 8..i * 16 + 16].try_into().expect("8 bytes"));
+        let bitmap = le_u64(b, i * 16 + 8);
         out.push(PendingRecord {
             dst_page_addr: addr,
             valid_bitmap: bitmap,
@@ -316,10 +331,10 @@ impl StatusReg {
     /// Parses the 64-byte MMIO view.
     pub fn from_bytes(b: &[u8; 64]) -> StatusReg {
         StatusReg {
-            free_pages: u64::from_le_bytes(b[0..8].try_into().expect("8 bytes")),
-            pending_pages: u64::from_le_bytes(b[8..16].try_into().expect("8 bytes")),
-            self_recycled: u64::from_le_bytes(b[16..24].try_into().expect("8 bytes")),
-            ignored_writebacks: u64::from_le_bytes(b[24..32].try_into().expect("8 bytes")),
+            free_pages: le_u64(b, 0),
+            pending_pages: le_u64(b, 8),
+            self_recycled: le_u64(b, 16),
+            ignored_writebacks: le_u64(b, 24),
         }
     }
 }

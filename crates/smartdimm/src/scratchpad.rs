@@ -228,7 +228,7 @@ impl Scratchpad {
     /// Panics if the page is unallocated, `new_mask` is not a subset of
     /// the current mask, or a trimmed line is already valid.
     pub fn set_expected(&mut self, at: Cycle, page: usize, new_mask: u64) {
-        // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
+        // simlint: allow(PANIC-REACH): documented "# Panics" contract, handles only come from alloc()
         let p = self.pages[page].as_mut().expect("allocated page");
         assert_eq!(
             new_mask & !p.expected_mask,
@@ -258,7 +258,7 @@ impl Scratchpad {
     /// Panics if the page is unallocated, the line is out of the expected
     /// range, or the line was already produced.
     pub fn produce(&mut self, page: usize, line: usize, data: [u8; 64], at: Option<Cycle>) {
-        // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
+        // simlint: allow(PANIC-REACH): documented "# Panics" contract, handles only come from alloc()
         let p = self.pages[page].as_mut().expect("allocated page");
         assert!(p.expects(line), "line beyond expected output");
         assert_eq!(p.lines[line], LineState::Pending, "line already produced");
@@ -287,7 +287,7 @@ impl Scratchpad {
     ///
     /// Panics if the line is not valid.
     pub fn read(&self, page: usize, line: usize) -> [u8; 64] {
-        // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
+        // simlint: allow(PANIC-REACH): documented "# Panics" contract, handles only come from alloc()
         let p = self.pages[page].as_ref().expect("allocated page");
         assert_eq!(p.lines[line], LineState::Valid, "reading a non-valid line");
         p.staged(line).0
@@ -306,7 +306,7 @@ impl Scratchpad {
         page: usize,
         line: usize,
     ) -> ([u8; 64], Option<Cycle>, bool) {
-        // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
+        // simlint: allow(PANIC-REACH): documented "# Panics" contract, handles only come from alloc()
         let p = self.pages[page].as_mut().expect("allocated page");
         assert_eq!(p.lines[line], LineState::Valid, "recycling non-valid line");
         let (data, produced_at) = p.staged(line);
@@ -321,7 +321,7 @@ impl Scratchpad {
 
     fn maybe_free(&mut self, page: usize) -> bool {
         let done = {
-            // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
+            // simlint: allow(PANIC-REACH): documented "# Panics" contract, handles only come from alloc()
             let p = self.pages[page].as_ref().expect("allocated page");
             p.recycled >= p.expected_count()
         };
@@ -333,7 +333,7 @@ impl Scratchpad {
 
     /// Returns an allocated slot to the free list, parking its buffers.
     fn release(&mut self, page: usize) {
-        // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
+        // simlint: allow(PANIC-REACH): documented "# Panics" contract, handles only come from alloc()
         let p = self.pages[page].take().expect("allocated page");
         if self.spare.len() <= page {
             self.spare.resize_with(page + 1, Vec::new);
@@ -354,7 +354,7 @@ impl Scratchpad {
     ///
     /// Panics if the page is not allocated.
     pub fn force_free(&mut self, at: Cycle, page: usize) {
-        // simlint: allow(PANIC-HOT): documented "# Panics" contract, handles only come from alloc()
+        // simlint: allow(PANIC-REACH): documented "# Panics" contract, handles only come from alloc()
         let p = self.pages[page].as_ref().expect("allocated page");
         let live = (0..LINES_PER_PAGE)
             .filter(|&i| p.expects(i) && p.lines[i] != LineState::Done)

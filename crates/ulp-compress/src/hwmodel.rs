@@ -455,10 +455,13 @@ fn hash(a: u8, b: u8, c: u8) -> u32 {
 /// used.
 #[inline(always)]
 fn hash_line(buf: &[u8; PAGE + PAD], line_start: usize) -> [u32; CACHELINE] {
-    let window: &[u8; CACHELINE + 2] = buf[line_start..line_start + CACHELINE + 2]
-        .try_into()
-        .expect("a line and two bytes");
     let mut hashes = [0; CACHELINE];
+    let Some(window) = buf
+        .get(line_start..)
+        .and_then(<[u8]>::first_chunk::<{ CACHELINE + 2 }>)
+    else {
+        return hashes; // every line of the page has its window in `buf`
+    };
     for (lane, h) in hashes.iter_mut().enumerate() {
         *h = hash(window[lane], window[lane + 1], window[lane + 2]);
     }
@@ -473,7 +476,11 @@ fn hash_line(buf: &[u8; PAGE + PAD], line_start: usize) -> [u32; CACHELINE] {
 /// `limit` discards what it finds there.
 #[inline(always)]
 fn match_len(buf: &[u8; PAGE + PAD], cand: usize, p: usize, limit: usize) -> usize {
-    let word = |i: usize| u64::from_le_bytes(buf[i..i + 8].try_into().expect("8 bytes"));
+    let word = |i: usize| {
+        let mut w = [0; 8];
+        w.copy_from_slice(&buf[i..i + 8]);
+        u64::from_le_bytes(w)
+    };
     let mut len = 0;
     loop {
         let diff = word(cand + len) ^ word(p + len);

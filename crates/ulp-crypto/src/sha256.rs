@@ -78,11 +78,11 @@ impl Sha256 {
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let block: [u8; 64] = rest[..64].try_into().expect("64-byte chunk");
-            self.compress(&block);
-            rest = &rest[64..];
+        let (blocks, tail) = rest.as_chunks::<64>();
+        for block in blocks {
+            self.compress(block);
         }
+        rest = tail;
         if !rest.is_empty() {
             self.buf[..rest.len()].copy_from_slice(rest);
             self.buf_len = rest.len();
@@ -111,8 +111,8 @@ impl Sha256 {
 
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        for (wi, word) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *wi = u32::from_be_bytes(*word);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
