@@ -47,15 +47,15 @@ fi
 stage "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q || status=1
 
-# Static-analysis gate. `--workspace`, simlint's only scan mode, runs
+# Static-analysis gate. A simlint scan covers the whole workspace in
 # both passes: six per-file rules, then four call-graph rules, among
 # them PANIC-REACH, the one panic rule for the device hot path. The
 # stable JSON report is kept as a CI artifact; on failure the human
 # rendering is printed for the log.
-stage "simlint --workspace (static-analysis gate; artifact: target/simlint.json)"
+stage "simlint (static-analysis gate; artifact: target/simlint.json)"
 mkdir -p target
-if ! cargo run --release -p simlint -q -- --workspace --json > target/simlint.json; then
-    cargo run --release -p simlint -q -- --workspace || true
+if ! cargo run --release -p simlint -q -- --json > target/simlint.json; then
+    cargo run --release -p simlint -q || true
     status=1
 fi
 

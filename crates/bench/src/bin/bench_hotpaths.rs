@@ -160,11 +160,10 @@ fn bench_compcpy(spec: BenchSpec, pages: usize) -> HotPath {
 
 fn bench_lz77(spec: BenchSpec, input_len: usize) -> HotPath {
     let data = ulp_compress::corpus::text(input_len, 42);
-    let config = ulp_compress::lz77::MatcherConfig::default();
     let timing = paired_ns_per_op(
         spec,
-        || assert!(!ulp_compress::lz77::tokenize_linear(&data, config).is_empty()),
-        || assert!(!ulp_compress::lz77::tokenize(&data, config).is_empty()),
+        || assert!(!ulp_compress::lz77::tokenize_linear(&data).is_empty()),
+        || assert!(!ulp_compress::lz77::tokenize(&data).is_empty()),
     );
     HotPath {
         name: "lz77_match_finder",
@@ -516,7 +515,7 @@ fn bench_dimm_cells(spec: BenchSpec, offloads: usize) -> HotPath {
         for write in [true, false] {
             for phys in (0..64).map(|line| PhysAddr((page << 12) + line * 64)) {
                 let loc = mapper.decode(phys);
-                let bank_index = loc.bank_index(mapper.topology());
+                let bank_index = loc.bank_index();
                 trace.push((
                     write,
                     CasInfo {

@@ -91,10 +91,7 @@ pub fn ablate_window() -> Run {
     let rows: Vec<(usize, f64, usize)> = [2usize, 4, 8, 16, 32]
         .iter()
         .map(|&window| {
-            let cfg = HwDeflateConfig {
-                window,
-                ..HwDeflateConfig::default()
-            };
+            let cfg = HwDeflateConfig { window };
             let mut hw = HwCompressor::new(cfg);
             let mut page_stream = |page: &[u8]| {
                 let stream = hw.compress_page(page).data;

@@ -72,11 +72,13 @@ pub struct CacheConfig {
     pub size_bytes: usize,
     /// Associativity.
     pub ways: usize,
-    /// Ways DDIO device writes may allocate into (Intel default: 2).
-    pub ddio_ways: usize,
-    /// Miss-rate sampling window, in accesses.
-    pub sample_window: usize,
 }
+
+/// Ways DDIO device writes may allocate into (the Intel default).
+const DDIO_WAYS: usize = 2;
+
+/// Miss-rate sampling window, in accesses.
+const SAMPLE_WINDOW: u64 = 4096;
 
 impl CacheConfig {
     /// A cache of `kb` kibibytes with the given associativity.
@@ -84,8 +86,6 @@ impl CacheConfig {
         CacheConfig {
             size_bytes: kb * 1024,
             ways,
-            ddio_ways: 2,
-            sample_window: 4096,
         }
     }
 
@@ -95,8 +95,6 @@ impl CacheConfig {
         CacheConfig {
             size_bytes: mb * 1024 * 1024,
             ways,
-            ddio_ways: 2,
-            sample_window: 4096,
         }
     }
 
@@ -105,9 +103,9 @@ impl CacheConfig {
         self.size_bytes / (64 * self.ways)
     }
 
-    /// Checks the geometry [`Llc::new`] requires: 1..=64 ways, at least
-    /// one set, `ddio_ways` in 1..=`ways` and a non-empty sampling
-    /// window. The error names the first rule broken.
+    /// Checks the geometry [`Llc::new`] requires: 1..=64 ways, room for
+    /// the two DDIO ways and at least one set. The error names the first
+    /// rule broken.
     ///
     /// # Errors
     ///
@@ -116,14 +114,11 @@ impl CacheConfig {
         if !(1..=64).contains(&self.ways) {
             return Err("1..=64 ways");
         }
+        if self.ways < DDIO_WAYS {
+            return Err("fewer ways than the 2 DDIO ways");
+        }
         if self.sets() == 0 {
             return Err("cache too small for its ways");
-        }
-        if !(1..=self.ways).contains(&self.ddio_ways) {
-            return Err("ddio_ways outside 1..=ways");
-        }
-        if self.sample_window == 0 {
-            return Err("sample_window must be >= 1");
         }
         Ok(())
     }
@@ -220,7 +215,7 @@ pub const DDIO_CLASS: usize = 63;
 
 impl Llc {
     /// Creates an LLC with every class allowed to use all ways and DDIO
-    /// restricted to the first `ddio_ways`.
+    /// restricted to the first two.
     ///
     /// # Panics
     ///
@@ -230,7 +225,7 @@ impl Llc {
             panic!("{why}");
         }
         let mut masks = vec![low_ways(config.ways); 64];
-        masks[DDIO_CLASS] = low_ways(config.ddio_ways);
+        masks[DDIO_CLASS] = low_ways(DDIO_WAYS);
         Llc {
             sets: vec![vec![Line::default(); config.ways]; config.sets()],
             config,
@@ -328,7 +323,7 @@ impl Llc {
             self.window_misses += 1;
         }
         self.window_accesses += 1;
-        if self.window_accesses as usize >= self.config.sample_window {
+        if self.window_accesses >= SAMPLE_WINDOW {
             self.last_window_rate = self.window_misses as f64 / self.window_accesses as f64;
             self.window_accesses = 0;
             self.window_misses = 0;
@@ -629,8 +624,6 @@ mod tests {
         Llc::new(CacheConfig {
             size_bytes: 2048,
             ways: 4,
-            ddio_ways: 2,
-            sample_window: 16,
         })
     }
 
@@ -789,11 +782,10 @@ mod tests {
     #[test]
     fn miss_rate_sampling_window() {
         let mut c = tiny();
-        // 16 accesses (the window): 8 misses, 8 hits.
-        for i in 0..8u64 {
+        // 4096 accesses (the window): each of 2048 lines misses once,
+        // then hits once.
+        for i in 0..2048u64 {
             let _ = c.read_line(PhysAddr(i * 64), 0, |_| [0u8; 64]);
-        }
-        for i in 0..8u64 {
             let _ = c.read_line(PhysAddr(i * 64), 0, |_| panic!());
         }
         assert!((c.sampled_miss_rate() - 0.5).abs() < 1e-9);
@@ -815,30 +807,18 @@ mod tests {
             (CacheConfig { ways: 65, ..ok }, "1..=64 ways"),
             (CacheConfig::kb(1, 32), "cache too small for its ways"),
             (
-                CacheConfig { ddio_ways: 0, ..ok },
-                "ddio_ways outside 1..=ways",
-            ),
-            (
-                CacheConfig { ddio_ways: 9, ..ok },
-                "ddio_ways outside 1..=ways",
-            ),
-            (
-                CacheConfig {
-                    sample_window: 0,
-                    ..ok
-                },
-                "sample_window must be >= 1",
+                CacheConfig { ways: 1, ..ok },
+                "fewer ways than the 2 DDIO ways",
             ),
         ];
         for (cfg, why) in cases {
             assert_eq!(cfg.validate(), Err(why), "{cfg:?}");
         }
-        // The widest geometry builds: all 64 ways open to DDIO too.
-        let wide = Llc::new(CacheConfig {
-            ddio_ways: 64,
-            ..CacheConfig::kb(64, 64)
-        });
+        // The widest and the narrowest geometries build.
+        let wide = Llc::new(CacheConfig::kb(64, 64));
         assert_eq!(wide.config().ways, 64);
+        let narrow = Llc::new(CacheConfig::kb(64, 2));
+        assert_eq!(narrow.config().sets(), 512);
     }
 
     #[test]

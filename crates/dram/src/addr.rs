@@ -105,7 +105,24 @@ impl fmt::Display for PhysAddr {
 /// device; the other slots are plain capacity DIMMs.
 pub const DSA_SLOT: usize = 0;
 
-/// DRAM organization parameters.
+/// Bank groups per rank (DDR4).
+const BANK_GROUPS: usize = 4;
+
+/// Banks per bank group (DDR4).
+const BANKS_PER_GROUP: usize = 4;
+
+/// Banks per rank: the width of a DIMM cell column and of SmartDIMM's
+/// Bank Table.
+pub const BANKS_PER_RANK: usize = BANK_GROUPS * BANKS_PER_GROUP;
+
+/// Cachelines per row (an 8 KB row buffer).
+pub(crate) const LINES_PER_ROW: usize = 128;
+
+/// Rows per bank.
+const ROWS: usize = 1 << 15;
+
+/// DRAM organization parameters. Every rank is DDR4's: 4 bank groups of
+/// 4 banks ([`BANKS_PER_RANK`]), 32 Ki rows of 8 KB per bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTopology {
     /// Number of memory channels (total, across all sockets).
@@ -122,14 +139,6 @@ pub struct DramTopology {
     /// and its accesses to a channel owned by another socket cross the
     /// inter-socket link and pay the configured interconnect penalty.
     pub sockets: usize,
-    /// Bank groups per rank (DDR4: 4).
-    pub bank_groups: usize,
-    /// Banks per bank group (DDR4: 4).
-    pub banks_per_group: usize,
-    /// Cachelines per row ("row buffer" of 8 KB = 128 lines).
-    pub lines_per_row: usize,
-    /// Rows per bank.
-    pub rows: usize,
     /// Consecutive cachelines mapped to one channel before switching
     /// (§V-D interleave granularity; 1–4 typical, large = coarse-grain).
     pub channel_interleave_lines: usize,
@@ -146,21 +155,12 @@ impl Default for DramTopology {
             ranks: 1,
             dimms_per_channel: 1,
             sockets: 1,
-            bank_groups: 4,
-            banks_per_group: 4,
-            lines_per_row: 128,
-            rows: 1 << 15,
             channel_interleave_lines: 1,
         }
     }
 }
 
 impl DramTopology {
-    /// Banks per rank.
-    pub fn banks_per_rank(&self) -> usize {
-        self.bank_groups * self.banks_per_group
-    }
-
     /// Ranks visible on one channel's command bus: `ranks` per DIMM ×
     /// `dimms_per_channel` slots. The address decode's rank field spans
     /// this range; `rank / ranks` recovers the DIMM slot.
@@ -219,16 +219,16 @@ pub struct Loc {
 }
 
 impl Loc {
-    /// Flat bank index within the rank (`bg * banks_per_group + bank`) —
-    /// the index SmartDIMM's Bank Table uses.
-    pub fn bank_index(&self, topo: &DramTopology) -> usize {
-        self.bg * topo.banks_per_group + self.bank
+    /// Flat bank index within the rank (`bg * 4 + bank`) — the index
+    /// SmartDIMM's Bank Table uses.
+    pub fn bank_index(&self) -> usize {
+        self.bg * BANKS_PER_GROUP + self.bank
     }
 }
 
-/// One field of the address decode: splits `x` into `x % n` and `x / n`,
-/// by a mask and a shift when `n` is a power of two and by a divide
-/// otherwise (3 or 6 channels, say).
+/// One runtime field of the address decode: splits `x` into `x % n` and
+/// `x / n`, by a mask and a shift when `n` is a power of two and by a
+/// divide otherwise (3 or 6 channels, say).
 #[derive(Debug, Clone, Copy)]
 struct Radix {
     n: u64,
@@ -268,16 +268,12 @@ impl Radix {
 #[derive(Debug, Clone)]
 pub struct AddressMapper {
     topo: DramTopology,
-    /// The decode's fields in the order they split a line index:
-    /// interleave, channels, bank groups, banks, columns, ranks per
-    /// channel and rows.
+    /// The decode's runtime fields in the order they split a line
+    /// index: interleave and channels, then (after the constant bank
+    /// group, bank and column fields) ranks per channel.
     interleave: Radix,
     channels: Radix,
-    bank_groups: Radix,
-    banks: Radix,
-    columns: Radix,
     ranks: Radix,
-    rows: Radix,
 }
 
 impl AddressMapper {
@@ -285,19 +281,10 @@ impl AddressMapper {
     ///
     /// # Panics
     ///
-    /// Panics if any topology field is zero, the interleave granularity
-    /// is not a power of two, or a rank has more banks than a DIMM cell
-    /// column holds ([`crate::dimm::COLUMN_BANKS`], DDR4's maximum).
+    /// Panics if any topology field is zero or the interleave
+    /// granularity is not a power of two.
     pub fn new(topo: DramTopology) -> AddressMapper {
         assert!(topo.channels > 0 && topo.ranks > 0, "empty topology");
-        assert!(topo.bank_groups > 0 && topo.banks_per_group > 0, "no banks");
-        assert!(
-            topo.banks_per_rank() <= crate::dimm::COLUMN_BANKS,
-            "{} banks per rank exceed the DIMM cell column width of {}",
-            topo.banks_per_rank(),
-            crate::dimm::COLUMN_BANKS
-        );
-        assert!(topo.lines_per_row > 0 && topo.rows > 0, "no rows");
         assert!(
             topo.dimms_per_channel > 0 && topo.sockets > 0,
             "empty topology"
@@ -314,11 +301,7 @@ impl AddressMapper {
             topo,
             interleave: Radix::new(topo.channel_interleave_lines),
             channels: Radix::new(topo.channels),
-            bank_groups: Radix::new(topo.bank_groups),
-            banks: Radix::new(topo.banks_per_group),
-            columns: Radix::new(topo.lines_per_row),
             ranks: Radix::new(topo.ranks_per_channel()),
-            rows: Radix::new(topo.rows),
         }
     }
 
@@ -368,11 +351,11 @@ impl AddressMapper {
     /// granularity; the 6 offset bits are dropped).
     pub fn decode(&self, addr: PhysAddr) -> Loc {
         let (channel, line) = self.split_line(addr.0 >> 6);
-        let (bg, rest) = self.bank_groups.split(line);
-        let (bank, rest) = self.banks.split(rest);
-        let (col, rest) = self.columns.split(rest);
+        let (bg, rest) = split(line, BANK_GROUPS);
+        let (bank, rest) = split(rest, BANKS_PER_GROUP);
+        let (col, rest) = split(rest, LINES_PER_ROW);
         let (rank, rest) = self.ranks.split(rest);
-        let (row, _) = self.rows.split(rest);
+        let (row, _) = split(rest, ROWS);
         Loc {
             channel,
             rank: rank as usize,
@@ -388,14 +371,20 @@ impl AddressMapper {
     /// reconstruct physical addresses from `(row, bg, bank, col)` because
     /// acceleration ranges are defined in the physical address space.
     pub fn encode(&self, loc: &Loc) -> PhysAddr {
-        let t = &self.topo;
         let mut line = loc.row as u64;
-        line = line * t.ranks_per_channel() as u64 + loc.rank as u64;
-        line = line * t.lines_per_row as u64 + loc.col as u64;
-        line = line * t.banks_per_group as u64 + loc.bank as u64;
-        line = line * t.bank_groups as u64 + loc.bg as u64;
+        line = line * self.ranks.n + loc.rank as u64;
+        line = line * LINES_PER_ROW as u64 + loc.col as u64;
+        line = line * BANKS_PER_GROUP as u64 + loc.bank as u64;
+        line = line * BANK_GROUPS as u64 + loc.bg as u64;
         PhysAddr(self.merge_line(loc.channel, line) << 6)
     }
+}
+
+/// `(x % n, x / n)` for a constant power-of-two field of the decode, which
+/// the compiler lowers to a mask and a shift.
+#[inline(always)]
+fn split(x: u64, n: usize) -> (u64, u64) {
+    (x % n as u64, x / n as u64)
 }
 
 #[cfg(test)]
@@ -458,7 +447,6 @@ mod tests {
 
     #[test]
     fn bank_index_is_flat() {
-        let topo = DramTopology::default();
         let loc = Loc {
             channel: 0,
             rank: 0,
@@ -467,7 +455,7 @@ mod tests {
             row: 0,
             col: 0,
         };
-        assert_eq!(loc.bank_index(&topo), 11);
+        assert_eq!(loc.bank_index(), 11);
     }
 
     #[test]
@@ -476,8 +464,8 @@ mod tests {
         // 1 ch * 1 rank * 16 banks * 32768 rows * 8 KB rows = 4 GiB —
         // exactly what `DramTopology::default()`'s rustdoc promises.
         assert_eq!((topo.channels, topo.ranks_per_channel()), (1, 1));
-        assert_eq!(topo.banks_per_rank(), 16);
-        assert_eq!((topo.rows, topo.lines_per_row * 64), (1 << 15, 8192));
+        assert_eq!(BANKS_PER_RANK, 16);
+        assert_eq!((ROWS, LINES_PER_ROW * 64), (1 << 15, 8192));
     }
 
     #[test]
@@ -513,16 +501,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "32 banks per rank exceed the DIMM cell column width of 16")]
-    fn banks_must_fit_a_cell_column() {
-        let topo = DramTopology {
-            bank_groups: 8,
-            ..DramTopology::default()
-        };
-        AddressMapper::new(topo);
-    }
-
-    #[test]
     fn rank_field_spans_dimm_slots() {
         let topo = DramTopology {
             ranks: 1,
@@ -551,15 +529,14 @@ mod tests {
         let line = addr.0 >> 6;
         let block = line / g;
         let (channel, line) = ((block % n) as usize, (block / n) * g + line % g);
-        let bg = (line % t.bank_groups as u64) as usize;
-        let rest = line / t.bank_groups as u64;
-        let bank = (rest % t.banks_per_group as u64) as usize;
-        let rest = rest / t.banks_per_group as u64;
-        let col = (rest % t.lines_per_row as u64) as usize;
-        let rest = rest / t.lines_per_row as u64;
+        let bg = (line % 4) as usize;
+        let bank = (line / 4 % 4) as usize;
+        let rest = line / 16;
+        let col = (rest % 128) as usize;
+        let rest = rest / 128;
         let ranks = t.ranks_per_channel() as u64;
         let rank = (rest % ranks) as usize;
-        let row = (rest / ranks) as usize % t.rows;
+        let row = ((rest / ranks) % (1 << 15)) as usize;
         Loc {
             channel,
             rank,
@@ -579,20 +556,12 @@ mod tests {
             channels in 1usize..=6,
             ranks in 1usize..=3,
             dimms in 1usize..=2,
-            bank_groups in 1usize..=4,
-            banks_per_group in 1usize..=4,
-            lines_per_row in 1usize..=160,
-            rows in 1usize..=5000,
             gran_log in 0u32..7,
         ) {
             let topo = DramTopology {
                 channels,
                 ranks,
                 dimms_per_channel: dimms,
-                bank_groups,
-                banks_per_group,
-                lines_per_row,
-                rows,
                 channel_interleave_lines: 1 << gran_log,
                 ..DramTopology::default()
             };
@@ -620,7 +589,6 @@ mod tests {
                 dimms_per_channel: dimms,
                 sockets,
                 channel_interleave_lines: 1 << gran_log,
-                ..DramTopology::default()
             };
             let mapper = AddressMapper::new(topo);
             let a = PhysAddr(addr_line * 64);

@@ -37,7 +37,7 @@
 
 use simkit::{Cycle, TraceSink};
 
-use crate::addr::{AddressMapper, DramTopology, Loc, PhysAddr, DSA_SLOT};
+use crate::addr::{AddressMapper, DramTopology, Loc, PhysAddr, BANKS_PER_RANK, DSA_SLOT};
 use crate::backend::BackendKind;
 use crate::bank::{Bank, RowState};
 use crate::dimm::{CasInfo, Dimm, RdResult};
@@ -210,7 +210,7 @@ impl DramSystem {
                 tier: match fidelity {
                     BackendKind::CycleAccurate => Tier::Accurate {
                         banks: vec![
-                            vec![Bank::default(); topo.banks_per_rank()];
+                            vec![Bank::default(); BANKS_PER_RANK];
                             topo.ranks_per_channel()
                         ],
                         bus_free: Cycle::ZERO,
@@ -219,10 +219,7 @@ impl DramSystem {
                     },
                     BackendKind::FastQueue => Tier::Fast {
                         free_at: Cycle::ZERO,
-                        open_rows: vec![
-                            vec![None; topo.banks_per_rank()];
-                            topo.ranks_per_channel()
-                        ],
+                        open_rows: vec![vec![None; BANKS_PER_RANK]; topo.ranks_per_channel()],
                     },
                 },
             })
@@ -436,7 +433,7 @@ impl DramSystem {
             *next_refresh = due + DDR.t_refi;
             self.stats.refreshes += 1;
             for rank in 0..topo.ranks_per_channel() {
-                for bank_index in 0..topo.banks_per_rank() {
+                for bank_index in 0..BANKS_PER_RANK {
                     self.bank_command(channel, due, rank, bank_index, None);
                 }
             }
@@ -457,7 +454,7 @@ impl DramSystem {
         Target {
             phys,
             loc,
-            bank_index: loc.bank_index(topo),
+            bank_index: loc.bank_index(),
             slot: topo.dimm_slot_of_rank(loc.rank),
         }
     }
@@ -753,11 +750,10 @@ mod tests {
 
     #[test]
     fn row_conflict_costs_precharge() {
-        let topo = DramTopology::default();
         let mut s = sys();
         // Same bank, different row: stride by one full row-buffer worth of
-        // bank-interleaved lines (banks * lines_per_row cachelines).
-        let stride = (topo.banks_per_rank() * topo.lines_per_row * 64) as u64;
+        // bank-interleaved lines (banks * lines per row cachelines).
+        let stride = (BANKS_PER_RANK * crate::addr::LINES_PER_ROW * 64) as u64;
         let (_, first) = s.read64(PhysAddr(0));
         s.advance(1000);
         let (_, _hit) = s.read64(PhysAddr(0));
@@ -1033,7 +1029,7 @@ mod tests {
         s.install_dimm(0, Dimm::new(Box::new(Recorder::default())));
         let mapper = AddressMapper::new(MemorySystemConfig::default().topology);
         let loc = mapper.decode(PhysAddr(0));
-        let bank = loc.bank_index(mapper.topology());
+        let bank = loc.bank_index();
         let _ = s.read64(PhysAddr(0));
         s.advance(DDR.t_refi + 100);
         let _ = s.read64(PhysAddr(0));

@@ -20,7 +20,7 @@ use std::any::Any;
 
 use simkit::Cycle;
 
-use crate::addr::{Loc, PhysAddr};
+use crate::addr::{Loc, PhysAddr, BANKS_PER_RANK};
 
 /// Decoded information accompanying a CAS command at the buffer device.
 #[derive(Debug, Clone, Copy)]
@@ -138,12 +138,8 @@ impl BufferDevice for Passthrough {
 /// A DRAM cell coordinate: `(rank, bank_index, row, col)`.
 pub type CellCoord = (usize, usize, usize, usize);
 
-/// Banks per column: DDR4's maximum banks per rank. `AddressMapper::new`
-/// rejects topologies with more.
-pub const COLUMN_BANKS: usize = 16;
-
 /// The lines of every bank of one rank at one `(row, col)`.
-type Column = [[u8; 64]; COLUMN_BANKS];
+type Column = [[u8; 64]; BANKS_PER_RANK];
 
 // simlint: allow(DET-HASH): fixed hasher, probed by key, never iterated
 type ColumnIndex = std::collections::HashMap<u64, u32, simkit::hash::FixedState>;
@@ -252,7 +248,7 @@ impl Dimm {
             let key = column_key(info.loc.rank, info.loc.row, info.loc.col);
             let columns = &mut self.columns;
             let slot = *self.index.entry(key).or_insert_with(|| {
-                columns.push([[0u8; 64]; COLUMN_BANKS]);
+                columns.push([[0u8; 64]; BANKS_PER_RANK]);
                 u32::try_from(columns.len() - 1).expect("fewer than 2^32 columns")
             });
             self.columns[slot as usize][info.bank_index] = data;
@@ -332,7 +328,7 @@ mod tests {
     fn random_coord(rng: &mut DetRng) -> CellCoord {
         (
             rng.gen_range(0..2) as usize,
-            rng.gen_range(0..COLUMN_BANKS as u64) as usize,
+            rng.gen_range(0..BANKS_PER_RANK as u64) as usize,
             rng.gen_range(0..4) as usize,
             rng.gen_range(0..128) as usize,
         )
@@ -387,7 +383,7 @@ mod tests {
     fn a_write_leaves_its_column_neighbours_untouched() {
         let mut dimm = Dimm::passthrough();
         dimm.wr_cas(&cas_at((1, 5, 3, 127), 0), &[0x5Au8; 64]);
-        for bank_index in 0..COLUMN_BANKS {
+        for bank_index in 0..BANKS_PER_RANK {
             let expect = if bank_index == 5 {
                 [0x5Au8; 64]
             } else {

@@ -275,11 +275,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid WorkloadConfig")]
     fn corun_validates_the_workload() {
-        let zero_workers = WorkloadConfig {
-            workers: 0,
+        let zero_requests = WorkloadConfig {
+            requests: 0,
             ..cfg()
         };
-        run_corun(PlatformKind::Cpu, &zero_workers, 16 << 20, 1.0);
+        run_corun(PlatformKind::Cpu, &zero_requests, 16 << 20, 1.0);
     }
 
     #[test]

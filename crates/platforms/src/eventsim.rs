@@ -28,7 +28,7 @@
 //!   lengths vary per request (the lock-step harness serves one fixed
 //!   size).
 //! * **Churn and slow clients.** Per-request hash-derived coin flips tear
-//!   connections down (reconnect after `reconnect_ns`) or mark a response
+//!   connections down (reconnect after 1 ms) or mark a response
 //!   as draining to a slow client. Hash-derived decisions — rather than a
 //!   shared RNG stream — keep every other connection's schedule
 //!   untouched when a knob changes, so raising `churn_permille` delays a
@@ -56,7 +56,7 @@ use ulp_compress::corpus;
 use crate::params::CostParams;
 use crate::server::{
     advance_ns, conn_file_addr, cycles_to_ns, ns_to_cycles, validate_topology, ConfigError, Engine,
-    PlatformKind, UlpKind, WorkloadConfig,
+    PlatformKind, UlpKind, WorkloadConfig, PAGE,
 };
 
 /// Buffer-arena slots shared by all logical connections. Matches the
@@ -71,6 +71,17 @@ const PRESSURE_SAMPLE_EVERY: u64 = 16;
 
 /// Extra drain time a slow client adds before its next request (ns).
 const SLOW_DRAIN_NS: u64 = 200_000;
+
+/// Reconnect penalty of a churned connection (ns).
+const RECONNECT_NS: u64 = 1_000_000;
+
+/// Object catalog size (zipfian popularity).
+const OBJECTS: usize = 2048;
+
+/// Responses parked in the send queue between produce and
+/// socket-write/NIC-TX, holding device resources: what turns load into
+/// queue pressure.
+const INFLIGHT_WINDOW: usize = 64;
 
 /// What to do with a request admitted while the device is saturated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -150,28 +161,21 @@ pub struct EventWorkloadConfig {
     /// Mean exponential think time between a connection's requests (ns).
     pub think_time_ns: u64,
     /// Per-request probability (‰) that the connection tears down after
-    /// the response and reconnects `reconnect_ns` later.
+    /// the response and reconnects 1 ms later.
     pub churn_permille: u64,
-    /// Reconnect penalty for churned connections (ns).
-    pub reconnect_ns: u64,
     /// Per-request probability (‰) that the client drains the response
     /// slowly, delaying its next request by an extra 200 µs.
     pub slow_client_permille: u64,
-    /// Object catalog size (zipfian popularity).
-    pub objects: usize,
-    /// Zipf exponent `s` (`weight ∝ 1/rank^s`; 0 = uniform).
+    /// Zipf exponent `s` over 2048 objects (`weight ∝ 1/rank^s`; 0 = uniform).
     pub zipf_s: f64,
     /// Smallest object size in bytes.
     pub min_object_bytes: usize,
     /// Largest object size in bytes (≤ 64 KB record limit).
     pub max_object_bytes: usize,
     /// Scratchpad-pages override for the SmartDIMM devices (pressure
-    /// tests shrink it to force admission decisions).
+    /// tests shrink it to force admission decisions, down to the largest
+    /// offload's reservation: [`ConfigError::ScratchpadTooSmall`]).
     pub scratchpad_pages: Option<usize>,
-    /// Requests parked between produce and socket-write/NIC-TX (the send
-    /// queue). Parked offloads hold device resources, so this window is
-    /// what turns load into queue pressure.
-    pub inflight_window: usize,
     /// Admission control (SmartDIMM placement only).
     pub admission: AdmissionConfig,
 }
@@ -198,14 +202,11 @@ impl Default for EventWorkloadConfig {
             threads: 0,
             think_time_ns: 50_000,
             churn_permille: 0,
-            reconnect_ns: 1_000_000,
             slow_client_permille: 0,
-            objects: 2048,
             zipf_s: 1.0,
             min_object_bytes: 1024,
             max_object_bytes: 16384,
             scratchpad_pages: None,
-            inflight_window: 64,
             admission: AdmissionConfig::default(),
         }
     }
@@ -222,9 +223,6 @@ impl EventWorkloadConfig {
         }
         if self.requests == 0 {
             return Err(ConfigError::ZeroRequests);
-        }
-        if self.objects == 0 {
-            return Err(ConfigError::ZeroObjects);
         }
         if self.min_object_bytes == 0
             || self.max_object_bytes > 65536
@@ -246,11 +244,16 @@ impl EventWorkloadConfig {
                 return Err(ConfigError::BadPermille(p));
             }
         }
-        if self.inflight_window == 0 {
-            return Err(ConfigError::ZeroWindow);
-        }
-        if self.scratchpad_pages == Some(0) {
-            return Err(ConfigError::ZeroScratchpad);
+        // Algorithm 2 line 16 reserves `1 + bytes/4096` pages per
+        // `comp_cpy`: the largest object for TLS, a page for compression.
+        let largest = match self.ulp {
+            UlpKind::Tls => self.max_object_bytes,
+            UlpKind::Compression => self.max_object_bytes.min(PAGE),
+            UlpKind::None => 0,
+        };
+        let needed = 1 + largest / PAGE;
+        if let Some(pages) = self.scratchpad_pages.filter(|&p| p < needed) {
+            return Err(ConfigError::ScratchpadTooSmall { pages, needed });
         }
         if let Some(llc) = self.llc {
             llc.validate().map_err(ConfigError::BadLlc)?;
@@ -442,7 +445,6 @@ fn run_event_server_instrumented(
     let engine_cfg = WorkloadConfig {
         message_bytes: cfg.max_object_bytes,
         connections: cfg.connections.min(ARENA_SLOTS),
-        workers: cfg.workers.max(1),
         ulp: cfg.ulp,
         requests: cfg.requests,
         corpus: cfg.corpus,
@@ -468,7 +470,7 @@ fn run_event_server_instrumented(
     // CPU fallback path for admission control (always constructible).
     let mut cpu_engine = Engine::new(PlatformKind::Cpu, &engine_cfg);
 
-    let cdf = zipf_cdf(cfg.objects, cfg.zipf_s);
+    let cdf = zipf_cdf(OBJECTS, cfg.zipf_s);
     // Which object's body currently occupies each arena slot's page-cache
     // region (a miss costs a DMA refill, like a page-cache eviction).
     let mut slot_object: Vec<Option<u64>> = vec![None; ARENA_SLOTS];
@@ -538,7 +540,7 @@ fn run_event_server_instrumented(
         }
         if permille_coin(cfg.seed, conn, req_no, 0xC4A2, cfg.churn_permille) {
             reconnects += 1;
-            gap += cfg.reconnect_ns;
+            gap += RECONNECT_NS;
         }
         gap
     };
@@ -547,7 +549,7 @@ fn run_event_server_instrumented(
         // Drain the oldest parked response when the send-queue window is
         // full (or nothing more arrives): deferred socket-write + NIC-TX
         // release the offload's device resources and complete the request.
-        if parked.len() > cfg.inflight_window || q.is_empty() {
+        if parked.len() > INFLIGHT_WINDOW || q.is_empty() {
             if let Some(mut p) = parked.pop_front() {
                 let serve_engine = if p.cpu { &mut cpu_engine } else { &mut engine };
                 let m0 = host.mem().now();
@@ -619,7 +621,7 @@ fn run_event_server_instrumented(
 
         // Object draw, page-cache fill on slot miss.
         let u = req_rng(cfg.seed, conn, req_no, 0xC0DE).gen_f64();
-        let object = cdf.partition_point(|&c| c < u).min(cfg.objects - 1) as u64;
+        let object = cdf.partition_point(|&c| c < u).min(OBJECTS - 1) as u64;
         let len = object_len(cfg, object);
         let slot = conn % ARENA_SLOTS;
         if slot_object[slot] != Some(object) {
@@ -711,7 +713,6 @@ mod tests {
             requests: reqs,
             workers: 16,
             ulp,
-            objects: 256,
             min_object_bytes: 1024,
             max_object_bytes: 8192,
             llc: Some(CacheConfig::mb(2, 16)),
@@ -743,7 +744,66 @@ mod tests {
             scratchpad_pages: Some(0),
             ..EventWorkloadConfig::default()
         };
-        assert_eq!(bad.validate(), Err(ConfigError::ZeroScratchpad));
+        assert_eq!(
+            bad.validate(),
+            Err(ConfigError::ScratchpadTooSmall {
+                pages: 0,
+                needed: 5
+            })
+        );
+    }
+
+    /// TLS objects of `bytes` on a `pages`-page scratchpad.
+    fn starved(bytes: usize, pages: usize) -> EventWorkloadConfig {
+        EventWorkloadConfig {
+            min_object_bytes: bytes,
+            max_object_bytes: bytes,
+            scratchpad_pages: Some(pages),
+            ..quick(UlpKind::Tls, 64, 200)
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_scratchpad_below_the_largest_reservation() {
+        // A 16 KB record reserves 1 + 16384/4096 = 5 pages at once, which
+        // no Force-Recycle can supply from 4: the run would panic at the
+        // first offload.
+        assert_eq!(
+            starved(16384, 4).validate(),
+            Err(ConfigError::ScratchpadTooSmall {
+                pages: 4,
+                needed: 5
+            })
+        );
+        assert_eq!(starved(16384, 5).validate(), Ok(()));
+        // Compression reserves per page, plain HTTP reserves nothing.
+        for (ulp, needed) in [(UlpKind::Compression, 2), (UlpKind::None, 1)] {
+            let cfg = EventWorkloadConfig {
+                ulp,
+                scratchpad_pages: Some(needed - 1),
+                ..starved(16384, 0)
+            };
+            let err = ConfigError::ScratchpadTooSmall {
+                pages: needed - 1,
+                needed,
+            };
+            assert_eq!(cfg.validate(), Err(err), "{ulp:?}");
+        }
+    }
+
+    #[test]
+    fn smallest_accepted_scratchpad_serves_every_request() {
+        for policy in [AdmissionPolicy::None, AdmissionPolicy::CpuFallback] {
+            let cfg = EventWorkloadConfig {
+                admission: AdmissionConfig {
+                    policy,
+                    watermark: 0.5,
+                },
+                ..starved(16384, 5)
+            };
+            let m = run_event_server(PlatformKind::SmartDimm, &cfg);
+            assert_eq!(m.completed_requests, 200, "{policy:?}");
+        }
     }
 
     #[test]
@@ -753,18 +813,8 @@ mod tests {
             (CacheConfig { ways: 0, ..llc }, "1..=64 ways"),
             (CacheConfig { ways: 65, ..llc }, "1..=64 ways"),
             (
-                CacheConfig {
-                    ddio_ways: 0,
-                    ..llc
-                },
-                "ddio_ways outside 1..=ways",
-            ),
-            (
-                CacheConfig {
-                    ddio_ways: 17,
-                    ..llc
-                },
-                "ddio_ways outside 1..=ways",
+                CacheConfig { ways: 1, ..llc },
+                "fewer ways than the 2 DDIO ways",
             ),
         ] {
             let cfg = EventWorkloadConfig {

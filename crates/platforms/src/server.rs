@@ -1,6 +1,6 @@
 //! The Nginx-like server harness (§VI).
 //!
-//! Reproduces the paper's testbed: a web server with `workers` threads
+//! Reproduces the paper's testbed: a web server with 10 worker threads
 //! serving `message_bytes` responses over `connections` persistent
 //! connections, with the ULP executed on one of the four placements.
 //!
@@ -20,7 +20,7 @@
 //! running each pipeline stage over a batch of in-flight requests before
 //! moving to the next stage, giving buffers realistic reuse distances.
 //! Aggregate throughput is then scaled to the worker pool:
-//! `RPS = min(workers/avg_latency, link, accelerator)`.
+//! `RPS = min(WORKERS/avg_latency, link, accelerator)`.
 
 use cache::CacheConfig;
 use dram::{BackendKind, PhysAddr};
@@ -71,8 +71,6 @@ pub struct WorkloadConfig {
     pub message_bytes: usize,
     /// Concurrent persistent connections (wrk uses 1024; max 2048).
     pub connections: usize,
-    /// Server worker threads (the paper uses 10).
-    pub workers: usize,
     /// The ULP under test.
     pub ulp: UlpKind,
     /// Measured requests (after an automatic warmup).
@@ -125,7 +123,7 @@ pub struct WorkloadConfig {
 /// [`EventWorkloadConfig::validate`](crate::eventsim::EventWorkloadConfig::validate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `workers == 0`: the per-worker batch split would divide by zero.
+    /// `workers == 0` (event harness): a zero-worker pool serves nothing.
     ZeroWorkers,
     /// `connections == 0`: nothing to serve.
     ZeroConnections,
@@ -138,8 +136,6 @@ pub enum ConfigError {
     ZeroRequests,
     /// `message_bytes` is zero or exceeds the 64 KB record limit.
     BadMessageSize(usize),
-    /// `objects == 0`.
-    ZeroObjects,
     /// Object size range empty, zero, or above the 64 KB record limit.
     BadObjectSizes(usize, usize),
     /// `channels == 0`: at least one memory channel is required.
@@ -152,11 +148,9 @@ pub enum ConfigError {
     BadInterleave(usize),
     /// `churn_permille` or `slow_client_permille` above 1000.
     BadPermille(u64),
-    /// `inflight_window == 0`.
-    ZeroWindow,
-    /// `scratchpad_pages == Some(0)`: a Scratchpad needs at least one
-    /// page.
-    ZeroScratchpad,
+    /// `scratchpad_pages` (`pages`) below `needed`, the reservation of
+    /// the largest single offload, which no Force-Recycle can supply.
+    ScratchpadTooSmall { pages: usize, needed: usize },
     /// `llc` geometry that [`cache::Llc::new`] would reject; carries the
     /// rule [`CacheConfig::validate`] names.
     BadLlc(&'static str),
@@ -183,7 +177,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadMessageSize(n) => {
                 write!(f, "message_bytes {n} outside 1..=65536")
             }
-            ConfigError::ZeroObjects => write!(f, "objects must be >= 1"),
             ConfigError::BadObjectSizes(lo, hi) => {
                 write!(f, "object sizes {lo}..={hi} outside 1..=65536 or empty")
             }
@@ -196,8 +189,12 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "channel interleave of {n} lines is not a power of two")
             }
             ConfigError::BadPermille(v) => write!(f, "permille {v} above 1000"),
-            ConfigError::ZeroWindow => write!(f, "inflight_window must be >= 1"),
-            ConfigError::ZeroScratchpad => write!(f, "scratchpad_pages must be >= 1"),
+            ConfigError::ScratchpadTooSmall { pages, needed } => {
+                write!(
+                    f,
+                    "scratchpad_pages {pages} below the {needed} one offload reserves"
+                )
+            }
             ConfigError::BadLlc(why) => write!(f, "bad LLC config: {why}"),
         }
     }
@@ -230,14 +227,11 @@ pub(crate) fn validate_topology(
 impl WorkloadConfig {
     /// Validates the configuration, returning the first degeneracy found.
     /// [`run_server`] calls this up front and panics with the rendered
-    /// error, so a `workers: 0` misconfiguration fails with a message
-    /// instead of a divide-by-zero deep inside the batch split.
+    /// error, so a degenerate workload fails with a message instead of
+    /// deep inside the batch loop.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.message_bytes == 0 || self.message_bytes > 65536 {
             return Err(ConfigError::BadMessageSize(self.message_bytes));
-        }
-        if self.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
         }
         if self.connections == 0 {
             return Err(ConfigError::ZeroConnections);
@@ -292,7 +286,6 @@ impl Default for WorkloadConfig {
         WorkloadConfig {
             message_bytes: 4096,
             connections: 1024,
-            workers: 10,
             ulp: UlpKind::Tls,
             requests: 2000,
             corpus: corpus::Kind::Html,
@@ -365,7 +358,7 @@ const UBUF_BASE: u64 = 0x0C00_3000;
 const REC_BASE: u64 = 0x1600_5000;
 const SKB_BASE: u64 = 0x2A00_A000;
 const CONN_STRIDE: u64 = 0x0002_1000; // 33 pages per connection per region
-const PAGE: usize = 4096;
+pub(crate) const PAGE: usize = 4096;
 
 // Software-deflate working state (zlib level 6): a 32 KB sliding window
 // plus hash head/prev tables — ~160 KB of irregularly accessed state per
@@ -788,10 +781,13 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// Server worker threads (the paper's Nginx runs 10).
+const WORKERS: usize = 10;
+
 /// In-flight responses across the worker pool at saturation: each worker
-/// multiplexes `connections/workers` sockets.
+/// multiplexes `connections/WORKERS` sockets.
 fn batch_size(cfg: &WorkloadConfig) -> usize {
-    (cfg.connections / cfg.workers).clamp(1, 64) * cfg.workers.min(16)
+    (cfg.connections / WORKERS).clamp(1, 64) * WORKERS
 }
 
 /// Runs the workload on the given platform and reports steady-state
@@ -876,7 +872,7 @@ pub(crate) fn run_server_instrumented(
     let llc_miss_rate = host.mem().llc().stats().miss_rate();
     let force_recycles = host.force_recycle_count() - force_start;
 
-    let worker_rps = cfg.workers as f64 * 1e9 / avg_request_ns;
+    let worker_rps = WORKERS as f64 * 1e9 / avg_request_ns;
     let link_rps = cfg.costs.link_gbps * 1e9 / 8.0 / wire_bytes_per_req.max(1.0);
     let accel_rps = if accel_ns_per_req > 0.0 {
         // Lookaside devices pipeline across several engines.
@@ -885,7 +881,7 @@ pub(crate) fn run_server_instrumented(
         f64::INFINITY
     };
     let rps = worker_rps.min(link_rps).min(accel_rps);
-    let cpu_utilization = (rps * cpu_ns_per_req / (cfg.workers as f64 * 1e9)).min(1.0);
+    let cpu_utilization = (rps * cpu_ns_per_req / (WORKERS as f64 * 1e9)).min(1.0);
     let mem_bw_bytes = rps * dram_bytes_per_req;
 
     let metrics = ServerMetrics {
@@ -1065,13 +1061,6 @@ mod tests {
         let cases: &[(WorkloadConfig, ConfigError)] = &[
             (
                 WorkloadConfig {
-                    workers: 0,
-                    ..WorkloadConfig::default()
-                },
-                ConfigError::ZeroWorkers,
-            ),
-            (
-                WorkloadConfig {
                     connections: 0,
                     ..WorkloadConfig::default()
                 },
@@ -1142,18 +1131,8 @@ mod tests {
             (CacheConfig { ways: 0, ..llc }, "1..=64 ways"),
             (CacheConfig { ways: 65, ..llc }, "1..=64 ways"),
             (
-                CacheConfig {
-                    ddio_ways: 0,
-                    ..llc
-                },
-                "ddio_ways outside 1..=ways",
-            ),
-            (
-                CacheConfig {
-                    ddio_ways: 17,
-                    ..llc
-                },
-                "ddio_ways outside 1..=ways",
+                CacheConfig { ways: 1, ..llc },
+                "fewer ways than the 2 DDIO ways",
             ),
         ] {
             let cfg = WorkloadConfig {
@@ -1165,31 +1144,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "workers must be >= 1")]
-    fn zero_workers_panics_with_message_not_divide_by_zero() {
-        // Before validate() this hit `connections / workers` and died with
-        // an anonymous "attempt to divide by zero".
-        let cfg = WorkloadConfig {
-            workers: 0,
-            ..quick(UlpKind::None, 4096, 16)
-        };
-        let _ = run_server(PlatformKind::Cpu, &cfg);
-    }
-
-    #[test]
     fn boundary_configs_run() {
-        // workers=1 must serve a sane single-threaded pipeline, and
-        // connections < workers must not produce an empty batch.
-        let one_worker = WorkloadConfig {
-            workers: 1,
-            requests: 50,
-            ..quick(UlpKind::None, 4096, 4)
-        };
-        let m = run_server(PlatformKind::Cpu, &one_worker);
-        assert!(m.rps > 0.0 && m.rps.is_finite());
-
+        // Fewer connections than workers must not produce an empty batch.
         let few_conns = WorkloadConfig {
-            workers: 10,
             requests: 50,
             ..quick(UlpKind::None, 4096, 2)
         };

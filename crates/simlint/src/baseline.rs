@@ -84,7 +84,7 @@ impl Baseline {
             "# simlint baseline: reviewed pre-existing diagnostics.\n\
              # Entries key on normalized source text, not line numbers; an entry\n\
              # goes stale (and the gate fails) only when the flagged line changes.\n\
-             # Regenerate with: cargo run -p simlint -- --workspace --update-baseline\n",
+             # Regenerate with: cargo run -p simlint -- --update-baseline\n",
         );
         for line in set {
             out.push_str(&line);

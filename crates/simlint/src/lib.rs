@@ -10,7 +10,8 @@
 //! mechanism.
 //!
 //! The library surface exists so the fixture tests can drive scans
-//! in-process; the CI entry point is `simlint --workspace`.
+//! in-process; the CI entry point is the `simlint` binary, whose one
+//! scan covers the whole workspace.
 
 #![forbid(unsafe_code)]
 

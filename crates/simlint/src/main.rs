@@ -1,13 +1,14 @@
 //! The `simlint` CLI — the CI gate entry point.
 //!
 //! ```text
-//! simlint --workspace [--json] [--baseline FILE] [--update-baseline | --prune-baseline]
-//! simlint --rules | --list-rules
+//! simlint [--json] [--update-baseline | --prune-baseline]
+//! simlint --rules
 //! ```
 //!
-//! `--workspace` runs both passes: the per-file rules over every
-//! gate-covered file, then the workspace call-graph rules
-//! (PANIC-REACH / SHARD-ISO / THREAD-DET / TELEM-CONS). Exit code 0 iff
+//! A scan runs both passes over the workspace: the per-file rules over
+//! every gate-covered file, then the workspace call-graph rules
+//! (PANIC-REACH / SHARD-ISO / THREAD-DET / TELEM-CONS), against the
+//! root's `simlint.baseline`. Exit code 0 iff
 //! every finding is suppressed (inline allow marker or baseline entry)
 //! AND no baseline entry is stale; 1 if any live finding or stale entry
 //! remains; 2 on usage errors.
@@ -22,43 +23,31 @@ use simlint::emit::{render_human, render_json, Report};
 use simlint::find_workspace_root;
 
 struct Args {
-    workspace: bool,
     json: bool,
     update_baseline: bool,
     prune_baseline: bool,
-    list_rules: bool,
     rules: bool,
-    baseline_path: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        workspace: false,
         json: false,
         update_baseline: false,
         prune_baseline: false,
-        list_rules: false,
         rules: false,
-        baseline_path: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--workspace" => args.workspace = true,
             "--json" => args.json = true,
             "--update-baseline" => args.update_baseline = true,
             "--prune-baseline" => args.prune_baseline = true,
-            "--list-rules" => args.list_rules = true,
             "--rules" => args.rules = true,
-            "--baseline" => {
-                let p = it.next().ok_or("--baseline requires a path")?;
-                args.baseline_path = Some(PathBuf::from(p));
-            }
             "--help" | "-h" => {
-                return Err("usage: simlint --workspace [--json] [--baseline FILE] \
-                            [--update-baseline | --prune-baseline] | simlint --rules | \
-                            simlint --list-rules"
-                    .to_string());
+                return Err(
+                    "usage: simlint [--json] [--update-baseline | --prune-baseline] \
+                            | simlint --rules"
+                        .to_string(),
+                );
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -66,19 +55,7 @@ fn parse_args() -> Result<Args, String> {
     if args.update_baseline && args.prune_baseline {
         return Err("--update-baseline and --prune-baseline are mutually exclusive".to_string());
     }
-    if !args.workspace && !args.list_rules && !args.rules {
-        return Err("nothing to scan: pass --workspace (see --help)".to_string());
-    }
     Ok(args)
-}
-
-/// Every rule (both passes) with its one-line doc, in display order.
-pub fn all_rules() -> Vec<(&'static str, &'static str)> {
-    simlint::rules::RULES
-        .iter()
-        .chain(simlint::wsrules::WS_RULES.iter())
-        .copied()
-        .collect()
 }
 
 fn main() -> ExitCode {
@@ -90,19 +67,13 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.list_rules {
-        for (id, _) in all_rules() {
-            println!("{id}");
-        }
-        return ExitCode::SUCCESS;
-    }
     if args.rules {
-        let width = all_rules()
+        // Every rule of both passes with its one-line doc.
+        let all = simlint::rules::RULES
             .iter()
-            .map(|(id, _)| id.len())
-            .max()
-            .unwrap_or(0);
-        for (id, doc) in all_rules() {
+            .chain(&simlint::wsrules::WS_RULES);
+        let width = all.clone().map(|(id, _)| id.len()).max().unwrap_or(0);
+        for (id, doc) in all {
             println!("{id:width$}  {doc}");
         }
         return ExitCode::SUCCESS;
@@ -113,10 +84,7 @@ fn main() -> ExitCode {
         eprintln!("simlint: no workspace root (Cargo.toml with [workspace]) above {cwd:?}");
         return ExitCode::from(2);
     };
-    let baseline_path = args
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| root.join("simlint.baseline"));
+    let baseline_path = root.join("simlint.baseline");
     let base = std::fs::read_to_string(&baseline_path)
         .map(|text| Baseline::parse(&text))
         .unwrap_or_default();

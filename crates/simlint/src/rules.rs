@@ -55,18 +55,7 @@ const COUNTER_HINTS: [&str; 8] = [
     "stat", "drop", "defer", "disturb", "inject", "fired", "recycle", "fault",
 ];
 
-/// All per-file rule ids, for `--list-rules` and docs.
-pub const RULE_IDS: [&str; 6] = [
-    "DET-NOW",
-    "DET-HASH",
-    "PANIC-INDEX",
-    "PROTO-MMIO",
-    "PAIR-SCRATCH",
-    "FAULT-STATS",
-];
-
-/// Per-file rules with their one-line docs, for `--rules`. A test pins
-/// this table against [`RULE_IDS`] so the docs cannot drift.
+/// Per-file rules with their one-line docs, for `--rules`.
 pub const RULES: [(&str, &str); 6] = [
     (
         "DET-NOW",

@@ -25,11 +25,7 @@ use crate::context::FileContext;
 use crate::lexer::TokKind;
 use crate::rules::{Diagnostic, HOT_FILES};
 
-/// Rule ids implemented by this pass.
-pub const WS_RULE_IDS: [&str; 4] = ["PANIC-REACH", "SHARD-ISO", "THREAD-DET", "TELEM-CONS"];
-
-/// Workspace rules with their one-line docs, for `--rules`. A test pins
-/// this table against [`WS_RULE_IDS`] so the docs cannot drift.
+/// Workspace rules with their one-line docs, for `--rules`.
 pub const WS_RULES: [(&str, &str); 4] = [
     (
         "PANIC-REACH",

@@ -216,7 +216,7 @@ impl SmartDimmDevice {
             channel,
             mapper: AddressMapper::new(topo),
             window: ConfigWindow::new(CONFIG_BASE, topo),
-            bank_table: BankTable::new(topo.ranks, topo.banks_per_rank()),
+            bank_table: BankTable::new(topo.ranks, dram::addr::BANKS_PER_RANK),
             xlat: TranslationTable::new(cfg.xlat_entries, cfg.cam_entries),
             scratchpad: Scratchpad::new(cfg.scratchpad_pages),
             offloads: BTreeMap::new(),
@@ -1023,7 +1023,7 @@ mod tests {
         CasInfo {
             loc,
             phys: addr.cacheline(),
-            bank_index: loc.bank_index(mapper.topology()),
+            bank_index: loc.bank_index(),
             at,
             tag: 0,
         }

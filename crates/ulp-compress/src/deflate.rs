@@ -11,7 +11,7 @@ use crate::bitio::{BitWriter, BytewiseBitWriter};
 use crate::huffman::{build_lengths, fixed_distance_lengths, fixed_literal_lengths, CanonicalCode};
 use crate::lz77::{
     self, distance_to_symbol, distance_to_symbol_reference, length_to_symbol,
-    length_to_symbol_reference, MatcherConfig, Token,
+    length_to_symbol_reference, Token,
 };
 use std::sync::OnceLock;
 
@@ -43,12 +43,12 @@ pub enum Strategy {
 /// assert_eq!(inflate::decompress(&out).unwrap(), data);
 /// ```
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    compress_with(data, MatcherConfig::default(), Strategy::Auto)
+    compress_with(data, Strategy::Auto)
 }
 
-/// Compresses with explicit matcher configuration and block strategy.
-pub fn compress_with(data: &[u8], config: MatcherConfig, strategy: Strategy) -> Vec<u8> {
-    let tokens = lz77::tokenize(data, config);
+/// Compresses with the default matching and an explicit block strategy.
+pub fn compress_with(data: &[u8], strategy: Strategy) -> Vec<u8> {
+    let tokens = lz77::tokenize(data);
     encode_tokens(&tokens, data, strategy)
 }
 
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn stored_round_trip() {
         let data = b"stored block payload".to_vec();
-        let out = compress_with(&data, MatcherConfig::default(), Strategy::Stored);
+        let out = compress_with(&data, Strategy::Stored);
         assert_eq!(decompress(&out).unwrap(), data);
         // Stored adds 5 bytes of framing.
         assert_eq!(out.len(), data.len() + 5);
@@ -361,21 +361,21 @@ mod tests {
 
     #[test]
     fn stored_empty_input() {
-        let out = compress_with(b"", MatcherConfig::default(), Strategy::Stored);
+        let out = compress_with(b"", Strategy::Stored);
         assert_eq!(decompress(&out).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn stored_multi_block_large_input() {
         let data = vec![0xABu8; 70_000]; // > 65535 forces two stored blocks
-        let out = compress_with(&data, MatcherConfig::default(), Strategy::Stored);
+        let out = compress_with(&data, Strategy::Stored);
         assert_eq!(decompress(&out).unwrap(), data);
     }
 
     #[test]
     fn fixed_round_trip() {
         let data = b"fixed huffman fixed huffman fixed huffman".to_vec();
-        let out = compress_with(&data, MatcherConfig::default(), Strategy::Fixed);
+        let out = compress_with(&data, Strategy::Fixed);
         assert!(out.len() < data.len());
         assert_eq!(decompress(&out).unwrap(), data);
     }
@@ -384,7 +384,7 @@ mod tests {
     fn dynamic_round_trip() {
         let data = b"dynamic blocks build a bespoke code from symbol frequencies; frequencies vary"
             .repeat(8);
-        let out = compress_with(&data, MatcherConfig::default(), Strategy::Dynamic);
+        let out = compress_with(&data, Strategy::Dynamic);
         assert!(out.len() < data.len());
         assert_eq!(decompress(&out).unwrap(), data);
     }
@@ -393,7 +393,7 @@ mod tests {
     fn dynamic_literals_only() {
         // No matches -> single zero-length distance code path.
         let data: Vec<u8> = (0..=255).collect();
-        let out = compress_with(&data, MatcherConfig::default(), Strategy::Dynamic);
+        let out = compress_with(&data, Strategy::Dynamic);
         assert_eq!(decompress(&out).unwrap(), data);
     }
 
@@ -469,7 +469,7 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 0..3000),
         ) {
             for strategy in [Strategy::Stored, Strategy::Fixed, Strategy::Dynamic, Strategy::Auto] {
-                let out = compress_with(&data, MatcherConfig::default(), strategy);
+                let out = compress_with(&data, strategy);
                 prop_assert_eq!(&decompress(&out).unwrap(), &data, "strategy {:?}", strategy);
             }
         }
@@ -483,7 +483,7 @@ mod tests {
             // gives long matches at many distances.
             let repeated: Vec<u8> = word.iter().cycle().take(data.len()).copied().collect();
             for input in [&data, &repeated] {
-                let tokens = lz77::tokenize(input, MatcherConfig::default());
+                let tokens = lz77::tokenize(input);
                 prop_assert_eq!(
                     encode_tokens(&tokens, input, Strategy::Fixed),
                     encode_fixed_reference(&tokens)

@@ -31,33 +31,34 @@ use crate::deflate::{encode_fixed_reference, encode_stored, fixed_codes};
 use crate::lz77::{length_to_symbol, Token, MAX_MATCH, MIN_MATCH};
 use std::sync::OnceLock;
 
-/// Deflate-DSA configuration. Defaults mirror the paper's prototype.
+/// Deflate-DSA configuration: the parallelization window, the one
+/// parameter §V-B trades off. The candidate store is the prototype's:
+/// 8 Config-Memory banks of 512 slots, 8 ports per bank, over a 4 KB
+/// (one-page) history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HwDeflateConfig {
     /// Parallelization window in bytes (paper: 8).
     pub window: usize,
-    /// Number of Config-Memory banks (paper: 8).
-    pub banks: usize,
-    /// Hash-table slots per bank (paper: sized to cover a 4 KB window).
-    pub entries_per_bank: usize,
-    /// Read/write port pairs per bank and cycle (paper: 8); accesses
-    /// beyond the port count in a cycle are dropped (best-effort).
-    pub ports_per_bank: usize,
-    /// History window in bytes (paper: 4 KB).
-    pub history: usize,
 }
 
 impl Default for HwDeflateConfig {
     fn default() -> Self {
-        HwDeflateConfig {
-            window: 8,
-            banks: 8,
-            entries_per_bank: 512,
-            ports_per_bank: 8,
-            history: 4096,
-        }
+        HwDeflateConfig { window: 8 }
     }
 }
+
+/// Number of Config-Memory banks.
+const BANKS: usize = 8;
+
+/// Hash-table slots per bank, sized to cover the 4 KB history.
+const ENTRIES_PER_BANK: usize = 512;
+
+/// Hash-table slots across all banks.
+const SLOTS: usize = BANKS * ENTRIES_PER_BANK;
+
+/// Read/write port pairs per bank and cycle; accesses beyond the port
+/// count in a cycle are dropped (best-effort).
+const PORTS_PER_BANK: u8 = 8;
 
 impl HwDeflateConfig {
     /// Maximum match length the comparator array can confirm: twice the
@@ -72,7 +73,7 @@ impl HwDeflateConfig {
     pub fn candidate_memory_bits(&self) -> usize {
         // Each slot stores a position tag (16 bits) plus the candidate
         // bytes the comparators need (2 * window bytes).
-        self.banks * self.entries_per_bank * (16 + 16 * self.window)
+        SLOTS * (16 + 16 * self.window)
     }
 }
 
@@ -129,8 +130,8 @@ const CACHELINE: usize = 64;
 /// Zero bytes after the page copy, so the kernel's word comparators and
 /// 3-byte hashes never run off its end.
 const PAD: usize = 8;
-/// An empty hash slot: further back than any history, so its distance
-/// never passes the history test.
+/// An empty hash slot: further back than the page, so its distance never
+/// passes the in-page test.
 const NO_POSITION: i32 = -(1 << 16);
 
 impl HwCompressor {
@@ -138,13 +139,9 @@ impl HwCompressor {
     ///
     /// # Panics
     ///
-    /// Panics if any configuration field is zero.
+    /// Panics if the window is zero.
     pub fn new(config: HwDeflateConfig) -> HwCompressor {
         assert!(config.window > 0, "window must be positive");
-        assert!(config.banks > 0, "banks must be positive");
-        assert!(config.entries_per_bank > 0, "entries must be positive");
-        assert!(config.ports_per_bank > 0, "ports must be positive");
-        assert!(config.history >= config.max_match(), "history too small");
         HwCompressor {
             config,
             stats: HwStats::default(),
@@ -238,21 +235,14 @@ impl HwCompressor {
     /// candidate is read before its own insert. So this emits the bytes
     /// and counts of `encode_fixed_reference(&tokenize_page_reference(..))`.
     fn encode_fixed_page(&mut self, page: &[u8]) -> Vec<u8> {
-        let cfg = self.config;
         let codes = FixedCodes::get();
         let n = page.len();
-        let max_match = cfg.max_match();
-        // Every distance is below one page, so a longer history admits
-        // exactly the candidates a one-page history does.
-        let history = cfg.history.min(PAGE);
-        let slots = cfg.banks * cfg.entries_per_bank;
-        let slot_mask = slots.is_power_of_two().then(|| slots - 1);
-        let bank_mask = cfg.banks.is_power_of_two().then(|| cfg.banks - 1);
+        let max_match = self.config.max_match();
         let mut buf = [0u8; PAGE + PAD];
         buf[..n].copy_from_slice(page);
         // slot -> position of the most recent candidate (oldest replaced).
-        let mut table = vec![NO_POSITION; slots];
-        let mut ports = vec![0usize; cfg.banks];
+        let mut table = vec![NO_POSITION; SLOTS];
+        let mut ports = [0u8; BANKS];
         // Line lane -> distance to its candidate (`u32::MAX`: none).
         let mut dists = [u32::MAX; CACHELINE];
         let (mut literals, mut matches, mut dropped) = (0u64, 0u64, 0u64);
@@ -271,11 +261,9 @@ impl HwCompressor {
             let hashes = hash_line(&buf, line_start);
             for (lane, (dist, &h)) in dists[..hashed].iter_mut().zip(&hashes).enumerate() {
                 let q = line_start + lane;
-                let h = h as usize;
-                let slot = slot_mask.map_or_else(|| h % slots, |m| h & m);
-                let bank = bank_mask.map_or_else(|| slot % cfg.banks, |m| slot & m);
-                let ok = ports[bank] < cfg.ports_per_bank;
-                ports[bank] += usize::from(ok);
+                let slot = h as usize % SLOTS;
+                let ok = ports[slot % BANKS] < PORTS_PER_BANK;
+                ports[slot % BANKS] += u8::from(ok);
                 dropped += u64::from(!ok);
                 let old = table[slot];
                 table[slot] = if ok { q as i32 } else { old };
@@ -295,8 +283,9 @@ impl HwCompressor {
                     let dist = dists[p - line_start] as usize;
                     // The table wins only when strictly longer, so a
                     // candidate at distance 1 or a neighbour run of
-                    // `limit` settles it.
-                    if dist <= history && dist > 1 && neighbor < limit {
+                    // `limit` settles it. An empty or dropped slot's
+                    // distance reaches past the page.
+                    if dist < PAGE && dist > 1 && neighbor < limit {
                         let table_len = match_len(&buf, p - dist, p, limit);
                         if table_len > neighbor {
                             (table_len, dist)
@@ -330,18 +319,16 @@ impl HwCompressor {
     }
 
     /// The tokenizer of the reference path: byte-at-a-time comparators,
-    /// `%` reductions, `Option` slots and separate read and write port
-    /// counters, two `Vec`s per cacheline. Kept as the kernel's oracle.
+    /// `Option` slots and separate read and write port counters per
+    /// cacheline. Kept as the kernel's oracle.
     fn tokenize_page_reference(&mut self, page: &[u8]) -> Vec<Token> {
-        let cfg = self.config;
-        let max_match = cfg.max_match();
-        let slots = cfg.banks * cfg.entries_per_bank;
+        let max_match = self.config.max_match();
         // slot -> position of the most recent candidate (oldest replaced).
-        let mut table: Vec<Option<u32>> = vec![None; slots];
+        let mut table: Vec<Option<u32>> = vec![None; SLOTS];
         let mut tokens = Vec::new();
 
         let slot_of = |data: &[u8], pos: usize| -> usize {
-            hash(data[pos], data[pos + 1], data[pos + 2]) as usize % slots
+            hash(data[pos], data[pos + 1], data[pos + 2]) as usize % SLOTS
         };
 
         let (mut lookups_dropped, mut inserts_dropped) = (0u64, 0u64);
@@ -351,8 +338,8 @@ impl HwCompressor {
             // One cycle: a 64-byte cacheline.
             let line_end = (pos + CACHELINE).min(page.len());
             // Per-cycle bank port accounting.
-            let mut reads_per_bank = vec![0usize; cfg.banks];
-            let mut writes_per_bank = vec![0usize; cfg.banks];
+            let mut reads_per_bank = [0u8; BANKS];
+            let mut writes_per_bank = [0u8; BANKS];
 
             for p in pos..line_end {
                 if p + MIN_MATCH > page.len() {
@@ -363,11 +350,11 @@ impl HwCompressor {
                     continue;
                 }
                 let slot = slot_of(page, p);
-                let bank = slot % cfg.banks;
+                let bank = slot % BANKS;
 
                 // Candidate lookup (only needed for uncovered positions,
                 // but the hardware looks up every lane).
-                let candidate = if reads_per_bank[bank] < cfg.ports_per_bank {
+                let candidate = if reads_per_bank[bank] < PORTS_PER_BANK {
                     reads_per_bank[bank] += 1;
                     table[slot]
                 } else {
@@ -376,7 +363,7 @@ impl HwCompressor {
                 };
 
                 // Insert this position (replacing the older entry).
-                if writes_per_bank[bank] < cfg.ports_per_bank {
+                if writes_per_bank[bank] < PORTS_PER_BANK {
                     writes_per_bank[bank] += 1;
                     table[slot] = Some(p as u32);
                 } else {
@@ -389,7 +376,7 @@ impl HwCompressor {
 
                 let try_candidate = |cand: usize| -> Option<(usize, usize)> {
                     let dist = p - cand;
-                    if dist == 0 || dist > cfg.history {
+                    if dist == 0 {
                         return None;
                     }
                     let limit = (page.len() - p).min(max_match);
@@ -628,17 +615,11 @@ mod tests {
     fn wider_window_improves_ratio_on_long_runs() {
         let page = corpus::text(4096, 3);
         let small = {
-            let mut dsa = HwCompressor::new(HwDeflateConfig {
-                window: 4,
-                ..Default::default()
-            });
+            let mut dsa = HwCompressor::new(HwDeflateConfig { window: 4 });
             dsa.compress_page(&page).data.len()
         };
         let large = {
-            let mut dsa = HwCompressor::new(HwDeflateConfig {
-                window: 16,
-                ..Default::default()
-            });
+            let mut dsa = HwCompressor::new(HwDeflateConfig { window: 16 });
             dsa.compress_page(&page).data.len()
         };
         assert!(large <= small, "window 16 ({large}) vs window 4 ({small})");
@@ -646,42 +627,25 @@ mod tests {
 
     #[test]
     fn memory_cost_grows_with_window() {
-        let a = HwDeflateConfig {
-            window: 4,
-            ..Default::default()
-        };
-        let b = HwDeflateConfig {
-            window: 16,
-            ..Default::default()
-        };
+        let a = HwDeflateConfig { window: 4 };
+        let b = HwDeflateConfig { window: 16 };
         assert!(b.candidate_memory_bits() > 2 * a.candidate_memory_bits());
     }
 
     #[test]
     fn port_starvation_drops_candidates() {
-        // One bank and one port: most parallel lookups in each cacheline
-        // are dropped.
-        let mut dsa = HwCompressor::new(HwDeflateConfig {
-            banks: 1,
-            ports_per_bank: 1,
-            ..Default::default()
-        });
-        let page = corpus::text(4096, 5);
-        let result = dsa.compress_page(&page);
-        assert_eq!(decompress(&result.data).unwrap(), page);
-        assert!(dsa.stats().lookups_dropped > 0);
-    }
-
-    #[test]
-    fn history_window_respected() {
-        let mut dsa = HwCompressor::new(HwDeflateConfig {
-            history: 64,
-            ..Default::default()
-        });
-        let mut page = corpus::text(600, 9);
-        page.truncate(600);
-        let result = dsa.compress_page(&page);
-        assert_eq!(decompress(&result.data).unwrap(), page);
+        // Runs inside text: every position of a run hashes to one slot,
+        // so its bank runs out of its 8 ports within the cacheline.
+        let page: Vec<u8> = corpus::text(4096, 5)
+            .chunks(64)
+            .flat_map(|c| [&c[..32], &[b'-'; 32]].concat())
+            .collect();
+        for window in [8, 32] {
+            let mut dsa = HwCompressor::new(HwDeflateConfig { window });
+            let result = dsa.compress_page(&page);
+            assert_eq!(decompress(&result.data).unwrap(), page);
+            assert!(dsa.stats().lookups_dropped > 0, "window {window}");
+        }
     }
 
     #[test]
@@ -736,46 +700,16 @@ mod tests {
         assert_eq!(fast.stats(), oracle.stats(), "{config:?}, {} B", page.len());
     }
 
-    /// The five configuration shapes of the equality tests around a
-    /// window: defaults, a 64-byte history, port starvation,
-    /// non-power-of-two banks and slots, and two ports per bank.
-    fn shapes(window: usize) -> [HwDeflateConfig; 5] {
-        let base = HwDeflateConfig {
-            window,
-            ..Default::default()
-        };
-        [
-            base,
-            HwDeflateConfig {
-                history: 64.max(base.max_match()),
-                ..base
-            },
-            HwDeflateConfig {
-                banks: 1,
-                ports_per_bank: 1,
-                ..base
-            },
-            HwDeflateConfig {
-                banks: 6,
-                entries_per_bank: 500,
-                ..base
-            },
-            HwDeflateConfig {
-                entries_per_bank: 300,
-                ports_per_bank: 2,
-                ..base
-            },
-        ]
-    }
+    /// The windows the equality tests run over: the §V-B ablation's
+    /// 2..=32, plus windows whose matches reach Deflate's 258-byte cap.
+    const WINDOWS: [usize; 7] = [2, 4, 8, 16, 32, 129, 200];
 
     #[test]
     fn fast_path_matches_reference_on_corpus_pages() {
-        // Port starvation and non-power-of-two geometries included, so
-        // the drop counters and the `%` fallbacks are exercised.
         for kind in corpus::Kind::ALL {
             let page = kind.generate(4096, 17);
-            for config in shapes(8) {
-                assert_matches_reference(config, &page);
+            for window in WINDOWS {
+                assert_matches_reference(HwDeflateConfig { window }, &page);
             }
         }
         // A tie the neighbour must win: 15 distinct bytes, then a run.
@@ -811,10 +745,9 @@ mod tests {
         for len in [1, 2, 3, 63, 64, 65, 4095, 4096] {
             for kind in corpus::Kind::ALL {
                 let page = kind.generate(len, 5);
-                for window in [2, 8, 32] {
-                    for config in shapes(window) {
-                        assert_matches_reference(config, &page[..len.min(page.len())]);
-                    }
+                for window in WINDOWS {
+                    let config = HwDeflateConfig { window };
+                    assert_matches_reference(config, &page[..len.min(page.len())]);
                 }
             }
         }
@@ -843,10 +776,7 @@ mod tests {
             })
         };
         for window in [8, 16, 32, 100, 200] {
-            let config = HwDeflateConfig {
-                window,
-                ..Default::default()
-            };
+            let config = HwDeflateConfig { window };
             let tokens = HwCompressor::new(config).tokenize_page_reference(&page);
             assert!(crosses(&tokens), "window {window}: no match crosses a line");
             assert_matches_reference(config, &page);
@@ -854,10 +784,8 @@ mod tests {
         // Long runs: windows past 128 match 258 bytes, skipping whole
         // lines.
         let run = [b"<p>".as_slice(), &[b'-'; 1000], b"</p>"].concat();
-        for window in [2, 32, 129, 200] {
-            for config in shapes(window) {
-                assert_matches_reference(config, &run);
-            }
+        for window in WINDOWS {
+            assert_matches_reference(HwDeflateConfig { window }, &run);
         }
     }
 
@@ -868,13 +796,7 @@ mod tests {
             for seed in 0..8 {
                 let page = kind.generate(4096, seed);
                 for window in [2, 4, 8, 16, 32] {
-                    assert_matches_reference(
-                        HwDeflateConfig {
-                            window,
-                            ..Default::default()
-                        },
-                        &page,
-                    );
+                    assert_matches_reference(HwDeflateConfig { window }, &page);
                 }
             }
         }
@@ -914,14 +836,14 @@ mod tests {
             len in 1usize..=4096,
             word in proptest::collection::vec(any::<u8>(), 1..24),
             window in 2usize..=32,
-            shape in 0usize..5,
         ) {
+            let config = HwDeflateConfig { window };
             let page = match source {
                 0 => corpus::random(len, seed),
                 1 => corpus::html(len, seed),
                 2 => corpus::text(len, seed),
                 3 => word.iter().cycle().take(len).copied().collect(),
-                4 => runs_across_line_starts(seed, shapes(window)[shape].max_match()),
+                4 => runs_across_line_starts(seed, config.max_match()),
                 _ => {
                     // A run between random bytes: its bank runs out of
                     // ports, and it may end below the match limit.
@@ -931,7 +853,7 @@ mod tests {
                     page
                 }
             };
-            assert_matches_reference(shapes(window)[shape], &page[..len.min(page.len())]);
+            assert_matches_reference(config, &page[..len.min(page.len())]);
         }
     }
 
@@ -953,7 +875,7 @@ mod tests {
             window in 2usize..16,
         ) {
             let data: Vec<u8> = word.iter().cycle().take((word.len() * reps).min(4096)).copied().collect();
-            let mut dsa = HwCompressor::new(HwDeflateConfig { window, ..Default::default() });
+            let mut dsa = HwCompressor::new(HwDeflateConfig { window });
             let result = dsa.compress_page(&data);
             prop_assert_eq!(decompress(&result.data).unwrap(), data);
         }

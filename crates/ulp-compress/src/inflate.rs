@@ -207,7 +207,6 @@ fn inflate_block(
 mod tests {
     use super::*;
     use crate::deflate::{compress, compress_with, Strategy};
-    use crate::lz77::MatcherConfig;
     use proptest::prelude::*;
 
     #[test]
@@ -317,7 +316,7 @@ mod tests {
     fn bound_is_inclusive_for_every_block_type() {
         let data = crate::corpus::html(4096, 3);
         for s in [Strategy::Stored, Strategy::Fixed, Strategy::Dynamic] {
-            let out = compress_with(&data, MatcherConfig::default(), s);
+            let out = compress_with(&data, s);
             assert_eq!(decompress_bounded(&out, 4096).unwrap(), data, "{s:?}");
             assert_eq!(
                 decompress_bounded(&out, 4095),
@@ -336,7 +335,7 @@ mod tests {
         #[test]
         fn prop_round_trip_all_strategies(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
             for s in [Strategy::Stored, Strategy::Fixed, Strategy::Dynamic] {
-                let out = compress_with(&data, MatcherConfig::default(), s);
+                let out = compress_with(&data, s);
                 prop_assert_eq!(&decompress(&out).unwrap(), &data);
             }
         }

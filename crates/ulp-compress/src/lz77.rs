@@ -217,29 +217,9 @@ pub fn expand_tokens(tokens: &[Token]) -> Vec<u8> {
     out
 }
 
-/// Configuration for the software hash-chain match finder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatcherConfig {
-    /// Sliding-window size in bytes (at most [`MAX_DISTANCE`]).
-    pub window: usize,
-    /// Maximum hash-chain links followed per position (the zlib
-    /// `max_chain` "effort" knob).
-    pub max_chain: usize,
-    /// Whether to use lazy matching (defer a match one byte if the next
-    /// position matches longer), as zlib levels ≥ 4 do.
-    pub lazy: bool,
-}
-
-impl Default for MatcherConfig {
-    /// zlib-level-6-like defaults.
-    fn default() -> Self {
-        MatcherConfig {
-            window: MAX_DISTANCE,
-            max_chain: 128,
-            lazy: true,
-        }
-    }
-}
+/// Maximum hash-chain links the software matcher follows per position
+/// (zlib level 6's `max_chain` effort).
+const MAX_CHAIN: usize = 128;
 
 const HASH_BITS: usize = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
@@ -278,20 +258,21 @@ fn hash3(data: &[u8], pos: usize) -> usize {
     (h as usize) & (HASH_SIZE - 1)
 }
 
-/// Greedy/lazy hash-chain LZ77 tokenizer — the software baseline that
-/// stands in for zlib running on the CPU.
+/// Hash-chain LZ77 tokenizer with lazy matching (a match is deferred one
+/// byte when the next position matches longer) over the full 32 KB
+/// window — the software baseline that stands in for zlib level 6
+/// running on the CPU.
 ///
 /// # Example
 ///
 /// ```
-/// use ulp_compress::lz77::{tokenize, expand_tokens, MatcherConfig, Token};
+/// use ulp_compress::lz77::{tokenize, expand_tokens, Token};
 /// let data = b"abcabcabcabc";
-/// let tokens = tokenize(data, MatcherConfig::default());
+/// let tokens = tokenize(data);
 /// assert!(tokens.iter().any(|t| matches!(t, Token::Match { .. })));
 /// assert_eq!(expand_tokens(&tokens), data);
 /// ```
-pub fn tokenize(data: &[u8], config: MatcherConfig) -> Vec<Token> {
-    let window = config.window.clamp(1, MAX_DISTANCE);
+pub fn tokenize(data: &[u8]) -> Vec<Token> {
     let mut tokens = Vec::new();
     if data.is_empty() {
         return tokens;
@@ -306,8 +287,8 @@ pub fn tokenize(data: &[u8], config: MatcherConfig) -> Vec<Token> {
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
         let mut cand = head[hash3(data, pos)];
-        let mut links = config.max_chain;
-        let limit = pos.saturating_sub(window);
+        let mut links = MAX_CHAIN;
+        let limit = pos.saturating_sub(MAX_DISTANCE);
         let max_len = (data.len() - pos).min(MAX_MATCH);
         while cand != usize::MAX && cand >= limit && links > 0 {
             if cand < pos {
@@ -353,7 +334,7 @@ pub fn tokenize(data: &[u8], config: MatcherConfig) -> Vec<Token> {
                 pos += 1;
                 continue;
             }
-            Some((len, dist)) if config.lazy && pos + 1 < data.len() => {
+            Some((len, dist)) => {
                 // Lazy evaluation: see if deferring one byte finds better.
                 insert(&mut head, &mut chain, pos);
                 match find_match(&head, &chain, pos + 1) {
@@ -364,10 +345,6 @@ pub fn tokenize(data: &[u8], config: MatcherConfig) -> Vec<Token> {
                     }
                     _ => (len, dist),
                 }
-            }
-            Some((len, dist)) => {
-                insert(&mut head, &mut chain, pos);
-                (len, dist)
             }
         };
         tokens.push(Token::Match {
@@ -389,11 +366,10 @@ pub fn tokenize(data: &[u8], config: MatcherConfig) -> Vec<Token> {
 /// This is the "before" side of the `bench_hotpaths` match-finder
 /// measurement and a correctness oracle for [`tokenize`]: both must
 /// round-trip through [`expand_tokens`], though they may legitimately
-/// pick different (equally valid) matches. `max_chain` is ignored — the
+/// pick different (equally valid) matches. There is no chain limit — the
 /// linear scan visits the whole window by construction. Not for hot
 /// paths.
-pub fn tokenize_linear(data: &[u8], config: MatcherConfig) -> Vec<Token> {
-    let window = config.window.clamp(1, MAX_DISTANCE);
+pub fn tokenize_linear(data: &[u8]) -> Vec<Token> {
     let mut tokens = Vec::new();
 
     let find_match = |pos: usize| -> Option<(usize, usize)> {
@@ -404,7 +380,7 @@ pub fn tokenize_linear(data: &[u8], config: MatcherConfig) -> Vec<Token> {
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
         // Nearest candidate first, exactly like the chain walk.
-        for cand in (pos.saturating_sub(window)..pos).rev() {
+        for cand in (pos.saturating_sub(MAX_DISTANCE)..pos).rev() {
             let mut l = 0;
             while l < max_len && data[cand + l] == data[pos + l] {
                 l += 1;
@@ -432,7 +408,7 @@ pub fn tokenize_linear(data: &[u8], config: MatcherConfig) -> Vec<Token> {
                 pos += 1;
                 continue;
             }
-            Some((len, dist)) if config.lazy && pos + 1 < data.len() => match find_match(pos + 1) {
+            Some((len, dist)) => match find_match(pos + 1) {
                 Some((nlen, _)) if nlen > len => {
                     tokens.push(Token::Literal(data[pos]));
                     pos += 1;
@@ -440,7 +416,6 @@ pub fn tokenize_linear(data: &[u8], config: MatcherConfig) -> Vec<Token> {
                 }
                 _ => (len, dist),
             },
-            Some((len, dist)) => (len, dist),
         };
         tokens.push(Token::Match {
             length: emit_len as u16,
@@ -535,7 +510,7 @@ mod tests {
     #[test]
     fn tokenize_finds_repeats() {
         let data = b"abcdefabcdefabcdef";
-        let tokens = tokenize(data, MatcherConfig::default());
+        let tokens = tokenize(data);
         let matches: Vec<_> = tokens
             .iter()
             .filter(|t| matches!(t, Token::Match { .. }))
@@ -548,55 +523,36 @@ mod tests {
     fn tokenize_incompressible() {
         // All-distinct bytes: no matches possible.
         let data: Vec<u8> = (0..=255).collect();
-        let tokens = tokenize(&data, MatcherConfig::default());
+        let tokens = tokenize(&data);
         assert_eq!(tokens.len(), 256);
         assert!(tokens.iter().all(|t| matches!(t, Token::Literal(_))));
     }
 
     #[test]
     fn tokenize_empty_and_tiny() {
-        assert!(tokenize(b"", MatcherConfig::default()).is_empty());
-        assert_eq!(
-            expand_tokens(&tokenize(b"ab", MatcherConfig::default())),
-            b"ab"
-        );
+        assert!(tokenize(b"").is_empty());
+        assert_eq!(expand_tokens(&tokenize(b"ab")), b"ab");
     }
 
     #[test]
     fn tokenize_respects_window() {
-        // Repeat is farther away than the window: must not match.
+        // Repeat is farther away than the 32 KB window: must not match.
         let mut data = b"uniqueprefix".to_vec();
-        data.extend(std::iter::repeat_n(0u8, 300));
+        data.extend(std::iter::repeat_n(0u8, MAX_DISTANCE));
         data.extend_from_slice(b"uniqueprefix");
-        let tokens = tokenize(
-            &data,
-            MatcherConfig {
-                window: 64,
-                max_chain: 64,
-                lazy: false,
-            },
-        );
+        let tokens = tokenize(&data);
         assert_eq!(expand_tokens(&tokens), data);
         for t in &tokens {
             if let Token::Match { distance, .. } = t {
-                assert!(*distance as usize <= 64);
+                assert!(*distance as usize <= MAX_DISTANCE);
             }
         }
     }
 
     #[test]
-    fn greedy_vs_lazy_both_correct() {
+    fn lazy_matching_round_trips() {
         let data = b"abcbcdbcdebcdefbcdefg".repeat(4);
-        for lazy in [false, true] {
-            let tokens = tokenize(
-                &data,
-                MatcherConfig {
-                    lazy,
-                    ..MatcherConfig::default()
-                },
-            );
-            assert_eq!(expand_tokens(&tokens), data, "lazy={lazy}");
-        }
+        assert_eq!(expand_tokens(&tokenize(&data)), data);
     }
 
     #[test]
@@ -622,24 +578,16 @@ mod tests {
     #[test]
     fn linear_matcher_round_trips_and_finds_repeats() {
         let data = b"abcdefabcdefabcdef";
-        for lazy in [false, true] {
-            let tokens = tokenize_linear(
-                data,
-                MatcherConfig {
-                    lazy,
-                    ..MatcherConfig::default()
-                },
-            );
-            assert_eq!(expand_tokens(&tokens), data, "lazy={lazy}");
-            assert!(tokens.iter().any(|t| matches!(t, Token::Match { .. })));
-        }
-        assert!(tokenize_linear(b"", MatcherConfig::default()).is_empty());
+        let tokens = tokenize_linear(data);
+        assert_eq!(expand_tokens(&tokens), data);
+        assert!(tokens.iter().any(|t| matches!(t, Token::Match { .. })));
+        assert!(tokenize_linear(b"").is_empty());
     }
 
     proptest! {
         #[test]
         fn prop_tokenize_round_trips(data in proptest::collection::vec(any::<u8>(), 0..2000)) {
-            let tokens = tokenize(&data, MatcherConfig::default());
+            let tokens = tokenize(&data);
             prop_assert_eq!(expand_tokens(&tokens), data);
         }
 
@@ -649,8 +597,8 @@ mod tests {
         ) {
             // The two matchers may pick different matches; both streams
             // must reconstruct the input byte-for-byte.
-            let chain = tokenize(&data, MatcherConfig::default());
-            let linear = tokenize_linear(&data, MatcherConfig::default());
+            let chain = tokenize(&data);
+            let linear = tokenize_linear(&data);
             prop_assert_eq!(expand_tokens(&chain), data.clone());
             prop_assert_eq!(expand_tokens(&linear), data);
         }
@@ -661,13 +609,13 @@ mod tests {
             reps in 1usize..64,
         ) {
             let data: Vec<u8> = seed.iter().cycle().take(seed.len() * reps).copied().collect();
-            let tokens = tokenize(&data, MatcherConfig::default());
+            let tokens = tokenize(&data);
             prop_assert_eq!(expand_tokens(&tokens), data);
         }
 
         #[test]
         fn prop_matches_within_bounds(data in proptest::collection::vec(any::<u8>(), 0..1500)) {
-            let tokens = tokenize(&data, MatcherConfig::default());
+            let tokens = tokenize(&data);
             let mut produced = 0usize;
             for t in &tokens {
                 match t {

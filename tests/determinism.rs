@@ -81,7 +81,6 @@ fn deflate_snapshots_match_with_and_without_the_page_lookahead() {
             connections: 64,
             requests: 160,
             ulp: UlpKind::Compression,
-            objects: 32,
             min_object_bytes: 1024,
             max_object_bytes: 8192,
             llc: Some(CacheConfig::mb(2, 16)),

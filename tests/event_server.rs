@@ -16,7 +16,6 @@ fn base(conns: usize, reqs: usize) -> EventWorkloadConfig {
         requests: reqs,
         workers: 16,
         ulp: UlpKind::Tls,
-        objects: 256,
         min_object_bytes: 2048,
         max_object_bytes: 8192,
         llc: Some(CacheConfig::mb(2, 16)),
@@ -124,7 +123,6 @@ fn goodput_is_monotone_non_increasing_in_churn() {
     for churn in [0u64, 150, 400, 800] {
         let cfg = EventWorkloadConfig {
             churn_permille: churn,
-            reconnect_ns: 2_000_000,
             think_time_ns: 10_000,
             ..base(256, 800)
         };
